@@ -87,10 +87,6 @@ class Engine:
         else:
             self.region_x_max = sc.street_length
         self._cache_events: list[tuple[int, int]] = []
-        self.alloc_trace: list[tuple] = []
-        self.channel_trace: list[tuple] = []
-        self.dump_alloc = False
-        self.dump_channel = False
 
     # -- link construction --------------------------------------------------
 
@@ -181,8 +177,12 @@ class Engine:
                 self.metrics.occupancy_samples.append(0.0)
             return
 
+        # per-link radio quantities of this tick, indexed by link_id (the
+        # link's position in ``links``)
         gains = rrrm.interference_matrix(links, self.cfg.phy)
-        sets = rrrm.partition_rrr_sets(links, gains, self.cfg.phy, self.cfg.rrrm)
+        nominal, powers = rrrm.link_budget(links, self.cfg.phy)
+        energies = phy.content_energy(powers, self.cfg.phy)
+        sets = rrrm.partition_rrr_sets(links, gains, powers, self.cfg.phy, self.cfg.rrrm)
         allocations, pruned = rrrm.allocate_prbs(sets, links, self.capacity, self.n_prbs)
         if measuring:
             self.metrics.pruned_links += len(pruned)
@@ -195,51 +195,42 @@ class Engine:
 
         for alloc in sorted(allocations,
                             key=lambda a: (a.set_id, a.prb_start, a.link.link_id)):
-            self._transmit(alloc, by_set[alloc.set_id], t, measuring)
-        if self.dump_alloc:
-            for alloc in allocations:
-                self.alloc_trace.append((t, alloc.link.link_id, alloc.set_id,
-                                         alloc.prb_start, alloc.prb_stop,
-                                         alloc.link.kind))
+            self._transmit(alloc, by_set[alloc.set_id], gains, nominal, powers,
+                           float(energies[alloc.link.link_id]), t, measuring)
 
     def _transmit(self, alloc: rrrm.Allocation, peers: list[rrrm.Allocation],
-                  t: float, measuring: bool) -> None:
+                  gains: np.ndarray, nominal: np.ndarray, powers: np.ndarray,
+                  energy: float, t: float, measuring: bool) -> None:
+        """gains, nominal, powers: the tick's interference matrix and
+        ``rrrm.link_budget``; energy: this link's content energy."""
         cfg = self.cfg
         link = alloc.link
+        i = link.link_id
         req = link.request_ref
-        own_power = phy.tx_power_for_link(link.kind, link.distance, cfg.phy)
         shadow_db = self.shadow.link_shadow_db(link.tx_x, link.rx_x)
 
         interferers = []
         for other in peers:
-            if other.link.link_id == link.link_id:
+            j = other.link.link_id
+            if j == i:
                 continue
             lo, hi = rrrm.overlap(alloc, other)
             if hi <= lo:
                 continue
-            d_cross = math.hypot(other.link.tx_x - link.rx_x,
-                                 other.link.tx_y - link.rx_y)
-            p_other = phy.tx_power_for_link(other.link.kind,
-                                            other.link.distance, cfg.phy)
             s_db = self.shadow.link_shadow_db(other.link.tx_x, link.rx_x)
-            chan = self.channel.realize(other.link.kind, d_cross, s_db, self.rng)
-            interferers.append((p_other, chan, lo, hi))
+            chan = self.channel.realize(gains[j, i], s_db, self.rng)
+            interferers.append((powers[j], chan, lo, hi))
 
         # HARQ: retransmissions happen within the control interval (their
         # round-trip is milliseconds), so a fading dip costs energy but
         # does not move the transmission to a later, farther tick
-        energy = float(phy.transmission_energy(link.kind,
-                                               np.array([link.distance]), cfg.phy)[0])
         success = False
         for _ in range(cfg.phy.harq_attempts):
-            own = self.channel.realize(link.kind, link.distance, shadow_db, self.rng)
+            own = self.channel.realize(nominal[i], shadow_db, self.rng)
             info = phy.achievable_information(
-                own_power, own, interferers,
+                powers[i], own, interferers,
                 (alloc.prb_start, alloc.prb_stop), cfg.phy)
             success = phy.transmission_success(info, cfg.phy)
-            if self.dump_channel:
-                self.channel_trace.append((t, link.link_id, link.kind, link.distance,
-                                           shadow_db, float(np.mean(own.gains))))
             if measuring:
                 if link.kind == phy.D2D:
                     self.metrics.energy_d2d += energy
@@ -285,10 +276,8 @@ class Engine:
 
 
 def run(cfg: Config, policy_name: str, duration: float, warmup: float,
-        seed: int, dump_alloc: bool = False, dump_channel: bool = False) -> Engine:
+        seed: int) -> Engine:
     eng = Engine(cfg, policy_name, seed)
-    eng.dump_alloc = dump_alloc
-    eng.dump_channel = dump_channel
     eng.run(duration, warmup)
     return eng
 

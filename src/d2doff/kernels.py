@@ -43,7 +43,8 @@ def min_distance_samples_np(x0: np.ndarray, v: np.ndarray, phi: np.ndarray) -> n
     x0 = np.asarray(x0, dtype=float)
     v = np.asarray(v, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a subnormal v overflows -x0 / v to inf, which the clip below handles
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t_cross = np.where(v != 0.0, -x0 / v, 0.0)
     t_star = np.clip(t_cross, 0.0, phi)
     crossing = (v != 0.0) & (t_cross >= 0.0) & (t_cross <= phi)

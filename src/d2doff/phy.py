@@ -80,14 +80,16 @@ def prbs_required(cfg: PhyConfig) -> int:
     return int(math.ceil((cfg.payload_bits / cfg.fec_rate) / bits_per_prb))
 
 
+def content_energy(p_c, cfg: PhyConfig):
+    """Radiated energy of one full content transmission at per-subcarrier
+    power p_c (J)."""
+    return prbs_required(cfg) * cfg.subcarriers_per_prb * p_c * cfg.prb_duration
+
+
 def transmission_energy(kind: str, r, cfg: PhyConfig):
     """Radiated energy of one full content transmission at distance r (J)."""
-    r = np.asarray(r, dtype=float)
     g = nominal_gain(kind, r, cfg)
-    margin = 10.0 ** (link_margin_db(kind, cfg) / 10.0)
-    sigma2 = subcarrier_noise_power(cfg)
-    p_c = margin * (sigma2 / g) * (2.0 ** cfg.spectral_efficiency - 1.0)
-    return prbs_required(cfg) * cfg.subcarriers_per_prb * p_c * cfg.prb_duration
+    return content_energy(tx_power_per_subcarrier(g, link_margin_db(kind, cfg), cfg), cfg)
 
 
 def energy_functions(cfg: PhyConfig):
@@ -156,13 +158,16 @@ class ChannelModel:
         self._amps = np.sqrt(powers / 2.0)
         self.n_subcarriers = n_sc
 
-    def realize(self, kind: str, distance: float, shadow_db: float,
+    def realize(self, nominal: float, shadow_db: float,
                 rng: np.random.Generator) -> ChannelRealization:
+        """One fading draw on a link of nominal gain ``nominal``."""
         taps = self._amps * (rng.standard_normal(self.cfg.n_taps)
                              + 1j * rng.standard_normal(self.cfg.n_taps))
-        h = self._phases @ taps
+        # einsum's own loop, not BLAS: OpenBLAS splits even this small
+        # matvec over its threads, which then wait on busy cores
+        h = np.einsum("ij,j->i", self._phases, taps)
         shadow = 10.0 ** (shadow_db / 10.0)
-        g = float(nominal_gain(kind, np.array([distance]), self.cfg)[0])
+        g = float(nominal)
         return ChannelRealization(gains=g * shadow * np.abs(h) ** 2,
                                   shadow_linear=shadow, nominal=g)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -12,6 +14,18 @@ def zipf_pmf(alpha: float, library_size: int) -> np.ndarray:
     ranks = np.arange(1, library_size + 1, dtype=float)
     weights = ranks ** (-alpha)
     return weights / weights.sum()
+
+
+@functools.lru_cache(maxsize=8)
+def zipf_cdf(alpha: float, library_size: int) -> np.ndarray:
+    """Read-only CDF of ``zipf_pmf``, built as ``Generator.choice(p=pmf)``
+    builds it, so ``cdf.searchsorted(rng.random(k), side="right")`` draws
+    the same contents as ``rng.choice(library_size, size=k, p=pmf)``.
+    Cached: every World of one configuration shares one array."""
+    cdf = zipf_pmf(alpha, library_size).cumsum()
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
 
 
 def per_content_request_rates(pmf: np.ndarray, request_rate: float) -> np.ndarray:

@@ -12,7 +12,6 @@ priority, then device links closest to their deadline.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -57,63 +56,71 @@ def priority_key(link: LinkIntent):
     return (0 if link.is_i2d else 1, link.deadline_interval, -link.age, link.link_id)
 
 
-def cross_distance(tx_link: LinkIntent, rx_link: LinkIntent) -> float:
-    """Distance from the transmitter of one link to the receiver of another."""
-    dx = tx_link.tx_x - rx_link.rx_x
-    dy = tx_link.tx_y - rx_link.rx_y
-    return math.hypot(dx, dy)
+def _gain_by_kind(is_i2d: np.ndarray, r: np.ndarray, cfg: PhyConfig) -> np.ndarray:
+    """Nominal gain over distances ``r`` whose rows belong to
+    infrastructure (``is_i2d``) or device transmitters: one
+    ``nominal_gain`` call per kind present."""
+    out = np.empty_like(r)
+    for kind, rows in ((phy.I2D, is_i2d), (phy.D2D, ~is_i2d)):
+        if rows.any():
+            out[rows] = phy.nominal_gain(kind, r[rows], cfg)
+    return out
 
 
 def interference_matrix(links: list[LinkIntent], cfg: PhyConfig) -> np.ndarray:
     """Entry (i, j) = nominal gain from tx of link i to rx of link j;
     the transmitter's gain model applies; diagonal set to 0."""
-    n = len(links)
-    out = np.zeros((n, n))
-    for i, li in enumerate(links):
-        for j, lj in enumerate(links):
-            if i == j:
-                continue
-            d = cross_distance(li, lj)
-            out[i, j] = float(phy.nominal_gain(li.kind, np.array([d]), cfg)[0])
+    tx = np.array([(l.tx_x, l.tx_y) for l in links], dtype=float).reshape(-1, 2)
+    rx = np.array([(l.rx_x, l.rx_y) for l in links], dtype=float).reshape(-1, 2)
+    d = np.hypot(tx[:, None, 0] - rx[None, :, 0], tx[:, None, 1] - rx[None, :, 1])
+    out = _gain_by_kind(np.array([l.is_i2d for l in links], dtype=bool), d, cfg)
+    np.fill_diagonal(out, 0.0)
     return out
 
 
-def _pair_exempt(a: LinkIntent, b: LinkIntent) -> bool:
-    """Same-eNB infrastructure links get exclusive slices, so their
-    mutual interference is irrelevant to set membership."""
-    return a.is_i2d and b.is_i2d and a.enb_id == b.enb_id
+def link_budget(links: list[LinkIntent], cfg: PhyConfig
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(nominal gain, per-subcarrier transmit power) of each link over its
+    own distance, as ``phy.tx_power_for_link`` sets them."""
+    is_i2d = np.array([l.is_i2d for l in links], dtype=bool)
+    gain = _gain_by_kind(is_i2d, np.array([l.distance for l in links], dtype=float), cfg)
+    power = np.empty_like(gain)
+    for kind, rows in ((phy.I2D, is_i2d), (phy.D2D, ~is_i2d)):
+        power[rows] = phy.tx_power_per_subcarrier(
+            gain[rows], phy.link_margin_db(kind, cfg), cfg)
+    return gain, power
 
 
 def partition_rrr_sets(links: list[LinkIntent], gains: np.ndarray,
-                       cfg: PhyConfig, rrrm: RrrmConfig) -> list[list[int]]:
+                       powers: np.ndarray, cfg: PhyConfig,
+                       rrrm: RrrmConfig) -> list[list[int]]:
     """Greedy first-fit partition in priority order; returns lists of
-    indices into ``links``."""
+    indices into ``links``.  ``gains`` is the interference matrix and
+    ``powers`` the per-subcarrier powers of ``link_budget``.
+
+    A pair conflicts when either member's interference-to-noise ratio at
+    the other's receiver exceeds the threshold, unless both are
+    infrastructure links of one eNB: those get exclusive slices, so
+    their mutual interference is irrelevant to set membership."""
     if not links:
         return []
     gamma = 10.0 ** (rrrm.gamma_inr_db / 10.0)
     sigma2 = phy.subcarrier_noise_power(cfg)
-    powers = [phy.tx_power_for_link(l.kind, l.distance, cfg) for l in links]
+    loud = powers[:, None] * gains > gamma * sigma2
+    enb = np.array([l.enb_id if l.is_i2d else -1 for l in links])
+    conflict = (loud | loud.T) & ~((enb[:, None] == enb[None, :]) & (enb[:, None] >= 0))
     order = sorted(range(len(links)), key=lambda i: priority_key(links[i]))
     sets: list[list[int]] = []
+    blocked: list[np.ndarray] = []     # per set: links that conflict with a member
     for i in order:
-        placed = False
-        for members in sets:
-            ok = True
-            for j in members:
-                if _pair_exempt(links[i], links[j]):
-                    continue
-                if powers[i] * gains[i, j] > gamma * sigma2:
-                    ok = False
-                    break
-                if powers[j] * gains[j, i] > gamma * sigma2:
-                    ok = False
-                    break
-            if ok:
+        for members, mask in zip(sets, blocked):
+            if not mask[i]:
                 members.append(i)
-                placed = True
+                mask |= conflict[i]
                 break
-        if not placed:
+        else:
             sets.append([i])
+            blocked.append(conflict[i].copy())
     return sets
 
 

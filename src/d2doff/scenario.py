@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ScenarioConfig
-from .popularity import zipf_pmf
+from .popularity import zipf_cdf, zipf_pmf
 
 FORWARD = 0
 BACKWARD = 1
@@ -79,8 +79,8 @@ class World:
         self.rng = rng
         self.vehicles: dict[int, Vehicle] = {}
         self.holders: dict[int, set[int]] = {}   # content -> vehicle ids
-        self.pmf = zipf_pmf(cfg.zipf_alpha, cfg.library_size)
-        self.lam_z = self.pmf * cfg.request_rate
+        self.lam_z = zipf_pmf(cfg.zipf_alpha, cfg.library_size) * cfg.request_rate
+        self.content_cdf = zipf_cdf(cfg.zipf_alpha, cfg.library_size)
         self._next_vid = 0
         self._next_rid = 0
         # per-tick arrays
@@ -245,7 +245,7 @@ class World:
             k = self.rng.poisson(cfg.request_rate * cfg.control_interval)
             if k == 0:
                 continue
-            contents = self.rng.choice(cfg.library_size, size=k, p=self.pmf)
+            contents = self.content_cdf.searchsorted(self.rng.random(k), side="right")
             for z in contents:
                 rid = self._next_rid
                 self._next_rid += 1

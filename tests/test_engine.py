@@ -123,6 +123,47 @@ class TestReplicate:
             engine.replicate(short_cfg, "optimal", 60.0, 60.0, 0, 1)
 
 
+# Outputs of engine.run(cfg at lambda = 1 veh/s, policy, 30, 30, seed=7),
+# recorded before the per-tick radio path was vectorized.  The vectorized
+# path draws the same random numbers in the same order, so the counts must
+# match exactly and the energies to float round-off.
+GOLDEN_LAMBDA_1 = {
+    "optimal": dict(
+        deliveries_d2d=191, deliveries_i2d=235, repeated=149, dropped=27,
+        requests_nonrepeated=424, failed_attempts=25, pruned_links=0,
+        energy_d2d=0.14037447104265963, energy_i2d=19.40568747507099,
+        d2d_distance_sum=2063.311920463907, mean_occupancy=0.30666666666666664),
+    "benchmark": dict(
+        deliveries_d2d=223, deliveries_i2d=182, repeated=122, dropped=29,
+        requests_nonrepeated=425, failed_attempts=29, pruned_links=0,
+        energy_d2d=1.7489580141899188, energy_i2d=13.51586584211401,
+        d2d_distance_sum=10011.915372168849, mean_occupancy=0.308888888888889),
+    "cellular": dict(
+        deliveries_d2d=0, deliveries_i2d=614, repeated=0, dropped=0,
+        requests_nonrepeated=616, failed_attempts=57, pruned_links=64,
+        energy_d2d=0.0, energy_i2d=47.575021161635476,
+        d2d_distance_sum=0.0, mean_occupancy=0.6111111111111109),
+}
+GOLDEN_COUNTS = ("deliveries_d2d", "deliveries_i2d", "repeated", "dropped",
+                 "requests_nonrepeated", "failed_attempts", "pruned_links")
+
+
+class TestGolden:
+    @pytest.mark.parametrize("policy", sorted(GOLDEN_LAMBDA_1))
+    def test_fixed_seed_outputs(self, short_cfg, policy):
+        cfg = dataclasses.replace(short_cfg, scenario=dataclasses.replace(
+            short_cfg.scenario, vehicle_arrival_rate=1.0))
+        m = engine.run(cfg, policy, 30.0, 30.0, seed=7).metrics
+        want = GOLDEN_LAMBDA_1[policy]
+        assert {k: getattr(m, k) for k in GOLDEN_COUNTS} == \
+            {k: want[k] for k in GOLDEN_COUNTS}
+        assert len(m.d2d_distances) == want["deliveries_d2d"]
+        for key in ("energy_d2d", "energy_i2d", "mean_occupancy"):
+            assert getattr(m, key) == pytest.approx(want[key], rel=1e-12, abs=0.0)
+        assert sum(m.d2d_distances) == pytest.approx(want["d2d_distance_sum"],
+                                                     rel=1e-12, abs=0.0)
+
+
 class TestDistancePdf:
     def test_normalized(self, rng):
         centers, dens = sample_distance_pdf(rng.uniform(0, 90, 5000),

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,14 @@ class TestMinDistance:
             np.array([x0]), np.array([v]), np.array([phi]))[0])
         assert 0.0 <= out <= abs(x0)
         assert out <= abs(x0 + v * phi) + 1e-9 * max(1.0, abs(x0))
+
+    def test_subnormal_speed_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = kernels.min_distance_samples_np(
+                np.array([-1e6, 1e6]), np.array([5e-324, -5e-324]),
+                np.array([10.0, 10.0]))
+        assert np.array_equal(out, [1e6, 1e6])
 
 
 class TestCapacity:

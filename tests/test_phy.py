@@ -101,28 +101,44 @@ class TestShadowing:
 
 
 class TestChannelModel:
-    def test_mean_tap_power_normalized(self, cfg, rng):
+    @pytest.fixture(scope="class")
+    def g50(self, cfg):
+        return float(phy.nominal_gain(phy.D2D, np.array([50.0]), cfg)[0])
+
+    def test_mean_tap_power_normalized(self, cfg, rng, g50):
         model = phy.ChannelModel(cfg)
         n = 2000
         acc = np.zeros(model.n_subcarriers)
         for _ in range(n):
-            c = model.realize(phy.D2D, 50.0, 0.0, rng)
+            c = model.realize(g50, 0.0, rng)
             acc += c.gains / c.nominal
         assert np.mean(acc / n) == pytest.approx(1.0, abs=0.05)
 
-    def test_frequency_selectivity(self, cfg, rng):
+    def test_frequency_selectivity(self, cfg, rng, g50):
         model = phy.ChannelModel(cfg)
-        c = model.realize(phy.D2D, 50.0, 0.0, rng)
+        c = model.realize(g50, 0.0, rng)
         rel = c.gains / c.nominal
         assert rel.std() > 0.1  # Rayleigh fading across the band
 
-    def test_shadow_scales_gains(self, cfg, rng):
+    def test_shadow_scales_gains(self, cfg, rng, g50):
         model = phy.ChannelModel(cfg)
         state = rng.bit_generator.state
-        a = model.realize(phy.D2D, 50.0, 0.0, rng)
+        a = model.realize(g50, 0.0, rng)
         rng.bit_generator.state = state
-        b = model.realize(phy.D2D, 50.0, 10.0, rng)
+        b = model.realize(g50, 10.0, rng)
         assert np.allclose(b.gains, 10.0 * a.gains)
+
+    def test_matches_matrix_product(self, cfg, rng, g50):
+        model = phy.ChannelModel(cfg)
+        state = rng.bit_generator.state
+        c = model.realize(g50, 3.0, rng)
+        rng.bit_generator.state = state
+        taps = model._amps * (rng.standard_normal(cfg.n_taps)
+                              + 1j * rng.standard_normal(cfg.n_taps))
+        want = g50 * 10.0 ** 0.3 * np.abs(model._phases @ taps) ** 2
+        # same sums, possibly in another order
+        np.testing.assert_allclose(c.gains, want, rtol=1e-12, atol=0.0)
+        assert c.nominal == g50
 
 
 class TestCapacity:

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from d2doff import phy, rrrm
 from d2doff.config import Config
@@ -24,38 +28,95 @@ def i2d(link_id, enb_x, rx_x, enb_id, deadline=10):
         distance=abs(rx_x - enb_x), deadline_interval=deadline, enb_id=enb_id)
 
 
+def partition(links, cfg):
+    gains = rrrm.interference_matrix(links, cfg.phy)
+    _, powers = rrrm.link_budget(links, cfg.phy)
+    return rrrm.partition_rrr_sets(links, gains, powers, cfg.phy, cfg.rrrm)
+
+
+# (is_i2d, transmitter x / eNB index, receiver x, receiver lane, deadline)
+link_specs = st.lists(
+    st.tuples(st.booleans(), st.floats(0.0, 1500.0), st.floats(0.0, 1500.0),
+              st.sampled_from([0.0, 10.0]), st.integers(0, 4)),
+    min_size=1, max_size=12)
+
+
+def mixed_links(specs, cfg):
+    """Device and infrastructure links from ``link_specs`` draws."""
+    sc = cfg.scenario
+    links = []
+    for k, (is_i2d, a, rx_x, rx_y, deadline) in enumerate(specs):
+        if is_i2d:
+            enb = int(a) % len(sc.enb_positions)
+            tx_x, tx_y = sc.enb_positions[enb], sc.enb_antenna_height
+            links.append(rrrm.LinkIntent(
+                link_id=k, kind=phy.I2D, tx_id=enb, rx_id=k, tx_x=tx_x, tx_y=tx_y,
+                rx_x=rx_x, rx_y=rx_y, distance=math.hypot(tx_x - rx_x, tx_y),
+                deadline_interval=deadline, enb_id=enb))
+        else:
+            tx_y = sc.lane_offset - rx_y if k % 2 else rx_y
+            links.append(rrrm.LinkIntent(
+                link_id=k, kind=phy.D2D, tx_id=k, rx_id=k, tx_x=a, tx_y=tx_y,
+                rx_x=rx_x, rx_y=rx_y, distance=math.hypot(a - rx_x, tx_y - rx_y),
+                deadline_interval=deadline, age=k % 3))
+    return links
+
+
+def reference_partition(links, gains, cfg):
+    """Pairwise first-fit partition, one link pair at a time, with each
+    power from ``phy.tx_power_for_link``."""
+    gamma = 10.0 ** (cfg.rrrm.gamma_inr_db / 10.0)
+    sigma2 = phy.subcarrier_noise_power(cfg.phy)
+    powers = [phy.tx_power_for_link(l.kind, l.distance, cfg.phy) for l in links]
+    sets = []
+    for i in sorted(range(len(links)), key=lambda i: rrrm.priority_key(links[i])):
+        for members in sets:
+            if all(links[i].is_i2d and links[j].is_i2d
+                   and links[i].enb_id == links[j].enb_id
+                   or (powers[i] * gains[i, j] <= gamma * sigma2
+                       and powers[j] * gains[j, i] <= gamma * sigma2)
+                   for j in members):
+                members.append(i)
+                break
+        else:
+            sets.append([i])
+    return sets
+
+
 class TestPartition:
     def test_close_d2d_links_split(self, cfg):
         links = [d2d(0, 0.0, 30.0), d2d(1, 5.0, 35.0)]
-        gains = rrrm.interference_matrix(links, cfg.phy)
-        sets = rrrm.partition_rrr_sets(links, gains, cfg.phy, cfg.rrrm)
+        sets = partition(links, cfg)
         assert len(sets) == 2
 
     def test_far_d2d_links_share(self, cfg):
         links = [d2d(0, 0.0, 30.0), d2d(1, 2500.0, 2530.0)]
-        gains = rrrm.interference_matrix(links, cfg.phy)
-        sets = rrrm.partition_rrr_sets(links, gains, cfg.phy, cfg.rrrm)
+        sets = partition(links, cfg)
         assert sets == [[0, 1]]
 
     def test_distant_enbs_reuse(self, cfg):
         # eNB 1 at x=0 and eNB 4 at x=1800 can serve nearby vehicles on
         # the same PRBs; adjacent eNBs serving cell-edge vehicles cannot
         far = [i2d(0, 0.0, 50.0, enb_id=0), i2d(1, 1800.0, 1850.0, enb_id=3)]
-        gains = rrrm.interference_matrix(far, cfg.phy)
-        assert len(rrrm.partition_rrr_sets(far, gains, cfg.phy, cfg.rrrm)) == 1
+        assert len(partition(far, cfg)) == 1
         near = [i2d(0, 0.0, 250.0, enb_id=0), i2d(1, 600.0, 350.0, enb_id=1)]
-        gains = rrrm.interference_matrix(near, cfg.phy)
-        assert len(rrrm.partition_rrr_sets(near, gains, cfg.phy, cfg.rrrm)) == 2
+        assert len(partition(near, cfg)) == 2
 
     def test_same_enb_links_exempt(self, cfg):
         links = [i2d(0, 0.0, 50.0, enb_id=0), i2d(1, 0.0, -80.0, enb_id=0)]
-        gains = rrrm.interference_matrix(links, cfg.phy)
-        sets = rrrm.partition_rrr_sets(links, gains, cfg.phy, cfg.rrrm)
+        sets = partition(links, cfg)
         assert sets == [[0, 1]]  # they share the set but get exclusive slices
 
     def test_empty(self, cfg):
-        assert rrrm.partition_rrr_sets([], np.zeros((0, 0)), cfg.phy,
-                                       cfg.rrrm) == []
+        assert rrrm.partition_rrr_sets([], np.zeros((0, 0)), np.zeros(0),
+                                       cfg.phy, cfg.rrrm) == []
+
+    @given(specs=link_specs)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_pairwise_reference(self, cfg, specs):
+        links = mixed_links(specs, cfg)
+        gains = rrrm.interference_matrix(links, cfg.phy)
+        assert partition(links, cfg) == reference_partition(links, gains, cfg)
 
 
 class TestInterferenceMatrix:
@@ -65,6 +126,31 @@ class TestInterferenceMatrix:
         assert gains[0, 0] == gains[1, 1] == 0.0
         # tx0 -> rx1 spans 530 m; tx1 -> rx0 spans 500 m
         assert gains[1, 0] > gains[0, 1] > 0.0
+
+    @given(specs=link_specs)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_pair_gains(self, cfg, specs):
+        links = mixed_links(specs, cfg)
+        gains = rrrm.interference_matrix(links, cfg.phy)
+        n = len(links)
+        want = np.zeros((n, n))
+        for i, li in enumerate(links):
+            for j, lj in enumerate(links):
+                if i != j:
+                    d = math.hypot(li.tx_x - lj.rx_x, li.tx_y - lj.rx_y)
+                    want[i, j] = phy.nominal_gain(li.kind, np.array([d]), cfg.phy)[0]
+        assert np.all(np.diag(gains) == 0.0)
+        # numpy's hypot and math.hypot may differ in the last bit
+        np.testing.assert_allclose(gains, want, rtol=1e-13, atol=0.0)
+
+    @given(specs=link_specs)
+    @settings(max_examples=50, deadline=None)
+    def test_link_budget_matches_scalar_path(self, cfg, specs):
+        links = mixed_links(specs, cfg)
+        nominal, powers = rrrm.link_budget(links, cfg.phy)
+        for link, g, p in zip(links, nominal, powers):
+            assert g == phy.nominal_gain(link.kind, np.array([link.distance]), cfg.phy)[0]
+            assert p == phy.tx_power_for_link(link.kind, link.distance, cfg.phy)
 
 
 class TestAllocation:
@@ -102,8 +188,7 @@ class TestAllocation:
         # 16 mutually interfering links need 128k PRBs > 120k capacity
         links = ([i2d(k, 0.0, 20.0 + k, enb_id=0) for k in range(8)]
                  + [d2d(8 + k, 40.0 * k, 40.0 * k + 30.0) for k in range(8)])
-        gains = rrrm.interference_matrix(links, cfg.phy)
-        sets = rrrm.partition_rrr_sets(links, gains, cfg.phy, cfg.rrrm)
+        sets = partition(links, cfg)
         allocs, pruned = rrrm.allocate_prbs(sets, links, 120_000, 8000)
         assert len(pruned) == 1
         assert not pruned[0].is_i2d
@@ -118,8 +203,7 @@ class TestAllocation:
 
     def test_no_pruning_when_fits(self, cfg):
         links = [d2d(k, 400.0 * k, 400.0 * k + 30.0) for k in range(5)]
-        gains = rrrm.interference_matrix(links, cfg.phy)
-        sets = rrrm.partition_rrr_sets(links, gains, cfg.phy, cfg.rrrm)
+        sets = partition(links, cfg)
         allocs, pruned = rrrm.allocate_prbs(sets, links, 120_000, 8000)
         assert not pruned and len(allocs) == 5
 

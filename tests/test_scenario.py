@@ -5,6 +5,7 @@ import pytest
 
 from d2doff import scenario
 from d2doff.config import Config, ScenarioConfig
+from d2doff.popularity import zipf_pmf
 from d2doff.scenario import BACKWARD, FORWARD, World, vehicle_distance
 
 
@@ -149,6 +150,32 @@ class TestRequests:
         # content 1 should take ~15% of all requests under the default skew
         share = np.mean(np.array(ids) == 0)
         assert share == pytest.approx(0.151, abs=0.03)
+
+    def test_contents_match_weighted_choice(self):
+        sc = Config().scenario
+        world = World(sc, np.random.default_rng(8))
+        for k in range(40):
+            world._new_vehicle(0.0, 15.0 + 0.1 * k)
+        got = [(r.requester_id, r.content_id) for t in range(30)
+               for r in world.spawn_requests(float(t))]
+        # replay the stream with Generator.choice over the Zipf pmf
+        rng = np.random.default_rng(8)
+        pmf = zipf_pmf(sc.zipf_alpha, sc.library_size)
+        want = []
+        for t in range(30):
+            for vid in sorted(world.vehicles):
+                k = rng.poisson(sc.request_rate * sc.control_interval)
+                if k:
+                    want += [(vid, int(z)) for z in
+                             rng.choice(sc.library_size, size=k, p=pmf)]
+        assert len(got) > 50
+        assert got == want
+
+    def test_worlds_share_one_read_only_cdf(self):
+        a = World(Config().scenario, np.random.default_rng(1))
+        b = World(Config().scenario, np.random.default_rng(2))
+        assert a.content_cdf is b.content_cdf
+        assert not a.content_cdf.flags.writeable
 
     def test_inactive_vehicles_silent(self, world):
         veh = world._new_vehicle(0.0, 15.0)
