@@ -37,28 +37,6 @@ def bench_min_distance(rng):
     return "min_distance_samples (2e6)", t_np, t_nb
 
 
-def bench_capacity(rng):
-    n_sc = 720
-    reps = 500
-    signal = rng.gamma(2.0, 1e-12, n_sc)
-    interference = rng.gamma(2.0, 1e-13, n_sc)
-    weights = np.repeat(rng.integers(100, 140, 60).astype(float), 12)
-    args = (signal, interference, 5.97e-16, weights, 6.0, 15e3, 5e-4)
-
-    def many(fn):
-        def run(*a):
-            acc = 0.0
-            for _ in range(reps):
-                acc += fn(*a)
-            return acc
-        return run
-
-    t_np, out_np = timeit(many(kernels.capacity_bits_np), *args)
-    t_nb, out_nb = timeit(many(kernels.capacity_bits_nb), *args)
-    assert np.isclose(out_np, out_nb)
-    return f"capacity_bits (x{reps})", t_np, t_nb
-
-
 def bench_mixture(rng):
     m = 20_000
     grid_cdf = np.sort(rng.random(m)) * 0.8
@@ -74,7 +52,7 @@ def main() -> None:
     rng = np.random.default_rng(0)
     print(f"numba available: {kernels.HAVE_NUMBA}")
     print(f"{'kernel':35s} {'numpy [ms]':>12s} {'numba [ms]':>12s} {'speedup':>8s}")
-    for bench in (bench_min_distance, bench_capacity, bench_mixture):
+    for bench in (bench_min_distance, bench_mixture):
         name, t_np, t_nb = bench(rng)
         print(f"{name:35s} {t_np * 1e3:12.2f} {t_nb * 1e3:12.2f} "
               f"{t_np / t_nb:7.2f}x")

@@ -189,61 +189,98 @@ class Engine:
             self.metrics.occupancy_samples.append(
                 rrrm.spectrum_occupancy(allocations, self.capacity, self._in_region))
 
-        by_set: dict[int, list[rrrm.Allocation]] = {}
-        for alloc in allocations:
-            by_set.setdefault(alloc.set_id, []).append(alloc)
+        self._transmit_tick(allocations, gains, nominal, powers, energies, t, measuring)
 
-        for alloc in sorted(allocations,
-                            key=lambda a: (a.set_id, a.prb_start, a.link.link_id)):
-            self._transmit(alloc, by_set[alloc.set_id], gains, nominal, powers,
-                           float(energies[alloc.link.link_id]), t, measuring)
+    def _transmit_tick(self, allocations: list[rrrm.Allocation], gains: np.ndarray,
+                       nominal: np.ndarray, powers: np.ndarray, energies: np.ndarray,
+                       t: float, measuring: bool) -> None:
+        """Every allocation's HARQ attempts, in order of (set, first PRB,
+        link id).  gains, nominal, powers: the tick's interference matrix
+        and ``rrrm.link_budget``; energies: each link's content energy.
 
-    def _transmit(self, alloc: rrrm.Allocation, peers: list[rrrm.Allocation],
-                  gains: np.ndarray, nominal: np.ndarray, powers: np.ndarray,
-                  energy: float, t: float, measuring: bool) -> None:
-        """gains, nominal, powers: the tick's interference matrix and
-        ``rrrm.link_budget``; energy: this link's content energy."""
-        cfg = self.cfg
-        link = alloc.link
-        i = link.link_id
-        req = link.request_ref
-        shadow_db = self.shadow.link_shadow_db(link.tx_x, link.rx_x)
-
-        interferers = []
-        for other in peers:
-            j = other.link.link_id
-            if j == i:
-                continue
-            lo, hi = rrrm.overlap(alloc, other)
-            if hi <= lo:
-                continue
-            s_db = self.shadow.link_shadow_db(other.link.tx_x, link.rx_x)
-            chan = self.channel.realize(gains[j, i], s_db, self.rng)
-            interferers.append((powers[j], chan, lo, hi))
-
-        # HARQ: retransmissions happen within the control interval (their
-        # round-trip is milliseconds), so a fading dip costs energy but
-        # does not move the transmission to a later, farther tick
-        success = False
-        for _ in range(cfg.phy.harq_attempts):
-            own = self.channel.realize(nominal[i], shadow_db, self.rng)
-            info = phy.achievable_information(
-                powers[i], own, interferers,
-                (alloc.prb_start, alloc.prb_stop), cfg.phy)
-            success = phy.transmission_success(info, cfg.phy)
-            if measuring:
-                if link.kind == phy.D2D:
-                    self.metrics.energy_d2d += energy
-                else:
-                    self.metrics.energy_i2d += energy
-            if success:
-                break
-            req.attempts += 1
-            if measuring:
-                self.metrics.failed_attempts += 1
-        if not success:
+        A link's receiver hears one channel from each peer of its set that
+        shares PRBs with it, in allocation order, then its own.  These rows
+        take fading blocks in draw order, all links' rows in link order.  A
+        retry takes the block after its link's last one, so every later row
+        moves one block on; blocks are drawn only once a row needs them."""
+        if not allocations:
             return
+        cfg = self.cfg
+        n = len(allocations)
+        links = [a.link for a in allocations]
+        lid = np.array([link.link_id for link in links])
+        set_id = np.array([a.set_id for a in allocations])
+        start = np.array([a.prb_start for a in allocations])
+        stop = np.array([a.prb_stop for a in allocations])
+        order = np.lexsort((lid, start, set_id))
+        # hears[f, j]: allocation j shares PRBs with the f-th link to transmit
+        hears = ((set_id[order, None] == set_id)
+                 & (np.minimum(stop[order, None], stop) > np.maximum(start[order, None], start)))
+        hears[np.arange(n), order] = False
+        # rows in draw order; column n is the link's own channel
+        row_link, col = np.nonzero(np.column_stack([hears, np.ones(n, dtype=bool)]))
+        own = np.flatnonzero(col == n)
+        rx = order[row_link]
+        tx = np.where(col == n, rx, col)
+        row_start = np.maximum(start[rx], start[tx])
+        row_stop = np.minimum(stop[rx], stop[tx])
+        row_power = powers[lid[tx]]
+        shadow_db = self.shadow.link_shadow_db(
+            np.array([link.tx_x for link in links])[tx],
+            np.array([link.rx_x for link in links])[rx])
+        gain = phy.mean_gain(np.where(col == n, nominal[lid[rx]], gains[lid[tx], lid[rx]]),
+                             shadow_db)
+        blocks = np.arange(row_link.size)       # fading block of each row
+        fading = self.channel.realize(row_link.size, self.rng)
 
+        def information(first: int, stop_link: int) -> np.ndarray:
+            """Achievable bits of links first..stop_link-1 on their blocks."""
+            nonlocal fading
+            r0 = own[first - 1] + 1 if first else 0
+            r1 = own[stop_link - 1] + 1
+            b = blocks[r0:r1]
+            if b[-1] >= len(fading):
+                fading = np.concatenate(
+                    [fading, self.channel.realize(int(b[-1]) + 1 - len(fading), self.rng)])
+            # the blocks are consecutive unless a retried link's own row is in range
+            rows = slice(b[0], b[-1] + 1) if b[-1] - b[0] == r1 - r0 - 1 else b
+            return phy.achievable_information(
+                row_power[r0:r1], gain[r0:r1], fading[rows], row_link[r0:r1] - first,
+                row_start[r0:r1], row_stop[r0:r1], cfg.phy)
+
+        info = information(0, n)
+        current = n                           # info[f] holds for f < current
+        for f in range(n):
+            if f >= current:
+                info[f:] = information(f, n)
+                current = n
+            link = links[order[f]]
+            req = link.request_ref
+            energy = float(energies[link.link_id])
+            # HARQ: retransmissions happen within the control interval (their
+            # round-trip is milliseconds), so a fading dip costs energy but
+            # does not move the transmission to a later, farther tick
+            for attempt in range(cfg.phy.harq_attempts):
+                success = phy.transmission_success(float(info[f]), cfg.phy)
+                if measuring:
+                    if link.kind == phy.D2D:
+                        self.metrics.energy_d2d += energy
+                    else:
+                        self.metrics.energy_i2d += energy
+                if success:
+                    break
+                req.attempts += 1
+                if measuring:
+                    self.metrics.failed_attempts += 1
+                if attempt + 1 < cfg.phy.harq_attempts:
+                    blocks[own[f]:] += 1
+                    info[f] = information(f, f + 1)[0]
+                    current = f + 1
+            if success:
+                self._deliver(link, t, measuring)
+
+    def _deliver(self, link: rrrm.LinkIntent, t: float, measuring: bool) -> None:
+        req = link.request_ref
         if link.kind == phy.D2D:
             req.state = DELIVERED_D2D
             if measuring:
@@ -256,7 +293,7 @@ class Engine:
         self.policy.retire(req)
         if self.policy.uses_cache:
             # receiver caches what it received; new copies can serve others
-            expiry = t + cfg.scenario.sharing_timeout
+            expiry = t + self.cfg.scenario.sharing_timeout
             self.world.add_cache(link.rx_id, req.content_id, expiry)
             self._cache_events.append((link.rx_id, req.content_id))
 

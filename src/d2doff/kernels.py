@@ -1,9 +1,10 @@
-"""Hot numeric kernels with numba-JIT and pure-numpy twins.
+"""Hot numeric kernels, some with numba-JIT and pure-numpy twins.
 
-The JIT path is used by default; set the environment variable
+The JIT path of a twin is used by default; set the environment variable
 ``D2DOFF_DISABLE_NUMBA=1`` (or run without numba installed) to force
 the pure-numpy implementations.  Both paths are exercised by the test
-suite and compared by ``benchmarks/bench_kernels.py``.
+suite and compared by ``benchmarks/bench_kernels.py``.  ``capacity_bits``
+works on whole arrays of links and has only its numpy form.
 """
 
 from __future__ import annotations
@@ -82,40 +83,18 @@ def min_distance_samples_nb(x0, v, phi):
 # capped per-subcarrier capacity sum
 # ---------------------------------------------------------------------------
 
-def capacity_bits_np(signal: np.ndarray, interference: np.ndarray, noise: float,
-                     weights: np.ndarray, cap: float, wc: float, tau_slot: float) -> float:
-    """Total achievable bits over weighted subcarriers.
+def capacity_bits(signal: np.ndarray, interference: np.ndarray, noise: float,
+                  weights: np.ndarray, cap: float, wc: float, tau_slot: float):
+    """Total achievable bits over weighted subcarriers, per row.
 
-    signal, interference: per-subcarrier received powers (W);
-    weights: per-subcarrier number of occupied slots; cap: spectral
-    efficiency ceiling (bits/s/Hz); wc: subcarrier width; tau_slot:
-    slot duration.
+    signal, interference: per-subcarrier received powers (W) along the
+    last axis; weights: per-subcarrier number of occupied slots; cap:
+    spectral efficiency ceiling (bits/s/Hz); wc: subcarrier width;
+    tau_slot: slot duration.  Returns one total per row.
     """
     sinr = signal / (noise + interference)
     rate = np.minimum(cap, np.log2(1.0 + sinr))
-    return float(tau_slot * wc * np.sum(weights * rate))
-
-
-@njit(cache=True)
-def _capacity_bits_nb(signal, interference, noise, weights, cap, wc, tau_slot):
-    total = 0.0
-    for k in range(signal.shape[0]):
-        sinr = signal[k] / (noise + interference[k])
-        rate = math.log2(1.0 + sinr)
-        if rate > cap:
-            rate = cap
-        total += weights[k] * rate
-    return tau_slot * wc * total
-
-
-def capacity_bits_nb(signal, interference, noise, weights, cap, wc, tau_slot):
-    return float(_capacity_bits_nb(
-        np.ascontiguousarray(signal, dtype=np.float64),
-        np.ascontiguousarray(interference, dtype=np.float64),
-        float(noise),
-        np.ascontiguousarray(weights, dtype=np.float64),
-        float(cap), float(wc), float(tau_slot),
-    ))
+    return tau_slot * wc * np.sum(weights * rate, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +164,7 @@ def poisson_min_mixture_nb(cdf, density, atom0, cdf_at_rmax, nbar, n_max):
 
 if HAVE_NUMBA:
     min_distance_samples = min_distance_samples_nb
-    capacity_bits = capacity_bits_nb
     poisson_min_mixture = poisson_min_mixture_nb
 else:
     min_distance_samples = min_distance_samples_np
-    capacity_bits = capacity_bits_np
     poisson_min_mixture = poisson_min_mixture_np

@@ -12,7 +12,6 @@ across its PRBs falls short of the payload size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,21 +121,27 @@ class ShadowingField:
     def sample_db(self, x: float) -> float:
         return float(np.interp(x, self._x, self._vals))
 
-    def link_shadow_db(self, x_tx: float, x_rx: float) -> float:
-        return (self.sample_db(x_tx) + self.sample_db(x_rx)) / math.sqrt(2.0)
+    def link_shadow_db(self, x_tx, x_rx):
+        """Shadowing of links from ``x_tx`` to ``x_rx`` (arrays of one
+        shape), looked up with one interpolation over both endpoints."""
+        x_tx = np.asarray(x_tx, dtype=float)
+        n = x_tx.size
+        s = np.interp(np.concatenate([x_tx.ravel(), np.ravel(x_rx)]), self._x, self._vals)
+        return ((s[:n] + s[n:]) / math.sqrt(2.0)).reshape(x_tx.shape)
+
+
+def mean_gain(nominal: np.ndarray, shadow_db: np.ndarray) -> np.ndarray:
+    """Nominal gain times lognormal shadowing, per link.
+
+    The dB-to-linear power is taken per element with the C library's
+    ``pow``: numpy's vectorized ``power`` differs from it in the last bit
+    for some inputs on some CPUs, and the gains must not depend on that."""
+    return nominal * np.array([10.0 ** (s / 10.0) for s in shadow_db.tolist()])
 
 
 # ---------------------------------------------------------------------------
 # fading and capacity
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ChannelRealization:
-    """Per-subcarrier power gains of one link for one control interval."""
-    gains: np.ndarray        # len = freq_blocks * subcarriers_per_prb
-    shadow_linear: float
-    nominal: float
-
 
 class ChannelModel:
     """Realizes frequency-selective channels over the system band."""
@@ -158,57 +163,70 @@ class ChannelModel:
         self._amps = np.sqrt(powers / 2.0)
         self.n_subcarriers = n_sc
 
-    def realize(self, nominal: float, shadow_db: float,
-                rng: np.random.Generator) -> ChannelRealization:
-        """One fading draw on a link of nominal gain ``nominal``."""
-        taps = self._amps * (rng.standard_normal(self.cfg.n_taps)
-                             + 1j * rng.standard_normal(self.cfg.n_taps))
+    def realize(self, n_blocks: int, rng: np.random.Generator) -> np.ndarray:
+        """|H|^2 over the band of ``n_blocks`` fading blocks of unit mean
+        power, shape (n_blocks, n_subcarriers).
+
+        Each block takes 2 * n_taps normals, the real parts of its taps
+        first, so drawing k blocks and then m more gives the blocks of one
+        draw of k + m."""
+        z = rng.standard_normal((n_blocks, 2, self.cfg.n_taps))
+        taps = self._amps * (z[:, 0] + 1j * z[:, 1])
         # einsum's own loop, not BLAS: OpenBLAS splits even this small
-        # matvec over its threads, which then wait on busy cores
-        h = np.einsum("ij,j->i", self._phases, taps)
-        shadow = 10.0 ** (shadow_db / 10.0)
-        g = float(nominal)
-        return ChannelRealization(gains=g * shadow * np.abs(h) ** 2,
-                                  shadow_linear=shadow, nominal=g)
+        # product over its threads, which then wait on busy cores
+        return np.abs(np.einsum("ij,bj->bi", self._phases, taps)) ** 2
 
 
-def slots_per_block(start: int, stop: int, n_blocks: int) -> np.ndarray:
-    """How many slots of each frequency block a contiguous PRB index
-    range [start, stop) covers, with slot-major index = slot*n_blocks + block."""
-    if stop <= start:
-        return np.zeros(n_blocks, dtype=np.int64)
-    full, rem_hi = divmod(stop, n_blocks)
-    base_lo, rem_lo = divmod(start, n_blocks)
-    counts = np.full(n_blocks, full - base_lo, dtype=np.int64)
-    counts[:rem_hi] += 1
-    counts[:rem_lo] -= 1
-    return counts
+def slots_per_block(start, stop, n_blocks: int) -> np.ndarray:
+    """How many slots of each frequency block contiguous PRB index ranges
+    [start, stop) cover, with slot-major index = slot*n_blocks + block;
+    shape ``np.shape(start) + (n_blocks,)``."""
+    start = np.asarray(start, dtype=np.int64)[..., None]
+    stop = np.asarray(stop, dtype=np.int64)[..., None]
+    full, rem_hi = np.divmod(stop, n_blocks)
+    base_lo, rem_lo = np.divmod(start, n_blocks)
+    block = np.arange(n_blocks)
+    counts = full - base_lo + (block < rem_hi) - (block < rem_lo)
+    return np.where(stop > start, counts, 0)
 
 
-def achievable_information(own_power: float, own: ChannelRealization,
-                           interferers: list[tuple[float, ChannelRealization, int, int]],
-                           prb_range: tuple[int, int], cfg: PhyConfig) -> float:
-    """Achievable bits of one transmission over its PRB range.
+def achievable_information(power: np.ndarray, gain: np.ndarray, fading: np.ndarray,
+                           link: np.ndarray, prb_start: np.ndarray,
+                           prb_stop: np.ndarray, cfg: PhyConfig) -> np.ndarray:
+    """Achievable bits of each of a tick's links over its PRBs.
 
-    interferers: (tx power per subcarrier, cross-channel realization,
-    overlap PRB range) tuples.  Interference is applied on every slot of
-    the frequency blocks its overlap touches; in practice overlapping
-    allocations are either identical or disjoint, making this exact.
+    One row per channel that a receiver hears.  ``link`` numbers the
+    links from 0 and groups their rows in ascending order; the last row
+    of a group is the link's own channel, the others interfere with it.
+    power: per-subcarrier transmit power; gain: ``mean_gain`` of the row;
+    fading: the row's |H|^2 per subcarrier; [prb_start, prb_stop): the
+    link's PRBs that the row's transmitter uses, all of them for the own
+    row, the overlap for an interferer.  Interference is applied on
+    every slot of the frequency blocks its overlap touches, and summed in
+    row order; in practice overlapping allocations are either identical
+    or disjoint, making this exact.
     """
-    n_blocks = cfg.freq_blocks
-    k_sc = cfg.subcarriers_per_prb
-    own_slots = slots_per_block(prb_range[0], prb_range[1], n_blocks)
-    weights = np.repeat(own_slots.astype(float), k_sc)
-    signal = own_power * own.gains
-    interference = np.zeros_like(signal)
-    for p_i, chan_i, ov_start, ov_stop in interferers:
-        ov_slots = slots_per_block(ov_start, ov_stop, n_blocks)
-        mask = np.repeat((ov_slots > 0).astype(float), k_sc)
-        interference += p_i * chan_i.gains * mask
-    sigma2 = subcarrier_noise_power(cfg)
-    return kernels.capacity_bits(signal, interference, sigma2, weights,
-                                 cfg.spectral_efficiency, cfg.subcarrier_bandwidth,
-                                 cfg.prb_duration)
+    n_blocks, k_sc = cfg.freq_blocks, cfg.subcarriers_per_prb
+    slots = slots_per_block(prb_start, prb_stop, n_blocks)
+    received = power[:, None] * (gain[:, None] * fading)
+    last = np.append(link[1:] != link[:-1], True)
+    own = np.flatnonzero(last)
+    peer = np.flatnonzero(~last)
+    hit = received[peer]
+    covered = slots[peer] > 0
+    if not covered.all():
+        hit = (hit.reshape(-1, n_blocks, k_sc) * covered[:, :, None]).reshape(hit.shape)
+    # the q-th interferers of all links at once, so each link sums its own
+    # in row order
+    rank = peer - np.append(0, own[:-1] + 1)[link[peer]]
+    interference = np.zeros((own.size, n_blocks * k_sc))
+    for q in range(rank.max() + 1 if rank.size else 0):
+        sel = rank == q
+        interference[link[peer[sel]]] += hit[sel]
+    weights = np.repeat(slots[own].astype(float), k_sc, axis=1)
+    return kernels.capacity_bits(received[own], interference, subcarrier_noise_power(cfg),
+                                 weights, cfg.spectral_efficiency,
+                                 cfg.subcarrier_bandwidth, cfg.prb_duration)
 
 
 def transmission_success(info_bits: float, cfg: PhyConfig) -> bool:

@@ -188,12 +188,6 @@ def allocate_prbs(sets: list[list[int]], links: list[LinkIntent],
     return allocations, pruned
 
 
-def overlap(a: Allocation, b: Allocation) -> tuple[int, int]:
-    lo = max(a.prb_start, b.prb_start)
-    hi = min(a.prb_stop, b.prb_stop)
-    return (lo, hi) if hi > lo else (0, 0)
-
-
 def spectrum_occupancy(allocations: list[Allocation], grid_capacity: int,
                        in_region: Callable[[LinkIntent], bool]) -> float:
     """Fraction of the PRB grid used by at least one transmitter inside

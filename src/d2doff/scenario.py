@@ -29,6 +29,7 @@ class Vehicle:
     lane: int
     exit_time: float
     cache: dict[int, float] = field(default_factory=dict)  # content -> expiry
+    next_expiry: float = math.inf  # no cache entry expires before this
 
     def position(self, t: float) -> float:
         if not (self.entry_time <= t <= self.exit_time):
@@ -81,6 +82,7 @@ class World:
         self.holders: dict[int, set[int]] = {}   # content -> vehicle ids
         self.lam_z = zipf_pmf(cfg.zipf_alpha, cfg.library_size) * cfg.request_rate
         self.content_cdf = zipf_cdf(cfg.zipf_alpha, cfg.library_size)
+        self.enb_x = np.asarray(cfg.enb_positions)
         self._next_vid = 0
         self._next_rid = 0
         # per-tick arrays
@@ -177,16 +179,21 @@ class World:
         old = veh.cache.get(z)
         if old is None or expiry > old:
             veh.cache[z] = expiry
+            if expiry < veh.next_expiry:
+                veh.next_expiry = expiry
         self.holders.setdefault(z, set()).add(vid)
 
     def evict_expired(self, t: float) -> None:
         for veh in self.vehicles.values():
+            if veh.next_expiry > t:
+                continue
             dead = [z for z, exp in veh.cache.items() if exp <= t]
             for z in dead:
                 del veh.cache[z]
                 hs = self.holders.get(z)
                 if hs is not None:
                     hs.discard(veh.id)
+            veh.next_expiry = min(veh.cache.values(), default=math.inf)
 
     def _forget_vehicle(self, vid: int) -> None:
         veh = self.vehicles.pop(vid)
@@ -228,9 +235,8 @@ class World:
 
     def nearest_enb(self, x: float) -> tuple[int, float]:
         """(eNB index, 3-D distance) of the closest base station."""
-        pos = np.asarray(self.cfg.enb_positions)
-        i = int(np.argmin(np.abs(pos - x)))
-        return i, math.hypot(pos[i] - x, self.cfg.enb_antenna_height)
+        i = int(np.argmin(np.abs(self.enb_x - x)))
+        return i, math.hypot(self.enb_x[i] - x, self.cfg.enb_antenna_height)
 
     # -- requests -----------------------------------------------------------
 

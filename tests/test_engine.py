@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from d2doff import engine
+from d2doff import engine, phy
 from d2doff.config import Config, ScenarioConfig
 from d2doff.engine import MetricsAccumulator, sample_distance_pdf
+from d2doff.scenario import DELIVERED_D2D, DELIVERED_I2D
 
 
 @pytest.fixture(scope="module")
@@ -124,21 +125,26 @@ class TestReplicate:
 
 
 # Outputs of engine.run(cfg at lambda = 1 veh/s, policy, 30, 30, seed=7),
-# recorded before the per-tick radio path was vectorized.  The vectorized
-# path draws the same random numbers in the same order, so the counts must
-# match exactly and the energies to float round-off.
+# recorded before the per-tick radio path was vectorized, and the PCG64
+# state the run leaves its generator in (its increment is fixed by the
+# seed).  The vectorized path draws the same random numbers in the same
+# order, so the counts and the final state must match exactly and the
+# energies to float round-off.
 GOLDEN_LAMBDA_1 = {
     "optimal": dict(
+        rng_state=102700461016623818490599405347086910138,
         deliveries_d2d=191, deliveries_i2d=235, repeated=149, dropped=27,
         requests_nonrepeated=424, failed_attempts=25, pruned_links=0,
         energy_d2d=0.14037447104265963, energy_i2d=19.40568747507099,
         d2d_distance_sum=2063.311920463907, mean_occupancy=0.30666666666666664),
     "benchmark": dict(
+        rng_state=101001055541899971013663309726722021513,
         deliveries_d2d=223, deliveries_i2d=182, repeated=122, dropped=29,
         requests_nonrepeated=425, failed_attempts=29, pruned_links=0,
         energy_d2d=1.7489580141899188, energy_i2d=13.51586584211401,
         d2d_distance_sum=10011.915372168849, mean_occupancy=0.308888888888889),
     "cellular": dict(
+        rng_state=178862367316481789096112229921459228449,
         deliveries_d2d=0, deliveries_i2d=614, repeated=0, dropped=0,
         requests_nonrepeated=616, failed_attempts=57, pruned_links=64,
         energy_d2d=0.0, energy_i2d=47.575021161635476,
@@ -153,8 +159,10 @@ class TestGolden:
     def test_fixed_seed_outputs(self, short_cfg, policy):
         cfg = dataclasses.replace(short_cfg, scenario=dataclasses.replace(
             short_cfg.scenario, vehicle_arrival_rate=1.0))
-        m = engine.run(cfg, policy, 30.0, 30.0, seed=7).metrics
+        eng = engine.run(cfg, policy, 30.0, 30.0, seed=7)
+        m = eng.metrics
         want = GOLDEN_LAMBDA_1[policy]
+        assert eng.rng.bit_generator.state["state"]["state"] == want["rng_state"]
         assert {k: getattr(m, k) for k in GOLDEN_COUNTS} == \
             {k: want[k] for k in GOLDEN_COUNTS}
         assert len(m.d2d_distances) == want["deliveries_d2d"]
@@ -162,6 +170,184 @@ class TestGolden:
             assert getattr(m, key) == pytest.approx(want[key], rel=1e-12, abs=0.0)
         assert sum(m.d2d_distances) == pytest.approx(want["d2d_distance_sum"],
                                                      rel=1e-12, abs=0.0)
+
+
+# -- per-link reference of the transmission step -----------------------------
+#
+# The engine decides a tick's transmissions on tick-wide arrays.  This is the
+# per-allocation loop it replaced: each link draws one fading block per
+# overlapping peer of its reuse set, in allocation order, then one per HARQ
+# attempt, and computes its capacity one attempt at a time.
+
+def _ref_slots(start, stop, n_blocks):
+    if stop <= start:
+        return np.zeros(n_blocks, dtype=np.int64)
+    full, rem_hi = divmod(stop, n_blocks)
+    base_lo, rem_lo = divmod(start, n_blocks)
+    counts = np.full(n_blocks, full - base_lo, dtype=np.int64)
+    counts[:rem_hi] += 1
+    counts[:rem_lo] -= 1
+    return counts
+
+
+def _ref_realize(model, nominal, shadow_db, rng):
+    n = model.cfg.n_taps
+    taps = model._amps * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    h = np.einsum("ij,j->i", model._phases, taps)
+    return float(nominal) * 10.0 ** (shadow_db / 10.0) * np.abs(h) ** 2
+
+
+def _ref_shadow_db(field, x_tx, x_rx):
+    return (float(np.interp(x_tx, field._x, field._vals))
+            + float(np.interp(x_rx, field._x, field._vals))) / np.sqrt(2.0)
+
+
+def _ref_information(cfg, own_power, own_gains, interferers, prb_range):
+    n_blocks, k_sc = cfg.freq_blocks, cfg.subcarriers_per_prb
+    weights = np.repeat(_ref_slots(*prb_range, n_blocks).astype(float), k_sc)
+    signal = own_power * own_gains
+    interference = np.zeros_like(signal)
+    for p_i, gains_i, lo, hi in interferers:
+        mask = np.repeat((_ref_slots(lo, hi, n_blocks) > 0).astype(float), k_sc)
+        interference += p_i * gains_i * mask
+    sinr = signal / (phy.subcarrier_noise_power(cfg) + interference)
+    rate = np.minimum(cfg.spectral_efficiency, np.log2(1.0 + sinr))
+    return float(cfg.prb_duration * cfg.subcarrier_bandwidth * np.sum(weights * rate))
+
+
+class ReferenceEngine(engine.Engine):
+    """Engine whose transmission step is the per-link reference loop."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.first_attempts = 0
+        self.first_failures = 0
+
+    def _transmit_tick(self, allocations, gains, nominal, powers, energies,
+                       t, measuring):
+        by_set = {}
+        for alloc in allocations:
+            by_set.setdefault(alloc.set_id, []).append(alloc)
+        for alloc in sorted(allocations,
+                            key=lambda a: (a.set_id, a.prb_start, a.link.link_id)):
+            self._transmit_one(alloc, by_set[alloc.set_id], gains, nominal,
+                               powers, float(energies[alloc.link.link_id]),
+                               t, measuring)
+
+    def _transmit_one(self, alloc, peers, gains, nominal, powers, energy, t,
+                      measuring):
+        cfg = self.cfg
+        link = alloc.link
+        i = link.link_id
+        req = link.request_ref
+        interferers = []
+        for other in peers:
+            j = other.link.link_id
+            lo = max(alloc.prb_start, other.prb_start)
+            hi = min(alloc.prb_stop, other.prb_stop)
+            if j == i or hi <= lo:
+                continue
+            s_db = _ref_shadow_db(self.shadow, other.link.tx_x, link.rx_x)
+            interferers.append((powers[j], _ref_realize(
+                self.channel, gains[j, i], s_db, self.rng), lo, hi))
+        shadow_db = _ref_shadow_db(self.shadow, link.tx_x, link.rx_x)
+        success = False
+        for attempt in range(cfg.phy.harq_attempts):
+            own = _ref_realize(self.channel, nominal[i], shadow_db, self.rng)
+            info = _ref_information(cfg.phy, powers[i], own, interferers,
+                                    (alloc.prb_start, alloc.prb_stop))
+            success = phy.transmission_success(info, cfg.phy)
+            if attempt == 0:
+                self.first_attempts += 1
+                self.first_failures += not success
+            if measuring:
+                if link.kind == phy.D2D:
+                    self.metrics.energy_d2d += energy
+                else:
+                    self.metrics.energy_i2d += energy
+            if success:
+                break
+            req.attempts += 1
+            if measuring:
+                self.metrics.failed_attempts += 1
+        if not success:
+            return
+        if link.kind == phy.D2D:
+            req.state = DELIVERED_D2D
+            if measuring:
+                self.metrics.deliveries_d2d += 1
+                self.metrics.d2d_distances.append(link.distance)
+        else:
+            req.state = DELIVERED_I2D
+            if measuring:
+                self.metrics.deliveries_i2d += 1
+        self.policy.retire(req)
+        if self.policy.uses_cache:
+            expiry = t + cfg.scenario.sharing_timeout
+            self.world.add_cache(link.rx_id, req.content_id, expiry)
+            self._cache_events.append((link.rx_id, req.content_id))
+
+
+def _run_recorded(eng_cls, cfg, policy, seed):
+    """Run 20 s after 10 s of warm-up.  Returns the engine, every request
+    it created, the number of ``ChannelModel.realize`` calls (fading draws)
+    and the number of ticks that transmitted anything."""
+    eng = eng_cls(cfg, policy, seed)
+    requests = []
+    counts = {"draws": 0, "ticks": 0}
+    spawn = eng.world.spawn_requests
+    realize = eng.channel.realize
+    transmit = eng._transmit_tick
+
+    def recording_spawn(t):
+        out = spawn(t)
+        requests.extend(out)
+        return out
+
+    def counting_realize(*args, **kwargs):
+        counts["draws"] += 1
+        return realize(*args, **kwargs)
+
+    def counting_transmit(allocations, *args):
+        counts["ticks"] += bool(allocations)
+        return transmit(allocations, *args)
+
+    eng.world.spawn_requests = recording_spawn
+    eng.channel.realize = counting_realize
+    eng._transmit_tick = counting_transmit
+    eng.run(20.0, 10.0)
+    return eng, requests, counts
+
+
+class TestTickWideTransmission:
+    """The tick-wide transmission step against the per-link reference, on a
+    2 dB link margin that makes a fifth or more of first attempts fail."""
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    @pytest.mark.parametrize("harq", [1, 2, 4])
+    @pytest.mark.parametrize("policy", ["optimal", "benchmark", "cellular"])
+    def test_matches_reference(self, lam, harq, policy):
+        base = Config()
+        cfg = dataclasses.replace(
+            base,
+            scenario=dataclasses.replace(base.scenario, vehicle_arrival_rate=lam),
+            phy=dataclasses.replace(base.phy, link_margin_i2d_db=2.0,
+                                    link_margin_d2d_db=2.0, harq_attempts=harq))
+        ref, ref_reqs, _ = _run_recorded(ReferenceEngine, cfg, policy, 11)
+        new, new_reqs, counts = _run_recorded(engine.Engine, cfg, policy, 11)
+        assert ref.first_failures >= 0.2 * ref.first_attempts > 0
+        assert dataclasses.asdict(ref.metrics) == dataclasses.asdict(new.metrics)
+        assert [(r.id, r.state, r.attempts) for r in ref_reqs] == \
+            [(r.id, r.state, r.attempts) for r in new_reqs]
+        assert ref.rng.bit_generator.state == new.rng.bit_generator.state
+        assert counts["ticks"] > 0
+        if harq == 1:
+            # one draw per transmitting tick
+            assert counts["draws"] == counts["ticks"]
+        else:
+            # retries drew blocks past some tick's first draw
+            assert new.metrics.failed_attempts > 0
+            assert counts["draws"] > counts["ticks"]
 
 
 class TestDistancePdf:

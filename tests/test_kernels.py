@@ -56,12 +56,15 @@ class TestCapacity:
         weights = rng.integers(0, 3, n).astype(float)
         return signal, interference, weights
 
-    def test_paths_agree(self, rng):
-        signal, interference, weights = self._inputs(rng)
-        args = (signal, interference, 5.97e-16, weights, 6.0, 15e3, 5e-4)
-        a = kernels.capacity_bits_np(*args)
-        b = kernels.capacity_bits_nb(*args)
-        assert a == pytest.approx(b, rel=1e-12)
+    def test_rows_are_independent(self, rng):
+        signal, interference, weights = (np.stack(a) for a in zip(
+            *(self._inputs(rng) for _ in range(5))))
+        rows = kernels.capacity_bits(signal, interference, 5.97e-16, weights,
+                                     6.0, 15e3, 5e-4)
+        assert rows.shape == (5,)
+        assert rows.tolist() == [
+            kernels.capacity_bits(s, i, 5.97e-16, w, 6.0, 15e3, 5e-4)
+            for s, i, w in zip(signal, interference, weights)]
 
     def test_cap_binds(self):
         signal = np.array([1.0])
@@ -130,7 +133,6 @@ class TestDispatch:
     def test_default_dispatch_consistent(self):
         if kernels.HAVE_NUMBA:
             assert kernels.min_distance_samples is kernels.min_distance_samples_nb
-            assert kernels.capacity_bits is kernels.capacity_bits_nb
             assert kernels.poisson_min_mixture is kernels.poisson_min_mixture_nb
         else:
             assert kernels.min_distance_samples is kernels.min_distance_samples_np

@@ -99,46 +99,99 @@ class TestShadowing:
         expected = (field.sample_db(100.0) + field.sample_db(200.0)) / math.sqrt(2)
         assert s == pytest.approx(expected, rel=1e-12)
 
+    def test_link_shadow_on_arrays(self, cfg, rng):
+        field = phy.ShadowingField(3000.0, cfg, rng)
+        x_tx, x_rx = rng.uniform(0.0, 3000.0, (2, 50))
+        s = field.link_shadow_db(x_tx, x_rx)
+        expected = [(field.sample_db(a) + field.sample_db(b)) / math.sqrt(2)
+                    for a, b in zip(x_tx, x_rx)]
+        assert s.tolist() == expected
+
+    def test_mean_gain_is_scalar_pow(self, rng):
+        nominal = rng.uniform(1e-12, 1e-6, 2000)
+        shadow_db = rng.normal(0.0, 8.0, 2000)
+        want = [float(g) * 10.0 ** (s / 10.0) for g, s in zip(nominal, shadow_db)]
+        assert phy.mean_gain(nominal, shadow_db).tolist() == want
+
 
 class TestChannelModel:
     @pytest.fixture(scope="class")
     def g50(self, cfg):
         return float(phy.nominal_gain(phy.D2D, np.array([50.0]), cfg)[0])
 
+    @staticmethod
+    def gains(model, g, shadow_db, n, rng):
+        """Per-subcarrier gains of n fading blocks on links of nominal gain
+        g and shadowing shadow_db."""
+        mean = phy.mean_gain(np.full(n, g), np.full(n, shadow_db))
+        return mean[:, None] * model.realize(n, rng)
+
     def test_mean_tap_power_normalized(self, cfg, rng, g50):
         model = phy.ChannelModel(cfg)
         n = 2000
-        acc = np.zeros(model.n_subcarriers)
-        for _ in range(n):
-            c = model.realize(g50, 0.0, rng)
-            acc += c.gains / c.nominal
+        acc = (self.gains(model, g50, 0.0, n, rng) / g50).sum(axis=0)
         assert np.mean(acc / n) == pytest.approx(1.0, abs=0.05)
 
     def test_frequency_selectivity(self, cfg, rng, g50):
         model = phy.ChannelModel(cfg)
-        c = model.realize(g50, 0.0, rng)
-        rel = c.gains / c.nominal
+        rel = self.gains(model, g50, 0.0, 1, rng)[0] / g50
         assert rel.std() > 0.1  # Rayleigh fading across the band
 
     def test_shadow_scales_gains(self, cfg, rng, g50):
         model = phy.ChannelModel(cfg)
         state = rng.bit_generator.state
-        a = model.realize(g50, 0.0, rng)
+        a = self.gains(model, g50, 0.0, 1, rng)
         rng.bit_generator.state = state
-        b = model.realize(g50, 10.0, rng)
-        assert np.allclose(b.gains, 10.0 * a.gains)
+        b = self.gains(model, g50, 10.0, 1, rng)
+        assert np.allclose(b, 10.0 * a)
 
     def test_matches_matrix_product(self, cfg, rng, g50):
         model = phy.ChannelModel(cfg)
         state = rng.bit_generator.state
-        c = model.realize(g50, 3.0, rng)
+        c = self.gains(model, g50, 3.0, 3, rng)
         rng.bit_generator.state = state
-        taps = model._amps * (rng.standard_normal(cfg.n_taps)
-                              + 1j * rng.standard_normal(cfg.n_taps))
-        want = g50 * 10.0 ** 0.3 * np.abs(model._phases @ taps) ** 2
-        # same sums, possibly in another order
-        np.testing.assert_allclose(c.gains, want, rtol=1e-12, atol=0.0)
-        assert c.nominal == g50
+        for row in c:
+            taps = model._amps * (rng.standard_normal(cfg.n_taps)
+                                  + 1j * rng.standard_normal(cfg.n_taps))
+            want = g50 * 10.0 ** 0.3 * np.abs(model._phases @ taps) ** 2
+            # same sums, possibly in another order
+            np.testing.assert_allclose(row, want, rtol=1e-12, atol=0.0)
+        assert phy.mean_gain(np.array([g50]), np.array([3.0]))[0] == g50 * 10.0 ** 0.3
+
+    def test_draws_split_like_one_draw(self, cfg):
+        # HARQ draws a tick's extra blocks after its first draw
+        model = phy.ChannelModel(cfg)
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        whole = model.realize(7, a)
+        parts = np.concatenate([model.realize(k, b) for k in (3, 1, 3)])
+        assert np.array_equal(whole, parts)
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def _reference_information(cfg, rows):
+    """Per-link capacity as one link's loop: rows of (power, gain, fading,
+    prb start, prb stop), interferers first, the own channel last."""
+    n_blocks, k_sc = cfg.freq_blocks, cfg.subcarriers_per_prb
+    *peers, (p, g, fad, lo, hi) = rows
+    signal = p * (g * fad)
+    interference = np.zeros_like(signal)
+    for p_i, g_i, fad_i, lo_i, hi_i in peers:
+        mask = np.repeat((phy.slots_per_block(lo_i, hi_i, n_blocks) > 0).astype(float), k_sc)
+        interference += p_i * (g_i * fad_i) * mask
+    weights = np.repeat(phy.slots_per_block(lo, hi, n_blocks).astype(float), k_sc)
+    sinr = signal / (phy.subcarrier_noise_power(cfg) + interference)
+    rate = np.minimum(cfg.spectral_efficiency, np.log2(1.0 + sinr))
+    return float(cfg.prb_duration * cfg.subcarrier_bandwidth * np.sum(weights * rate))
+
+
+def _information(cfg, rows):
+    """achievable_information of one link from (power, gain, fading, prb
+    start, prb stop) rows, interferers first."""
+    power, gain, fading, lo, hi = (np.array(c) for c in zip(*rows))
+    info = phy.achievable_information(power, gain, fading, np.zeros(len(rows), dtype=int),
+                                      lo, hi, cfg)
+    assert info.shape == (1,)
+    return info[0]
 
 
 class TestCapacity:
@@ -149,15 +202,23 @@ class TestCapacity:
         assert counts.sum() == 60
         assert np.all(phy.slots_per_block(5, 5, 60) == 0)
 
+    def test_slots_per_block_on_arrays(self, rng):
+        start = rng.integers(0, 500, 40)
+        stop = start + rng.integers(-5, 300, 40)
+        counts = phy.slots_per_block(start, stop, 60)
+        assert counts.shape == (40, 60)
+        for row, lo, hi in zip(counts, start, stop):
+            assert np.array_equal(row, phy.slots_per_block(lo, hi, 60))
+            assert row.sum() == max(hi - lo, 0)
+
     def test_success_at_nominal_gain(self, cfg, rng):
         # margin headroom means a shadow-free, fading-free channel succeeds
         model = phy.ChannelModel(cfg)
         r = 80.0
         own_p = phy.tx_power_for_link(phy.D2D, r, cfg)
         g = float(phy.nominal_gain(phy.D2D, np.array([r]), cfg)[0])
-        own = phy.ChannelRealization(
-            gains=np.full(model.n_subcarriers, g), shadow_linear=1.0, nominal=g)
-        info = phy.achievable_information(own_p, own, [], (0, 8000), cfg)
+        flat = np.ones(model.n_subcarriers)
+        info = _information(cfg, [(own_p, g, flat, 0, 8000)])
         assert phy.transmission_success(info, cfg)
         # at the capacity cap: 8000 PRBs * 12 subcarriers * cap * wc * tau
         assert info == pytest.approx(8000 * 12 * 6.0 * 15e3 * 5e-4, rel=1e-12)
@@ -167,27 +228,37 @@ class TestCapacity:
         r = 80.0
         own_p = phy.tx_power_for_link(phy.D2D, r, cfg)
         g = float(phy.nominal_gain(phy.D2D, np.array([r]), cfg)[0])
-        own = phy.ChannelRealization(
-            gains=np.full(model.n_subcarriers, g), shadow_linear=1.0, nominal=g)
-        strong = phy.ChannelRealization(
-            gains=np.full(model.n_subcarriers, g * 1e3), shadow_linear=1.0,
-            nominal=g)
-        info = phy.achievable_information(own_p, own, [(own_p, strong, 0, 8000)],
-                                          (0, 8000), cfg)
+        flat = np.ones(model.n_subcarriers)
+        info = _information(cfg, [(own_p, g * 1e3, flat, 0, 8000),
+                                  (own_p, g, flat, 0, 8000)])
         assert not phy.transmission_success(info, cfg)
 
     def test_disjoint_interferer_is_harmless(self, cfg):
         r = 80.0
         own_p = phy.tx_power_for_link(phy.D2D, r, cfg)
         g = float(phy.nominal_gain(phy.D2D, np.array([r]), cfg)[0])
-        n_sc = Config().phy.freq_blocks * 12
-        own = phy.ChannelRealization(gains=np.full(n_sc, g),
-                                     shadow_linear=1.0, nominal=g)
-        strong = phy.ChannelRealization(gains=np.full(n_sc, g * 1e3),
-                                        shadow_linear=1.0, nominal=g)
+        flat = np.ones(Config().phy.freq_blocks * 12)
         # overlap [8000*k, ...) in a disjoint block range only when the
         # two pools never share a frequency block
-        clean = phy.achievable_information(own_p, own, [], (0, 60), cfg)
-        hit = phy.achievable_information(own_p, own, [(own_p, strong, 60, 120)],
-                                         (0, 60), cfg)
+        clean = _information(cfg, [(own_p, g, flat, 0, 60)])
+        hit = _information(cfg, [(own_p, g * 1e3, flat, 60, 120),
+                                 (own_p, g, flat, 0, 60)])
         assert hit < clean  # same blocks are reused within one 120-PRB frame
+
+    def test_links_of_a_tick_match_one_at_a_time(self, cfg, rng):
+        # links with 0-4 interferers as strong as their own signal, so that
+        # rates stay below the cap, each on a random PRB range
+        n_sc = cfg.freq_blocks * cfg.subcarriers_per_prb
+        links = []
+        for n_peers in (2, 0, 4, 1, 0, 3):
+            rows = []
+            for _ in range(n_peers + 1):
+                lo = int(rng.integers(0, 8000))
+                rows.append((rng.uniform(1e-4, 1e-3), rng.uniform(1e-11, 1e-10),
+                             rng.exponential(1.0, n_sc), lo,
+                             lo + int(rng.integers(1, 9000))))
+            links.append(rows)
+        power, gain, fading, lo, hi = (np.array(c) for c in zip(*sum(links, [])))
+        link = np.repeat(np.arange(len(links)), [len(rows) for rows in links])
+        info = phy.achievable_information(power, gain, fading, link, lo, hi, cfg)
+        assert info.tolist() == [_reference_information(cfg, rows) for rows in links]

@@ -34,6 +34,13 @@ def partition(links, cfg):
     return rrrm.partition_rrr_sets(links, gains, powers, cfg.phy, cfg.rrrm)
 
 
+def _overlap(a, b):
+    """PRB range two allocations share, (0, 0) if none."""
+    lo = max(a.prb_start, b.prb_start)
+    hi = min(a.prb_stop, b.prb_stop)
+    return (lo, hi) if hi > lo else (0, 0)
+
+
 # (is_i2d, transmitter x / eNB index, receiver x, receiver lane, deadline)
 link_specs = st.lists(
     st.tuples(st.booleans(), st.floats(0.0, 1500.0), st.floats(0.0, 1500.0),
@@ -176,13 +183,13 @@ class TestAllocation:
         links = [i2d(0, 0.0, 50.0, enb_id=0), i2d(1, 1800.0, 1850.0, enb_id=3)]
         allocs, _ = rrrm.allocate_prbs([[0, 1]], links, 120_000, 8000)
         assert allocs[0].prb_start == allocs[1].prb_start == 0
-        lo, hi = rrrm.overlap(allocs[0], allocs[1])
+        lo, hi = _overlap(allocs[0], allocs[1])
         assert (lo, hi) == (0, 8000)
 
     def test_disjoint_pools_do_not_overlap(self, cfg):
         links = [d2d(0, 0.0, 30.0), d2d(1, 5.0, 35.0)]
         allocs, _ = rrrm.allocate_prbs([[0], [1]], links, 120_000, 8000)
-        assert rrrm.overlap(allocs[0], allocs[1]) == (0, 0)
+        assert _overlap(allocs[0], allocs[1]) == (0, 0)
 
     def test_pruning_drops_device_links_first(self, cfg):
         # 16 mutually interfering links need 128k PRBs > 120k capacity

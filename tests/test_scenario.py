@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from d2doff import scenario
 from d2doff.config import Config, ScenarioConfig
@@ -27,6 +29,13 @@ class TestGeometry:
         i, d = world.nearest_enb(610.0)
         assert i == 1
         assert d == pytest.approx(math.hypot(10.0, world.cfg.enb_antenna_height))
+
+    def test_nearest_enb_matches_scan(self, world):
+        pos = world.cfg.enb_positions
+        h = world.cfg.enb_antenna_height
+        for x in np.linspace(0.0, world.cfg.street_length, 301):
+            i = min(range(len(pos)), key=lambda k: abs(pos[k] - x))
+            assert world.nearest_enb(x) == (i, math.hypot(pos[i] - x, h))
 
 
 class TestVehicles:
@@ -90,6 +99,16 @@ class TestVehicles:
         assert world.idx_of[1] == 1
 
 
+class FullScanWorld(World):
+    """World that evicts by scanning every cache entry of every vehicle."""
+
+    def evict_expired(self, t):
+        for veh in self.vehicles.values():
+            for z in [z for z, exp in veh.cache.items() if exp <= t]:
+                del veh.cache[z]
+                self.holders[z].discard(veh.id)
+
+
 class TestCaches:
     def test_add_and_evict(self, world):
         veh = world._new_vehicle(0.0, 15.0)
@@ -111,6 +130,32 @@ class TestCaches:
         world.add_cache(veh.id, 3, expiry=1e9)
         world.remove_exited(veh.exit_time)
         assert world.holders[3] == set()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["vehicle", "add", "evict", "exit"]),
+                              st.integers(0, 50), st.integers(0, 6),
+                              st.floats(0.0, 40.0)), max_size=80))
+    def test_evict_matches_full_scan(self, ops):
+        # (op, vehicle pick, content, time step or expiry offset)
+        worlds = [World(Config().scenario, np.random.default_rng(0)),
+                  FullScanWorld(Config().scenario, np.random.default_rng(0))]
+        t = 0.0
+        for op, pick, z, x in ops:
+            t += x / 8.0
+            for w in worlds:
+                if op == "vehicle":
+                    w._new_vehicle(t, 15.0 + pick)
+                elif op == "add" and w.vehicles:
+                    vids = sorted(w.vehicles)
+                    w.add_cache(vids[pick % len(vids)], z, t + x)
+                elif op == "evict":
+                    w.evict_expired(t)
+                elif op == "exit":
+                    w.remove_exited(t * 20.0)
+            new, ref = worlds
+            assert [(vid, list(v.cache.items())) for vid, v in new.vehicles.items()] == \
+                [(vid, list(v.cache.items())) for vid, v in ref.vehicles.items()]
+            assert new.holders == ref.holders
 
     def test_stationary_caches_popular_heavy(self):
         world = World(Config().scenario, np.random.default_rng(11))
