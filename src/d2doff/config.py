@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass, field
 
 
@@ -190,24 +191,42 @@ _SECTIONS = {
 }
 
 
+def _typed(value, ftype, where: str):
+    """value checked against a field's annotated type: numbers must be
+    finite, and an integer field takes no fraction."""
+    if dataclasses.is_dataclass(ftype):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where}: expected an object")
+        return _build_dataclass(ftype, value, where)
+    if typing.get_origin(ftype) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where}: expected a list")
+        item = typing.get_args(ftype)[0]
+        return tuple(_typed(x, item, f"{where}[{i}]") for i, x in enumerate(value))
+    if ftype in (int, float):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{where}: expected a number, got {value!r}")
+        if ftype is int and not isinstance(value, int):
+            raise ConfigError(f"{where}: expected an integer, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{where}: must be finite, got {value!r}")
+        try:
+            return ftype(value)
+        except OverflowError:
+            raise ConfigError(f"{where}: out of range") from None
+    if not isinstance(value, ftype):
+        raise ConfigError(f"{where}: expected {ftype.__name__}, got {value!r}")
+    return value
+
+
 def _build_dataclass(cls, data: dict, where: str):
-    names = {f.name: f for f in dataclasses.fields(cls)}
+    types = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
-        if key not in names:
+        if key not in types:
             raise ConfigError(f"{where}: unknown key '{key}'")
-        ftype = names[key].type
-        if key in ("gain_i2d", "gain_d2d"):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{where}.{key}: expected an object")
-            value = _build_dataclass(GainModel, value, f"{where}.{key}")
-        elif key == "enb_positions":
-            value = tuple(float(x) for x in value)
-        kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        kwargs[key] = _typed(value, types[key], f"{where}.{key}")
+    return cls(**kwargs)
 
 
 def config_from_dict(data: dict) -> Config:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -21,20 +22,54 @@ from .config import ScenarioConfig
 from .scenario import (ContentRequest, World, PENDING, SCHEDULED)
 
 
-def optimal_encounter(x0: float, v: float, phi: float) -> tuple[float, float]:
-    """Earliest minimizer of |x0 + v t| over t in [0, phi] and the
-    minimum value (longitudinal distance)."""
-    if phi < 0.0:
+def closest_approach(x0, v, phi):
+    """Element by element, the earliest minimizer t* of |x0 + v t| over
+    t in [0, phi] and the minimum value (longitudinal distance)."""
+    x0, v, phi = np.asarray(x0, float), np.asarray(v, float), np.asarray(phi, float)
+    if np.any(phi < 0.0):
         raise ValueError("phi must be >= 0")
-    if v != 0.0:
-        t_cross = -x0 / v
-        if 0.0 <= t_cross <= phi:
-            return t_cross, 0.0
-    d0 = abs(x0)
-    d_end = abs(x0 + v * phi)
-    if d_end < d0:
-        return phi, d_end
-    return 0.0, d0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_cross = np.where(v != 0.0, -x0 / v, np.inf)
+    crossing = (t_cross >= 0.0) & (t_cross <= phi)
+    d0 = np.abs(x0)
+    d_end = np.abs(x0 + v * phi)
+    distance = np.where(crossing, 0.0, np.minimum(d0, d_end))
+    t_star = np.where(crossing, t_cross, np.where(d_end < d0, phi, 0.0))
+    return t_star, distance
+
+
+def _world_index(world: World, vids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each vehicle's index in the tick's arrays, and whether it is on the
+    road (in the arrays) at all."""
+    pos = np.searchsorted(world.ids, vids)
+    on_road = pos < world.ids.size
+    on_road[on_road] = world.ids[pos[on_road]] == vids[on_road]
+    return pos, on_road
+
+
+def _pairs(world: World, reqs: list[ContentRequest], holder_sets):
+    """Flat (request index, holder id, holder index, requester index) arrays
+    with one entry per vehicle of holder_sets[i] that could serve reqs[i]:
+    both vehicles on the road, and the holder not the requester itself."""
+    counts = np.array([len(hs) for hs in holder_sets], dtype=np.int64)
+    req_i = np.repeat(np.arange(len(reqs)), counts)
+    holder = np.fromiter(chain.from_iterable(holder_sets), np.int64, req_i.size)
+    requester = np.array([r.requester_id for r in reqs], dtype=np.int64)
+    h, h_on = _world_index(world, holder)
+    k, k_on = _world_index(world, requester)
+    keep = h_on & k_on[req_i] & (holder != requester[req_i])
+    req_i = req_i[keep]
+    return req_i, holder[keep], h[keep], k[req_i]
+
+
+def _first_per_request(req_i: np.ndarray, keys: tuple) -> np.ndarray:
+    """Position of each request's best pair, requests in ascending order;
+    pairs rank by ``keys`` as in ``np.lexsort`` (last key first)."""
+    order = np.lexsort(keys + (req_i,))
+    ranked = req_i[order]
+    first = np.ones(ranked.size, dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    return order[first]
 
 
 @dataclass
@@ -49,6 +84,8 @@ class BasePolicy:
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
+        # in insertion order, which is id order: requests are admitted once,
+        # in ascending id
         self.pending: dict[int, ContentRequest] = {}
         self.by_content: dict[int, set[int]] = {}
 
@@ -76,55 +113,17 @@ class BasePolicy:
 
     def i2d_due(self, t: float) -> list[ContentRequest]:
         """Unserved requests whose infrastructure fallback is due."""
-        return [r for rid, r in sorted(self.pending.items())
+        return [r for r in self.pending.values()
                 if not r.served and t >= r.deadline - 1e-9]
-
-    # -- helpers ------------------------------------------------------------
-
-    def _candidate_eval(self, req: ContentRequest, world: World, t: float,
-                        cand_ids: list[int]):
-        """Vectorized point-of-closest-approach evaluation for a set of
-        cached-copy holders; returns (ids, t*, lane-adjusted distance)."""
-        cfg = self.cfg
-        z = req.content_id
-        k = world.idx_of[req.requester_id]
-        xk, vk, lane_k = world.xs[k], world.vs[k], world.lanes[k]
-        exit_k = world.exits[k]
-        idx = np.array([world.idx_of[c] for c in cand_ids], dtype=np.int64)
-        ids = np.array(cand_ids, dtype=np.int64)
-        x0 = world.xs[idx] - xk
-        v = world.vs[idx] - vk
-        expiry = np.array([world.vehicles[c].cache.get(z, -math.inf) for c in cand_ids])
-        phi = np.minimum.reduce([np.full(ids.shape, req.deadline),
-                                 expiry, world.exits[idx],
-                                 np.full(ids.shape, exit_k)]) - t
-        ok = phi >= 0.0
-        phi = np.clip(phi, 0.0, None)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_cross = np.where(v != 0.0, -x0 / v, np.inf)
-        crossing = (t_cross >= 0.0) & (t_cross <= phi)
-        d0 = np.abs(x0)
-        d_end = np.abs(x0 + v * phi)
-        long_dist = np.where(crossing, 0.0, np.minimum(d0, d_end))
-        t_star = np.where(crossing, t_cross, np.where(d_end < d0, phi, 0.0))
-        same_lane = world.lanes[idx] == lane_k
-        delta = np.where(same_lane, long_dist,
-                         np.hypot(long_dist, cfg.lane_offset))
-        delta = np.where(ok, delta, np.inf)
-        return ids, t_star, delta
-
-    def _holders_of(self, world: World, req: ContentRequest) -> list[int]:
-        hs = world.holders.get(req.content_id)
-        if not hs:
-            return []
-        return sorted(v for v in hs
-                      if v != req.requester_id and v in world.idx_of)
 
 
 class OptimalPolicy(BasePolicy):
     name = "optimal"
 
-    def _region_halfwidth(self, speed: float) -> float:
+    def _region_halfwidth(self, speed):
+        """Half-width of the road section around a requester of this speed
+        (scalar or array) from which a copy can come within D2D range
+        before the content timeout."""
         cfg = self.cfg
         return cfg.d2d_max_range + (cfg.speed_max - abs(speed)) * cfg.content_timeout
 
@@ -135,82 +134,98 @@ class OptimalPolicy(BasePolicy):
         # fallback yields to a transmission scheduled for that tick)
         return min(max(planned, t), req.deadline)
 
-    def _schedule_best(self, req: ContentRequest, world: World, t: float) -> None:
-        cand = self._holders_of(world, req)
-        req.provider_id = None
-        req.planned_tick = None
-        req.delta_hat = math.inf
-        req.state = PENDING
-        if not cand:
-            return
-        k = world.idx_of[req.requester_id]
-        xk, vk = world.xs[k], world.vs[k]
-        xlim = self._region_halfwidth(vk)
-        cand = [c for c in cand if abs(world.xs[world.idx_of[c]] - xk) <= xlim]
-        if not cand:
-            return
-        ids, t_star, delta = self._candidate_eval(req, world, t, cand)
-        feasible = delta <= self.cfg.d2d_max_range
-        if not np.any(feasible):
-            return
-        ids, t_star, delta = ids[feasible], t_star[feasible], delta[feasible]
-        # argmin distance; ties by earlier encounter, then lower id
-        best = np.lexsort((ids, t_star, delta))[0]
-        req.provider_id = int(ids[best])
-        req.delta_hat = float(delta[best])
-        req.planned_tick = self._planned_tick(req, t, float(t_star[best]))
+    def _reachable(self, world, t, reqs, req_i, holder, h, k):
+        """Closest approach of every (request, holder) pair from ``_pairs``.
+        Returns (request index, holder id, t*, lane-adjusted distance) of the
+        pairs that come within D2D range while the request, the copy and
+        both vehicles last."""
+        cfg = self.cfg
+        near = np.abs(world.xs[h] - world.xs[k]) <= self._region_halfwidth(world.vs[k])
+        req_i, holder, h, k = req_i[near], holder[near], h[near], k[near]
+        expiry = np.array([world.vehicles[q].cache.get(reqs[i].content_id, -math.inf)
+                           for q, i in zip(holder.tolist(), req_i.tolist())])
+        deadline = np.array([r.deadline for r in reqs])[req_i]
+        phi = np.minimum.reduce([deadline, expiry, world.exits[h], world.exits[k]]) - t
+        ok = phi >= 0.0
+        req_i, holder, h, k, phi = req_i[ok], holder[ok], h[ok], k[ok], phi[ok]
+        t_star, long_dist = closest_approach(world.xs[h] - world.xs[k],
+                                             world.vs[h] - world.vs[k], phi)
+        delta = np.where(world.lanes[h] == world.lanes[k], long_dist,
+                         np.hypot(long_dist, cfg.lane_offset))
+        feasible = delta <= cfg.d2d_max_range
+        return req_i[feasible], holder[feasible], t_star[feasible], delta[feasible]
+
+    def _assign(self, req: ContentRequest, q, t_star, delta, t: float) -> None:
+        req.provider_id = int(q)
+        req.delta_hat = float(delta)
+        req.planned_tick = self._planned_tick(req, t, float(t_star))
         req.state = SCHEDULED
+
+    def _schedule(self, reqs: list[ContentRequest], world: World, t: float) -> None:
+        """Schedule each request on its closest approach to a cached copy:
+        the smallest distance, ties by earlier encounter, then lower id."""
+        for req in reqs:
+            req.provider_id = None
+            req.planned_tick = None
+            req.delta_hat = math.inf
+            req.state = PENDING
+        if not reqs:
+            return
+        pairs = _pairs(world, reqs, [world.holders.get(r.content_id, ()) for r in reqs])
+        req_i, holder, t_star, delta = self._reachable(world, t, reqs, *pairs)
+        for j in _first_per_request(req_i, (holder, t_star, delta)):
+            self._assign(reqs[req_i[j]], holder[j], t_star[j], delta[j], t)
 
     def handle_new(self, requests, world, t):
         for req in requests:
             self.admit(req)
-            self._schedule_best(req, world, t)
+        self._schedule(requests, world, t)
 
     def cache_event(self, vid, z, world, t):
         """A vehicle just received content z: it may now beat the
         currently scheduled provider of any pending request for z."""
         req_ids = self.by_content.get(z)
-        if not req_ids:
+        if not req_ids or vid not in world.idx_of:
             return
-        for rid in sorted(req_ids):
-            req = self.pending.get(rid)
+        # most events have no open request near the new copy: find that out
+        # on scalars before building any array
+        x = world.xs[world.idx_of[vid]]
+        reqs = []
+        for req in map(self.pending.get, req_ids):
             if req is None or req.served or t > req.deadline + 1e-9:
                 continue
-            if vid == req.requester_id or vid not in world.idx_of:
-                continue
-            k = world.idx_of[req.requester_id]
-            if abs(world.xs[world.idx_of[vid]] - world.xs[k]) > \
-                    self._region_halfwidth(world.vs[k]):
-                continue
-            ids, t_star, delta = self._candidate_eval(req, world, t, [vid])
-            if delta[0] < req.delta_hat and delta[0] <= self.cfg.d2d_max_range:
-                req.provider_id = vid
-                req.delta_hat = float(delta[0])
-                req.planned_tick = self._planned_tick(req, t, float(t_star[0]))
-                req.state = SCHEDULED
+            k = world.idx_of.get(req.requester_id)
+            if k is not None and req.requester_id != vid and \
+                    abs(x - world.xs[k]) <= self._region_halfwidth(world.vs[k]):
+                reqs.append(req)
+        if not reqs:
+            return
+        pairs = _pairs(world, reqs, [(vid,)] * len(reqs))
+        for i, q, t_star, delta in zip(*self._reachable(world, t, reqs, *pairs)):
+            req = reqs[i]
+            if delta < req.delta_hat:
+                self._assign(req, q, t_star, delta, t)
 
     def d2d_intents(self, world, t):
+        # past the deadline the infrastructure takes over
+        due = [r for r in self.pending.values()
+               if r.state == SCHEDULED and r.planned_tick <= t + 1e-9
+               and t <= r.deadline + 1e-9]
+        # a provider that left the road or lost its copy is replaced
+        stale = [r for r in due
+                 if not (r.provider_id in world.idx_of
+                         and world.vehicles[r.provider_id].cache.get(
+                             r.content_id, -math.inf) > t)]
+        self._schedule(stale, world, t)
         out = []
-        for rid, req in sorted(self.pending.items()):
-            if req.served or req.state != SCHEDULED:
+        for req in due:
+            if req.state != SCHEDULED or req.planned_tick > t + 1e-9:
                 continue
-            if req.planned_tick is None or req.planned_tick > t + 1e-9:
-                continue
-            if t > req.deadline + 1e-9:
-                continue  # past the deadline: infrastructure takes over
-            q = req.provider_id
-            valid = (q in world.idx_of
-                     and world.vehicles[q].cache.get(req.content_id, -math.inf) > t)
-            if not valid:
-                self._schedule_best(req, world, t)
-                q = req.provider_id
-                if q is None or req.planned_tick > t + 1e-9:
-                    continue
             if req.requester_id not in world.idx_of:
                 continue
-            dist = world.distance(req.requester_id, q, t)
+            dist = world.distance(req.requester_id, req.provider_id, t)
             if dist <= self.cfg.d2d_max_range:
-                out.append(D2dIntent(request=req, provider_id=q))
+                out.append(D2dIntent(request=req, provider_id=req.provider_id))
         return out
 
 
@@ -220,27 +235,22 @@ class BenchmarkPolicy(BasePolicy):
     name = "benchmark"
 
     def d2d_intents(self, world, t):
+        reqs = [r for r in self.pending.values()
+                if not r.served and t <= r.deadline + 1e-9]
+        if not reqs:
+            return []
+        req_i, holder, h, k = _pairs(
+            world, reqs, [world.holders.get(r.content_id, ()) for r in reqs])
+        dx = np.abs(world.xs[h] - world.xs[k])
+        dist = np.where(world.lanes[h] == world.lanes[k], dx,
+                        np.hypot(dx, self.cfg.lane_offset))
+        in_range = dist <= self.cfg.d2d_max_range
+        req_i, holder, dist = req_i[in_range], holder[in_range], dist[in_range]
         out = []
-        for rid, req in sorted(self.pending.items()):
-            if req.served or t > req.deadline + 1e-9:
-                continue
-            if req.requester_id not in world.idx_of:
-                continue
-            cand = self._holders_of(world, req)
-            if not cand:
-                continue
-            k = world.idx_of[req.requester_id]
-            idx = np.array([world.idx_of[c] for c in cand], dtype=np.int64)
-            same = world.lanes[idx] == world.lanes[k]
-            dx = np.abs(world.xs[idx] - world.xs[k])
-            dist = np.where(same, dx, np.hypot(dx, self.cfg.lane_offset))
-            in_range = dist <= self.cfg.d2d_max_range
-            if not np.any(in_range):
-                continue
-            ids = np.array(cand, dtype=np.int64)
-            best = np.lexsort((ids[in_range], dist[in_range]))[0]
-            req.provider_id = int(ids[in_range][best])
-            req.delta_hat = float(dist[in_range][best])
+        for j in _first_per_request(req_i, (holder, dist)):
+            req = reqs[req_i[j]]
+            req.provider_id = int(holder[j])
+            req.delta_hat = float(dist[j])
             out.append(D2dIntent(request=req, provider_id=req.provider_id))
         return out
 
@@ -253,7 +263,7 @@ class CellularPolicy(BasePolicy):
     uses_cache = False
 
     def i2d_due(self, t):
-        return [r for rid, r in sorted(self.pending.items())
+        return [r for r in self.pending.values()
                 if not r.served and t >= r.t0 - 1e-9]
 
 

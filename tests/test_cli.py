@@ -7,6 +7,8 @@ import pytest
 from d2doff import cli
 from d2doff.cli import main, point_seed, read_csv, write_csv
 
+from test_config import BAD_VALUES
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -73,6 +75,15 @@ class TestSimulate:
     def test_bad_config_value_is_config_error(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"scenario": {"speed_min": -1.0}}))
+        code = run_cli("simulate", "--config", str(cfg),
+                       "--out", str(tmp_path / "o"), "--duration", "5",
+                       "--warmup", "0")
+        assert code == 2
+
+    @pytest.mark.parametrize("text", BAD_VALUES)
+    def test_mistyped_config_value_is_config_error(self, tmp_path, text):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
         code = run_cli("simulate", "--config", str(cfg),
                        "--out", str(tmp_path / "o"), "--duration", "5",
                        "--warmup", "0")

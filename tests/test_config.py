@@ -68,3 +68,46 @@ class TestLoading:
     def test_invalid_values_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             config_from_dict({"scenario": {"request_rate": -1.0}})
+
+
+# Values of the wrong type or not finite, as a JSON config can carry them
+# (JSON's NaN and an overflowing 1e400 included).  Each must be a ConfigError.
+BAD_VALUES = [
+    '{"scenario": {"library_size": "abc"}}',
+    '{"scenario": {"library_size": 10.5}}',
+    '{"phy": {"harq_attempts": 2.5}}',
+    '{"scenario": {"request_rate": NaN}}',
+    '{"rrrm": {"gamma_inr_db": NaN}}',
+    '{"phy": {"gain_d2d": {"exp_near": "x"}}}',
+    '{"scenario": {"street_length": 1e400}}',
+]
+
+
+class TestTypedValues:
+    @pytest.mark.parametrize("text", BAD_VALUES)
+    def test_rejected(self, text):
+        with pytest.raises(ConfigError):
+            config_from_dict(json.loads(text))
+
+    @pytest.mark.parametrize("data", [
+        {"scenario": {"speed_max": True}},
+        {"scenario": {"enb_positions": [0.0, "600"]}},
+        {"scenario": {"enb_positions": 600.0}},
+        {"scenario": {"content_timeout": 10 ** 400}},
+        {"analytic": {"mean_count_variant": 1}},
+        {"phy": {"gain_i2d": [2.2]}},
+    ])
+    def test_more_rejected(self, data):
+        with pytest.raises(ConfigError):
+            config_from_dict(data)
+
+    def test_integers_accepted_as_floats(self):
+        cfg = config_from_dict({"scenario": {"street_length": 2000,
+                                             "enb_positions": [0, 1000, 2000]}})
+        assert cfg.scenario.street_length == 2000.0
+        assert isinstance(cfg.scenario.street_length, float)
+        assert cfg.scenario.enb_positions == (0.0, 1000.0, 2000.0)
+
+    def test_message_names_the_field(self):
+        with pytest.raises(ConfigError, match=r"phy\.gain_d2d\.exp_near"):
+            config_from_dict({"phy": {"gain_d2d": {"exp_near": "x"}}})
