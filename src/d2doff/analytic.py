@@ -62,15 +62,6 @@ def node_density(arrival_rate: float, speed_law: UniformSpeedLaw) -> float:
         speed_law.v_max - speed_law.v_min)
 
 
-def content_density(rho: float, pmf_z: float, request_rate: float,
-                    sharing_timeout: float, content_timeout: float) -> float:
-    """Linear density of vehicles holding a given content in cache."""
-    if sharing_timeout <= content_timeout:
-        raise ValueError("sharing_timeout must exceed content_timeout")
-    lam_z = pmf_z * request_rate
-    return rho * (1.0 - math.exp(-lam_z * (sharing_timeout - content_timeout)))
-
-
 def time_limit_law(content_timeout: float, sharing_timeout: float,
                    n_grid: int = 201) -> MixedDistribution:
     """Law of the effective transmission window: uniform remaining cache
@@ -87,11 +78,6 @@ def sample_time_limit(rng: np.random.Generator, n: int,
                       content_timeout: float, sharing_timeout: float) -> np.ndarray:
     u = rng.random(n) * sharing_timeout
     return np.minimum(u, content_timeout)
-
-
-def relative_speed_density(v, v_a: float, speed_law: UniformSpeedLaw):
-    """Density of (other vehicle's signed speed) - v_a."""
-    return speed_law.signed_pdf(np.asarray(v, dtype=float) + v_a)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +101,6 @@ class AnalyticParams:
     content_bins: int = 48
     provider_speed_bins: int = 8
     same_lane_probability: float = 0.5
-    mean_count_variant: str = "region"
     energy_i2d: Callable[[np.ndarray], np.ndarray] | None = None
     energy_d2d: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -142,7 +127,6 @@ class AnalyticParams:
             content_bins=an.content_bins,
             provider_speed_bins=an.provider_speed_bins,
             same_lane_probability=an.same_lane_probability,
-            mean_count_variant=an.mean_count_variant,
             energy_i2d=energy_i2d,
             energy_d2d=energy_d2d,
         )
@@ -348,18 +332,7 @@ def provider_region_halfwidth(v_a: float, params: AnalyticParams) -> float:
 
 def mean_provider_count(rho_z: float, v_a: float, params: AnalyticParams) -> float:
     """Mean number of reachable providers of a content with density rho_z."""
-    if params.mean_count_variant == "region":
-        span = 2.0 * provider_region_halfwidth(v_a, params)
-    else:  # "closing": closing-speed form of the reachable span
-        law = params.speed_law
-        span = 2.0 * params.d2d_max_range + max(
-            0.0, (law.v_max + law.v_min - 2.0 * v_a) * params.content_timeout)
-    return rho_z * span
-
-
-def offload_probability(rho_z: float, v_a: float, params: AnalyticParams) -> float:
-    """P(at least one reachable provider) = 1 - exp(-mean count)."""
-    return -math.expm1(-mean_provider_count(rho_z, v_a, params))
+    return rho_z * (2.0 * provider_region_halfwidth(v_a, params))
 
 
 def _speed_grid(params: AnalyticParams) -> tuple[np.ndarray, np.ndarray]:
@@ -382,13 +355,8 @@ def marginal_nonoffload_probability(params: AnalyticParams) -> float:
     weights_z = params.non_repeated_weights()
     rho_z = params.content_densities()
     va, w_va = _speed_grid(params)
-    if params.mean_count_variant == "region":
-        span = 2.0 * (params.d2d_max_range
-                      + (params.speed_law.v_max - va) * params.content_timeout)
-    else:
-        law = params.speed_law
-        span = 2.0 * params.d2d_max_range + np.clip(
-            (law.v_max + law.v_min - 2.0 * va) * params.content_timeout, 0.0, None)
+    span = 2.0 * (params.d2d_max_range
+                  + (params.speed_law.v_max - va) * params.content_timeout)
     # outer product: contents x speeds
     nbar = rho_z[:, None] * span[None, :]
     return float(weights_z @ np.exp(-nbar) @ w_va)

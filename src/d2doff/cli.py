@@ -19,15 +19,18 @@ import argparse
 import concurrent.futures
 import dataclasses
 import json
+import math
 import os
 import sys
+import typing
 import zlib
 
 import numpy as np
 
 from . import analytic, engine, kernels
-from .config import (Config, ConfigError, PhyConfig, ScenarioConfig,
-                     config_from_dict, load_config)
+from .config import (Config, ConfigError, PhyConfig, ScenarioConfig, _typed,
+                     load_config)
+from .policies import POLICIES
 from .analytic import AnalyticParams
 
 EXIT_OK = 0
@@ -92,14 +95,21 @@ SWEEPABLE.update({f.name: "phy" for f in dataclasses.fields(PhyConfig)
                   if f.name not in SWEEPABLE})
 
 
-def _with_param(cfg: Config, name: str, value) -> Config:
-    section = SWEEPABLE.get(name)
-    if section is None:
-        raise ConfigError(f"'{name}' is not a scenario or PHY parameter")
-    if name == "enb_positions":
-        value = tuple(value)
-    sub = dataclasses.replace(getattr(cfg, section), **{name: value})
-    return dataclasses.replace(cfg, **{section: sub})
+def _with_param(cfg: Config, values: dict) -> Config:
+    """cfg with scenario or PHY fields set, each value type-checked as in
+    a config file; the result is validated."""
+    sections = {}
+    for name, value in values.items():
+        section = SWEEPABLE.get(name)
+        if section is None:
+            raise ConfigError(f"'{name}' is not a scenario or PHY parameter")
+        sub = sections.get(section, getattr(cfg, section))
+        value = _typed(value, typing.get_type_hints(type(sub))[name],
+                       f"{section}.{name}")
+        sections[section] = dataclasses.replace(sub, **{name: value})
+    cfg = dataclasses.replace(cfg, **sections)
+    cfg.validate()
+    return cfg
 
 
 def point_seed(parameter: str, value) -> int:
@@ -152,7 +162,12 @@ class SweepSpec:
         if not os.path.exists(path):
             raise ConfigError(f"sweep spec not found: {path}")
         with open(path) as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
+        if not isinstance(raw, dict):
+            raise ConfigError("sweep spec must be an object")
         unknown = set(raw) - {"parameter", "values", "overrides", "policies"}
         if unknown:
             raise ConfigError(f"unknown sweep keys: {sorted(unknown)}")
@@ -160,18 +175,24 @@ class SweepSpec:
                    values=raw.get("values", []),
                    overrides=raw.get("overrides", {}),
                    policies=raw.get("policies", ["optimal"]))
-        if spec.parameter not in SWEEPABLE:
+        if not isinstance(spec.parameter, str) or spec.parameter not in SWEEPABLE:
             raise ConfigError(f"'{spec.parameter}' is not a sweepable parameter")
-        if not spec.values:
+        if not isinstance(spec.values, list) or not spec.values:
             raise ConfigError("sweep value list must be non-empty")
-        if not spec.policies:
-            raise ConfigError("need at least one policy")
+        if not isinstance(spec.overrides, dict):
+            raise ConfigError("sweep overrides must be an object")
+        if not isinstance(spec.policies, list) or not spec.policies:
+            raise ConfigError("need a list of at least one policy")
+        unknown = [p for p in spec.policies
+                   if not isinstance(p, str) or p not in POLICIES]
+        if unknown:
+            raise ConfigError(f"unknown policies {unknown}; "
+                              f"choose from {sorted(POLICIES)}")
         return spec
 
 
 def _sweep_point(packed):
     cfg, spec_parameter, value, policies, duration, warmup, reps = packed
-    cfg = _with_param(cfg, spec_parameter, value)
     seed = point_seed(spec_parameter, value)
     out = {}
     for policy in policies:
@@ -191,13 +212,12 @@ REDUCTION_PAIRS = [
 def cmd_sweep(args) -> int:
     spec = SweepSpec.from_file(args.spec)
     cfg = _load(args.config)
-    for key, val in spec.overrides.items():
-        cfg = _with_param(cfg, key, val)
-    out = _outdir(args.out)
-
-    jobs = [(cfg, spec.parameter, v, spec.policies,
+    jobs = [(_with_param(cfg, {**spec.overrides, spec.parameter: v}),
+             spec.parameter, v, spec.policies,
              args.duration, args.warmup, args.replications)
             for v in spec.values]
+    out = _outdir(args.out)
+
     if args.workers > 1 and len(jobs) > 1:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(args.workers, len(jobs))) as pool:
@@ -352,32 +372,50 @@ def cmd_validate(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _checked(kind, ok, what: str):
+    """argparse type: parse with kind, then require a finite value with
+    ok(value), so a bad flag is a usage error (exit 2)."""
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and ok(value)):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_POSITIVE_INT = _checked(int, lambda x: x > 0, "> 0")
+_NONNEGATIVE_INT = _checked(int, lambda x: x >= 0, ">= 0")
+_POSITIVE = _checked(float, lambda x: x > 0, "> 0")
+_NONNEGATIVE = _checked(float, lambda x: x >= 0, ">= 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="d2doff",
                                 description="D2D offloading simulator and "
                                             "analytic toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, duration=600.0):
+    def common(sp, duration=600.0, duration_type=_POSITIVE):
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--duration", type=float, default=duration,
+        sp.add_argument("--seed", type=_NONNEGATIVE_INT, default=None)
+        sp.add_argument("--duration", type=duration_type, default=duration,
                         help="measured seconds per run")
-        sp.add_argument("--warmup", type=float, default=600.0)
+        sp.add_argument("--warmup", type=_NONNEGATIVE, default=600.0)
 
     sp = sub.add_parser("simulate", help="run replicated simulations")
     common(sp)
     sp.add_argument("--policy", default="optimal",
                     choices=["optimal", "benchmark", "cellular"])
-    sp.add_argument("--replications", type=int, default=3)
+    sp.add_argument("--replications", type=_POSITIVE_INT, default=3)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("sweep", help="one-parameter sweep over policies")
     common(sp)
     sp.add_argument("--spec", required=True, help="sweep spec JSON")
-    sp.add_argument("--replications", type=int, default=3)
-    sp.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    sp.add_argument("--replications", type=_POSITIVE_INT, default=3)
+    sp.add_argument("--workers", type=_POSITIVE_INT, default=os.cpu_count() or 1)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("analytic", help="tabulate analytic laws and energies")
@@ -387,15 +425,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_analytic)
 
     sp = sub.add_parser("validate", help="analytic vs Monte-Carlo oracle")
-    common(sp, duration=120.0)
-    sp.add_argument("--samples", type=int, default=200_000)
-    sp.add_argument("--threshold", type=float, default=0.01)
+    # --duration 0 skips the short simulation
+    common(sp, duration=120.0, duration_type=_NONNEGATIVE)
+    sp.add_argument("--samples", type=_POSITIVE_INT, default=200_000)
+    sp.add_argument("--threshold", type=_NONNEGATIVE, default=0.01)
     sp.set_defaults(func=cmd_validate)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 on a usage error, 0 on --help
+        return exc.code
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -54,8 +54,8 @@ class ScenarioConfig:
             raise ConfigError("need at least one eNB")
         if self.street_length <= 0.0:
             raise ConfigError("street_length must be > 0")
-        if self.control_interval <= 0.0:
-            raise ConfigError("control_interval must be > 0")
+        if not 0.0 < self.control_interval <= self.content_timeout:
+            raise ConfigError("need 0 < control_interval <= content_timeout")
         if self.i2d_max_range <= 0.0:
             raise ConfigError("i2d_max_range must be > 0")
 
@@ -144,18 +144,13 @@ class AnalyticConfig:
     """Numerical-integration controls for the analytic model."""
 
     dr: float = 0.1            # m, distance grid step
-    dv: float = 0.01           # m/s, generic speed grid step (cross-checks)
     dva: float = 0.5           # m/s, outer averaging grid over requester speed
     content_bins: int = 48     # log-spaced bins over per-content densities
     provider_speed_bins: int = 8  # sub-intervals of the holder speed law
     same_lane_probability: float = 0.5
-    # "region": mean provider count from the reachability half-width
-    # 2*(r_max + (v_max - v_a) tau_c); "closing": alternative using
-    # (v_max + v_min - 2 v_a) tau_c closing-speed form.
-    mean_count_variant: str = "region"
 
     def validate(self) -> None:
-        if self.dr <= 0.0 or self.dv <= 0.0 or self.dva <= 0.0:
+        if self.dr <= 0.0 or self.dva <= 0.0:
             raise ConfigError("grid resolutions must be > 0")
         if self.content_bins < 1:
             raise ConfigError("content_bins must be >= 1")
@@ -163,8 +158,6 @@ class AnalyticConfig:
             raise ConfigError("provider_speed_bins must be >= 1")
         if not (0.0 <= self.same_lane_probability <= 1.0):
             raise ConfigError("same_lane_probability must be in [0, 1]")
-        if self.mean_count_variant not in ("region", "closing"):
-            raise ConfigError("mean_count_variant must be 'region' or 'closing'")
 
 
 @dataclass(frozen=True)
@@ -210,10 +203,11 @@ def _typed(value, ftype, where: str):
             raise ConfigError(f"{where}: expected an integer, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{where}: must be finite, got {value!r}")
-        try:
-            return ftype(value)
+        try:  # integer fields enter float arithmetic too
+            as_float = float(value)
         except OverflowError:
             raise ConfigError(f"{where}: out of range") from None
+        return as_float if ftype is float else value
     if not isinstance(value, ftype):
         raise ConfigError(f"{where}: expected {ftype.__name__}, got {value!r}")
     return value

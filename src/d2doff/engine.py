@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from . import phy, rrrm
 from .config import Config
@@ -331,6 +330,34 @@ class ReplicationSummary:
         return self.means[name], self.ci_low[name], self.ci_high[name]
 
 
+def _t_quantile_975(df: int) -> float:
+    """Two-sided 95 % quantile of Student's t with integer df >= 1.
+
+    Bisection in theta = atan(t / sqrt(df)) on the closed form of
+    P(|T| <= t) (Abramowitz & Stegun 26.7.3-4), down to adjacent floats.
+    """
+    def coverage(theta: float) -> float:
+        c2 = math.cos(theta) ** 2
+        term = total = 1.0
+        for k in range(1 + df % 2, df - 1, 2):
+            term *= k / (k + 1.0) * c2
+            total += term
+        if df % 2 == 0:
+            return math.sin(theta) * total
+        tail = math.sin(theta) * math.cos(theta) * total if df > 1 else 0.0
+        return 2.0 / math.pi * (theta + tail)
+
+    lo, hi = 0.0, 0.5 * math.pi
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if coverage(mid) < 0.95:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return math.sqrt(df) * math.tan(mid)
+
+
 def replicate(cfg: Config, policy_name: str, duration: float, warmup: float,
               n_runs: int, base_seed: int) -> ReplicationSummary:
     """Independent runs with seeds base_seed + i and Student-t 95% CIs."""
@@ -339,6 +366,7 @@ def replicate(cfg: Config, policy_name: str, duration: float, warmup: float,
     runs = [run(cfg, policy_name, duration, warmup, base_seed + i).metrics
             for i in range(n_runs)]
     names = list(runs[0].summary().keys())
+    q = _t_quantile_975(n_runs - 1) if n_runs > 1 else 0.0
     means, lo, hi = {}, {}, {}
     for name in names:
         vals = np.array([r.summary()[name] for r in runs])
@@ -346,7 +374,6 @@ def replicate(cfg: Config, policy_name: str, duration: float, warmup: float,
         means[name] = m
         if n_runs > 1:
             sem = vals.std(ddof=1) / math.sqrt(n_runs)
-            q = stats.t.ppf(0.975, n_runs - 1)
             lo[name], hi[name] = m - q * sem, m + q * sem
         else:
             lo[name] = hi[name] = m

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -32,18 +33,19 @@ class TestNodeDensity:
 
 
 class TestContentDensity:
-    def test_saturates_at_rho(self):
-        val = analytic.content_density(0.02, 1.0, 10.0, 1e6, 20.0)
-        assert val == pytest.approx(0.02, rel=1e-6)
+    def test_saturates_at_rho(self, default_params):
+        # a request rate high enough that the top content is always held
+        params = dataclasses.replace(default_params, request_rate=10.0,
+                                     sharing_timeout=1e6)
+        rho_z = params.content_densities()
+        assert rho_z[0] == pytest.approx(params.rho(), rel=1e-6)
 
-    def test_requires_timeout_ordering(self):
-        with pytest.raises(ValueError):
-            analytic.content_density(0.02, 0.1, 0.1, 20.0, 600.0)
-
-    def test_small_rate_linearizes(self):
-        rho, pz, lam = 0.02, 1e-4, 0.1
-        val = analytic.content_density(rho, pz, lam, 600.0, 20.0)
-        assert val == pytest.approx(rho * pz * lam * 580.0, rel=1e-2)
+    def test_small_rate_linearizes(self, default_params):
+        # rho (1 - exp(-p_z lam (ts - tc))) ~ rho p_z lam (ts - tc)
+        params = dataclasses.replace(default_params, request_rate=1e-5)
+        expected = (params.rho() * params.pmf() * 1e-5
+                    * (params.sharing_timeout - params.content_timeout))
+        assert np.allclose(params.content_densities(), expected, rtol=1e-2)
 
 
 class TestTimeLimitLaw:
@@ -70,11 +72,11 @@ class TestTimeLimitLaw:
 
 class TestRelativeSpeedDensity:
     def test_shifted_support(self):
-        law = UniformSpeedLaw(9.0, 24.0)
         # requester at 17 m/s: same-direction traffic spans [-8, 7]
-        assert analytic.relative_speed_density(0.0, 17.0, law) == pytest.approx(1 / 30)
-        assert analytic.relative_speed_density(-30.0, 17.0, law) == pytest.approx(1 / 30)
-        assert analytic.relative_speed_density(-20.0, 17.0, law) == 0.0
+        rel = UniformSpeedLaw(9.0, 24.0).relative(17.0)
+        assert rel.pdf(0.0) == pytest.approx(1 / 30)
+        assert rel.pdf(-30.0) == pytest.approx(1 / 30)
+        assert rel.pdf(-20.0) == 0.0
 
 
 class TestParams:
@@ -106,11 +108,11 @@ class TestProviderCounts:
         assert n2 == pytest.approx(2.0 * n1, rel=1e-12)
 
     def test_offload_probability_bounds(self, default_params):
-        p = analytic.offload_probability(1e-3, 17.0, default_params)
+        # mean count over the region 2 (r_max + (v_max - v_a) tau_c)
+        nbar = analytic.mean_provider_count(1e-3, 17.0, default_params)
+        assert nbar == pytest.approx(1e-3 * 2.0 * (100.0 + 7.0 * 20.0))
+        p = -math.expm1(-nbar)
         assert 0.0 < p < 1.0
-        assert p == pytest.approx(
-            1.0 - math.exp(-analytic.mean_provider_count(1e-3, 17.0,
-                                                         default_params)))
 
     def test_marginal_nonoffload_in_unit_interval(self, default_params):
         p = analytic.marginal_nonoffload_probability(default_params)

@@ -90,6 +90,25 @@ class TestSimulate:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--replications", "0"],
+    ["simulate", "--duration", "-5"],
+    ["simulate", "--duration", "nan"],
+    ["simulate", "--warmup", "-5"],
+    ["simulate", "--seed", "-1"],
+    ["sweep", "--spec", "spec.json", "--workers", "0"],
+    ["sweep", "--spec", "spec.json", "--replications", "-2"],
+    ["validate", "--samples", "-1"],
+    ["validate", "--duration", "-5"],
+    ["simulate", "--config", "interval.json"],
+])
+def test_bad_flag_or_cross_field_is_config_error(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "interval.json").write_text(json.dumps(
+        {"scenario": {"control_interval": 30.0, "content_timeout": 20.0}}))
+    assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
+
+
 class TestSweep:
     def _spec(self, tmp_path, **kw):
         spec = {"parameter": "content_timeout", "values": [20.0, 40.0],
@@ -138,6 +157,20 @@ class TestSweep:
         spec = self._spec(tmp_path, values=[])
         assert run_cli("sweep", "--spec", spec,
                        "--out", str(tmp_path / "o")) == 2
+
+    @pytest.mark.parametrize("kw", [
+        {"values": ["abc"]},
+        {"parameter": "harq_attempts", "values": [2.5]},
+        {"policies": ["optimal", "nope"]},
+        {"overrides": {"speed_min": -1.0}},
+        {"parameter": "speed_min", "values": [9.0, -1.0]},
+    ])
+    def test_bad_spec_is_config_error(self, tmp_path, kw):
+        spec = self._spec(tmp_path, **kw)
+        assert run_cli("sweep", "--spec", spec, "--out", str(tmp_path / "o"),
+                       "--duration", "5", "--warmup", "0",
+                       "--replications", "1", "--workers", "1") == 2
+        assert not os.path.exists(tmp_path / "o")  # rejected before any run
 
     def test_missing_spec_is_config_error(self, tmp_path):
         assert run_cli("sweep", "--spec", str(tmp_path / "no.json"),

@@ -1,8 +1,12 @@
+import dataclasses
 import json
+import typing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from d2doff.config import (Config, ConfigError, ScenarioConfig,
+from d2doff.config import (Config, ConfigError, GainModel, ScenarioConfig,
                            config_from_dict, config_to_dict, load_config)
 
 
@@ -94,7 +98,10 @@ class TestTypedValues:
         {"scenario": {"enb_positions": [0.0, "600"]}},
         {"scenario": {"enb_positions": 600.0}},
         {"scenario": {"content_timeout": 10 ** 400}},
-        {"analytic": {"mean_count_variant": 1}},
+        {"analytic": {"content_bins": "12"}},
+        {"phy": {"subcarriers_per_prb": 10 ** 400}},
+        {"analytic": {"dv": 0.01}},
+        {"analytic": {"mean_count_variant": "region"}},
         {"phy": {"gain_i2d": [2.2]}},
     ])
     def test_more_rejected(self, data):
@@ -111,3 +118,31 @@ class TestTypedValues:
     def test_message_names_the_field(self):
         with pytest.raises(ConfigError, match=r"phy\.gain_d2d\.exp_near"):
             config_from_dict({"phy": {"gain_d2d": {"exp_near": "x"}}})
+
+
+def _keys(cls):
+    return st.sampled_from([f.name for f in dataclasses.fields(cls)])
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.integers(-2 ** 1100, 2 ** 1100),  # past the float range
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.dictionaries(st.text(max_size=4), kids, max_size=3)),
+    max_leaves=8)
+# a gain model object, so that nested keys are reached too
+field_values = json_values | st.dictionaries(_keys(GainModel), json_values,
+                                             max_size=3)
+config_objects = st.fixed_dictionaries({}, optional={
+    name: json_values | st.dictionaries(_keys(cls), field_values, max_size=4)
+    for name, cls in typing.get_type_hints(Config).items()})
+
+
+@given(data=config_objects)
+@settings(max_examples=300, deadline=None)
+def test_any_object_loads_or_is_config_error(data):
+    try:
+        cfg = config_from_dict(data)
+    except ConfigError:
+        return
+    assert isinstance(cfg, Config)

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -111,6 +114,11 @@ class TestReplicate:
         for name in summ.metric_names:
             m, lo, hi = summ.row(name)
             assert lo <= m <= hi
+            # half-width t(0.975, 2 df) * standard error of the mean
+            vals = np.array([r.summary()[name] for r in summ.runs])
+            assert hi - m == pytest.approx(
+                4.302652729749464 * vals.std(ddof=1) / np.sqrt(3),
+                rel=1e-12, abs=1e-12 * abs(m))
         assert len(summ.runs) == 3
 
     def test_single_run_degenerate_ci(self, short_cfg):
@@ -122,6 +130,32 @@ class TestReplicate:
     def test_bad_run_count(self, short_cfg):
         with pytest.raises(ValueError):
             engine.replicate(short_cfg, "optimal", 60.0, 60.0, 0, 1)
+
+    def test_t_quantile_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        for df in range(1, 201):
+            assert engine._t_quantile_975(df) == pytest.approx(
+                stats.t.ppf(0.975, df), rel=1e-12, abs=0.0)
+
+    def test_runs_without_scipy_or_numba(self):
+        # The child must import the same checkout as this process, whether
+        # d2doff is importable through PYTHONPATH or through an install.
+        src_root = os.path.dirname(os.path.dirname(engine.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src_root, env.get("PYTHONPATH")) if p)
+        code = ("import sys\n"
+                "sys.modules['scipy'] = sys.modules['numba'] = None\n"
+                "import d2doff.cli\n"
+                "from d2doff import engine\n"
+                "from d2doff.config import Config\n"
+                "s = engine.replicate(Config(), 'optimal', 5.0, 0.0, n_runs=2,"
+                " base_seed=1)\n"
+                "print(s.ci_low['mean_occupancy'] <= s.ci_high['mean_occupancy'])\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True"]
 
 
 # Outputs of engine.run(cfg at lambda = 1 veh/s, policy, 30, 30, seed=7),

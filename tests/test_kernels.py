@@ -1,6 +1,4 @@
-import os
-import subprocess
-import sys
+import math
 import warnings
 
 import numpy as np
@@ -14,6 +12,43 @@ finite = st.floats(allow_nan=False, allow_infinity=False,
                    min_value=-1e6, max_value=1e6)
 
 
+def reference_min_distance(x0, v, phi):
+    """Scalar loop form of kernels.min_distance_samples."""
+    out = np.empty(len(x0))
+    for i in range(len(x0)):
+        if v[i] != 0.0:
+            tc = -x0[i] / v[i]
+            if 0.0 <= tc <= phi[i]:
+                out[i] = 0.0
+                continue
+            t = min(max(tc, 0.0), phi[i])
+        else:
+            t = 0.0
+        out[i] = abs(x0[i] + v[i] * t)
+    return out
+
+
+def reference_poisson_min_mixture(cdf, density, atom0, cdf_at_rmax, nbar, n_max):
+    """Scalar loop form of kernels.poisson_min_mixture."""
+    w = [math.exp(k * math.log(nbar) - nbar - math.lgamma(k + 1.0))
+         for k in range(1, n_max + 1)]
+    total = sum(w)
+    w = [x / total for x in w]
+    s_rmax = 1.0 - cdf_at_rmax
+    atom = 0.0
+    coeff = []
+    for i in range(n_max):
+        k = i + 1.0
+        denom = 1.0 - s_rmax ** k
+        atom += w[i] * (1.0 - (1.0 - atom0) ** k) / denom
+        coeff.append(w[i] * k / denom)
+    dens = np.zeros(len(cdf))
+    for j in range(len(cdf)):
+        s = 1.0 - cdf[j]
+        dens[j] = sum(c * s ** i for i, c in enumerate(coeff)) * density[j]
+    return atom, dens
+
+
 class TestMinDistance:
     def test_paths_agree(self, rng):
         n = 50_000
@@ -21,8 +56,8 @@ class TestMinDistance:
         v = rng.uniform(-40.0, 40.0, n)
         v[rng.random(n) < 0.01] = 0.0
         phi = rng.uniform(0.0, 30.0, n)
-        a = kernels.min_distance_samples_np(x0, v, phi)
-        b = kernels.min_distance_samples_nb(x0, v, phi)
+        a = kernels.min_distance_samples(x0, v, phi)
+        b = reference_min_distance(x0, v, phi)
         assert np.array_equal(a, b)
 
     def test_closed_form_cases(self):
@@ -35,7 +70,7 @@ class TestMinDistance:
     @given(x0=finite, v=finite, phi=st.floats(min_value=0.0, max_value=1e4))
     @settings(max_examples=200, deadline=None)
     def test_bounds_property(self, x0, v, phi):
-        out = float(kernels.min_distance_samples_np(
+        out = float(kernels.min_distance_samples(
             np.array([x0]), np.array([v]), np.array([phi]))[0])
         assert 0.0 <= out <= abs(x0)
         assert out <= abs(x0 + v * phi) + 1e-9 * max(1.0, abs(x0))
@@ -43,7 +78,7 @@ class TestMinDistance:
     def test_subnormal_speed_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = kernels.min_distance_samples_np(
+            out = kernels.min_distance_samples(
                 np.array([-1e6, 1e6]), np.array([5e-324, -5e-324]),
                 np.array([10.0, 10.0]))
         assert np.array_equal(out, [1e6, 1e6])
@@ -90,10 +125,10 @@ class TestPoissonMixture:
 
     def test_paths_agree(self):
         cdf, density = self._law()
-        a_atom, a_dens = kernels.poisson_min_mixture_np(cdf, density, 0.2,
-                                                        0.9, 2.5, 40)
-        b_atom, b_dens = kernels.poisson_min_mixture_nb(cdf, density, 0.2,
-                                                        0.9, 2.5, 40)
+        a_atom, a_dens = kernels.poisson_min_mixture(cdf, density, 0.2,
+                                                     0.9, 2.5, 40)
+        b_atom, b_dens = reference_poisson_min_mixture(cdf, density, 0.2,
+                                                       0.9, 2.5, 40)
         assert a_atom == pytest.approx(b_atom, rel=1e-12)
         assert np.allclose(a_dens, b_dens, rtol=1e-12)
 
@@ -111,28 +146,3 @@ class TestPoissonMixture:
         b, _ = kernels.poisson_min_mixture(cdf, density, 0.2, 0.9, 5.0, 60)
         assert b > a
 
-
-class TestDispatch:
-    def test_env_flag_disables_numba(self):
-        # The child must import the same checkout as this process, whether
-        # d2doff is importable through PYTHONPATH or through an install.
-        src_root = os.path.dirname(os.path.dirname(kernels.__file__))
-        env = dict(os.environ, D2DOFF_DISABLE_NUMBA="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src_root, env.get("PYTHONPATH")) if p)
-        code = ("import d2doff.kernels as k; "
-                "print(k.HAVE_NUMBA, k.min_distance_samples is "
-                "k.min_distance_samples_np); print(k.__file__)")
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        flags, child_file = proc.stdout.splitlines()
-        assert flags.split() == ["False", "True"]
-        assert os.path.samefile(child_file, kernels.__file__)
-
-    def test_default_dispatch_consistent(self):
-        if kernels.HAVE_NUMBA:
-            assert kernels.min_distance_samples is kernels.min_distance_samples_nb
-            assert kernels.poisson_min_mixture is kernels.poisson_min_mixture_nb
-        else:
-            assert kernels.min_distance_samples is kernels.min_distance_samples_np
