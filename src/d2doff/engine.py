@@ -58,6 +58,8 @@ class MetricsAccumulator:
             "deliveries_i2d": float(self.deliveries_i2d),
             "repeated": float(self.repeated),
             "dropped": float(self.dropped),
+            "failed_attempts": float(self.failed_attempts),
+            "pruned_links": float(self.pruned_links),
         }
 
 
@@ -78,49 +80,39 @@ class Engine:
         self.capacity = cfg.phy.freq_blocks * self.slots
         self.metrics = MetricsAccumulator()
         # exclusive-spectrum-use region: the first three cells
-        n_region = min(3, len(sc.enb_positions))
-        self.region_enbs = set(range(n_region))
-        if len(sc.enb_positions) > n_region:
-            self.region_x_max = 0.5 * (sc.enb_positions[n_region - 1]
-                                       + sc.enb_positions[n_region])
+        self.n_region = min(3, len(sc.enb_positions))
+        if len(sc.enb_positions) > self.n_region:
+            self.region_x_max = 0.5 * (sc.enb_positions[self.n_region - 1]
+                                       + sc.enb_positions[self.n_region])
         else:
             self.region_x_max = sc.street_length
         self._cache_events: list[tuple[int, int]] = []
 
-    # -- link construction --------------------------------------------------
-
-    def _vehicle_xy(self, vid: int, t: float) -> tuple[float, float]:
-        veh = self.world.vehicles[vid]
-        return veh.position(t), self.world.lane_y(veh.lane)
-
-    def _d2d_link(self, link_id: int, intent, t: float) -> rrrm.LinkIntent:
-        req = intent.request
-        tx_x, tx_y = self._vehicle_xy(intent.provider_id, t)
-        rx_x, rx_y = self._vehicle_xy(req.requester_id, t)
-        dist = self.world.distance(req.requester_id, intent.provider_id, t)
-        T = self.cfg.scenario.control_interval
-        return rrrm.LinkIntent(
-            link_id=link_id, kind=phy.D2D, tx_id=intent.provider_id,
-            rx_id=req.requester_id, tx_x=tx_x, tx_y=tx_y, rx_x=rx_x, rx_y=rx_y,
-            distance=dist, deadline_interval=int(round(req.deadline / T)),
-            age=int(round((t - req.t0) / T)), request_ref=req)
-
-    def _i2d_link(self, link_id: int, req, t: float) -> rrrm.LinkIntent:
-        rx_x, rx_y = self._vehicle_xy(req.requester_id, t)
-        enb_id, dist = self.world.nearest_enb(rx_x)
-        T = self.cfg.scenario.control_interval
-        return rrrm.LinkIntent(
-            link_id=link_id, kind=phy.I2D, tx_id=enb_id, rx_id=req.requester_id,
-            tx_x=self.cfg.scenario.enb_positions[enb_id],
-            tx_y=self.cfg.scenario.enb_antenna_height,
-            rx_x=rx_x, rx_y=rx_y, distance=dist,
-            deadline_interval=int(round(req.deadline / T)),
-            age=int(round((t - req.t0) / T)), enb_id=enb_id, request_ref=req)
-
-    def _in_region(self, link: rrrm.LinkIntent) -> bool:
-        if link.is_i2d:
-            return link.enb_id in self.region_enbs
-        return link.tx_x <= self.region_x_max
+    def _link_table(self, reqs: list, n_i2d: int, t: float) -> rrrm.Links:
+        """The links that serve ``reqs`` at tick t, row i for reqs[i]: the
+        first ``n_i2d`` from the requester's nearest eNB, the rest from the
+        request's provider."""
+        sc = self.cfg.scenario
+        world = self.world
+        rx = np.array([world.idx_of[r.requester_id] for r in reqs], dtype=np.int64)
+        tx = np.array([world.idx_of[r.provider_id] for r in reqs[n_i2d:]], dtype=np.int64)
+        rx_x = world.xs[rx]
+        enb, enb_dist = world.nearest_enb(rx_x[:n_i2d])
+        # as World.distance: math.hypot, which np.hypot differs from in the last bit
+        d2d_dist = [abs(dx) if same else math.hypot(dx, sc.lane_offset) for dx, same in
+                    zip((rx_x[n_i2d:] - world.xs[tx]).tolist(),
+                        (world.lanes[rx[n_i2d:]] == world.lanes[tx]).tolist())]
+        T = sc.control_interval
+        return rrrm.Links(
+            is_i2d=np.arange(len(reqs)) < n_i2d,
+            enb=np.concatenate([enb, np.full(tx.size, -1)]),
+            tx_x=np.concatenate([world.enb_x[enb], world.xs[tx]]),
+            tx_y=np.concatenate([np.full(n_i2d, sc.enb_antenna_height),
+                                 world.lane_y(world.lanes[tx])]),
+            rx_x=rx_x, rx_y=world.lane_y(world.lanes[rx]),
+            distance=np.concatenate([enb_dist, d2d_dist]),
+            deadline=np.array([int(round(r.deadline / T)) for r in reqs], dtype=np.int64),
+            age=np.array([int(round((t - r.t0) / T)) for r in reqs], dtype=np.int64))
 
     # -- one interval ---------------------------------------------------------
 
@@ -158,61 +150,56 @@ class Engine:
         for vid, z in events:
             self.policy.cache_event(vid, z, world, t)
 
-        # D2D intents first: a transmission scheduled for the deadline
+        # D2D deliveries first: a transmission scheduled for the deadline
         # tick pre-empts the infrastructure fallback for that request
-        intents = self.policy.d2d_intents(world, t)
-        intent_reqs = {intent.request.id for intent in intents}
-        links = []
-        for req in self.policy.i2d_due(t):
-            if req.id in intent_reqs:
-                continue
-            if req.requester_id in world.idx_of:
-                links.append(self._i2d_link(len(links), req, t))
-        for intent in intents:
-            links.append(self._d2d_link(len(links), intent, t))
-
-        if not links:
+        d2d = self.policy.d2d_intents(world, t)
+        d2d_ids = {req.id for req in d2d}
+        i2d = [req for req in self.policy.i2d_due(t)
+               if req.id not in d2d_ids and req.requester_id in world.idx_of]
+        reqs = i2d + d2d
+        if not reqs:
             if measuring:
                 self.metrics.occupancy_samples.append(0.0)
             return
 
-        # per-link radio quantities of this tick, indexed by link_id (the
-        # link's position in ``links``)
+        # per-link radio quantities of this tick, indexed like ``links``
+        links = self._link_table(reqs, len(i2d), t)
         gains = rrrm.interference_matrix(links, self.cfg.phy)
         nominal, powers = rrrm.link_budget(links, self.cfg.phy)
-        energies = phy.content_energy(powers, self.cfg.phy)
-        sets = rrrm.partition_rrr_sets(links, gains, powers, self.cfg.phy, self.cfg.rrrm)
-        allocations, pruned = rrrm.allocate_prbs(sets, links, self.capacity, self.n_prbs)
+        order = rrrm.priority_order(links)
+        sets = rrrm.partition_rrr_sets(links, gains, powers, order, self.cfg.phy,
+                                       self.cfg.rrrm)
+        placed, pruned = rrrm.allocate_prbs(sets, links, order, self.capacity, self.n_prbs)
         if measuring:
             self.metrics.pruned_links += len(pruned)
+            in_region = np.where(links.is_i2d, links.enb < self.n_region,
+                                 links.tx_x <= self.region_x_max)
             self.metrics.occupancy_samples.append(
-                rrrm.spectrum_occupancy(allocations, self.capacity, self._in_region))
+                rrrm.spectrum_occupancy(placed, self.capacity, in_region))
 
-        self._transmit_tick(allocations, gains, nominal, powers, energies, t, measuring)
+        self._transmit_tick(links, reqs, placed, gains, nominal, powers, t, measuring)
 
-    def _transmit_tick(self, allocations: list[rrrm.Allocation], gains: np.ndarray,
-                       nominal: np.ndarray, powers: np.ndarray, energies: np.ndarray,
+    def _transmit_tick(self, links: rrrm.Links, reqs: list, placed: rrrm.Placement,
+                       gains: np.ndarray, nominal: np.ndarray, powers: np.ndarray,
                        t: float, measuring: bool) -> None:
-        """Every allocation's HARQ attempts, in order of (set, first PRB,
-        link id).  gains, nominal, powers: the tick's interference matrix
-        and ``rrrm.link_budget``; energies: each link's content energy.
+        """Every placed link's HARQ attempts, in order of (set, first PRB,
+        link index); reqs[i] is link i's request.  gains, nominal, powers:
+        the tick's interference matrix and ``rrrm.link_budget``.
 
         A link's receiver hears one channel from each peer of its set that
-        shares PRBs with it, in allocation order, then its own.  These rows
+        shares PRBs with it, in placement order, then its own.  These rows
         take fading blocks in draw order, all links' rows in link order.  A
         retry takes the block after its link's last one, so every later row
         moves one block on; blocks are drawn only once a row needs them."""
-        if not allocations:
+        if not placed:
             return
         cfg = self.cfg
-        n = len(allocations)
-        links = [a.link for a in allocations]
-        lid = np.array([link.link_id for link in links])
-        set_id = np.array([a.set_id for a in allocations])
-        start = np.array([a.prb_start for a in allocations])
-        stop = np.array([a.prb_stop for a in allocations])
+        n = len(placed)
+        lid, set_id = placed.link, placed.set_id
+        start, stop = placed.prb_start, placed.prb_stop
+        energies = phy.content_energy(powers, cfg.phy)
         order = np.lexsort((lid, start, set_id))
-        # hears[f, j]: allocation j shares PRBs with the f-th link to transmit
+        # hears[f, j]: placed link j shares PRBs with the f-th link to transmit
         hears = ((set_id[order, None] == set_id)
                  & (np.minimum(stop[order, None], stop) > np.maximum(start[order, None], start)))
         hears[np.arange(n), order] = False
@@ -224,9 +211,7 @@ class Engine:
         row_start = np.maximum(start[rx], start[tx])
         row_stop = np.minimum(stop[rx], stop[tx])
         row_power = powers[lid[tx]]
-        shadow_db = self.shadow.link_shadow_db(
-            np.array([link.tx_x for link in links])[tx],
-            np.array([link.rx_x for link in links])[rx])
+        shadow_db = self.shadow.link_shadow_db(links.tx_x[lid[tx]], links.rx_x[lid[rx]])
         gain = phy.mean_gain(np.where(col == n, nominal[lid[rx]], gains[lid[tx], lid[rx]]),
                              shadow_db)
         blocks = np.arange(row_link.size)       # fading block of each row
@@ -253,19 +238,19 @@ class Engine:
             if f >= current:
                 info[f:] = information(f, n)
                 current = n
-            link = links[order[f]]
-            req = link.request_ref
-            energy = float(energies[link.link_id])
+            i = int(lid[order[f]])
+            req, is_i2d = reqs[i], bool(links.is_i2d[i])
+            energy = float(energies[i])
             # HARQ: retransmissions happen within the control interval (their
             # round-trip is milliseconds), so a fading dip costs energy but
             # does not move the transmission to a later, farther tick
             for attempt in range(cfg.phy.harq_attempts):
                 success = phy.transmission_success(float(info[f]), cfg.phy)
                 if measuring:
-                    if link.kind == phy.D2D:
-                        self.metrics.energy_d2d += energy
-                    else:
+                    if is_i2d:
                         self.metrics.energy_i2d += energy
+                    else:
+                        self.metrics.energy_d2d += energy
                 if success:
                     break
                 req.attempts += 1
@@ -276,25 +261,25 @@ class Engine:
                     info[f] = information(f, f + 1)[0]
                     current = f + 1
             if success:
-                self._deliver(link, t, measuring)
+                self._deliver(req, is_i2d, float(links.distance[i]), t, measuring)
 
-    def _deliver(self, link: rrrm.LinkIntent, t: float, measuring: bool) -> None:
-        req = link.request_ref
-        if link.kind == phy.D2D:
-            req.state = DELIVERED_D2D
-            if measuring:
-                self.metrics.deliveries_d2d += 1
-                self.metrics.d2d_distances.append(link.distance)
-        else:
+    def _deliver(self, req, is_i2d: bool, distance: float, t: float,
+                 measuring: bool) -> None:
+        if is_i2d:
             req.state = DELIVERED_I2D
             if measuring:
                 self.metrics.deliveries_i2d += 1
+        else:
+            req.state = DELIVERED_D2D
+            if measuring:
+                self.metrics.deliveries_d2d += 1
+                self.metrics.d2d_distances.append(distance)
         self.policy.retire(req)
         if self.policy.uses_cache:
             # receiver caches what it received; new copies can serve others
             expiry = t + self.cfg.scenario.sharing_timeout
-            self.world.add_cache(link.rx_id, req.content_id, expiry)
-            self._cache_events.append((link.rx_id, req.content_id))
+            self.world.add_cache(req.requester_id, req.content_id, expiry)
+            self._cache_events.append((req.requester_id, req.content_id))
 
     # -- full run ----------------------------------------------------------------
 

@@ -13,7 +13,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -72,12 +71,6 @@ def _first_per_request(req_i: np.ndarray, keys: tuple) -> np.ndarray:
     return order[first]
 
 
-@dataclass
-class D2dIntent:
-    request: ContentRequest
-    provider_id: int
-
-
 class BasePolicy:
     name = "base"
     uses_cache = True
@@ -108,7 +101,8 @@ class BasePolicy:
     def cache_event(self, vid: int, z: int, world: World, t: float) -> None:
         pass
 
-    def d2d_intents(self, world: World, t: float) -> list[D2dIntent]:
+    def d2d_intents(self, world: World, t: float) -> list[ContentRequest]:
+        """Requests to deliver from their ``provider_id`` at this tick."""
         return []
 
     def i2d_due(self, t: float) -> list[ContentRequest]:
@@ -225,7 +219,7 @@ class OptimalPolicy(BasePolicy):
                 continue
             dist = world.distance(req.requester_id, req.provider_id, t)
             if dist <= self.cfg.d2d_max_range:
-                out.append(D2dIntent(request=req, provider_id=req.provider_id))
+                out.append(req)
         return out
 
 
@@ -251,7 +245,7 @@ class BenchmarkPolicy(BasePolicy):
             req = reqs[req_i[j]]
             req.provider_id = int(holder[j])
             req.delta_hat = float(dist[j])
-            out.append(D2dIntent(request=req, provider_id=req.provider_id))
+            out.append(req)
         return out
 
 

@@ -6,14 +6,15 @@ estimated interference-to-noise ratio at the victim receiver stays
 below a threshold.  Links of one set share a contiguous PRB pool;
 infrastructure links from the same base station get exclusive slices of
 it, while far-apart base stations and device links reuse the same PRBs.
-Overflow beyond the per-interval grid is pruned, infrastructure first
-priority, then device links closest to their deadline.
+When the pools overflow the per-interval grid, only the longest prefix
+of the priority order (infrastructure first, then device links closest
+to their deadline) that fits is placed; the rest is pruned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,38 +23,45 @@ from . import phy
 
 
 @dataclass
-class LinkIntent:
-    link_id: int
-    kind: str                  # phy.I2D or phy.D2D
-    tx_id: int                 # eNB index for I2D, vehicle id for D2D
-    rx_id: int                 # vehicle id
-    tx_x: float
-    tx_y: float                # lane offset for vehicles, antenna height for eNBs
-    rx_x: float
-    rx_y: float
-    distance: float            # link distance used for power control
-    deadline_interval: int
-    age: int = 0               # intervals since the request arrived
-    enb_id: int | None = None
-    request_ref: object = None
+class Links:
+    """A tick's links, one entry per link in each array.  The requester
+    receives; an eNB (``enb`` >= 0) or a vehicle (``enb`` = -1) transmits.
+    y is the lane offset of a vehicle and the antenna height of an eNB;
+    ``distance`` sets the transmit power; ``deadline`` and ``age`` count
+    control intervals."""
 
-    @property
-    def is_i2d(self) -> bool:
-        return self.kind == phy.I2D
+    is_i2d: np.ndarray
+    enb: np.ndarray
+    tx_x: np.ndarray
+    tx_y: np.ndarray
+    rx_x: np.ndarray
+    rx_y: np.ndarray
+    distance: np.ndarray
+    deadline: np.ndarray
+    age: np.ndarray
+
+    def __len__(self) -> int:
+        return self.is_i2d.size
 
 
 @dataclass
-class Allocation:
-    link: LinkIntent
-    set_id: int
-    prb_start: int
-    prb_stop: int
+class Placement:
+    """The placed links of a tick, by reuse set and then priority: the
+    link's index into ``Links``, its set and its PRBs [prb_start, prb_stop)."""
+
+    link: np.ndarray
+    set_id: np.ndarray
+    prb_start: np.ndarray
+    prb_stop: np.ndarray
+
+    def __len__(self) -> int:
+        return self.link.size
 
 
-def priority_key(link: LinkIntent):
-    """Ascending = served first: infrastructure, then deadline
-    proximity, then request age, then id for determinism."""
-    return (0 if link.is_i2d else 1, link.deadline_interval, -link.age, link.link_id)
+def priority_order(links: Links) -> np.ndarray:
+    """Link indices, served first to last: infrastructure, then deadline
+    proximity, then request age (oldest first), then index."""
+    return np.lexsort((np.arange(len(links)), -links.age, links.deadline, ~links.is_i2d))
 
 
 def _gain_by_kind(is_i2d: np.ndarray, r: np.ndarray, cfg: PhyConfig) -> np.ndarray:
@@ -67,52 +75,48 @@ def _gain_by_kind(is_i2d: np.ndarray, r: np.ndarray, cfg: PhyConfig) -> np.ndarr
     return out
 
 
-def interference_matrix(links: list[LinkIntent], cfg: PhyConfig) -> np.ndarray:
+def interference_matrix(links: Links, cfg: PhyConfig) -> np.ndarray:
     """Entry (i, j) = nominal gain from tx of link i to rx of link j;
     the transmitter's gain model applies; diagonal set to 0."""
-    tx = np.array([(l.tx_x, l.tx_y) for l in links], dtype=float).reshape(-1, 2)
-    rx = np.array([(l.rx_x, l.rx_y) for l in links], dtype=float).reshape(-1, 2)
-    d = np.hypot(tx[:, None, 0] - rx[None, :, 0], tx[:, None, 1] - rx[None, :, 1])
-    out = _gain_by_kind(np.array([l.is_i2d for l in links], dtype=bool), d, cfg)
+    d = np.hypot(links.tx_x[:, None] - links.rx_x, links.tx_y[:, None] - links.rx_y)
+    out = _gain_by_kind(links.is_i2d, d, cfg)
     np.fill_diagonal(out, 0.0)
     return out
 
 
-def link_budget(links: list[LinkIntent], cfg: PhyConfig
-                ) -> tuple[np.ndarray, np.ndarray]:
+def link_budget(links: Links, cfg: PhyConfig) -> tuple[np.ndarray, np.ndarray]:
     """(nominal gain, per-subcarrier transmit power) of each link over its
     own distance, as ``phy.tx_power_for_link`` sets them."""
-    is_i2d = np.array([l.is_i2d for l in links], dtype=bool)
-    gain = _gain_by_kind(is_i2d, np.array([l.distance for l in links], dtype=float), cfg)
+    gain = _gain_by_kind(links.is_i2d, links.distance, cfg)
     power = np.empty_like(gain)
-    for kind, rows in ((phy.I2D, is_i2d), (phy.D2D, ~is_i2d)):
+    for kind, rows in ((phy.I2D, links.is_i2d), (phy.D2D, ~links.is_i2d)):
         power[rows] = phy.tx_power_per_subcarrier(
             gain[rows], phy.link_margin_db(kind, cfg), cfg)
     return gain, power
 
 
-def partition_rrr_sets(links: list[LinkIntent], gains: np.ndarray,
-                       powers: np.ndarray, cfg: PhyConfig,
+def partition_rrr_sets(links: Links, gains: np.ndarray, powers: np.ndarray,
+                       order: np.ndarray, cfg: PhyConfig,
                        rrrm: RrrmConfig) -> list[list[int]]:
-    """Greedy first-fit partition in priority order; returns lists of
-    indices into ``links``.  ``gains`` is the interference matrix and
-    ``powers`` the per-subcarrier powers of ``link_budget``.
+    """Greedy first-fit partition in priority ``order``; returns lists of
+    link indices, members in priority order.  ``gains`` is the
+    interference matrix and ``powers`` the per-subcarrier powers of
+    ``link_budget``.
 
     A pair conflicts when either member's interference-to-noise ratio at
     the other's receiver exceeds the threshold, unless both are
     infrastructure links of one eNB: those get exclusive slices, so
     their mutual interference is irrelevant to set membership."""
-    if not links:
+    if not len(links):
         return []
     gamma = 10.0 ** (rrrm.gamma_inr_db / 10.0)
     sigma2 = phy.subcarrier_noise_power(cfg)
     loud = powers[:, None] * gains > gamma * sigma2
-    enb = np.array([l.enb_id if l.is_i2d else -1 for l in links])
-    conflict = (loud | loud.T) & ~((enb[:, None] == enb[None, :]) & (enb[:, None] >= 0))
-    order = sorted(range(len(links)), key=lambda i: priority_key(links[i]))
+    enb = links.enb
+    conflict = (loud | loud.T) & ~((enb[:, None] == enb) & (enb[:, None] >= 0))
     sets: list[list[int]] = []
     blocked: list[np.ndarray] = []     # per set: links that conflict with a member
-    for i in order:
+    for i in order.tolist():
         for members, mask in zip(sets, blocked):
             if not mask[i]:
                 members.append(i)
@@ -124,85 +128,52 @@ def partition_rrr_sets(links: list[LinkIntent], gains: np.ndarray,
     return sets
 
 
-def _layout(sets: list[list[int]], links: list[LinkIntent],
-            n_prbs: int) -> tuple[list[tuple[int, int, int]], int]:
-    """Slice assignment: per set, infrastructure links of one eNB stack
-    on consecutive slices (exclusive), different eNBs restart at slice 0
-    (reuse), device links all share slice 0.  Returns
-    (link index, set id, slice index) triples and the total PRB demand."""
-    placed = []
-    total = 0
-    for set_id, members in enumerate(sets):
-        if not members:
-            continue
-        per_enb: dict[int, int] = {}
-        n_slices = 0
-        for i in members:
-            link = links[i]
-            if link.is_i2d:
-                s = per_enb.get(link.enb_id, 0)
-                per_enb[link.enb_id] = s + 1
-            else:
-                s = 0
-            placed.append((i, set_id, s))
-            n_slices = max(n_slices, s + 1)
-        total += n_slices * n_prbs
-    return placed, total
+def allocate_prbs(sets: list[list[int]], links: Links, order: np.ndarray,
+                  grid_capacity: int, n_prbs: int) -> tuple[Placement, list[int]]:
+    """Lay the set pools of ``partition_rrr_sets`` contiguously on the PRB
+    grid, in set order.  Within a set, infrastructure links of one eNB
+    stack on consecutive ``n_prbs`` slices (exclusive), different eNBs
+    restart at slice 0 (reuse), and device links all share slice 0.
 
-
-def allocate_prbs(sets: list[list[int]], links: list[LinkIntent],
-                  grid_capacity: int, n_prbs: int
-                  ) -> tuple[list[Allocation], list[LinkIntent]]:
-    """Lay set pools contiguously on the PRB grid; prune the lowest
-    priority links until the demand fits."""
-    sets = [list(m) for m in sets]
-    victim_order = sorted(
-        (i for members in sets for i in members),
-        key=lambda i: priority_key(links[i]), reverse=True)
-    pruned: list[LinkIntent] = []
-    while True:
-        placed, total = _layout(sets, links, n_prbs)
-        if total <= grid_capacity or not victim_order:
-            break
-        victim = victim_order.pop(0)
-        pruned.append(links[victim])
-        for members in sets:
-            if victim in members:
-                members.remove(victim)
+    A link's slice depends only on the links before it in priority
+    ``order``, so demand never falls as links are added: the longest
+    prefix of ``order`` whose pools fit the grid is placed.  Returns the
+    placement and the pruned link indices, lowest priority first."""
+    order = order.tolist()
+    is_i2d, enb = links.is_i2d.tolist(), links.enb.tolist()
+    set_of = {i: s for s, members in enumerate(sets) for i in members}
+    slice_of: dict[int, int] = {}              # placed link -> slice
+    stacked: dict[tuple[int, int], int] = {}   # (set, eNB) -> slices taken
+    n_slices = [0] * len(sets)
+    demand = 0
+    for i in order:
+        s = set_of[i]
+        k = 0
+        if is_i2d[i]:
+            k = stacked.get((s, enb[i]), 0)
+            stacked[(s, enb[i])] = k + 1
+        if k == n_slices[s]:                   # the set's pool grows a slice
+            demand += n_prbs
+            if demand > grid_capacity:
                 break
-    # assign contiguous pools in set order
-    pool_base: dict[int, int] = {}
-    offset = 0
-    for set_id, members in enumerate(sets):
-        if not members:
-            continue
-        n_slices = max(s for i, sid, s in placed if sid == set_id) + 1
-        pool_base[set_id] = offset
-        offset += n_slices * n_prbs
-    allocations = [
-        Allocation(link=links[i], set_id=sid,
-                   prb_start=pool_base[sid] + s * n_prbs,
-                   prb_stop=pool_base[sid] + (s + 1) * n_prbs)
-        for i, sid, s in placed
-    ]
-    return allocations, pruned
+            n_slices[s] += 1
+        slice_of[i] = k
+    pool_base = [0, *itertools.accumulate(n_slices)]
+    link = [i for members in sets for i in members if i in slice_of]
+    start = np.array([(pool_base[set_of[i]] + slice_of[i]) * n_prbs for i in link],
+                     dtype=np.int64)
+    return (Placement(link=np.array(link, dtype=np.int64),
+                      set_id=np.array([set_of[i] for i in link], dtype=np.int64),
+                      prb_start=start, prb_stop=start + n_prbs),
+            order[len(slice_of):][::-1])
 
 
-def spectrum_occupancy(allocations: list[Allocation], grid_capacity: int,
-                       in_region: Callable[[LinkIntent], bool]) -> float:
+def spectrum_occupancy(placement: Placement, grid_capacity: int,
+                       in_region: np.ndarray) -> float:
     """Fraction of the PRB grid used by at least one transmitter inside
-    the exclusive-spectrum-use region."""
-    ranges = sorted((a.prb_start, a.prb_stop) for a in allocations
-                    if in_region(a.link))
-    used = 0
-    cur_lo = cur_hi = None
-    for lo, hi in ranges:
-        if cur_hi is None or lo > cur_hi:
-            if cur_hi is not None:
-                used += cur_hi - cur_lo
-            cur_lo, cur_hi = lo, hi
-        else:
-            cur_hi = max(cur_hi, hi)
-    if cur_hi is not None:
-        used += cur_hi - cur_lo
-    return used / grid_capacity
+    the exclusive-spectrum-use region; ``in_region`` flags each link.
+    ``allocate_prbs`` places whole slices of one grid, so two placed PRB
+    ranges either coincide or are disjoint."""
+    sel = in_region[placement.link]
+    used = dict(zip(placement.prb_start[sel].tolist(), placement.prb_stop[sel].tolist()))
+    return sum(stop - start for start, stop in used.items()) / grid_capacity

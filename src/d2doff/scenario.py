@@ -222,8 +222,9 @@ class World:
         self.exits = np.array([self.vehicles[v].exit_time for v in vids])
         self.idx_of = {v: i for i, v in enumerate(vids)}
 
-    def lane_y(self, lane: int) -> float:
-        return 0.0 if lane == FORWARD else self.cfg.lane_offset
+    def lane_y(self, lanes: np.ndarray) -> np.ndarray:
+        """Lateral offset of each lane axis."""
+        return np.where(lanes == FORWARD, 0.0, self.cfg.lane_offset)
 
     def position(self, vid: int, t: float) -> float:
         return self.vehicles[vid].position(t)
@@ -233,10 +234,15 @@ class World:
         return vehicle_distance(va.position(t), va.lane,
                                 vb.position(t), vb.lane, self.cfg.lane_offset)
 
-    def nearest_enb(self, x: float) -> tuple[int, float]:
-        """(eNB index, 3-D distance) of the closest base station."""
-        i = int(np.argmin(np.abs(self.enb_x - x)))
-        return i, math.hypot(self.enb_x[i] - x, self.cfg.enb_antenna_height)
+    def nearest_enb(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(eNB index, 3-D distance) of the closest base station to each
+        position in ``x``; a tie goes to the lower index.  The distance is
+        math.hypot's: numpy's hypot differs from it in the last bit."""
+        x = np.asarray(x, dtype=float)
+        i = np.argmin(np.abs(self.enb_x - x[..., None]), axis=-1)
+        h = self.cfg.enb_antenna_height
+        d = [math.hypot(dx, h) for dx in np.ravel(self.enb_x[i] - x).tolist()]
+        return i, np.reshape(d, x.shape)
 
     # -- requests -----------------------------------------------------------
 

@@ -1,13 +1,17 @@
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from d2doff import cli
 from d2doff.cli import main, point_seed, read_csv, write_csv
+from d2doff.config import Config, ConfigError
 
-from test_config import BAD_VALUES
+from test_config import BAD_VALUES, json_values
 
 
 def run_cli(*argv):
@@ -63,9 +67,23 @@ class TestSimulate:
         header, rows = read_csv(os.path.join(out, "metrics.csv"))
         assert header == ["metric", "mean", "ci_low", "ci_high"]
         names = {r[0] for r in rows}
-        assert {"offloading_efficiency", "mean_occupancy"} <= names
+        assert {"offloading_efficiency", "mean_occupancy", "failed_attempts",
+                "pruned_links"} <= names
         assert os.path.exists(os.path.join(out, "distance_histogram.csv"))
         assert "offloading_efficiency" in capsys.readouterr().out
+
+    def test_reports_pruned_links_under_load(self, tmp_path):
+        cfg = tmp_path / "lam1.json"
+        cfg.write_text(json.dumps({"scenario": {"vehicle_arrival_rate": 1.0}}))
+        out = str(tmp_path / "o")
+        code = run_cli("simulate", "--policy", "cellular", "--config", str(cfg),
+                       "--out", out, "--duration", "30", "--warmup", "30",
+                       "--replications", "1", "--seed", "7")
+        assert code == 0
+        _, rows = read_csv(os.path.join(out, "metrics.csv"))
+        means = {r[0]: float(r[1]) for r in rows}
+        assert means["pruned_links"] > 0
+        assert means["failed_attempts"] > 0
 
     def test_missing_config_is_config_error(self, tmp_path):
         code = run_cli("simulate", "--config", str(tmp_path / "nope.json"),
@@ -175,6 +193,42 @@ class TestSweep:
     def test_missing_spec_is_config_error(self, tmp_path):
         assert run_cli("sweep", "--spec", str(tmp_path / "no.json"),
                        "--out", str(tmp_path / "o")) == 2
+
+
+# valid names and plain numbers are drawn often enough that many specs load
+# and many points reach Config.validate
+_param = st.sampled_from(sorted(cli.SWEEPABLE))
+_policy = st.sampled_from(sorted(cli.POLICIES))
+_value = st.integers(-5, 100) | st.floats(-1.0, 1e4) | json_values
+_keys = {
+    "parameter": _param | _param | st.text(max_size=8) | json_values,
+    "values": st.lists(_value, max_size=4) | json_values,
+    "overrides": st.dictionaries(_param | st.text(max_size=8), _value, max_size=3)
+    | json_values,
+    "policies": st.lists(_policy, max_size=3) | st.lists(_policy | json_values, max_size=3)
+    | json_values,
+}
+sweep_specs = (
+    st.fixed_dictionaries({}, optional=_keys)
+    | st.fixed_dictionaries({"parameter": _param, "values": st.lists(_value, min_size=1,
+                                                                     max_size=4)},
+                            optional={k: _keys[k] for k in ("overrides", "policies")}))
+
+
+@given(spec=sweep_specs)
+@settings(max_examples=300, deadline=None)
+def test_any_sweep_spec_loads_or_is_config_error(spec):
+    # what cmd_sweep does with a spec before its first run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w") as fh:
+            json.dump(spec, fh)
+        try:
+            loaded = cli.SweepSpec.from_file(path)
+            for value in loaded.values:
+                cli._with_param(Config(), {**loaded.overrides, loaded.parameter: value})
+        except ConfigError:
+            pass
 
 
 class TestAnalytic:

@@ -209,7 +209,7 @@ class TestGolden:
 # -- per-link reference of the transmission step -----------------------------
 #
 # The engine decides a tick's transmissions on tick-wide arrays.  This is the
-# per-allocation loop it replaced: each link draws one fading block per
+# per-link loop it replaced: each link draws one fading block per
 # overlapping peer of its reuse set, in allocation order, then one per HARQ
 # attempt, and computes its capacity one attempt at a time.
 
@@ -257,48 +257,47 @@ class ReferenceEngine(engine.Engine):
         self.first_attempts = 0
         self.first_failures = 0
 
-    def _transmit_tick(self, allocations, gains, nominal, powers, energies,
+    def _transmit_tick(self, links, reqs, placed, gains, nominal, powers,
                        t, measuring):
+        energies = phy.content_energy(powers, self.cfg.phy)
+        # (link, set, prb_start, prb_stop) of every placed link
+        rows = list(zip(placed.link.tolist(), placed.set_id.tolist(),
+                        placed.prb_start.tolist(), placed.prb_stop.tolist()))
         by_set = {}
-        for alloc in allocations:
-            by_set.setdefault(alloc.set_id, []).append(alloc)
-        for alloc in sorted(allocations,
-                            key=lambda a: (a.set_id, a.prb_start, a.link.link_id)):
-            self._transmit_one(alloc, by_set[alloc.set_id], gains, nominal,
-                               powers, float(energies[alloc.link.link_id]),
-                               t, measuring)
+        for row in rows:
+            by_set.setdefault(row[1], []).append(row)
+        for row in sorted(rows, key=lambda r: (r[1], r[2], r[0])):
+            self._transmit_one(links, reqs[row[0]], row, by_set[row[1]], gains,
+                               nominal, powers, float(energies[row[0]]), t, measuring)
 
-    def _transmit_one(self, alloc, peers, gains, nominal, powers, energy, t,
-                      measuring):
+    def _transmit_one(self, links, req, row, peers, gains, nominal, powers,
+                      energy, t, measuring):
         cfg = self.cfg
-        link = alloc.link
-        i = link.link_id
-        req = link.request_ref
+        i, _, start, stop = row
+        is_i2d = links.is_i2d[i]
         interferers = []
-        for other in peers:
-            j = other.link.link_id
-            lo = max(alloc.prb_start, other.prb_start)
-            hi = min(alloc.prb_stop, other.prb_stop)
+        for j, _, peer_start, peer_stop in peers:
+            lo = max(start, peer_start)
+            hi = min(stop, peer_stop)
             if j == i or hi <= lo:
                 continue
-            s_db = _ref_shadow_db(self.shadow, other.link.tx_x, link.rx_x)
+            s_db = _ref_shadow_db(self.shadow, links.tx_x[j], links.rx_x[i])
             interferers.append((powers[j], _ref_realize(
                 self.channel, gains[j, i], s_db, self.rng), lo, hi))
-        shadow_db = _ref_shadow_db(self.shadow, link.tx_x, link.rx_x)
+        shadow_db = _ref_shadow_db(self.shadow, links.tx_x[i], links.rx_x[i])
         success = False
         for attempt in range(cfg.phy.harq_attempts):
             own = _ref_realize(self.channel, nominal[i], shadow_db, self.rng)
-            info = _ref_information(cfg.phy, powers[i], own, interferers,
-                                    (alloc.prb_start, alloc.prb_stop))
+            info = _ref_information(cfg.phy, powers[i], own, interferers, (start, stop))
             success = phy.transmission_success(info, cfg.phy)
             if attempt == 0:
                 self.first_attempts += 1
                 self.first_failures += not success
             if measuring:
-                if link.kind == phy.D2D:
-                    self.metrics.energy_d2d += energy
-                else:
+                if is_i2d:
                     self.metrics.energy_i2d += energy
+                else:
+                    self.metrics.energy_d2d += energy
             if success:
                 break
             req.attempts += 1
@@ -306,20 +305,20 @@ class ReferenceEngine(engine.Engine):
                 self.metrics.failed_attempts += 1
         if not success:
             return
-        if link.kind == phy.D2D:
-            req.state = DELIVERED_D2D
-            if measuring:
-                self.metrics.deliveries_d2d += 1
-                self.metrics.d2d_distances.append(link.distance)
-        else:
+        if is_i2d:
             req.state = DELIVERED_I2D
             if measuring:
                 self.metrics.deliveries_i2d += 1
+        else:
+            req.state = DELIVERED_D2D
+            if measuring:
+                self.metrics.deliveries_d2d += 1
+                self.metrics.d2d_distances.append(float(links.distance[i]))
         self.policy.retire(req)
         if self.policy.uses_cache:
             expiry = t + cfg.scenario.sharing_timeout
-            self.world.add_cache(link.rx_id, req.content_id, expiry)
-            self._cache_events.append((link.rx_id, req.content_id))
+            self.world.add_cache(req.requester_id, req.content_id, expiry)
+            self._cache_events.append((req.requester_id, req.content_id))
 
 
 def _run_recorded(eng_cls, cfg, policy, seed):
@@ -342,9 +341,9 @@ def _run_recorded(eng_cls, cfg, policy, seed):
         counts["draws"] += 1
         return realize(*args, **kwargs)
 
-    def counting_transmit(allocations, *args):
-        counts["ticks"] += bool(allocations)
-        return transmit(allocations, *args)
+    def counting_transmit(links, reqs, placed, *args):
+        counts["ticks"] += bool(placed)
+        return transmit(links, reqs, placed, *args)
 
     eng.world.spawn_requests = recording_spawn
     eng.channel.realize = counting_realize

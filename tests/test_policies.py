@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from d2doff import engine
 from d2doff.config import Config
-from d2doff.policies import (BenchmarkPolicy, CellularPolicy, D2dIntent,
-                             OptimalPolicy, closest_approach, make_policy)
+from d2doff.policies import (BenchmarkPolicy, CellularPolicy, OptimalPolicy,
+                             closest_approach, make_policy)
 from d2doff.scenario import PENDING, SCHEDULED, ContentRequest, World
 
 
@@ -199,7 +199,7 @@ class TestOptimalPolicy:
         # both paths offer the request at the deadline tick; the engine
         # lets the scheduled D2D transmission pre-empt the fallback
         intents = pol.d2d_intents(world, req.deadline)
-        assert [i.request for i in intents] == [req]
+        assert intents == [req]
         assert pol.i2d_due(req.deadline) == [req]
         # one tick later only the infrastructure path remains
         world.refresh_arrays(req.deadline + world.cfg.control_interval)
@@ -400,7 +400,7 @@ class ReferenceOptimalPolicy(OptimalPolicy):
             if req.requester_id not in world.idx_of:
                 continue
             if world.distance(req.requester_id, q, t) <= self.cfg.d2d_max_range:
-                out.append(D2dIntent(request=req, provider_id=q))
+                out.append(req)
         return out
 
 
@@ -431,7 +431,7 @@ class ReferenceBenchmarkPolicy(BenchmarkPolicy):
             best = np.lexsort((ids[in_range], dist[in_range]))[0]
             req.provider_id = int(ids[in_range][best])
             req.delta_hat = float(dist[in_range][best])
-            out.append(D2dIntent(request=req, provider_id=req.provider_id))
+            out.append(req)
         return out
 
 
@@ -447,7 +447,8 @@ def _lam_config(lam):
 
 def _run_with_intents(cfg, policy, seed):
     """Run 30 s after 10 s of warm-up; returns the engine and, per tick,
-    (request id, provider id, delta_hat, planned_tick) of every intent."""
+    (request id, provider id, delta_hat, planned_tick) of every request
+    it delivers over D2D."""
     eng = engine.Engine(cfg, policy.name, seed)
     eng.policy = policy
     ticks = []
@@ -455,8 +456,8 @@ def _run_with_intents(cfg, policy, seed):
 
     def recording_intents(world, t):
         out = intents(world, t)
-        ticks.append([(i.request.id, i.provider_id, i.request.delta_hat,
-                       i.request.planned_tick) for i in out])
+        ticks.append([(r.id, r.provider_id, r.delta_hat, r.planned_tick)
+                      for r in out])
         return out
 
     policy.d2d_intents = recording_intents

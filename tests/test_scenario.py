@@ -33,9 +33,13 @@ class TestGeometry:
     def test_nearest_enb_matches_scan(self, world):
         pos = world.cfg.enb_positions
         h = world.cfg.enb_antenna_height
-        for x in np.linspace(0.0, world.cfg.street_length, 301):
-            i = min(range(len(pos)), key=lambda k: abs(pos[k] - x))
-            assert world.nearest_enb(x) == (i, math.hypot(pos[i] - x, h))
+        # 10 m steps: the midpoints 300 m, 900 m, ... tie and go to the lower index
+        xs = np.linspace(0.0, world.cfg.street_length, 301)
+        idx, dist = world.nearest_enb(xs)
+        want = [min(range(len(pos)), key=lambda k: abs(pos[k] - x)) for x in xs.tolist()]
+        assert idx.tolist() == want
+        assert dist.tolist() == [math.hypot(pos[i] - x, h) for i, x in zip(want, xs.tolist())]
+        assert [idx[k] for k in (30, 90, 150)] == [0, 1, 2]
 
 
 class TestVehicles:
