@@ -54,8 +54,6 @@ def node_density(arrival_rate: float, speed_law: UniformSpeedLaw) -> float:
     """
     if arrival_rate == 0.0:
         return 0.0
-    if speed_law.v_min <= 0.0:
-        raise ValueError("node density diverges for v_min <= 0")
     if speed_law.v_max == speed_law.v_min:
         return arrival_rate / speed_law.v_min
     return arrival_rate * math.log(speed_law.v_max / speed_law.v_min) / (
@@ -164,39 +162,6 @@ class AnalyticParams:
 
 
 # ---------------------------------------------------------------------------
-# vectorized speed-law integral helpers
-# ---------------------------------------------------------------------------
-
-def _cdf_vec(rel: RelativeSpeedLaw, u: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(u)
-    for a, b in rel.intervals:
-        out += rel.level * np.clip(np.minimum(u, b) - a, 0.0, None)
-    return out
-
-
-def _g_neg_vec(rel: RelativeSpeedLaw, u: np.ndarray) -> np.ndarray:
-    """integral pdf(v)/(-v) over v <= u elementwise, u < 0."""
-    out = np.zeros_like(u)
-    for a, b in rel.intervals:
-        hi = np.minimum(b, u)
-        mask = hi > a
-        if np.any(mask):
-            out[mask] += rel.level * (math.log(-a) - np.log(-hi[mask]))
-    return out
-
-
-def _g_pos_vec(rel: RelativeSpeedLaw, u: np.ndarray) -> np.ndarray:
-    """integral pdf(v)/v over v >= u elementwise, u > 0."""
-    out = np.zeros_like(u)
-    for a, b in rel.intervals:
-        lo = np.maximum(a, u)
-        mask = b > lo
-        if np.any(mask):
-            out[mask] += rel.level * (math.log(b) - np.log(lo[mask]))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # single-provider minimum-distance law
 # ---------------------------------------------------------------------------
 
@@ -205,7 +170,7 @@ def _approach_density(rel: RelativeSpeedLaw, r: np.ndarray, x: float,
     """Density of the minimum distance on (0, x) for a provider starting
     at +x, in terms of the relative-speed law (negative speeds approach)."""
     u = (r - x) / tc  # < 0 on the open interval
-    dens = (1.0 / ts) * _g_neg_vec(rel, u)
+    dens = (1.0 / ts) * rel.int_inv_abs_below(u)
     dens += (1.0 / tc - 1.0 / ts) * rel.pdf(u)
     return dens
 
@@ -275,7 +240,7 @@ def displacement_law(x0: float, v_a: float, params: AnalyticParams,
         else:
             grid = np.asarray(delta_grid, dtype=float)
         u = grid / tc
-        density = (1.0 / ts) * _g_neg_vec(rel, u) + (1.0 / tc - 1.0 / ts) * rel.pdf(u)
+        density = (1.0 / ts) * rel.int_inv_abs_below(u) + (1.0 / tc - 1.0 / ts) * rel.pdf(u)
         atoms = [(0.0, stay_mass), (-x, cross_mass)]
     else:
         stay_mass = rel.cdf(0.0)
@@ -289,7 +254,7 @@ def displacement_law(x0: float, v_a: float, params: AnalyticParams,
         else:
             grid = np.asarray(delta_grid, dtype=float)
         u = grid / tc
-        density = (1.0 / ts) * _g_pos_vec(rel, u) + (1.0 / tc - 1.0 / ts) * rel.pdf(u)
+        density = (1.0 / ts) * rel.int_inv_abs_above(u) + (1.0 / tc - 1.0 / ts) * rel.pdf(u)
         atoms = [(0.0, stay_mass), (x, cross_mass)]
     return MixedDistribution(atoms=atoms, grid=grid, density=density)
 
@@ -335,9 +300,11 @@ def mean_provider_count(rho_z: float, v_a: float, params: AnalyticParams) -> flo
     return rho_z * (2.0 * provider_region_halfwidth(v_a, params))
 
 
-def _speed_grid(params: AnalyticParams) -> tuple[np.ndarray, np.ndarray]:
-    """Requester-speed nodes and trapezoid quadrature weights including
-    the (uniform) conditioned-positive speed density."""
+def _speed_grid(params: AnalyticParams,
+                length_biased: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Requester-speed nodes and normalized trapezoid quadrature weights
+    of the uniform entry-flow speed density or, length-biased, of the
+    1/v speed density of vehicles on a road snapshot."""
     law = params.speed_law
     if law.v_max == law.v_min:
         return np.array([law.v_min]), np.array([1.0])
@@ -346,8 +313,9 @@ def _speed_grid(params: AnalyticParams) -> tuple[np.ndarray, np.ndarray]:
     w = np.full(n, va[1] - va[0])
     w[0] *= 0.5
     w[-1] *= 0.5
-    w *= 1.0 / (law.v_max - law.v_min)  # forward speed density
-    return va, w / w.sum() * 1.0
+    if length_biased:
+        w /= va  # slower vehicles spend more time on the segment
+    return va, w / w.sum()
 
 
 def marginal_nonoffload_probability(params: AnalyticParams) -> float:
@@ -368,56 +336,57 @@ def marginal_nonoffload_probability(params: AnalyticParams) -> float:
 
 def _cumulative_ahead(rel: RelativeSpeedLaw, T: np.ndarray, tc: float, ts: float) -> np.ndarray:
     """Integral over x in (r, r+T) of the ahead-provider density at r,
-    in closed form; T = X - r."""
+    in closed form; T = X - r.  A provider behind the requester under the
+    relative speed V is one ahead under -V (``rel.reflected()``)."""
     out = np.zeros_like(T)
     mask = T > _TINY
     if np.any(mask):
         u = -T[mask] / tc
-        out[mask] = (T[mask] / ts) * _g_neg_vec(rel, u) + (_cdf_vec(rel, np.zeros(1))[0]
-                                                           - _cdf_vec(rel, u))
-    return out
-
-
-def _cumulative_behind(rel: RelativeSpeedLaw, T: np.ndarray, tc: float, ts: float) -> np.ndarray:
-    out = np.zeros_like(T)
-    mask = T > _TINY
-    if np.any(mask):
-        u = T[mask] / tc
-        out[mask] = (T[mask] / ts) * _g_pos_vec(rel, u) + (_cdf_vec(rel, u)
-                                                           - _cdf_vec(rel, np.zeros(1))[0])
+        out[mask] = (T[mask] / ts) * rel.int_inv_abs_below(u) + (rel.cdf(0.0) - rel.cdf(u))
     return out
 
 
 def _position_marginal_zero_atom(rel: RelativeSpeedLaw, X: float,
                                  tc: float, ts: float) -> float:
     """Mass at distance 0 after averaging the provider position uniformly
-    over [-X, X]; both integrals are exact in the speed-law primitives."""
+    over [-X, X]; both integrals are exact in the speed-law primitives,
+    the one over providers behind taken under the reflected law."""
     half = tc - tc * tc / (2.0 * ts)
     uX = X / tc
-    j_ahead = (X * rel.cdf(-uX)
-               - (X * X / (2.0 * ts)) * rel.int_inv_abs_below(-uX)
-               + half * rel.int_abs_between(-uX, 0.0))
-    j_behind = (X * rel.mass_above(uX)
-                - (X * X / (2.0 * ts)) * rel.int_inv_abs_above(uX)
-                + half * rel.int_abs_between(0.0, uX))
-    return (j_ahead + j_behind) / (2.0 * X)
+    return sum(X * r.cdf(-uX)
+               - (X * X / (2.0 * ts)) * r.int_inv_abs_below(-uX)
+               + half * r.int_abs_between(-uX, 0.0)
+               for r in (rel, rel.reflected())) / (2.0 * X)
 
 
-def distance_law_given_speed(v_a: float, params: AnalyticParams,
-                             grid: np.ndarray | None = None) -> MixedDistribution:
-    """Minimum-distance law for one provider placed uniformly on the
-    reachability interval [-X, X]; the per-position atoms at |x0| smear
-    into a flat density component 1/(2X)."""
+def _position_marginal(rel: RelativeSpeedLaw, X: float,
+                       params: AnalyticParams, nodes: np.ndarray):
+    """Single-provider minimum-distance law for a provider placed
+    uniformly on [-X, X]; the per-position atoms at |x0| smear into a
+    flat density component 1/(2X).  Returns (zero atom, grid, density,
+    CDF) on a grid refined for this law, running up to the largest
+    requested node (at most X) and carrying the requested nodes."""
     tc, ts = params.content_timeout, params.sharing_timeout
-    rel = params.speed_law.relative(v_a)
-    X = provider_region_halfwidth(v_a, params)
-    if grid is None:
-        kinks = [X - tc * abs(e) for e in rel.edges() if 0.0 < tc * abs(e) < X]
-        grid = refined_grid(0.0, X, params.dr, extra=kinks, refine_near=[X])
+    kinks = np.array([X - tc * abs(e) for e in rel.edges() if 0.0 < tc * abs(e) < X])
+    top = min(X, float(np.max(nodes)))
+    grid = refined_grid(0.0, top, params.dr,
+                        extra=np.concatenate([nodes[nodes <= top], kinks]),
+                        refine_near=[top])
     T = X - grid
     density = (1.0 + _cumulative_ahead(rel, T, tc, ts)
-               + _cumulative_behind(rel, T, tc, ts)) / (2.0 * X)
+               + _cumulative_ahead(rel.reflected(), T, tc, ts)) / (2.0 * X)
     atom0 = _position_marginal_zero_atom(rel, X, tc, ts)
+    cdf = atom0 + np.concatenate(
+        [[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(grid))])
+    return atom0, grid, density, cdf
+
+
+def distance_law_given_speed(v_a: float, params: AnalyticParams) -> MixedDistribution:
+    """Minimum-distance law for one provider placed uniformly on the
+    reachability interval [-X, X]."""
+    X = provider_region_halfwidth(v_a, params)
+    atom0, grid, density, _ = _position_marginal(
+        params.speed_law.relative(v_a), X, params, np.array([X]))
     return MixedDistribution(atoms=[(0.0, atom0)], grid=grid, density=density)
 
 
@@ -432,38 +401,33 @@ def poisson_truncation(nbar: float) -> int:
 
 def _base_law_for_speed(v_a: float, params: AnalyticParams,
                         common_grid: np.ndarray):
-    """Position-marginal law evaluated so its CDF is accurate on the
-    common output grid and at the range cap (the grid's last node)."""
-    tc = params.content_timeout
-    rel = params.speed_law.relative(v_a)
+    """Position-marginal law on the common output grid, which ends at
+    the range cap: (zero atom, density, CDF)."""
     X = provider_region_halfwidth(v_a, params)
-    kinks = [X - tc * abs(e) for e in rel.edges() if 0.0 < tc * abs(e) < X]
-    full_grid = refined_grid(0.0, X, params.dr, extra=list(common_grid) + kinks,
-                             refine_near=[X])
-    law = distance_law_given_speed(v_a, params, grid=full_grid)
-    cdf_full = law.atoms[0][1] + law.continuous_cdf_values()
-    cdf_common = np.interp(common_grid, full_grid, cdf_full)
-    dens_common = np.interp(common_grid, full_grid, law.density)
-    return law.atoms[0][1], dens_common, cdf_common
+    atom0, grid, density, cdf = _position_marginal(
+        params.speed_law.relative(v_a), X, params, common_grid)
+    return atom0, np.interp(common_grid, grid, density), np.interp(common_grid, grid, cdf)
 
 
-def effective_distance_law(rho_z: float, v_a: float, params: AnalyticParams,
-                           common_grid: np.ndarray | None = None,
-                           base=None) -> MixedDistribution:
+def _min_over_providers(base, nbar: float):
+    """(atom at 0, density) of the minimum over a zero-truncated Poisson
+    number of base-law providers, truncated to the grid's last node."""
+    atom0, dens, cdf = base
+    return kernels.poisson_min_mixture(cdf, dens, atom0, cdf[-1], nbar,
+                                       poisson_truncation(nbar))
+
+
+def effective_distance_law(rho_z: float, v_a: float,
+                           params: AnalyticParams) -> MixedDistribution:
     """Transmission-distance law given at least one reachable provider:
     minimum over a (zero-truncated Poisson) number of i.i.d. provider
     laws, truncated to [0, d2d_max_range] and renormalized."""
     nbar = mean_provider_count(rho_z, v_a, params)
     if nbar <= 0.0:
         raise ValueError("no providers: effective law undefined")
-    if common_grid is None:
-        common_grid = refined_grid(0.0, params.d2d_max_range, params.dr)
-    if base is None:
-        base = _base_law_for_speed(v_a, params, common_grid)
-    atom0, dens, cdf = base
-    n_max = poisson_truncation(nbar)
-    atom, mixture = kernels.poisson_min_mixture(cdf, dens, atom0, cdf[-1], nbar, n_max)
-    return MixedDistribution(atoms=[(0.0, atom)], grid=common_grid, density=mixture)
+    grid = refined_grid(0.0, params.d2d_max_range, params.dr)
+    atom, density = _min_over_providers(_base_law_for_speed(v_a, params, grid), nbar)
+    return MixedDistribution(atoms=[(0.0, atom)], grid=grid, density=density)
 
 
 def _bin_by_density(weights: np.ndarray, rho_z: np.ndarray, n_bins: int):
@@ -490,42 +454,44 @@ def _bin_by_density(weights: np.ndarray, rho_z: np.ndarray, n_bins: int):
     return np.array(w_out), np.array(r_out)
 
 
-def _content_bins(params: AnalyticParams):
-    """Bin contents by cached-copy density; returns (bin weight, bin
-    representative density) with weights from the non-repeated popularity."""
-    return _bin_by_density(params.non_repeated_weights(),
-                           params.content_densities(), params.content_bins)
+def _offload_conditions(params: AnalyticParams, grid: np.ndarray):
+    """Yield (weight, mean provider count, base law on ``grid``) for each
+    requester speed and cached-copy density bin of the contents that
+    offloads with positive probability.  The weight is the speed
+    quadrature weight times the bin's non-repeated popularity times the
+    offload probability."""
+    w_bins, rho_bins = _bin_by_density(params.non_repeated_weights(),
+                                       params.content_densities(),
+                                       params.content_bins)
+    va, w_va = _speed_grid(params)
+    for v_a, wv in zip(va, w_va):
+        base = _base_law_for_speed(v_a, params, grid)
+        for wz, rho_z in zip(w_bins, rho_bins):
+            nbar = mean_provider_count(rho_z, v_a, params)
+            if nbar <= 1e-15:
+                continue
+            weight = wv * wz * -math.expm1(-nbar)
+            if weight > 0.0:
+                yield weight, nbar, base
 
 
 def unconditional_effective_distance_law(params: AnalyticParams) -> MixedDistribution:
     """Effective-distance law averaged over content popularity and
     requester speed, weighted by the per-condition offload probability
     (i.e. the law of the distance of an actual D2D delivery)."""
-    w_bins, rho_bins = _content_bins(params)
-    va, w_va = _speed_grid(params)
-    common_grid = refined_grid(0.0, params.d2d_max_range, params.dr)
+    grid = refined_grid(0.0, params.d2d_max_range, params.dr)
     atom_acc = 0.0
-    dens_acc = np.zeros_like(common_grid)
+    dens_acc = np.zeros_like(grid)
     total_w = 0.0
-    for v_a, wv in zip(va, w_va):
-        base = _base_law_for_speed(v_a, params, common_grid)
-        for wz, rho_z in zip(w_bins, rho_bins):
-            nbar = mean_provider_count(rho_z, v_a, params)
-            if nbar <= 1e-15:
-                continue
-            p_off = -math.expm1(-nbar)
-            weight = wv * wz * p_off
-            if weight <= 0.0:
-                continue
-            law = effective_distance_law(rho_z, v_a, params,
-                                         common_grid=common_grid, base=base)
-            atom_acc += weight * law.atoms[0][1]
-            dens_acc += weight * law.density
-            total_w += weight
+    for weight, nbar, base in _offload_conditions(params, grid):
+        atom, density = _min_over_providers(base, nbar)
+        atom_acc += weight * atom
+        dens_acc += weight * density
+        total_w += weight
     if total_w <= 0.0:
         raise ValueError("offload probability is zero everywhere")
     return MixedDistribution(atoms=[(0.0, atom_acc / total_w)],
-                             grid=common_grid, density=dens_acc / total_w)
+                             grid=grid, density=dens_acc / total_w)
 
 
 # ---------------------------------------------------------------------------
@@ -605,49 +571,10 @@ def _lane_interval_law(lo: float, hi: float, v_a: float,
     return RelativeSpeedLaw(intervals=((-hi - v_a, -lo - v_a),), level=level)
 
 
-def _lane_position_marginal(rel: RelativeSpeedLaw, X: float,
-                            params: AnalyticParams, nodes: np.ndarray):
-    """Single-provider minimum-distance law for a provider placed
-    uniformly on [-X, X]; returns (zero atom, grid, density, CDF) on a
-    grid refined for this law and carrying the requested nodes."""
-    tc, ts = params.content_timeout, params.sharing_timeout
-    kinks = [X - tc * abs(e) for e in rel.edges() if 0.0 < tc * abs(e) < X]
-    top = min(X, float(np.max(nodes)))
-    grid = refined_grid(0.0, top, params.dr,
-                        extra=[float(n) for n in nodes if n <= top] + kinks,
-                        refine_near=[top])
-    T = X - grid
-    density = (1.0 + _cumulative_ahead(rel, T, tc, ts)
-               + _cumulative_behind(rel, T, tc, ts)) / (2.0 * X)
-    atom0 = _position_marginal_zero_atom(rel, X, tc, ts)
-    cdf = atom0 + np.concatenate(
-        [[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(grid))])
-    return atom0, grid, density, cdf
-
-
-def _snapshot_speed_grid(params: AnalyticParams) -> tuple[np.ndarray, np.ndarray]:
-    """Requester-speed nodes with road-snapshot (1/v length-biased)
-    quadrature weights."""
-    law = params.speed_law
-    if law.v_min <= 0.0:
-        raise ValueError("snapshot statistics need v_min > 0")
-    if law.v_max == law.v_min:
-        return np.array([law.v_min]), np.array([1.0])
-    n = max(2, int(round((law.v_max - law.v_min) / params.dva)) + 1)
-    va = np.linspace(law.v_min, law.v_max, n)
-    w = np.full(n, va[1] - va[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    w /= va  # slower vehicles spend more time on the segment
-    return va, w / w.sum()
-
-
 def _holder_speed_bins(params: AnalyticParams) -> tuple[np.ndarray, np.ndarray]:
     """Provider speed-magnitude sub-intervals and their road-snapshot
     weights (1/v length-biased)."""
     law = params.speed_law
-    if law.v_min <= 0.0:
-        raise ValueError("snapshot statistics need v_min > 0")
     if law.v_max == law.v_min:
         raise ValueError("degenerate speed range: use the longitudinal law")
     edges = np.linspace(law.v_min, law.v_max, params.provider_speed_bins + 1)
@@ -677,7 +604,7 @@ def lane_aware_delivery_law(params: AnalyticParams) -> MixedDistribution:
     w_bins, rho_bins = _bin_by_density(params.snapshot_non_repeated_weights(),
                                        params.holder_densities(),
                                        params.content_bins)
-    va, w_va = _snapshot_speed_grid(params)
+    va, w_va = _speed_grid(params, length_biased=True)
 
     extra = [r_y, r_y + 1e-10] if 0.0 < r_y < rmax else []
     if 0.0 < r_y < rmax:
@@ -701,7 +628,7 @@ def lane_aware_delivery_law(params: AnalyticParams) -> MixedDistribution:
         for lo, hi, wk in zip(edges[:-1], edges[1:], w_speed):
             rel_s = _lane_interval_law(lo, hi, v_a, same_lane=True)
             X_s = rmax + max(abs(lo - v_a), abs(hi - v_a)) * tc
-            a_s, g_s, d_s, c_s = _lane_position_marginal(rel_s, X_s, params, grid)
+            a_s, g_s, d_s, c_s = _position_marginal(rel_s, X_s, params, grid)
             lam_unit += wk * 2.0 * X_s * np.interp(grid, g_s, c_s)
             f_unit += wk * 2.0 * X_s * np.interp(grid, g_s, d_s)
             zero_same += wk * 2.0 * X_s * a_s
@@ -710,8 +637,7 @@ def lane_aware_delivery_law(params: AnalyticParams) -> MixedDistribution:
                 continue
             rel_o = _lane_interval_law(lo, hi, v_a, same_lane=False)
             X_o = rmax + (hi + v_a) * tc
-            a_o, g_o, d_o, c_o = _lane_position_marginal(rel_o, X_o, params,
-                                                         backs[above])
+            a_o, g_o, d_o, c_o = _position_marginal(rel_o, X_o, params, backs[above])
             F_o = np.zeros_like(grid)
             f_o = np.zeros_like(grid)
             F_o[above] = a_o + np.interp(backs[above], g_o, c_o - a_o)
@@ -747,31 +673,14 @@ def lane_aware_delivery_law(params: AnalyticParams) -> MixedDistribution:
 def short_range_probability(params: AnalyticParams) -> float:
     """Mass at effective distance exactly 0 (before the lane transform),
     averaged like the unconditional law."""
-    w_bins, rho_bins = _content_bins(params)
-    va, w_va = _speed_grid(params)
-    common_grid = refined_grid(0.0, params.d2d_max_range, params.dr)
-    atom_acc = 0.0
-    total_w = 0.0
-    for v_a, wv in zip(va, w_va):
-        atom0, _, cdf = _base_law_for_speed(v_a, params, common_grid)
-        cdf_rmax = cdf[-1]
-        for wz, rho_z in zip(w_bins, rho_bins):
-            nbar = mean_provider_count(rho_z, v_a, params)
-            if nbar <= 1e-15:
-                continue
-            p_off = -math.expm1(-nbar)
-            n_max = poisson_truncation(nbar)
-            n = np.arange(1, n_max + 1, dtype=float)
-            log_w = n * math.log(nbar) - nbar - np.array([math.lgamma(k + 1) for k in n])
-            w_n = np.exp(log_w)
-            w_n /= w_n.sum()
-            atom_n = (1.0 - (1.0 - atom0) ** n) / (1.0 - (1.0 - cdf_rmax) ** n)
-            weight = wv * wz * p_off
-            atom_acc += weight * float(w_n @ atom_n)
-            total_w += weight
-    if total_w <= 0.0:
-        return 0.0
-    return atom_acc / total_w
+    grid = refined_grid(0.0, params.d2d_max_range, params.dr)
+    atom_acc = total_w = 0.0
+    for weight, nbar, (atom0, _, cdf) in _offload_conditions(params, grid):
+        atom, _, _ = kernels.poisson_min_terms(atom0, cdf[-1], nbar,
+                                               poisson_truncation(nbar))
+        atom_acc += weight * atom
+        total_w += weight
+    return atom_acc / total_w if total_w > 0.0 else 0.0
 
 
 def short_range_probability_surface(params: AnalyticParams,

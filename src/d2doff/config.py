@@ -39,8 +39,8 @@ class ScenarioConfig:
             raise ConfigError("need 0 < speed_min <= speed_max")
         if not (0.0 < self.content_timeout < self.sharing_timeout):
             raise ConfigError("need 0 < content_timeout < sharing_timeout")
-        if not self.d2d_max_range > self.lane_offset:
-            raise ConfigError("d2d_max_range must exceed lane_offset")
+        if not 0.0 <= self.lane_offset < self.d2d_max_range:
+            raise ConfigError("need 0 <= lane_offset < d2d_max_range")
         for name in ("vehicle_arrival_rate", "request_rate"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be > 0")
@@ -58,6 +58,8 @@ class ScenarioConfig:
             raise ConfigError("need 0 < control_interval <= content_timeout")
         if self.i2d_max_range <= 0.0:
             raise ConfigError("i2d_max_range must be > 0")
+        if self.rng_seed < 0:
+            raise ConfigError("rng_seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -107,6 +109,12 @@ class PhyConfig:
     gain_d2d: GainModel = field(default_factory=lambda: GainModel(extra_loss_db=5.0))
 
     def validate(self) -> None:
+        for name in ("center_frequency", "subcarrier_bandwidth", "prb_bandwidth",
+                     "prb_duration", "spectral_efficiency", "shadowing_decorrelation"):
+            if getattr(self, name) <= 0.0:
+                raise ConfigError(f"{name} must be > 0")
+        if not self.system_bandwidth / self.prb_bandwidth > 0.5:  # freq_blocks >= 1
+            raise ConfigError("system_bandwidth must hold at least one PRB")
         if abs(self.subcarriers_per_prb * self.subcarrier_bandwidth - self.prb_bandwidth) > 1e-6:
             raise ConfigError("subcarriers_per_prb * subcarrier_bandwidth must equal prb_bandwidth")
         if not (0.0 < self.fec_rate <= 1.0):
@@ -174,6 +182,9 @@ class Config:
         self.phy.validate()
         self.rrrm.validate()
         self.analytic.validate()
+        # the engine runs round(control_interval / prb_duration) PRB slots
+        if not self.scenario.control_interval / self.phy.prb_duration > 0.5:
+            raise ConfigError("control_interval must hold at least one PRB slot")
 
 
 _SECTIONS = {

@@ -51,6 +51,20 @@ def capacity_bits(signal: np.ndarray, interference: np.ndarray, noise: float,
 # truncated-Poisson mixture of minimum-of-n laws
 # ---------------------------------------------------------------------------
 
+def poisson_min_terms(atom0: float, cdf_at_rmax: float, nbar: float, n_max: int):
+    """Terms of the min-of-n mixture (n >= 1, Poisson weights) truncated
+    to the range cap, with atom0 and cdf_at_rmax as in poisson_min_mixture.
+    Returns (mixture atom at 0, counts n, weights): each count's Poisson
+    weight given n >= 1, divided by the min-of-n mass within the cap."""
+    n = np.arange(1, n_max + 1, dtype=float)
+    log_w = n * math.log(nbar) - nbar - np.cumsum(np.log(n))  # log n! = sum of log k
+    w = np.exp(log_w)
+    w /= w.sum()  # conditioning on at least one provider
+    w /= 1.0 - (1.0 - cdf_at_rmax) ** n  # per-n truncation mass
+    atom = float(np.sum(w * (1.0 - (1.0 - atom0) ** n)))
+    return atom, n, w
+
+
 def poisson_min_mixture(cdf: np.ndarray, density: np.ndarray, atom0: float,
                         cdf_at_rmax: float, nbar: float, n_max: int):
     """Mix min-of-n laws (n >= 1, Poisson weights) truncated to the range cap.
@@ -59,16 +73,8 @@ def poisson_min_mixture(cdf: np.ndarray, density: np.ndarray, atom0: float,
     atom0 its zero-distance atom; cdf_at_rmax its CDF at the range cap.
     Returns (mixture atom at 0, mixture density on the grid).
     """
-    n = np.arange(1, n_max + 1, dtype=float)
-    log_w = n * math.log(nbar) - nbar - np.array([math.lgamma(k + 1) for k in n])
-    w = np.exp(log_w)
-    w /= w.sum()  # conditioning on at least one provider
-
-    s = 1.0 - cdf          # survival on grid
-    s_rmax = 1.0 - cdf_at_rmax
-    denom = 1.0 - s_rmax ** n                      # per-n truncation mass
-    atom = np.sum(w * (1.0 - (1.0 - atom0) ** n) / denom)
+    atom, n, w = poisson_min_terms(atom0, cdf_at_rmax, nbar, n_max)
     # density of min-of-n: n (1-F)^(n-1) p, truncated and renormalized
-    pow_s = s[None, :] ** (n[:, None] - 1.0)
-    dens = np.sum((w * n / denom)[:, None] * pow_s, axis=0) * density
-    return float(atom), dens
+    pow_s = (1.0 - cdf)[None, :] ** (n[:, None] - 1.0)
+    dens = np.sum((w * n)[:, None] * pow_s, axis=0) * density
+    return atom, dens

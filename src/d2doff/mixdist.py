@@ -122,7 +122,7 @@ class MixedDistribution:
 
 
 def refined_grid(lo: float, hi: float, step: float,
-                 extra: list[float] | None = None,
+                 extra: np.ndarray | list[float] | None = None,
                  refine_near: list[float] | None = None,
                  min_gap: float = 1e-9) -> np.ndarray:
     """Uniform grid on [lo, hi] plus explicit nodes and geometric
@@ -131,8 +131,9 @@ def refined_grid(lo: float, hi: float, step: float,
         raise ValueError("need hi > lo")
     n = max(2, int(round((hi - lo) / step)) + 1)
     nodes = [np.linspace(lo, hi, n)]
-    if extra:
-        pts = np.array([p for p in extra if lo < p < hi])
+    if extra is not None:
+        pts = np.asarray(extra, dtype=float)
+        pts = pts[(pts > lo) & (pts < hi)]
         if pts.size:
             nodes.append(pts)
     if refine_near:

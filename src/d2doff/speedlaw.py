@@ -10,6 +10,7 @@ vehicle is V = V* - v_a; its density is a shifted copy of the signed
 law.  The distance-law derivations need, besides the plain CDF, the
 integrals of pdf(v)/|v| over half-lines, which are evaluated here in
 closed form (the piecewise-constant density makes them sums of logs).
+These take a scalar or an array of levels u.
 """
 
 from __future__ import annotations
@@ -18,6 +19,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _like(u, values: np.ndarray):
+    """values as a Python float when u is a scalar, else as an array."""
+    return float(values) if np.ndim(u) == 0 else values
 
 
 @dataclass(frozen=True)
@@ -92,38 +98,43 @@ class RelativeSpeedLaw:
             out = np.where((v >= a) & (v <= b), self.level, out)
         return out
 
-    def cdf(self, u: float) -> float:
+    def cdf(self, u):
         """P(V <= u), exact."""
-        total = 0.0
+        u_arr = np.asarray(u, dtype=float)
+        total = np.zeros_like(u_arr)
         for a, b in self.intervals:
-            total += self.level * max(0.0, min(u, b) - a)
-        return total
+            total += self.level * np.clip(np.minimum(u_arr, b) - a, 0.0, None)
+        return _like(u, total)
 
-    def mass_above(self, u: float) -> float:
+    def mass_above(self, u):
         return 1.0 - self.cdf(u)
 
-    def int_inv_abs_below(self, u: float) -> float:
+    def int_inv_abs_below(self, u):
         """integral_{-inf}^{u} pdf(v)/(-v) dv, requires u < 0 (else diverges)."""
-        if u >= 0.0:
+        u_arr = np.asarray(u, dtype=float)
+        if np.any(u_arr >= 0.0):
             raise ValueError("int_inv_abs_below requires u < 0")
-        total = 0.0
+        total = np.zeros_like(u_arr)
         for a, b in self.intervals:
-            hi = min(b, u)
-            if hi > a:
+            hi = np.minimum(b, u_arr)
+            inside = hi > a
+            if np.any(inside):
                 # integral of c/(-v) over [a, hi], both negative
-                total += self.level * (math.log(-a) - math.log(-hi))
-        return total
+                total[inside] += self.level * (math.log(-a) - np.log(-hi[inside]))
+        return _like(u, total)
 
-    def int_inv_abs_above(self, u: float) -> float:
+    def int_inv_abs_above(self, u):
         """integral_{u}^{inf} pdf(v)/v dv, requires u > 0."""
-        if u <= 0.0:
+        u_arr = np.asarray(u, dtype=float)
+        if np.any(u_arr <= 0.0):
             raise ValueError("int_inv_abs_above requires u > 0")
-        total = 0.0
+        total = np.zeros_like(u_arr)
         for a, b in self.intervals:
-            lo = max(a, u)
-            if b > lo:
-                total += self.level * (math.log(b) - math.log(lo))
-        return total
+            lo = np.maximum(a, u_arr)
+            inside = b > lo
+            if np.any(inside):
+                total[inside] += self.level * (math.log(b) - np.log(lo[inside]))
+        return _like(u, total)
 
     def int_abs_between(self, lo: float, hi: float) -> float:
         """integral_{lo}^{hi} pdf(v)|v| dv, exact."""

@@ -11,7 +11,7 @@ from d2doff import cli
 from d2doff.cli import main, point_seed, read_csv, write_csv
 from d2doff.config import Config, ConfigError
 
-from test_config import BAD_VALUES, json_values
+from test_config import BAD_VALUES, UNRUNNABLE, json_values
 
 
 def run_cli(*argv):
@@ -125,6 +125,17 @@ def test_bad_flag_or_cross_field_is_config_error(tmp_path, monkeypatch, argv):
     (tmp_path / "interval.json").write_text(json.dumps(
         {"scenario": {"control_interval": 30.0, "content_timeout": 20.0}}))
     assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--duration", "5", "--warmup", "0", "--replications", "1"],
+    ["analytic", "--skip-surface"],
+])
+@pytest.mark.parametrize("data", UNRUNNABLE)
+def test_unrunnable_config_is_config_error(tmp_path, argv, data):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(data))
+    assert run_cli(*argv, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
 
 
 class TestSweep:

@@ -120,6 +120,41 @@ class TestTypedValues:
             config_from_dict({"phy": {"gain_d2d": {"exp_near": "x"}}})
 
 
+# Values of the right type that no run can use: a negative seed or lane
+# offset (the lane-aware law would put its crossing atom there), a zero
+# that the simulator or the analytic model divides by or takes the log
+# of, a band narrower than one PRB or a control interval shorter than
+# one PRB slot.  Each must be a ConfigError, so the CLI exits 2.
+UNRUNNABLE = [
+    {"scenario": {"rng_seed": -1}},
+    {"scenario": {"lane_offset": -5.0}},
+    {"phy": {"system_bandwidth": 1000.0}},
+    {"phy": {"spectral_efficiency": 0.0}},
+    {"phy": {"prb_duration": 0.0}},
+    {"phy": {"shadowing_decorrelation": 0.0}},
+    {"phy": {"center_frequency": 0.0}},
+    {"phy": {"subcarriers_per_prb": 0, "prb_bandwidth": 0.0}},
+    {"scenario": {"control_interval": 1e-4}},
+]
+
+
+class TestUnrunnableValues:
+    @pytest.mark.parametrize("data", UNRUNNABLE)
+    def test_rejected(self, data):
+        with pytest.raises(ConfigError):
+            config_from_dict(data)
+
+    def test_slot_and_prb_boundaries(self):
+        # the engine rounds both counts, and round(0.5) is 0
+        for data in ({"scenario": {"control_interval": 2.5e-4}},
+                     {"phy": {"system_bandwidth": 90e3}}):
+            with pytest.raises(ConfigError):
+                config_from_dict(data)
+        cfg = config_from_dict({"scenario": {"control_interval": 3e-4},
+                                "phy": {"system_bandwidth": 100e3}})
+        assert cfg.phy.freq_blocks == 1
+
+
 def _keys(cls):
     return st.sampled_from([f.name for f in dataclasses.fields(cls)])
 

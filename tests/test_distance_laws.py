@@ -9,10 +9,22 @@ import pytest
 from d2doff import analytic, kernels
 from d2doff.analytic import AnalyticParams
 from d2doff.config import Config, ScenarioConfig
+from d2doff.mixdist import refined_grid
 from d2doff.speedlaw import UniformSpeedLaw
 
 TUPLES = [(30.0, 9.5), (100.0, 17.0), (250.0, 24.0),
           (-80.0, 12.0), (-250.0, 17.0), (60.0, 21.0)]
+
+
+def base_law_up_to_edge(v_a, params, common_grid):
+    """The base law of the longitudinal chain tabulated on a grid that
+    runs up to the edge X of the provider region, then read off at the
+    common grid nodes."""
+    X = analytic.provider_region_halfwidth(v_a, params)
+    atom0, grid, density, cdf = analytic._position_marginal(
+        params.speed_law.relative(v_a), X, params, np.append(common_grid, X))
+    return (atom0, np.interp(common_grid, grid, density),
+            np.interp(common_grid, grid, cdf))
 
 
 def mc_min_distance(x0, v_a, params, n, rng):
@@ -93,6 +105,20 @@ class TestPositionMarginalLaw:
         samples = kernels.min_distance_samples(x0, v, phi)
         law = analytic.distance_law_given_speed(v_a, default_params)
         assert law.ks_distance(samples) < 0.01
+
+    @pytest.mark.parametrize("dr", [0.1, 0.5])
+    @pytest.mark.parametrize("v_a", [9.0, 13.0, 17.0, 24.0])
+    def test_range_cap_grid_matches_edge_grid(self, default_params, v_a, dr):
+        # the chain reads the base law on [0, d2d_max_range] only, so
+        # tabulating it up to the range cap instead of up to X must not
+        # move it there
+        p = dataclasses.replace(default_params, dr=dr)
+        common = refined_grid(0.0, p.d2d_max_range, dr)
+        atom0, density, cdf = analytic._base_law_for_speed(v_a, p, common)
+        ref_atom0, ref_density, ref_cdf = base_law_up_to_edge(v_a, p, common)
+        assert atom0 == ref_atom0
+        np.testing.assert_allclose(density, ref_density, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(cdf, ref_cdf, rtol=0.0, atol=1e-9)
 
 
 class TestEffectiveLaw:
@@ -285,3 +311,25 @@ class TestLaneAwareLaw:
             if best <= rmax:
                 out.append(best)
         assert law.ks_distance(np.array(out)) < 0.02
+
+
+# average_energies() and the lane-aware law's atoms at the default
+# configuration.  perfbench pins the energies only to 1e-6; a change that
+# moves them past 1e-12 changes the model, not just the code.
+FROZEN_ENERGIES = {"E_I2D": 0.06803117229389408, "E_D2D": 0.0008428056018203485,
+                   "E_total": 0.04186698682650108, "P_nonoffload": 0.6105845884406711}
+FROZEN_ATOMS = [(0.0, 0.3908941723300603), (10.0, 0.4624136860727352)]
+
+
+class TestFrozenValues:
+    def test_average_energies(self, default_params):
+        got = analytic.average_energies(default_params)
+        assert set(got) == set(FROZEN_ENERGIES)
+        for key, ref in FROZEN_ENERGIES.items():
+            assert got[key] == pytest.approx(ref, rel=1e-12)
+
+    def test_lane_aware_atoms(self, default_params):
+        atoms = analytic.lane_aware_delivery_law(default_params).atoms
+        assert [loc for loc, _ in atoms] == [loc for loc, _ in FROZEN_ATOMS]
+        for (_, mass), (_, ref) in zip(atoms, FROZEN_ATOMS):
+            assert mass == pytest.approx(ref, rel=1e-12)

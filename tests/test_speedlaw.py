@@ -113,3 +113,113 @@ def test_relative_law_mass_property(v_min, width, v_a):
     us = np.linspace(-v_min - v_a - width - 1, v_min + width + 1, 41)
     vals = [rel.cdf(u) for u in us]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+# Loop and per-interval forms of the speed-law integrals, as they were
+# before RelativeSpeedLaw's methods took arrays: scalar methods and
+# separate vectorized helpers.  The methods must reproduce both.
+
+def reference_cdf(rel, u):
+    total = 0.0
+    for a, b in rel.intervals:
+        total += rel.level * max(0.0, min(u, b) - a)
+    return total
+
+
+def reference_int_inv_abs_below(rel, u):
+    if u >= 0.0:
+        raise ValueError("int_inv_abs_below requires u < 0")
+    total = 0.0
+    for a, b in rel.intervals:
+        hi = min(b, u)
+        if hi > a:
+            total += rel.level * (math.log(-a) - math.log(-hi))
+    return total
+
+
+def reference_int_inv_abs_above(rel, u):
+    if u <= 0.0:
+        raise ValueError("int_inv_abs_above requires u > 0")
+    total = 0.0
+    for a, b in rel.intervals:
+        lo = max(a, u)
+        if b > lo:
+            total += rel.level * (math.log(b) - math.log(lo))
+    return total
+
+
+def reference_cdf_vec(rel, u):
+    out = np.zeros_like(u)
+    for a, b in rel.intervals:
+        out += rel.level * np.clip(np.minimum(u, b) - a, 0.0, None)
+    return out
+
+
+def reference_g_neg_vec(rel, u):
+    out = np.zeros_like(u)
+    for a, b in rel.intervals:
+        hi = np.minimum(b, u)
+        mask = hi > a
+        if np.any(mask):
+            out[mask] += rel.level * (math.log(-a) - np.log(-hi[mask]))
+    return out
+
+
+def reference_g_pos_vec(rel, u):
+    out = np.zeros_like(u)
+    for a, b in rel.intervals:
+        lo = np.maximum(a, u)
+        mask = b > lo
+        if np.any(mask):
+            out[mask] += rel.level * (math.log(b) - np.log(lo[mask]))
+    return out
+
+
+@st.composite
+def piecewise_laws(draw):
+    k = draw(st.integers(1, 3))
+    edges = sorted(draw(st.lists(st.floats(-60.0, 60.0), min_size=2 * k,
+                                 max_size=2 * k, unique=True)))
+    intervals = tuple((edges[2 * i], edges[2 * i + 1]) for i in range(k))
+    return RelativeSpeedLaw(intervals=intervals, level=draw(st.floats(1e-3, 10.0)))
+
+
+negative = st.floats(-100.0, -5e-324)  # no zero of either sign
+
+
+def log_slack(rel, u):
+    """Absolute tolerance for a sum of log differences: np.log and
+    math.log may round a term one ulp apart, and the difference of two
+    close logs cancels, so a relative bound alone cannot hold."""
+    size = sum(abs(math.log(abs(x))) for x in (*rel.edges(), u) if x != 0.0)
+    return 4.0 * np.finfo(float).eps * rel.level * size
+
+
+@settings(max_examples=200, deadline=None)
+@given(rel=piecewise_laws(), u=negative,
+       us=st.lists(negative, min_size=1, max_size=20))
+def test_array_integrals_match_references(rel, u, us):
+    arr = np.array(us)
+    for method, ref, ref_vec, x, xs in (
+            (rel.cdf, reference_cdf, reference_cdf_vec, u, arr),
+            (rel.cdf, reference_cdf, reference_cdf_vec, -u, -arr),
+            (rel.int_inv_abs_below, reference_int_inv_abs_below,
+             reference_g_neg_vec, u, arr),
+            (rel.int_inv_abs_above, reference_int_inv_abs_above,
+             reference_g_pos_vec, -u, -arr)):
+        got = method(x)
+        assert type(got) is float
+        assert got == pytest.approx(ref(rel, x), rel=1e-15, abs=log_slack(rel, x))
+        got = method(xs)
+        assert isinstance(got, np.ndarray) and got.shape == xs.shape
+        np.testing.assert_allclose(got, ref_vec(rel, xs), rtol=1e-15, atol=0.0)
+    assert type(rel.mass_above(u)) is float
+    assert rel.mass_above(u) == 1.0 - reference_cdf(rel, u)
+    with pytest.raises(ValueError):
+        rel.int_inv_abs_below(-u)
+    with pytest.raises(ValueError):
+        rel.int_inv_abs_below(np.append(arr, 0.0))
+    with pytest.raises(ValueError):
+        rel.int_inv_abs_above(u)
+    with pytest.raises(ValueError):
+        rel.int_inv_abs_above(np.append(-arr, 0.0))
