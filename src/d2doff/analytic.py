@@ -612,7 +612,9 @@ def lane_aware_delivery_law(params: AnalyticParams) -> MixedDistribution:
         # opposite-lane density just above the lane offset
         extra += list(r_y + np.geomspace(1e-9, min(2.0, rmax - r_y), 120))
     grid = refined_grid(0.0, rmax, params.dr, extra=extra)
-    above = grid > r_y
+    # with no offset the lanes' axes coincide: the opposite lane is not
+    # mapped, and its crossings join the zero atom
+    above = grid > r_y if r_y > 0.0 else np.full(grid.shape, True)
     backs = np.sqrt(np.clip(grid ** 2 - r_y * r_y, 0.0, None))
     cross_reachable = bool(np.any(above)) and r_y < rmax
 
@@ -641,8 +643,9 @@ def lane_aware_delivery_law(params: AnalyticParams) -> MixedDistribution:
             F_o = np.zeros_like(grid)
             f_o = np.zeros_like(grid)
             F_o[above] = a_o + np.interp(backs[above], g_o, c_o - a_o)
-            f_o[above] = (np.interp(backs[above], g_o, d_o)
-                          * grid[above] / np.maximum(backs[above], 1e-300))
+            f_o[above] = np.interp(backs[above], g_o, d_o)
+            if r_y > 0.0:  # Jacobian of the map to sqrt(r^2 - r_y^2)
+                f_o[above] = f_o[above] * grid[above] / np.maximum(backs[above], 1e-300)
             lam_unit += wk * 2.0 * X_o * F_o
             f_unit += wk * 2.0 * X_o * f_o
             zero_opp += wk * 2.0 * X_o * a_o
@@ -659,10 +662,10 @@ def lane_aware_delivery_law(params: AnalyticParams) -> MixedDistribution:
             total_w += w * p_off
     if total_w <= 0.0:
         raise ValueError("offload probability is zero everywhere")
-    atoms = [(0.0, atom_near / total_w)]
+    atoms = {0.0: atom_near / total_w}
     if cross_reachable:
-        atoms.append((r_y, atom_far / total_w))
-    return MixedDistribution(atoms=atoms, grid=grid,
+        atoms[r_y] = atoms.get(r_y, 0.0) + atom_far / total_w
+    return MixedDistribution(atoms=list(atoms.items()), grid=grid,
                              density=dens_acc / total_w)
 
 

@@ -98,10 +98,6 @@ class Engine:
         tx = np.array([world.idx_of[r.provider_id] for r in reqs[n_i2d:]], dtype=np.int64)
         rx_x = world.xs[rx]
         enb, enb_dist = world.nearest_enb(rx_x[:n_i2d])
-        # as World.distance: math.hypot, which np.hypot differs from in the last bit
-        d2d_dist = [abs(dx) if same else math.hypot(dx, sc.lane_offset) for dx, same in
-                    zip((rx_x[n_i2d:] - world.xs[tx]).tolist(),
-                        (world.lanes[rx[n_i2d:]] == world.lanes[tx]).tolist())]
         T = sc.control_interval
         return rrrm.Links(
             is_i2d=np.arange(len(reqs)) < n_i2d,
@@ -110,7 +106,7 @@ class Engine:
             tx_y=np.concatenate([np.full(n_i2d, sc.enb_antenna_height),
                                  world.lane_y(world.lanes[tx])]),
             rx_x=rx_x, rx_y=world.lane_y(world.lanes[rx]),
-            distance=np.concatenate([enb_dist, d2d_dist]),
+            distance=np.concatenate([enb_dist, world.d2d_distance(rx[n_i2d:], tx)]),
             deadline=np.array([int(round(r.deadline / T)) for r in reqs], dtype=np.int64),
             age=np.array([int(round((t - r.t0) / T)) for r in reqs], dtype=np.int64))
 
@@ -123,7 +119,7 @@ class Engine:
         removed = set(world.remove_exited(t))
         if removed:
             for req in list(self.policy.pending.values()):
-                if req.requester_id in removed and not req.served:
+                if req.requester_id in removed:
                     req.state = DROPPED
                     self.policy.retire(req)
                     if measuring:

@@ -14,19 +14,26 @@ HAVE_NUMBA = False
 # minimum distance reached by a linear relative trajectory within a window
 # ---------------------------------------------------------------------------
 
+def closest_approach(x0, v, phi):
+    """Element by element, the earliest minimizer t* of |x0 + v t| over
+    t in [0, phi] and the minimum value (longitudinal distance)."""
+    x0, v, phi = np.asarray(x0, float), np.asarray(v, float), np.asarray(phi, float)
+    if np.any(phi < 0.0):
+        raise ValueError("phi must be >= 0")
+    # a subnormal v overflows -x0 / v to inf, past any finite phi
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_cross = np.where(v != 0.0, -x0 / v, np.inf)
+    crossing = (t_cross >= 0.0) & (t_cross <= phi)
+    d0 = np.abs(x0)
+    d_end = np.abs(x0 + v * phi)
+    distance = np.where(crossing, 0.0, np.minimum(d0, d_end))
+    t_star = np.where(crossing, t_cross, np.where(d_end < d0, phi, 0.0))
+    return t_star, distance
+
+
 def min_distance_samples(x0: np.ndarray, v: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """min over t in [0, phi] of |x0 + v t|, elementwise."""
-    x0 = np.asarray(x0, dtype=float)
-    v = np.asarray(v, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    # a subnormal v overflows -x0 / v to inf, which the clip below handles
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t_cross = np.where(v != 0.0, -x0 / v, 0.0)
-    t_star = np.clip(t_cross, 0.0, phi)
-    crossing = (v != 0.0) & (t_cross >= 0.0) & (t_cross <= phi)
-    r = np.abs(x0 + v * t_star)
-    # exact zero at the crossing instant avoids spurious tiny residues
-    return np.where(crossing, 0.0, r)
+    return closest_approach(x0, v, phi)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -89,21 +89,6 @@ class MixedDistribution:
 
     # -- comparisons ---------------------------------------------------
 
-    def ks_distance_continuous(self, samples: np.ndarray) -> float:
-        """KS distance of samples against the renormalized continuous part."""
-        samples = np.sort(np.asarray(samples, dtype=float))
-        if samples.size == 0:
-            raise ValueError("no samples")
-        cont = self.continuous_cdf_values()
-        mass = cont[-1]
-        if mass <= 0:
-            raise ValueError("law has no continuous part")
-        model = np.interp(samples, self.grid, cont, left=0.0, right=mass) / mass
-        n = samples.size
-        ecdf_hi = np.arange(1, n + 1) / n
-        ecdf_lo = np.arange(0, n) / n
-        return float(max(np.max(np.abs(ecdf_hi - model)), np.max(np.abs(model - ecdf_lo))))
-
     def ks_distance(self, samples: np.ndarray) -> float:
         """KS distance of samples against the full mixed law; the
         left limit at atoms uses F(x-) = F(x) - atom mass."""

@@ -17,24 +17,9 @@ from itertools import chain
 
 import numpy as np
 
+from . import kernels
 from .config import ScenarioConfig
 from .scenario import (ContentRequest, World, PENDING, SCHEDULED)
-
-
-def closest_approach(x0, v, phi):
-    """Element by element, the earliest minimizer t* of |x0 + v t| over
-    t in [0, phi] and the minimum value (longitudinal distance)."""
-    x0, v, phi = np.asarray(x0, float), np.asarray(v, float), np.asarray(phi, float)
-    if np.any(phi < 0.0):
-        raise ValueError("phi must be >= 0")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t_cross = np.where(v != 0.0, -x0 / v, np.inf)
-    crossing = (t_cross >= 0.0) & (t_cross <= phi)
-    d0 = np.abs(x0)
-    d_end = np.abs(x0 + v * phi)
-    distance = np.where(crossing, 0.0, np.minimum(d0, d_end))
-    t_star = np.where(crossing, t_cross, np.where(d_end < d0, phi, 0.0))
-    return t_star, distance
 
 
 def _world_index(world: World, vids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -59,6 +44,16 @@ def _pairs(world: World, reqs: list[ContentRequest], holder_sets):
     keep = h_on & k_on[req_i] & (holder != requester[req_i])
     req_i = req_i[keep]
     return req_i, holder[keep], h[keep], k[req_i]
+
+
+def _planning_distance(world: World, h: np.ndarray, k: np.ndarray,
+                       dx: np.ndarray) -> np.ndarray:
+    """Distance between the lane axes of the vehicles at rows h and k of the
+    tick's arrays, given their longitudinal gap dx >= 0.  Planning uses
+    numpy's hypot; ``World.d2d_distance`` (math.hypot) measures a
+    transmission, and the two differ in the last bit."""
+    return np.where(world.lanes[h] == world.lanes[k], dx,
+                    np.hypot(dx, world.cfg.lane_offset))
 
 
 def _first_per_request(req_i: np.ndarray, keys: tuple) -> np.ndarray:
@@ -107,8 +102,7 @@ class BasePolicy:
 
     def i2d_due(self, t: float) -> list[ContentRequest]:
         """Unserved requests whose infrastructure fallback is due."""
-        return [r for r in self.pending.values()
-                if not r.served and t >= r.deadline - 1e-9]
+        return [r for r in self.pending.values() if t >= r.deadline - 1e-9]
 
 
 class OptimalPolicy(BasePolicy):
@@ -142,10 +136,9 @@ class OptimalPolicy(BasePolicy):
         phi = np.minimum.reduce([deadline, expiry, world.exits[h], world.exits[k]]) - t
         ok = phi >= 0.0
         req_i, holder, h, k, phi = req_i[ok], holder[ok], h[ok], k[ok], phi[ok]
-        t_star, long_dist = closest_approach(world.xs[h] - world.xs[k],
-                                             world.vs[h] - world.vs[k], phi)
-        delta = np.where(world.lanes[h] == world.lanes[k], long_dist,
-                         np.hypot(long_dist, cfg.lane_offset))
+        t_star, long_dist = kernels.closest_approach(world.xs[h] - world.xs[k],
+                                                     world.vs[h] - world.vs[k], phi)
+        delta = _planning_distance(world, h, k, long_dist)
         feasible = delta <= cfg.d2d_max_range
         return req_i[feasible], holder[feasible], t_star[feasible], delta[feasible]
 
@@ -185,8 +178,8 @@ class OptimalPolicy(BasePolicy):
         # on scalars before building any array
         x = world.xs[world.idx_of[vid]]
         reqs = []
-        for req in map(self.pending.get, req_ids):
-            if req is None or req.served or t > req.deadline + 1e-9:
+        for req in map(self.pending.__getitem__, req_ids):
+            if t > req.deadline + 1e-9:
                 continue
             k = world.idx_of.get(req.requester_id)
             if k is not None and req.requester_id != vid and \
@@ -211,16 +204,12 @@ class OptimalPolicy(BasePolicy):
                          and world.vehicles[r.provider_id].cache.get(
                              r.content_id, -math.inf) > t)]
         self._schedule(stale, world, t)
-        out = []
-        for req in due:
-            if req.state != SCHEDULED or req.planned_tick > t + 1e-9:
-                continue
-            if req.requester_id not in world.idx_of:
-                continue
-            dist = world.distance(req.requester_id, req.provider_id, t)
-            if dist <= self.cfg.d2d_max_range:
-                out.append(req)
-        return out
+        due = [r for r in due if r.state == SCHEDULED and r.planned_tick <= t + 1e-9
+               and r.requester_id in world.idx_of]
+        dist = world.d2d_distance(
+            np.array([world.idx_of[r.requester_id] for r in due], dtype=np.int64),
+            np.array([world.idx_of[r.provider_id] for r in due], dtype=np.int64))
+        return [r for r, d in zip(due, dist) if d <= self.cfg.d2d_max_range]
 
 
 class BenchmarkPolicy(BasePolicy):
@@ -229,15 +218,12 @@ class BenchmarkPolicy(BasePolicy):
     name = "benchmark"
 
     def d2d_intents(self, world, t):
-        reqs = [r for r in self.pending.values()
-                if not r.served and t <= r.deadline + 1e-9]
+        reqs = [r for r in self.pending.values() if t <= r.deadline + 1e-9]
         if not reqs:
             return []
         req_i, holder, h, k = _pairs(
             world, reqs, [world.holders.get(r.content_id, ()) for r in reqs])
-        dx = np.abs(world.xs[h] - world.xs[k])
-        dist = np.where(world.lanes[h] == world.lanes[k], dx,
-                        np.hypot(dx, self.cfg.lane_offset))
+        dist = _planning_distance(world, h, k, np.abs(world.xs[h] - world.xs[k]))
         in_range = dist <= self.cfg.d2d_max_range
         req_i, holder, dist = req_i[in_range], holder[in_range], dist[in_range]
         out = []
@@ -257,8 +243,7 @@ class CellularPolicy(BasePolicy):
     uses_cache = False
 
     def i2d_due(self, t):
-        return [r for r in self.pending.values()
-                if not r.served and t >= r.t0 - 1e-9]
+        return [r for r in self.pending.values() if t >= r.t0 - 1e-9]
 
 
 POLICIES = {

@@ -15,6 +15,7 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .popularity import zipf_cdf, zipf_pmf
+from .speedlaw import UniformSpeedLaw
 
 FORWARD = 0
 BACKWARD = 1
@@ -30,11 +31,6 @@ class Vehicle:
     exit_time: float
     cache: dict[int, float] = field(default_factory=dict)  # content -> expiry
     next_expiry: float = math.inf  # no cache entry expires before this
-
-    def position(self, t: float) -> float:
-        if not (self.entry_time <= t <= self.exit_time):
-            raise ValueError(f"vehicle {self.id} inactive at t={t}")
-        return self.entry_point + self.speed * (t - self.entry_time)
 
 
 PENDING = "pending"
@@ -61,14 +57,6 @@ class ContentRequest:
     @property
     def served(self) -> bool:
         return self.state in (DELIVERED_D2D, DELIVERED_I2D, REPEATED)
-
-
-def vehicle_distance(xa: float, lane_a: int, xb: float, lane_b: int,
-                     lane_offset: float) -> float:
-    """Distance between two vehicles' lane axes."""
-    if lane_a == lane_b:
-        return abs(xa - xb)
-    return math.hypot(xa - xb, lane_offset)
 
 
 class World:
@@ -136,8 +124,6 @@ class World:
         uniform positions, time-in-road biased speeds, caches seeded
         from each vehicle's own request history."""
         cfg = self.cfg
-        if cfg.speed_min <= 0:
-            raise ValueError("stationary init needs speed_min > 0")
         rho = (cfg.vehicle_arrival_rate
                * math.log(cfg.speed_max / cfg.speed_min)
                / (cfg.speed_max - cfg.speed_min)
@@ -147,7 +133,8 @@ class World:
         if n == 0:
             return
         xs = self.rng.uniform(0.0, cfg.street_length, size=n)
-        mags = cfg.speed_min * (cfg.speed_max / cfg.speed_min) ** self.rng.random(n)
+        law = UniformSpeedLaw(cfg.speed_min, cfg.speed_max)
+        mags = law.sample_length_biased_magnitude(self.rng, n)
         signs = np.where(self.rng.random(n) < 0.5, 1.0, -1.0)
         for x, mag, sign in zip(xs, mags, signs):
             speed = float(sign * mag)
@@ -226,13 +213,14 @@ class World:
         """Lateral offset of each lane axis."""
         return np.where(lanes == FORWARD, 0.0, self.cfg.lane_offset)
 
-    def position(self, vid: int, t: float) -> float:
-        return self.vehicles[vid].position(t)
-
-    def distance(self, vid_a: int, vid_b: int, t: float) -> float:
-        va, vb = self.vehicles[vid_a], self.vehicles[vid_b]
-        return vehicle_distance(va.position(t), va.lane,
-                                vb.position(t), vb.lane, self.cfg.lane_offset)
+    def d2d_distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Distance between the lane axes of the vehicles at rows a and b of
+        the tick's arrays, pair by pair.  The cross-lane distance is
+        math.hypot's: numpy's hypot differs from it in the last bit."""
+        return np.array([abs(dx) if same else math.hypot(dx, self.cfg.lane_offset)
+                         for dx, same in zip((self.xs[a] - self.xs[b]).tolist(),
+                                             (self.lanes[a] == self.lanes[b]).tolist())],
+                        dtype=float)
 
     def nearest_enb(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(eNB index, 3-D distance) of the closest base station to each

@@ -43,23 +43,6 @@ class UniformSpeedLaw:
             raise ValueError("degenerate law has no density")
         return 1.0 / (2.0 * (self.v_max - self.v_min))
 
-    def signed_pdf(self, v):
-        v = np.asarray(v, dtype=float)
-        av = np.abs(v)
-        inside = (av >= self.v_min) & (av <= self.v_max)
-        return np.where(inside, self.density_level, 0.0)
-
-    def forward_pdf(self, v):
-        """Density of the speed of a tagged requester, conditioned positive."""
-        v = np.asarray(v, dtype=float)
-        inside = (v >= self.v_min) & (v <= self.v_max)
-        return np.where(inside, 2.0 * self.density_level, 0.0)
-
-    def sample_signed(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        mag = rng.uniform(self.v_min, self.v_max, size=n)
-        sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-        return sign * mag
-
     def sample_length_biased_magnitude(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Speed magnitudes of vehicles present in a road snapshot.
 

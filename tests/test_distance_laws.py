@@ -276,6 +276,19 @@ class TestLaneAwareLaw:
         assert [loc for loc, _ in law.atoms] == [0.0]
         law.validate_normalized(tol=1e-4)
 
+    def test_zero_offset_has_one_zero_atom(self, default_params):
+        # with coinciding lane axes the crossings of both lanes sit at 0
+        law = analytic.lane_aware_delivery_law(
+            dataclasses.replace(default_params, lane_offset=0.0))
+        assert [loc for loc, _ in law.atoms] == [0.0]
+        law.validate_normalized(tol=1e-5)
+        # and the law is the limit of a vanishing offset
+        near = analytic.lane_aware_delivery_law(
+            dataclasses.replace(default_params, lane_offset=1e-6))
+        assert law.atoms[0][1] == pytest.approx(sum(m for _, m in near.atoms), abs=1e-8)
+        assert law.continuous_cdf_values()[-1] == pytest.approx(
+            near.continuous_cdf_values()[-1], abs=1e-8)
+
     def test_against_monte_carlo(self, default_params, rng):
         # end-to-end MC oracle with a single content: snapshot-biased
         # (1/v) requester and holder speeds, per-lane Poisson provider

@@ -28,6 +28,44 @@ def reference_min_distance(x0, v, phi):
     return out
 
 
+def parent_min_distance_samples(x0, v, phi):
+    """The numpy body min_distance_samples had before it shared
+    closest_approach: clip the crossing time into [0, phi]."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_cross = np.where(v != 0.0, -x0 / v, 0.0)
+    t_star = np.clip(t_cross, 0.0, phi)
+    crossing = (v != 0.0) & (t_cross >= 0.0) & (t_cross <= phi)
+    return np.where(crossing, 0.0, np.abs(x0 + v * t_star))
+
+
+def parent_closest_approach(x0, v, phi):
+    """The policies' own closest_approach before it moved into kernels."""
+    if np.any(phi < 0.0):
+        raise ValueError("phi must be >= 0")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_cross = np.where(v != 0.0, -x0 / v, np.inf)
+    crossing = (t_cross >= 0.0) & (t_cross <= phi)
+    d0 = np.abs(x0)
+    d_end = np.abs(x0 + v * phi)
+    distance = np.where(crossing, 0.0, np.minimum(d0, d_end))
+    t_star = np.where(crossing, t_cross, np.where(d_end < d0, phi, 0.0))
+    return t_star, distance
+
+
+def _below_half_ulp(x0, frac, phi):
+    """A triple whose step v * phi is under half an ulp of x0."""
+    return x0, frac * 0.5 * math.ulp(x0) / phi, phi
+
+
+_subnormal = st.integers(-(2 ** 52 - 1), 2 ** 52 - 1).map(lambda m: m * 5e-324)
+_triple = st.one_of(
+    st.tuples(st.one_of(finite, st.sampled_from([0.0, -0.0])),
+              st.one_of(finite, st.sampled_from([0.0, -0.0]), _subnormal),
+              st.one_of(st.just(0.0), st.floats(0.0, 1e4))),
+    st.builds(_below_half_ulp, finite.filter(lambda x: x != 0.0),
+              st.floats(-0.99, 0.99), st.floats(1e-3, 1e4)))
+
+
 def reference_poisson_min_mixture(cdf, density, atom0, cdf_at_rmax, nbar, n_max):
     """Scalar loop form of kernels.poisson_min_mixture."""
     w = [math.exp(k * math.log(nbar) - nbar - math.lgamma(k + 1.0))
@@ -74,6 +112,22 @@ class TestMinDistance:
             np.array([x0]), np.array([v]), np.array([phi]))[0])
         assert 0.0 <= out <= abs(x0)
         assert out <= abs(x0 + v * phi) + 1e-9 * max(1.0, abs(x0))
+
+    @given(st.lists(_triple, min_size=1, max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_both_parent_bodies(self, triples):
+        # v = 0, subnormal v, x0 = 0, phi = 0 and steps too small to move x0
+        x0, v, phi = (np.array(c) for c in zip(*triples))
+        t_star, d = kernels.closest_approach(x0, v, phi)
+        want_t, want_d = parent_closest_approach(x0, v, phi)
+        assert np.array_equal(t_star, want_t)
+        assert np.array_equal(d, want_d)
+        assert np.array_equal(kernels.min_distance_samples(x0, v, phi),
+                              parent_min_distance_samples(x0, v, phi))
+
+    def test_negative_window_rejected(self):
+        with pytest.raises(ValueError):
+            kernels.min_distance_samples(np.zeros(2), np.ones(2), np.array([5.0, -1.0]))
 
     def test_subnormal_speed_is_silent(self):
         with warnings.catch_warnings():

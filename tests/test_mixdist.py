@@ -41,12 +41,6 @@ class TestMixedDistribution:
         with pytest.raises(ValueError):
             law.validate_normalized()
 
-    def test_ks_continuous_uniform(self, rng):
-        grid = np.linspace(0.0, 1.0, 101)
-        law = MixedDistribution(grid=grid, density=np.ones(101))
-        ks = law.ks_distance_continuous(rng.random(100_000))
-        assert ks < 0.01
-
     def test_ks_mixed_detects_mismatch(self, rng):
         grid = np.linspace(0.0, 1.0, 101)
         law = MixedDistribution(atoms=[(0.0, 0.5)], grid=grid,

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from d2doff import engine
 from d2doff.config import Config
+from d2doff.kernels import closest_approach
 from d2doff.policies import (BenchmarkPolicy, CellularPolicy, OptimalPolicy,
-                             closest_approach, make_policy)
+                             make_policy)
 from d2doff.scenario import PENDING, SCHEDULED, ContentRequest, World
 
 
@@ -307,6 +308,14 @@ def _ref_holders_of(world, req):
     return sorted(v for v in hs if v != req.requester_id and v in world.idx_of)
 
 
+def _ref_distance(world, vid_a, vid_b, t):
+    """Distance between two vehicles' lane axes, from their entry points."""
+    va, vb = world.vehicles[vid_a], world.vehicles[vid_b]
+    dx = ((va.entry_point + va.speed * (t - va.entry_time))
+          - (vb.entry_point + vb.speed * (t - vb.entry_time)))
+    return abs(dx) if va.lane == vb.lane else math.hypot(dx, world.cfg.lane_offset)
+
+
 def _ref_candidate_eval(cfg, req, world, t, cand_ids):
     z = req.content_id
     k = world.idx_of[req.requester_id]
@@ -399,7 +408,7 @@ class ReferenceOptimalPolicy(OptimalPolicy):
                     continue
             if req.requester_id not in world.idx_of:
                 continue
-            if world.distance(req.requester_id, q, t) <= self.cfg.d2d_max_range:
+            if _ref_distance(world, req.requester_id, q, t) <= self.cfg.d2d_max_range:
                 out.append(req)
         return out
 
@@ -494,3 +503,24 @@ class TestPendingOrder:
         assert eng.metrics.pruned_links > 0
         assert len(eng.policy.pending) > 0
         assert list(eng.policy.pending) == sorted(eng.policy.pending)
+
+
+class TestPendingStates:
+    @pytest.mark.parametrize("name", ["optimal", "benchmark", "cellular"])
+    def test_pending_holds_only_open_requests(self, name):
+        # delivery and drop both retire, so nothing served or dropped stays
+        eng = engine.Engine(_lam_config(1.0), name, seed=3)
+        tick, ticks = eng.tick, []
+
+        def checked_tick(t, measuring):
+            tick(t, measuring)
+            pol = eng.policy
+            assert all(r.state in (PENDING, SCHEDULED) for r in pol.pending.values())
+            indexed = [(rid, z) for z, ids in pol.by_content.items() for rid in ids]
+            assert sorted(indexed) == sorted((r.id, r.content_id)
+                                             for r in pol.pending.values())
+            ticks.append(len(pol.pending))
+
+        eng.tick = checked_tick
+        eng.run(20.0, 5.0)
+        assert len(ticks) == 25 and max(ticks) > 0

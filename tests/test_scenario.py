@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from d2doff import scenario
 from d2doff.config import Config, ScenarioConfig
 from d2doff.popularity import zipf_pmf
-from d2doff.scenario import BACKWARD, FORWARD, World, vehicle_distance
+from d2doff.scenario import BACKWARD, FORWARD, World
 
 
 @pytest.fixture()
@@ -16,14 +16,46 @@ def world(rng):
     return World(Config().scenario, rng)
 
 
-class TestGeometry:
-    def test_same_lane_distance(self):
-        assert vehicle_distance(100.0, FORWARD, 50.0, FORWARD, 10.0) == 50.0
+def gap(world, vid_a, vid_b, t):
+    """``World.d2d_distance`` of two vehicles on the arrays of tick t."""
+    world.refresh_arrays(t)
+    rows = [np.array([world.idx_of[v]]) for v in (vid_a, vid_b)]
+    return float(world.d2d_distance(*rows)[0])
 
-    def test_cross_lane_distance(self):
-        assert vehicle_distance(100.0, FORWARD, 100.0, BACKWARD, 10.0) == 10.0
-        assert vehicle_distance(30.0, FORWARD, 0.0, BACKWARD, 10.0) == \
-            pytest.approx(math.hypot(30.0, 10.0))
+
+def place(world, x, lane):
+    """A vehicle of the given lane at position x at t = 0 (x a multiple of 10)."""
+    veh = world._new_vehicle(0.0, 10.0 if lane == FORWARD else -10.0)
+    veh.entry_time = -(x - veh.entry_point) / veh.speed
+    return veh.id
+
+
+class TestGeometry:
+    def test_same_lane_distance(self, world):
+        assert world.cfg.lane_offset == 10.0
+        assert gap(world, place(world, 100.0, FORWARD), place(world, 50.0, FORWARD),
+                   0.0) == 50.0
+
+    def test_cross_lane_distance(self, world):
+        assert gap(world, place(world, 100.0, FORWARD), place(world, 100.0, BACKWARD),
+                   0.0) == 10.0
+        assert gap(world, place(world, 30.0, FORWARD), place(world, 0.0, BACKWARD),
+                   0.0) == math.hypot(30.0, 10.0)
+
+    def test_d2d_distance_is_math_hypot(self, world, rng):
+        # transmissions are measured with libm's hypot, whose last bit
+        # numpy's differs from for a few cross-lane gaps in a thousand
+        for x in rng.uniform(1000.0, 1200.0, 2000):
+            world._new_vehicle(0.0, 10.0).entry_time = -x / 10.0
+            world._new_vehicle(0.0, -10.0).entry_time = (x - 3000.0) / 10.0 - rng.random()
+        world.refresh_arrays(0.0)
+        a, b = np.arange(0, world.ids.size, 2), np.arange(1, world.ids.size, 2)
+        dx = (world.xs[a] - world.xs[b]).tolist()
+        got = world.d2d_distance(a, b).tolist()
+        assert got == [math.hypot(d, world.cfg.lane_offset) for d in dx]
+        assert got != np.hypot(dx, world.cfg.lane_offset).tolist()
+        assert world.d2d_distance(a[:2], a[2:4]).tolist() == \
+            np.abs(world.xs[a[:2]] - world.xs[a[2:4]]).tolist()
 
     def test_nearest_enb(self, world):
         i, d = world.nearest_enb(610.0)
@@ -62,11 +94,14 @@ class TestVehicles:
                 v.entry_time + 3000.0 / abs(v.speed))
 
     def test_position_bounds(self, world):
-        (veh,) = [world._new_vehicle(0.0, 15.0)]
-        assert veh.position(0.0) == 0.0
-        assert veh.position(10.0) == 150.0
-        with pytest.raises(ValueError, match="inactive"):
-            veh.position(veh.exit_time + 1.0)
+        veh = world._new_vehicle(0.0, 15.0)
+        # a same-lane vehicle entering at t marks position 0 at t
+        assert gap(world, veh.id, world._new_vehicle(0.0, 15.0).id, 0.0) == 0.0
+        assert gap(world, veh.id, world._new_vehicle(10.0, 15.0).id, 10.0) == 150.0
+        world.remove_exited(veh.exit_time + 1.0)
+        with pytest.raises(KeyError):
+            gap(world, veh.id, world._new_vehicle(veh.exit_time + 1.0, 15.0).id,
+                veh.exit_time + 1.0)
 
     def test_remove_exited(self, world):
         world._new_vehicle(0.0, 15.0)   # exits at t=200

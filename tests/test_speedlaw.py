@@ -21,26 +21,9 @@ class TestUniformSpeedLaw:
         with pytest.raises(ValueError):
             UniformSpeedLaw(10.0, 9.0)
 
-    def test_signed_pdf_normalizes(self):
-        law = UniformSpeedLaw(9.0, 24.0)
-        assert quad(lambda v: float(law.signed_pdf(v)), -30.0, 30.0,
-                    points=(-24.0, -9.0, 9.0, 24.0)) == pytest.approx(1.0, abs=1e-9)
-
     def test_level(self):
         law = UniformSpeedLaw(9.0, 24.0)
         assert law.density_level == pytest.approx(1.0 / 30.0)
-
-    def test_forward_pdf_normalizes(self):
-        law = UniformSpeedLaw(6.0, 16.0)
-        assert quad(lambda v: float(law.forward_pdf(v)), 0.0, 20.0,
-                    points=(6.0, 16.0)) == pytest.approx(1.0, abs=1e-9)
-
-    def test_sample_signed_matches_pdf(self, rng):
-        law = UniformSpeedLaw(9.0, 24.0)
-        s = law.sample_signed(rng, 200_000)
-        assert np.all((np.abs(s) >= 9.0) & (np.abs(s) <= 24.0))
-        assert np.mean(s > 0) == pytest.approx(0.5, abs=0.01)
-        assert np.mean(np.abs(s)) == pytest.approx(16.5, abs=0.05)
 
     def test_length_biased_magnitudes(self, rng):
         law = UniformSpeedLaw(9.0, 24.0)
