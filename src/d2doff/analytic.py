@@ -47,17 +47,8 @@ def _jump_nodes(points: list[float]) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def node_density(arrival_rate: float, speed_law: UniformSpeedLaw) -> float:
-    """Stationary linear vehicle density (vehicles/meter).
-
-    rho = integral of arrival_rate * pdf(v)/|v| over signed speeds; for
-    the uniform law this is arrival_rate * ln(v_max/v_min)/(v_max-v_min).
-    """
-    if arrival_rate == 0.0:
-        return 0.0
-    if speed_law.v_max == speed_law.v_min:
-        return arrival_rate / speed_law.v_min
-    return arrival_rate * math.log(speed_law.v_max / speed_law.v_min) / (
-        speed_law.v_max - speed_law.v_min)
+    """Stationary linear vehicle density (vehicles/meter)."""
+    return speed_law.stationary_density(arrival_rate)
 
 
 def time_limit_law(content_timeout: float, sharing_timeout: float,

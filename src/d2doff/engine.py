@@ -160,8 +160,8 @@ class Engine:
 
         # per-link radio quantities of this tick, indexed like ``links``
         links = self._link_table(reqs, len(i2d), t)
-        gains = rrrm.interference_matrix(links, self.cfg.phy)
-        nominal, powers = rrrm.link_budget(links, self.cfg.phy)
+        gains, nominal = rrrm.interference_matrix(links, self.cfg.phy)
+        powers = rrrm.link_powers(links, nominal, self.cfg.phy)
         order = rrrm.priority_order(links)
         sets = rrrm.partition_rrr_sets(links, gains, powers, order, self.cfg.phy,
                                        self.cfg.rrrm)
@@ -180,7 +180,7 @@ class Engine:
                        t: float, measuring: bool) -> None:
         """Every placed link's HARQ attempts, in order of (set, first PRB,
         link index); reqs[i] is link i's request.  gains, nominal, powers:
-        the tick's interference matrix and ``rrrm.link_budget``.
+        the tick's ``rrrm.interference_matrix`` and ``rrrm.link_powers``.
 
         A link's receiver hears one channel from each peer of its set that
         shares PRBs with it, in placement order, then its own.  These rows

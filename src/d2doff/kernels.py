@@ -14,26 +14,33 @@ HAVE_NUMBA = False
 # minimum distance reached by a linear relative trajectory within a window
 # ---------------------------------------------------------------------------
 
-def closest_approach(x0, v, phi):
-    """Element by element, the earliest minimizer t* of |x0 + v t| over
-    t in [0, phi] and the minimum value (longitudinal distance)."""
+def _approach(x0, v, phi):
+    """The body of closest_approach and min_distance_samples, element by
+    element: the window, whether x0 + v t crosses 0 within it, the
+    crossing time, |x0|, |x0 + v phi| and the minimum of |x0 + v t|."""
     x0, v, phi = np.asarray(x0, float), np.asarray(v, float), np.asarray(phi, float)
     if np.any(phi < 0.0):
         raise ValueError("phi must be >= 0")
-    # a subnormal v overflows -x0 / v to inf, past any finite phi
+    # v = 0 never crosses (nan compares false); a subnormal v overflows
+    # -x0 / v to inf, past any finite phi; 0 * inf is nan, dropped by fmin
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t_cross = np.where(v != 0.0, -x0 / v, np.inf)
+        t_cross = np.where(v != 0.0, -x0 / v, np.nan)
+        d_end = np.abs(x0 + v * phi)
     crossing = (t_cross >= 0.0) & (t_cross <= phi)
     d0 = np.abs(x0)
-    d_end = np.abs(x0 + v * phi)
-    distance = np.where(crossing, 0.0, np.minimum(d0, d_end))
-    t_star = np.where(crossing, t_cross, np.where(d_end < d0, phi, 0.0))
-    return t_star, distance
+    return phi, crossing, t_cross, d0, d_end, np.where(crossing, 0.0, np.fmin(d0, d_end))
+
+
+def closest_approach(x0, v, phi):
+    """Element by element, the earliest minimizer t* of |x0 + v t| over
+    t in [0, phi] and the minimum value (longitudinal distance)."""
+    phi, crossing, t_cross, d0, d_end, distance = _approach(x0, v, phi)
+    return np.where(crossing, t_cross, np.where(d_end < d0, phi, 0.0)), distance
 
 
 def min_distance_samples(x0: np.ndarray, v: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """min over t in [0, phi] of |x0 + v t|, elementwise."""
-    return closest_approach(x0, v, phi)[1]
+    return _approach(x0, v, phi)[-1]
 
 
 # ---------------------------------------------------------------------------

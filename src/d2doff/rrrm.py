@@ -75,24 +75,30 @@ def _gain_by_kind(is_i2d: np.ndarray, r: np.ndarray, cfg: PhyConfig) -> np.ndarr
     return out
 
 
-def interference_matrix(links: Links, cfg: PhyConfig) -> np.ndarray:
-    """Entry (i, j) = nominal gain from tx of link i to rx of link j;
-    the transmitter's gain model applies; diagonal set to 0."""
-    d = np.hypot(links.tx_x[:, None] - links.rx_x, links.tx_y[:, None] - links.rx_y)
+def interference_matrix(links: Links, cfg: PhyConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(G, g): G[i, j] is the nominal gain from the transmitter of link i
+    to the receiver of link j, 0 on the diagonal; g[i] is link i's
+    nominal gain over its own ``distance``.  The transmitter's gain model
+    applies; both come from one ``_gain_by_kind`` call."""
+    n = len(links)
+    d = np.empty((n, n + 1))
+    np.hypot(links.tx_x[:, None] - links.rx_x, links.tx_y[:, None] - links.rx_y,
+             out=d[:, :n])
+    d[:, n] = links.distance
     out = _gain_by_kind(links.is_i2d, d, cfg)
-    np.fill_diagonal(out, 0.0)
-    return out
+    gains = out[:, :n]
+    np.fill_diagonal(gains, 0.0)
+    return gains, out[:, n]
 
 
-def link_budget(links: Links, cfg: PhyConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(nominal gain, per-subcarrier transmit power) of each link over its
-    own distance, as ``phy.tx_power_for_link`` sets them."""
-    gain = _gain_by_kind(links.is_i2d, links.distance, cfg)
-    power = np.empty_like(gain)
+def link_powers(links: Links, nominal: np.ndarray, cfg: PhyConfig) -> np.ndarray:
+    """Per-subcarrier transmit power of each link from its ``nominal`` gain,
+    as ``phy.tx_power_for_link`` sets it."""
+    power = np.empty_like(nominal)
     for kind, rows in ((phy.I2D, links.is_i2d), (phy.D2D, ~links.is_i2d)):
         power[rows] = phy.tx_power_per_subcarrier(
-            gain[rows], phy.link_margin_db(kind, cfg), cfg)
-    return gain, power
+            nominal[rows], phy.link_margin_db(kind, cfg), cfg)
+    return power
 
 
 def partition_rrr_sets(links: Links, gains: np.ndarray, powers: np.ndarray,
@@ -101,7 +107,7 @@ def partition_rrr_sets(links: Links, gains: np.ndarray, powers: np.ndarray,
     """Greedy first-fit partition in priority ``order``; returns lists of
     link indices, members in priority order.  ``gains`` is the
     interference matrix and ``powers`` the per-subcarrier powers of
-    ``link_budget``.
+    ``link_powers``.
 
     A pair conflicts when either member's interference-to-noise ratio at
     the other's receiver exceeds the threshold, unless both are

@@ -124,16 +124,12 @@ class World:
         uniform positions, time-in-road biased speeds, caches seeded
         from each vehicle's own request history."""
         cfg = self.cfg
-        rho = (cfg.vehicle_arrival_rate
-               * math.log(cfg.speed_max / cfg.speed_min)
-               / (cfg.speed_max - cfg.speed_min)
-               if cfg.speed_max > cfg.speed_min
-               else cfg.vehicle_arrival_rate / cfg.speed_min)
+        law = UniformSpeedLaw(cfg.speed_min, cfg.speed_max)
+        rho = law.stationary_density(cfg.vehicle_arrival_rate)
         n = self.rng.poisson(rho * cfg.street_length)
         if n == 0:
             return
         xs = self.rng.uniform(0.0, cfg.street_length, size=n)
-        law = UniformSpeedLaw(cfg.speed_min, cfg.speed_max)
         mags = law.sample_length_biased_magnitude(self.rng, n)
         signs = np.where(self.rng.random(n) < 0.5, 1.0, -1.0)
         for x, mag, sign in zip(xs, mags, signs):

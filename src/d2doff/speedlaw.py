@@ -43,6 +43,15 @@ class UniformSpeedLaw:
             raise ValueError("degenerate law has no density")
         return 1.0 / (2.0 * (self.v_max - self.v_min))
 
+    def stationary_density(self, arrival_rate: float) -> float:
+        """Vehicles per metre on a road snapshot when vehicles enter at
+        ``arrival_rate``: the integral of arrival_rate pdf(v)/|v| over the
+        signed speeds, arrival_rate ln(v_max/v_min)/(v_max - v_min), or
+        arrival_rate/v_min at a single speed."""
+        if self.v_max == self.v_min:
+            return arrival_rate / self.v_min
+        return arrival_rate * math.log(self.v_max / self.v_min) / (self.v_max - self.v_min)
+
     def sample_length_biased_magnitude(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Speed magnitudes of vehicles present in a road snapshot.
 

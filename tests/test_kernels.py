@@ -113,9 +113,10 @@ class TestMinDistance:
         assert 0.0 <= out <= abs(x0)
         assert out <= abs(x0 + v * phi) + 1e-9 * max(1.0, abs(x0))
 
-    @given(st.lists(_triple, min_size=1, max_size=20))
+    @given(st.lists(_triple, min_size=1, max_size=20),
+           st.one_of(finite, st.sampled_from([0.0, -0.0])))
     @settings(max_examples=300, deadline=None)
-    def test_equals_both_parent_bodies(self, triples):
+    def test_equals_both_parent_bodies(self, triples, x_still):
         # v = 0, subnormal v, x0 = 0, phi = 0 and steps too small to move x0
         x0, v, phi = (np.array(c) for c in zip(*triples))
         t_star, d = kernels.closest_approach(x0, v, phi)
@@ -124,6 +125,16 @@ class TestMinDistance:
         assert np.array_equal(d, want_d)
         assert np.array_equal(kernels.min_distance_samples(x0, v, phi),
                               parent_min_distance_samples(x0, v, phi))
+        # v = 0 over an unbounded window never crosses: the gap stays, from
+        # t = 0 on, silently (the parent closest_approach gave (inf, 0.0))
+        x0, v, phi = np.append(x0, x_still), np.append(v, 0.0), np.append(phi, np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t_star, d = kernels.closest_approach(x0, v, phi)
+            samples = kernels.min_distance_samples(x0, v, phi)
+        assert np.array_equal(t_star, np.append(want_t, 0.0))
+        assert np.array_equal(d, np.append(want_d, abs(x_still)))
+        assert np.array_equal(samples, parent_min_distance_samples(x0, v, phi))
 
     def test_negative_window_rejected(self):
         with pytest.raises(ValueError):

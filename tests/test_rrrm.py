@@ -35,8 +35,8 @@ def kind(links, i):
 
 
 def partition(links, cfg):
-    gains = rrrm.interference_matrix(links, cfg.phy)
-    _, powers = rrrm.link_budget(links, cfg.phy)
+    gains, nominal = rrrm.interference_matrix(links, cfg.phy)
+    powers = rrrm.link_powers(links, nominal, cfg.phy)
     return rrrm.partition_rrr_sets(links, gains, powers, rrrm.priority_order(links),
                                    cfg.phy, cfg.rrrm)
 
@@ -217,14 +217,14 @@ class TestPartition:
     @settings(max_examples=100, deadline=None)
     def test_matches_pairwise_reference(self, cfg, specs):
         links = mixed_links(specs, cfg)
-        gains = rrrm.interference_matrix(links, cfg.phy)
+        gains, _ = rrrm.interference_matrix(links, cfg.phy)
         assert partition(links, cfg) == reference_partition(links, gains, cfg)
 
 
 class TestInterferenceMatrix:
     def test_symmetric_geometry(self, cfg):
         links = table([d2d(0.0, 30.0), d2d(500.0, 530.0)])
-        gains = rrrm.interference_matrix(links, cfg.phy)
+        gains, _ = rrrm.interference_matrix(links, cfg.phy)
         assert gains[0, 0] == gains[1, 1] == 0.0
         # tx0 -> rx1 spans 530 m; tx1 -> rx0 spans 500 m
         assert gains[1, 0] > gains[0, 1] > 0.0
@@ -233,7 +233,7 @@ class TestInterferenceMatrix:
     @settings(max_examples=100, deadline=None)
     def test_matches_per_pair_gains(self, cfg, specs):
         links = mixed_links(specs, cfg)
-        gains = rrrm.interference_matrix(links, cfg.phy)
+        gains, _ = rrrm.interference_matrix(links, cfg.phy)
         n = len(links)
         want = np.zeros((n, n))
         for i in range(n):
@@ -250,7 +250,8 @@ class TestInterferenceMatrix:
     @settings(max_examples=50, deadline=None)
     def test_link_budget_matches_scalar_path(self, cfg, specs):
         links = mixed_links(specs, cfg)
-        nominal, powers = rrrm.link_budget(links, cfg.phy)
+        _, nominal = rrrm.interference_matrix(links, cfg.phy)
+        powers = rrrm.link_powers(links, nominal, cfg.phy)
         for i, (g, p) in enumerate(zip(nominal, powers)):
             r = links.distance[i]
             assert g == phy.nominal_gain(kind(links, i), np.array([r]), cfg.phy)[0]

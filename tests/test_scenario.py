@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d2doff import scenario
+from d2doff import analytic, scenario
 from d2doff.config import Config, ScenarioConfig
 from d2doff.popularity import zipf_pmf
 from d2doff.scenario import BACKWARD, FORWARD, World
+from d2doff.speedlaw import UniformSpeedLaw
 
 
 @pytest.fixture()
@@ -117,6 +119,20 @@ class TestVehicles:
         n = len(world.vehicles)
         expected = 0.0218 * 3000.0
         assert abs(n - expected) < 4 * math.sqrt(expected)
+
+    @pytest.mark.parametrize("speeds", [(9.0, 24.0), (15.0, 15.0)])
+    def test_stationary_density_is_one_body(self, speeds):
+        sc = dataclasses.replace(Config().scenario, speed_min=speeds[0],
+                                 speed_max=speeds[1])
+        # the expression init_stationary used to compute itself
+        old = (sc.vehicle_arrival_rate
+               * math.log(sc.speed_max / sc.speed_min)
+               / (sc.speed_max - sc.speed_min)
+               if sc.speed_max > sc.speed_min
+               else sc.vehicle_arrival_rate / sc.speed_min)
+        law = UniformSpeedLaw(sc.speed_min, sc.speed_max)
+        assert law.stationary_density(sc.vehicle_arrival_rate) == old
+        assert analytic.node_density(sc.vehicle_arrival_rate, law) == old
 
     def test_stationary_speed_bias(self, rng):
         # time-in-road biased speeds: slower vehicles over-represented
