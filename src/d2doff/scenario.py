@@ -8,13 +8,15 @@ y=lane_offset.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import ScenarioConfig
-from .popularity import zipf_cdf, zipf_pmf
+from .popularity import zipf_cdf
 from .speedlaw import UniformSpeedLaw
 
 FORWARD = 0
@@ -22,15 +24,53 @@ BACKWARD = 1
 
 
 @dataclass
+class VehicleTable:
+    """Every vehicle of the scenario, one row each in ascending id: the
+    only copy of the kinematics.  A vehicle is at entry_point + speed
+    (t - entry_time) on its lane from entry_time until exit_time."""
+
+    id: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    entry_time: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    speed: np.ndarray = field(default_factory=lambda: np.zeros(0))  # signed; > 0 forward
+    entry_point: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    lane: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    exit_time: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+    def append(self, rows: "VehicleTable") -> None:
+        for name, col in list(vars(self).items()):
+            setattr(self, name, np.concatenate([col, getattr(rows, name)]))
+
+    def keep(self, mask: np.ndarray) -> None:
+        for name, col in list(vars(self).items()):
+            setattr(self, name, col[mask])
+
+    def row(self, vid: int) -> int:
+        i = int(np.searchsorted(self.id, vid))
+        if i == self.id.size or self.id[i] != vid:
+            raise KeyError(f"vehicle {vid} is not on the table")
+        return i
+
+
+def _column(name: str) -> property:
+    return property(lambda veh: getattr(veh.table, name)[veh.table.row(veh.id)].item(),
+                    doc=f"The vehicle's ``{name}``, read from its table row.")
+
+
+@dataclass(eq=False)
 class Vehicle:
+    """A vehicle's cache.  Its kinematics are read from its row of the
+    world's ``VehicleTable`` while it is on the road."""
+
     id: int
-    entry_time: float
-    speed: float               # signed; > 0 forward
-    entry_point: float
-    lane: int
-    exit_time: float
+    table: VehicleTable = field(repr=False)
     cache: dict[int, float] = field(default_factory=dict)  # content -> expiry
     next_expiry: float = math.inf  # no cache entry expires before this
+
+    entry_time = _column("entry_time")
+    speed = _column("speed")
+    entry_point = _column("entry_point")
+    lane = _column("lane")
+    exit_time = _column("exit_time")
 
 
 PENDING = "pending"
@@ -60,15 +100,16 @@ class ContentRequest:
 
 
 class World:
-    """Mutable scenario state plus per-tick position arrays."""
+    """Mutable scenario state: the vehicle table, caches, and the arrays of
+    the vehicles on the road at the current tick."""
 
     def __init__(self, cfg: ScenarioConfig, rng: np.random.Generator):
         cfg.validate()
         self.cfg = cfg
         self.rng = rng
+        self.table = VehicleTable()
         self.vehicles: dict[int, Vehicle] = {}
-        self.holders: dict[int, set[int]] = {}   # content -> vehicle ids
-        self.lam_z = zipf_pmf(cfg.zipf_alpha, cfg.library_size) * cfg.request_rate
+        self.holders: dict[int, set[int]] = defaultdict(set)   # content -> vehicle ids
         self.content_cdf = zipf_cdf(cfg.zipf_alpha, cfg.library_size)
         self.enb_x = np.asarray(cfg.enb_positions)
         self._next_vid = 0
@@ -83,19 +124,28 @@ class World:
 
     # -- construction ---------------------------------------------------
 
-    def _new_vehicle(self, entry_time: float, speed: float) -> Vehicle:
+    def _add_vehicles(self, entry_times: np.ndarray, speeds: np.ndarray) -> list[Vehicle]:
+        """Append vehicles entering at the given times with the given
+        signed speeds, at the street end and lane their direction sets."""
         cfg = self.cfg
-        if speed > 0:
-            entry_point, lane = 0.0, FORWARD
-        else:
-            entry_point, lane = cfg.street_length, BACKWARD
-        vid = self._next_vid
-        self._next_vid += 1
-        veh = Vehicle(id=vid, entry_time=entry_time, speed=speed,
-                      entry_point=entry_point, lane=lane,
-                      exit_time=entry_time + cfg.street_length / abs(speed))
-        self.vehicles[vid] = veh
-        return veh
+        speeds = np.asarray(speeds, dtype=float)
+        entry_times = np.asarray(entry_times, dtype=float)
+        forward = speeds > 0
+        vid0 = self._next_vid
+        self._next_vid += speeds.size
+        rows = VehicleTable(
+            id=np.arange(vid0, self._next_vid, dtype=np.int64),
+            entry_time=entry_times, speed=speeds,
+            entry_point=np.where(forward, 0.0, cfg.street_length),
+            lane=np.where(forward, FORWARD, BACKWARD).astype(np.int64),
+            exit_time=entry_times + cfg.street_length / np.abs(speeds))
+        self.table.append(rows)
+        out = [Vehicle(vid, self.table) for vid in range(vid0, self._next_vid)]
+        self.vehicles.update((veh.id, veh) for veh in out)
+        return out
+
+    def _new_vehicle(self, entry_time: float, speed: float) -> Vehicle:
+        return self._add_vehicles(np.array([entry_time]), np.array([speed]))[0]
 
     def spawn_vehicles(self, t0: float, t1: float) -> list[Vehicle]:
         """Poisson arrivals over [t0, t1), half rate per street end.
@@ -106,17 +156,18 @@ class World:
         if t1 <= t0:
             raise ValueError("need a non-degenerate interval")
         cfg = self.cfg
-        out = []
+        times, speeds = [], []
         for sign in (1.0, -1.0):
             n = self.rng.poisson(0.5 * cfg.vehicle_arrival_rate * (t1 - t0))
             if n == 0:
                 continue
-            times = np.sort(self.rng.uniform(t0, t1, size=n))
-            speeds = sign * self.rng.uniform(cfg.speed_min, cfg.speed_max, size=n)
-            for et, sp in zip(times, speeds):
-                veh = self._new_vehicle(float(et), float(sp))
-                self._seed_cache(veh, veh.entry_time, cfg.sharing_timeout)
-                out.append(veh)
+            times.append(np.sort(self.rng.uniform(t0, t1, size=n)))
+            speeds.append(sign * self.rng.uniform(cfg.speed_min, cfg.speed_max, size=n))
+        if not times:
+            return []
+        entry = np.concatenate(times)
+        out = self._add_vehicles(entry, np.concatenate(speeds))
+        self._seed_caches(out, entry, cfg.sharing_timeout)
         return out
 
     def init_stationary(self, t: float) -> None:
@@ -131,29 +182,37 @@ class World:
             return
         xs = self.rng.uniform(0.0, cfg.street_length, size=n)
         mags = law.sample_length_biased_magnitude(self.rng, n)
-        signs = np.where(self.rng.random(n) < 0.5, 1.0, -1.0)
-        for x, mag, sign in zip(xs, mags, signs):
-            speed = float(sign * mag)
-            if speed > 0:
-                travelled = x
-            else:
-                travelled = cfg.street_length - x
-            age = travelled / mag
-            veh = self._new_vehicle(t - age, speed)
-            self._seed_cache(veh, t, age)
+        speeds = np.where(self.rng.random(n) < 0.5, 1.0, -1.0) * mags
+        age = np.where(speeds > 0, xs, cfg.street_length - xs) / mags
+        out = self._add_vehicles(t - age, speeds)
+        self._seed_caches(out, t, np.minimum(cfg.sharing_timeout, age))
 
-    def _seed_cache(self, veh: Vehicle, now: float, age: float) -> None:
+    def _seed_caches(self, vehs: list[Vehicle], now, window) -> None:
+        """Fill each new vehicle's cache from its own requests over the
+        ``window`` seconds before ``now`` (one value each, or one for all):
+        a Poisson number of requests, contents by popularity, so each
+        content is requested a Poisson number of times and held with
+        probability 1 - exp(-lambda_z window).  A held content was received
+        at a uniform time within the window."""
         cfg = self.cfg
-        window = min(cfg.sharing_timeout, age)
-        if window <= 0:
+        counts = self.rng.poisson(cfg.request_rate * window, size=len(vehs)).tolist()
+        total = sum(counts)
+        if total == 0:
             return
-        p = -np.expm1(-self.lam_z * window)
-        hit = np.nonzero(self.rng.random(p.size) < p)[0]
-        if hit.size == 0:
-            return
-        receipt = now - self.rng.uniform(0.0, window, size=hit.size)
-        for z, rt in zip(hit, receipt):
-            self.add_cache(veh.id, int(z), float(rt) + cfg.sharing_timeout)
+        z = self.content_cdf.searchsorted(self.rng.random(total), side="right").tolist()
+        # each vehicle's hits, contents ascending; a few dozen per vehicle,
+        # so Python sets beat numpy calls here
+        ends = list(itertools.accumulate(counts))
+        hits = [sorted(set(z[end - k:end])) for k, end in zip(counts, ends)]
+        u = iter(self.rng.random(sum(map(len, hits))).tolist())
+        now = np.broadcast_to(now, len(vehs)).tolist()
+        window = np.broadcast_to(window, len(vehs)).tolist()
+        for veh, zs, t, w in zip(vehs, hits, now, window):
+            if zs:
+                veh.cache = {zi: t - next(u) * w + cfg.sharing_timeout for zi in zs}
+                veh.next_expiry = min(veh.cache.values())
+                for zi in zs:
+                    self.holders[zi].add(veh.id)
 
     # -- cache bookkeeping ------------------------------------------------
 
@@ -164,7 +223,7 @@ class World:
             veh.cache[z] = expiry
             if expiry < veh.next_expiry:
                 veh.next_expiry = expiry
-        self.holders.setdefault(z, set()).add(vid)
+        self.holders[z].add(vid)
 
     def evict_expired(self, t: float) -> None:
         for veh in self.vehicles.values():
@@ -188,22 +247,24 @@ class World:
     # -- per-tick state ----------------------------------------------------
 
     def remove_exited(self, t: float) -> list[int]:
-        gone = [vid for vid, v in self.vehicles.items() if v.exit_time <= t]
-        for vid in gone:
+        gone = self.table.exit_time <= t
+        if not gone.any():
+            return []
+        vids = self.table.id[gone].tolist()
+        self.table.keep(~gone)
+        for vid in vids:
             self._forget_vehicle(vid)
-        return gone
+        return vids
 
     def refresh_arrays(self, t: float) -> None:
-        vids = sorted(v for v in self.vehicles
-                      if self.vehicles[v].entry_time <= t)
-        self.ids = np.array(vids, dtype=np.int64)
-        self.xs = np.array([self.vehicles[v].entry_point
-                            + self.vehicles[v].speed * (t - self.vehicles[v].entry_time)
-                            for v in vids])
-        self.vs = np.array([self.vehicles[v].speed for v in vids])
-        self.lanes = np.array([self.vehicles[v].lane for v in vids], dtype=np.int64)
-        self.exits = np.array([self.vehicles[v].exit_time for v in vids])
-        self.idx_of = {v: i for i, v in enumerate(vids)}
+        tab = self.table
+        on = tab.entry_time <= t
+        self.ids = tab.id[on]
+        self.vs = tab.speed[on]
+        self.xs = tab.entry_point[on] + self.vs * (t - tab.entry_time[on])
+        self.lanes = tab.lane[on]
+        self.exits = tab.exit_time[on]
+        self.idx_of = dict(zip(self.ids.tolist(), range(self.ids.size)))
 
     def lane_y(self, lanes: np.ndarray) -> np.ndarray:
         """Lateral offset of each lane axis."""
@@ -231,21 +292,19 @@ class World:
     # -- requests -----------------------------------------------------------
 
     def spawn_requests(self, t: float) -> list[ContentRequest]:
-        """Per-device Poisson requests for one control interval at tick t."""
+        """Per-device Poisson requests for one control interval at tick t,
+        devices in id order."""
         cfg = self.cfg
-        out = []
-        for vid in sorted(self.vehicles):
-            veh = self.vehicles[vid]
-            if not (veh.entry_time <= t < veh.exit_time):
-                continue
-            k = self.rng.poisson(cfg.request_rate * cfg.control_interval)
-            if k == 0:
-                continue
-            contents = self.content_cdf.searchsorted(self.rng.random(k), side="right")
-            for z in contents:
-                rid = self._next_rid
-                self._next_rid += 1
-                out.append(ContentRequest(
-                    id=rid, requester_id=vid, content_id=int(z),
-                    t0=t, deadline=t + cfg.content_timeout))
-        return out
+        tab = self.table
+        vids = tab.id[(tab.entry_time <= t) & (t < tab.exit_time)]
+        counts = self.rng.poisson(cfg.request_rate * cfg.control_interval, size=vids.size)
+        total = int(counts.sum())
+        if total == 0:
+            return []
+        contents = self.content_cdf.searchsorted(self.rng.random(total), side="right")
+        rid0 = self._next_rid
+        self._next_rid += total
+        deadline = t + cfg.content_timeout
+        return [ContentRequest(id=rid, requester_id=vid, content_id=z, t0=t, deadline=deadline)
+                for rid, vid, z in zip(range(rid0, self._next_rid),
+                                       np.repeat(vids, counts).tolist(), contents.tolist())]

@@ -159,30 +159,31 @@ class TestReplicate:
 
 
 # Outputs of engine.run(cfg at lambda = 1 veh/s, policy, 30, 30, seed=7),
-# recorded before the per-tick radio path was vectorized, and the PCG64
-# state the run leaves its generator in (its increment is fixed by the
-# seed).  The vectorized path draws the same random numbers in the same
+# and the PCG64 state the run leaves its generator in (its increment is
+# fixed by the seed).  Recorded when the scenario layer moved to batched
+# request and cache-seed draws, the one declared change of the random
+# stream; any refactor must draw the same random numbers in the same
 # order, so the counts and the final state must match exactly and the
 # energies to float round-off.
 GOLDEN_LAMBDA_1 = {
     "optimal": dict(
-        rng_state=102700461016623818490599405347086910138,
-        deliveries_d2d=191, deliveries_i2d=235, repeated=149, dropped=27,
-        requests_nonrepeated=424, failed_attempts=25, pruned_links=0,
-        energy_d2d=0.14037447104265963, energy_i2d=19.40568747507099,
-        d2d_distance_sum=2063.311920463907, mean_occupancy=0.30666666666666664),
+        rng_state=118698323885486581817611954400086824587,
+        deliveries_d2d=213, deliveries_i2d=221, repeated=141, dropped=23,
+        requests_nonrepeated=465, failed_attempts=30, pruned_links=0,
+        energy_d2d=0.25563690809976686, energy_i2d=14.663851578936551,
+        d2d_distance_sum=2543.426208124625, mean_occupancy=0.3022222222222222),
     "benchmark": dict(
-        rng_state=101001055541899971013663309726722021513,
-        deliveries_d2d=223, deliveries_i2d=182, repeated=122, dropped=29,
-        requests_nonrepeated=425, failed_attempts=29, pruned_links=0,
-        energy_d2d=1.7489580141899188, energy_i2d=13.51586584211401,
-        d2d_distance_sum=10011.915372168849, mean_occupancy=0.308888888888889),
+        rng_state=153314329701584694944718400771312999750,
+        deliveries_d2d=239, deliveries_i2d=187, repeated=156, dropped=16,
+        requests_nonrepeated=439, failed_attempts=24, pruned_links=0,
+        energy_d2d=1.9468923146702781, energy_i2d=11.240837153365739,
+        d2d_distance_sum=11038.096762093443, mean_occupancy=0.3288888888888889),
     "cellular": dict(
-        rng_state=178862367316481789096112229921459228449,
-        deliveries_d2d=0, deliveries_i2d=614, repeated=0, dropped=0,
-        requests_nonrepeated=616, failed_attempts=57, pruned_links=64,
-        energy_d2d=0.0, energy_i2d=47.575021161635476,
-        d2d_distance_sum=0.0, mean_occupancy=0.6111111111111109),
+        rng_state=295288176577334608998036532902899638134,
+        deliveries_d2d=0, deliveries_i2d=579, repeated=0, dropped=0,
+        requests_nonrepeated=584, failed_attempts=46, pruned_links=32,
+        energy_d2d=0.0, energy_i2d=36.44924651785451,
+        d2d_distance_sum=0.0, mean_occupancy=0.4955555555555555),
 }
 GOLDEN_COUNTS = ("deliveries_d2d", "deliveries_i2d", "repeated", "dropped",
                  "requests_nonrepeated", "failed_attempts", "pruned_links")

@@ -20,11 +20,9 @@ def world(rng):
 
 
 def add_vehicle(world, x, speed, t=0.0):
-    veh = world._new_vehicle(t, speed)
     # place at the requested position by shifting the entry time
-    veh.entry_time = t - (x - veh.entry_point) / speed
-    veh.exit_time = veh.entry_time + world.cfg.street_length / abs(speed)
-    return veh
+    entry_point = 0.0 if speed > 0 else world.cfg.street_length
+    return world._new_vehicle(t - (x - entry_point) / speed, speed)
 
 
 def request(world, requester, z=0, t=0.0):

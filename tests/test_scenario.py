@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d2doff import analytic, scenario
+from d2doff import analytic, engine, scenario
 from d2doff.config import Config, ScenarioConfig
 from d2doff.popularity import zipf_pmf
 from d2doff.scenario import BACKWARD, FORWARD, World
@@ -27,9 +27,8 @@ def gap(world, vid_a, vid_b, t):
 
 def place(world, x, lane):
     """A vehicle of the given lane at position x at t = 0 (x a multiple of 10)."""
-    veh = world._new_vehicle(0.0, 10.0 if lane == FORWARD else -10.0)
-    veh.entry_time = -(x - veh.entry_point) / veh.speed
-    return veh.id
+    speed, entry_point = (10.0, 0.0) if lane == FORWARD else (-10.0, world.cfg.street_length)
+    return world._new_vehicle(-(x - entry_point) / speed, speed).id
 
 
 class TestGeometry:
@@ -48,8 +47,8 @@ class TestGeometry:
         # transmissions are measured with libm's hypot, whose last bit
         # numpy's differs from for a few cross-lane gaps in a thousand
         for x in rng.uniform(1000.0, 1200.0, 2000):
-            world._new_vehicle(0.0, 10.0).entry_time = -x / 10.0
-            world._new_vehicle(0.0, -10.0).entry_time = (x - 3000.0) / 10.0 - rng.random()
+            world._new_vehicle(-x / 10.0, 10.0)
+            world._new_vehicle((x - 3000.0) / 10.0 - rng.random(), -10.0)
         world.refresh_arrays(0.0)
         a, b = np.arange(0, world.ids.size, 2), np.arange(1, world.ids.size, 2)
         dx = (world.xs[a] - world.xs[b]).tolist()
@@ -100,10 +99,10 @@ class TestVehicles:
         # a same-lane vehicle entering at t marks position 0 at t
         assert gap(world, veh.id, world._new_vehicle(0.0, 15.0).id, 0.0) == 0.0
         assert gap(world, veh.id, world._new_vehicle(10.0, 15.0).id, 10.0) == 150.0
-        world.remove_exited(veh.exit_time + 1.0)
+        t_out = veh.exit_time + 1.0
+        world.remove_exited(t_out)
         with pytest.raises(KeyError):
-            gap(world, veh.id, world._new_vehicle(veh.exit_time + 1.0, 15.0).id,
-                veh.exit_time + 1.0)
+            gap(world, veh.id, world._new_vehicle(t_out, 15.0).id, t_out)
 
     def test_remove_exited(self, world):
         world._new_vehicle(0.0, 15.0)   # exits at t=200
@@ -152,6 +151,55 @@ class TestVehicles:
         assert world.xs[1] == 2900.0
         assert world.lanes[1] == BACKWARD
         assert world.idx_of[1] == 1
+
+
+def parent_refresh_arrays(kinematics, t):
+    """The dict-based ``refresh_arrays`` the vehicle table replaced, over
+    {id: (entry_time, speed, entry_point, lane, exit_time)}."""
+    vids = sorted(v for v in kinematics if kinematics[v][0] <= t)
+    return dict(
+        ids=np.array(vids, dtype=np.int64),
+        xs=np.array([kinematics[v][2] + kinematics[v][1] * (t - kinematics[v][0])
+                     for v in vids]),
+        vs=np.array([kinematics[v][1] for v in vids]),
+        lanes=np.array([kinematics[v][3] for v in vids], dtype=np.int64),
+        exits=np.array([kinematics[v][4] for v in vids]),
+        idx_of={v: i for i, v in enumerate(vids)})
+
+
+class TestVehicleTable:
+    @pytest.mark.parametrize("policy", ["optimal", "benchmark", "cellular"])
+    def test_tick_arrays_match_parent_refresh(self, policy):
+        # each vehicle's kinematics are recorded once, the tick it appears,
+        # so a later compaction that misplaced a row would show
+        cfg = Config()
+        cfg = dataclasses.replace(cfg, scenario=dataclasses.replace(
+            cfg.scenario, vehicle_arrival_rate=1.0))
+        eng = engine.Engine(cfg, policy, seed=4)
+        world = eng.world
+        world.init_stationary(0.0)
+        seen = {}
+        for k in range(60):
+            t = k * cfg.scenario.control_interval
+            eng.tick(t, True)
+            for vid, veh in world.vehicles.items():
+                if vid not in seen:
+                    seen[vid] = (veh.entry_time, veh.speed, veh.entry_point,
+                                 veh.lane, veh.exit_time)
+            want = parent_refresh_arrays({v: seen[v] for v in world.vehicles}, t)
+            for name in ("ids", "xs", "vs", "lanes", "exits"):
+                got = getattr(world, name)
+                assert got.dtype == want[name].dtype
+                assert np.array_equal(got, want[name])
+            assert world.idx_of == want["idx_of"]
+            assert list(world.table.id) == sorted(world.vehicles)
+        assert len(seen) - len(world.vehicles) > 10     # vehicles left the table
+
+    def test_removed_vehicle_has_no_row(self, world):
+        veh = world._new_vehicle(0.0, 15.0)
+        assert world.remove_exited(veh.exit_time) == [veh.id]
+        with pytest.raises(KeyError):
+            veh.speed
 
 
 class FullScanWorld(World):
@@ -212,6 +260,29 @@ class TestCaches:
                 [(vid, list(v.cache.items())) for vid, v in ref.vehicles.items()]
             assert new.holders == ref.holders
 
+    def test_seeded_hits_and_receipt_ages(self):
+        # each content is held with probability 1 - exp(-lambda_z w), and a
+        # held copy was received at a uniform time within the window
+        sc = Config().scenario
+        world = World(sc, np.random.default_rng(12))
+        n, w, now = 4000, 100.0, 500.0
+        vehs = world._add_vehicles(np.zeros(n), np.full(n, 15.0))
+        world._seed_caches(vehs, np.full(n, now), np.full(n, w))
+        lam_z = zipf_pmf(sc.zipf_alpha, sc.library_size) * sc.request_rate
+        for z in [*range(10), 100, 1000]:
+            p = -math.expm1(-lam_z[z] * w)
+            hits = sum(z in veh.cache for veh in vehs)
+            assert abs(hits - n * p) <= 4.0 * math.sqrt(n * p * (1.0 - p))
+            assert world.holders.get(z, set()) == {v.id for v in vehs if z in v.cache}
+        ages = np.sort([now - (exp - sc.sharing_timeout)
+                        for veh in vehs for exp in veh.cache.values()])
+        assert 0.0 <= ages[0] and ages[-1] <= w
+        m = ages.size
+        ks = np.max(np.maximum(np.arange(1, m + 1) / m - ages / w, ages / w - np.arange(m) / m))
+        assert ks <= 2.15 / math.sqrt(m)    # Kolmogorov-Smirnov, 1e-4 level
+        assert all(veh.next_expiry == min(veh.cache.values(), default=math.inf)
+                   for veh in vehs)
+
     def test_stationary_caches_popular_heavy(self):
         world = World(Config().scenario, np.random.default_rng(11))
         world.init_stationary(0.0)
@@ -258,16 +329,17 @@ class TestRequests:
             world._new_vehicle(0.0, 15.0 + 0.1 * k)
         got = [(r.requester_id, r.content_id) for t in range(30)
                for r in world.spawn_requests(float(t))]
-        # replay the stream with Generator.choice over the Zipf pmf
+        # replay the stream with Generator.choice over the Zipf pmf: one
+        # count per vehicle, then all of the tick's contents at once
         rng = np.random.default_rng(8)
         pmf = zipf_pmf(sc.zipf_alpha, sc.library_size)
         want = []
         for t in range(30):
-            for vid in sorted(world.vehicles):
-                k = rng.poisson(sc.request_rate * sc.control_interval)
-                if k:
-                    want += [(vid, int(z)) for z in
-                             rng.choice(sc.library_size, size=k, p=pmf)]
+            vids = sorted(world.vehicles)
+            k = rng.poisson(sc.request_rate * sc.control_interval, size=len(vids))
+            if k.sum():
+                want += zip(np.repeat(vids, k).tolist(),
+                            rng.choice(sc.library_size, size=k.sum(), p=pmf).tolist())
         assert len(got) > 50
         assert got == want
 
