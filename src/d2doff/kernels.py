@@ -48,17 +48,18 @@ def min_distance_samples(x0: np.ndarray, v: np.ndarray, phi: np.ndarray) -> np.n
 # ---------------------------------------------------------------------------
 
 def capacity_bits(signal: np.ndarray, interference: np.ndarray, noise: float,
-                  weights: np.ndarray, cap: float, wc: float, tau_slot: float):
-    """Total achievable bits over weighted subcarriers, per row.
+                  slots: np.ndarray, cap: float, wc: float, tau_slot: float):
+    """Total achievable bits over frequency blocks, per row.
 
     signal, interference: per-subcarrier received powers (W) along the
-    last axis; weights: per-subcarrier number of occupied slots; cap:
-    spectral efficiency ceiling (bits/s/Hz); wc: subcarrier width;
-    tau_slot: slot duration.  Returns one total per row.
+    last axis, block by block; slots: per-block number of occupied slots;
+    cap: spectral efficiency ceiling (bits/s/Hz); wc: subcarrier width;
+    tau_slot: slot duration.  Sums each block's rates, then weights it by its slots.
     """
     sinr = signal / (noise + interference)
     rate = np.minimum(cap, np.log2(1.0 + sinr))
-    return tau_slot * wc * np.sum(weights * rate, axis=-1)
+    block_rate = rate.reshape(*slots.shape, -1).sum(axis=-1)
+    return tau_slot * wc * np.sum(slots * block_rate, axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,12 @@ target exactly, then boosted by a fixed link margin.  The realized
 channel adds correlated lognormal shadowing and frequency-selective
 Rayleigh fading; a transmission fails when the achievable information
 across its PRBs falls short of the payload size.
+
+The fading taps h_m sit on delays m s, so |H(f)|^2 = sum_k [Re r_k cos(2 pi f k s)
++ Im r_k sin(2 pi f k s)] (times 2 for k > 0), r_k = sum_m h_(m+k) conj(h_m):
+one einsum product with a fixed basis, not BLAS, whose last bits depend on how
+many blocks are drawn together.  Capacity sums each frequency block's
+subcarrier rates, then weights the block by the link's slots in it.
 """
 
 from __future__ import annotations
@@ -158,9 +164,14 @@ class ChannelModel:
             powers = np.zeros(cfg.n_taps)
             powers[0] = 1.0
         powers /= powers.sum()
-        freqs = np.arange(n_sc) * cfg.subcarrier_bandwidth
-        self._phases = np.exp(-2j * math.pi * np.outer(freqs, delays))
         self._amps = np.sqrt(powers / 2.0)
+        # the tap pairs (j + k, j), by lag k
+        k, j = np.array([(k, j) for k in range(cfg.n_taps) for j in range(cfg.n_taps - k)]).T
+        self._pairs, self._lag_start = (j + k, j), np.flatnonzero(j == 0)
+        # what Re r_k and Im r_k multiply, interleaved as in a complex array
+        angle = 2.0 * math.pi * np.outer(delays, np.arange(n_sc) * cfg.subcarrier_bandwidth)
+        self._basis = 2.0 * np.stack([np.cos(angle), np.sin(angle)], axis=1).reshape(-1, n_sc)
+        self._basis[:2] = [[1.0], [0.0]]
         self.n_subcarriers = n_sc
 
     def realize(self, n_blocks: int, rng: np.random.Generator) -> np.ndarray:
@@ -172,9 +183,9 @@ class ChannelModel:
         draw of k + m."""
         z = rng.standard_normal((n_blocks, 2, self.cfg.n_taps))
         taps = self._amps * (z[:, 0] + 1j * z[:, 1])
-        # einsum's own loop, not BLAS: OpenBLAS splits even this small
-        # product over its threads, which then wait on busy cores
-        return np.abs(np.einsum("ij,bj->bi", self._phases, taps)) ** 2
+        later, earlier = self._pairs
+        r = np.add.reduceat(taps[:, later] * taps[:, earlier].conj(), self._lag_start, axis=1)
+        return np.einsum("bk,kf->bf", r.view(float), self._basis)  # not BLAS (module docstring)
 
 
 def slots_per_block(start, stop, n_blocks: int) -> np.ndarray:
@@ -208,7 +219,7 @@ def achievable_information(power: np.ndarray, gain: np.ndarray, fading: np.ndarr
     """
     n_blocks, k_sc = cfg.freq_blocks, cfg.subcarriers_per_prb
     slots = slots_per_block(prb_start, prb_stop, n_blocks)
-    received = power[:, None] * (gain[:, None] * fading)
+    received = (power * gain)[:, None] * fading
     last = np.append(link[1:] != link[:-1], True)
     own = np.flatnonzero(last)
     peer = np.flatnonzero(~last)
@@ -223,9 +234,8 @@ def achievable_information(power: np.ndarray, gain: np.ndarray, fading: np.ndarr
     for q in range(rank.max() + 1 if rank.size else 0):
         sel = rank == q
         interference[link[peer[sel]]] += hit[sel]
-    weights = np.repeat(slots[own].astype(float), k_sc, axis=1)
     return kernels.capacity_bits(received[own], interference, subcarrier_noise_power(cfg),
-                                 weights, cfg.spectral_efficiency,
+                                 slots[own], cfg.spectral_efficiency,
                                  cfg.subcarrier_bandwidth, cfg.prb_duration)
 
 

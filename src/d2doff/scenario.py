@@ -8,6 +8,7 @@ y=lane_offset.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from collections import defaultdict
@@ -110,6 +111,8 @@ class World:
         self.table = VehicleTable()
         self.vehicles: dict[int, Vehicle] = {}
         self.holders: dict[int, set[int]] = defaultdict(set)   # content -> vehicle ids
+        # heap of (next_expiry, vehicle id); stale entries are skipped when popped
+        self._expiry: list[tuple[float, int]] = []
         self.content_cdf = zipf_cdf(cfg.zipf_alpha, cfg.library_size)
         self.enb_x = np.asarray(cfg.enb_positions)
         self._next_vid = 0
@@ -211,6 +214,7 @@ class World:
             if zs:
                 veh.cache = {zi: t - next(u) * w + cfg.sharing_timeout for zi in zs}
                 veh.next_expiry = min(veh.cache.values())
+                heapq.heappush(self._expiry, (veh.next_expiry, veh.id))
                 for zi in zs:
                     self.holders[zi].add(veh.id)
 
@@ -223,11 +227,14 @@ class World:
             veh.cache[z] = expiry
             if expiry < veh.next_expiry:
                 veh.next_expiry = expiry
+                heapq.heappush(self._expiry, (expiry, vid))
         self.holders[z].add(vid)
 
     def evict_expired(self, t: float) -> None:
-        for veh in self.vehicles.values():
-            if veh.next_expiry > t:
+        while self._expiry and self._expiry[0][0] <= t:
+            due, vid = heapq.heappop(self._expiry)
+            veh = self.vehicles.get(vid)
+            if veh is None or veh.next_expiry != due:
                 continue
             dead = [z for z, exp in veh.cache.items() if exp <= t]
             for z in dead:
@@ -236,6 +243,8 @@ class World:
                 if hs is not None:
                     hs.discard(veh.id)
             veh.next_expiry = min(veh.cache.values(), default=math.inf)
+            if veh.cache:
+                heapq.heappush(self._expiry, (veh.next_expiry, vid))
 
     def _forget_vehicle(self, vid: int) -> None:
         veh = self.vehicles.pop(vid)

@@ -69,6 +69,14 @@ def slow_traffic_runs():
             for policy in ("optimal", "cellular")}
 
 
+# Criterion 4's runs are five times as long as the others.  Over 600 s the
+# pooled tail KS of five seed triples (base seeds 3000-3012) read
+# 0.028-0.047, and 0.016-0.059 on an earlier random stream, so the 0.05
+# bound sat inside its own seed-to-seed spread; over 3000 s it reads
+# 0.017-0.029.
+VALIDATION_DURATION = 3000.0
+
+
 @pytest.fixture(scope="module")
 def validation_scenario_distances():
     """Pooled D2D delivery distances for the wide-range slow scenario."""
@@ -76,7 +84,7 @@ def validation_scenario_distances():
                          content_timeout=20.0)
     dists = []
     for i in range(N_RUNS):
-        m = engine.run(cfg, "optimal", DURATION, WARMUP, seed=3000 + i).metrics
+        m = engine.run(cfg, "optimal", VALIDATION_DURATION, WARMUP, seed=3000 + i).metrics
         dists.extend(m.d2d_distances)
     return cfg, np.asarray(dists)
 

@@ -226,9 +226,15 @@ def _ref_slots(start, stop, n_blocks):
 
 
 def _ref_realize(model, nominal, shadow_db, rng):
-    n = model.cfg.n_taps
-    taps = model._amps * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    h = np.einsum("ij,j->i", model._phases, taps)
+    """The link's gains on one fading block: the direct sum of the taps of
+    an exponential power-delay profile on delays spaced delay_spread / 2."""
+    cfg = model.cfg
+    delays = np.arange(cfg.n_taps) * (cfg.delay_spread / 2.0)
+    powers = np.exp(-delays / cfg.delay_spread)
+    amps = np.sqrt(powers / powers.sum() / 2.0)
+    taps = amps * (rng.standard_normal(cfg.n_taps) + 1j * rng.standard_normal(cfg.n_taps))
+    freqs = np.arange(cfg.freq_blocks * cfg.subcarriers_per_prb) * cfg.subcarrier_bandwidth
+    h = np.einsum("ij,j->i", np.exp(-2j * np.pi * np.outer(freqs, delays)), taps)
     return float(nominal) * 10.0 ** (shadow_db / 10.0) * np.abs(h) ** 2
 
 
@@ -238,8 +244,8 @@ def _ref_shadow_db(field, x_tx, x_rx):
 
 
 def _ref_information(cfg, own_power, own_gains, interferers, prb_range):
+    """Each block's subcarrier rates summed, then weighted by its slots."""
     n_blocks, k_sc = cfg.freq_blocks, cfg.subcarriers_per_prb
-    weights = np.repeat(_ref_slots(*prb_range, n_blocks).astype(float), k_sc)
     signal = own_power * own_gains
     interference = np.zeros_like(signal)
     for p_i, gains_i, lo, hi in interferers:
@@ -247,7 +253,9 @@ def _ref_information(cfg, own_power, own_gains, interferers, prb_range):
         interference += p_i * gains_i * mask
     sinr = signal / (phy.subcarrier_noise_power(cfg) + interference)
     rate = np.minimum(cfg.spectral_efficiency, np.log2(1.0 + sinr))
-    return float(cfg.prb_duration * cfg.subcarrier_bandwidth * np.sum(weights * rate))
+    block_rate = rate.reshape(n_blocks, k_sc).sum(axis=1)
+    return float(cfg.prb_duration * cfg.subcarrier_bandwidth
+                 * np.sum(_ref_slots(*prb_range, n_blocks) * block_rate))
 
 
 class ReferenceEngine(engine.Engine):

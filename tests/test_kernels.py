@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d2doff import kernels
+from d2doff import kernels, phy
 
 finite = st.floats(allow_nan=False, allow_infinity=False,
                    min_value=-1e6, max_value=1e6)
@@ -150,21 +150,21 @@ class TestMinDistance:
 
 
 class TestCapacity:
-    def _inputs(self, rng, n=720):
-        signal = rng.uniform(1e-16, 1e-12, n)
-        interference = rng.uniform(0.0, 1e-13, n)
-        weights = rng.integers(0, 3, n).astype(float)
-        return signal, interference, weights
+    def _inputs(self, rng, n_blocks=60, k_sc=12):
+        signal = rng.uniform(1e-16, 1e-12, n_blocks * k_sc)
+        interference = rng.uniform(0.0, 1e-13, n_blocks * k_sc)
+        slots = rng.integers(0, 3, n_blocks)
+        return signal, interference, slots
 
     def test_rows_are_independent(self, rng):
-        signal, interference, weights = (np.stack(a) for a in zip(
+        signal, interference, slots = (np.stack(a) for a in zip(
             *(self._inputs(rng) for _ in range(5))))
-        rows = kernels.capacity_bits(signal, interference, 5.97e-16, weights,
+        rows = kernels.capacity_bits(signal, interference, 5.97e-16, slots,
                                      6.0, 15e3, 5e-4)
         assert rows.shape == (5,)
         assert rows.tolist() == [
             kernels.capacity_bits(s, i, 5.97e-16, w, 6.0, 15e3, 5e-4)
-            for s, i, w in zip(signal, interference, weights)]
+            for s, i, w in zip(signal, interference, slots)]
 
     def test_cap_binds(self):
         signal = np.array([1.0])
@@ -173,12 +173,26 @@ class TestCapacity:
         assert out == pytest.approx(6.0 * 15e3 * 5e-4, rel=1e-12)
 
     def test_interference_reduces_rate(self, rng):
-        signal, _, weights = self._inputs(rng)
+        signal, _, slots = self._inputs(rng)
         clean = kernels.capacity_bits(signal, np.zeros_like(signal), 5.97e-16,
-                                      weights, 6.0, 15e3, 5e-4)
+                                      slots, 6.0, 15e3, 5e-4)
         noisy = kernels.capacity_bits(signal, signal, 5.97e-16,
-                                      weights, 6.0, 15e3, 5e-4)
+                                      slots, 6.0, 15e3, 5e-4)
         assert noisy < clean
+
+    def test_block_sums_match_subcarrier_sum(self, rng):
+        # slots of random partial PRB ranges over 60 blocks of 12 subcarriers
+        n, n_blocks, k_sc = 200, 60, 12
+        signal = rng.uniform(1e-16, 1e-12, (n, n_blocks * k_sc))
+        interference = rng.uniform(0.0, 1e-13, (n, n_blocks * k_sc))
+        start = rng.integers(0, 8000, n)
+        slots = phy.slots_per_block(start, start + rng.integers(1, 400, n), n_blocks)
+        got = kernels.capacity_bits(signal, interference, 5.97e-16, slots,
+                                    6.0, 15e3, 5e-4)
+        rate = np.minimum(6.0, np.log2(1.0 + signal / (5.97e-16 + interference)))
+        weights = np.repeat(slots, k_sc, axis=1)
+        np.testing.assert_allclose(got, 5e-4 * 15e3 * np.sum(weights * rate, axis=1),
+                                   rtol=1e-12, atol=0.0)
 
 
 class TestPoissonMixture:

@@ -496,8 +496,12 @@ class TestTickWideScheduling:
 class TestPendingOrder:
     @pytest.mark.parametrize("name", ["optimal", "benchmark", "cellular"])
     def test_insertion_order_is_id_order_under_overload(self, name):
-        # at lambda = 2 links are pruned and their requests offered again
-        eng = engine.run(_lam_config(2.0), name, 30.0, 10.0, seed=5)
+        # at lambda = 2 on a 10-PRB band the grid holds about two contents
+        # per reuse set, so links are pruned at any seed and their requests
+        # offered again
+        cfg = _lam_config(2.0)
+        cfg = dataclasses.replace(cfg, phy=dataclasses.replace(cfg.phy, system_bandwidth=1.8e6))
+        eng = engine.run(cfg, name, 30.0, 10.0, seed=5)
         assert eng.metrics.pruned_links > 0
         assert len(eng.policy.pending) > 0
         assert list(eng.policy.pending) == sorted(eng.policy.pending)

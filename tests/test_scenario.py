@@ -227,6 +227,12 @@ class TestCaches:
         world.add_cache(veh.id, 3, expiry=50.0)
         world.add_cache(veh.id, 3, expiry=40.0)
         assert veh.cache[3] == 50.0
+        # a renewed copy lives to its new expiry
+        world.add_cache(veh.id, 3, expiry=80.0)
+        world.evict_expired(60.0)
+        assert veh.cache[3] == 80.0
+        world.evict_expired(80.0)
+        assert 3 not in veh.cache and world.holders[3] == set()
 
     def test_exit_releases_holdership(self, world):
         veh = world._new_vehicle(0.0, 15.0)
