@@ -347,10 +347,8 @@ def cmd_validate(args) -> int:
               ["x0", "v_a", "ks", "atom0_analytic", "atom0_mc",
                "atomx_analytic", "atomx_mc"], rows)
 
-    law = analytic.lane_offset_transform(
-        analytic.unconditional_effective_distance_law(params),
-        params.lane_offset, params.same_lane_probability)
-    print("effective-law atoms:",
+    law = analytic.lane_aware_delivery_law(params)
+    print("lane-aware law atoms:",
           ", ".join(f"r={loc:g}: {mass:.4f}" for loc, mass in law.atoms))
 
     if args.duration > 0:
@@ -359,7 +357,7 @@ def cmd_validate(args) -> int:
         if d.size:
             print(f"simulation: {d.size} D2D deliveries, "
                   f"short-range mass (r <= 20) {np.mean(d <= 20.0):.3f} "
-                  f"(analytic atoms {law.total_atom_mass:.3f})")
+                  f"(lane-aware law atoms {law.total_atom_mass:.3f})")
 
     if worst > args.threshold:
         raise ValidationFailure(

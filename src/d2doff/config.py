@@ -90,7 +90,6 @@ class PhyConfig:
     center_frequency: float = 2.3e9        # Hz
     subcarrier_bandwidth: float = 15e3     # Hz
     subcarriers_per_prb: int = 12
-    prb_bandwidth: float = 180e3           # Hz
     prb_duration: float = 5e-4             # s
     system_bandwidth: float = 10.8e6       # Hz
     noise_psd_dbm_hz: float = -174.0
@@ -109,14 +108,14 @@ class PhyConfig:
     gain_d2d: GainModel = field(default_factory=lambda: GainModel(extra_loss_db=5.0))
 
     def validate(self) -> None:
-        for name in ("center_frequency", "subcarrier_bandwidth", "prb_bandwidth",
+        for name in ("center_frequency", "subcarrier_bandwidth",
                      "prb_duration", "spectral_efficiency", "shadowing_decorrelation"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be > 0")
+        if self.subcarriers_per_prb < 1:
+            raise ConfigError("subcarriers_per_prb must be >= 1")
         if not self.system_bandwidth / self.prb_bandwidth > 0.5:  # freq_blocks >= 1
             raise ConfigError("system_bandwidth must hold at least one PRB")
-        if abs(self.subcarriers_per_prb * self.subcarrier_bandwidth - self.prb_bandwidth) > 1e-6:
-            raise ConfigError("subcarriers_per_prb * subcarrier_bandwidth must equal prb_bandwidth")
         if not (0.0 < self.fec_rate <= 1.0):
             raise ConfigError("fec_rate must be in (0, 1]")
         if self.link_margin_i2d_db <= 0.0 or self.link_margin_d2d_db <= 0.0:
@@ -129,6 +128,11 @@ class PhyConfig:
             raise ConfigError("harq_attempts must be >= 1")
         self.gain_i2d.validate()
         self.gain_d2d.validate()
+
+    @property
+    def prb_bandwidth(self) -> float:
+        """Bandwidth of one PRB (Hz)."""
+        return self.subcarriers_per_prb * self.subcarrier_bandwidth
 
     @property
     def freq_blocks(self) -> int:

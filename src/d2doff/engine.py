@@ -76,8 +76,12 @@ class Engine:
         self.channel = phy.ChannelModel(cfg.phy)
         self.shadow = phy.ShadowingField(sc.street_length, cfg.phy, self.rng)
         self.n_prbs = phy.prbs_required(cfg.phy)
-        self.slots = int(round(sc.control_interval / cfg.phy.prb_duration))
-        self.capacity = cfg.phy.freq_blocks * self.slots
+        blocks = cfg.phy.freq_blocks
+        self.capacity = blocks * int(round(sc.control_interval / cfg.phy.prb_duration))
+        # slots of PRB slice k in each frequency block: row k mod len(), as
+        # the row depends only on k * n_prbs mod blocks
+        first = np.arange(blocks // math.gcd(self.n_prbs, blocks)) * self.n_prbs
+        self._slice_slots = phy.slots_per_block(first, first + self.n_prbs, blocks)
         self.metrics = MetricsAccumulator()
         # exclusive-spectrum-use region: the first three cells
         self.n_region = min(3, len(sc.enb_positions))
@@ -171,41 +175,38 @@ class Engine:
             in_region = np.where(links.is_i2d, links.enb < self.n_region,
                                  links.tx_x <= self.region_x_max)
             self.metrics.occupancy_samples.append(
-                rrrm.spectrum_occupancy(placed, self.capacity, in_region))
+                rrrm.spectrum_occupancy(placed, self.capacity, self.n_prbs, in_region))
 
         self._transmit_tick(links, reqs, placed, gains, nominal, powers, t, measuring)
 
     def _transmit_tick(self, links: rrrm.Links, reqs: list, placed: rrrm.Placement,
                        gains: np.ndarray, nominal: np.ndarray, powers: np.ndarray,
                        t: float, measuring: bool) -> None:
-        """Every placed link's HARQ attempts, in order of (set, first PRB,
-        link index); reqs[i] is link i's request.  gains, nominal, powers:
+        """Every placed link's HARQ attempts, in order of (PRB slice, link
+        index); reqs[i] is link i's request.  gains, nominal, powers:
         the tick's ``rrrm.interference_matrix`` and ``rrrm.link_powers``.
 
-        A link's receiver hears one channel from each peer of its set that
-        shares PRBs with it, in placement order, then its own.  These rows
-        take fading blocks in draw order, all links' rows in link order.  A
-        retry takes the block after its link's last one, so every later row
-        moves one block on; blocks are drawn only once a row needs them."""
+        A link's receiver hears one channel from each peer that shares its
+        slice, in placement order, then its own.  These rows take fading
+        blocks in draw order, all links' rows in link order.  A retry takes
+        the block after its link's last one, so every later row moves one
+        block on; blocks are drawn only once a row needs them."""
         if not placed:
             return
         cfg = self.cfg
         n = len(placed)
-        lid, set_id = placed.link, placed.set_id
-        start, stop = placed.prb_start, placed.prb_stop
+        lid, slice_id = placed.link, placed.slice_id
         energies = phy.content_energy(powers, cfg.phy)
-        order = np.lexsort((lid, start, set_id))
+        order = np.lexsort((lid, slice_id))
         # hears[f, j]: placed link j shares PRBs with the f-th link to transmit
-        hears = ((set_id[order, None] == set_id)
-                 & (np.minimum(stop[order, None], stop) > np.maximum(start[order, None], start)))
+        hears = slice_id[order, None] == slice_id
         hears[np.arange(n), order] = False
         # rows in draw order; column n is the link's own channel
         row_link, col = np.nonzero(np.column_stack([hears, np.ones(n, dtype=bool)]))
         own = np.flatnonzero(col == n)
         rx = order[row_link]
         tx = np.where(col == n, rx, col)
-        row_start = np.maximum(start[rx], start[tx])
-        row_stop = np.minimum(stop[rx], stop[tx])
+        slots = self._slice_slots[slice_id[order] % len(self._slice_slots)]
         row_power = powers[lid[tx]]
         shadow_db = self.shadow.link_shadow_db(links.tx_x[lid[tx]], links.rx_x[lid[rx]])
         gain = phy.mean_gain(np.where(col == n, nominal[lid[rx]], gains[lid[tx], lid[rx]]),
@@ -226,7 +227,7 @@ class Engine:
             rows = slice(b[0], b[-1] + 1) if b[-1] - b[0] == r1 - r0 - 1 else b
             return phy.achievable_information(
                 row_power[r0:r1], gain[r0:r1], fading[rows], row_link[r0:r1] - first,
-                row_start[r0:r1], row_stop[r0:r1], cfg.phy)
+                slots[first:stop_link], cfg.phy)
 
         info = information(0, n)
         current = n                           # info[f] holds for f < current

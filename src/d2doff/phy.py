@@ -202,40 +202,32 @@ def slots_per_block(start, stop, n_blocks: int) -> np.ndarray:
 
 
 def achievable_information(power: np.ndarray, gain: np.ndarray, fading: np.ndarray,
-                           link: np.ndarray, prb_start: np.ndarray,
-                           prb_stop: np.ndarray, cfg: PhyConfig) -> np.ndarray:
-    """Achievable bits of each of a tick's links over its PRBs.
+                           link: np.ndarray, slots: np.ndarray,
+                           cfg: PhyConfig) -> np.ndarray:
+    """Achievable bits of each of a tick's links over its PRB slice.
 
     One row per channel that a receiver hears.  ``link`` numbers the
     links from 0 and groups their rows in ascending order; the last row
-    of a group is the link's own channel, the others interfere with it.
-    power: per-subcarrier transmit power; gain: ``mean_gain`` of the row;
-    fading: the row's |H|^2 per subcarrier; [prb_start, prb_stop): the
-    link's PRBs that the row's transmitter uses, all of them for the own
-    row, the overlap for an interferer.  Interference is applied on
-    every slot of the frequency blocks its overlap touches, and summed in
-    row order; in practice overlapping allocations are either identical
-    or disjoint, making this exact.
+    of a group is the link's own channel, the others share its slice and
+    interfere with it, summed in row order.  power: per-subcarrier
+    transmit power; gain: ``mean_gain`` of the row; fading: the row's
+    |H|^2 per subcarrier; slots: per link, the slots of its slice in each
+    frequency block (``slots_per_block``).  A block the slice misses
+    weighs 0, whatever the interference there.
     """
-    n_blocks, k_sc = cfg.freq_blocks, cfg.subcarriers_per_prb
-    slots = slots_per_block(prb_start, prb_stop, n_blocks)
     received = (power * gain)[:, None] * fading
     last = np.append(link[1:] != link[:-1], True)
     own = np.flatnonzero(last)
     peer = np.flatnonzero(~last)
-    hit = received[peer]
-    covered = slots[peer] > 0
-    if not covered.all():
-        hit = (hit.reshape(-1, n_blocks, k_sc) * covered[:, :, None]).reshape(hit.shape)
     # the q-th interferers of all links at once, so each link sums its own
     # in row order
     rank = peer - np.append(0, own[:-1] + 1)[link[peer]]
-    interference = np.zeros((own.size, n_blocks * k_sc))
+    interference = np.zeros((own.size, received.shape[1]))
     for q in range(rank.max() + 1 if rank.size else 0):
-        sel = rank == q
-        interference[link[peer[sel]]] += hit[sel]
+        sel = peer[rank == q]
+        interference[link[sel]] += received[sel]
     return kernels.capacity_bits(received[own], interference, subcarrier_noise_power(cfg),
-                                 slots[own], cfg.spectral_efficiency,
+                                 slots, cfg.spectral_efficiency,
                                  cfg.subcarrier_bandwidth, cfg.prb_duration)
 
 

@@ -9,6 +9,10 @@ it, while far-apart base stations and device links reuse the same PRBs.
 When the pools overflow the per-interval grid, only the longest prefix
 of the priority order (infrastructure first, then device links closest
 to their deadline) that fits is placed; the rest is pruned.
+
+Every placed link gets exactly one slice of the grid: slice k is PRBs
+[k n_prbs, (k + 1) n_prbs), n_prbs being one content's worth.  So two
+placed links share PRBs exactly when they share a slice, and else none.
 """
 
 from __future__ import annotations
@@ -47,12 +51,11 @@ class Links:
 @dataclass
 class Placement:
     """The placed links of a tick, by reuse set and then priority: the
-    link's index into ``Links``, its set and its PRBs [prb_start, prb_stop)."""
+    link's index into ``Links``, its set and its PRB slice."""
 
     link: np.ndarray
     set_id: np.ndarray
-    prb_start: np.ndarray
-    prb_stop: np.ndarray
+    slice_id: np.ndarray
 
     def __len__(self) -> int:
         return self.link.size
@@ -136,10 +139,11 @@ def partition_rrr_sets(links: Links, gains: np.ndarray, powers: np.ndarray,
 
 def allocate_prbs(sets: list[list[int]], links: Links, order: np.ndarray,
                   grid_capacity: int, n_prbs: int) -> tuple[Placement, list[int]]:
-    """Lay the set pools of ``partition_rrr_sets`` contiguously on the PRB
-    grid, in set order.  Within a set, infrastructure links of one eNB
-    stack on consecutive ``n_prbs`` slices (exclusive), different eNBs
-    restart at slice 0 (reuse), and device links all share slice 0.
+    """Lay the set pools of ``partition_rrr_sets`` contiguously on the
+    grid's slices, in set order.  Within a set, infrastructure links of
+    one eNB stack on consecutive slices (exclusive), different eNBs
+    restart at the pool's first slice (reuse), and device links all
+    share that slice.
 
     A link's slice depends only on the links before it in priority
     ``order``, so demand never falls as links are added: the longest
@@ -166,20 +170,16 @@ def allocate_prbs(sets: list[list[int]], links: Links, order: np.ndarray,
         slice_of[i] = k
     pool_base = [0, *itertools.accumulate(n_slices)]
     link = [i for members in sets for i in members if i in slice_of]
-    start = np.array([(pool_base[set_of[i]] + slice_of[i]) * n_prbs for i in link],
-                     dtype=np.int64)
     return (Placement(link=np.array(link, dtype=np.int64),
                       set_id=np.array([set_of[i] for i in link], dtype=np.int64),
-                      prb_start=start, prb_stop=start + n_prbs),
+                      slice_id=np.array([pool_base[set_of[i]] + slice_of[i] for i in link],
+                                        dtype=np.int64)),
             order[len(slice_of):][::-1])
 
 
-def spectrum_occupancy(placement: Placement, grid_capacity: int,
+def spectrum_occupancy(placement: Placement, grid_capacity: int, n_prbs: int,
                        in_region: np.ndarray) -> float:
     """Fraction of the PRB grid used by at least one transmitter inside
-    the exclusive-spectrum-use region; ``in_region`` flags each link.
-    ``allocate_prbs`` places whole slices of one grid, so two placed PRB
-    ranges either coincide or are disjoint."""
-    sel = in_region[placement.link]
-    used = dict(zip(placement.prb_start[sel].tolist(), placement.prb_stop[sel].tolist()))
-    return sum(stop - start for start, stop in used.items()) / grid_capacity
+    the exclusive-spectrum-use region; ``in_region`` flags each link."""
+    used = np.unique(placement.slice_id[in_region[placement.link]])
+    return used.size * n_prbs / grid_capacity

@@ -45,33 +45,15 @@ class VehicleTable:
         for name, col in list(vars(self).items()):
             setattr(self, name, col[mask])
 
-    def row(self, vid: int) -> int:
-        i = int(np.searchsorted(self.id, vid))
-        if i == self.id.size or self.id[i] != vid:
-            raise KeyError(f"vehicle {vid} is not on the table")
-        return i
-
-
-def _column(name: str) -> property:
-    return property(lambda veh: getattr(veh.table, name)[veh.table.row(veh.id)].item(),
-                    doc=f"The vehicle's ``{name}``, read from its table row.")
-
 
 @dataclass(eq=False)
 class Vehicle:
-    """A vehicle's cache.  Its kinematics are read from its row of the
-    world's ``VehicleTable`` while it is on the road."""
+    """A vehicle's cache.  Its kinematics are its row of the world's
+    ``VehicleTable`` while it is on the road."""
 
     id: int
-    table: VehicleTable = field(repr=False)
     cache: dict[int, float] = field(default_factory=dict)  # content -> expiry
     next_expiry: float = math.inf  # no cache entry expires before this
-
-    entry_time = _column("entry_time")
-    speed = _column("speed")
-    entry_point = _column("entry_point")
-    lane = _column("lane")
-    exit_time = _column("exit_time")
 
 
 PENDING = "pending"
@@ -91,7 +73,7 @@ class ContentRequest:
     deadline: float
     state: str = PENDING
     provider_id: int | None = None
-    planned_tick: int | None = None
+    planned_tick: float | None = None  # the tick's time (s)
     delta_hat: float = math.inf
     attempts: int = 0
 
@@ -143,7 +125,7 @@ class World:
             lane=np.where(forward, FORWARD, BACKWARD).astype(np.int64),
             exit_time=entry_times + cfg.street_length / np.abs(speeds))
         self.table.append(rows)
-        out = [Vehicle(vid, self.table) for vid in range(vid0, self._next_vid)]
+        out = [Vehicle(vid) for vid in range(vid0, self._next_vid)]
         self.vehicles.update((veh.id, veh) for veh in out)
         return out
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d2doff import cli
+from d2doff import analytic, cli
+from d2doff.analytic import AnalyticParams
 from d2doff.cli import main, point_seed, read_csv, write_csv
 from d2doff.config import Config, ConfigError
 
@@ -279,6 +280,20 @@ class TestValidate:
                        "--samples", "2000", "--duration", "0",
                        "--threshold", "0.0", "--seed", "4")
         assert code == 3
+
+    def test_reports_the_lane_aware_law(self, tmp_path, capsys):
+        # the simulator's short-range mass is set beside the atoms of the
+        # law criterion 4 checks it against
+        law = analytic.lane_aware_delivery_law(
+            AnalyticParams.from_config(Config(), with_energy=False))
+        code = run_cli("validate", "--out", str(tmp_path / "o"), "--samples", "200",
+                       "--threshold", "1.0", "--duration", "60", "--warmup", "60",
+                       "--seed", "4")
+        assert code == 0
+        out = capsys.readouterr().out
+        atoms = ", ".join(f"r={loc:g}: {mass:.4f}" for loc, mass in law.atoms)
+        assert f"lane-aware law atoms: {atoms}\n" in out
+        assert f"(lane-aware law atoms {law.total_atom_mass:.3f})\n" in out
 
     def test_bad_samples_is_config_error(self, tmp_path):
         code = run_cli("validate", "--out", str(tmp_path / "o"),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d2doff.config import (Config, ConfigError, GainModel, ScenarioConfig,
+from d2doff.config import (Config, ConfigError, GainModel, PhyConfig, ScenarioConfig,
                            config_from_dict, config_to_dict, load_config)
 
 
@@ -31,6 +31,10 @@ class TestValidation:
     def test_enb_positions_sorted(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(enb_positions=(600.0, 0.0)).validate()
+
+    def test_prb_bandwidth_is_derived(self):
+        assert PhyConfig().prb_bandwidth == 180e3
+        assert PhyConfig(subcarriers_per_prb=6, subcarrier_bandwidth=30e3).freq_blocks == 60
 
 
 class TestLoading:
@@ -103,6 +107,7 @@ class TestTypedValues:
         {"analytic": {"dv": 0.01}},
         {"analytic": {"mean_count_variant": "region"}},
         {"phy": {"gain_i2d": [2.2]}},
+        {"phy": {"prb_bandwidth": 180e3}},  # derived from the subcarriers
     ])
     def test_more_rejected(self, data):
         with pytest.raises(ConfigError):
@@ -133,7 +138,7 @@ UNRUNNABLE = [
     {"phy": {"prb_duration": 0.0}},
     {"phy": {"shadowing_decorrelation": 0.0}},
     {"phy": {"center_frequency": 0.0}},
-    {"phy": {"subcarriers_per_prb": 0, "prb_bandwidth": 0.0}},
+    {"phy": {"subcarriers_per_prb": 0}},
     {"scenario": {"control_interval": 1e-4}},
 ]
 

@@ -269,9 +269,9 @@ class ReferenceEngine(engine.Engine):
     def _transmit_tick(self, links, reqs, placed, gains, nominal, powers,
                        t, measuring):
         energies = phy.content_energy(powers, self.cfg.phy)
-        # (link, set, prb_start, prb_stop) of every placed link
-        rows = list(zip(placed.link.tolist(), placed.set_id.tolist(),
-                        placed.prb_start.tolist(), placed.prb_stop.tolist()))
+        # (link, set, prb_start, prb_stop) of every placed link, from its slice
+        rows = [(i, s, k * self.n_prbs, (k + 1) * self.n_prbs) for i, s, k in zip(
+            placed.link.tolist(), placed.set_id.tolist(), placed.slice_id.tolist())]
         by_set = {}
         for row in rows:
             by_set.setdefault(row[1], []).append(row)
@@ -365,16 +365,15 @@ class TestTickWideTransmission:
     """The tick-wide transmission step against the per-link reference, on a
     2 dB link margin that makes a fifth or more of first attempts fail."""
 
-    @pytest.mark.parametrize("lam", [1.0, 2.0])
-    @pytest.mark.parametrize("harq", [1, 2, 4])
-    @pytest.mark.parametrize("policy", ["optimal", "benchmark", "cellular"])
-    def test_matches_reference(self, lam, harq, policy):
+    @staticmethod
+    def _compare(policy, lam, **phy):
+        """Run both engines; returns the new one and its counts."""
         base = Config()
         cfg = dataclasses.replace(
             base,
             scenario=dataclasses.replace(base.scenario, vehicle_arrival_rate=lam),
             phy=dataclasses.replace(base.phy, link_margin_i2d_db=2.0,
-                                    link_margin_d2d_db=2.0, harq_attempts=harq))
+                                    link_margin_d2d_db=2.0, **phy))
         ref, ref_reqs, _ = _run_recorded(ReferenceEngine, cfg, policy, 11)
         new, new_reqs, counts = _run_recorded(engine.Engine, cfg, policy, 11)
         assert ref.first_failures >= 0.2 * ref.first_attempts > 0
@@ -383,6 +382,13 @@ class TestTickWideTransmission:
             [(r.id, r.state, r.attempts) for r in new_reqs]
         assert ref.rng.bit_generator.state == new.rng.bit_generator.state
         assert counts["ticks"] > 0
+        return new, counts
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    @pytest.mark.parametrize("harq", [1, 2, 4])
+    @pytest.mark.parametrize("policy", ["optimal", "benchmark", "cellular"])
+    def test_matches_reference(self, lam, harq, policy):
+        new, counts = self._compare(policy, lam, harq_attempts=harq)
         if harq == 1:
             # one draw per transmitting tick
             assert counts["draws"] == counts["ticks"]
@@ -390,6 +396,15 @@ class TestTickWideTransmission:
             # retries drew blocks past some tick's first draw
             assert new.metrics.failed_attempts > 0
             assert counts["draws"] > counts["ticks"]
+
+    @pytest.mark.parametrize("n_prbs", [8, 200])
+    @pytest.mark.parametrize("policy", ["optimal", "benchmark", "cellular"])
+    def test_matches_reference_on_part_of_the_band(self, n_prbs, policy):
+        # a payload of 432 n - 100 bits takes n PRBs: a slice holds 3 or 4
+        # slots of each of the 60 frequency blocks (n = 200), or misses 52
+        # of them (n = 8), where the reference masks the interference
+        new, _ = self._compare(policy, 1.0, payload_bits=432.0 * n_prbs - 100.0)
+        assert new.n_prbs == n_prbs
 
 
 class TestDistancePdf:

@@ -213,12 +213,13 @@ def _reference_information(cfg, rows):
     return float(cfg.prb_duration * cfg.subcarrier_bandwidth * np.sum(slots * block_rate))
 
 
-def _information(cfg, rows):
-    """achievable_information of one link from (power, gain, fading, prb
-    start, prb stop) rows, interferers first."""
-    power, gain, fading, lo, hi = (np.array(c) for c in zip(*rows))
+def _information(cfg, rows, start=0, stop=8000):
+    """achievable_information of one link on PRBs [start, stop) from
+    (power, gain, fading) rows, interferers first."""
+    power, gain, fading = (np.array(c) for c in zip(*rows))
+    slots = phy.slots_per_block(start, stop, cfg.freq_blocks)[None]
     info = phy.achievable_information(power, gain, fading, np.zeros(len(rows), dtype=int),
-                                      lo, hi, cfg)
+                                      slots, cfg)
     assert info.shape == (1,)
     return info[0]
 
@@ -247,7 +248,7 @@ class TestCapacity:
         own_p = phy.tx_power_for_link(phy.D2D, r, cfg)
         g = float(phy.nominal_gain(phy.D2D, np.array([r]), cfg)[0])
         flat = np.ones(model.n_subcarriers)
-        info = _information(cfg, [(own_p, g, flat, 0, 8000)])
+        info = _information(cfg, [(own_p, g, flat)])
         assert phy.transmission_success(info, cfg)
         # at the capacity cap: 8000 PRBs * 12 subcarriers * cap * wc * tau
         assert info == pytest.approx(8000 * 12 * 6.0 * 15e3 * 5e-4, rel=1e-12)
@@ -258,36 +259,23 @@ class TestCapacity:
         own_p = phy.tx_power_for_link(phy.D2D, r, cfg)
         g = float(phy.nominal_gain(phy.D2D, np.array([r]), cfg)[0])
         flat = np.ones(model.n_subcarriers)
-        info = _information(cfg, [(own_p, g * 1e3, flat, 0, 8000),
-                                  (own_p, g, flat, 0, 8000)])
+        info = _information(cfg, [(own_p, g * 1e3, flat), (own_p, g, flat)])
         assert not phy.transmission_success(info, cfg)
-
-    def test_disjoint_interferer_is_harmless(self, cfg):
-        r = 80.0
-        own_p = phy.tx_power_for_link(phy.D2D, r, cfg)
-        g = float(phy.nominal_gain(phy.D2D, np.array([r]), cfg)[0])
-        flat = np.ones(Config().phy.freq_blocks * 12)
-        # overlap [8000*k, ...) in a disjoint block range only when the
-        # two pools never share a frequency block
-        clean = _information(cfg, [(own_p, g, flat, 0, 60)])
-        hit = _information(cfg, [(own_p, g * 1e3, flat, 60, 120),
-                                 (own_p, g, flat, 0, 60)])
-        assert hit < clean  # same blocks are reused within one 120-PRB frame
 
     def test_links_of_a_tick_match_one_at_a_time(self, cfg, rng):
         # links with 0-4 interferers as strong as their own signal, so that
-        # rates stay below the cap, each on a random PRB range
+        # rates stay below the cap, each link's rows on one random PRB
+        # range, some of them narrower than the band
         n_sc = cfg.freq_blocks * cfg.subcarriers_per_prb
-        links = []
+        links, slots = [], []
         for n_peers in (2, 0, 4, 1, 0, 3):
-            rows = []
-            for _ in range(n_peers + 1):
-                lo = int(rng.integers(0, 8000))
-                rows.append((rng.uniform(1e-4, 1e-3), rng.uniform(1e-11, 1e-10),
-                             rng.exponential(1.0, n_sc), lo,
-                             lo + int(rng.integers(1, 9000))))
-            links.append(rows)
-        power, gain, fading, lo, hi = (np.array(c) for c in zip(*sum(links, [])))
+            lo = int(rng.integers(0, 8000))
+            hi = lo + int(rng.integers(1, 100 if n_peers % 2 else 9000))
+            links.append([(rng.uniform(1e-4, 1e-3), rng.uniform(1e-11, 1e-10),
+                           rng.exponential(1.0, n_sc), lo, hi)
+                          for _ in range(n_peers + 1)])
+            slots.append(phy.slots_per_block(lo, hi, cfg.freq_blocks))
+        power, gain, fading, _, _ = (np.array(c) for c in zip(*sum(links, [])))
         link = np.repeat(np.arange(len(links)), [len(rows) for rows in links])
-        info = phy.achievable_information(power, gain, fading, link, lo, hi, cfg)
+        info = phy.achievable_information(power, gain, fading, link, np.array(slots), cfg)
         assert info.tolist() == [_reference_information(cfg, rows) for rows in links]

@@ -13,6 +13,8 @@ from d2doff.policies import (BenchmarkPolicy, CellularPolicy, OptimalPolicy,
                              make_policy)
 from d2doff.scenario import PENDING, SCHEDULED, ContentRequest, World
 
+from test_scenario import kinematics
+
 
 @pytest.fixture()
 def world(rng):
@@ -308,7 +310,7 @@ def _ref_holders_of(world, req):
 
 def _ref_distance(world, vid_a, vid_b, t):
     """Distance between two vehicles' lane axes, from their entry points."""
-    va, vb = world.vehicles[vid_a], world.vehicles[vid_b]
+    va, vb = kinematics(world, vid_a), kinematics(world, vid_b)
     dx = ((va.entry_point + va.speed * (t - va.entry_time))
           - (vb.entry_point + vb.speed * (t - vb.entry_time)))
     return abs(dx) if va.lane == vb.lane else math.hypot(dx, world.cfg.lane_offset)

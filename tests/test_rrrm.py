@@ -45,14 +45,15 @@ def allocate(sets, links, capacity, n_prbs):
     return rrrm.allocate_prbs(sets, links, rrrm.priority_order(links), capacity, n_prbs)
 
 
-def spans(placed):
-    return list(zip(placed.prb_start.tolist(), placed.prb_stop.tolist()))
+def spans(placed, n_prbs):
+    """PRB range [start, stop) of each placed link, from its slice."""
+    return [(k * n_prbs, (k + 1) * n_prbs) for k in placed.slice_id.tolist()]
 
 
-def _overlap(placed, a, b):
+def _overlap(placed, a, b, n_prbs):
     """PRB range two placed links share, (0, 0) if none."""
-    lo = max(placed.prb_start[a], placed.prb_start[b])
-    hi = min(placed.prb_stop[a], placed.prb_stop[b])
+    (lo_a, hi_a), (lo_b, hi_b) = (spans(placed, n_prbs)[k] for k in (a, b))
+    lo, hi = max(lo_a, lo_b), min(hi_a, hi_b)
     return (lo, hi) if hi > lo else (0, 0)
 
 
@@ -267,25 +268,25 @@ class TestAllocation:
             cfg.scenario.control_interval / cfg.phy.prb_duration)
         placed, pruned = allocate(sets, links, capacity, n_prbs)
         assert not pruned
-        occ = rrrm.spectrum_occupancy(placed, capacity, np.ones(1, dtype=bool))
+        occ = rrrm.spectrum_occupancy(placed, capacity, n_prbs, np.ones(1, dtype=bool))
         assert occ == pytest.approx(8000 / 120_000)
 
     def test_same_enb_gets_exclusive_slices(self, cfg):
         links = table([i2d(0.0, 50.0, enb=0), i2d(0.0, -80.0, enb=0)])
         placed, pruned = allocate([[0, 1]], links, 120_000, 8000)
         assert not pruned
-        assert sorted(spans(placed)) == [(0, 8000), (8000, 16_000)]
+        assert sorted(spans(placed, 8000)) == [(0, 8000), (8000, 16_000)]
 
     def test_reuse_overlaps(self, cfg):
         links = table([i2d(0.0, 50.0, enb=0), i2d(1800.0, 1850.0, enb=3)])
         placed, _ = allocate([[0, 1]], links, 120_000, 8000)
-        assert placed.prb_start[0] == placed.prb_start[1] == 0
-        assert _overlap(placed, 0, 1) == (0, 8000)
+        assert placed.slice_id.tolist() == [0, 0]
+        assert _overlap(placed, 0, 1, 8000) == (0, 8000)
 
     def test_disjoint_pools_do_not_overlap(self, cfg):
         links = table([d2d(0.0, 30.0), d2d(5.0, 35.0)])
         placed, _ = allocate([[0], [1]], links, 120_000, 8000)
-        assert _overlap(placed, 0, 1) == (0, 0)
+        assert _overlap(placed, 0, 1, 8000) == (0, 0)
 
     def test_pruning_drops_device_links_first(self, cfg):
         # 16 mutually interfering links need 128k PRBs > 120k capacity
@@ -296,7 +297,7 @@ class TestAllocation:
         assert len(pruned) == 1
         assert not links.is_i2d[pruned[0]]
         # every placed link stays inside the grid
-        assert placed.prb_stop.max() <= 120_000
+        assert max(stop for _, stop in spans(placed, 8000)) <= 120_000
 
     def test_prune_order_respects_deadline(self, cfg):
         links = table([d2d(0.0, 30.0, deadline=5), d2d(5.0, 35.0, deadline=9)])
@@ -319,10 +320,19 @@ class TestAllocation:
         placed, pruned = allocate(sets, links, slots * 8000, 8000)
         want_placed, want_pruned = reference_allocate(sets, links, slots * 8000, 8000)
         assert pruned == want_pruned
-        assert list(zip(placed.link.tolist(), placed.set_id.tolist(),
-                        placed.prb_start.tolist(), placed.prb_stop.tolist())) == want_placed
+        ranges = spans(placed, 8000)
+        assert [(i, s, lo, hi) for i, s, (lo, hi) in zip(
+            placed.link.tolist(), placed.set_id.tolist(), ranges)] == want_placed
+        slice_id = placed.slice_id.tolist()
+        # every slice lies inside the grid, and no two sets share one
+        assert all(0 <= k < slots for k in slice_id)
+        assert len(set(zip(slice_id, placed.set_id.tolist()))) == len(set(slice_id))
+        # two links share a slice exactly when their reference ranges overlap
+        for (_, _, lo_a, hi_a), k_a in zip(want_placed, slice_id):
+            for (_, _, lo_b, hi_b), k_b in zip(want_placed, slice_id):
+                assert (k_a == k_b) == (min(hi_a, hi_b) > max(lo_a, lo_b))
         for region in (np.ones(len(links), dtype=bool), links.is_i2d):
-            assert rrrm.spectrum_occupancy(placed, slots * 8000, region) == \
+            assert rrrm.spectrum_occupancy(placed, slots * 8000, 8000, region) == \
                 reference_occupancy(want_placed, slots * 8000, region)
 
 
@@ -330,21 +340,21 @@ class TestOccupancy:
     def test_region_filter(self, cfg):
         links = table([d2d(0.0, 30.0), d2d(5.0, 35.0)])
         placed, _ = allocate([[0], [1]], links, 120_000, 8000)
-        occ_all = rrrm.spectrum_occupancy(placed, 120_000, np.array([True, True]))
-        occ_one = rrrm.spectrum_occupancy(placed, 120_000, np.array([True, False]))
+        occ_all = rrrm.spectrum_occupancy(placed, 120_000, 8000, np.array([True, True]))
+        occ_one = rrrm.spectrum_occupancy(placed, 120_000, 8000, np.array([True, False]))
         assert occ_all == pytest.approx(16_000 / 120_000)
         assert occ_one == pytest.approx(8000 / 120_000)
 
     def test_overlapping_pools_counted_once(self, cfg):
         links = table([i2d(0.0, 50.0, enb=0), i2d(1800.0, 1850.0, enb=3)])
         placed, _ = allocate([[0, 1]], links, 120_000, 8000)
-        occ = rrrm.spectrum_occupancy(placed, 120_000, np.array([True, True]))
+        occ = rrrm.spectrum_occupancy(placed, 120_000, 8000, np.array([True, True]))
         assert occ == pytest.approx(8000 / 120_000)
 
     def test_bounds(self, cfg):
         none = np.zeros(0, dtype=np.int64)
-        empty = rrrm.Placement(link=none, set_id=none, prb_start=none, prb_stop=none)
-        assert rrrm.spectrum_occupancy(empty, 120_000, np.zeros(0, dtype=bool)) == 0.0
+        empty = rrrm.Placement(link=none, set_id=none, slice_id=none)
+        assert rrrm.spectrum_occupancy(empty, 120_000, 8000, np.zeros(0, dtype=bool)) == 0.0
 
 
 class TestPriority:

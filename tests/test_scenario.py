@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,15 @@ from d2doff.speedlaw import UniformSpeedLaw
 @pytest.fixture()
 def world(rng):
     return World(Config().scenario, rng)
+
+
+def kinematics(world, vid):
+    """The vehicle's row of ``world.table``, its columns as attributes."""
+    tab = world.table
+    i = int(np.searchsorted(tab.id, vid))
+    if i == tab.id.size or tab.id[i] != vid:
+        raise KeyError(f"vehicle {vid} is not on the table")
+    return SimpleNamespace(**{name: col[i].item() for name, col in vars(tab).items()})
 
 
 def gap(world, vid_a, vid_b, t):
@@ -81,11 +91,10 @@ class TestVehicles:
         spawned = world.spawn_vehicles(0.0, 60_000.0)
         # lam = 1/3 per second, both ends combined
         assert len(spawned) == pytest.approx(20_000, rel=0.02)
-        forward = [v for v in spawned if v.speed > 0]
-        assert len(forward) == pytest.approx(10_000, rel=0.05)
+        assert np.count_nonzero(world.table.speed > 0) == pytest.approx(10_000, rel=0.05)
 
     def test_entry_geometry(self, world):
-        for v in world.spawn_vehicles(0.0, 100.0):
+        for v in (kinematics(world, veh.id) for veh in world.spawn_vehicles(0.0, 100.0)):
             if v.speed > 0:
                 assert v.entry_point == 0.0 and v.lane == FORWARD
             else:
@@ -99,7 +108,7 @@ class TestVehicles:
         # a same-lane vehicle entering at t marks position 0 at t
         assert gap(world, veh.id, world._new_vehicle(0.0, 15.0).id, 0.0) == 0.0
         assert gap(world, veh.id, world._new_vehicle(10.0, 15.0).id, 10.0) == 150.0
-        t_out = veh.exit_time + 1.0
+        t_out = kinematics(world, veh.id).exit_time + 1.0
         world.remove_exited(t_out)
         with pytest.raises(KeyError):
             gap(world, veh.id, world._new_vehicle(t_out, 15.0).id, t_out)
@@ -138,7 +147,7 @@ class TestVehicles:
         sc = Config().scenario
         world = World(sc, np.random.default_rng(7))
         world.init_stationary(0.0)
-        mags = np.abs([v.speed for v in world.vehicles.values()])
+        mags = np.abs(world.table.speed)
         midpoint = 0.5 * (sc.speed_min + sc.speed_max)
         assert mags.mean() < midpoint
 
@@ -182,10 +191,11 @@ class TestVehicleTable:
         for k in range(60):
             t = k * cfg.scenario.control_interval
             eng.tick(t, True)
-            for vid, veh in world.vehicles.items():
+            for vid in world.vehicles:
                 if vid not in seen:
-                    seen[vid] = (veh.entry_time, veh.speed, veh.entry_point,
-                                 veh.lane, veh.exit_time)
+                    row = kinematics(world, vid)
+                    seen[vid] = (row.entry_time, row.speed, row.entry_point,
+                                 row.lane, row.exit_time)
             want = parent_refresh_arrays({v: seen[v] for v in world.vehicles}, t)
             for name in ("ids", "xs", "vs", "lanes", "exits"):
                 got = getattr(world, name)
@@ -197,9 +207,10 @@ class TestVehicleTable:
 
     def test_removed_vehicle_has_no_row(self, world):
         veh = world._new_vehicle(0.0, 15.0)
-        assert world.remove_exited(veh.exit_time) == [veh.id]
+        assert world.remove_exited(kinematics(world, veh.id).exit_time) == [veh.id]
+        assert veh.id not in world.table.id
         with pytest.raises(KeyError):
-            veh.speed
+            kinematics(world, veh.id)
 
 
 class FullScanWorld(World):
@@ -237,7 +248,7 @@ class TestCaches:
     def test_exit_releases_holdership(self, world):
         veh = world._new_vehicle(0.0, 15.0)
         world.add_cache(veh.id, 3, expiry=1e9)
-        world.remove_exited(veh.exit_time)
+        world.remove_exited(kinematics(world, veh.id).exit_time)
         assert world.holders[3] == set()
 
     @settings(max_examples=60, deadline=None)
@@ -357,4 +368,4 @@ class TestRequests:
 
     def test_inactive_vehicles_silent(self, world):
         veh = world._new_vehicle(0.0, 15.0)
-        assert world.spawn_requests(veh.exit_time + 1.0) == []
+        assert world.spawn_requests(kinematics(world, veh.id).exit_time + 1.0) == []
