@@ -13,6 +13,22 @@ The central objects are mixed distance laws:
 
 Atoms are kept symbolic; densities are tabulated and integrated by the
 trapezoid rule on grids refined around integrable singularities.
+
+Evaluation layout.  The inner loop of the lane-aware law, of the
+longitudinal chain and of the zero-distance surface is the position
+marginal: a single-provider law averaged over the provider's uniform
+start.  ``_position_marginal`` evaluates a block of them at once, one
+row per relative-speed law.  The lane-aware law makes two calls per
+requester speed (the provider speed bins of the same lane, then of the
+opposite lane), the chain one call for all requester speeds.  The rows
+of a block share the nodes they are read at, built once per law, and
+each row merges in its own kinks; a row with fewer nodes is padded at
+the end by repeating its last node, so its trapezoid sums add exact
+zeros and every row keeps the bits of its law computed alone.  The
+surface reads only each row's zero atom and its CDF at the range cap,
+and takes its Poisson terms as one (density bins x provider counts)
+block per requester speed, not per surface point: at arrival rate 1 a
+point's block would hold 15 MB at once, a speed's 0.5 MB.
 """
 
 from __future__ import annotations
@@ -24,11 +40,12 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .config import Config
-from .mixdist import MixedDistribution, refined_grid, _trapz
+from .config import Config, ConfigError
+from .mixdist import (MixedDistribution, distinct_nodes, grid_nodes,
+                      refined_grid, _trapz)
 from .popularity import (cache_presence_probs, non_repeated_pmf,
                          renewal_presence_probs, zipf_pmf)
-from .speedlaw import RelativeSpeedLaw, UniformSpeedLaw
+from .speedlaw import RelativeSpeedLaw, UniformSpeedLaw, interval_primitives
 
 _TINY = 1e-12
 
@@ -96,6 +113,9 @@ class AnalyticParams:
     @classmethod
     def from_config(cls, cfg: Config, with_energy: bool = True) -> "AnalyticParams":
         sc, an = cfg.scenario, cfg.analytic
+        if sc.speed_min == sc.speed_max:
+            # a simulation runs at one speed, but the laws need a range
+            raise ConfigError("the analytic model needs speed_min < speed_max")
         energy_i2d = energy_d2d = None
         if with_energy:
             from .phy import energy_functions
@@ -322,54 +342,92 @@ def marginal_nonoffload_probability(params: AnalyticParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# marginal over the provider's initial position
+# marginal over the provider's initial position, a block of laws at once
 # ---------------------------------------------------------------------------
 
-def _cumulative_ahead(rel: RelativeSpeedLaw, T: np.ndarray, tc: float, ts: float) -> np.ndarray:
-    """Integral over x in (r, r+T) of the ahead-provider density at r,
-    in closed form; T = X - r.  A provider behind the requester under the
-    relative speed V is one ahead under -V (``rel.reflected()``)."""
-    out = np.zeros_like(T)
-    mask = T > _TINY
-    if np.any(mask):
-        u = -T[mask] / tc
-        out[mask] = (T[mask] / ts) * rel.int_inv_abs_below(u) + (rel.cdf(0.0) - rel.cdf(u))
-    return out
+def _marginal_base(nodes: np.ndarray, dr: float) -> np.ndarray:
+    """Nodes shared by a block of position marginals read at ``nodes``:
+    the uniform grid up to the largest node, the nodes themselves and a
+    geometric refinement toward that top, sorted.  Close nodes are kept
+    until a row's kinks join them, but exact repeats are not: a repeat
+    changes no other node's gap to the one before it."""
+    top = float(np.max(nodes))
+    return np.unique(grid_nodes(0.0, top, dr, extra=nodes, refine_near=[top]))
 
 
-def _position_marginal_zero_atom(rel: RelativeSpeedLaw, X: float,
-                                 tc: float, ts: float) -> float:
-    """Mass at distance 0 after averaging the provider position uniformly
-    over [-X, X]; both integrals are exact in the speed-law primitives,
-    the one over providers behind taken under the reflected law."""
-    half = tc - tc * tc / (2.0 * ts)
-    uX = X / tc
-    return sum(X * r.cdf(-uX)
-               - (X * X / (2.0 * ts)) * r.int_inv_abs_below(-uX)
-               + half * r.int_abs_between(-uX, 0.0)
-               for r in (rel, rel.reflected())) / (2.0 * X)
+def _position_marginal(lo: np.ndarray, hi: np.ndarray, level: np.ndarray,
+                       X: np.ndarray, base: np.ndarray, params: AnalyticParams):
+    """Single-provider minimum-distance laws for a provider placed
+    uniformly on [-X, X], one row per relative-speed law: density
+    ``level`` on the intervals [lo, hi] (rows x intervals) and its own
+    half-width X, at least the top of ``base``.  The per-position atoms
+    at |x0| smear into a flat density component 1/(2X).
 
-
-def _position_marginal(rel: RelativeSpeedLaw, X: float,
-                       params: AnalyticParams, nodes: np.ndarray):
-    """Single-provider minimum-distance law for a provider placed
-    uniformly on [-X, X]; the per-position atoms at |x0| smear into a
-    flat density component 1/(2X).  Returns (zero atom, grid, density,
-    CDF) on a grid refined for this law, running up to the largest
-    requested node (at most X) and carrying the requested nodes."""
+    A row's grid is ``base`` with the row's kinks (where the providers of
+    a speed edge start to reach the requester) merged in as
+    ``refined_grid`` merges nodes.  Short rows are padded at the end by
+    repeating their last node: the trapezoid sums then add exact zeros,
+    so every row carries the bits of its law computed alone.  Returns
+    (zero atoms, grids, densities, CDFs), the last three rows x nodes."""
     tc, ts = params.content_timeout, params.sharing_timeout
-    kinks = np.array([X - tc * abs(e) for e in rel.edges() if 0.0 < tc * abs(e) < X])
-    top = min(X, float(np.max(nodes)))
-    grid = refined_grid(0.0, top, params.dr,
-                        extra=np.concatenate([nodes[nodes <= top], kinks]),
-                        refine_near=[top])
-    T = X - grid
-    density = (1.0 + _cumulative_ahead(rel, T, tc, ts)
-               + _cumulative_ahead(rel.reflected(), T, tc, ts)) / (2.0 * X)
-    atom0 = _position_marginal_zero_atom(rel, X, tc, ts)
-    cdf = atom0 + np.concatenate(
-        [[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(grid))])
+    rows, top = X.size, base[-1]
+    # kinks: X - tc |e| for each speed edge e; one outside (0, top)
+    # becomes a repeat of the top node, which the merge drops
+    reach = tc * np.abs(np.concatenate([lo, hi], axis=1))
+    kinks = np.where(reach < X[:, None], np.minimum(X[:, None] - reach, top), top)
+    # a row is sorted but for its few kinks: a stable (merge) sort is fast
+    nodes = np.sort(np.concatenate([np.broadcast_to(base, (rows, base.size)), kinks],
+                                   axis=1), axis=1, kind="stable")
+    keep = distinct_nodes(nodes)
+    n = keep.sum(axis=1)
+    # dropped nodes move to the end as +inf, then repeat the last node
+    grid = np.sort(np.where(keep, nodes, np.inf), axis=1, kind="stable")[:, :n.max()]
+    grid = np.minimum(grid, grid[np.arange(rows), n - 1, None])
+
+    # sides: a provider ahead moves at V, one behind is a provider ahead
+    # moving at -V (intervals reversed, sorted as RelativeSpeedLaw.reflected
+    # sorts them).  Only the levels u <= 0 are read, where a (side, row)
+    # pair with no interval below 0 adds exact zeros, so only the other
+    # pairs are evaluated.  Columns: the levels -T/tc of the grid, then
+    # -X/tc for the zero atom and 0 for the mass below 0.
+    lo2, hi2 = np.stack([lo, -hi[:, ::-1]]), np.stack([hi, -lo[:, ::-1]])
+    pair = np.any(lo2 < 0.0, axis=2)
+    at = np.nonzero(pair)[1]
+    T = X[:, None] - grid
+    u = np.concatenate([-np.maximum(T, _TINY) / tc, -X[:, None] / tc,
+                        np.zeros((rows, 1))], axis=1)
+    cdf, inv, absv = interval_primitives(lo2[pair][..., None], hi2[pair][..., None],
+                                         level[at, None, None], u[at, None, :])
+    # integral over x in (r, r+T) of the ahead-provider density at r
+    ahead = np.zeros((2,) + T.shape)
+    ahead[pair] = np.where(T[at] > _TINY,
+                           (T[at] / ts) * inv[:, :-2] + (cdf[:, -1:] - cdf[:, :-2]), 0.0)
+    density = (1.0 + ahead[0] + ahead[1]) / (2.0 * X[:, None])
+    # mass at 0: both integrals over the provider position are exact in
+    # the speed-law primitives
+    half = tc - tc * tc / (2.0 * ts)
+    edge = np.zeros((2, rows))
+    edge[pair] = (X[at] * cdf[:, -2] - (X[at] * X[at] / (2.0 * ts)) * inv[:, -2]
+                  + half * absv[:, -2])
+    atom0 = (edge[0] + edge[1]) / (2.0 * X)
+    # trapezoid CDF, accumulated down the node axis of the transposed
+    # rows: the same sums in the same order, vectorized across rows
+    steps = 0.5 * (density[:, 1:] + density[:, :-1]) * np.diff(grid, axis=1)
+    cdf = np.zeros(grid.shape)
+    np.cumsum(steps.T, axis=0, out=cdf[:, 1:].T)
+    cdf += atom0[:, None]
     return atom0, grid, density, cdf
+
+
+def _chain_rows(va: np.ndarray, params: AnalyticParams):
+    """Rows (lo, hi, level, X) of the relative-speed laws of requester
+    speeds ``va`` against the whole traffic, over the region a provider
+    can reach the requester from before the deadline."""
+    law = params.speed_law
+    lo = np.stack([-law.v_max - va, law.v_min - va], axis=1)
+    hi = np.stack([-law.v_min - va, law.v_max - va], axis=1)
+    return (lo, hi, np.full(va.size, law.density_level),
+            provider_region_halfwidth(va, params))
 
 
 def distance_law_given_speed(v_a: float, params: AnalyticParams) -> MixedDistribution:
@@ -377,27 +435,33 @@ def distance_law_given_speed(v_a: float, params: AnalyticParams) -> MixedDistrib
     reachability interval [-X, X]."""
     X = provider_region_halfwidth(v_a, params)
     atom0, grid, density, _ = _position_marginal(
-        params.speed_law.relative(v_a), X, params, np.array([X]))
-    return MixedDistribution(atoms=[(0.0, atom0)], grid=grid, density=density)
+        *_chain_rows(np.array([v_a]), params), _marginal_base(np.array([X]), params.dr),
+        params)
+    return MixedDistribution(atoms=[(0.0, float(atom0[0]))], grid=grid[0], density=density[0])
 
 
 # ---------------------------------------------------------------------------
 # effective transmission distance (minimum over a Poisson provider count)
 # ---------------------------------------------------------------------------
 
-def poisson_truncation(nbar: float) -> int:
-    """Provider-count truncation point with tail mass < 1e-9."""
-    return int(math.ceil(nbar + 10.0 * math.sqrt(nbar) + 20.0))
+def poisson_truncation(nbar):
+    """Provider-count truncation point with tail mass < 1e-9, element by
+    element."""
+    return np.ceil(nbar + 10.0 * np.sqrt(nbar) + 20.0).astype(int)
 
 
-def _base_law_for_speed(v_a: float, params: AnalyticParams,
-                        common_grid: np.ndarray):
-    """Position-marginal law on the common output grid, which ends at
-    the range cap: (zero atom, density, CDF)."""
-    X = provider_region_halfwidth(v_a, params)
-    atom0, grid, density, cdf = _position_marginal(
-        params.speed_law.relative(v_a), X, params, common_grid)
-    return atom0, np.interp(common_grid, grid, density), np.interp(common_grid, grid, cdf)
+def _base_laws(va: np.ndarray, params: AnalyticParams, grid: np.ndarray) -> list:
+    """Position-marginal laws of the requester speeds ``va``, built on a
+    grid that carries the nodes of ``grid`` (which ends at the range
+    cap): one (zero atom, grid, density, CDF) per speed."""
+    base = _marginal_base(grid, params.dr)
+    return list(zip(*_position_marginal(*_chain_rows(va, params), base, params)))
+
+
+def _on_grid(law, grid: np.ndarray):
+    """A base law read at the nodes of ``grid``: (zero atom, density, CDF)."""
+    atom0, g, density, cdf = law
+    return atom0, np.interp(grid, g, density), np.interp(grid, g, cdf)
 
 
 def _min_over_providers(base, nbar: float):
@@ -417,7 +481,8 @@ def effective_distance_law(rho_z: float, v_a: float,
     if nbar <= 0.0:
         raise ValueError("no providers: effective law undefined")
     grid = refined_grid(0.0, params.d2d_max_range, params.dr)
-    atom, density = _min_over_providers(_base_law_for_speed(v_a, params, grid), nbar)
+    base = _on_grid(_base_laws(np.array([v_a]), params, grid)[0], grid)
+    atom, density = _min_over_providers(base, nbar)
     return MixedDistribution(atoms=[(0.0, atom)], grid=grid, density=density)
 
 
@@ -446,24 +511,26 @@ def _bin_by_density(weights: np.ndarray, rho_z: np.ndarray, n_bins: int):
 
 
 def _offload_conditions(params: AnalyticParams, grid: np.ndarray):
-    """Yield (weight, mean provider count, base law on ``grid``) for each
-    requester speed and cached-copy density bin of the contents that
-    offloads with positive probability.  The weight is the speed
-    quadrature weight times the bin's non-repeated popularity times the
-    offload probability."""
+    """Yield, for each requester speed, its base law (an item of
+    ``_base_laws``) with the mean provider counts and the weights of the
+    cached-copy density bins of the contents that offload with positive
+    probability.  A weight is the speed quadrature weight times the bin's
+    non-repeated popularity times the offload probability."""
     w_bins, rho_bins = _bin_by_density(params.non_repeated_weights(),
                                        params.content_densities(),
                                        params.content_bins)
     va, w_va = _speed_grid(params)
-    for v_a, wv in zip(va, w_va):
-        base = _base_law_for_speed(v_a, params, grid)
+    for v_a, wv, base in zip(va, w_va, _base_laws(va, params, grid)):
+        nbars, weights = [], []
         for wz, rho_z in zip(w_bins, rho_bins):
             nbar = mean_provider_count(rho_z, v_a, params)
             if nbar <= 1e-15:
                 continue
             weight = wv * wz * -math.expm1(-nbar)
             if weight > 0.0:
-                yield weight, nbar, base
+                nbars.append(nbar)
+                weights.append(weight)
+        yield base, nbars, weights
 
 
 def unconditional_effective_distance_law(params: AnalyticParams) -> MixedDistribution:
@@ -474,11 +541,13 @@ def unconditional_effective_distance_law(params: AnalyticParams) -> MixedDistrib
     atom_acc = 0.0
     dens_acc = np.zeros_like(grid)
     total_w = 0.0
-    for weight, nbar, base in _offload_conditions(params, grid):
-        atom, density = _min_over_providers(base, nbar)
-        atom_acc += weight * atom
-        dens_acc += weight * density
-        total_w += weight
+    for base, nbars, weights in _offload_conditions(params, grid):
+        base = _on_grid(base, grid)
+        for nbar, weight in zip(nbars, weights):
+            atom, density = _min_over_providers(base, nbar)
+            atom_acc += weight * atom
+            dens_acc += weight * density
+            total_w += weight
     if total_w <= 0.0:
         raise ValueError("offload probability is zero everywhere")
     return MixedDistribution(atoms=[(0.0, atom_acc / total_w)],
@@ -551,15 +620,19 @@ def lane_offset_transform(law: MixedDistribution, lane_offset: float,
 # lane-resolved delivery law (road-snapshot statistics)
 # ---------------------------------------------------------------------------
 
-def _lane_interval_law(lo: float, hi: float, v_a: float,
-                       same_lane: bool) -> RelativeSpeedLaw:
-    """Relative-speed law of providers whose speed magnitude is uniform
-    on [lo, hi]: same-lane traffic drives along the requester, the
-    opposite lane against it."""
+def _lane_rows(edges: np.ndarray, v_a: float, rmax: float, tc: float,
+               same_lane: bool):
+    """Rows (lo, hi, level, X) of the relative-speed laws of providers
+    whose speed magnitude is uniform on each bin between ``edges``:
+    same-lane traffic drives along the requester, the opposite lane
+    against it.  X bounds the region a provider can reach the range cap
+    from before the deadline."""
+    lo, hi = edges[:-1], edges[1:]
     level = 1.0 / (hi - lo)
     if same_lane:
-        return RelativeSpeedLaw(intervals=((lo - v_a, hi - v_a),), level=level)
-    return RelativeSpeedLaw(intervals=((-hi - v_a, -lo - v_a),), level=level)
+        return ((lo - v_a)[:, None], (hi - v_a)[:, None], level,
+                rmax + np.maximum(np.abs(lo - v_a), np.abs(hi - v_a)) * tc)
+    return (-hi - v_a)[:, None], (-lo - v_a)[:, None], level, rmax + (hi + v_a) * tc
 
 
 def _holder_speed_bins(params: AnalyticParams) -> tuple[np.ndarray, np.ndarray]:
@@ -603,11 +676,20 @@ def lane_aware_delivery_law(params: AnalyticParams) -> MixedDistribution:
         # opposite-lane density just above the lane offset
         extra += list(r_y + np.geomspace(1e-9, min(2.0, rmax - r_y), 120))
     grid = refined_grid(0.0, rmax, params.dr, extra=extra)
-    # with no offset the lanes' axes coincide: the opposite lane is not
-    # mapped, and its crossings join the zero atom
-    above = grid > r_y if r_y > 0.0 else np.full(grid.shape, True)
-    backs = np.sqrt(np.clip(grid ** 2 - r_y * r_y, 0.0, None))
-    cross_reachable = bool(np.any(above)) and r_y < rmax
+    # the opposite lane reaches the nodes past the offset; with no offset
+    # the lanes' axes coincide: the opposite lane is not mapped, and its
+    # crossings join the zero atom
+    first = int(np.searchsorted(grid, r_y, side="right")) if r_y > 0.0 else 0
+    r_opp = grid[first:]
+    backs = np.sqrt(np.clip(r_opp ** 2 - r_y * r_y, 0.0, None))
+    back_floor = np.maximum(backs, 1e-300)
+    cross_reachable = r_opp.size > 0 and r_y < rmax
+
+    # every requester speed reads its marginals at the same nodes, so
+    # each lane's shared nodes are built once
+    base_same = _marginal_base(grid, params.dr)
+    if cross_reachable:
+        base_opp = _marginal_base(backs, params.dr)
 
     atom_near = atom_far = 0.0
     dens_acc = np.zeros_like(grid)
@@ -618,28 +700,27 @@ def lane_aware_delivery_law(params: AnalyticParams) -> MixedDistribution:
         lam_unit = np.zeros_like(grid)
         f_unit = np.zeros_like(grid)
         zero_same = zero_opp = lam_at_offset = 0.0
-        for lo, hi, wk in zip(edges[:-1], edges[1:], w_speed):
-            rel_s = _lane_interval_law(lo, hi, v_a, same_lane=True)
-            X_s = rmax + max(abs(lo - v_a), abs(hi - v_a)) * tc
-            a_s, g_s, d_s, c_s = _position_marginal(rel_s, X_s, params, grid)
-            lam_unit += wk * 2.0 * X_s * np.interp(grid, g_s, c_s)
-            f_unit += wk * 2.0 * X_s * np.interp(grid, g_s, d_s)
-            zero_same += wk * 2.0 * X_s * a_s
-            lam_at_offset += wk * 2.0 * X_s * float(np.interp(r_y, g_s, c_s))
+        same = _lane_rows(edges, v_a, rmax, tc, same_lane=True)
+        a_s, g_s, d_s, c_s = _position_marginal(*same, base_same, params)
+        if cross_reachable:
+            opp = _lane_rows(edges, v_a, rmax, tc, same_lane=False)
+            a_o, g_o, d_o, c_o = _position_marginal(*opp, base_opp, params)
+        for k, wk in enumerate(w_speed):
+            m_s = wk * 2.0 * same[3][k]
+            lam_unit += m_s * np.interp(grid, g_s[k], c_s[k])
+            f_unit += m_s * np.interp(grid, g_s[k], d_s[k])
+            zero_same += m_s * a_s[k]
+            lam_at_offset += m_s * float(np.interp(r_y, g_s[k], c_s[k]))
             if not cross_reachable:
                 continue
-            rel_o = _lane_interval_law(lo, hi, v_a, same_lane=False)
-            X_o = rmax + (hi + v_a) * tc
-            a_o, g_o, d_o, c_o = _position_marginal(rel_o, X_o, params, backs[above])
-            F_o = np.zeros_like(grid)
-            f_o = np.zeros_like(grid)
-            F_o[above] = a_o + np.interp(backs[above], g_o, c_o - a_o)
-            f_o[above] = np.interp(backs[above], g_o, d_o)
+            m_o = wk * 2.0 * opp[3][k]
+            F_o = a_o[k] + np.interp(backs, g_o[k], c_o[k] - a_o[k])
+            f_o = np.interp(backs, g_o[k], d_o[k])
             if r_y > 0.0:  # Jacobian of the map to sqrt(r^2 - r_y^2)
-                f_o[above] = f_o[above] * grid[above] / np.maximum(backs[above], 1e-300)
-            lam_unit += wk * 2.0 * X_o * F_o
-            f_unit += wk * 2.0 * X_o * f_o
-            zero_opp += wk * 2.0 * X_o * a_o
+                f_o = f_o * r_opp / back_floor
+            lam_unit[first:] += m_o * F_o
+            f_unit[first:] += m_o * f_o
+            zero_opp += m_o * a_o[k]
         for wz, rho_z in zip(w_bins, rho_bins):
             lam = rho_z * lam_unit
             p_off = -math.expm1(-lam[-1])
@@ -669,11 +750,15 @@ def short_range_probability(params: AnalyticParams) -> float:
     averaged like the unconditional law."""
     grid = refined_grid(0.0, params.d2d_max_range, params.dr)
     atom_acc = total_w = 0.0
-    for weight, nbar, (atom0, _, cdf) in _offload_conditions(params, grid):
-        atom, _, _ = kernels.poisson_min_terms(atom0, cdf[-1], nbar,
-                                               poisson_truncation(nbar))
-        atom_acc += weight * atom
-        total_w += weight
+    for (atom0, _, _, cdf), nbars, weights in _offload_conditions(params, grid):
+        if not nbars:
+            continue
+        # a row's last node is the range cap
+        atoms, _, _ = kernels.poisson_min_terms(atom0, cdf[-1], nbars,
+                                                poisson_truncation(np.array(nbars)))
+        for atom, weight in zip(atoms, weights):
+            atom_acc += weight * atom
+            total_w += weight
     return atom_acc / total_w if total_w > 0.0 else 0.0
 
 
@@ -701,17 +786,20 @@ def short_range_probability_surface(params: AnalyticParams,
 # average energies
 # ---------------------------------------------------------------------------
 
-def average_energies(params: AnalyticParams) -> dict:
+def average_energies(params: AnalyticParams,
+                     law: MixedDistribution | None = None) -> dict:
     """Mean energy per delivery: infrastructure path (uniform distance
-    up to the cell radius), D2D path (over the effective-distance law,
-    conditional on offload) and their offload-weighted total."""
+    up to the cell radius), D2D path (over the lane-aware delivery law,
+    conditional on offload; pass ``law`` when it is built already) and
+    their offload-weighted total."""
     if params.energy_i2d is None or params.energy_d2d is None:
         raise ValueError("energy functions are required")
     r_i2d = refined_grid(0.0, params.i2d_max_range, params.dr, extra=[100.0])
     e_i2d = float(_trapz(params.energy_i2d(r_i2d), r_i2d)) / params.i2d_max_range
 
     p_non = marginal_nonoffload_probability(params)
-    law = lane_aware_delivery_law(params)
+    if law is None:
+        law = lane_aware_delivery_law(params)
     e_d2d = sum(m * float(params.energy_d2d(np.array([loc]))[0]) for loc, m in law.atoms)
     e_d2d += float(_trapz(params.energy_d2d(law.grid) * law.density, law.grid))
 

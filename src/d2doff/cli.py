@@ -257,6 +257,11 @@ def cmd_sweep(args) -> int:
 # analytic
 # ---------------------------------------------------------------------------
 
+# the zero-distance surface's points: range caps x content timeouts
+SURFACE_CAPS = (80.0, 100.0, 120.0, 140.0)
+SURFACE_TIMEOUTS = (20.0, 60.0, 120.0)
+
+
 def cmd_analytic(args) -> int:
     cfg = _load(args.config)
     out = _outdir(args.out)
@@ -268,13 +273,12 @@ def cmd_analytic(args) -> int:
     write_csv(os.path.join(out, "distance_law.csv"),
               ["kind", "r_m", "value"], rows)
 
-    energies = analytic.average_energies(params)
+    energies = analytic.average_energies(params, law)
     write_csv(os.path.join(out, "energy.csv"), ["quantity", "value"],
               [[k, v] for k, v in energies.items()])
 
     if not args.skip_surface:
-        caps = [80.0, 100.0, 120.0, 140.0]
-        timeouts = [20.0, 60.0, 120.0]
+        caps, timeouts = SURFACE_CAPS, SURFACE_TIMEOUTS
         ranges = [(cfg.scenario.speed_min, cfg.scenario.speed_max)]
         surf = analytic.short_range_probability_surface(
             params, timeouts, ranges, caps, dr=0.5)

@@ -106,12 +106,12 @@ class MixedDistribution:
         return float(max(d_plus, d_minus, 0.0))
 
 
-def refined_grid(lo: float, hi: float, step: float,
-                 extra: np.ndarray | list[float] | None = None,
-                 refine_near: list[float] | None = None,
-                 min_gap: float = 1e-9) -> np.ndarray:
-    """Uniform grid on [lo, hi] plus explicit nodes and geometric
-    refinement toward listed points (for integrable singularities)."""
+def grid_nodes(lo: float, hi: float, step: float,
+               extra: np.ndarray | list[float] | None = None,
+               refine_near: list[float] | None = None,
+               min_gap: float = 1e-9) -> np.ndarray:
+    """The nodes of ``refined_grid`` before close ones are merged:
+    sorted, repeats kept."""
     if hi <= lo:
         raise ValueError("need hi > lo")
     n = max(2, int(round((hi - lo) / step)) + 1)
@@ -136,8 +136,25 @@ def refined_grid(lo: float, hi: float, step: float,
                 pts = pts[(pts > lo) & (pts < hi)]
                 if pts.size:
                     nodes.append(pts)
-    grid = np.unique(np.concatenate(nodes))
-    # drop near-duplicate nodes that would break strict monotonicity
-    keep = np.ones(grid.size, dtype=bool)
-    keep[1:] = np.diff(grid) > min_gap / 4.0
-    return grid[keep]
+    return np.sort(np.concatenate(nodes))
+
+
+def distinct_nodes(nodes: np.ndarray, min_gap: float = 1e-9) -> np.ndarray:
+    """Mask of the sorted nodes (along the last axis) that a grid keeps:
+    the first, and each one more than min_gap/4 above the node before
+    it, so of a repeat only the first copy stays."""
+    keep = np.ones(nodes.shape, dtype=bool)
+    keep[..., 1:] = np.diff(nodes, axis=-1) > min_gap / 4.0
+    return keep
+
+
+def refined_grid(lo: float, hi: float, step: float,
+                 extra: np.ndarray | list[float] | None = None,
+                 refine_near: list[float] | None = None,
+                 min_gap: float = 1e-9) -> np.ndarray:
+    """Uniform grid on [lo, hi] plus explicit nodes and geometric
+    refinement toward listed points (for integrable singularities);
+    near-duplicate nodes, which would break strict monotonicity, are
+    dropped."""
+    nodes = grid_nodes(lo, hi, step, extra, refine_near, min_gap)
+    return nodes[distinct_nodes(nodes, min_gap)]

@@ -10,7 +10,9 @@ vehicle is V = V* - v_a; its density is a shifted copy of the signed
 law.  The distance-law derivations need, besides the plain CDF, the
 integrals of pdf(v)/|v| over half-lines, which are evaluated here in
 closed form (the piecewise-constant density makes them sums of logs).
-These take a scalar or an array of levels u.
+The methods of ``RelativeSpeedLaw`` take a scalar or an array of levels
+u for one law; ``interval_primitives`` evaluates a block of laws at
+once.
 """
 
 from __future__ import annotations
@@ -158,3 +160,30 @@ class RelativeSpeedLaw:
         a = np.array([iv[0] for iv in self.intervals])[which]
         b = np.array([iv[1] for iv in self.intervals])[which]
         return a + u * (b - a)
+
+
+def interval_primitives(lo, hi, level, u):
+    """Exact primitives of piecewise-constant laws with density ``level``
+    on the intervals [lo, hi], for arrays that broadcast to (...,
+    intervals, levels u): the CDF at u, the integral of pdf(v)/(-v)
+    below u (meaningful for u < 0) and the integral of pdf(v)|v| over
+    [u, 0], each summed over the interval axis (-2) in the order of
+    ``RelativeSpeedLaw.cdf``, ``int_inv_abs_below`` and
+    ``int_abs_between(u, 0.0)``, whose bits they carry element by
+    element."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    cdf = inv = absv = 0.0
+    for i in range(lo.shape[-2]):
+        a, b = lo[..., i:i + 1, :], hi[..., i:i + 1, :]
+        # math.log, as int_inv_abs_below takes it: numpy's log can differ
+        # from it in the last bit
+        log_a = np.array([math.log(-x) if x < 0.0 else math.nan
+                          for x in a.ravel()]).reshape(a.shape)
+        below = np.minimum(u, b)
+        cdf = cdf + level * np.maximum(below - a, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = inv + np.where(below > a, level * (log_a - np.log(-below)), 0.0)
+        p, q = np.maximum(a, u), np.minimum(b, 0.0)
+        absv = absv + np.where(q > p, level * (0.5 * q * np.abs(q) - 0.5 * p * np.abs(p)),
+                               0.0)
+    return cdf[..., 0, :], inv[..., 0, :], absv[..., 0, :]

@@ -139,6 +139,26 @@ def test_unrunnable_config_is_config_error(tmp_path, argv, data):
     assert run_cli(*argv, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["analytic", "--skip-surface"],
+    ["validate", "--samples", "200", "--duration", "0"],
+])
+def test_single_speed_is_config_error_for_the_analytic_model(tmp_path, capsys, argv):
+    # the simulator runs a single speed; the analytic laws need a range
+    cfg = tmp_path / "one_speed.json"
+    cfg.write_text(json.dumps({"scenario": {"speed_min": 12.0, "speed_max": 12.0}}))
+    assert run_cli(*argv, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: the analytic model needs speed_min < speed_max"]
+
+
+def test_single_speed_simulates(tmp_path):
+    cfg = tmp_path / "one_speed.json"
+    cfg.write_text(json.dumps({"scenario": {"speed_min": 12.0, "speed_max": 12.0}}))
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                   "--duration", "10", "--warmup", "5", "--replications", "1") == 0
+
+
 class TestSweep:
     def _spec(self, tmp_path, **kw):
         spec = {"parameter": "content_timeout", "values": [20.0, 40.0],
@@ -262,6 +282,18 @@ class TestAnalytic:
         quantities = {r[0] for r in rows}
         assert {"E_I2D", "E_D2D", "E_total", "P_nonoffload"} <= quantities
         assert "E_total" in capsys.readouterr().out
+
+    def test_builds_the_law_once(self, tmp_path, monkeypatch):
+        calls = []
+        build = analytic.lane_aware_delivery_law
+
+        def counted(params):
+            calls.append(params)
+            return build(params)
+
+        monkeypatch.setattr(analytic, "lane_aware_delivery_law", counted)
+        assert run_cli("analytic", "--out", str(tmp_path / "o"), "--skip-surface") == 0
+        assert len(calls) == 1
 
 
 class TestValidate:

@@ -21,10 +21,11 @@ def base_law_up_to_edge(v_a, params, common_grid):
     runs up to the edge X of the provider region, then read off at the
     common grid nodes."""
     X = analytic.provider_region_halfwidth(v_a, params)
+    base = analytic._marginal_base(np.append(common_grid, X), params.dr)
     atom0, grid, density, cdf = analytic._position_marginal(
-        params.speed_law.relative(v_a), X, params, np.append(common_grid, X))
-    return (atom0, np.interp(common_grid, grid, density),
-            np.interp(common_grid, grid, cdf))
+        *analytic._chain_rows(np.array([v_a]), params), base, params)
+    return (atom0[0], np.interp(common_grid, grid[0], density[0]),
+            np.interp(common_grid, grid[0], cdf[0]))
 
 
 def mc_min_distance(x0, v_a, params, n, rng):
@@ -114,7 +115,8 @@ class TestPositionMarginalLaw:
         # move it there
         p = dataclasses.replace(default_params, dr=dr)
         common = refined_grid(0.0, p.d2d_max_range, dr)
-        atom0, density, cdf = analytic._base_law_for_speed(v_a, p, common)
+        atom0, density, cdf = analytic._on_grid(
+            analytic._base_laws(np.array([v_a]), p, common)[0], common)
         ref_atom0, ref_density, ref_cdf = base_law_up_to_edge(v_a, p, common)
         assert atom0 == ref_atom0
         np.testing.assert_allclose(density, ref_density, rtol=0.0, atol=1e-9)

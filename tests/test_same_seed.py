@@ -33,3 +33,14 @@ def test_quick_prints_one_stable_line_per_run(same_seed, capsys):
     assert len({line.rsplit("=", 1)[1] for line in first}) == 3
     assert same_seed.main(["--quick"]) == 0
     assert capsys.readouterr().out.splitlines() == first
+
+
+def test_analytic_lines(same_seed):
+    configs = same_seed.analytic_configs()
+    assert [key for key, _ in configs] == [
+        "analytic lam=1/3 dr=0.1", "analytic lam=1 dr=0.1", "analytic lam=2/3 dr=0.05"]
+    key, cfg = configs[0]
+    line = same_seed.analytic_fingerprint(cfg)
+    number = r"\d\.\d+(e-\d+)?"
+    assert re.fullmatch(rf"sha256=[0-9a-f]{{64}} surface={number}( {number}){{11}}", line)
+    assert same_seed.analytic_fingerprint(cfg) == line

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from d2doff.speedlaw import UniformSpeedLaw, RelativeSpeedLaw
+from d2doff.speedlaw import UniformSpeedLaw, RelativeSpeedLaw, interval_primitives
 
 
 def quad(fn, lo, hi, points=()):
@@ -206,3 +206,20 @@ def test_array_integrals_match_references(rel, u, us):
         rel.int_inv_abs_above(u)
     with pytest.raises(ValueError):
         rel.int_inv_abs_above(np.append(-arr, 0.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rel=piecewise_laws(), us=st.lists(negative, min_size=1, max_size=20))
+def test_interval_primitives_carry_the_methods_bits(rel, us):
+    # a block of two laws (rows x intervals x levels) against each law's
+    # own methods
+    laws = (rel, rel.reflected())
+    lo = np.array([[[a] for a, _ in law.intervals] for law in laws])
+    hi = np.array([[[b] for _, b in law.intervals] for law in laws])
+    level = np.array([[[law.level]] for law in laws])
+    u = np.array(us)
+    cdf, inv, absv = interval_primitives(lo, hi, level, u)
+    for row, law in enumerate(laws):
+        assert np.array_equal(cdf[row], law.cdf(u))
+        assert np.array_equal(inv[row], law.int_inv_abs_below(u))
+        assert absv[row].tolist() == [law.int_abs_between(x, 0.0) for x in us]

@@ -13,6 +13,13 @@ The full set is 18 runs (arrival rate 1/3, 1 and 2 veh/s, the three
 policies, seeds 1 and 2; 60 s after 20 s of warm-up) and 6 runs whose
 payload fits 8 or 200 PRBs, so that a link's PRB slice covers only part
 of the band.  ``--quick`` runs one short run per policy.
+
+The full set then prints one line per analytic configuration of the
+benchmark (arrival rate 1/3 and 1 veh/s at the default distance step,
+2/3 veh/s at 0.05 m): a sha256 over the lane-aware delivery law (atoms,
+grid, density), the four average energies and the unconditional
+effective-distance law, followed by the 12 values of the zero-distance
+surface of ``d2doff analytic``.
 """
 
 from __future__ import annotations
@@ -26,7 +33,8 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from d2doff import engine  # noqa: E402
+from d2doff import analytic, cli, engine  # noqa: E402
+from d2doff.analytic import AnalyticParams  # noqa: E402
 from d2doff.config import Config  # noqa: E402
 
 POLICIES = ("optimal", "benchmark", "cellular")
@@ -59,6 +67,34 @@ def runs(quick: bool):
     return out
 
 
+def analytic_configs():
+    """(key, config) of every analytic line."""
+    out = []
+    for name, lam, dr in (("1/3", 1.0 / 3.0, 0.1), ("1", 1.0, 0.1), ("2/3", 2.0 / 3.0, 0.05)):
+        cfg = _config(lam)
+        out.append((f"analytic lam={name} dr={dr}",
+                    dataclasses.replace(cfg, analytic=dataclasses.replace(cfg.analytic, dr=dr))))
+    return out
+
+
+def analytic_fingerprint(cfg: Config) -> str:
+    params = AnalyticParams.from_config(cfg)
+    law = analytic.lane_aware_delivery_law(params)
+    energies = analytic.average_energies(params, law)
+    unconditional = analytic.unconditional_effective_distance_law(params)
+    sc = cfg.scenario
+    surface = analytic.short_range_probability_surface(
+        params, cli.SURFACE_TIMEOUTS, [(sc.speed_min, sc.speed_max)], cli.SURFACE_CAPS,
+        dr=0.5)
+    digest = hashlib.sha256()
+    for part in (law.atoms, law.grid.tolist(), law.density.tolist(),
+                 sorted(energies.items()), unconditional.atoms,
+                 unconditional.grid.tolist(), unconditional.density.tolist()):
+        digest.update(repr(part).encode())
+    values = " ".join(repr(float(p)) for p in surface.ravel())
+    return f"sha256={digest.hexdigest()} surface={values}"
+
+
 def _plain(x):
     """numpy scalars as Python ones, so the digest sees values, not types."""
     return x.item() if hasattr(x, "item") else x
@@ -84,6 +120,9 @@ def main(argv=None) -> int:
     for key, cfg, policy, seed, duration, warmup in runs(args.quick):
         eng = engine.run(cfg, policy, duration, warmup, seed)
         print(f"{key}: {fingerprint(eng)}", flush=True)
+    if not args.quick:
+        for key, cfg in analytic_configs():
+            print(f"{key}: {analytic_fingerprint(cfg)}", flush=True)
     return 0
 
 
