@@ -18,13 +18,15 @@ Evaluation layout.  The inner loop of the lane-aware law, of the
 longitudinal chain and of the zero-distance surface is the position
 marginal: a single-provider law averaged over the provider's uniform
 start.  ``_position_marginal`` evaluates a block of them at once, one
-row per relative-speed law.  The lane-aware law makes two calls per
-requester speed (the provider speed bins of the same lane, then of the
-opposite lane), the chain one call for all requester speeds.  The rows
-of a block share the nodes they are read at, built once per law, and
-each row merges in its own kinks; a row with fewer nodes is padded at
-the end by repeating its last node, so its trapezoid sums add exact
-zeros and every row keeps the bits of its law computed alone.  The
+row per row of a ``RelativeSpeedLaw`` block, whose methods give the
+speed-law primitives; the integral of pdf(v)|v| is evaluated only at
+the level -X/tc, the one its zero atom reads.  The lane-aware law makes
+two calls per requester speed (the provider speed bins of the same lane,
+then of the opposite lane), the chain one call for all requester speeds.
+The rows of a block share the nodes they are read at, built once per
+law, and each row merges in its own kinks; a row with fewer nodes is
+padded at the end by repeating its last node, so its trapezoid sums add
+exact zeros and every row keeps the bits of its law computed alone.  The
 surface reads only each row's zero atom and its CDF at the range cap,
 and takes its Poisson terms as one (density bins x provider counts)
 block per requester speed, not per surface point: at arrival rate 1 a
@@ -45,7 +47,7 @@ from .mixdist import (MixedDistribution, distinct_nodes, grid_nodes,
                       refined_grid, _trapz)
 from .popularity import (cache_presence_probs, non_repeated_pmf,
                          renewal_presence_probs, zipf_pmf)
-from .speedlaw import RelativeSpeedLaw, UniformSpeedLaw, interval_primitives
+from .speedlaw import RelativeSpeedLaw, UniformSpeedLaw
 
 _TINY = 1e-12
 
@@ -181,8 +183,8 @@ def _approach_density(rel: RelativeSpeedLaw, r: np.ndarray, x: float,
     """Density of the minimum distance on (0, x) for a provider starting
     at +x, in terms of the relative-speed law (negative speeds approach)."""
     u = (r - x) / tc  # < 0 on the open interval
-    dens = (1.0 / ts) * rel.int_inv_abs_below(u)
-    dens += (1.0 / tc - 1.0 / ts) * rel.pdf(u)
+    dens = (1.0 / ts) * rel.int_inv_abs_below(u)[0]
+    dens += (1.0 / tc - 1.0 / ts) * rel.pdf(u)[0]
     return dens
 
 
@@ -200,8 +202,6 @@ def single_provider_distance_law(x0: float, v_a: float,
     tc, ts = params.content_timeout, params.sharing_timeout
     if dr is None:
         dr = params.dr
-    if dr <= 0.0:
-        raise ValueError("grid resolution must be > 0")
     if x0 == 0.0:
         return MixedDistribution(atoms=[(0.0, 1.0)])
     x = abs(x0)
@@ -209,9 +209,9 @@ def single_provider_distance_law(x0: float, v_a: float,
     if x0 < 0.0:
         rel = rel.reflected()  # mirror so the provider is ahead at +x
 
-    far_mass = rel.mass_above(0.0)
+    far_mass = 1.0 - rel.cdf(0.0).item()
     u0 = -x / tc
-    zero_mass = rel.cdf(u0) - (x / ts) * rel.int_inv_abs_below(u0)
+    zero_mass = rel.cdf(u0).item() - (x / ts) * rel.int_inv_abs_below(u0).item()
 
     kinks = [x + tc * e for e in rel.edges() if -x / tc < e < 0.0]
     grid = refined_grid(0.0, x, dr, extra=_jump_nodes(kinks), refine_near=[x])
@@ -240,9 +240,9 @@ def displacement_law(x0: float, v_a: float, params: AnalyticParams,
     rel = params.speed_law.relative(v_a)
     x = abs(x0)
     if x0 > 0.0:
-        stay_mass = rel.mass_above(0.0)
+        stay_mass = 1.0 - rel.cdf(0.0).item()
         u0 = -x / tc
-        cross_mass = rel.cdf(u0) - (x / ts) * rel.int_inv_abs_below(u0)
+        cross_mass = rel.cdf(u0).item() - (x / ts) * rel.int_inv_abs_below(u0).item()
         if delta_grid is None:
             kinks = [tc * e for e in rel.edges() if -x / tc < e < 0.0]
             # the density has an integrable log singularity at delta -> 0-
@@ -251,12 +251,16 @@ def displacement_law(x0: float, v_a: float, params: AnalyticParams,
         else:
             grid = np.asarray(delta_grid, dtype=float)
         u = grid / tc
-        density = (1.0 / ts) * rel.int_inv_abs_below(u) + (1.0 / tc - 1.0 / ts) * rel.pdf(u)
+        density = ((1.0 / ts) * rel.int_inv_abs_below(u)[0]
+                   + (1.0 / tc - 1.0 / ts) * rel.pdf(u)[0])
         atoms = [(0.0, stay_mass), (-x, cross_mass)]
     else:
-        stay_mass = rel.cdf(0.0)
+        # the integral of pdf(v)/v above u > 0 is the reflected law's
+        # integral of pdf(v)/(-v) below -u
+        refl = rel.reflected()
+        stay_mass = rel.cdf(0.0).item()
         u0 = x / tc
-        cross_mass = rel.mass_above(u0) - (x / ts) * rel.int_inv_abs_above(u0)
+        cross_mass = (1.0 - rel.cdf(u0).item()) - (x / ts) * refl.int_inv_abs_below(-u0).item()
         if delta_grid is None:
             kinks = [tc * e for e in rel.edges() if 0.0 < e < x / tc]
             # mirrored: log singularity at delta -> 0+
@@ -265,7 +269,8 @@ def displacement_law(x0: float, v_a: float, params: AnalyticParams,
         else:
             grid = np.asarray(delta_grid, dtype=float)
         u = grid / tc
-        density = (1.0 / ts) * rel.int_inv_abs_above(u) + (1.0 / tc - 1.0 / ts) * rel.pdf(u)
+        density = ((1.0 / ts) * refl.int_inv_abs_below(-u)[0]
+                   + (1.0 / tc - 1.0 / ts) * rel.pdf(u)[0])
         atoms = [(0.0, stay_mass), (x, cross_mass)]
     return MixedDistribution(atoms=atoms, grid=grid, density=density)
 
@@ -316,6 +321,8 @@ def _speed_grid(params: AnalyticParams,
     """Requester-speed nodes and normalized trapezoid quadrature weights
     of the uniform entry-flow speed density or, length-biased, of the
     1/v speed density of vehicles on a road snapshot."""
+    if params.dva <= 0.0:
+        raise ValueError("speed step dva must be > 0")
     law = params.speed_law
     if law.v_max == law.v_min:
         return np.array([law.v_min]), np.array([1.0])
@@ -355,13 +362,13 @@ def _marginal_base(nodes: np.ndarray, dr: float) -> np.ndarray:
     return np.unique(grid_nodes(0.0, top, dr, extra=nodes, refine_near=[top]))
 
 
-def _position_marginal(lo: np.ndarray, hi: np.ndarray, level: np.ndarray,
-                       X: np.ndarray, base: np.ndarray, params: AnalyticParams):
+def _position_marginal(rel: RelativeSpeedLaw, X: np.ndarray, base: np.ndarray,
+                       params: AnalyticParams):
     """Single-provider minimum-distance laws for a provider placed
-    uniformly on [-X, X], one row per relative-speed law: density
-    ``level`` on the intervals [lo, hi] (rows x intervals) and its own
-    half-width X, at least the top of ``base``.  The per-position atoms
-    at |x0| smear into a flat density component 1/(2X).
+    uniformly on [-X, X], one row per row of the relative-speed law
+    ``rel``, each with its own half-width X, at least the top of
+    ``base``.  The per-position atoms at |x0| smear into a flat density
+    component 1/(2X).
 
     A row's grid is ``base`` with the row's kinks (where the providers of
     a speed edge start to reach the requester) merged in as
@@ -373,7 +380,7 @@ def _position_marginal(lo: np.ndarray, hi: np.ndarray, level: np.ndarray,
     rows, top = X.size, base[-1]
     # kinks: X - tc |e| for each speed edge e; one outside (0, top)
     # becomes a repeat of the top node, which the merge drops
-    reach = tc * np.abs(np.concatenate([lo, hi], axis=1))
+    reach = tc * np.abs(np.concatenate([rel.lo, rel.hi], axis=1))
     kinks = np.where(reach < X[:, None], np.minimum(X[:, None] - reach, top), top)
     # a row is sorted but for its few kinks: a stable (merge) sort is fast
     nodes = np.sort(np.concatenate([np.broadcast_to(base, (rows, base.size)), kinks],
@@ -385,30 +392,30 @@ def _position_marginal(lo: np.ndarray, hi: np.ndarray, level: np.ndarray,
     grid = np.minimum(grid, grid[np.arange(rows), n - 1, None])
 
     # sides: a provider ahead moves at V, one behind is a provider ahead
-    # moving at -V (intervals reversed, sorted as RelativeSpeedLaw.reflected
-    # sorts them).  Only the levels u <= 0 are read, where a (side, row)
+    # moving at -V.  Only the levels u <= 0 are read, where a (side, row)
     # pair with no interval below 0 adds exact zeros, so only the other
-    # pairs are evaluated.  Columns: the levels -T/tc of the grid, then
-    # -X/tc for the zero atom and 0 for the mass below 0.
-    lo2, hi2 = np.stack([lo, -hi[:, ::-1]]), np.stack([hi, -lo[:, ::-1]])
-    pair = np.any(lo2 < 0.0, axis=2)
+    # pairs are evaluated, as one block of laws.  Levels: -T/tc of the
+    # grid, then -X/tc for the zero atom.
+    refl = rel.reflected()
+    lo, hi = np.stack([rel.lo, refl.lo]), np.stack([rel.hi, refl.hi])
+    pair = np.any(lo < 0.0, axis=2)
     at = np.nonzero(pair)[1]
+    sides = RelativeSpeedLaw(lo=lo[pair], hi=hi[pair], level=rel.level[at])
     T = X[:, None] - grid
-    u = np.concatenate([-np.maximum(T, _TINY) / tc, -X[:, None] / tc,
-                        np.zeros((rows, 1))], axis=1)
-    cdf, inv, absv = interval_primitives(lo2[pair][..., None], hi2[pair][..., None],
-                                         level[at, None, None], u[at, None, :])
+    uX = -X[at, None] / tc
+    u = np.concatenate([-np.maximum(T[at], _TINY) / tc, uX], axis=1)
+    cdf, inv = sides.cdf(u), sides.int_inv_abs_below(u)
     # integral over x in (r, r+T) of the ahead-provider density at r
     ahead = np.zeros((2,) + T.shape)
     ahead[pair] = np.where(T[at] > _TINY,
-                           (T[at] / ts) * inv[:, :-2] + (cdf[:, -1:] - cdf[:, :-2]), 0.0)
+                           (T[at] / ts) * inv[:, :-1] + (sides.cdf(0.0) - cdf[:, :-1]), 0.0)
     density = (1.0 + ahead[0] + ahead[1]) / (2.0 * X[:, None])
     # mass at 0: both integrals over the provider position are exact in
     # the speed-law primitives
     half = tc - tc * tc / (2.0 * ts)
     edge = np.zeros((2, rows))
-    edge[pair] = (X[at] * cdf[:, -2] - (X[at] * X[at] / (2.0 * ts)) * inv[:, -2]
-                  + half * absv[:, -2])
+    edge[pair] = (X[at] * cdf[:, -1] - (X[at] * X[at] / (2.0 * ts)) * inv[:, -1]
+                  + half * sides.int_abs_to_zero(uX)[:, 0])
     atom0 = (edge[0] + edge[1]) / (2.0 * X)
     # trapezoid CDF, accumulated down the node axis of the transposed
     # rows: the same sums in the same order, vectorized across rows
@@ -419,24 +426,13 @@ def _position_marginal(lo: np.ndarray, hi: np.ndarray, level: np.ndarray,
     return atom0, grid, density, cdf
 
 
-def _chain_rows(va: np.ndarray, params: AnalyticParams):
-    """Rows (lo, hi, level, X) of the relative-speed laws of requester
-    speeds ``va`` against the whole traffic, over the region a provider
-    can reach the requester from before the deadline."""
-    law = params.speed_law
-    lo = np.stack([-law.v_max - va, law.v_min - va], axis=1)
-    hi = np.stack([-law.v_min - va, law.v_max - va], axis=1)
-    return (lo, hi, np.full(va.size, law.density_level),
-            provider_region_halfwidth(va, params))
-
-
 def distance_law_given_speed(v_a: float, params: AnalyticParams) -> MixedDistribution:
     """Minimum-distance law for one provider placed uniformly on the
     reachability interval [-X, X]."""
     X = provider_region_halfwidth(v_a, params)
     atom0, grid, density, _ = _position_marginal(
-        *_chain_rows(np.array([v_a]), params), _marginal_base(np.array([X]), params.dr),
-        params)
+        params.speed_law.relative(v_a), np.array([X]),
+        _marginal_base(np.array([X]), params.dr), params)
     return MixedDistribution(atoms=[(0.0, float(atom0[0]))], grid=grid[0], density=density[0])
 
 
@@ -455,7 +451,9 @@ def _base_laws(va: np.ndarray, params: AnalyticParams, grid: np.ndarray) -> list
     grid that carries the nodes of ``grid`` (which ends at the range
     cap): one (zero atom, grid, density, CDF) per speed."""
     base = _marginal_base(grid, params.dr)
-    return list(zip(*_position_marginal(*_chain_rows(va, params), base, params)))
+    return list(zip(*_position_marginal(params.speed_law.relative(va),
+                                        provider_region_halfwidth(va, params),
+                                        base, params)))
 
 
 def _on_grid(law, grid: np.ndarray):
@@ -622,17 +620,18 @@ def lane_offset_transform(law: MixedDistribution, lane_offset: float,
 
 def _lane_rows(edges: np.ndarray, v_a: float, rmax: float, tc: float,
                same_lane: bool):
-    """Rows (lo, hi, level, X) of the relative-speed laws of providers
-    whose speed magnitude is uniform on each bin between ``edges``:
-    same-lane traffic drives along the requester, the opposite lane
-    against it.  X bounds the region a provider can reach the range cap
-    from before the deadline."""
+    """The relative-speed laws, one row per bin between ``edges``, of
+    providers whose speed magnitude is uniform on the bin, and their
+    half-widths X: same-lane traffic drives along the requester, the
+    opposite lane against it.  X bounds the region a provider can reach
+    the range cap from before the deadline."""
     lo, hi = edges[:-1], edges[1:]
     level = 1.0 / (hi - lo)
     if same_lane:
-        return ((lo - v_a)[:, None], (hi - v_a)[:, None], level,
+        return (RelativeSpeedLaw(lo=(lo - v_a)[:, None], hi=(hi - v_a)[:, None], level=level),
                 rmax + np.maximum(np.abs(lo - v_a), np.abs(hi - v_a)) * tc)
-    return (-hi - v_a)[:, None], (-lo - v_a)[:, None], level, rmax + (hi + v_a) * tc
+    return (RelativeSpeedLaw(lo=(-hi - v_a)[:, None], hi=(-lo - v_a)[:, None], level=level),
+            rmax + (hi + v_a) * tc)
 
 
 def _holder_speed_bins(params: AnalyticParams) -> tuple[np.ndarray, np.ndarray]:
@@ -640,7 +639,7 @@ def _holder_speed_bins(params: AnalyticParams) -> tuple[np.ndarray, np.ndarray]:
     weights (1/v length-biased)."""
     law = params.speed_law
     if law.v_max == law.v_min:
-        raise ValueError("degenerate speed range: use the longitudinal law")
+        raise ValueError("the analytic model needs speed_min < speed_max")
     edges = np.linspace(law.v_min, law.v_max, params.provider_speed_bins + 1)
     weights = np.log(edges[1:] / edges[:-1]) / math.log(law.v_max / law.v_min)
     return edges, weights
@@ -700,20 +699,20 @@ def lane_aware_delivery_law(params: AnalyticParams) -> MixedDistribution:
         lam_unit = np.zeros_like(grid)
         f_unit = np.zeros_like(grid)
         zero_same = zero_opp = lam_at_offset = 0.0
-        same = _lane_rows(edges, v_a, rmax, tc, same_lane=True)
-        a_s, g_s, d_s, c_s = _position_marginal(*same, base_same, params)
+        same, X_s = _lane_rows(edges, v_a, rmax, tc, same_lane=True)
+        a_s, g_s, d_s, c_s = _position_marginal(same, X_s, base_same, params)
         if cross_reachable:
-            opp = _lane_rows(edges, v_a, rmax, tc, same_lane=False)
-            a_o, g_o, d_o, c_o = _position_marginal(*opp, base_opp, params)
+            opp, X_o = _lane_rows(edges, v_a, rmax, tc, same_lane=False)
+            a_o, g_o, d_o, c_o = _position_marginal(opp, X_o, base_opp, params)
         for k, wk in enumerate(w_speed):
-            m_s = wk * 2.0 * same[3][k]
+            m_s = wk * 2.0 * X_s[k]
             lam_unit += m_s * np.interp(grid, g_s[k], c_s[k])
             f_unit += m_s * np.interp(grid, g_s[k], d_s[k])
             zero_same += m_s * a_s[k]
             lam_at_offset += m_s * float(np.interp(r_y, g_s[k], c_s[k]))
             if not cross_reachable:
                 continue
-            m_o = wk * 2.0 * opp[3][k]
+            m_o = wk * 2.0 * X_o[k]
             F_o = a_o[k] + np.interp(backs, g_o[k], c_o[k] - a_o[k])
             f_o = np.interp(backs, g_o[k], d_o[k])
             if r_y > 0.0:  # Jacobian of the map to sqrt(r^2 - r_y^2)

@@ -114,6 +114,8 @@ def grid_nodes(lo: float, hi: float, step: float,
     sorted, repeats kept."""
     if hi <= lo:
         raise ValueError("need hi > lo")
+    if not step > 0.0:
+        raise ValueError("grid step must be > 0")
     n = max(2, int(round((hi - lo) / step)) + 1)
     nodes = [np.linspace(lo, hi, n)]
     if extra is not None:

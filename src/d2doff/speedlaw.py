@@ -8,11 +8,10 @@ signed density is constant c = 1/(2 (v_max - v_min)) on
 The relative speed between a requester moving at +v_a and another
 vehicle is V = V* - v_a; its density is a shifted copy of the signed
 law.  The distance-law derivations need, besides the plain CDF, the
-integrals of pdf(v)/|v| over half-lines, which are evaluated here in
-closed form (the piecewise-constant density makes them sums of logs).
-The methods of ``RelativeSpeedLaw`` take a scalar or an array of levels
-u for one law; ``interval_primitives`` evaluates a block of laws at
-once.
+integrals of pdf(v)/|v| below a level and of pdf(v)|v| up to 0, which
+are evaluated here in closed form (the piecewise-constant density makes
+them sums of logs and of squares).  A ``RelativeSpeedLaw`` is a block of
+such laws, one per row; a single law is a block of one row.
 """
 
 from __future__ import annotations
@@ -21,11 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def _like(u, values: np.ndarray):
-    """values as a Python float when u is a scalar, else as an array."""
-    return float(values) if np.ndim(u) == 0 else values
 
 
 @dataclass(frozen=True)
@@ -64,126 +58,85 @@ class UniformSpeedLaw:
         u = rng.random(n)
         return self.v_min * (self.v_max / self.v_min) ** u
 
-    def relative(self, v_a: float) -> "RelativeSpeedLaw":
-        c = self.density_level
-        intervals = (
-            (-self.v_max - v_a, -self.v_min - v_a),
-            (self.v_min - v_a, self.v_max - v_a),
-        )
-        return RelativeSpeedLaw(intervals=intervals, level=c)
+    def relative(self, va) -> "RelativeSpeedLaw":
+        """Relative-speed laws against the whole traffic, one row per
+        requester speed in ``va`` (a scalar gives one row)."""
+        va = np.atleast_1d(np.asarray(va, dtype=float))
+        return RelativeSpeedLaw(lo=np.stack([-self.v_max - va, self.v_min - va], axis=1),
+                                hi=np.stack([-self.v_min - va, self.v_max - va], axis=1),
+                                level=np.full(va.size, self.density_level))
 
 
 @dataclass(frozen=True)
 class RelativeSpeedLaw:
-    """Piecewise-constant density over disjoint intervals, total mass 1."""
+    """A block of piecewise-constant laws, each of total mass 1: row r
+    has density ``level[r]`` on the disjoint, increasing intervals
+    [lo[r, i], hi[r, i]] (rows x intervals).
 
-    intervals: tuple[tuple[float, float], ...]
-    level: float
+    The methods take levels u that broadcast against (rows, 1): a scalar,
+    one level per column, or one row of levels per law; they return rows
+    x levels, summed interval by interval."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    level: np.ndarray
+
+    def _intervals(self):
+        """Each interval's ends as (rows, 1) columns, and the rows' levels."""
+        c = self.level[:, None]
+        return ((a[:, None], b[:, None], c) for a, b in zip(self.lo.T, self.hi.T))
 
     def reflected(self) -> "RelativeSpeedLaw":
-        """Law of -V."""
-        ivs = tuple(sorted((-b, -a) for a, b in self.intervals))
-        return RelativeSpeedLaw(intervals=ivs, level=self.level)
+        """Laws of -V."""
+        return RelativeSpeedLaw(lo=-self.hi[:, ::-1], hi=-self.lo[:, ::-1], level=self.level)
 
     def pdf(self, v):
-        v = np.asarray(v, dtype=float)
-        out = np.zeros_like(v)
-        for a, b in self.intervals:
-            out = np.where((v >= a) & (v <= b), self.level, out)
+        out = 0.0
+        for a, b, c in self._intervals():
+            out = np.where((v >= a) & (v <= b), c, out)
         return out
 
     def cdf(self, u):
         """P(V <= u), exact."""
-        u_arr = np.asarray(u, dtype=float)
-        total = np.zeros_like(u_arr)
-        for a, b in self.intervals:
-            total += self.level * np.clip(np.minimum(u_arr, b) - a, 0.0, None)
-        return _like(u, total)
-
-    def mass_above(self, u):
-        return 1.0 - self.cdf(u)
+        total = 0.0
+        for a, b, c in self._intervals():
+            total = total + c * np.maximum(np.minimum(u, b) - a, 0.0)
+        return total
 
     def int_inv_abs_below(self, u):
-        """integral_{-inf}^{u} pdf(v)/(-v) dv, requires u < 0 (else diverges)."""
-        u_arr = np.asarray(u, dtype=float)
-        if np.any(u_arr >= 0.0):
+        """integral_{-inf}^{u} pdf(v)/(-v) dv, requires u < 0 (else diverges).
+        The integral of pdf(v)/v above u > 0 is that of the reflected law
+        below -u."""
+        if np.any(np.asarray(u) >= 0.0):
             raise ValueError("int_inv_abs_below requires u < 0")
-        total = np.zeros_like(u_arr)
-        for a, b in self.intervals:
-            hi = np.minimum(b, u_arr)
-            inside = hi > a
-            if np.any(inside):
-                # integral of c/(-v) over [a, hi], both negative
-                total[inside] += self.level * (math.log(-a) - np.log(-hi[inside]))
-        return _like(u, total)
-
-    def int_inv_abs_above(self, u):
-        """integral_{u}^{inf} pdf(v)/v dv, requires u > 0."""
-        u_arr = np.asarray(u, dtype=float)
-        if np.any(u_arr <= 0.0):
-            raise ValueError("int_inv_abs_above requires u > 0")
-        total = np.zeros_like(u_arr)
-        for a, b in self.intervals:
-            lo = np.maximum(a, u_arr)
-            inside = b > lo
-            if np.any(inside):
-                total[inside] += self.level * (math.log(b) - np.log(lo[inside]))
-        return _like(u, total)
-
-    def int_abs_between(self, lo: float, hi: float) -> float:
-        """integral_{lo}^{hi} pdf(v)|v| dv, exact."""
-        if hi <= lo:
-            return 0.0
-
-        def anti(v):  # antiderivative of |v|
-            return 0.5 * v * abs(v)
-
         total = 0.0
-        for a, b in self.intervals:
-            p, q = max(a, lo), min(b, hi)
-            if q > p:
-                total += self.level * (anti(q) - anti(p))
+        for a, b, c in self._intervals():
+            # math.log of the fixed end: numpy's log can differ from it in
+            # the last bit
+            log_a = np.array([[math.log(-x) if x < 0.0 else math.nan] for x in a[:, 0]])
+            below = np.minimum(u, b)
+            total = total + np.where(below > a, c * (log_a - np.log(-below)), 0.0)
+        return total
+
+    def int_abs_to_zero(self, u):
+        """integral_{u}^{0} pdf(v)|v| dv, exact (0 for u >= 0)."""
+        total = 0.0
+        for a, b, c in self._intervals():
+            p, q = np.maximum(a, u), np.minimum(b, 0.0)
+            total = total + np.where(q > p, c * (0.5 * q * np.abs(q) - 0.5 * p * np.abs(p)),
+                                     0.0)
         return total
 
     def edges(self) -> list[float]:
-        out = []
-        for a, b in self.intervals:
-            out.extend((a, b))
-        return sorted(out)
+        """The interval ends of a one-row law, sorted."""
+        (lo,), (hi,) = self.lo, self.hi
+        return sorted(lo.tolist() + hi.tolist())
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        lengths = np.array([b - a for a, b in self.intervals])
-        probs = lengths * self.level
-        probs = probs / probs.sum()
-        which = rng.choice(len(self.intervals), size=n, p=probs)
+        """n draws from a one-row law."""
+        (lo,), (hi,), (level,) = self.lo, self.hi, self.level
+        probs = (hi - lo) * level
+        which = rng.choice(lo.size, size=n, p=probs / probs.sum())
         u = rng.random(n)
-        a = np.array([iv[0] for iv in self.intervals])[which]
-        b = np.array([iv[1] for iv in self.intervals])[which]
+        a, b = lo[which], hi[which]
         return a + u * (b - a)
-
-
-def interval_primitives(lo, hi, level, u):
-    """Exact primitives of piecewise-constant laws with density ``level``
-    on the intervals [lo, hi], for arrays that broadcast to (...,
-    intervals, levels u): the CDF at u, the integral of pdf(v)/(-v)
-    below u (meaningful for u < 0) and the integral of pdf(v)|v| over
-    [u, 0], each summed over the interval axis (-2) in the order of
-    ``RelativeSpeedLaw.cdf``, ``int_inv_abs_below`` and
-    ``int_abs_between(u, 0.0)``, whose bits they carry element by
-    element."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    cdf = inv = absv = 0.0
-    for i in range(lo.shape[-2]):
-        a, b = lo[..., i:i + 1, :], hi[..., i:i + 1, :]
-        # math.log, as int_inv_abs_below takes it: numpy's log can differ
-        # from it in the last bit
-        log_a = np.array([math.log(-x) if x < 0.0 else math.nan
-                          for x in a.ravel()]).reshape(a.shape)
-        below = np.minimum(u, b)
-        cdf = cdf + level * np.maximum(below - a, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = inv + np.where(below > a, level * (log_a - np.log(-below)), 0.0)
-        p, q = np.maximum(a, u), np.minimum(b, 0.0)
-        absv = absv + np.where(q > p, level * (0.5 * q * np.abs(q) - 0.5 * p * np.abs(p)),
-                               0.0)
-    return cdf[..., 0, :], inv[..., 0, :], absv[..., 0, :]

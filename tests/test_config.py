@@ -140,6 +140,9 @@ UNRUNNABLE = [
     {"phy": {"center_frequency": 0.0}},
     {"phy": {"subcarriers_per_prb": 0}},
     {"scenario": {"control_interval": 1e-4}},
+    {"analytic": {"dr": 0.0}},
+    {"analytic": {"dr": -0.5}},
+    {"analytic": {"dva": -1.0}},
 ]
 
 

@@ -23,7 +23,7 @@ def base_law_up_to_edge(v_a, params, common_grid):
     X = analytic.provider_region_halfwidth(v_a, params)
     base = analytic._marginal_base(np.append(common_grid, X), params.dr)
     atom0, grid, density, cdf = analytic._position_marginal(
-        *analytic._chain_rows(np.array([v_a]), params), base, params)
+        params.speed_law.relative(v_a), np.array([X]), base, params)
     return (atom0[0], np.interp(common_grid, grid[0], density[0]),
             np.interp(common_grid, grid[0], cdf[0]))
 
@@ -192,6 +192,25 @@ class TestLaneTransform:
         assert law.atom_mass(0.0) == pytest.approx(base.atom_mass(0.0))
         assert law.continuous_mass == pytest.approx(base.continuous_mass,
                                                     rel=1e-9)
+
+
+@pytest.mark.parametrize("dr", [0.0, -0.5])
+def test_non_positive_grid_step_is_rejected(default_params, dr):
+    # a negative step used to give a 2-node grid and an unnormalized law
+    p = dataclasses.replace(default_params, dr=dr)
+    for build in (analytic.lane_aware_delivery_law,
+                  analytic.unconditional_effective_distance_law,
+                  lambda q: analytic.displacement_law(100.0, 17.0, q),
+                  lambda q: analytic.single_provider_distance_law(100.0, 17.0, q),
+                  lambda q: analytic.short_range_probability_surface(
+                      default_params, [60.0], [(9.0, 24.0)], [100.0], dr=dr)):
+        with pytest.raises(ValueError):
+            build(p)
+
+
+def test_non_positive_speed_step_is_rejected(default_params):
+    with pytest.raises(ValueError):
+        analytic.lane_aware_delivery_law(dataclasses.replace(default_params, dva=-1.0))
 
 
 class TestSurfacesAndEnergies:

@@ -3,9 +3,9 @@ replaced, row by row and law by law.
 
 The reference functions below are the one-law-at-a-time code the
 kernel replaced: ``reference_marginal`` builds one row's grid with
-``refined_grid`` and evaluates it with ``RelativeSpeedLaw``'s scalar
-methods, and the reference laws loop over rows in the same order as the
-package.  Grids, densities, CDFs, atoms, laws and energies must carry
+``refined_grid`` and evaluates it with the scalar methods of
+``speedlaw_reference.ScalarSpeedLaw``, and the reference laws loop over
+rows in the same order as the package.  Grids, densities, CDFs, atoms, laws and energies must carry
 the same bits; the zero-distance surface, whose Poisson terms are now
 summed over padded blocks of density bins, must agree to 1e-13."""
 
@@ -20,6 +20,8 @@ from d2doff.analytic import AnalyticParams
 from d2doff.config import Config
 from d2doff.mixdist import MixedDistribution, refined_grid
 from d2doff.speedlaw import RelativeSpeedLaw
+
+from speedlaw_reference import ScalarSpeedLaw, laws_of, relative
 
 _TINY = 1e-12
 
@@ -63,16 +65,11 @@ def reference_marginal(rel, X, params, nodes):
     return atom0, grid, density, cdf
 
 
-def laws_of(lo, hi, level):
-    return [RelativeSpeedLaw(intervals=tuple(zip(a, b)), level=float(c))
-            for a, b, c in zip(lo, hi, level)]
-
-
 def lane_interval_law(lo, hi, v_a, same_lane):
     level = 1.0 / (hi - lo)
     if same_lane:
-        return RelativeSpeedLaw(intervals=((lo - v_a, hi - v_a),), level=level)
-    return RelativeSpeedLaw(intervals=((-hi - v_a, -lo - v_a),), level=level)
+        return ScalarSpeedLaw(intervals=((lo - v_a, hi - v_a),), level=level)
+    return ScalarSpeedLaw(intervals=((-hi - v_a, -lo - v_a),), level=level)
 
 
 def reference_lane_aware_law(params):
@@ -146,7 +143,7 @@ def reference_offload_conditions(params, grid):
     va, w_va = analytic._speed_grid(params)
     for v_a, wv in zip(va, w_va):
         X = analytic.provider_region_halfwidth(v_a, params)
-        atom0, g, d, c = reference_marginal(params.speed_law.relative(v_a), X, params, grid)
+        atom0, g, d, c = reference_marginal(relative(params.speed_law, v_a), X, params, grid)
         base = atom0, np.interp(grid, g, d), np.interp(grid, g, c)
         for wz, rho_z in zip(w_bins, rho_bins):
             nbar = analytic.mean_provider_count(rho_z, v_a, params)
@@ -210,12 +207,12 @@ def assert_rows_match(rows, base, nodes, params):
     """Every row of one kernel call carries the bits of its scalar law;
     a short row repeats its last node, density and CDF to the end.
     Returns the number of padded rows."""
-    lo, hi, level, X = rows
-    atom0, grid, density, cdf = analytic._position_marginal(lo, hi, level, X, base, params)
+    rel, X = rows
+    atom0, grid, density, cdf = analytic._position_marginal(rel, X, base, params)
     assert grid.shape == density.shape == cdf.shape == (X.size, grid.shape[1])
     padded = 0
-    for r, rel in enumerate(laws_of(lo, hi, level)):
-        ref = reference_marginal(rel, float(X[r]), params, nodes)
+    for r, scalar in enumerate(laws_of(rel)):
+        ref = reference_marginal(scalar, float(X[r]), params, nodes)
         n = ref[1].size
         padded += n < grid.shape[1]
         assert atom0[r] == ref[0]
@@ -227,8 +224,8 @@ def assert_rows_match(rows, base, nodes, params):
 
 def kinks_of(rows, params, top):
     """The kinks of every row, split into those inside (0, top) and the rest."""
-    lo, hi, _, X = rows
-    reach = params.content_timeout * np.abs(np.concatenate([lo, hi], axis=1))
+    rel, X = rows
+    reach = params.content_timeout * np.abs(np.concatenate([rel.lo, rel.hi], axis=1))
     kinks = (X[:, None] - reach)[(reach > 0.0) & (reach < X[:, None])]
     return kinks[kinks < top], kinks[kinks >= top]
 
@@ -271,7 +268,7 @@ class TestRows:
         # gain a node that the others lack, so those are padded
         p = dataclasses.replace(params, dr=dr, content_timeout=tc)
         va, _ = analytic._speed_grid(p)
-        rows = analytic._chain_rows(va, p)
+        rows = p.speed_law.relative(va), analytic.provider_region_halfwidth(va, p)
         grid = refined_grid(0.0, p.d2d_max_range, dr)
         inside, outside = kinks_of(rows, p, grid[-1])
         assert inside.size and outside.size  # kinks inside and outside the cap
@@ -283,15 +280,16 @@ class TestRows:
         v_a = 13.0
         X = analytic.provider_region_halfwidth(v_a, params)
         nodes = np.append(refined_grid(0.0, params.d2d_max_range, params.dr), X)
-        rows = analytic._chain_rows(np.array([v_a]), params)
+        rows = params.speed_law.relative(v_a), np.array([X])
         assert_rows_match(rows, analytic._marginal_base(nodes, params.dr), nodes, params)
 
     def test_one_interval_rows_with_kinks_inside_the_cap(self, params, lane_grid):
         # a lane row's kinks lie at or past the cap by construction; these
         # rows have kinks inside and outside it, on grid nodes and between
         # them, so the rows differ in length
-        rows = (np.array([[-3.0], [-2.5], [0.5]]), np.array([[-1.0], [-0.3], [2.0]]),
-                np.array([0.5, 0.4545454545454546, 2.0 / 3.0]),
+        rows = (RelativeSpeedLaw(lo=np.array([[-3.0], [-2.5], [0.5]]),
+                                 hi=np.array([[-1.0], [-0.3], [2.0]]),
+                                 level=np.array([0.5, 0.4545454545454546, 2.0 / 3.0])),
                 np.array([150.05, 140.0, 121.0]))
         inside, outside = kinks_of(rows, params, lane_grid[-1])
         assert inside.size == 3 and outside.size == 3

@@ -4,7 +4,9 @@
 
 Run it from the root of a checkout (the package is imported from its
 ``src/``) at two revisions and diff the two outputs: a change that must
-not move any number prints the same lines.  Each line holds the run's
+not move any number prints the same lines.  When the tool itself
+changes, copy the newer version into both checkouts' ``tools/`` first,
+so that both sides fingerprint the same quantities.  Each line holds the run's
 key, its counters and a sha256 over its summary, delivered D2D
 distances, occupancy samples, both energies, the pending requests and
 the final state of its random generator.
@@ -17,9 +19,12 @@ of the band.  ``--quick`` runs one short run per policy.
 The full set then prints one line per analytic configuration of the
 benchmark (arrival rate 1/3 and 1 veh/s at the default distance step,
 2/3 veh/s at 0.05 m): a sha256 over the lane-aware delivery law (atoms,
-grid, density), the four average energies and the unconditional
-effective-distance law, followed by the 12 values of the zero-distance
-surface of ``d2doff analytic``.
+grid, density), the four average energies, the unconditional
+effective-distance law, the single-provider law and its displacement
+twin at the 15 (x0, v_a) pairs of ``d2doff validate``, and that
+command's oracle reports at those pairs (seed 1, 20 000 samples each),
+followed by the 12 values of the zero-distance surface of
+``d2doff analytic``.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ import dataclasses
 import hashlib
 import os
 import sys
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -86,10 +93,19 @@ def analytic_fingerprint(cfg: Config) -> str:
     surface = analytic.short_range_probability_surface(
         params, cli.SURFACE_TIMEOUTS, [(sc.speed_min, sc.speed_max)], cli.SURFACE_CAPS,
         dr=0.5)
+    parts = [law.atoms, law.grid.tolist(), law.density.tolist(), sorted(energies.items()),
+             unconditional.atoms, unconditional.grid.tolist(), unconditional.density.tolist()]
+    # the pairs and speeds of ``d2doff validate``
+    speeds = (sc.speed_min + 0.5, 0.5 * (sc.speed_min + sc.speed_max), sc.speed_max)
+    rng = np.random.default_rng(1)
+    for x0 in cli.DEFAULT_TUPLES_X0:
+        for v_a in speeds:
+            for single in (analytic.single_provider_distance_law(x0, v_a, params),
+                           analytic.distance_law_from_displacement(x0, v_a, params)):
+                parts += [single.atoms, single.grid.tolist(), single.density.tolist()]
+            parts.append(sorted(cli.oracle_check(x0, v_a, params, 20_000, rng).items()))
     digest = hashlib.sha256()
-    for part in (law.atoms, law.grid.tolist(), law.density.tolist(),
-                 sorted(energies.items()), unconditional.atoms,
-                 unconditional.grid.tolist(), unconditional.density.tolist()):
+    for part in parts:
         digest.update(repr(part).encode())
     values = " ".join(repr(float(p)) for p in surface.ravel())
     return f"sha256={digest.hexdigest()} surface={values}"
