@@ -23,14 +23,13 @@ speed-law primitives; the integral of pdf(v)|v| is evaluated only at
 the level -X/tc, the one its zero atom reads.  The lane-aware law makes
 two calls per requester speed (the provider speed bins of the same lane,
 then of the opposite lane), the chain one call for all requester speeds.
-The rows of a block share the nodes they are read at, built once per
-law, and each row merges in its own kinks; a row with fewer nodes is
-padded at the end by repeating its last node, so its trapezoid sums add
-exact zeros and every row keeps the bits of its law computed alone.  The
-surface reads only each row's zero atom and its CDF at the range cap,
-and takes its Poisson terms as one (density bins x provider counts)
-block per requester speed, not per surface point: at arrival rate 1 a
-point's block would hold 15 MB at once, a speed's 0.5 MB.
+A block has one grid, built once per law from the nodes it is read at
+and the block's kinks, so every read node is a node of the grid and a
+caller reads each row by index.  The surface reads only each row's zero
+atom and its CDF at the range cap, and takes its Poisson terms as one
+(density bins x provider counts) block per requester speed, not per
+surface point: at arrival rate 1 a point's block would hold 15 MB at
+once, a speed's 0.5 MB.
 """
 
 from __future__ import annotations
@@ -43,8 +42,7 @@ import numpy as np
 
 from . import kernels
 from .config import Config, ConfigError
-from .mixdist import (MixedDistribution, distinct_nodes, grid_nodes,
-                      refined_grid, _trapz)
+from .mixdist import MixedDistribution, grid_nodes, refined_grid, _trapz
 from .popularity import (cache_presence_probs, non_repeated_pmf,
                          renewal_presence_probs, zipf_pmf)
 from .speedlaw import RelativeSpeedLaw, UniformSpeedLaw
@@ -341,8 +339,7 @@ def marginal_nonoffload_probability(params: AnalyticParams) -> float:
     weights_z = params.non_repeated_weights()
     rho_z = params.content_densities()
     va, w_va = _speed_grid(params)
-    span = 2.0 * (params.d2d_max_range
-                  + (params.speed_law.v_max - va) * params.content_timeout)
+    span = 2.0 * provider_region_halfwidth(va, params)
     # outer product: contents x speeds
     nbar = rho_z[:, None] * span[None, :]
     return float(weights_z @ np.exp(-nbar) @ w_va)
@@ -352,45 +349,34 @@ def marginal_nonoffload_probability(params: AnalyticParams) -> float:
 # marginal over the provider's initial position, a block of laws at once
 # ---------------------------------------------------------------------------
 
-def _marginal_base(nodes: np.ndarray, dr: float) -> np.ndarray:
-    """Nodes shared by a block of position marginals read at ``nodes``:
-    the uniform grid up to the largest node, the nodes themselves and a
-    geometric refinement toward that top, sorted.  Close nodes are kept
-    until a row's kinks join them, but exact repeats are not: a repeat
-    changes no other node's gap to the one before it."""
+def _marginal_base(nodes: np.ndarray, dr: float,
+                   kinks: np.ndarray | None = None) -> np.ndarray:
+    """The one grid of a block of position marginals read at ``nodes``:
+    the uniform grid up to the largest node, the nodes themselves, the
+    block's ``kinks`` inside (0, top) and a geometric refinement toward
+    that top, sorted.  Exact repeats are dropped but close nodes are all
+    kept, so every read node is a node of the grid."""
     top = float(np.max(nodes))
-    return np.unique(grid_nodes(0.0, top, dr, extra=nodes, refine_near=[top]))
+    extra = nodes if kinks is None else np.concatenate([nodes, kinks])
+    return np.unique(grid_nodes(0.0, top, dr, extra=extra, refine_near=[top]))
 
 
-def _position_marginal(rel: RelativeSpeedLaw, X: np.ndarray, base: np.ndarray,
+def _kinks(rel: RelativeSpeedLaw, X: np.ndarray, tc: float) -> np.ndarray:
+    """The kinks X - tc |e| of every row of a block, one per speed edge e:
+    where the providers of that edge start to reach the requester.  Those
+    outside (0, top) are left for ``_marginal_base`` to drop."""
+    return (X[:, None] - tc * np.abs(np.concatenate([rel.lo, rel.hi], axis=1))).ravel()
+
+
+def _position_marginal(rel: RelativeSpeedLaw, X: np.ndarray, grid: np.ndarray,
                        params: AnalyticParams):
     """Single-provider minimum-distance laws for a provider placed
     uniformly on [-X, X], one row per row of the relative-speed law
     ``rel``, each with its own half-width X, at least the top of
-    ``base``.  The per-position atoms at |x0| smear into a flat density
-    component 1/(2X).
-
-    A row's grid is ``base`` with the row's kinks (where the providers of
-    a speed edge start to reach the requester) merged in as
-    ``refined_grid`` merges nodes.  Short rows are padded at the end by
-    repeating their last node: the trapezoid sums then add exact zeros,
-    so every row carries the bits of its law computed alone.  Returns
-    (zero atoms, grids, densities, CDFs), the last three rows x nodes."""
+    ``grid``.  The per-position atoms at |x0| smear into a flat density
+    component 1/(2X).  Returns (zero atoms, densities, CDFs), the last
+    two rows x nodes of ``grid``."""
     tc, ts = params.content_timeout, params.sharing_timeout
-    rows, top = X.size, base[-1]
-    # kinks: X - tc |e| for each speed edge e; one outside (0, top)
-    # becomes a repeat of the top node, which the merge drops
-    reach = tc * np.abs(np.concatenate([rel.lo, rel.hi], axis=1))
-    kinks = np.where(reach < X[:, None], np.minimum(X[:, None] - reach, top), top)
-    # a row is sorted but for its few kinks: a stable (merge) sort is fast
-    nodes = np.sort(np.concatenate([np.broadcast_to(base, (rows, base.size)), kinks],
-                                   axis=1), axis=1, kind="stable")
-    keep = distinct_nodes(nodes)
-    n = keep.sum(axis=1)
-    # dropped nodes move to the end as +inf, then repeat the last node
-    grid = np.sort(np.where(keep, nodes, np.inf), axis=1, kind="stable")[:, :n.max()]
-    grid = np.minimum(grid, grid[np.arange(rows), n - 1, None])
-
     # sides: a provider ahead moves at V, one behind is a provider ahead
     # moving at -V.  Only the levels u <= 0 are read, where a (side, row)
     # pair with no interval below 0 adds exact zeros, so only the other
@@ -413,27 +399,27 @@ def _position_marginal(rel: RelativeSpeedLaw, X: np.ndarray, base: np.ndarray,
     # mass at 0: both integrals over the provider position are exact in
     # the speed-law primitives
     half = tc - tc * tc / (2.0 * ts)
-    edge = np.zeros((2, rows))
+    edge = np.zeros((2, X.size))
     edge[pair] = (X[at] * cdf[:, -1] - (X[at] * X[at] / (2.0 * ts)) * inv[:, -1]
                   + half * sides.int_abs_to_zero(uX)[:, 0])
     atom0 = (edge[0] + edge[1]) / (2.0 * X)
     # trapezoid CDF, accumulated down the node axis of the transposed
     # rows: the same sums in the same order, vectorized across rows
-    steps = 0.5 * (density[:, 1:] + density[:, :-1]) * np.diff(grid, axis=1)
-    cdf = np.zeros(grid.shape)
+    steps = 0.5 * (density[:, 1:] + density[:, :-1]) * np.diff(grid)
+    cdf = np.zeros(T.shape)
     np.cumsum(steps.T, axis=0, out=cdf[:, 1:].T)
     cdf += atom0[:, None]
-    return atom0, grid, density, cdf
+    return atom0, density, cdf
 
 
 def distance_law_given_speed(v_a: float, params: AnalyticParams) -> MixedDistribution:
     """Minimum-distance law for one provider placed uniformly on the
     reachability interval [-X, X]."""
-    X = provider_region_halfwidth(v_a, params)
-    atom0, grid, density, _ = _position_marginal(
-        params.speed_law.relative(v_a), np.array([X]),
-        _marginal_base(np.array([X]), params.dr), params)
-    return MixedDistribution(atoms=[(0.0, float(atom0[0]))], grid=grid[0], density=density[0])
+    rel = params.speed_law.relative(v_a)
+    X = np.array([provider_region_halfwidth(v_a, params)])
+    grid = _marginal_base(X, params.dr, _kinks(rel, X, params.content_timeout))
+    atom0, density, _ = _position_marginal(rel, X, grid, params)
+    return MixedDistribution(atoms=[(0.0, float(atom0[0]))], grid=grid, density=density[0])
 
 
 # ---------------------------------------------------------------------------
@@ -447,19 +433,14 @@ def poisson_truncation(nbar):
 
 
 def _base_laws(va: np.ndarray, params: AnalyticParams, grid: np.ndarray) -> list:
-    """Position-marginal laws of the requester speeds ``va``, built on a
-    grid that carries the nodes of ``grid`` (which ends at the range
-    cap): one (zero atom, grid, density, CDF) per speed."""
-    base = _marginal_base(grid, params.dr)
-    return list(zip(*_position_marginal(params.speed_law.relative(va),
-                                        provider_region_halfwidth(va, params),
-                                        base, params)))
-
-
-def _on_grid(law, grid: np.ndarray):
-    """A base law read at the nodes of ``grid``: (zero atom, density, CDF)."""
-    atom0, g, density, cdf = law
-    return atom0, np.interp(grid, g, density), np.interp(grid, g, cdf)
+    """Position-marginal laws of the requester speeds ``va`` read at the
+    nodes of ``grid`` (which ends at the range cap): one (zero atom,
+    density, CDF) per speed."""
+    rel, X = params.speed_law.relative(va), provider_region_halfwidth(va, params)
+    base = _marginal_base(grid, params.dr, _kinks(rel, X, params.content_timeout))
+    atom0, density, cdf = _position_marginal(rel, X, base, params)
+    at = np.searchsorted(base, grid)
+    return list(zip(atom0, density[:, at], cdf[:, at]))
 
 
 def _min_over_providers(base, nbar: float):
@@ -479,8 +460,7 @@ def effective_distance_law(rho_z: float, v_a: float,
     if nbar <= 0.0:
         raise ValueError("no providers: effective law undefined")
     grid = refined_grid(0.0, params.d2d_max_range, params.dr)
-    base = _on_grid(_base_laws(np.array([v_a]), params, grid)[0], grid)
-    atom, density = _min_over_providers(base, nbar)
+    atom, density = _min_over_providers(_base_laws(np.array([v_a]), params, grid)[0], nbar)
     return MixedDistribution(atoms=[(0.0, atom)], grid=grid, density=density)
 
 
@@ -540,7 +520,6 @@ def unconditional_effective_distance_law(params: AnalyticParams) -> MixedDistrib
     dens_acc = np.zeros_like(grid)
     total_w = 0.0
     for base, nbars, weights in _offload_conditions(params, grid):
-        base = _on_grid(base, grid)
         for nbar, weight in zip(nbars, weights):
             atom, density = _min_over_providers(base, nbar)
             atom_acc += weight * atom
@@ -669,7 +648,7 @@ def lane_aware_delivery_law(params: AnalyticParams) -> MixedDistribution:
                                        params.content_bins)
     va, w_va = _speed_grid(params, length_biased=True)
 
-    extra = [r_y, r_y + 1e-10] if 0.0 < r_y < rmax else []
+    extra = [r_y] if 0.0 < r_y < rmax else []
     if 0.0 < r_y < rmax:
         # geometric nodes tame the 1/sqrt singularity of the mapped
         # opposite-lane density just above the lane offset
@@ -685,10 +664,19 @@ def lane_aware_delivery_law(params: AnalyticParams) -> MixedDistribution:
     cross_reachable = r_opp.size > 0 and r_y < rmax
 
     # every requester speed reads its marginals at the same nodes, so
-    # each lane's shared nodes are built once
+    # each lane's grid is built once.  It takes no kinks: a lane row's
+    # kinks X - tc|e| lie at or past the cap rmax, as X is rmax plus tc
+    # times the row's largest |e|, and the opposite lane's grid ends at
+    # sqrt(rmax^2 - r_y^2) <= rmax.
     base_same = _marginal_base(grid, params.dr)
+    at_s = np.searchsorted(base_same, grid)
+    # the same lane is also read at the offset, at the last node at or
+    # below it: the offset itself when it lies inside the cap (unless a
+    # node less than min_gap/4 below it took its place), else 0 or the cap
+    at_y = at_s[max(first - 1, 0)]
     if cross_reachable:
         base_opp = _marginal_base(backs, params.dr)
+        at_o = np.searchsorted(base_opp, backs)
 
     atom_near = atom_far = 0.0
     dens_acc = np.zeros_like(grid)
@@ -700,21 +688,22 @@ def lane_aware_delivery_law(params: AnalyticParams) -> MixedDistribution:
         f_unit = np.zeros_like(grid)
         zero_same = zero_opp = lam_at_offset = 0.0
         same, X_s = _lane_rows(edges, v_a, rmax, tc, same_lane=True)
-        a_s, g_s, d_s, c_s = _position_marginal(same, X_s, base_same, params)
+        a_s, d_s, c_s = _position_marginal(same, X_s, base_same, params)
         if cross_reachable:
             opp, X_o = _lane_rows(edges, v_a, rmax, tc, same_lane=False)
-            a_o, g_o, d_o, c_o = _position_marginal(opp, X_o, base_opp, params)
+            a_o, d_o, c_o = _position_marginal(opp, X_o, base_opp, params)
         for k, wk in enumerate(w_speed):
             m_s = wk * 2.0 * X_s[k]
-            lam_unit += m_s * np.interp(grid, g_s[k], c_s[k])
-            f_unit += m_s * np.interp(grid, g_s[k], d_s[k])
+            lam_unit += m_s * c_s[k, at_s]
+            f_unit += m_s * d_s[k, at_s]
             zero_same += m_s * a_s[k]
-            lam_at_offset += m_s * float(np.interp(r_y, g_s[k], c_s[k]))
+            lam_at_offset += m_s * c_s[k, at_y]
             if not cross_reachable:
                 continue
             m_o = wk * 2.0 * X_o[k]
-            F_o = a_o[k] + np.interp(backs, g_o[k], c_o[k] - a_o[k])
-            f_o = np.interp(backs, g_o[k], d_o[k])
+            # the atom plus the continuous part: not c_o in the last bit
+            F_o = a_o[k] + (c_o[k, at_o] - a_o[k])
+            f_o = d_o[k, at_o]
             if r_y > 0.0:  # Jacobian of the map to sqrt(r^2 - r_y^2)
                 f_o = f_o * r_opp / back_floor
             lam_unit[first:] += m_o * F_o
@@ -749,10 +738,10 @@ def short_range_probability(params: AnalyticParams) -> float:
     averaged like the unconditional law."""
     grid = refined_grid(0.0, params.d2d_max_range, params.dr)
     atom_acc = total_w = 0.0
-    for (atom0, _, _, cdf), nbars, weights in _offload_conditions(params, grid):
+    for (atom0, _, cdf), nbars, weights in _offload_conditions(params, grid):
         if not nbars:
             continue
-        # a row's last node is the range cap
+        # the grid's last node is the range cap
         atoms, _, _ = kernels.poisson_min_terms(atom0, cdf[-1], nbars,
                                                 poisson_truncation(np.array(nbars)))
         for atom, weight in zip(atoms, weights):

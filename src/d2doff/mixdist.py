@@ -141,15 +141,6 @@ def grid_nodes(lo: float, hi: float, step: float,
     return np.sort(np.concatenate(nodes))
 
 
-def distinct_nodes(nodes: np.ndarray, min_gap: float = 1e-9) -> np.ndarray:
-    """Mask of the sorted nodes (along the last axis) that a grid keeps:
-    the first, and each one more than min_gap/4 above the node before
-    it, so of a repeat only the first copy stays."""
-    keep = np.ones(nodes.shape, dtype=bool)
-    keep[..., 1:] = np.diff(nodes, axis=-1) > min_gap / 4.0
-    return keep
-
-
 def refined_grid(lo: float, hi: float, step: float,
                  extra: np.ndarray | list[float] | None = None,
                  refine_near: list[float] | None = None,
@@ -157,6 +148,6 @@ def refined_grid(lo: float, hi: float, step: float,
     """Uniform grid on [lo, hi] plus explicit nodes and geometric
     refinement toward listed points (for integrable singularities);
     near-duplicate nodes, which would break strict monotonicity, are
-    dropped."""
+    dropped: each node within min_gap/4 above the one before it."""
     nodes = grid_nodes(lo, hi, step, extra, refine_near, min_gap)
-    return nodes[distinct_nodes(nodes, min_gap)]
+    return nodes[np.diff(nodes, prepend=-np.inf) > min_gap / 4.0]

@@ -20,12 +20,13 @@ def base_law_up_to_edge(v_a, params, common_grid):
     """The base law of the longitudinal chain tabulated on a grid that
     runs up to the edge X of the provider region, then read off at the
     common grid nodes."""
-    X = analytic.provider_region_halfwidth(v_a, params)
-    base = analytic._marginal_base(np.append(common_grid, X), params.dr)
-    atom0, grid, density, cdf = analytic._position_marginal(
-        params.speed_law.relative(v_a), np.array([X]), base, params)
-    return (atom0[0], np.interp(common_grid, grid[0], density[0]),
-            np.interp(common_grid, grid[0], cdf[0]))
+    rel = params.speed_law.relative(v_a)
+    X = np.array([analytic.provider_region_halfwidth(v_a, params)])
+    grid = analytic._marginal_base(np.append(common_grid, X), params.dr,
+                                   analytic._kinks(rel, X, params.content_timeout))
+    atom0, density, cdf = analytic._position_marginal(rel, X, grid, params)
+    at = np.searchsorted(grid, common_grid)
+    return atom0[0], density[0, at], cdf[0, at]
 
 
 def mc_min_distance(x0, v_a, params, n, rng):
@@ -115,8 +116,7 @@ class TestPositionMarginalLaw:
         # move it there
         p = dataclasses.replace(default_params, dr=dr)
         common = refined_grid(0.0, p.d2d_max_range, dr)
-        atom0, density, cdf = analytic._on_grid(
-            analytic._base_laws(np.array([v_a]), p, common)[0], common)
+        atom0, density, cdf = analytic._base_laws(np.array([v_a]), p, common)[0]
         ref_atom0, ref_density, ref_cdf = base_law_up_to_edge(v_a, p, common)
         assert atom0 == ref_atom0
         np.testing.assert_allclose(density, ref_density, rtol=0.0, atol=1e-9)

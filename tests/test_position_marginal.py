@@ -2,12 +2,15 @@
 replaced, row by row and law by law.
 
 The reference functions below are the one-law-at-a-time code the
-kernel replaced: ``reference_marginal`` builds one row's grid with
-``refined_grid`` and evaluates it with the scalar methods of
-``speedlaw_reference.ScalarSpeedLaw``, and the reference laws loop over
-rows in the same order as the package.  Grids, densities, CDFs, atoms, laws and energies must carry
-the same bits; the zero-distance surface, whose Poisson terms are now
-summed over padded blocks of density bins, must agree to 1e-13."""
+kernel replaced: ``reference_marginal_on`` evaluates one row on a given
+grid with the scalar methods of ``speedlaw_reference.ScalarSpeedLaw``,
+``reference_marginal`` on the row's own grid built with
+``refined_grid``, and the reference laws loop over rows in the same
+order as the package and read each row with ``np.interp``.  Each row of
+a block, evaluated on the block's one grid, and the atoms, laws and
+energies must carry the same bits; the zero-distance surface, whose
+Poisson terms are now summed over padded blocks of density bins, must
+agree to 1e-13."""
 
 import dataclasses
 import math
@@ -48,20 +51,27 @@ def reference_zero_atom(rel, X, tc, ts):
                for r in (rel, rel.reflected())) / (2.0 * X)
 
 
-def reference_marginal(rel, X, params, nodes):
-    """(zero atom, grid, density, CDF) of one law, on its own grid."""
+def reference_marginal_on(rel, X, params, grid):
+    """(zero atom, density, CDF) of one law on ``grid``."""
     tc, ts = params.content_timeout, params.sharing_timeout
-    kinks = np.array([X - tc * abs(e) for e in rel.edges() if 0.0 < tc * abs(e) < X])
-    top = min(X, float(np.max(nodes)))
-    grid = refined_grid(0.0, top, params.dr,
-                        extra=np.concatenate([nodes[nodes <= top], kinks]),
-                        refine_near=[top])
     T = X - grid
     density = (1.0 + reference_cumulative_ahead(rel, T, tc, ts)
                + reference_cumulative_ahead(rel.reflected(), T, tc, ts)) / (2.0 * X)
     atom0 = reference_zero_atom(rel, X, tc, ts)
     cdf = atom0 + np.concatenate(
         [[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(grid))])
+    return atom0, density, cdf
+
+
+def reference_marginal(rel, X, params, nodes):
+    """(zero atom, grid, density, CDF) of one law, on its own grid."""
+    tc = params.content_timeout
+    kinks = np.array([X - tc * abs(e) for e in rel.edges() if 0.0 < tc * abs(e) < X])
+    top = min(X, float(np.max(nodes)))
+    grid = refined_grid(0.0, top, params.dr,
+                        extra=np.concatenate([nodes[nodes <= top], kinks]),
+                        refine_near=[top])
+    atom0, density, cdf = reference_marginal_on(rel, X, params, grid)
     return atom0, grid, density, cdf
 
 
@@ -70,6 +80,21 @@ def lane_interval_law(lo, hi, v_a, same_lane):
     if same_lane:
         return ScalarSpeedLaw(intervals=((lo - v_a, hi - v_a),), level=level)
     return ScalarSpeedLaw(intervals=((-hi - v_a, -lo - v_a),), level=level)
+
+
+def lane_grid_of(params):
+    """The grid of the lane-aware law."""
+    rmax, r_y = params.d2d_max_range, params.lane_offset
+    extra = []
+    if 0.0 < r_y < rmax:
+        extra = [r_y] + list(r_y + np.geomspace(1e-9, min(2.0, rmax - r_y), 120))
+    return refined_grid(0.0, rmax, params.dr, extra=extra)
+
+
+def opposite_lane_nodes(grid, r_y):
+    """The nodes the opposite lane's marginals are read at: the grid's
+    nodes past the offset, mapped back to the longitudinal axis."""
+    return np.sqrt(np.clip(grid[grid > r_y] ** 2 - r_y * r_y, 0.0, None)) if r_y > 0.0 else grid
 
 
 def reference_lane_aware_law(params):
@@ -81,10 +106,7 @@ def reference_lane_aware_law(params):
                                                 params.holder_densities(),
                                                 params.content_bins)
     va, w_va = analytic._speed_grid(params, length_biased=True)
-    extra = [r_y, r_y + 1e-10] if 0.0 < r_y < rmax else []
-    if 0.0 < r_y < rmax:
-        extra += list(r_y + np.geomspace(1e-9, min(2.0, rmax - r_y), 120))
-    grid = refined_grid(0.0, rmax, params.dr, extra=extra)
+    grid = lane_grid_of(params)
     above = grid > r_y if r_y > 0.0 else np.full(grid.shape, True)
     backs = np.sqrt(np.clip(grid ** 2 - r_y * r_y, 0.0, None))
     cross_reachable = bool(np.any(above)) and r_y < rmax
@@ -203,31 +225,25 @@ def reference_short_range_probability(params):
 # row by row
 # ---------------------------------------------------------------------------
 
-def assert_rows_match(rows, base, nodes, params):
-    """Every row of one kernel call carries the bits of its scalar law;
-    a short row repeats its last node, density and CDF to the end.
-    Returns the number of padded rows."""
+def assert_rows_match(rows, grid, params):
+    """Every row of one kernel call carries the bits of its scalar law
+    evaluated on the block's grid."""
     rel, X = rows
-    atom0, grid, density, cdf = analytic._position_marginal(rel, X, base, params)
-    assert grid.shape == density.shape == cdf.shape == (X.size, grid.shape[1])
-    padded = 0
+    atom0, density, cdf = analytic._position_marginal(rel, X, grid, params)
+    assert density.shape == cdf.shape == (X.size, grid.size)
     for r, scalar in enumerate(laws_of(rel)):
-        ref = reference_marginal(scalar, float(X[r]), params, nodes)
-        n = ref[1].size
-        padded += n < grid.shape[1]
+        ref = reference_marginal_on(scalar, float(X[r]), params, grid)
         assert atom0[r] == ref[0]
-        for got, want in zip((grid[r], density[r], cdf[r]), ref[1:]):
-            assert np.array_equal(got[:n], want)
-            assert np.all(got[n:] == want[-1])
-    return padded
+        assert np.array_equal(density[r], ref[1])
+        assert np.array_equal(cdf[r], ref[2])
 
 
-def kinks_of(rows, params, top):
-    """The kinks of every row, split into those inside (0, top) and the rest."""
+def kinks_of(rows, params):
+    """The kinks of every row in (0, X), where the providers of a speed
+    edge start to reach the requester."""
     rel, X = rows
     reach = params.content_timeout * np.abs(np.concatenate([rel.lo, rel.hi], axis=1))
-    kinks = (X[:, None] - reach)[(reach > 0.0) & (reach < X[:, None])]
-    return kinks[kinks < top], kinks[kinks >= top]
+    return (X[:, None] - reach)[(reach > 0.0) & (reach < X[:, None])]
 
 
 @pytest.fixture(scope="module")
@@ -237,9 +253,7 @@ def params():
 
 @pytest.fixture(scope="module")
 def lane_grid(params):
-    r_y = params.lane_offset
-    extra = [r_y, r_y + 1e-10] + list(r_y + np.geomspace(1e-9, 2.0, 120))
-    return refined_grid(0.0, params.d2d_max_range, params.dr, extra=extra)
+    return lane_grid_of(params)
 
 
 class TestRows:
@@ -248,32 +262,29 @@ class TestRows:
         edges, _ = analytic._holder_speed_bins(params)
         rows = analytic._lane_rows(edges, v_a, params.d2d_max_range,
                                    params.content_timeout, same_lane=True)
-        base = analytic._marginal_base(lane_grid, params.dr)
-        assert_rows_match(rows, base, lane_grid, params)
+        assert_rows_match(rows, analytic._marginal_base(lane_grid, params.dr), params)
 
     @pytest.mark.parametrize("v_a", [9.0, 17.0, 24.0])
     def test_opposite_lane_rows(self, params, lane_grid, v_a):
-        r_y = params.lane_offset
         edges, _ = analytic._holder_speed_bins(params)
         rows = analytic._lane_rows(edges, v_a, params.d2d_max_range,
                                    params.content_timeout, same_lane=False)
-        backs = np.sqrt(lane_grid[lane_grid > r_y] ** 2 - r_y * r_y)
-        assert_rows_match(rows, analytic._marginal_base(backs, params.dr), backs, params)
+        backs = opposite_lane_nodes(lane_grid, params.lane_offset)
+        assert_rows_match(rows, analytic._marginal_base(backs, params.dr), params)
 
     @pytest.mark.parametrize("dr", [0.1, 0.5])
     @pytest.mark.parametrize("tc", [20.0, 23.7])
     def test_two_interval_rows(self, params, dr, tc):
-        # at tc 20 every kink lands on a grid node; at 23.7 and dr 0.1
-        # some land within the merge gap of one, and at dr 0.5 some rows
-        # gain a node that the others lack, so those are padded
+        # at tc 20 every kink lands on a grid node; at 23.7 some land
+        # between nodes, or within the merge gap of one
         p = dataclasses.replace(params, dr=dr, content_timeout=tc)
         va, _ = analytic._speed_grid(p)
         rows = p.speed_law.relative(va), analytic.provider_region_halfwidth(va, p)
-        grid = refined_grid(0.0, p.d2d_max_range, dr)
-        inside, outside = kinks_of(rows, p, grid[-1])
-        assert inside.size and outside.size  # kinks inside and outside the cap
-        padded = assert_rows_match(rows, analytic._marginal_base(grid, dr), grid, p)
-        assert (padded > 0) == (tc == 23.7 and dr == 0.5)
+        nodes = refined_grid(0.0, p.d2d_max_range, dr)
+        kinks = kinks_of(rows, p)
+        # kinks inside and outside the cap
+        assert np.any(kinks < nodes[-1]) and np.any(kinks >= nodes[-1])
+        assert_rows_match(rows, analytic._marginal_base(nodes, dr, kinks), p)
 
     def test_two_interval_rows_up_to_their_edge(self, params):
         # one row whose grid runs up to X itself, the top of the region
@@ -281,21 +292,49 @@ class TestRows:
         X = analytic.provider_region_halfwidth(v_a, params)
         nodes = np.append(refined_grid(0.0, params.d2d_max_range, params.dr), X)
         rows = params.speed_law.relative(v_a), np.array([X])
-        assert_rows_match(rows, analytic._marginal_base(nodes, params.dr), nodes, params)
+        grid = analytic._marginal_base(nodes, params.dr, kinks_of(rows, params))
+        assert_rows_match(rows, grid, params)
 
     def test_one_interval_rows_with_kinks_inside_the_cap(self, params, lane_grid):
         # a lane row's kinks lie at or past the cap by construction; these
         # rows have kinks inside and outside it, on grid nodes and between
-        # them, so the rows differ in length
+        # them
         rows = (RelativeSpeedLaw(lo=np.array([[-3.0], [-2.5], [0.5]]),
                                  hi=np.array([[-1.0], [-0.3], [2.0]]),
                                  level=np.array([0.5, 0.4545454545454546, 2.0 / 3.0])),
                 np.array([150.05, 140.0, 121.0]))
-        inside, outside = kinks_of(rows, params, lane_grid[-1])
-        assert inside.size == 3 and outside.size == 3
+        kinks = kinks_of(rows, params)
+        inside = kinks[kinks < lane_grid[-1]]
+        assert inside.size == 3 and kinks.size == 6
         assert 0 < np.isin(inside, lane_grid).sum() < 3
-        base = analytic._marginal_base(lane_grid, params.dr)
-        assert assert_rows_match(rows, base, lane_grid, params) == 2
+        grid = analytic._marginal_base(lane_grid, params.dr, kinks)
+        assert_rows_match(rows, grid, params)
+
+
+@pytest.mark.parametrize("lane_offset", [0.0, 10.0])
+@pytest.mark.parametrize("tc", [20.0, 23.7])
+@pytest.mark.parametrize("bins", [1, 8])
+@pytest.mark.parametrize("v_a", [9.0, 12.7, 17.0, 24.0])
+def test_grids_hold_every_read_node_and_inner_kink(params, v_a, bins, tc, lane_offset):
+    p = dataclasses.replace(params, content_timeout=tc, provider_speed_bins=bins,
+                            lane_offset=lane_offset)
+    # the chain: nodes up to the range cap, and its rows' kinks
+    rows = p.speed_law.relative(v_a), np.array([analytic.provider_region_halfwidth(v_a, p)])
+    nodes = refined_grid(0.0, p.d2d_max_range, p.dr)
+    kinks = kinks_of(rows, p)
+    grid = analytic._marginal_base(nodes, p.dr, analytic._kinks(*rows, tc))
+    assert np.all(np.isin(nodes, grid))
+    assert np.all(np.isin(kinks[kinks < grid[-1]], grid))
+    # the lanes: read at the law's grid and at the opposite lane's mapped
+    # nodes, each lane's grid taking no kinks, as none lies inside it
+    edges, _ = analytic._holder_speed_bins(p)
+    lane_grid = lane_grid_of(p)
+    for same_lane, nodes in ((True, lane_grid),
+                             (False, opposite_lane_nodes(lane_grid, lane_offset))):
+        rows = analytic._lane_rows(edges, v_a, p.d2d_max_range, tc, same_lane)
+        grid = analytic._marginal_base(nodes, p.dr)
+        assert np.all(np.isin(nodes, grid))
+        assert not np.any(kinks_of(rows, p) < grid[-1] - 1e-9)
 
 
 # ---------------------------------------------------------------------------
