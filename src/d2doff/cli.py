@@ -16,7 +16,6 @@ Exit codes: 0 success, 1 runtime failure, 2 config error, 3 validation failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import math
@@ -191,16 +190,6 @@ class SweepSpec:
         return spec
 
 
-def _sweep_point(packed):
-    cfg, spec_parameter, value, policies, duration, warmup, reps = packed
-    seed = point_seed(spec_parameter, value)
-    out = {}
-    for policy in policies:
-        s = engine.replicate(cfg, policy, duration, warmup, reps, seed)
-        out[policy] = {n: s.row(n) for n in s.metric_names}
-    return value, out
-
-
 REDUCTION_PAIRS = [
     # (metric, baseline policy): reduction of every other policy vs baseline
     ("energy_total_per_delivery", "cellular"),
@@ -212,24 +201,21 @@ REDUCTION_PAIRS = [
 def cmd_sweep(args) -> int:
     spec = SweepSpec.from_file(args.spec)
     cfg = _load(args.config)
-    jobs = [(_with_param(cfg, {**spec.overrides, spec.parameter: v}),
-             spec.parameter, v, spec.policies,
-             args.duration, args.warmup, args.replications)
-            for v in spec.values]
+    points = [(v, _with_param(cfg, {**spec.overrides, spec.parameter: v}))
+              for v in spec.values]
+    reps = args.replications
+    jobs = [(point_cfg, policy, args.duration, args.warmup,
+             point_seed(spec.parameter, v) + i)
+            for v, point_cfg in points for policy in spec.policies for i in range(reps)]
     out = _outdir(args.out)
+    runs = engine.run_many(jobs, args.workers)
+    # one summary per (value, policy): a slice of reps runs, in job order
+    slices = iter([engine.summarize(runs[k:k + reps]) for k in range(0, len(runs), reps)])
+    results = [(v, {p: next(slices) for p in spec.policies}) for v in spec.values]
 
-    if args.workers > 1 and len(jobs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(args.workers, len(jobs))) as pool:
-            results = list(pool.map(_sweep_point, jobs))
-    else:
-        results = [_sweep_point(j) for j in jobs]
-    results.sort(key=lambda kv: spec.values.index(kv[0]))
-
-    metric_names = list(next(iter(results[0][1].values())).keys())
-    for metric in metric_names:
+    for metric in runs[0].summary():
         for policy in spec.policies:
-            rows = [[v, *res[policy][metric]] for v, res in results]
+            rows = [[v, *res[policy].row(metric)] for v, res in results]
             write_csv(os.path.join(out, f"{spec.parameter}__{metric}__{policy}.csv"),
                       [spec.parameter, "mean", "ci_low", "ci_high"], rows)
 
@@ -241,8 +227,8 @@ def cmd_sweep(args) -> int:
                 continue
             rows = []
             for v, res in results:
-                base = res[baseline][metric][0]
-                val = res[policy][metric][0]
+                base = res[baseline].means[metric]
+                val = res[policy].means[metric]
                 red = 100.0 * (1.0 - val / base) if base else float("nan")
                 rows.append([v, red])
             write_csv(os.path.join(
@@ -417,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--spec", required=True, help="sweep spec JSON")
     sp.add_argument("--replications", type=_POSITIVE_INT, default=3)
-    sp.add_argument("--workers", type=_POSITIVE_INT, default=os.cpu_count() or 1)
+    sp.add_argument("--workers", type=_POSITIVE_INT, help="default: the usable cores")
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("analytic", help="tabulate analytic laws and energies")

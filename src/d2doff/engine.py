@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -300,6 +301,24 @@ def run(cfg: Config, policy_name: str, duration: float, warmup: float,
     return eng
 
 
+def _run_job(job: tuple) -> MetricsAccumulator:
+    return run(*job).metrics
+
+
+def run_many(jobs, workers: int | None = None) -> list[MetricsAccumulator]:
+    """Each (cfg, policy, duration, warmup, seed) job's metrics, in job order,
+    from ``workers`` processes (default: the usable cores; with one, no pool
+    starts).  A run depends only on its job, so ``workers`` changes no bit."""
+    jobs = list(jobs)
+    n = min(workers or len(os.sched_getaffinity(0)), len(jobs))
+    if n <= 1:
+        return [_run_job(job) for job in jobs]
+    # imported here: a caller that never pools does not pay for the import
+    import concurrent.futures
+    with concurrent.futures.ProcessPoolExecutor(max_workers=n) as pool:
+        return list(pool.map(_run_job, jobs))
+
+
 @dataclass
 class ReplicationSummary:
     metric_names: list[str]
@@ -340,13 +359,9 @@ def _t_quantile_975(df: int) -> float:
     return math.sqrt(df) * math.tan(mid)
 
 
-def replicate(cfg: Config, policy_name: str, duration: float, warmup: float,
-              n_runs: int, base_seed: int) -> ReplicationSummary:
-    """Independent runs with seeds base_seed + i and Student-t 95% CIs."""
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
-    runs = [run(cfg, policy_name, duration, warmup, base_seed + i).metrics
-            for i in range(n_runs)]
+def summarize(runs: list[MetricsAccumulator]) -> ReplicationSummary:
+    """Means and Student-t 95% CIs of the runs' summaries."""
+    n_runs = len(runs)
     names = list(runs[0].summary().keys())
     q = _t_quantile_975(n_runs - 1) if n_runs > 1 else 0.0
     means, lo, hi = {}, {}, {}
@@ -361,6 +376,15 @@ def replicate(cfg: Config, policy_name: str, duration: float, warmup: float,
             lo[name] = hi[name] = m
     return ReplicationSummary(metric_names=names, means=means,
                               ci_low=lo, ci_high=hi, runs=runs)
+
+
+def replicate(cfg: Config, policy_name: str, duration: float, warmup: float,
+              n_runs: int, base_seed: int) -> ReplicationSummary:
+    """Independent runs with seeds base_seed + i and Student-t 95% CIs."""
+    if n_runs < 1:
+        raise ValueError("n_runs must be >= 1")
+    return summarize(run_many((cfg, policy_name, duration, warmup, base_seed + i)
+                              for i in range(n_runs)))
 
 
 def sample_distance_pdf(distances, bin_width: float = 2.0,

@@ -30,8 +30,15 @@ def _with_scenario(**kw) -> Config:
                                scenario=dataclasses.replace(cfg.scenario, **kw))
 
 
-def _reps(cfg: Config, policy: str, base_seed: int):
-    return engine.replicate(cfg, policy, DURATION, WARMUP, N_RUNS, base_seed)
+def _reps(points: dict) -> dict:
+    """{key: (cfg, policy, base_seed)} -> {key: summary of N_RUNS runs with
+    seeds base_seed + i}, as engine.replicate gives it; all the points' runs
+    go to one engine.run_many call."""
+    runs = engine.run_many((cfg, policy, DURATION, WARMUP, base_seed + i)
+                           for cfg, policy, base_seed in points.values()
+                           for i in range(N_RUNS))
+    return {key: engine.summarize(runs[k * N_RUNS:(k + 1) * N_RUNS])
+            for k, key in enumerate(points)}
 
 
 # ---------------------------------------------------------------------------
@@ -41,32 +48,30 @@ def _reps(cfg: Config, policy: str, base_seed: int):
 TIMEOUTS = (20.0, 40.0, 60.0, 90.0, 120.0)
 
 
+def _by_timeout(policy: str, timeouts) -> dict:
+    return _reps({tc: (_with_scenario(content_timeout=tc), policy, 1000 + int(tc))
+                  for tc in timeouts})
+
+
 @pytest.fixture(scope="module")
 def optimal_by_timeout():
-    return {tc: _reps(_with_scenario(content_timeout=tc), "optimal",
-                      base_seed=1000 + int(tc))
-            for tc in TIMEOUTS}
+    return _by_timeout("optimal", TIMEOUTS)
 
 
 @pytest.fixture(scope="module")
 def cellular_by_timeout():
-    return {tc: _reps(_with_scenario(content_timeout=tc), "cellular",
-                      base_seed=1000 + int(tc))
-            for tc in (20.0, 60.0)}
+    return _by_timeout("cellular", (20.0, 60.0))
 
 
 @pytest.fixture(scope="module")
 def benchmark_by_timeout():
-    return {tc: _reps(_with_scenario(content_timeout=tc), "benchmark",
-                      base_seed=1000 + int(tc))
-            for tc in (20.0, 60.0)}
+    return _by_timeout("benchmark", (20.0, 60.0))
 
 
 @pytest.fixture(scope="module")
 def slow_traffic_runs():
     cfg = _with_scenario(speed_min=6.0, speed_max=16.0)
-    return {policy: _reps(cfg, policy, base_seed=2000)
-            for policy in ("optimal", "cellular")}
+    return _reps({policy: (cfg, policy, 2000) for policy in ("optimal", "cellular")})
 
 
 # Criterion 4's runs are five times as long as the others.  Over 600 s the
@@ -82,11 +87,9 @@ def validation_scenario_distances():
     """Pooled D2D delivery distances for the wide-range slow scenario."""
     cfg = _with_scenario(speed_min=6.0, speed_max=16.0, d2d_max_range=180.0,
                          content_timeout=20.0)
-    dists = []
-    for i in range(N_RUNS):
-        m = engine.run(cfg, "optimal", VALIDATION_DURATION, WARMUP, seed=3000 + i).metrics
-        dists.extend(m.d2d_distances)
-    return cfg, np.asarray(dists)
+    runs = engine.run_many((cfg, "optimal", VALIDATION_DURATION, WARMUP, 3000 + i)
+                           for i in range(N_RUNS))
+    return cfg, np.asarray([r for m in runs for r in m.d2d_distances])
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +223,22 @@ def test_criterion_4_simulated_distance_distribution(
 # 5. total energy vs the cellular baseline
 # ---------------------------------------------------------------------------
 
-def test_criterion_5_total_energy_reduction(optimal_by_timeout,
-                                            cellular_by_timeout, capsys):
-    details, ok = [], True
+def test_criterion_5_total_energy_reduction(optimal_by_timeout, cellular_by_timeout,
+                                            benchmark_by_timeout, capsys):
+    details, vs_benchmark, ok = [], [], True
     for tc in (20.0, 60.0):
         opt = optimal_by_timeout[tc].means["energy_total_per_delivery"]
         cell = cellular_by_timeout[tc].means["energy_total_per_delivery"]
+        bench = benchmark_by_timeout[tc].means["energy_total_per_delivery"]
         red = 100.0 * (1.0 - opt / cell)
         ok &= red >= 25.0
         details.append(f"timeout {tc:g} s: {red:.1f}%")
+        vs_benchmark.append(f"{100.0 * (1.0 - opt / bench):.1f}%")
+    # the paper's "up to 18 % below benchmark" is reported, not bounded
     _report(capsys, 5,
             ok, "total energy per delivery below cellular by "
-                + ", ".join(details) + " (>= 25% required)")
+                + ", ".join(details) + " (>= 25% required); below benchmark by "
+                + ", ".join(vs_benchmark) + " (no bound)")
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +300,8 @@ def test_criterion_9_invariants(default_params, capsys):
     checks = []
 
     cfg = Config()
-    a = engine.run(cfg, "optimal", 120.0, 120.0, seed=42).metrics
-    b = engine.run(cfg, "optimal", 120.0, 120.0, seed=42).metrics
+    # two processes at once: a run's bits do not depend on its process
+    a, b = engine.run_many([(cfg, "optimal", 120.0, 120.0, 42)] * 2, workers=2)
     checks.append(("determinism", a.summary() == b.summary()
                    and a.d2d_distances == b.d2d_distances))
 

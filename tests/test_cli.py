@@ -198,6 +198,20 @@ class TestSweep:
         _, rows_b = read_csv(os.path.join(b_out, fname))
         assert sorted(map(tuple, rows_a)) == sorted(map(tuple, rows_b))
 
+    def test_worker_count_does_not_change_the_output(self, tmp_path):
+        spec = self._spec(tmp_path)
+        outs = [str(tmp_path / f"w{workers}") for workers in (1, 2)]
+        for out, workers in zip(outs, ("1", "2")):
+            assert run_cli("sweep", "--spec", spec, "--out", out, "--duration", "20",
+                           "--warmup", "20", "--replications", "2",
+                           "--workers", workers) == 0
+        names = sorted(os.listdir(outs[0]))
+        assert names and names == sorted(os.listdir(outs[1]))
+        for name in names:
+            with open(os.path.join(outs[0], name), "rb") as a, \
+                    open(os.path.join(outs[1], name), "rb") as b:
+                assert a.read() == b.read(), name
+
     def test_unknown_parameter_is_config_error(self, tmp_path):
         spec = self._spec(tmp_path, parameter="warp_factor")
         assert run_cli("sweep", "--spec", spec,

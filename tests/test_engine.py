@@ -1,4 +1,6 @@
+import concurrent.futures
 import dataclasses
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -156,6 +158,34 @@ class TestReplicate:
                               text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["True"]
+
+
+class TestRunMany:
+    def _jobs(self, cfg):
+        # a policy and a seed per job, so that runs returned out of order show
+        return [(cfg, policy, 30.0, 30.0, seed)
+                for policy, seed in (("optimal", 5), ("cellular", 6), ("benchmark", 7))]
+
+    def test_pooled_runs_equal_in_process_runs_in_job_order(self, short_cfg):
+        jobs = self._jobs(short_cfg)
+        pooled = engine.run_many(jobs, workers=2)
+        assert multiprocessing.active_children() == []  # the pool is closed
+        assert len(pooled) == len(jobs)
+        for job, got in zip(jobs, pooled):
+            want = engine.run(*job).metrics
+            assert got.summary() == want.summary()
+            assert got.d2d_distances == want.d2d_distances
+            assert got.occupancy_samples == want.occupancy_samples
+
+    def test_one_process_starts_no_pool(self, short_cfg, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool,
+                            raising=False)
+        jobs = self._jobs(short_cfg)
+        assert len(engine.run_many(jobs, workers=1)) == len(jobs)
+        assert len(engine.run_many(jobs[:1])) == 1
+        assert engine.run_many([]) == []
 
 
 # Outputs of engine.run(cfg at lambda = 1 veh/s, policy, 30, 30, seed=7),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import integrate
 
 from d2doff import analytic, cli
@@ -189,12 +189,17 @@ def reference_g_pos_vec(rel, u):
 
 @st.composite
 def piecewise_laws(draw):
-    """Scalar reference laws of 1-3 intervals."""
+    """Scalar reference laws of 1-3 intervals, each of total mass 1, as a
+    ``RelativeSpeedLaw`` row must be.  The total width stays far from the
+    subnormals, so that the level is finite and the intervals' masses do
+    not all round to 0."""
     k = draw(st.integers(1, 3))
     edges = sorted(draw(st.lists(st.floats(-60.0, 60.0), min_size=2 * k,
                                  max_size=2 * k, unique=True)))
     intervals = tuple((edges[2 * i], edges[2 * i + 1]) for i in range(k))
-    return ref.ScalarSpeedLaw(intervals=intervals, level=draw(st.floats(1e-3, 10.0)))
+    width = sum(hi - lo for lo, hi in intervals)
+    assume(width >= 1e-9)
+    return ref.ScalarSpeedLaw(intervals=intervals, level=1.0 / width)
 
 
 negative = st.floats(-100.0, -5e-324)  # no zero of either sign
