@@ -63,20 +63,14 @@ def _jump_nodes(points: list[float]) -> list[float]:
 # densities and basic laws
 # ---------------------------------------------------------------------------
 
-def node_density(arrival_rate: float, speed_law: UniformSpeedLaw) -> float:
-    """Stationary linear vehicle density (vehicles/meter)."""
-    return speed_law.stationary_density(arrival_rate)
-
-
-def time_limit_law(content_timeout: float, sharing_timeout: float,
-                   n_grid: int = 201) -> MixedDistribution:
+def time_limit_law(content_timeout: float, sharing_timeout: float) -> MixedDistribution:
     """Law of the effective transmission window: uniform remaining cache
     lifetime below the delay tolerance, plus an atom at the tolerance."""
     tc, ts = content_timeout, sharing_timeout
     if not (0.0 < tc < ts):
         raise ValueError("need 0 < content_timeout < sharing_timeout")
-    grid = np.linspace(0.0, tc, n_grid)
-    density = np.full(n_grid, 1.0 / ts)
+    grid = np.linspace(0.0, tc, 201)
+    density = np.full(grid.size, 1.0 / ts)
     return MixedDistribution(atoms=[(tc, 1.0 - tc / ts)], grid=grid, density=density)
 
 
@@ -144,7 +138,7 @@ class AnalyticParams:
         return zipf_pmf(self.zipf_alpha, self.library_size)
 
     def rho(self) -> float:
-        return node_density(self.arrival_rate, self.speed_law)
+        return self.speed_law.stationary_density(self.arrival_rate)
 
     def content_densities(self) -> np.ndarray:
         rho = self.rho()
@@ -187,8 +181,7 @@ def _approach_density(rel: RelativeSpeedLaw, r: np.ndarray, x: float,
 
 
 def single_provider_distance_law(x0: float, v_a: float,
-                                 params: AnalyticParams,
-                                 dr: float | None = None) -> MixedDistribution:
+                                 params: AnalyticParams) -> MixedDistribution:
     """Law of min_{t in [0, Phi]} |x0 + V t| for one provider.
 
     x0: provider position relative to the requester (longitudinal, m);
@@ -198,8 +191,6 @@ def single_provider_distance_law(x0: float, v_a: float,
     with an integrable log singularity at |x0|.
     """
     tc, ts = params.content_timeout, params.sharing_timeout
-    if dr is None:
-        dr = params.dr
     if x0 == 0.0:
         return MixedDistribution(atoms=[(0.0, 1.0)])
     x = abs(x0)
@@ -212,91 +203,11 @@ def single_provider_distance_law(x0: float, v_a: float,
     zero_mass = rel.cdf(u0).item() - (x / ts) * rel.int_inv_abs_below(u0).item()
 
     kinks = [x + tc * e for e in rel.edges() if -x / tc < e < 0.0]
-    grid = refined_grid(0.0, x, dr, extra=_jump_nodes(kinks), refine_near=[x])
+    grid = refined_grid(0.0, x, params.dr, extra=_jump_nodes(kinks), refine_near=[x])
     grid = grid[grid < x]  # density diverges (integrably) at x itself
     density = _approach_density(rel, grid, x, tc, ts)
     return MixedDistribution(
         atoms=[(0.0, zero_mass), (x, far_mass)], grid=grid, density=density)
-
-
-def displacement_law(x0: float, v_a: float, params: AnalyticParams,
-                     dr: float | None = None,
-                     delta_grid: np.ndarray | None = None) -> MixedDistribution:
-    """Law of the signed displacement D of the optimal stopping position,
-    built directly from the stopping-case decomposition (independent
-    construction used as a derivation-level self-check):
-
-    provider ahead (x0 > 0):  D = 0 if V >= 0; D = -x0 if the crossing
-    happens within the window; D = V Phi otherwise, on (-x0, 0).
-    Mirrored on (0, -x0) for x0 < 0.
-    """
-    tc, ts = params.content_timeout, params.sharing_timeout
-    if dr is None:
-        dr = params.dr
-    if x0 == 0.0:
-        return MixedDistribution(atoms=[(0.0, 1.0)])
-    rel = params.speed_law.relative(v_a)
-    x = abs(x0)
-    if x0 > 0.0:
-        stay_mass = 1.0 - rel.cdf(0.0).item()
-        u0 = -x / tc
-        cross_mass = rel.cdf(u0).item() - (x / ts) * rel.int_inv_abs_below(u0).item()
-        if delta_grid is None:
-            kinks = [tc * e for e in rel.edges() if -x / tc < e < 0.0]
-            # the density has an integrable log singularity at delta -> 0-
-            grid = refined_grid(-x, 0.0, dr, extra=_jump_nodes(kinks), refine_near=[0.0])
-            grid = grid[grid < 0.0]
-        else:
-            grid = np.asarray(delta_grid, dtype=float)
-        u = grid / tc
-        density = ((1.0 / ts) * rel.int_inv_abs_below(u)[0]
-                   + (1.0 / tc - 1.0 / ts) * rel.pdf(u)[0])
-        atoms = [(0.0, stay_mass), (-x, cross_mass)]
-    else:
-        # the integral of pdf(v)/v above u > 0 is the reflected law's
-        # integral of pdf(v)/(-v) below -u
-        refl = rel.reflected()
-        stay_mass = rel.cdf(0.0).item()
-        u0 = x / tc
-        cross_mass = (1.0 - rel.cdf(u0).item()) - (x / ts) * refl.int_inv_abs_below(-u0).item()
-        if delta_grid is None:
-            kinks = [tc * e for e in rel.edges() if 0.0 < e < x / tc]
-            # mirrored: log singularity at delta -> 0+
-            grid = refined_grid(0.0, x, dr, extra=_jump_nodes(kinks), refine_near=[0.0])
-            grid = grid[grid > 0.0]
-        else:
-            grid = np.asarray(delta_grid, dtype=float)
-        u = grid / tc
-        density = ((1.0 / ts) * refl.int_inv_abs_below(-u)[0]
-                   + (1.0 / tc - 1.0 / ts) * rel.pdf(u)[0])
-        atoms = [(0.0, stay_mass), (x, cross_mass)]
-    return MixedDistribution(atoms=atoms, grid=grid, density=density)
-
-
-def distance_law_from_displacement(x0: float, v_a: float, params: AnalyticParams,
-                                   dr: float | None = None,
-                                   grid: np.ndarray | None = None) -> MixedDistribution:
-    """Map the displacement law to the distance axis: r = x0 + d for a
-    provider ahead, r = -x0 - d behind (unit Jacobian either way).
-
-    When ``grid`` (on the distance axis) is given, the displacement law
-    is evaluated exactly at its image, enabling pointwise comparison."""
-    delta_grid = None
-    if grid is not None and x0 != 0.0:
-        grid = np.asarray(grid, dtype=float)
-        delta_grid = grid - x0 if x0 > 0.0 else (-x0 - grid)[::-1]
-    law = displacement_law(x0, v_a, params, dr=dr, delta_grid=delta_grid)
-    if x0 == 0.0:
-        return law
-    if x0 > 0.0:
-        grid = law.grid + x0
-        density = law.density.copy()
-        atoms = [(x0 + loc, m) for loc, m in law.atoms]
-    else:
-        grid = (-x0 - law.grid)[::-1]
-        density = law.density[::-1].copy()
-        atoms = [(-x0 - loc, m) for loc, m in law.atoms]
-    return MixedDistribution(atoms=atoms, grid=grid, density=density)
 
 
 # ---------------------------------------------------------------------------
@@ -671,8 +582,8 @@ def lane_aware_delivery_law(params: AnalyticParams) -> MixedDistribution:
     base_same = _marginal_base(grid, params.dr)
     at_s = np.searchsorted(base_same, grid)
     # the same lane is also read at the offset, at the last node at or
-    # below it: the offset itself when it lies inside the cap (unless a
-    # node less than min_gap/4 below it took its place), else 0 or the cap
+    # below it: the offset itself when it lies inside the cap (unless
+    # refined_grid merged it into a node just below), else 0 or the cap
     at_y = at_s[max(first - 1, 0)]
     if cross_reachable:
         base_opp = _marginal_base(backs, params.dr)

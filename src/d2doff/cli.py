@@ -43,7 +43,7 @@ class ValidationFailure(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# CSV plumbing (atomic writes, round-trip reader)
+# CSV plumbing (atomic writes)
 # ---------------------------------------------------------------------------
 
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -61,15 +61,6 @@ def _fmt(v) -> str:
     if isinstance(v, np.integer):
         return str(int(v))
     return str(v)
-
-
-def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty CSV")
-    header = lines[0].split(",")
-    return header, [ln.split(",") for ln in lines[1:]]
 
 
 # ---------------------------------------------------------------------------

@@ -310,7 +310,10 @@ def run_many(jobs, workers: int | None = None) -> list[MetricsAccumulator]:
     from ``workers`` processes (default: the usable cores; with one, no pool
     starts).  A run depends only on its job, so ``workers`` changes no bit."""
     jobs = list(jobs)
-    n = min(workers or len(os.sched_getaffinity(0)), len(jobs))
+    # macOS and Windows have no sched_getaffinity
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    n = min(workers or cores, len(jobs))
     if n <= 1:
         return [_run_job(job) for job in jobs]
     # imported here: a caller that never pools does not pay for the import
@@ -387,14 +390,14 @@ def replicate(cfg: Config, policy_name: str, duration: float, warmup: float,
                               for i in range(n_runs)))
 
 
-def sample_distance_pdf(distances, bin_width: float = 2.0,
-                        r_max: float | None = None):
-    """Normalized histogram of delivery distances (bin centers, density)."""
+def sample_distance_pdf(distances):
+    """Normalized histogram of delivery distances in 2 m bins (bin centers,
+    density)."""
     d = np.asarray(distances, dtype=float)
     if d.size == 0:
         raise ValueError("no distances recorded")
-    top = r_max if r_max is not None else float(d.max()) + bin_width
-    edges = np.arange(0.0, top + bin_width, bin_width)
+    top = float(d.max()) + 2.0
+    edges = np.arange(0.0, top + 2.0, 2.0)
     hist, edges = np.histogram(d, bins=edges, density=True)
     centers = 0.5 * (edges[1:] + edges[:-1])
     return centers, hist

@@ -15,6 +15,9 @@ import numpy as np
 # numpy renamed trapz to trapezoid in 2.0
 _trapz = getattr(np, "trapezoid", getattr(np, "trapz", None))
 
+# the finest spacing of a refined grid's nodes
+_MIN_GAP = 1e-9
+
 
 @dataclass
 class MixedDistribution:
@@ -37,8 +40,8 @@ class MixedDistribution:
 
     # -- masses -------------------------------------------------------
 
-    def atom_mass(self, location: float, tol: float = 1e-9) -> float:
-        return sum(m for loc, m in self.atoms if abs(loc - location) <= tol)
+    def atom_mass(self, location: float) -> float:
+        return sum(m for loc, m in self.atoms if abs(loc - location) <= 1e-9)
 
     @property
     def total_atom_mass(self) -> float:
@@ -53,10 +56,6 @@ class MixedDistribution:
     @property
     def total_mass(self) -> float:
         return self.total_atom_mass + self.continuous_mass
-
-    def validate_normalized(self, tol: float = 1e-6) -> None:
-        if abs(self.total_mass - 1.0) > tol:
-            raise ValueError(f"law mass {self.total_mass} deviates from 1 by > {tol}")
 
     # -- moments and CDF ----------------------------------------------
 
@@ -108,8 +107,7 @@ class MixedDistribution:
 
 def grid_nodes(lo: float, hi: float, step: float,
                extra: np.ndarray | list[float] | None = None,
-               refine_near: list[float] | None = None,
-               min_gap: float = 1e-9) -> np.ndarray:
+               refine_near: list[float] | None = None) -> np.ndarray:
     """The nodes of ``refined_grid`` before close ones are merged:
     sorted, repeats kept."""
     if hi <= lo:
@@ -129,10 +127,10 @@ def grid_nodes(lo: float, hi: float, step: float,
                 continue
             gap = step / 2.0
             offs = []
-            while gap > min_gap:
+            while gap > _MIN_GAP:
                 offs.append(gap)
                 gap /= 2.0
-            offs.append(min_gap)
+            offs.append(_MIN_GAP)
             offs = np.array(offs)
             for pts in (p - offs, p + offs):
                 pts = pts[(pts > lo) & (pts < hi)]
@@ -143,11 +141,10 @@ def grid_nodes(lo: float, hi: float, step: float,
 
 def refined_grid(lo: float, hi: float, step: float,
                  extra: np.ndarray | list[float] | None = None,
-                 refine_near: list[float] | None = None,
-                 min_gap: float = 1e-9) -> np.ndarray:
+                 refine_near: list[float] | None = None) -> np.ndarray:
     """Uniform grid on [lo, hi] plus explicit nodes and geometric
     refinement toward listed points (for integrable singularities);
     near-duplicate nodes, which would break strict monotonicity, are
-    dropped: each node within min_gap/4 above the one before it."""
-    nodes = grid_nodes(lo, hi, step, extra, refine_near, min_gap)
-    return nodes[np.diff(nodes, prepend=-np.inf) > min_gap / 4.0]
+    dropped: each node within _MIN_GAP/4 above the one before it."""
+    nodes = grid_nodes(lo, hi, step, extra, refine_near)
+    return nodes[np.diff(nodes, prepend=-np.inf) > _MIN_GAP / 4.0]

@@ -109,23 +109,20 @@ def energy_functions(cfg: PhyConfig):
 
 class ShadowingField:
     """1-D Gaussian field along the street with exponential
-    autocorrelation; a link's shadowing combines its endpoint samples."""
+    autocorrelation, sampled every meter; a link's shadowing combines its
+    endpoint samples."""
 
-    def __init__(self, length: float, cfg: PhyConfig, rng: np.random.Generator,
-                 step: float = 1.0):
-        n = int(math.ceil(length / step)) + 2
-        a = math.exp(-step / cfg.shadowing_decorrelation)
+    def __init__(self, length: float, cfg: PhyConfig, rng: np.random.Generator):
+        n = int(math.ceil(length)) + 2
+        a = math.exp(-1.0 / cfg.shadowing_decorrelation)
         innov = rng.standard_normal(n) * cfg.shadowing_sigma_db
         vals = np.empty(n)
         vals[0] = innov[0]
         scale = math.sqrt(1.0 - a * a)
         for i in range(1, n):
             vals[i] = a * vals[i - 1] + scale * innov[i]
-        self._x = np.arange(n) * step
+        self._x = np.arange(n, dtype=float)
         self._vals = vals
-
-    def sample_db(self, x: float) -> float:
-        return float(np.interp(x, self._x, self._vals))
 
     def link_shadow_db(self, x_tx, x_rx):
         """Shadowing of links from ``x_tx`` to ``x_rx`` (arrays of one

@@ -1,8 +1,10 @@
 """Reference forms for the speed-law tests: the one-law relative-speed
 class with scalar methods that the block form of
 ``d2doff.speedlaw.RelativeSpeedLaw`` replaced, and the single-provider
-laws built on it.  The package's methods and laws must carry their
-bits."""
+laws built on it.  The package's methods and single-provider law must
+carry their bits.  The displacement-based twin of that law lives only
+here: an independent construction that criterion 2 checks the
+package's law against."""
 
 from __future__ import annotations
 
@@ -136,10 +138,9 @@ def _jump_nodes(points):
     return out
 
 
-def single_provider_distance_law(x0, v_a, params, dr=None):
+def single_provider_distance_law(x0, v_a, params):
     tc, ts = params.content_timeout, params.sharing_timeout
-    if dr is None:
-        dr = params.dr
+    dr = params.dr
     if x0 == 0.0:
         return MixedDistribution(atoms=[(0.0, 1.0)])
     x = abs(x0)
@@ -159,10 +160,16 @@ def single_provider_distance_law(x0, v_a, params, dr=None):
         atoms=[(0.0, zero_mass), (x, far_mass)], grid=grid, density=density)
 
 
-def displacement_law(x0, v_a, params, dr=None, delta_grid=None):
+def displacement_law(x0, v_a, params, delta_grid=None):
+    """Law of the signed displacement D of the optimal stopping position,
+    built directly from the stopping-case decomposition:
+
+    provider ahead (x0 > 0):  D = 0 if V >= 0; D = -x0 if the crossing
+    happens within the window; D = V Phi otherwise, on (-x0, 0).
+    Mirrored on (0, -x0) for x0 < 0.
+    """
     tc, ts = params.content_timeout, params.sharing_timeout
-    if dr is None:
-        dr = params.dr
+    dr = params.dr
     if x0 == 0.0:
         return MixedDistribution(atoms=[(0.0, 1.0)])
     rel = relative(params.speed_law, v_a)
@@ -196,12 +203,17 @@ def displacement_law(x0, v_a, params, dr=None, delta_grid=None):
     return MixedDistribution(atoms=atoms, grid=grid, density=density)
 
 
-def distance_law_from_displacement(x0, v_a, params, dr=None, grid=None):
+def distance_law_from_displacement(x0, v_a, params, grid=None):
+    """Map the displacement law to the distance axis: r = x0 + d for a
+    provider ahead, r = -x0 - d behind (unit Jacobian either way).
+
+    When ``grid`` (on the distance axis) is given, the displacement law
+    is evaluated exactly at its image, enabling pointwise comparison."""
     delta_grid = None
     if grid is not None and x0 != 0.0:
         grid = np.asarray(grid, dtype=float)
         delta_grid = grid - x0 if x0 > 0.0 else (-x0 - grid)[::-1]
-    law = displacement_law(x0, v_a, params, dr=dr, delta_grid=delta_grid)
+    law = displacement_law(x0, v_a, params, delta_grid=delta_grid)
     if x0 == 0.0:
         return law
     if x0 > 0.0:

@@ -13,6 +13,8 @@ from d2doff.analytic import AnalyticParams
 from d2doff.config import Config, ScenarioConfig
 from d2doff.speedlaw import UniformSpeedLaw
 
+import speedlaw_reference as ref
+
 DURATION = 600.0
 WARMUP = 600.0
 N_RUNS = 3
@@ -30,13 +32,15 @@ def _with_scenario(**kw) -> Config:
                                scenario=dataclasses.replace(cfg.scenario, **kw))
 
 
-def _reps(points: dict) -> dict:
-    """{key: (cfg, policy, base_seed)} -> {key: summary of N_RUNS runs with
-    seeds base_seed + i}, as engine.replicate gives it; all the points' runs
-    go to one engine.run_many call."""
-    runs = engine.run_many((cfg, policy, DURATION, WARMUP, base_seed + i)
-                           for cfg, policy, base_seed in points.values()
-                           for i in range(N_RUNS))
+def _jobs(points: dict) -> list:
+    """{key: (cfg, policy, base_seed)} -> the N_RUNS jobs of each point,
+    with seeds base_seed + i."""
+    return [(cfg, policy, DURATION, WARMUP, base_seed + i)
+            for cfg, policy, base_seed in points.values() for i in range(N_RUNS)]
+
+
+def _summaries(points: dict, runs: list) -> dict:
+    """{key: summary of the key's N_RUNS runs}, as engine.replicate gives it."""
     return {key: engine.summarize(runs[k * N_RUNS:(k + 1) * N_RUNS])
             for k, key in enumerate(points)}
 
@@ -49,8 +53,10 @@ TIMEOUTS = (20.0, 40.0, 60.0, 90.0, 120.0)
 
 
 def _by_timeout(policy: str, timeouts) -> dict:
-    return _reps({tc: (_with_scenario(content_timeout=tc), policy, 1000 + int(tc))
-                  for tc in timeouts})
+    """Summaries by timeout; all their runs go to one engine.run_many call."""
+    points = {tc: (_with_scenario(content_timeout=tc), policy, 1000 + int(tc))
+              for tc in timeouts}
+    return _summaries(points, engine.run_many(_jobs(points)))
 
 
 @pytest.fixture(scope="module")
@@ -68,12 +74,6 @@ def benchmark_by_timeout():
     return _by_timeout("benchmark", (20.0, 60.0))
 
 
-@pytest.fixture(scope="module")
-def slow_traffic_runs():
-    cfg = _with_scenario(speed_min=6.0, speed_max=16.0)
-    return _reps({policy: (cfg, policy, 2000) for policy in ("optimal", "cellular")})
-
-
 # Criterion 4's runs are five times as long as the others.  Over 600 s the
 # pooled tail KS of five seed triples (base seeds 3000-3012) read
 # 0.028-0.047, and 0.016-0.059 on an earlier random stream, so the 0.05
@@ -83,13 +83,19 @@ VALIDATION_DURATION = 3000.0
 
 
 @pytest.fixture(scope="module")
-def validation_scenario_distances():
-    """Pooled D2D delivery distances for the wide-range slow scenario."""
-    cfg = _with_scenario(speed_min=6.0, speed_max=16.0, d2d_max_range=180.0,
-                         content_timeout=20.0)
-    runs = engine.run_many((cfg, "optimal", VALIDATION_DURATION, WARMUP, 3000 + i)
-                           for i in range(N_RUNS))
-    return cfg, np.asarray([r for m in runs for r in m.d2d_distances])
+def slow_traffic_runs():
+    """The runs at 6-16 m/s, in one engine.run_many call: criterion 4's
+    wide-range scenario, as its config and pooled D2D delivery distances,
+    and criterion 8's summaries by policy.  The three long runs go first,
+    so that the short ones fill the workers while the last long one ends."""
+    wide = _with_scenario(speed_min=6.0, speed_max=16.0, d2d_max_range=180.0,
+                          content_timeout=20.0)
+    cfg = _with_scenario(speed_min=6.0, speed_max=16.0)
+    points = {policy: (cfg, policy, 2000) for policy in ("optimal", "cellular")}
+    runs = engine.run_many([(wide, "optimal", VALIDATION_DURATION, WARMUP, 3000 + i)
+                            for i in range(N_RUNS)] + _jobs(points))
+    distances = np.asarray([r for m in runs[:N_RUNS] for r in m.d2d_distances])
+    return wide, distances, _summaries(points, runs[N_RUNS:])
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +144,7 @@ def test_criterion_2_displacement_twin(default_params, capsys):
     worst = 0.0
     for x0, v_a in CRITERION_1_TUPLES:
         direct = analytic.single_provider_distance_law(x0, v_a, default_params)
-        twin = analytic.distance_law_from_displacement(
+        twin = ref.distance_law_from_displacement(
             x0, v_a, default_params, grid=direct.grid)
         worst = max(worst,
                     float(np.max(np.abs(twin.density - direct.density))))
@@ -158,7 +164,7 @@ def test_criterion_3_closed_forms(capsys):
     checks = []
 
     law = UniformSpeedLaw(9.0, 24.0)
-    rho = analytic.node_density(1.0 / 3.0, law)
+    rho = law.stationary_density(1.0 / 3.0)
     rho_ref = (1.0 / 3.0) * math.log(24.0 / 9.0) / 15.0
     checks.append(("node density", abs(rho - rho_ref) <= 1e-9))
 
@@ -201,9 +207,8 @@ def _tail_ks(law, samples: np.ndarray, cut: float) -> float:
                      np.max(cond - (k - 1) / tail.size)))
 
 
-def test_criterion_4_simulated_distance_distribution(
-        validation_scenario_distances, capsys):
-    cfg, dists = validation_scenario_distances
+def test_criterion_4_simulated_distance_distribution(slow_traffic_runs, capsys):
+    cfg, dists, _ = slow_traffic_runs
     params = AnalyticParams.from_config(cfg, with_energy=False)
     law = analytic.lane_aware_delivery_law(params)
 
@@ -283,8 +288,9 @@ def test_criterion_7_efficiency_trend(optimal_by_timeout, capsys):
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_spectrum_occupancy(slow_traffic_runs, capsys):
-    cell = slow_traffic_runs["cellular"].means["mean_occupancy"]
-    opt = slow_traffic_runs["optimal"].means["mean_occupancy"]
+    _, _, by_policy = slow_traffic_runs
+    cell = by_policy["cellular"].means["mean_occupancy"]
+    opt = by_policy["optimal"].means["mean_occupancy"]
     rel = 100.0 * (1.0 - opt / cell)
     ok = abs(cell - 0.26) <= 0.05 and rel >= 25.0
     _report(capsys, 8,

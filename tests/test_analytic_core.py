@@ -13,15 +13,15 @@ class TestNodeDensity:
         # independent recomputation: rho = lam * ln(vmax/vmin)/(vmax-vmin)
         law = UniformSpeedLaw(9.0, 24.0)
         expected = (1.0 / 3.0) * math.log(24.0 / 9.0) / 15.0
-        assert analytic.node_density(1.0 / 3.0, law) == pytest.approx(
+        assert law.stationary_density(1.0 / 3.0) == pytest.approx(
             expected, abs=1e-15)
         assert expected == pytest.approx(0.0218, abs=1e-4)
 
     def test_zero_rate(self):
-        assert analytic.node_density(0.0, UniformSpeedLaw(9.0, 24.0)) == 0.0
+        assert UniformSpeedLaw(9.0, 24.0).stationary_density(0.0) == 0.0
 
     def test_degenerate_speed(self):
-        assert analytic.node_density(2.0, UniformSpeedLaw(10.0, 10.0)) == 0.2
+        assert UniformSpeedLaw(10.0, 10.0).stationary_density(2.0) == 0.2
 
     def test_matches_length_biased_sampling(self, rng):
         # MC oracle: simulate arrivals and count expected occupancy
@@ -29,7 +29,7 @@ class TestNodeDensity:
         speeds = rng.uniform(9.0, 24.0, 400_000)
         # mean time spent on a unit road segment = 1/v; density = lam*E[1/v]
         mc = (1.0 / 3.0) * np.mean(1.0 / speeds)
-        assert analytic.node_density(1.0 / 3.0, law) == pytest.approx(mc, rel=2e-3)
+        assert law.stationary_density(1.0 / 3.0) == pytest.approx(mc, rel=2e-3)
 
 
 class TestContentDensity:

@@ -1,5 +1,6 @@
 """Distance-law oracles: Monte-Carlo cross-checks, the independent
-displacement-based construction, and normalization invariants."""
+displacement-based construction of ``speedlaw_reference``, and
+normalization invariants."""
 
 import dataclasses
 
@@ -11,6 +12,8 @@ from d2doff.analytic import AnalyticParams
 from d2doff.config import Config, ScenarioConfig
 from d2doff.mixdist import refined_grid
 from d2doff.speedlaw import UniformSpeedLaw
+
+import speedlaw_reference as ref
 
 TUPLES = [(30.0, 9.5), (100.0, 17.0), (250.0, 24.0),
           (-80.0, 12.0), (-250.0, 17.0), (60.0, 21.0)]
@@ -41,7 +44,7 @@ class TestSingleProviderLaw:
     @pytest.mark.parametrize("x0,v_a", TUPLES)
     def test_normalized(self, default_params, x0, v_a):
         law = analytic.single_provider_distance_law(x0, v_a, default_params)
-        law.validate_normalized(tol=1e-5)
+        assert abs(law.total_mass - 1.0) <= 1e-5
 
     @pytest.mark.parametrize("x0,v_a", TUPLES[:3])
     def test_against_monte_carlo(self, default_params, x0, v_a, rng):
@@ -75,7 +78,7 @@ class TestDisplacementTwin:
     @pytest.mark.parametrize("x0,v_a", TUPLES)
     def test_pointwise_agreement(self, default_params, x0, v_a):
         direct = analytic.single_provider_distance_law(x0, v_a, default_params)
-        twin = analytic.distance_law_from_displacement(
+        twin = ref.distance_law_from_displacement(
             x0, v_a, default_params, grid=direct.grid)
         # nodes match up to the float round-trip of the axis shift
         assert np.max(np.abs(twin.grid - direct.grid)) < 1e-8
@@ -85,15 +88,15 @@ class TestDisplacementTwin:
 
     @pytest.mark.parametrize("x0,v_a", TUPLES)
     def test_twin_normalized(self, default_params, x0, v_a):
-        analytic.displacement_law(x0, v_a, default_params)\
-            .validate_normalized(tol=1e-5)
+        law = ref.displacement_law(x0, v_a, default_params)
+        assert abs(law.total_mass - 1.0) <= 1e-5
 
 
 class TestPositionMarginalLaw:
     @pytest.mark.parametrize("v_a", [9.0, 13.0, 17.0, 24.0])
     def test_normalized(self, default_params, v_a):
         law = analytic.distance_law_given_speed(v_a, default_params)
-        law.validate_normalized(tol=1e-5)
+        assert abs(law.total_mass - 1.0) <= 1e-5
 
     def test_against_monte_carlo(self, default_params, rng):
         v_a = 17.0
@@ -126,7 +129,7 @@ class TestPositionMarginalLaw:
 class TestEffectiveLaw:
     def test_conditional_law_normalized(self, default_params):
         law = analytic.effective_distance_law(5e-4, 17.0, default_params)
-        law.validate_normalized(tol=1e-5)
+        assert abs(law.total_mass - 1.0) <= 1e-5
 
     def test_more_providers_shift_mass_down(self, default_params):
         sparse = analytic.effective_distance_law(2e-4, 17.0, default_params)
@@ -140,7 +143,7 @@ class TestEffectiveLaw:
 
     def test_unconditional_normalized(self, default_params):
         law = analytic.unconditional_effective_distance_law(default_params)
-        law.validate_normalized(tol=1e-5)
+        assert abs(law.total_mass - 1.0) <= 1e-5
 
     def test_against_monte_carlo(self, default_params, rng):
         # MC oracle for one (content density, speed) condition: Poisson
@@ -200,7 +203,6 @@ def test_non_positive_grid_step_is_rejected(default_params, dr):
     p = dataclasses.replace(default_params, dr=dr)
     for build in (analytic.lane_aware_delivery_law,
                   analytic.unconditional_effective_distance_law,
-                  lambda q: analytic.displacement_law(100.0, 17.0, q),
                   lambda q: analytic.single_provider_distance_law(100.0, 17.0, q),
                   lambda q: analytic.short_range_probability_surface(
                       default_params, [60.0], [(9.0, 24.0)], [100.0], dr=dr)):
@@ -262,7 +264,7 @@ class TestLowSpeedScenario:
             params.lane_offset, params.same_lane_probability)
         locs = sorted(loc for loc, _ in law.atoms)
         assert locs == [0.0, 10.0]
-        law.validate_normalized(tol=1e-5)
+        assert abs(law.total_mass - 1.0) <= 1e-5
 
 
 class TestLaneAwareLaw:
@@ -275,7 +277,7 @@ class TestLaneAwareLaw:
 
     def test_normalized_with_offset_atom(self, slow_params):
         law = analytic.lane_aware_delivery_law(slow_params)
-        law.validate_normalized(tol=1e-4)
+        assert abs(law.total_mass - 1.0) <= 1e-4
         locs = sorted(loc for loc, _ in law.atoms)
         assert locs == [0.0, slow_params.lane_offset]
 
@@ -295,14 +297,14 @@ class TestLaneAwareLaw:
         p = dataclasses.replace(default_params, lane_offset=500.0)
         law = analytic.lane_aware_delivery_law(p)
         assert [loc for loc, _ in law.atoms] == [0.0]
-        law.validate_normalized(tol=1e-4)
+        assert abs(law.total_mass - 1.0) <= 1e-4
 
     def test_zero_offset_has_one_zero_atom(self, default_params):
         # with coinciding lane axes the crossings of both lanes sit at 0
         law = analytic.lane_aware_delivery_law(
             dataclasses.replace(default_params, lane_offset=0.0))
         assert [loc for loc, _ in law.atoms] == [0.0]
-        law.validate_normalized(tol=1e-5)
+        assert abs(law.total_mass - 1.0) <= 1e-5
         # and the law is the limit of a vanishing offset
         near = analytic.lane_aware_delivery_law(
             dataclasses.replace(default_params, lane_offset=1e-6))

@@ -187,6 +187,13 @@ class TestRunMany:
         assert len(engine.run_many(jobs[:1])) == 1
         assert engine.run_many([]) == []
 
+    def test_default_workers_without_sched_getaffinity(self, short_cfg, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        jobs = self._jobs(short_cfg)[:2]
+        for job, got in zip(jobs, engine.run_many(jobs)):
+            assert got.summary() == engine.run(*job).metrics.summary()
+
 
 # Outputs of engine.run(cfg at lambda = 1 veh/s, policy, 30, 30, seed=7),
 # and the PCG64 state the run leaves its generator in (its increment is
@@ -439,8 +446,7 @@ class TestTickWideTransmission:
 
 class TestDistancePdf:
     def test_normalized(self, rng):
-        centers, dens = sample_distance_pdf(rng.uniform(0, 90, 5000),
-                                            bin_width=2.0, r_max=100.0)
+        centers, dens = sample_distance_pdf(rng.uniform(0, 90, 5000))
         assert np.sum(dens) * 2.0 == pytest.approx(1.0, abs=1e-9)
         assert centers[0] == 1.0
 

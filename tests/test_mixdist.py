@@ -10,7 +10,6 @@ class TestMixedDistribution:
         law = MixedDistribution(atoms=[(0.0, 1.0)])
         assert law.total_mass == 1.0
         assert law.mean() == 0.0
-        law.validate_normalized()
 
     def test_mixed_mass_and_mean(self):
         grid = np.linspace(0.0, 2.0, 2001)
@@ -35,11 +34,6 @@ class TestMixedDistribution:
         with pytest.raises(ValueError):
             MixedDistribution(grid=np.array([1.0, 0.0]),
                               density=np.array([0.1, 0.1]))
-
-    def test_validate_normalized_raises(self):
-        law = MixedDistribution(atoms=[(0.0, 0.7)])
-        with pytest.raises(ValueError):
-            law.validate_normalized()
 
     def test_ks_mixed_detects_mismatch(self, rng):
         grid = np.linspace(0.0, 1.0, 101)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d2doff import analytic, engine, scenario
+from d2doff import engine, scenario
 from d2doff.config import Config, ScenarioConfig
 from d2doff.popularity import zipf_pmf
 from d2doff.scenario import BACKWARD, FORWARD, World
@@ -140,7 +140,6 @@ class TestVehicles:
                else sc.vehicle_arrival_rate / sc.speed_min)
         law = UniformSpeedLaw(sc.speed_min, sc.speed_max)
         assert law.stationary_density(sc.vehicle_arrival_rate) == old
-        assert analytic.node_density(sc.vehicle_arrival_rate, law) == old
 
     def test_stationary_speed_bias(self, rng):
         # time-in-road biased speeds: slower vehicles over-represented

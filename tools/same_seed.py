@@ -20,9 +20,9 @@ The full set then prints one line per analytic configuration of the
 benchmark (arrival rate 1/3 and 1 veh/s at the default distance step,
 2/3 veh/s at 0.05 m): a sha256 over the lane-aware delivery law (atoms,
 grid, density), the four average energies, the unconditional
-effective-distance law, the single-provider law and its displacement
-twin at the 15 (x0, v_a) pairs of ``d2doff validate``, and that
-command's oracle reports at those pairs (seed 1, 20 000 samples each),
+effective-distance law, the single-provider law at the 15 (x0, v_a)
+pairs of ``d2doff validate``, and that command's oracle reports at
+those pairs (seed 1, 20 000 samples each),
 followed by the 12 values of the zero-distance surface of
 ``d2doff analytic``.
 """
@@ -100,9 +100,8 @@ def analytic_fingerprint(cfg: Config) -> str:
     rng = np.random.default_rng(1)
     for x0 in cli.DEFAULT_TUPLES_X0:
         for v_a in speeds:
-            for single in (analytic.single_provider_distance_law(x0, v_a, params),
-                           analytic.distance_law_from_displacement(x0, v_a, params)):
-                parts += [single.atoms, single.grid.tolist(), single.density.tolist()]
+            single = analytic.single_provider_distance_law(x0, v_a, params)
+            parts += [single.atoms, single.grid.tolist(), single.density.tolist()]
             parts.append(sorted(cli.oracle_check(x0, v_a, params, 20_000, rng).items()))
     digest = hashlib.sha256()
     for part in parts:
