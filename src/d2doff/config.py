@@ -58,6 +58,8 @@ class ScenarioConfig:
             raise ConfigError("need 0 < control_interval <= content_timeout")
         if self.i2d_max_range <= 0.0:
             raise ConfigError("i2d_max_range must be > 0")
+        if self.enb_antenna_height < 0.0:
+            raise ConfigError("enb_antenna_height must be >= 0")
         if self.rng_seed < 0:
             raise ConfigError("rng_seed must be >= 0")
 
@@ -126,6 +128,9 @@ class PhyConfig:
             raise ConfigError("n_taps must be >= 1")
         if self.harq_attempts < 1:
             raise ConfigError("harq_attempts must be >= 1")
+        for name in ("delay_spread", "shadowing_sigma_db"):  # 0: flat, unshadowed
+            if getattr(self, name) < 0.0:
+                raise ConfigError(f"{name} must be >= 0")
         self.gain_i2d.validate()
         self.gain_d2d.validate()
 

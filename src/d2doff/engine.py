@@ -93,17 +93,16 @@ class Engine:
             self.region_x_max = sc.street_length
         self._cache_events: list[tuple[int, int]] = []
 
-    def _link_table(self, reqs: list, n_i2d: int, t: float) -> rrrm.Links:
-        """The links that serve ``reqs`` at tick t, row i for reqs[i]: the
-        first ``n_i2d`` from the requester's nearest eNB, the rest from the
-        request's provider."""
+    def _link_table(self, reqs: list, n_i2d: int) -> rrrm.Links:
+        """The links that serve ``reqs``, row i for reqs[i]: the first
+        ``n_i2d`` from the requester's nearest eNB, the rest from the
+        request's provider; each kind in id order (``rrrm.Links``)."""
         sc = self.cfg.scenario
         world = self.world
         rx = np.array([world.idx_of[r.requester_id] for r in reqs], dtype=np.int64)
         tx = np.array([world.idx_of[r.provider_id] for r in reqs[n_i2d:]], dtype=np.int64)
         rx_x = world.xs[rx]
         enb, enb_dist = world.nearest_enb(rx_x[:n_i2d])
-        T = sc.control_interval
         return rrrm.Links(
             is_i2d=np.arange(len(reqs)) < n_i2d,
             enb=np.concatenate([enb, np.full(tx.size, -1)]),
@@ -111,9 +110,7 @@ class Engine:
             tx_y=np.concatenate([np.full(n_i2d, sc.enb_antenna_height),
                                  world.lane_y(world.lanes[tx])]),
             rx_x=rx_x, rx_y=world.lane_y(world.lanes[rx]),
-            distance=np.concatenate([enb_dist, world.d2d_distance(rx[n_i2d:], tx)]),
-            deadline=np.array([int(round(r.deadline / T)) for r in reqs], dtype=np.int64),
-            age=np.array([int(round((t - r.t0) / T)) for r in reqs], dtype=np.int64))
+            distance=np.concatenate([enb_dist, world.d2d_distance(rx[n_i2d:], tx)]))
 
     # -- one interval ---------------------------------------------------------
 
@@ -152,11 +149,11 @@ class Engine:
             self.policy.cache_event(vid, z, world, t)
 
         # D2D deliveries first: a transmission scheduled for the deadline
-        # tick pre-empts the infrastructure fallback for that request
+        # tick pre-empts the infrastructure fallback for that request; both
+        # lists keep pending (id) order, as ``rrrm.Links`` requires
         d2d = self.policy.d2d_intents(world, t)
         d2d_ids = {req.id for req in d2d}
-        i2d = [req for req in self.policy.i2d_due(t)
-               if req.id not in d2d_ids and req.requester_id in world.idx_of]
+        i2d = [req for req in self.policy.i2d_due(t) if req.id not in d2d_ids]
         reqs = i2d + d2d
         if not reqs:
             if measuring:
@@ -164,13 +161,11 @@ class Engine:
             return
 
         # per-link radio quantities of this tick, indexed like ``links``
-        links = self._link_table(reqs, len(i2d), t)
+        links = self._link_table(reqs, len(i2d))
         gains, nominal = rrrm.interference_matrix(links, self.cfg.phy)
         powers = rrrm.link_powers(links, nominal, self.cfg.phy)
-        order = rrrm.priority_order(links)
-        sets = rrrm.partition_rrr_sets(links, gains, powers, order, self.cfg.phy,
-                                       self.cfg.rrrm)
-        placed, pruned = rrrm.allocate_prbs(sets, links, order, self.capacity, self.n_prbs)
+        sets = rrrm.partition_rrr_sets(links, gains, powers, self.cfg.phy, self.cfg.rrrm)
+        placed, pruned = rrrm.allocate_prbs(sets, links, self.capacity, self.n_prbs)
         if measuring:
             self.metrics.pruned_links += len(pruned)
             in_region = np.where(links.is_i2d, links.enb < self.n_region,
@@ -183,37 +178,35 @@ class Engine:
     def _transmit_tick(self, links: rrrm.Links, reqs: list, placed: rrrm.Placement,
                        gains: np.ndarray, nominal: np.ndarray, powers: np.ndarray,
                        t: float, measuring: bool) -> None:
-        """Every placed link's HARQ attempts, in order of (PRB slice, link
-        index); reqs[i] is link i's request.  gains, nominal, powers:
-        the tick's ``rrrm.interference_matrix`` and ``rrrm.link_powers``.
+        """Every placed link's HARQ attempts, in the placement's transmission
+        order; reqs[i] is link i's request.  gains, nominal, powers: the
+        tick's ``rrrm.interference_matrix`` and ``rrrm.link_powers``.
 
         A link's receiver hears one channel from each peer that shares its
-        slice, in placement order, then its own.  These rows take fading
-        blocks in draw order, all links' rows in link order.  A retry takes
-        the block after its link's last one, so every later row moves one
-        block on; blocks are drawn only once a row needs them."""
+        slice, in transmission order, then its own.  These rows take fading
+        blocks in draw order, all links' rows in transmission order.  A
+        retry takes the block after its link's last one, so every later row
+        moves one block on; blocks are drawn only once a row needs them."""
         if not placed:
             return
         cfg = self.cfg
         n = len(placed)
         lid, slice_id = placed.link, placed.slice_id
         energies = phy.content_energy(powers, cfg.phy)
-        order = np.lexsort((lid, slice_id))
-        # hears[f, j]: placed link j shares PRBs with the f-th link to transmit
-        hears = slice_id[order, None] == slice_id
-        hears[np.arange(n), order] = False
-        # rows in draw order; column n is the link's own channel
-        row_link, col = np.nonzero(np.column_stack([hears, np.ones(n, dtype=bool)]))
+        # hears[f, j]: placed links f and j share PRBs
+        hears = slice_id[:, None] == slice_id
+        np.fill_diagonal(hears, False)
+        # rows in draw order: link rx hears col, column n being its own channel
+        rx, col = np.nonzero(np.column_stack([hears, np.ones(n, dtype=bool)]))
         own = np.flatnonzero(col == n)
-        rx = order[row_link]
         tx = np.where(col == n, rx, col)
-        slots = self._slice_slots[slice_id[order] % len(self._slice_slots)]
+        slots = self._slice_slots[slice_id % len(self._slice_slots)]
         row_power = powers[lid[tx]]
         shadow_db = self.shadow.link_shadow_db(links.tx_x[lid[tx]], links.rx_x[lid[rx]])
         gain = phy.mean_gain(np.where(col == n, nominal[lid[rx]], gains[lid[tx], lid[rx]]),
                              shadow_db)
-        blocks = np.arange(row_link.size)       # fading block of each row
-        fading = self.channel.realize(row_link.size, self.rng)
+        blocks = np.arange(rx.size)             # fading block of each row
+        fading = self.channel.realize(rx.size, self.rng)
 
         def information(first: int, stop_link: int) -> np.ndarray:
             """Achievable bits of links first..stop_link-1 on their blocks."""
@@ -227,7 +220,7 @@ class Engine:
             # the blocks are consecutive unless a retried link's own row is in range
             rows = slice(b[0], b[-1] + 1) if b[-1] - b[0] == r1 - r0 - 1 else b
             return phy.achievable_information(
-                row_power[r0:r1], gain[r0:r1], fading[rows], row_link[r0:r1] - first,
+                row_power[r0:r1], gain[r0:r1], fading[rows], rx[r0:r1] - first,
                 slots[first:stop_link], cfg.phy)
 
         info = information(0, n)
@@ -236,7 +229,7 @@ class Engine:
             if f >= current:
                 info[f:] = information(f, n)
                 current = n
-            i = int(lid[order[f]])
+            i = int(lid[f])
             req, is_i2d = reqs[i], bool(links.is_i2d[i])
             energy = float(energies[i])
             # HARQ: retransmissions happen within the control interval (their

@@ -22,26 +22,19 @@ from .config import ScenarioConfig
 from .scenario import (ContentRequest, World, PENDING, SCHEDULED)
 
 
-def _world_index(world: World, vids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each vehicle's index in the tick's arrays, and whether it is on the
-    road (in the arrays) at all."""
-    pos = np.searchsorted(world.ids, vids)
-    on_road = pos < world.ids.size
-    on_road[on_road] = world.ids[pos[on_road]] == vids[on_road]
-    return pos, on_road
-
-
 def _pairs(world: World, reqs: list[ContentRequest], holder_sets):
     """Flat (request index, holder id, holder index, requester index) arrays
     with one entry per vehicle of holder_sets[i] that could serve reqs[i]:
-    both vehicles on the road, and the holder not the requester itself."""
+    on the road, as a pending request's requester is, and not the requester."""
     counts = np.array([len(hs) for hs in holder_sets], dtype=np.int64)
     req_i = np.repeat(np.arange(len(reqs)), counts)
     holder = np.fromiter(chain.from_iterable(holder_sets), np.int64, req_i.size)
     requester = np.array([r.requester_id for r in reqs], dtype=np.int64)
-    h, h_on = _world_index(world, holder)
-    k, k_on = _world_index(world, requester)
-    keep = h_on & k_on[req_i] & (holder != requester[req_i])
+    # rows of the tick's arrays; a holder that left the road has none
+    h, k = np.searchsorted(world.ids, holder), np.searchsorted(world.ids, requester)
+    h_on = h < world.ids.size
+    h_on[h_on] = world.ids[h[h_on]] == holder[h_on]
+    keep = h_on & (holder != requester[req_i])
     req_i = req_i[keep]
     return req_i, holder[keep], h[keep], k[req_i]
 
@@ -84,10 +77,8 @@ class BasePolicy:
         self.by_content.setdefault(req.content_id, set()).add(req.id)
 
     def retire(self, req: ContentRequest) -> None:
-        self.pending.pop(req.id, None)
-        reqs = self.by_content.get(req.content_id)
-        if reqs is not None:
-            reqs.discard(req.id)
+        del self.pending[req.id]
+        self.by_content[req.content_id].discard(req.id)
 
     def handle_new(self, requests: list[ContentRequest], world: World, t: float) -> None:
         for req in requests:
@@ -117,10 +108,10 @@ class OptimalPolicy(BasePolicy):
 
     def _planned_tick(self, req: ContentRequest, t: float, t_star: float) -> float:
         T = self.cfg.control_interval
-        planned = t + round(t_star / T) * T
+        planned = t + round(t_star / T) * T    # t* >= 0, so no earlier than t
         # the deadline tick itself is still usable (the infrastructure
         # fallback yields to a transmission scheduled for that tick)
-        return min(max(planned, t), req.deadline)
+        return min(planned, req.deadline)
 
     def _reachable(self, world, t, reqs, req_i, holder, h, k):
         """Closest approach of every (request, holder) pair from ``_pairs``.
@@ -181,8 +172,8 @@ class OptimalPolicy(BasePolicy):
         for req in map(self.pending.__getitem__, req_ids):
             if t > req.deadline + 1e-9:
                 continue
-            k = world.idx_of.get(req.requester_id)
-            if k is not None and req.requester_id != vid and \
+            k = world.idx_of[req.requester_id]
+            if req.requester_id != vid and \
                     abs(x - world.xs[k]) <= self._region_halfwidth(world.vs[k]):
                 reqs.append(req)
         if not reqs:
@@ -204,8 +195,7 @@ class OptimalPolicy(BasePolicy):
                          and world.vehicles[r.provider_id].cache.get(
                              r.content_id, -math.inf) > t)]
         self._schedule(stale, world, t)
-        due = [r for r in due if r.state == SCHEDULED and r.planned_tick <= t + 1e-9
-               and r.requester_id in world.idx_of]
+        due = [r for r in due if r.state == SCHEDULED and r.planned_tick <= t + 1e-9]
         dist = world.d2d_distance(
             np.array([world.idx_of[r.requester_id] for r in due], dtype=np.int64),
             np.array([world.idx_of[r.provider_id] for r in due], dtype=np.int64))
@@ -243,7 +233,7 @@ class CellularPolicy(BasePolicy):
     uses_cache = False
 
     def i2d_due(self, t):
-        return [r for r in self.pending.values() if t >= r.t0 - 1e-9]
+        return list(self.pending.values())
 
 
 POLICIES = {

@@ -7,8 +7,8 @@ below a threshold.  Links of one set share a contiguous PRB pool;
 infrastructure links from the same base station get exclusive slices of
 it, while far-apart base stations and device links reuse the same PRBs.
 When the pools overflow the per-interval grid, only the longest prefix
-of the priority order (infrastructure first, then device links closest
-to their deadline) that fits is placed; the rest is pruned.
+of the link table that fits is placed; the rest is pruned.  The table is
+in priority order (see ``Links``), so the prefix is the most urgent links.
 
 Every placed link gets exactly one slice of the grid: slice k is PRBs
 [k n_prbs, (k + 1) n_prbs), n_prbs being one content's worth.  So two
@@ -28,11 +28,12 @@ from . import phy
 
 @dataclass
 class Links:
-    """A tick's links, one entry per link in each array.  The requester
-    receives; an eNB (``enb`` >= 0) or a vehicle (``enb`` = -1) transmits.
-    y is the lane offset of a vehicle and the antenna height of an eNB;
-    ``distance`` sets the transmit power; ``deadline`` and ``age`` count
-    control intervals."""
+    """A tick's links, one entry per link in each array, in priority
+    order: infrastructure first, then device links, each kind by request
+    id, which is deadline order as every request has the same delay
+    tolerance.  The requester receives; an eNB (``enb`` >= 0) or a
+    vehicle (``enb`` = -1) transmits.  y is the lane offset of a vehicle
+    and the antenna height of an eNB; ``distance`` sets the transmit power."""
 
     is_i2d: np.ndarray
     enb: np.ndarray
@@ -41,8 +42,6 @@ class Links:
     rx_x: np.ndarray
     rx_y: np.ndarray
     distance: np.ndarray
-    deadline: np.ndarray
-    age: np.ndarray
 
     def __len__(self) -> int:
         return self.is_i2d.size
@@ -50,21 +49,14 @@ class Links:
 
 @dataclass
 class Placement:
-    """The placed links of a tick, by reuse set and then priority: the
-    link's index into ``Links``, its set and its PRB slice."""
+    """The placed links of a tick in transmission order, by PRB slice and
+    then link index: each link's index into ``Links`` and its slice."""
 
     link: np.ndarray
-    set_id: np.ndarray
     slice_id: np.ndarray
 
     def __len__(self) -> int:
         return self.link.size
-
-
-def priority_order(links: Links) -> np.ndarray:
-    """Link indices, served first to last: infrastructure, then deadline
-    proximity, then request age (oldest first), then index."""
-    return np.lexsort((np.arange(len(links)), -links.age, links.deadline, ~links.is_i2d))
 
 
 def _gain_by_kind(is_i2d: np.ndarray, r: np.ndarray, cfg: PhyConfig) -> np.ndarray:
@@ -105,10 +97,9 @@ def link_powers(links: Links, nominal: np.ndarray, cfg: PhyConfig) -> np.ndarray
 
 
 def partition_rrr_sets(links: Links, gains: np.ndarray, powers: np.ndarray,
-                       order: np.ndarray, cfg: PhyConfig,
-                       rrrm: RrrmConfig) -> list[list[int]]:
-    """Greedy first-fit partition in priority ``order``; returns lists of
-    link indices, members in priority order.  ``gains`` is the
+                       cfg: PhyConfig, rrrm: RrrmConfig) -> list[list[int]]:
+    """Greedy first-fit partition in table order; returns lists of link
+    indices, members in ascending order.  ``gains`` is the
     interference matrix and ``powers`` the per-subcarrier powers of
     ``link_powers``.
 
@@ -116,8 +107,6 @@ def partition_rrr_sets(links: Links, gains: np.ndarray, powers: np.ndarray,
     the other's receiver exceeds the threshold, unless both are
     infrastructure links of one eNB: those get exclusive slices, so
     their mutual interference is irrelevant to set membership."""
-    if not len(links):
-        return []
     gamma = 10.0 ** (rrrm.gamma_inr_db / 10.0)
     sigma2 = phy.subcarrier_noise_power(cfg)
     loud = powers[:, None] * gains > gamma * sigma2
@@ -125,7 +114,7 @@ def partition_rrr_sets(links: Links, gains: np.ndarray, powers: np.ndarray,
     conflict = (loud | loud.T) & ~((enb[:, None] == enb) & (enb[:, None] >= 0))
     sets: list[list[int]] = []
     blocked: list[np.ndarray] = []     # per set: links that conflict with a member
-    for i in order.tolist():
+    for i in range(len(links)):
         for members, mask in zip(sets, blocked):
             if not mask[i]:
                 members.append(i)
@@ -137,26 +126,25 @@ def partition_rrr_sets(links: Links, gains: np.ndarray, powers: np.ndarray,
     return sets
 
 
-def allocate_prbs(sets: list[list[int]], links: Links, order: np.ndarray,
-                  grid_capacity: int, n_prbs: int) -> tuple[Placement, list[int]]:
+def allocate_prbs(sets: list[list[int]], links: Links, grid_capacity: int,
+                  n_prbs: int) -> tuple[Placement, list[int]]:
     """Lay the set pools of ``partition_rrr_sets`` contiguously on the
     grid's slices, in set order.  Within a set, infrastructure links of
     one eNB stack on consecutive slices (exclusive), different eNBs
     restart at the pool's first slice (reuse), and device links all
     share that slice.
 
-    A link's slice depends only on the links before it in priority
-    ``order``, so demand never falls as links are added: the longest
-    prefix of ``order`` whose pools fit the grid is placed.  Returns the
-    placement and the pruned link indices, lowest priority first."""
-    order = order.tolist()
+    A link's slice depends only on the links before it in the table, so
+    demand never falls as links are added: the longest prefix of the
+    table whose pools fit the grid is placed.  Returns the placement and
+    the pruned links, the table's tail from its last link."""
     is_i2d, enb = links.is_i2d.tolist(), links.enb.tolist()
     set_of = {i: s for s, members in enumerate(sets) for i in members}
-    slice_of: dict[int, int] = {}              # placed link -> slice
+    slice_of: list[int] = []                   # per placed link: slice in its pool
     stacked: dict[tuple[int, int], int] = {}   # (set, eNB) -> slices taken
     n_slices = [0] * len(sets)
     demand = 0
-    for i in order:
+    for i in range(len(links)):
         s = set_of[i]
         k = 0
         if is_i2d[i]:
@@ -167,14 +155,13 @@ def allocate_prbs(sets: list[list[int]], links: Links, order: np.ndarray,
             if demand > grid_capacity:
                 break
             n_slices[s] += 1
-        slice_of[i] = k
+        slice_of.append(k)
     pool_base = [0, *itertools.accumulate(n_slices)]
-    link = [i for members in sets for i in members if i in slice_of]
-    return (Placement(link=np.array(link, dtype=np.int64),
-                      set_id=np.array([set_of[i] for i in link], dtype=np.int64),
-                      slice_id=np.array([pool_base[set_of[i]] + slice_of[i] for i in link],
-                                        dtype=np.int64)),
-            order[len(slice_of):][::-1])
+    slice_id = np.array([pool_base[set_of[i]] + k for i, k in enumerate(slice_of)],
+                        dtype=np.int64)
+    link = np.argsort(slice_id, kind="stable")
+    return (Placement(link=link, slice_id=slice_id[link]),
+            list(range(len(links) - 1, len(slice_of) - 1, -1)))
 
 
 def spectrum_occupancy(placement: Placement, grid_capacity: int, n_prbs: int,

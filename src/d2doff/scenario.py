@@ -221,9 +221,7 @@ class World:
             dead = [z for z, exp in veh.cache.items() if exp <= t]
             for z in dead:
                 del veh.cache[z]
-                hs = self.holders.get(z)
-                if hs is not None:
-                    hs.discard(veh.id)
+                self.holders[z].discard(veh.id)
             veh.next_expiry = min(veh.cache.values(), default=math.inf)
             if veh.cache:
                 heapq.heappush(self._expiry, (veh.next_expiry, vid))
@@ -231,9 +229,7 @@ class World:
     def _forget_vehicle(self, vid: int) -> None:
         veh = self.vehicles.pop(vid)
         for z in veh.cache:
-            hs = self.holders.get(z)
-            if hs is not None:
-                hs.discard(vid)
+            self.holders[z].discard(vid)
 
     # -- per-tick state ----------------------------------------------------
 

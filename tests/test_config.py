@@ -139,6 +139,9 @@ UNRUNNABLE = [
     {"phy": {"shadowing_decorrelation": 0.0}},
     {"phy": {"center_frequency": 0.0}},
     {"phy": {"subcarriers_per_prb": 0}},
+    {"phy": {"delay_spread": -1e-7}},
+    {"phy": {"shadowing_sigma_db": -4.0}},
+    {"scenario": {"enb_antenna_height": -10.0}},
     {"scenario": {"control_interval": 1e-4}},
     {"analytic": {"dr": 0.0}},
     {"analytic": {"dr": -0.5}},

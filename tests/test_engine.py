@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from d2doff import engine, phy
+from d2doff import engine, phy, rrrm
 from d2doff.config import Config, ScenarioConfig
 from d2doff.engine import MetricsAccumulator, sample_distance_pdf
 from d2doff.scenario import DELIVERED_D2D, DELIVERED_I2D
@@ -195,6 +195,54 @@ class TestRunMany:
             assert got.summary() == engine.run(*job).metrics.summary()
 
 
+class TestRanking:
+    """The link table is the priority order (``rrrm.Links``) and
+    ``allocate_prbs`` places its longest prefix that fits: checked on
+    every tick of short runs, from a stationary start, that reach the
+    first deadlines."""
+
+    RUNS = [(policy, {"vehicle_arrival_rate": lam})
+            for lam in (1.0, 3.0) for policy in ("optimal", "benchmark", "cellular")]
+    RUNS.append(("optimal", {"content_timeout": 20.5, "control_interval": 0.7}))
+
+    def test_table_is_ranked_and_pruned_from_its_tail(self, short_cfg, monkeypatch):
+        link_table, allocate = engine.Engine._link_table, rrrm.allocate_prbs
+        seen = {}
+
+        def checked_table(eng, reqs, n_i2d):
+            links = link_table(eng, reqs, n_i2d)
+            # the infrastructure rows come first
+            assert links.is_i2d.tolist() == [True] * n_i2d + [False] * (len(reqs) - n_i2d)
+            for kind in (reqs[:n_i2d], reqs[n_i2d:]):
+                ids = [r.id for r in kind]
+                assert all(a < b for a, b in zip(ids, ids[1:]))
+                deadlines = [r.deadline for r in kind]
+                assert deadlines == sorted(deadlines)
+            seen["mixed"] += 0 < n_i2d < len(reqs)
+            return links
+
+        def checked_allocate(sets, links, *args):
+            placed, pruned = allocate(sets, links, *args)
+            n, m = len(links), len(links) - len(pruned)
+            assert pruned == list(range(n - 1, m - 1, -1))
+            assert sorted(placed.link.tolist()) == list(range(m))
+            seen["pruned"] += bool(pruned)
+            return placed, pruned
+
+        monkeypatch.setattr(engine.Engine, "_link_table", checked_table)
+        monkeypatch.setattr(rrrm, "allocate_prbs", checked_allocate)
+        pruned_runs = 0
+        for policy, changes in self.RUNS:
+            seen.update(mixed=0, pruned=0)
+            cfg = dataclasses.replace(short_cfg, scenario=dataclasses.replace(
+                short_cfg.scenario, **changes))
+            engine.run(cfg, policy, 30.0, 0.0, seed=1)
+            # both kinds share a tick once the first deadlines pass
+            assert seen["mixed"] > 0 or policy == "cellular"
+            pruned_runs += seen["pruned"] > 0
+        assert pruned_runs >= 2
+
+
 # Outputs of engine.run(cfg at lambda = 1 veh/s, policy, 30, 30, seed=7),
 # and the PCG64 state the run leaves its generator in (its increment is
 # fixed by the seed).  Recorded when the scenario layer moved to batched
@@ -247,9 +295,10 @@ class TestGolden:
 # -- per-link reference of the transmission step -----------------------------
 #
 # The engine decides a tick's transmissions on tick-wide arrays.  This is the
-# per-link loop it replaced: each link draws one fading block per
-# overlapping peer of its reuse set, in allocation order, then one per HARQ
-# attempt, and computes its capacity one attempt at a time.
+# per-link loop it replaced: links transmit in order of (first PRB, link
+# index); each draws one fading block per other placed link whose PRBs
+# overlap its own, in link order, then one per HARQ attempt, and computes
+# its capacity one attempt at a time.
 
 def _ref_slots(start, stop, n_blocks):
     if stop <= start:
@@ -306,23 +355,21 @@ class ReferenceEngine(engine.Engine):
     def _transmit_tick(self, links, reqs, placed, gains, nominal, powers,
                        t, measuring):
         energies = phy.content_energy(powers, self.cfg.phy)
-        # (link, set, prb_start, prb_stop) of every placed link, from its slice
-        rows = [(i, s, k * self.n_prbs, (k + 1) * self.n_prbs) for i, s, k in zip(
-            placed.link.tolist(), placed.set_id.tolist(), placed.slice_id.tolist())]
-        by_set = {}
-        for row in rows:
-            by_set.setdefault(row[1], []).append(row)
-        for row in sorted(rows, key=lambda r: (r[1], r[2], r[0])):
-            self._transmit_one(links, reqs[row[0]], row, by_set[row[1]], gains,
-                               nominal, powers, float(energies[row[0]]), t, measuring)
+        # (link, prb_start, prb_stop) of every placed link in link order,
+        # from its slice
+        rows = sorted((i, k * self.n_prbs, (k + 1) * self.n_prbs) for i, k in zip(
+            placed.link.tolist(), placed.slice_id.tolist()))
+        for row in sorted(rows, key=lambda r: (r[1], r[0])):
+            self._transmit_one(links, reqs[row[0]], row, rows, gains, nominal,
+                               powers, float(energies[row[0]]), t, measuring)
 
     def _transmit_one(self, links, req, row, peers, gains, nominal, powers,
                       energy, t, measuring):
         cfg = self.cfg
-        i, _, start, stop = row
+        i, start, stop = row
         is_i2d = links.is_i2d[i]
         interferers = []
-        for j, _, peer_start, peer_stop in peers:
+        for j, peer_start, peer_stop in peers:
             lo = max(start, peer_start)
             hi = min(stop, peer_stop)
             if j == i or hi <= lo:

@@ -14,19 +14,19 @@ def cfg():
     return Config()
 
 
-# rows of ``table``: (is_i2d, eNB, tx x, tx y, rx x, rx y, distance, deadline, age)
-def d2d(tx_x, rx_x, deadline=10, lane=0.0, age=0):
-    return (False, -1, tx_x, lane, rx_x, lane, abs(rx_x - tx_x), deadline, age)
+# rows of ``table``: (is_i2d, eNB, tx x, tx y, rx x, rx y, distance)
+def d2d(tx_x, rx_x, lane=0.0):
+    return (False, -1, tx_x, lane, rx_x, lane, abs(rx_x - tx_x))
 
 
-def i2d(enb_x, rx_x, enb, deadline=10):
-    return (True, enb, enb_x, 0.0, rx_x, 0.0, abs(rx_x - enb_x), deadline, 0)
+def i2d(enb_x, rx_x, enb):
+    return (True, enb, enb_x, 0.0, rx_x, 0.0, abs(rx_x - enb_x))
 
 
 def table(rows):
     """``rrrm.Links`` with one link per row, in row order."""
-    cols = list(zip(*rows)) or [()] * 9
-    dtypes = (bool, np.int64, float, float, float, float, float, np.int64, np.int64)
+    cols = list(zip(*rows)) or [()] * 7
+    dtypes = (bool, np.int64, float, float, float, float, float)
     return rrrm.Links(*(np.array(c, dtype=d) for c, d in zip(cols, dtypes)))
 
 
@@ -37,12 +37,7 @@ def kind(links, i):
 def partition(links, cfg):
     gains, nominal = rrrm.interference_matrix(links, cfg.phy)
     powers = rrrm.link_powers(links, nominal, cfg.phy)
-    return rrrm.partition_rrr_sets(links, gains, powers, rrrm.priority_order(links),
-                                   cfg.phy, cfg.rrrm)
-
-
-def allocate(sets, links, capacity, n_prbs):
-    return rrrm.allocate_prbs(sets, links, rrrm.priority_order(links), capacity, n_prbs)
+    return rrrm.partition_rrr_sets(links, gains, powers, cfg.phy, cfg.rrrm)
 
 
 def spans(placed, n_prbs):
@@ -57,10 +52,10 @@ def _overlap(placed, a, b, n_prbs):
     return (lo, hi) if hi > lo else (0, 0)
 
 
-# (is_i2d, transmitter x / eNB index, receiver x, receiver lane, deadline)
+# (is_i2d, transmitter x / eNB index, receiver x, receiver lane)
 link_specs = st.lists(
     st.tuples(st.booleans(), st.floats(0.0, 1500.0), st.floats(0.0, 1500.0),
-              st.sampled_from([0.0, 10.0]), st.integers(0, 4)),
+              st.sampled_from([0.0, 10.0])),
     min_size=1, max_size=12)
 
 
@@ -68,31 +63,23 @@ def mixed_links(specs, cfg):
     """Device and infrastructure links from ``link_specs`` draws."""
     sc = cfg.scenario
     rows = []
-    for k, (is_i2d, a, rx_x, rx_y, deadline) in enumerate(specs):
+    for k, (is_i2d, a, rx_x, rx_y) in enumerate(specs):
         if is_i2d:
             enb = int(a) % len(sc.enb_positions)
             tx_x, tx_y = sc.enb_positions[enb], sc.enb_antenna_height
-            rows.append((True, enb, tx_x, tx_y, rx_x, rx_y,
-                         math.hypot(tx_x - rx_x, tx_y), deadline, 0))
+            rows.append((True, enb, tx_x, tx_y, rx_x, rx_y, math.hypot(tx_x - rx_x, tx_y)))
         else:
             tx_y = sc.lane_offset - rx_y if k % 2 else rx_y
-            rows.append((False, -1, a, tx_y, rx_x, rx_y,
-                         math.hypot(a - rx_x, tx_y - rx_y), deadline, k % 3))
+            rows.append((False, -1, a, tx_y, rx_x, rx_y, math.hypot(a - rx_x, tx_y - rx_y)))
     return table(rows)
 
 
 # -- references ----------------------------------------------------------------
 #
-# The per-link priority key, the prune loop that re-lays every set out
-# after each victim and the range-merging occupancy, which
-# ``priority_order``, the one-pass ``allocate_prbs`` and
-# ``spectrum_occupancy`` replaced.
-
-def priority_key(links, i):
-    """Ascending = served first: infrastructure, then deadline
-    proximity, then request age, then index."""
-    return (0 if links.is_i2d[i] else 1, links.deadline[i], -links.age[i], i)
-
+# The prune loop that re-lays every set out after each victim and the
+# range-merging occupancy, which the one-pass ``allocate_prbs`` and
+# ``spectrum_occupancy`` replaced.  The link table is the priority order:
+# row 0 is served first.
 
 def reference_layout(sets, links, n_prbs):
     """(link, set, slice) of every member, in set and member order, and the
@@ -120,8 +107,7 @@ def reference_allocate(sets, links, grid_capacity, n_prbs):
     """(link, set, prb_start, prb_stop) in allocation order, and the pruned
     links in pruning order."""
     sets = [list(m) for m in sets]
-    victim_order = sorted((i for members in sets for i in members),
-                          key=lambda i: priority_key(links, i), reverse=True)
+    victim_order = list(range(len(links)))[::-1]
     pruned = []
     while True:
         placed, total = reference_layout(sets, links, n_prbs)
@@ -171,7 +157,7 @@ def reference_partition(links, gains, cfg):
     powers = [phy.tx_power_for_link(kind(links, i), links.distance[i], cfg.phy)
               for i in range(len(links))]
     sets = []
-    for i in sorted(range(len(links)), key=lambda i: priority_key(links, i)):
+    for i in range(len(links)):
         for members in sets:
             if all(links.is_i2d[i] and links.is_i2d[j]
                    and links.enb[i] == links.enb[j]
@@ -211,7 +197,6 @@ class TestPartition:
 
     def test_empty(self, cfg):
         assert rrrm.partition_rrr_sets(table([]), np.zeros((0, 0)), np.zeros(0),
-                                       np.zeros(0, dtype=np.int64),
                                        cfg.phy, cfg.rrrm) == []
 
     @given(specs=link_specs)
@@ -266,26 +251,26 @@ class TestAllocation:
         n_prbs = phy.prbs_required(cfg.phy)
         capacity = cfg.phy.freq_blocks * round(
             cfg.scenario.control_interval / cfg.phy.prb_duration)
-        placed, pruned = allocate(sets, links, capacity, n_prbs)
+        placed, pruned = rrrm.allocate_prbs(sets, links, capacity, n_prbs)
         assert not pruned
         occ = rrrm.spectrum_occupancy(placed, capacity, n_prbs, np.ones(1, dtype=bool))
         assert occ == pytest.approx(8000 / 120_000)
 
     def test_same_enb_gets_exclusive_slices(self, cfg):
         links = table([i2d(0.0, 50.0, enb=0), i2d(0.0, -80.0, enb=0)])
-        placed, pruned = allocate([[0, 1]], links, 120_000, 8000)
+        placed, pruned = rrrm.allocate_prbs([[0, 1]], links, 120_000, 8000)
         assert not pruned
         assert sorted(spans(placed, 8000)) == [(0, 8000), (8000, 16_000)]
 
     def test_reuse_overlaps(self, cfg):
         links = table([i2d(0.0, 50.0, enb=0), i2d(1800.0, 1850.0, enb=3)])
-        placed, _ = allocate([[0, 1]], links, 120_000, 8000)
+        placed, _ = rrrm.allocate_prbs([[0, 1]], links, 120_000, 8000)
         assert placed.slice_id.tolist() == [0, 0]
         assert _overlap(placed, 0, 1, 8000) == (0, 8000)
 
     def test_disjoint_pools_do_not_overlap(self, cfg):
         links = table([d2d(0.0, 30.0), d2d(5.0, 35.0)])
-        placed, _ = allocate([[0], [1]], links, 120_000, 8000)
+        placed, _ = rrrm.allocate_prbs([[0], [1]], links, 120_000, 8000)
         assert _overlap(placed, 0, 1, 8000) == (0, 0)
 
     def test_pruning_drops_device_links_first(self, cfg):
@@ -293,22 +278,22 @@ class TestAllocation:
         links = table([i2d(0.0, 20.0 + k, enb=0) for k in range(8)]
                       + [d2d(40.0 * k, 40.0 * k + 30.0) for k in range(8)])
         sets = partition(links, cfg)
-        placed, pruned = allocate(sets, links, 120_000, 8000)
+        placed, pruned = rrrm.allocate_prbs(sets, links, 120_000, 8000)
         assert len(pruned) == 1
         assert not links.is_i2d[pruned[0]]
         # every placed link stays inside the grid
         assert max(stop for _, stop in spans(placed, 8000)) <= 120_000
 
-    def test_prune_order_respects_deadline(self, cfg):
-        links = table([d2d(0.0, 30.0, deadline=5), d2d(5.0, 35.0, deadline=9)])
-        placed, pruned = allocate([[0], [1]], links, 8000, 8000)
-        assert pruned == [1]
+    def test_prunes_the_tables_tail(self, cfg):
+        links = table([d2d(0.0, 30.0), d2d(5.0, 35.0), d2d(10.0, 40.0)])
+        placed, pruned = rrrm.allocate_prbs([[0], [1], [2]], links, 8000, 8000)
+        assert pruned == [2, 1]
         assert placed.link.tolist() == [0]
 
     def test_no_pruning_when_fits(self, cfg):
         links = table([d2d(400.0 * k, 400.0 * k + 30.0) for k in range(5)])
         sets = partition(links, cfg)
-        placed, pruned = allocate(sets, links, 120_000, 8000)
+        placed, pruned = rrrm.allocate_prbs(sets, links, 120_000, 8000)
         assert not pruned and len(placed) == 5
 
     @given(specs=link_specs, slots=st.integers(1, 16))
@@ -317,16 +302,20 @@ class TestAllocation:
         # tight grids of 1-16 PRB slices prune from most draws of up to 12 links
         links = mixed_links(specs, cfg)
         sets = partition(links, cfg)
-        placed, pruned = allocate(sets, links, slots * 8000, 8000)
+        placed, pruned = rrrm.allocate_prbs(sets, links, slots * 8000, 8000)
         want_placed, want_pruned = reference_allocate(sets, links, slots * 8000, 8000)
         assert pruned == want_pruned
+        # the placement is in transmission order: by slice, then link
+        want_placed.sort(key=lambda row: (row[2], row[0]))
+        set_of = {i: s for s, members in enumerate(sets) for i in members}
         ranges = spans(placed, 8000)
-        assert [(i, s, lo, hi) for i, s, (lo, hi) in zip(
-            placed.link.tolist(), placed.set_id.tolist(), ranges)] == want_placed
+        assert [(i, set_of[i], lo, hi) for i, (lo, hi) in zip(
+            placed.link.tolist(), ranges)] == want_placed
         slice_id = placed.slice_id.tolist()
         # every slice lies inside the grid, and no two sets share one
         assert all(0 <= k < slots for k in slice_id)
-        assert len(set(zip(slice_id, placed.set_id.tolist()))) == len(set(slice_id))
+        assert len({(k, set_of[i]) for i, k in zip(placed.link.tolist(), slice_id)}) \
+            == len(set(slice_id))
         # two links share a slice exactly when their reference ranges overlap
         for (_, _, lo_a, hi_a), k_a in zip(want_placed, slice_id):
             for (_, _, lo_b, hi_b), k_b in zip(want_placed, slice_id):
@@ -339,7 +328,7 @@ class TestAllocation:
 class TestOccupancy:
     def test_region_filter(self, cfg):
         links = table([d2d(0.0, 30.0), d2d(5.0, 35.0)])
-        placed, _ = allocate([[0], [1]], links, 120_000, 8000)
+        placed, _ = rrrm.allocate_prbs([[0], [1]], links, 120_000, 8000)
         occ_all = rrrm.spectrum_occupancy(placed, 120_000, 8000, np.array([True, True]))
         occ_one = rrrm.spectrum_occupancy(placed, 120_000, 8000, np.array([True, False]))
         assert occ_all == pytest.approx(16_000 / 120_000)
@@ -347,21 +336,12 @@ class TestOccupancy:
 
     def test_overlapping_pools_counted_once(self, cfg):
         links = table([i2d(0.0, 50.0, enb=0), i2d(1800.0, 1850.0, enb=3)])
-        placed, _ = allocate([[0, 1]], links, 120_000, 8000)
+        placed, _ = rrrm.allocate_prbs([[0, 1]], links, 120_000, 8000)
         occ = rrrm.spectrum_occupancy(placed, 120_000, 8000, np.array([True, True]))
         assert occ == pytest.approx(8000 / 120_000)
 
     def test_bounds(self, cfg):
         none = np.zeros(0, dtype=np.int64)
-        empty = rrrm.Placement(link=none, set_id=none, slice_id=none)
+        empty = rrrm.Placement(link=none, slice_id=none)
         assert rrrm.spectrum_occupancy(empty, 120_000, 8000, np.zeros(0, dtype=bool)) == 0.0
 
-
-class TestPriority:
-    def test_infrastructure_first(self, cfg):
-        links = table([d2d(0.0, 30.0, deadline=0), i2d(0.0, 50.0, enb=0, deadline=99)])
-        assert rrrm.priority_order(links).tolist() == [1, 0]
-
-    def test_age_breaks_ties(self, cfg):
-        links = table([d2d(0.0, 30.0, deadline=5), d2d(0.0, 30.0, deadline=5, age=3)])
-        assert rrrm.priority_order(links).tolist() == [1, 0]
