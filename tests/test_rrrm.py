@@ -345,3 +345,28 @@ class TestOccupancy:
         empty = rrrm.Placement(link=none, slice_id=none)
         assert rrrm.spectrum_occupancy(empty, 120_000, 8000, np.zeros(0, dtype=bool)) == 0.0
 
+
+
+class TestPriority:
+    """The table is the priority order (``rrrm.Links``): infrastructure
+    rows first, each kind by request id, so an older request outranks a
+    younger one of its kind.  Sets are led in table order and pruning
+    takes the table's tail."""
+
+    def test_infrastructure_first(self, cfg):
+        # the device link's transmitter sits beside the requester of the
+        # infrastructure link, so the two need separate slices
+        links = table([i2d(0.0, 50.0, enb=0), d2d(45.0, 60.0)])
+        sets = partition(links, cfg)
+        assert sets == [[0], [1]]
+        placed, pruned = rrrm.allocate_prbs(sets, links, 8000, 8000)
+        assert placed.link.tolist() == [0] and pruned == [1]
+
+    def test_age_breaks_ties(self, cfg):
+        # two device links alike but for their request ids: the older
+        # request, the lower row, keeps the one slice
+        links = table([d2d(0.0, 30.0), d2d(5.0, 35.0)])
+        sets = partition(links, cfg)
+        assert sets == [[0], [1]]
+        placed, pruned = rrrm.allocate_prbs(sets, links, 8000, 8000)
+        assert placed.link.tolist() == [0] and pruned == [1]
