@@ -270,18 +270,40 @@ GOLDEN_LAMBDA_1 = {
         energy_d2d=0.0, energy_i2d=36.44924651785451,
         d2d_distance_sum=0.0, mean_occupancy=0.4955555555555555),
 }
+# The same runs with harq_attempts = 1: no retry, so every fading block is a
+# first attempt's.  Recorded before retries moved to blocks of their own; the
+# first attempts' blocks did not move with them.
+GOLDEN_NO_RETRY = {
+    "optimal": dict(
+        rng_state=318078231683998032412108305429861079683,
+        deliveries_d2d=218, deliveries_i2d=240, repeated=169, dropped=28,
+        requests_nonrepeated=461, failed_attempts=30, pruned_links=0,
+        energy_d2d=0.40041864470961314, energy_i2d=16.31840894026936,
+        d2d_distance_sum=3446.410351775697, mean_occupancy=0.3644444444444444),
+    "benchmark": dict(
+        rng_state=263214304756222481507706619296290955989,
+        deliveries_d2d=258, deliveries_i2d=206, repeated=136, dropped=34,
+        requests_nonrepeated=445, failed_attempts=22, pruned_links=0,
+        energy_d2d=2.002154665636482, energy_i2d=13.559411389827543,
+        d2d_distance_sum=11309.362768169029, mean_occupancy=0.38222222222222224),
+    "cellular": dict(
+        rng_state=192855411951768624198691617281226755679,
+        deliveries_d2d=0, deliveries_i2d=605, repeated=0, dropped=0,
+        requests_nonrepeated=592, failed_attempts=38, pruned_links=48,
+        energy_d2d=0.0, energy_i2d=44.6613716017012,
+        d2d_distance_sum=0.0, mean_occupancy=0.6044444444444445),
+}
 GOLDEN_COUNTS = ("deliveries_d2d", "deliveries_i2d", "repeated", "dropped",
                  "requests_nonrepeated", "failed_attempts", "pruned_links")
 
 
 class TestGolden:
-    @pytest.mark.parametrize("policy", sorted(GOLDEN_LAMBDA_1))
-    def test_fixed_seed_outputs(self, short_cfg, policy):
-        cfg = dataclasses.replace(short_cfg, scenario=dataclasses.replace(
-            short_cfg.scenario, vehicle_arrival_rate=1.0))
+    @staticmethod
+    def _check(cfg, policy, want):
+        cfg = dataclasses.replace(cfg, scenario=dataclasses.replace(
+            cfg.scenario, vehicle_arrival_rate=1.0))
         eng = engine.run(cfg, policy, 30.0, 30.0, seed=7)
         m = eng.metrics
-        want = GOLDEN_LAMBDA_1[policy]
         assert eng.rng.bit_generator.state["state"]["state"] == want["rng_state"]
         assert {k: getattr(m, k) for k in GOLDEN_COUNTS} == \
             {k: want[k] for k in GOLDEN_COUNTS}
@@ -290,6 +312,16 @@ class TestGolden:
             assert getattr(m, key) == pytest.approx(want[key], rel=1e-12, abs=0.0)
         assert sum(m.d2d_distances) == pytest.approx(want["d2d_distance_sum"],
                                                      rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("policy", sorted(GOLDEN_LAMBDA_1))
+    def test_fixed_seed_outputs(self, short_cfg, policy):
+        self._check(short_cfg, policy, GOLDEN_LAMBDA_1[policy])
+
+    @pytest.mark.parametrize("policy", sorted(GOLDEN_NO_RETRY))
+    def test_fixed_seed_outputs_without_retries(self, short_cfg, policy):
+        cfg = dataclasses.replace(short_cfg, phy=dataclasses.replace(
+            short_cfg.phy, harq_attempts=1))
+        self._check(cfg, policy, GOLDEN_NO_RETRY[policy])
 
 
 # -- per-link reference of the transmission step -----------------------------
