@@ -115,14 +115,13 @@ class ShadowingField:
     def __init__(self, length: float, cfg: PhyConfig, rng: np.random.Generator):
         n = int(math.ceil(length)) + 2
         a = math.exp(-1.0 / cfg.shadowing_decorrelation)
-        innov = rng.standard_normal(n) * cfg.shadowing_sigma_db
-        vals = np.empty(n)
-        vals[0] = innov[0]
+        innov = (rng.standard_normal(n) * cfg.shadowing_sigma_db).tolist()
         scale = math.sqrt(1.0 - a * a)
-        for i in range(1, n):
-            vals[i] = a * vals[i - 1] + scale * innov[i]
+        vals = innov[:1]
+        for v in innov[1:]:
+            vals.append(a * vals[-1] + scale * v)
         self._x = np.arange(n, dtype=float)
-        self._vals = vals
+        self._vals = np.array(vals)
 
     def link_shadow_db(self, x_tx, x_rx):
         """Shadowing of links from ``x_tx`` to ``x_rx`` (arrays of one
