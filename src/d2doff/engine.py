@@ -183,10 +183,10 @@ class Engine:
         tick's ``rrrm.interference_matrix`` and ``rrrm.link_powers``.
 
         A link's receiver hears one channel from each peer that shares its
-        slice, in transmission order, then its own.  These rows take fading
-        blocks in draw order, all links' rows in transmission order.  A
-        retry takes the block after its link's last one, so every later row
-        moves one block on; blocks are drawn only once a row needs them."""
+        slice, in transmission order, then its own.  These rows take the
+        tick's first fading blocks in draw order, all links' rows in
+        transmission order.  A retry draws one new block for its own
+        channel alone and hears the same peer rows as before."""
         if not placed:
             return
         cfg = self.cfg
@@ -205,30 +205,9 @@ class Engine:
         shadow_db = self.shadow.link_shadow_db(links.tx_x[lid[tx]], links.rx_x[lid[rx]])
         gain = phy.mean_gain(np.where(col == n, nominal[lid[rx]], gains[lid[tx], lid[rx]]),
                              shadow_db)
-        blocks = np.arange(rx.size)             # fading block of each row
         fading = self.channel.realize(rx.size, self.rng)
-
-        def information(first: int, stop_link: int) -> np.ndarray:
-            """Achievable bits of links first..stop_link-1 on their blocks."""
-            nonlocal fading
-            r0 = own[first - 1] + 1 if first else 0
-            r1 = own[stop_link - 1] + 1
-            b = blocks[r0:r1]
-            if b[-1] >= len(fading):
-                fading = np.concatenate(
-                    [fading, self.channel.realize(int(b[-1]) + 1 - len(fading), self.rng)])
-            # the blocks are consecutive unless a retried link's own row is in range
-            rows = slice(b[0], b[-1] + 1) if b[-1] - b[0] == r1 - r0 - 1 else b
-            return phy.achievable_information(
-                row_power[r0:r1], gain[r0:r1], fading[rows], rx[r0:r1] - first,
-                slots[first:stop_link], cfg.phy)
-
-        info = information(0, n)
-        current = n                           # info[f] holds for f < current
+        info = phy.achievable_information(row_power, gain, fading, rx, slots, cfg.phy)
         for f in range(n):
-            if f >= current:
-                info[f:] = information(f, n)
-                current = n
             i = int(lid[f])
             req, is_i2d = reqs[i], bool(links.is_i2d[i])
             energy = float(energies[i])
@@ -248,9 +227,11 @@ class Engine:
                 if measuring:
                     self.metrics.failed_attempts += 1
                 if attempt + 1 < cfg.phy.harq_attempts:
-                    blocks[own[f]:] += 1
-                    info[f] = information(f, f + 1)[0]
-                    current = f + 1
+                    fading[own[f]] = self.channel.realize(1, self.rng)[0]
+                    rows = slice(own[f - 1] + 1 if f else 0, own[f] + 1)
+                    info[f] = phy.achievable_information(
+                        row_power[rows], gain[rows], fading[rows], rx[rows] - f,
+                        slots[f:f + 1], cfg.phy)[0]
             if success:
                 self._deliver(req, is_i2d, float(links.distance[i]), t, measuring)
 

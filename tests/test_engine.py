@@ -245,33 +245,33 @@ class TestRanking:
 
 # Outputs of engine.run(cfg at lambda = 1 veh/s, policy, 30, 30, seed=7),
 # and the PCG64 state the run leaves its generator in (its increment is
-# fixed by the seed).  Recorded when the scenario layer moved to batched
-# request and cache-seed draws, the one declared change of the random
-# stream; any refactor must draw the same random numbers in the same
-# order, so the counts and the final state must match exactly and the
+# fixed by the seed).  Recorded when a HARQ retry took one new fading block
+# for its own channel alone, the last declared change of which random
+# numbers go where; any refactor must draw the same random numbers in the
+# same order, so the counts and the final state must match exactly and the
 # energies to float round-off.
 GOLDEN_LAMBDA_1 = {
     "optimal": dict(
-        rng_state=118698323885486581817611954400086824587,
-        deliveries_d2d=213, deliveries_i2d=221, repeated=141, dropped=23,
-        requests_nonrepeated=465, failed_attempts=30, pruned_links=0,
-        energy_d2d=0.25563690809976686, energy_i2d=14.663851578936551,
-        d2d_distance_sum=2543.426208124625, mean_occupancy=0.3022222222222222),
+        rng_state=298549748616673188053525579290604734713,
+        deliveries_d2d=210, deliveries_i2d=219, repeated=160, dropped=32,
+        requests_nonrepeated=454, failed_attempts=33, pruned_links=0,
+        energy_d2d=0.3431932130495425, energy_i2d=18.341549440220707,
+        d2d_distance_sum=3084.50158176256, mean_occupancy=0.3266666666666666),
     "benchmark": dict(
-        rng_state=153314329701584694944718400771312999750,
-        deliveries_d2d=239, deliveries_i2d=187, repeated=156, dropped=16,
-        requests_nonrepeated=439, failed_attempts=24, pruned_links=0,
-        energy_d2d=1.9468923146702781, energy_i2d=11.240837153365739,
-        d2d_distance_sum=11038.096762093443, mean_occupancy=0.3288888888888889),
+        rng_state=35211291523015695454323311971024294856,
+        deliveries_d2d=221, deliveries_i2d=213, repeated=154, dropped=26,
+        requests_nonrepeated=417, failed_attempts=22, pruned_links=0,
+        energy_d2d=1.7646248798648108, energy_i2d=13.471893891277276,
+        d2d_distance_sum=10020.253733647582, mean_occupancy=0.3600000000000001),
     "cellular": dict(
-        rng_state=295288176577334608998036532902899638134,
-        deliveries_d2d=0, deliveries_i2d=579, repeated=0, dropped=0,
-        requests_nonrepeated=584, failed_attempts=46, pruned_links=32,
-        energy_d2d=0.0, energy_i2d=36.44924651785451,
-        d2d_distance_sum=0.0, mean_occupancy=0.4955555555555555),
+        rng_state=71453395556125319482672131424233043739,
+        deliveries_d2d=0, deliveries_i2d=546, repeated=0, dropped=1,
+        requests_nonrepeated=546, failed_attempts=66, pruned_links=0,
+        energy_d2d=0.0, energy_i2d=36.23272066534255,
+        d2d_distance_sum=0.0, mean_occupancy=0.5400000000000001),
 }
 # The same runs with harq_attempts = 1: no retry, so every fading block is a
-# first attempt's.  Recorded before retries moved to blocks of their own; the
+# first attempt's.  Recorded before retries took blocks of their own; the
 # first attempts' blocks did not move with them.
 GOLDEN_NO_RETRY = {
     "optimal": dict(
@@ -327,10 +327,12 @@ class TestGolden:
 # -- per-link reference of the transmission step -----------------------------
 #
 # The engine decides a tick's transmissions on tick-wide arrays.  This is the
-# per-link loop it replaced: links transmit in order of (first PRB, link
-# index); each draws one fading block per other placed link whose PRBs
-# overlap its own, in link order, then one per HARQ attempt, and computes
-# its capacity one attempt at a time.
+# same step as a per-link loop: links transmit in order of (first PRB, link
+# index).  First each, in that order, draws one fading block per other placed
+# link whose PRBs overlap its own, in link order, then one for its own
+# channel.  Then each makes its HARQ attempts, computing its capacity one
+# attempt at a time; a retry draws one new block for its own channel and
+# hears the same interferers.
 
 def _ref_slots(start, stop, n_blocks):
     if stop <= start:
@@ -391,15 +393,17 @@ class ReferenceEngine(engine.Engine):
         # from its slice
         rows = sorted((i, k * self.n_prbs, (k + 1) * self.n_prbs) for i, k in zip(
             placed.link.tolist(), placed.slice_id.tolist()))
-        for row in sorted(rows, key=lambda r: (r[1], r[0])):
-            self._transmit_one(links, reqs[row[0]], row, rows, gains, nominal,
-                               powers, float(energies[row[0]]), t, measuring)
+        order = sorted(rows, key=lambda r: (r[1], r[0]))
+        channels = [self._first_channels(links, row, rows, gains, nominal, powers)
+                    for row in order]
+        for row, (interferers, shadow_db, own) in zip(order, channels):
+            self._transmit_one(links, reqs[row[0]], row, interferers, shadow_db, own,
+                               nominal, powers, float(energies[row[0]]), t, measuring)
 
-    def _transmit_one(self, links, req, row, peers, gains, nominal, powers,
-                      energy, t, measuring):
-        cfg = self.cfg
+    def _first_channels(self, links, row, peers, gains, nominal, powers):
+        """The interferers that link row[0] hears, its shadowing and its
+        own channel's gains on its first attempt."""
         i, start, stop = row
-        is_i2d = links.is_i2d[i]
         interferers = []
         for j, peer_start, peer_stop in peers:
             lo = max(start, peer_start)
@@ -410,9 +414,18 @@ class ReferenceEngine(engine.Engine):
             interferers.append((powers[j], _ref_realize(
                 self.channel, gains[j, i], s_db, self.rng), lo, hi))
         shadow_db = _ref_shadow_db(self.shadow, links.tx_x[i], links.rx_x[i])
+        return interferers, shadow_db, _ref_realize(self.channel, nominal[i], shadow_db,
+                                                    self.rng)
+
+    def _transmit_one(self, links, req, row, interferers, shadow_db, own, nominal,
+                      powers, energy, t, measuring):
+        cfg = self.cfg
+        i, start, stop = row
+        is_i2d = links.is_i2d[i]
         success = False
         for attempt in range(cfg.phy.harq_attempts):
-            own = _ref_realize(self.channel, nominal[i], shadow_db, self.rng)
+            if attempt:
+                own = _ref_realize(self.channel, nominal[i], shadow_db, self.rng)
             info = _ref_information(cfg.phy, powers[i], own, interferers, (start, stop))
             success = phy.transmission_success(info, cfg.phy)
             if attempt == 0:
@@ -448,11 +461,12 @@ class ReferenceEngine(engine.Engine):
 
 def _run_recorded(eng_cls, cfg, policy, seed):
     """Run 20 s after 10 s of warm-up.  Returns the engine, every request
-    it created, the number of ``ChannelModel.realize`` calls (fading draws)
-    and the number of ticks that transmitted anything."""
+    it created and, per tick that transmitted anything, its channel rows
+    (one per placed link and peer it hears), its retried HARQ attempts and
+    the ``ChannelModel.realize`` calls (draws) and fading blocks it made."""
     eng = eng_cls(cfg, policy, seed)
-    requests = []
-    counts = {"draws": 0, "ticks": 0}
+    requests, ticks = [], []
+    drawn = {"draws": 0, "blocks": 0}
     spawn = eng.world.spawn_requests
     realize = eng.channel.realize
     transmit = eng._transmit_tick
@@ -462,19 +476,30 @@ def _run_recorded(eng_cls, cfg, policy, seed):
         requests.extend(out)
         return out
 
-    def counting_realize(*args, **kwargs):
-        counts["draws"] += 1
-        return realize(*args, **kwargs)
+    def counting_realize(n_blocks, rng):
+        drawn["draws"] += 1
+        drawn["blocks"] += n_blocks
+        return realize(n_blocks, rng)
 
     def counting_transmit(links, reqs, placed, *args):
-        counts["ticks"] += bool(placed)
-        return transmit(links, reqs, placed, *args)
+        served = [reqs[i] for i in placed.link.tolist()]
+        failed_before = sum(r.attempts for r in served)
+        before = dict(drawn)
+        transmit(links, reqs, placed, *args)
+        if not placed:
+            return
+        failures = sum(r.attempts for r in served) - failed_before
+        # every failure is followed by a retry, except an undelivered link's last
+        undelivered = sum(r.state not in (DELIVERED_D2D, DELIVERED_I2D) for r in served)
+        sharing = np.unique(placed.slice_id, return_counts=True)[1]
+        ticks.append(dict(rows=int(np.sum(sharing ** 2)), retries=failures - undelivered,
+                          **{k: drawn[k] - before[k] for k in drawn}))
 
     eng.world.spawn_requests = recording_spawn
     eng.channel.realize = counting_realize
     eng._transmit_tick = counting_transmit
     eng.run(20.0, 10.0)
-    return eng, requests, counts
+    return eng, requests, ticks
 
 
 class TestTickWideTransmission:
@@ -483,7 +508,7 @@ class TestTickWideTransmission:
 
     @staticmethod
     def _compare(policy, lam, **phy):
-        """Run both engines; returns the new one and its counts."""
+        """Run both engines; returns the new one and its ticks."""
         base = Config()
         cfg = dataclasses.replace(
             base,
@@ -491,27 +516,30 @@ class TestTickWideTransmission:
             phy=dataclasses.replace(base.phy, link_margin_i2d_db=2.0,
                                     link_margin_d2d_db=2.0, **phy))
         ref, ref_reqs, _ = _run_recorded(ReferenceEngine, cfg, policy, 11)
-        new, new_reqs, counts = _run_recorded(engine.Engine, cfg, policy, 11)
+        new, new_reqs, ticks = _run_recorded(engine.Engine, cfg, policy, 11)
         assert ref.first_failures >= 0.2 * ref.first_attempts > 0
         assert dataclasses.asdict(ref.metrics) == dataclasses.asdict(new.metrics)
         assert [(r.id, r.state, r.attempts) for r in ref_reqs] == \
             [(r.id, r.state, r.attempts) for r in new_reqs]
         assert ref.rng.bit_generator.state == new.rng.bit_generator.state
-        assert counts["ticks"] > 0
-        return new, counts
+        assert ticks
+        # one draw with a block per row, then a draw of one block per retry
+        for tick in ticks:
+            assert tick["blocks"] == tick["rows"] + tick["retries"]
+            assert tick["draws"] == 1 + tick["retries"]
+        return new, ticks
 
     @pytest.mark.parametrize("lam", [1.0, 2.0])
     @pytest.mark.parametrize("harq", [1, 2, 4])
     @pytest.mark.parametrize("policy", ["optimal", "benchmark", "cellular"])
     def test_matches_reference(self, lam, harq, policy):
-        new, counts = self._compare(policy, lam, harq_attempts=harq)
+        new, ticks = self._compare(policy, lam, harq_attempts=harq)
+        retries = sum(tick["retries"] for tick in ticks)
         if harq == 1:
-            # one draw per transmitting tick
-            assert counts["draws"] == counts["ticks"]
+            assert retries == 0
         else:
-            # retries drew blocks past some tick's first draw
             assert new.metrics.failed_attempts > 0
-            assert counts["draws"] > counts["ticks"]
+            assert retries > 0
 
     @pytest.mark.parametrize("n_prbs", [8, 200])
     @pytest.mark.parametrize("policy", ["optimal", "benchmark", "cellular"])
