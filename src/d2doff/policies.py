@@ -39,16 +39,6 @@ def _pairs(world: World, reqs: list[ContentRequest], holder_sets):
     return req_i, holder[keep], h[keep], k[req_i]
 
 
-def _planning_distance(world: World, h: np.ndarray, k: np.ndarray,
-                       dx: np.ndarray) -> np.ndarray:
-    """Distance between the lane axes of the vehicles at rows h and k of the
-    tick's arrays, given their longitudinal gap dx >= 0.  Planning uses
-    numpy's hypot; ``World.d2d_distance`` (math.hypot) measures a
-    transmission, and the two differ in the last bit."""
-    return np.where(world.lanes[h] == world.lanes[k], dx,
-                    np.hypot(dx, world.cfg.lane_offset))
-
-
 def _first_per_request(req_i: np.ndarray, keys: tuple) -> np.ndarray:
     """Position of each request's best pair, requests in ascending order;
     pairs rank by ``keys`` as in ``np.lexsort`` (last key first)."""
@@ -129,7 +119,7 @@ class OptimalPolicy(BasePolicy):
         req_i, holder, h, k, phi = req_i[ok], holder[ok], h[ok], k[ok], phi[ok]
         t_star, long_dist = kernels.closest_approach(world.xs[h] - world.xs[k],
                                                      world.vs[h] - world.vs[k], phi)
-        delta = _planning_distance(world, h, k, long_dist)
+        delta = world.d2d_distance(h, k, long_dist)
         feasible = delta <= cfg.d2d_max_range
         return req_i[feasible], holder[feasible], t_star[feasible], delta[feasible]
 
@@ -213,7 +203,7 @@ class BenchmarkPolicy(BasePolicy):
             return []
         req_i, holder, h, k = _pairs(
             world, reqs, [world.holders.get(r.content_id, ()) for r in reqs])
-        dist = _planning_distance(world, h, k, np.abs(world.xs[h] - world.xs[k]))
+        dist = world.d2d_distance(h, k)
         in_range = dist <= self.cfg.d2d_max_range
         req_i, holder, dist = req_i[in_range], holder[in_range], dist[in_range]
         out = []

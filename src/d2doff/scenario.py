@@ -257,24 +257,21 @@ class World:
         """Lateral offset of each lane axis."""
         return np.where(lanes == FORWARD, 0.0, self.cfg.lane_offset)
 
-    def d2d_distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def d2d_distance(self, a: np.ndarray, b: np.ndarray, dx=None) -> np.ndarray:
         """Distance between the lane axes of the vehicles at rows a and b of
-        the tick's arrays, pair by pair.  The cross-lane distance is
-        math.hypot's: numpy's hypot differs from it in the last bit."""
-        return np.array([abs(dx) if same else math.hypot(dx, self.cfg.lane_offset)
-                         for dx, same in zip((self.xs[a] - self.xs[b]).tolist(),
-                                             (self.lanes[a] == self.lanes[b]).tolist())],
-                        dtype=float)
+        the tick's arrays, pair by pair, at longitudinal gap ``dx`` >= 0
+        (default: their gap now)."""
+        if dx is None:
+            dx = np.abs(self.xs[a] - self.xs[b])
+        return np.where(self.lanes[a] == self.lanes[b], dx,
+                        np.hypot(dx, self.cfg.lane_offset))
 
     def nearest_enb(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(eNB index, 3-D distance) of the closest base station to each
-        position in ``x``; a tie goes to the lower index.  The distance is
-        math.hypot's: numpy's hypot differs from it in the last bit."""
+        position in ``x``; a tie goes to the lower index."""
         x = np.asarray(x, dtype=float)
         i = np.argmin(np.abs(self.enb_x - x[..., None]), axis=-1)
-        h = self.cfg.enb_antenna_height
-        d = [math.hypot(dx, h) for dx in np.ravel(self.enb_x[i] - x).tolist()]
-        return i, np.reshape(d, x.shape)
+        return i, np.hypot(self.enb_x[i] - x, self.cfg.enb_antenna_height)
 
     # -- requests -----------------------------------------------------------
 

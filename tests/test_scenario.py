@@ -53,20 +53,28 @@ class TestGeometry:
         assert gap(world, place(world, 30.0, FORWARD), place(world, 0.0, BACKWARD),
                    0.0) == math.hypot(30.0, 10.0)
 
-    def test_d2d_distance_is_math_hypot(self, world, rng):
-        # transmissions are measured with libm's hypot, whose last bit
-        # numpy's differs from for a few cross-lane gaps in a thousand
-        for x in rng.uniform(1000.0, 1200.0, 2000):
-            world._new_vehicle(-x / 10.0, 10.0)
-            world._new_vehicle((x - 3000.0) / 10.0 - rng.random(), -10.0)
+    def test_planned_distance_is_transmitted_distance(self):
+        # 2000 forward requesters, each 0-10 m ahead of a backward vehicle
+        # that alone holds the requested content: the pair is closest now,
+        # so the scheduler plans on the gap the link is charged for, and
+        # the two distances agree to the bit (math.hypot and numpy's hypot
+        # differ in the last bit for a few cross-lane gaps in a thousand)
+        eng = engine.Engine(Config(), "optimal", 0)
+        world, rng = eng.world, np.random.default_rng(3)
+        reqs = []
+        for z, x in enumerate(rng.uniform(1000.0, 1200.0, 2000).tolist()):
+            requester = world._new_vehicle(-x / 10.0, 10.0).id
+            holder = world._new_vehicle((x - 3000.0) / 10.0 - rng.random(), -10.0).id
+            world.add_cache(holder, z, 100.0)
+            reqs.append(scenario.ContentRequest(id=z, requester_id=requester,
+                                                content_id=z, t0=0.0, deadline=30.0))
         world.refresh_arrays(0.0)
-        a, b = np.arange(0, world.ids.size, 2), np.arange(1, world.ids.size, 2)
-        dx = (world.xs[a] - world.xs[b]).tolist()
-        got = world.d2d_distance(a, b).tolist()
-        assert got == [math.hypot(d, world.cfg.lane_offset) for d in dx]
-        assert got != np.hypot(dx, world.cfg.lane_offset).tolist()
-        assert world.d2d_distance(a[:2], a[2:4]).tolist() == \
-            np.abs(world.xs[a[:2]] - world.xs[a[2:4]]).tolist()
+        eng.policy.handle_new(reqs, world, 0.0)
+        due = eng.policy.d2d_intents(world, 0.0)
+        assert due == reqs
+        links = eng._link_table(due, 0)
+        assert links.distance.tolist() == [r.delta_hat for r in due]
+        assert np.count_nonzero(links.distance > world.cfg.lane_offset) > 1000
 
     def test_nearest_enb(self, world):
         i, d = world.nearest_enb(610.0)
