@@ -33,7 +33,8 @@ class Links:
     id, which is deadline order as every request has the same delay
     tolerance.  The requester receives; an eNB (``enb`` >= 0) or a
     vehicle (``enb`` = -1) transmits.  y is the lane offset of a vehicle
-    and the antenna height of an eNB; ``distance`` sets the transmit power."""
+    and the antenna height of an eNB, which is that high above every
+    receiver whatever its lane; ``distance`` is the link's own."""
 
     is_i2d: np.ndarray
     enb: np.ndarray
@@ -72,18 +73,14 @@ def _gain_by_kind(is_i2d: np.ndarray, r: np.ndarray, cfg: PhyConfig) -> np.ndarr
 
 def interference_matrix(links: Links, cfg: PhyConfig) -> tuple[np.ndarray, np.ndarray]:
     """(G, g): G[i, j] is the nominal gain from the transmitter of link i
-    to the receiver of link j, 0 on the diagonal; g[i] is link i's
-    nominal gain over its own ``distance``.  The transmitter's gain model
-    applies; both come from one ``_gain_by_kind`` call."""
-    n = len(links)
-    d = np.empty((n, n + 1))
-    np.hypot(links.tx_x[:, None] - links.rx_x, links.tx_y[:, None] - links.rx_y,
-             out=d[:, :n])
-    d[:, n] = links.distance
-    out = _gain_by_kind(links.is_i2d, d, cfg)
-    gains = out[:, :n]
+    to the receiver of link j, by the transmitter's gain model; g is its
+    diagonal, each link's own gain, and G's diagonal is zeroed."""
+    rx_y = np.where(links.is_i2d[:, None], 0.0, links.rx_y)
+    d = np.hypot(links.tx_x[:, None] - links.rx_x, links.tx_y[:, None] - rx_y)
+    gains = _gain_by_kind(links.is_i2d, d, cfg)
+    nominal = gains.diagonal().copy()
     np.fill_diagonal(gains, 0.0)
-    return gains, out[:, n]
+    return gains, nominal
 
 
 def link_powers(links: Links, nominal: np.ndarray, cfg: PhyConfig) -> np.ndarray:

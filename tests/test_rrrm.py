@@ -60,17 +60,18 @@ link_specs = st.lists(
 
 
 def mixed_links(specs, cfg):
-    """Device and infrastructure links from ``link_specs`` draws."""
+    """Device and infrastructure links from ``link_specs`` draws, each
+    distance numpy's hypot, as the engine's are."""
     sc = cfg.scenario
     rows = []
     for k, (is_i2d, a, rx_x, rx_y) in enumerate(specs):
         if is_i2d:
             enb = int(a) % len(sc.enb_positions)
             tx_x, tx_y = sc.enb_positions[enb], sc.enb_antenna_height
-            rows.append((True, enb, tx_x, tx_y, rx_x, rx_y, math.hypot(tx_x - rx_x, tx_y)))
+            rows.append((True, enb, tx_x, tx_y, rx_x, rx_y, np.hypot(tx_x - rx_x, tx_y)))
         else:
             tx_y = sc.lane_offset - rx_y if k % 2 else rx_y
-            rows.append((False, -1, a, tx_y, rx_x, rx_y, math.hypot(a - rx_x, tx_y - rx_y)))
+            rows.append((False, -1, a, tx_y, rx_x, rx_y, np.hypot(a - rx_x, tx_y - rx_y)))
     return table(rows)
 
 
@@ -225,12 +226,25 @@ class TestInterferenceMatrix:
         for i in range(n):
             for j in range(n):
                 if i != j:
-                    d = math.hypot(links.tx_x[i] - links.rx_x[j],
-                                   links.tx_y[i] - links.rx_y[j])
+                    # an eNB is its antenna height above every receiver
+                    rx_y = 0.0 if links.is_i2d[i] else links.rx_y[j]
+                    d = math.hypot(links.tx_x[i] - links.rx_x[j], links.tx_y[i] - rx_y)
                     want[i, j] = phy.nominal_gain(kind(links, i), np.array([d]), cfg.phy)[0]
         assert np.all(np.diag(gains) == 0.0)
         # numpy's hypot and math.hypot may differ in the last bit
         np.testing.assert_allclose(gains, want, rtol=1e-13, atol=0.0)
+
+    def test_enb_cross_gain_ignores_receiver_lane(self, cfg):
+        # an eNB 10 m up is as far from a receiver under it on the far lane
+        # as from one on the near lane: 10 m, as on its own link
+        sc = cfg.scenario
+        h, enb_x = sc.enb_antenna_height, sc.enb_positions[1]
+        own = (True, 1, enb_x, h, enb_x + 50.0, 0.0, math.hypot(50.0, h))
+        for lane in (0.0, sc.lane_offset):
+            rx = (False, -1, enb_x + 200.0, lane, enb_x, lane, 200.0)
+            gains, nominal = rrrm.interference_matrix(table([own, rx]), cfg.phy)
+            assert gains[0, 1] == phy.nominal_gain(phy.I2D, np.array([h]), cfg.phy)[0]
+        assert nominal[0] == phy.nominal_gain(phy.I2D, np.array([own[-1]]), cfg.phy)[0]
 
     @given(specs=link_specs)
     @settings(max_examples=50, deadline=None)
