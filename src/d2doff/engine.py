@@ -117,6 +117,8 @@ class Engine:
     def tick(self, t: float, measuring: bool) -> None:
         sc = self.cfg.scenario
         world = self.world
+        # warm-up ticks count into a record that is thrown away
+        m = self.metrics if measuring else MetricsAccumulator()
 
         removed = set(world.remove_exited(t))
         if removed:
@@ -124,8 +126,7 @@ class Engine:
                 if req.requester_id in removed:
                     req.state = DROPPED
                     self.policy.retire(req)
-                    if measuring:
-                        self.metrics.dropped += 1
+                    m.dropped += 1
         world.spawn_vehicles(t, t + sc.control_interval)
         world.evict_expired(t)
         world.refresh_arrays(t)
@@ -136,11 +137,9 @@ class Engine:
                 holder = world.vehicles[req.requester_id]
                 if req.content_id in holder.cache:
                     req.state = REPEATED
-                    if measuring:
-                        self.metrics.repeated += 1
+                    m.repeated += 1
                     continue
-            if measuring:
-                self.metrics.requests_nonrepeated += 1
+            m.requests_nonrepeated += 1
             new_requests.append(req)
         self.policy.handle_new(new_requests, world, t)
 
@@ -156,8 +155,7 @@ class Engine:
         i2d = [req for req in self.policy.i2d_due(t) if req.id not in d2d_ids]
         reqs = i2d + d2d
         if not reqs:
-            if measuring:
-                self.metrics.occupancy_samples.append(0.0)
+            m.occupancy_samples.append(0.0)
             return
 
         # per-link radio quantities of this tick, indexed like ``links``
@@ -166,18 +164,17 @@ class Engine:
         powers = rrrm.link_powers(links, nominal, self.cfg.phy)
         sets = rrrm.partition_rrr_sets(links, gains, powers, self.cfg.phy, self.cfg.rrrm)
         placed, pruned = rrrm.allocate_prbs(sets, links, self.capacity, self.n_prbs)
-        if measuring:
-            self.metrics.pruned_links += len(pruned)
-            in_region = np.where(links.is_i2d, links.enb < self.n_region,
-                                 links.tx_x <= self.region_x_max)
-            self.metrics.occupancy_samples.append(
-                rrrm.spectrum_occupancy(placed, self.capacity, self.n_prbs, in_region))
+        m.pruned_links += len(pruned)
+        in_region = np.where(links.is_i2d, links.enb < self.n_region,
+                             links.tx_x <= self.region_x_max)
+        m.occupancy_samples.append(
+            rrrm.spectrum_occupancy(placed, self.capacity, self.n_prbs, in_region))
 
-        self._transmit_tick(links, reqs, placed, gains, nominal, powers, t, measuring)
+        self._transmit_tick(links, reqs, placed, gains, nominal, powers, t, m)
 
     def _transmit_tick(self, links: rrrm.Links, reqs: list, placed: rrrm.Placement,
                        gains: np.ndarray, nominal: np.ndarray, powers: np.ndarray,
-                       t: float, measuring: bool) -> None:
+                       t: float, m: MetricsAccumulator) -> None:
         """Every placed link's HARQ attempts, in the placement's transmission
         order; reqs[i] is link i's request.  gains, nominal, powers: the
         tick's ``rrrm.interference_matrix`` and ``rrrm.link_powers``.
@@ -216,16 +213,14 @@ class Engine:
             # does not move the transmission to a later, farther tick
             for attempt in range(cfg.phy.harq_attempts):
                 success = phy.transmission_success(float(info[f]), cfg.phy)
-                if measuring:
-                    if is_i2d:
-                        self.metrics.energy_i2d += energy
-                    else:
-                        self.metrics.energy_d2d += energy
+                if is_i2d:
+                    m.energy_i2d += energy
+                else:
+                    m.energy_d2d += energy
                 if success:
                     break
                 req.attempts += 1
-                if measuring:
-                    self.metrics.failed_attempts += 1
+                m.failed_attempts += 1
                 if attempt + 1 < cfg.phy.harq_attempts:
                     fading[own[f]] = self.channel.realize(1, self.rng)[0]
                     rows = slice(own[f - 1] + 1 if f else 0, own[f] + 1)
@@ -233,19 +228,17 @@ class Engine:
                         row_power[rows], gain[rows], fading[rows], rx[rows] - f,
                         slots[f:f + 1], cfg.phy)[0]
             if success:
-                self._deliver(req, is_i2d, float(links.distance[i]), t, measuring)
+                self._deliver(req, is_i2d, float(links.distance[i]), t, m)
 
     def _deliver(self, req, is_i2d: bool, distance: float, t: float,
-                 measuring: bool) -> None:
+                 m: MetricsAccumulator) -> None:
         if is_i2d:
             req.state = DELIVERED_I2D
-            if measuring:
-                self.metrics.deliveries_i2d += 1
+            m.deliveries_i2d += 1
         else:
             req.state = DELIVERED_D2D
-            if measuring:
-                self.metrics.deliveries_d2d += 1
-                self.metrics.d2d_distances.append(distance)
+            m.deliveries_d2d += 1
+            m.d2d_distances.append(distance)
         self.policy.retire(req)
         if self.policy.uses_cache:
             # receiver caches what it received; new copies can serve others

@@ -388,8 +388,7 @@ class ReferenceEngine(engine.Engine):
         self.first_attempts = 0
         self.first_failures = 0
 
-    def _transmit_tick(self, links, reqs, placed, gains, nominal, powers,
-                       t, measuring):
+    def _transmit_tick(self, links, reqs, placed, gains, nominal, powers, t, m):
         energies = phy.content_energy(powers, self.cfg.phy)
         # (link, prb_start, prb_stop) of every placed link in link order,
         # from its slice
@@ -400,7 +399,7 @@ class ReferenceEngine(engine.Engine):
                     for row in order]
         for row, (interferers, shadow_db, own) in zip(order, channels):
             self._transmit_one(links, reqs[row[0]], row, interferers, shadow_db, own,
-                               nominal, powers, float(energies[row[0]]), t, measuring)
+                               nominal, powers, float(energies[row[0]]), t, m)
 
     def _first_channels(self, links, row, peers, gains, nominal, powers):
         """The interferers that link row[0] hears, its shadowing and its
@@ -420,7 +419,7 @@ class ReferenceEngine(engine.Engine):
                                                     self.rng)
 
     def _transmit_one(self, links, req, row, interferers, shadow_db, own, nominal,
-                      powers, energy, t, measuring):
+                      powers, energy, t, m):
         cfg = self.cfg
         i, start, stop = row
         is_i2d = links.is_i2d[i]
@@ -433,27 +432,23 @@ class ReferenceEngine(engine.Engine):
             if attempt == 0:
                 self.first_attempts += 1
                 self.first_failures += not success
-            if measuring:
-                if is_i2d:
-                    self.metrics.energy_i2d += energy
-                else:
-                    self.metrics.energy_d2d += energy
+            if is_i2d:
+                m.energy_i2d += energy
+            else:
+                m.energy_d2d += energy
             if success:
                 break
             req.attempts += 1
-            if measuring:
-                self.metrics.failed_attempts += 1
+            m.failed_attempts += 1
         if not success:
             return
         if is_i2d:
             req.state = DELIVERED_I2D
-            if measuring:
-                self.metrics.deliveries_i2d += 1
+            m.deliveries_i2d += 1
         else:
             req.state = DELIVERED_D2D
-            if measuring:
-                self.metrics.deliveries_d2d += 1
-                self.metrics.d2d_distances.append(float(links.distance[i]))
+            m.deliveries_d2d += 1
+            m.d2d_distances.append(float(links.distance[i]))
         self.policy.retire(req)
         if self.policy.uses_cache:
             expiry = t + cfg.scenario.sharing_timeout
