@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -28,7 +27,7 @@ import numpy as np
 
 from . import analytic, engine, kernels
 from .config import (Config, ConfigError, PhyConfig, ScenarioConfig, _typed,
-                     load_config)
+                     load_config, read_json)
 from .policies import POLICIES
 from .analytic import AnalyticParams
 
@@ -70,8 +69,6 @@ def _fmt(v) -> str:
 def _load(path: str | None) -> Config:
     if path is None:
         return Config()
-    if not os.path.exists(path):
-        raise ConfigError(f"config not found: {path}")
     return load_config(path)
 
 
@@ -149,13 +146,7 @@ class SweepSpec:
 
     @classmethod
     def from_file(cls, path: str) -> "SweepSpec":
-        if not os.path.exists(path):
-            raise ConfigError(f"sweep spec not found: {path}")
-        with open(path) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
+        raw = read_json(path, "sweep spec")
         if not isinstance(raw, dict):
             raise ConfigError("sweep spec must be an object")
         unknown = set(raw) - {"parameter", "values", "overrides", "policies"}

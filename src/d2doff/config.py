@@ -258,16 +258,23 @@ def config_from_dict(data: dict) -> Config:
     return cfg
 
 
-def load_config(path: str) -> Config:
-    """Load and validate a JSON config file."""
+def read_json(path: str, what: str):
+    """The JSON value in the UTF-8 file ``path``, which holds a ``what``;
+    a file that cannot be opened, decoded or parsed raises ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
-        raise ConfigError(f"config not found: {path}")
+        raise ConfigError(f"{what} not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
-    return config_from_dict(data)
+    except (OSError, ValueError) as exc:   # a directory, unreadable, not UTF-8
+        raise ConfigError(f"cannot read {what} {path}: {exc}")
+
+
+def load_config(path: str) -> Config:
+    """Load and validate a JSON config file."""
+    return config_from_dict(read_json(path, "config"))
 
 
 def config_to_dict(cfg: Config) -> dict:

@@ -133,6 +133,20 @@ def test_bad_flag_or_cross_field_is_config_error(tmp_path, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["simulate", "--config"],
+    ["analytic", "--config"],
+    ["validate", "--config"],
+    ["sweep", "--spec"],
+])
+@pytest.mark.parametrize("name", ["a_directory", "latin1.json"])
+def test_unreadable_config_or_spec_is_config_error(tmp_path, capsys, argv, name):
+    (tmp_path / "a_directory").mkdir()
+    (tmp_path / "latin1.json").write_bytes('{"scenario": "é"}'.encode("latin-1"))
+    assert run_cli(*argv, str(tmp_path / name), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot read ")
+
+
+@pytest.mark.parametrize("argv", [
     ["simulate", "--duration", "5", "--warmup", "0", "--replications", "1"],
     ["analytic", "--skip-surface"],
 ])
