@@ -1,9 +1,10 @@
 """Content-delivery policies.
 
 * ``optimal``: schedules each delivery at the instant the best cached
-  copy comes closest to the requester, re-evaluating whenever a new
-  potential provider appears, and falls back to the infrastructure at
-  the deadline.
+  copy comes closest to the requester, and falls back to the
+  infrastructure at the deadline.  It plans when a request arrives, when
+  a copy of its content is delivered, and when its planned provider goes
+  stale (leaves the road or loses the copy).
 * ``benchmark``: transmits from the closest in-range cached copy as
   soon as one exists (so typically near the maximum D2D range).
 * ``cellular``: every non-repeated request is served by the nearest
@@ -89,13 +90,6 @@ class BasePolicy:
 class OptimalPolicy(BasePolicy):
     name = "optimal"
 
-    def _region_halfwidth(self, speed):
-        """Half-width of the road section around a requester of this speed
-        (scalar or array) from which a copy can come within D2D range
-        before the content timeout."""
-        cfg = self.cfg
-        return cfg.d2d_max_range + (cfg.speed_max - abs(speed)) * cfg.content_timeout
-
     def _planned_tick(self, req: ContentRequest, t: float, t_star: float) -> float:
         T = self.cfg.control_interval
         planned = t + round(t_star / T) * T    # t* >= 0, so no earlier than t
@@ -108,9 +102,6 @@ class OptimalPolicy(BasePolicy):
         Returns (request index, holder id, t*, lane-adjusted distance) of the
         pairs that come within D2D range while the request, the copy and
         both vehicles last."""
-        cfg = self.cfg
-        near = np.abs(world.xs[h] - world.xs[k]) <= self._region_halfwidth(world.vs[k])
-        req_i, holder, h, k = req_i[near], holder[near], h[near], k[near]
         expiry = np.array([world.vehicles[q].cache.get(reqs[i].content_id, -math.inf)
                            for q, i in zip(holder.tolist(), req_i.tolist())])
         deadline = np.array([r.deadline for r in reqs])[req_i]
@@ -120,7 +111,7 @@ class OptimalPolicy(BasePolicy):
         t_star, long_dist = kernels.closest_approach(world.xs[h] - world.xs[k],
                                                      world.vs[h] - world.vs[k], phi)
         delta = world.d2d_distance(h, k, long_dist)
-        feasible = delta <= cfg.d2d_max_range
+        feasible = delta <= self.cfg.d2d_max_range
         return req_i[feasible], holder[feasible], t_star[feasible], delta[feasible]
 
     def _assign(self, req: ContentRequest, q, t_star, delta, t: float) -> None:
@@ -152,20 +143,7 @@ class OptimalPolicy(BasePolicy):
     def cache_event(self, vid, z, world, t):
         """A vehicle just received content z: it may now beat the
         currently scheduled provider of any pending request for z."""
-        req_ids = self.by_content.get(z)
-        if not req_ids or vid not in world.idx_of:
-            return
-        # most events have no open request near the new copy: find that out
-        # on scalars before building any array
-        x = world.xs[world.idx_of[vid]]
-        reqs = []
-        for req in map(self.pending.__getitem__, req_ids):
-            if t > req.deadline + 1e-9:
-                continue
-            k = world.idx_of[req.requester_id]
-            if req.requester_id != vid and \
-                    abs(x - world.xs[k]) <= self._region_halfwidth(world.vs[k]):
-                reqs.append(req)
+        reqs = [self.pending[i] for i in self.by_content.get(z, ())]
         if not reqs:
             return
         pairs = _pairs(world, reqs, [(vid,)] * len(reqs))

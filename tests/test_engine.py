@@ -249,14 +249,16 @@ class TestRanking:
 # for its own channel alone, the last declared change of which random
 # numbers go where; any refactor must draw the same random numbers in the
 # same order, so the counts and the final state must match exactly and the
-# energies to float round-off.
+# energies to float round-off.  ``optimal`` re-recorded (here and below)
+# when its scheduler stopped dropping holders outside a same-direction
+# reach bound before the exact closest-approach test.
 GOLDEN_LAMBDA_1 = {
     "optimal": dict(
-        rng_state=298549748616673188053525579290604734713,
-        deliveries_d2d=210, deliveries_i2d=219, repeated=160, dropped=32,
-        requests_nonrepeated=454, failed_attempts=33, pruned_links=0,
-        energy_d2d=0.3431932130495425, energy_i2d=18.341549440220707,
-        d2d_distance_sum=3084.50158176256, mean_occupancy=0.3266666666666666),
+        rng_state=290218584180983637766289323139823169838,
+        deliveries_d2d=235, deliveries_i2d=226, repeated=150, dropped=22,
+        requests_nonrepeated=445, failed_attempts=24, pruned_links=1,
+        energy_d2d=0.1990243427329202, energy_i2d=15.36602882727062,
+        d2d_distance_sum=2544.4155607389193, mean_occupancy=0.3133333333333334),
     "benchmark": dict(
         rng_state=35211291523015695454323311971024294856,
         deliveries_d2d=221, deliveries_i2d=213, repeated=154, dropped=26,
@@ -277,11 +279,11 @@ GOLDEN_LAMBDA_1 = {
 # receiver's lane, which changed which infrastructure links share PRBs.
 GOLDEN_NO_RETRY = {
     "optimal": dict(
-        rng_state=318078231683998032412108305429861079683,
-        deliveries_d2d=218, deliveries_i2d=240, repeated=169, dropped=28,
-        requests_nonrepeated=461, failed_attempts=30, pruned_links=0,
-        energy_d2d=0.40041864470961314, energy_i2d=16.31840894026936,
-        d2d_distance_sum=3446.410351775697, mean_occupancy=0.3644444444444444),
+        rng_state=120146963437823505912661834754440596281,
+        deliveries_d2d=261, deliveries_i2d=217, repeated=153, dropped=24,
+        requests_nonrepeated=461, failed_attempts=27, pruned_links=0,
+        energy_d2d=0.2910778689154462, energy_i2d=16.651302549227985,
+        d2d_distance_sum=3356.932837328027, mean_occupancy=0.3755555555555556),
     "benchmark": dict(
         rng_state=263214304756222481507706619296290955989,
         deliveries_d2d=258, deliveries_i2d=206, repeated=136, dropped=34,
@@ -438,7 +440,6 @@ class ReferenceEngine(engine.Engine):
                 m.energy_d2d += energy
             if success:
                 break
-            req.attempts += 1
             m.failed_attempts += 1
         if not success:
             return
@@ -478,14 +479,14 @@ def _run_recorded(eng_cls, cfg, policy, seed):
         drawn["blocks"] += n_blocks
         return realize(n_blocks, rng)
 
-    def counting_transmit(links, reqs, placed, *args):
+    def counting_transmit(links, reqs, placed, gains, nominal, powers, t, m):
         served = [reqs[i] for i in placed.link.tolist()]
-        failed_before = sum(r.attempts for r in served)
+        failed_before = m.failed_attempts
         before = dict(drawn)
-        transmit(links, reqs, placed, *args)
+        transmit(links, reqs, placed, gains, nominal, powers, t, m)
         if not placed:
             return
-        failures = sum(r.attempts for r in served) - failed_before
+        failures = m.failed_attempts - failed_before
         # every failure is followed by a retry, except an undelivered link's last
         undelivered = sum(r.state not in (DELIVERED_D2D, DELIVERED_I2D) for r in served)
         sharing = np.unique(placed.slice_id, return_counts=True)[1]
@@ -516,8 +517,7 @@ class TestTickWideTransmission:
         new, new_reqs, ticks = _run_recorded(engine.Engine, cfg, policy, 11)
         assert ref.first_failures >= 0.2 * ref.first_attempts > 0
         assert dataclasses.asdict(ref.metrics) == dataclasses.asdict(new.metrics)
-        assert [(r.id, r.state, r.attempts) for r in ref_reqs] == \
-            [(r.id, r.state, r.attempts) for r in new_reqs]
+        assert [(r.id, r.state) for r in ref_reqs] == [(r.id, r.state) for r in new_reqs]
         assert ref.rng.bit_generator.state == new.rng.bit_generator.state
         assert ticks
         # one draw with a block per row, then a draw of one block per retry

@@ -141,21 +141,48 @@ class TestOptimalPolicy:
         assert pol.i2d_due(req.deadline) == [req]
         assert pol.i2d_due(req.deadline - 1.0) == []
 
-    def test_cache_event_beats_scheduled_provider(self, world):
-        requester = add_vehicle(world, 1000.0, 15.0)
-        mediocre = add_vehicle(world, 1080.0, 15.0)
+    def test_plans_opposite_lane_holder_from_afar(self, world):
+        # at the top speed (24 m/s) no copy on the requester's own lane
+        # closes in, so copies from that direction reach only from within
+        # d2d_max_range (100 m); a backward-lane copy 200 m ahead closes at
+        # 33 m/s and crosses the requester after 6.1 s, inside the timeout
+        requester = add_vehicle(world, 500.0, 24.0)
+        holder = add_vehicle(world, 700.0, -9.0)
+        world.add_cache(holder.id, 0, expiry=1e9)
+        world.refresh_arrays(0.0)
+        pol = OptimalPolicy(world.cfg)
+        req = request(world, requester)
+        pol.handle_new([req], world, 0.0)
+        assert req.state == SCHEDULED
+        assert req.provider_id == holder.id
+        assert req.planned_tick == 6.0
+        assert req.delta_hat == world.cfg.lane_offset
+
+    # (x, speed) of the requester, of the copy it is first planned on and
+    # of a copy delivered later
+    @pytest.mark.parametrize("requester, mediocre, newcomer, delta", [
+        ((1000.0, 15.0), (1080.0, 15.0), (1020.0, 15.0), 20.0),
+        # the later copy drives on the other lane, 200 m ahead of a
+        # requester at the top speed, and crosses it after 6.1 s
+        ((500.0, 24.0), (580.0, 24.0), (700.0, -9.0), 10.0),
+    ])
+    def test_cache_event_beats_scheduled_provider(self, world, requester, mediocre,
+                                                  newcomer, delta):
+        requester = add_vehicle(world, *requester)
+        mediocre = add_vehicle(world, *mediocre)
         world.add_cache(mediocre.id, 0, expiry=1e9)
         world.refresh_arrays(0.0)
         pol = OptimalPolicy(world.cfg)
         req = request(world, requester)
         pol.handle_new([req], world, 0.0)
+        assert req.provider_id == mediocre.id
         assert req.delta_hat == pytest.approx(80.0)
-        newcomer = add_vehicle(world, 1020.0, 15.0)
+        newcomer = add_vehicle(world, *newcomer)
         world.add_cache(newcomer.id, 0, expiry=1e9)
         world.refresh_arrays(0.0)
         pol.cache_event(newcomer.id, 0, world, 0.0)
         assert req.provider_id == newcomer.id
-        assert req.delta_hat == pytest.approx(20.0)
+        assert req.delta_hat == pytest.approx(delta)
 
     def test_intent_due_at_planned_tick(self, world):
         requester = add_vehicle(world, 1000.0, 15.0)
@@ -349,12 +376,6 @@ class ReferenceOptimalPolicy(OptimalPolicy):
         req.state = PENDING
         if not cand:
             return
-        k = world.idx_of[req.requester_id]
-        xk, vk = world.xs[k], world.vs[k]
-        xlim = self._region_halfwidth(vk)
-        cand = [c for c in cand if abs(world.xs[world.idx_of[c]] - xk) <= xlim]
-        if not cand:
-            return
         ids, t_star, delta = _ref_candidate_eval(self.cfg, req, world, t, cand)
         feasible = delta <= self.cfg.d2d_max_range
         if not np.any(feasible):
@@ -377,10 +398,6 @@ class ReferenceOptimalPolicy(OptimalPolicy):
             if req is None or req.served or t > req.deadline + 1e-9:
                 continue
             if vid == req.requester_id or vid not in world.idx_of:
-                continue
-            k = world.idx_of[req.requester_id]
-            if abs(world.xs[world.idx_of[vid]] - world.xs[k]) > \
-                    self._region_halfwidth(world.vs[k]):
                 continue
             _, t_star, delta = _ref_candidate_eval(self.cfg, req, world, t, [vid])
             if delta[0] < req.delta_hat and delta[0] <= self.cfg.d2d_max_range:
@@ -489,9 +506,9 @@ class TestTickWideScheduling:
         assert new_ticks == ref_ticks
         assert dataclasses.asdict(new.metrics) == dataclasses.asdict(ref.metrics)
         assert new.rng.bit_generator.state == ref.rng.bit_generator.state
-        assert [(r.id, r.state, r.attempts, r.provider_id, r.delta_hat, r.planned_tick)
+        assert [(r.id, r.state, r.provider_id, r.delta_hat, r.planned_tick)
                 for r in new.policy.pending.values()] == \
-            [(r.id, r.state, r.attempts, r.provider_id, r.delta_hat, r.planned_tick)
+            [(r.id, r.state, r.provider_id, r.delta_hat, r.planned_tick)
              for r in ref.policy.pending.values()]
 
 
