@@ -219,7 +219,6 @@ class Engine:
                     m.energy_d2d += energy
                 if success:
                     break
-                req.attempts += 1
                 m.failed_attempts += 1
                 if attempt + 1 < cfg.phy.harq_attempts:
                     fading[own[f]] = self.channel.realize(1, self.rng)[0]

@@ -75,7 +75,6 @@ class ContentRequest:
     provider_id: int | None = None
     planned_tick: float | None = None  # the tick's time (s)
     delta_hat: float = math.inf
-    attempts: int = 0
 
     @property
     def served(self) -> bool:

@@ -8,8 +8,9 @@ not move any number prints the same lines.  When the tool itself
 changes, copy the newer version into both checkouts' ``tools/`` first,
 so that both sides fingerprint the same quantities.  Each line holds the run's
 key, its counters and a sha256 over its summary, delivered D2D
-distances, occupancy samples, both energies, the pending requests and
-the final state of its random generator.
+distances, occupancy samples, both energies, the pending requests (the
+fields of ``REQUEST_FIELDS``) and the final state of its random
+generator.
 
 The full set is 18 runs (arrival rate 1/3, 1 and 2 veh/s, the three
 policies, seeds 1 and 2; 60 s after 20 s of warm-up) and 6 runs whose
@@ -50,6 +51,9 @@ COUNTERS = ("deliveries_d2d", "deliveries_i2d", "repeated", "dropped",
 # a PRB carries 540 coded bits at the defaults (fec rate 0.8), so a
 # payload of 432 n - 100 bits needs n PRBs
 SMALL_PAYLOAD_PRBS = (8, 200)
+# a pending request's identity, state and plan
+REQUEST_FIELDS = ("id", "requester_id", "content_id", "t0", "deadline", "state",
+                  "provider_id", "planned_tick", "delta_hat")
 
 
 def _config(lam: float, n_prbs: int | None = None) -> Config:
@@ -117,7 +121,7 @@ def _plain(x):
 
 def fingerprint(eng: engine.Engine) -> str:
     m = eng.metrics
-    pending = sorted(tuple(_plain(v) for v in dataclasses.astuple(r))
+    pending = sorted(tuple(_plain(getattr(r, f)) for f in REQUEST_FIELDS)
                      for r in eng.policy.pending.values())
     digest = hashlib.sha256()
     for part in (sorted(m.summary().items()), m.d2d_distances, m.occupancy_samples,
