@@ -216,7 +216,12 @@ def single_provider_distance_law(x0: float, v_a: float,
 
 def provider_region_halfwidth(v_a: float, params: AnalyticParams) -> float:
     """Half-width of the interval around the requester from which a
-    provider could still come within D2D range before the deadline."""
+    provider could still come within D2D range before the deadline.  It
+    counts only providers closing in from the requester's own direction,
+    at up to v_max - v_a; an opposite-lane provider closes at up to
+    v_max + v_a and can come from farther away.  P_nonoffload
+    (marginal_nonoffload_probability) counts providers in this interval;
+    the simulator's optimal scheduler tests every holder exactly."""
     return params.d2d_max_range + (params.speed_law.v_max - v_a) * params.content_timeout
 
 

@@ -55,10 +55,8 @@ def nominal_gain(kind: str, r, cfg: PhyConfig):
 
 def subcarrier_noise_power(cfg: PhyConfig) -> float:
     """Thermal noise power per subcarrier including the receiver noise figure (W)."""
-    dbm = cfg.noise_psd_dbm_hz + cfg.noise_figure_db
-    if cfg.subcarrier_bandwidth == 0.0:
-        return 0.0
-    dbm += 10.0 * math.log10(cfg.subcarrier_bandwidth)
+    dbm = (cfg.noise_psd_dbm_hz + cfg.noise_figure_db
+           + 10.0 * math.log10(cfg.subcarrier_bandwidth))
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
