@@ -3,6 +3,8 @@ line with the measured quantities at the pinned tolerances."""
 
 import dataclasses
 import math
+import os
+import re
 import time
 
 import numpy as np
@@ -228,22 +230,32 @@ def test_criterion_4_simulated_distance_distribution(slow_traffic_runs, capsys):
 # 5. total energy vs the cellular baseline
 # ---------------------------------------------------------------------------
 
+ENERGY_TIMEOUTS = (20.0, 60.0)
+
+
+def _percent_below(summary, baseline, metric: str) -> float:
+    """How far (%) a summary's mean of ``metric`` lies below the baseline's."""
+    return 100.0 * (1.0 - summary.means[metric] / baseline.means[metric])
+
+
+def _below_by_timeout(by_timeout, baseline_by_timeout, metric: str) -> list:
+    return [_percent_below(by_timeout[tc], baseline_by_timeout[tc], metric)
+            for tc in ENERGY_TIMEOUTS]
+
+
 def test_criterion_5_total_energy_reduction(optimal_by_timeout, cellular_by_timeout,
                                             benchmark_by_timeout, capsys):
-    details, vs_benchmark, ok = [], [], True
-    for tc in (20.0, 60.0):
-        opt = optimal_by_timeout[tc].means["energy_total_per_delivery"]
-        cell = cellular_by_timeout[tc].means["energy_total_per_delivery"]
-        bench = benchmark_by_timeout[tc].means["energy_total_per_delivery"]
-        red = 100.0 * (1.0 - opt / cell)
-        ok &= red >= 25.0
-        details.append(f"timeout {tc:g} s: {red:.1f}%")
-        vs_benchmark.append(f"{100.0 * (1.0 - opt / bench):.1f}%")
+    metric = "energy_total_per_delivery"
+    reds = _below_by_timeout(optimal_by_timeout, cellular_by_timeout, metric)
+    vs_benchmark = _below_by_timeout(optimal_by_timeout, benchmark_by_timeout, metric)
+    ok = all(red >= 25.0 for red in reds)
     # the paper's "up to 18 % below benchmark" is reported, not bounded
     _report(capsys, 5,
             ok, "total energy per delivery below cellular by "
-                + ", ".join(details) + " (>= 25% required); below benchmark by "
-                + ", ".join(vs_benchmark) + " (no bound)")
+                + ", ".join(f"timeout {tc:g} s: {red:.1f}%"
+                            for tc, red in zip(ENERGY_TIMEOUTS, reds))
+                + " (>= 25% required); below benchmark by "
+                + ", ".join(f"{red:.1f}%" for red in vs_benchmark) + " (no bound)")
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +264,14 @@ def test_criterion_5_total_energy_reduction(optimal_by_timeout, cellular_by_time
 
 def test_criterion_6_d2d_energy_reduction(optimal_by_timeout,
                                           benchmark_by_timeout, capsys):
-    details, ok = [], True
-    for tc in (20.0, 60.0):
-        opt = optimal_by_timeout[tc].means["energy_d2d_per_delivery"]
-        bench = benchmark_by_timeout[tc].means["energy_d2d_per_delivery"]
-        red = 100.0 * (1.0 - opt / bench)
-        ok &= red >= 70.0
-        details.append(f"timeout {tc:g} s: {red:.1f}%")
+    reds = _below_by_timeout(optimal_by_timeout, benchmark_by_timeout,
+                             "energy_d2d_per_delivery")
+    ok = all(red >= 70.0 for red in reds)
     _report(capsys, 6,
             ok, "D2D energy per delivery below benchmark by "
-                + ", ".join(details) + " (>= 70% required)")
+                + ", ".join(f"timeout {tc:g} s: {red:.1f}%"
+                            for tc, red in zip(ENERGY_TIMEOUTS, reds))
+                + " (>= 70% required)")
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +301,7 @@ def test_criterion_8_spectrum_occupancy(slow_traffic_runs, capsys):
     _, _, by_policy = slow_traffic_runs
     cell = by_policy["cellular"].means["mean_occupancy"]
     opt = by_policy["optimal"].means["mean_occupancy"]
-    rel = 100.0 * (1.0 - opt / cell)
+    rel = _percent_below(by_policy["optimal"], by_policy["cellular"], "mean_occupancy")
     ok = abs(cell - 0.26) <= 0.05 and rel >= 25.0
     _report(capsys, 8,
             ok, f"cellular occupancy {100 * cell:.1f}% (26% +/- 5 pts), "
@@ -335,3 +345,31 @@ def test_criterion_9_invariants(default_params, capsys):
             "determinism, request conservation and normalization all hold "
             f"(worst |mass - 1| {worst:.2e} <= 1e-5)"
             if not failed else f"failed: {failed}")
+
+
+# ---------------------------------------------------------------------------
+# README's claims table prints what criteria 5, 6 and 8 measure
+# ---------------------------------------------------------------------------
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
+# a table row's gate column: its values, then "(criterion k, <bound>)"
+CLAIM_ROW = re.compile(r"^\|[^|]*\|[^|]*\| ([^|(]*)\(criterion (\d),[^|]*\|$")
+
+
+def test_readme_claims_table_is_the_gates_output(optimal_by_timeout, cellular_by_timeout,
+                                                 benchmark_by_timeout, slow_traffic_runs):
+    with open(README, encoding="utf-8") as f:
+        rows = [m.groups() for m in map(CLAIM_ROW.match, f.read().splitlines()) if m]
+    printed = [(int(k), re.findall(r"-?\d+\.\d", values.replace("−", "-")))
+               for values, k in rows]
+    total, d2d = "energy_total_per_delivery", "energy_d2d_per_delivery"
+    by_policy = slow_traffic_runs[2]
+    measured = [
+        (5, _below_by_timeout(optimal_by_timeout, cellular_by_timeout, total)),
+        (5, _below_by_timeout(optimal_by_timeout, benchmark_by_timeout, total)),
+        (6, _below_by_timeout(optimal_by_timeout, benchmark_by_timeout, d2d)),
+        (8, [_percent_below(by_policy["optimal"], by_policy["cellular"],
+                            "mean_occupancy")]),
+    ]
+    assert printed == [(k, [f"{v:.1f}" for v in values]) for k, values in measured]
