@@ -165,7 +165,7 @@ class TestOptimalPolicy:
         # the later copy drives on the other lane, 200 m ahead of a
         # requester at the top speed, and crosses it after 6.1 s
         ((500.0, 24.0), (580.0, 24.0), (700.0, -9.0), 10.0),
-    ])
+    ], ids=["same-lane", "opposite-lane"])
     def test_cache_event_beats_scheduled_provider(self, world, requester, mediocre,
                                                   newcomer, delta):
         requester = add_vehicle(world, *requester)
