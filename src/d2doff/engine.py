@@ -141,11 +141,8 @@ class Engine:
                     continue
             m.requests_nonrepeated += 1
             new_requests.append(req)
-        self.policy.handle_new(new_requests, world, t)
-
-        events, self._cache_events = self._cache_events, []
-        for vid, z in events:
-            self.policy.cache_event(vid, z, world, t)
+        copies, self._cache_events = self._cache_events, []
+        self.policy.handle_new(new_requests, copies, world, t)
 
         # D2D deliveries first: a transmission scheduled for the deadline
         # tick pre-empts the infrastructure fallback for that request; both

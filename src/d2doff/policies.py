@@ -2,9 +2,13 @@
 
 * ``optimal``: schedules each delivery at the instant the best cached
   copy comes closest to the requester, and falls back to the
-  infrastructure at the deadline.  It plans when a request arrives, when
-  a copy of its content is delivered, and when its planned provider goes
-  stale (leaves the road or loses the copy).
+  infrastructure at the deadline.  It plans once per tick: new requests
+  on every holder of their content, open requests on the copies
+  delivered since the last tick, and requests whose planned provider
+  went stale (left the road or lost the copy) on every holder again.
+  One ranking serves all three: the smallest distance, then the earlier
+  encounter, then the lower vehicle id; a plan moves only to a strictly
+  closer copy.
 * ``benchmark``: transmits from the closest in-range cached copy as
   soon as one exists (so typically near the maximum D2D range).
 * ``cellular``: every non-repeated request is served by the nearest
@@ -71,12 +75,12 @@ class BasePolicy:
         del self.pending[req.id]
         self.by_content[req.content_id].discard(req.id)
 
-    def handle_new(self, requests: list[ContentRequest], world: World, t: float) -> None:
+    def handle_new(self, requests: list[ContentRequest], copies: list[tuple[int, int]],
+                   world: World, t: float) -> None:
+        """Admit the tick's new requests.  ``copies``: the (vehicle, content)
+        copies delivered since the last tick, in delivery order."""
         for req in requests:
             self.admit(req)
-
-    def cache_event(self, vid: int, z: int, world: World, t: float) -> None:
-        pass
 
     def d2d_intents(self, world: World, t: float) -> list[ContentRequest]:
         """Requests to deliver from their ``provider_id`` at this tick."""
@@ -114,43 +118,34 @@ class OptimalPolicy(BasePolicy):
         feasible = delta <= self.cfg.d2d_max_range
         return req_i[feasible], holder[feasible], t_star[feasible], delta[feasible]
 
-    def _assign(self, req: ContentRequest, q, t_star, delta, t: float) -> None:
-        req.provider_id = int(q)
-        req.delta_hat = float(delta)
-        req.planned_tick = self._planned_tick(req, t, float(t_star))
-        req.state = SCHEDULED
-
-    def _schedule(self, reqs: list[ContentRequest], world: World, t: float) -> None:
-        """Schedule each request on its closest approach to a cached copy:
-        the smallest distance, ties by earlier encounter, then lower id."""
-        for req in reqs:
-            req.provider_id = None
-            req.planned_tick = None
-            req.delta_hat = math.inf
-            req.state = PENDING
+    def _plan(self, reqs, holder_sets, world, t):
+        """Move each request to its best reachable holder in holder_sets[i]
+        (the smallest distance, ties by earlier encounter, then lower id)
+        when that copy comes strictly closer than the request's plan."""
         if not reqs:
             return
-        pairs = _pairs(world, reqs, [world.holders.get(r.content_id, ()) for r in reqs])
+        pairs = _pairs(world, reqs, holder_sets)
         req_i, holder, t_star, delta = self._reachable(world, t, reqs, *pairs)
         for j in _first_per_request(req_i, (holder, t_star, delta)):
-            self._assign(reqs[req_i[j]], holder[j], t_star[j], delta[j], t)
+            req = reqs[req_i[j]]
+            if delta[j] < req.delta_hat:
+                req.provider_id = int(holder[j])
+                req.delta_hat = float(delta[j])
+                req.planned_tick = self._planned_tick(req, t, float(t_star[j]))
+                req.state = SCHEDULED
 
-    def handle_new(self, requests, world, t):
+    def handle_new(self, requests, copies, world, t):
+        # a delivered copy may beat the plan of any open request for its
+        # content; new requests start unplanned and see every holder
+        fresh: dict[int, set[int]] = {}
+        for q, z in copies:
+            fresh.setdefault(z, set()).add(q)
+        open_reqs = [self.pending[i] for z in fresh for i in self.by_content.get(z, ())]
+        self._plan(open_reqs, [fresh[r.content_id] for r in open_reqs], world, t)
         for req in requests:
             self.admit(req)
-        self._schedule(requests, world, t)
-
-    def cache_event(self, vid, z, world, t):
-        """A vehicle just received content z: it may now beat the
-        currently scheduled provider of any pending request for z."""
-        reqs = [self.pending[i] for i in self.by_content.get(z, ())]
-        if not reqs:
-            return
-        pairs = _pairs(world, reqs, [(vid,)] * len(reqs))
-        for i, q, t_star, delta in zip(*self._reachable(world, t, reqs, *pairs)):
-            req = reqs[i]
-            if delta < req.delta_hat:
-                self._assign(req, q, t_star, delta, t)
+        self._plan(requests, [world.holders.get(r.content_id, ()) for r in requests],
+                   world, t)
 
     def d2d_intents(self, world, t):
         # past the deadline the infrastructure takes over
@@ -162,7 +157,12 @@ class OptimalPolicy(BasePolicy):
                  if not (r.provider_id in world.idx_of
                          and world.vehicles[r.provider_id].cache.get(
                              r.content_id, -math.inf) > t)]
-        self._schedule(stale, world, t)
+        for req in stale:
+            req.provider_id = None
+            req.planned_tick = None
+            req.delta_hat = math.inf
+            req.state = PENDING
+        self._plan(stale, [world.holders.get(r.content_id, ()) for r in stale], world, t)
         due = [r for r in due if r.state == SCHEDULED and r.planned_tick <= t + 1e-9]
         dist = world.d2d_distance(
             np.array([world.idx_of[r.requester_id] for r in due], dtype=np.int64),

@@ -109,7 +109,7 @@ class TestOptimalPolicy:
         world.refresh_arrays(0.0)
         pol = OptimalPolicy(world.cfg)
         req = request(world, requester)
-        pol.handle_new([req], world, 0.0)
+        pol.handle_new([req], [], world, 0.0)
         assert req.state == SCHEDULED
         assert req.provider_id == provider.id
         # crossing at t=20 falls exactly on the deadline tick, still usable
@@ -125,7 +125,7 @@ class TestOptimalPolicy:
         world.refresh_arrays(0.0)
         pol = OptimalPolicy(world.cfg)
         req = request(world, requester)
-        pol.handle_new([req], world, 0.0)
+        pol.handle_new([req], [], world, 0.0)
         assert req.provider_id == near.id
 
     def test_out_of_range_stays_pending(self, world):
@@ -135,7 +135,7 @@ class TestOptimalPolicy:
         world.refresh_arrays(0.0)
         pol = OptimalPolicy(world.cfg)
         req = request(world, requester)
-        pol.handle_new([req], world, 0.0)
+        pol.handle_new([req], [], world, 0.0)
         assert req.state == PENDING and req.provider_id is None
         # falls back to the infrastructure at the deadline
         assert pol.i2d_due(req.deadline) == [req]
@@ -152,7 +152,7 @@ class TestOptimalPolicy:
         world.refresh_arrays(0.0)
         pol = OptimalPolicy(world.cfg)
         req = request(world, requester)
-        pol.handle_new([req], world, 0.0)
+        pol.handle_new([req], [], world, 0.0)
         assert req.state == SCHEDULED
         assert req.provider_id == holder.id
         assert req.planned_tick == 6.0
@@ -174,15 +174,36 @@ class TestOptimalPolicy:
         world.refresh_arrays(0.0)
         pol = OptimalPolicy(world.cfg)
         req = request(world, requester)
-        pol.handle_new([req], world, 0.0)
+        pol.handle_new([req], [], world, 0.0)
         assert req.provider_id == mediocre.id
         assert req.delta_hat == pytest.approx(80.0)
         newcomer = add_vehicle(world, *newcomer)
         world.add_cache(newcomer.id, 0, expiry=1e9)
         world.refresh_arrays(0.0)
-        pol.cache_event(newcomer.id, 0, world, 0.0)
+        pol.handle_new([], [(newcomer.id, 0)], world, 0.0)
         assert req.provider_id == newcomer.id
         assert req.delta_hat == pytest.approx(delta)
+
+    def test_same_tick_copies_tie_to_earlier_encounter(self, world):
+        # two copies delivered in one tick both cross the requester at the
+        # lane offset; the earlier crossing wins, not the first delivery
+        requester = add_vehicle(world, 1000.0, 15.0)
+        mediocre = add_vehicle(world, 1080.0, 15.0)
+        world.add_cache(mediocre.id, 0, expiry=1e9)
+        world.refresh_arrays(0.0)
+        pol = OptimalPolicy(world.cfg)
+        req = request(world, requester)
+        pol.handle_new([req], [], world, 0.0)
+        assert req.provider_id == mediocre.id
+        late = add_vehicle(world, 1300.0, -10.0)   # crosses at 12 s
+        early = add_vehicle(world, 1100.0, -10.0)  # crosses at 4 s
+        for v in (late, early):
+            world.add_cache(v.id, 0, expiry=1e9)
+        world.refresh_arrays(0.0)
+        pol.handle_new([], [(late.id, 0), (early.id, 0)], world, 0.0)
+        assert req.provider_id == early.id
+        assert req.planned_tick == 4.0
+        assert req.delta_hat == world.cfg.lane_offset
 
     def test_intent_due_at_planned_tick(self, world):
         requester = add_vehicle(world, 1000.0, 15.0)
@@ -191,7 +212,7 @@ class TestOptimalPolicy:
         world.refresh_arrays(0.0)
         pol = OptimalPolicy(world.cfg)
         req = request(world, requester)
-        pol.handle_new([req], world, 0.0)
+        pol.handle_new([req], [], world, 0.0)
         assert req.planned_tick == 10.0
         world.refresh_arrays(5.0)
         assert pol.d2d_intents(world, 5.0) == []
@@ -208,7 +229,7 @@ class TestOptimalPolicy:
         world.refresh_arrays(0.0)
         pol = OptimalPolicy(world.cfg)
         req = request(world, requester)
-        pol.handle_new([req], world, 0.0)
+        pol.handle_new([req], [], world, 0.0)
         assert req.provider_id == primary.id
         world.evict_expired(6.0)
         world.refresh_arrays(6.0)
@@ -222,7 +243,7 @@ class TestOptimalPolicy:
         world.refresh_arrays(0.0)
         pol = OptimalPolicy(world.cfg)
         req = request(world, requester)
-        pol.handle_new([req], world, 0.0)
+        pol.handle_new([req], [], world, 0.0)
         world.refresh_arrays(req.deadline)
         # both paths offer the request at the deadline tick; the engine
         # lets the scheduled D2D transmission pre-empt the fallback
@@ -243,7 +264,7 @@ class TestBenchmarkPolicy:
         world.refresh_arrays(0.0)
         pol = BenchmarkPolicy(world.cfg)
         req = request(world, requester)
-        pol.handle_new([req], world, 0.0)
+        pol.handle_new([req], [], world, 0.0)
         intents = pol.d2d_intents(world, 0.0)
         assert len(intents) == 1
         assert intents[0].provider_id == provider.id
@@ -256,7 +277,7 @@ class TestBenchmarkPolicy:
         pol = BenchmarkPolicy(world.cfg)
         world.refresh_arrays(0.0)
         req = request(world, requester)
-        pol.handle_new([req], world, 0.0)
+        pol.handle_new([req], [], world, 0.0)
         assert pol.d2d_intents(world, 0.0) == []
         world.refresh_arrays(10.0)  # gap now 100 m
         assert len(pol.d2d_intents(world, 10.0)) == 1
@@ -270,7 +291,7 @@ class TestBenchmarkPolicy:
         world.refresh_arrays(0.0)
         pol = BenchmarkPolicy(world.cfg)
         req = request(world, requester)
-        pol.handle_new([req], world, 0.0)
+        pol.handle_new([req], [], world, 0.0)
         assert pol.d2d_intents(world, 0.0)[0].provider_id == b.id
 
 
@@ -287,7 +308,7 @@ def test_equal_copies_tie_to_lower_id(world, cls, first_x):
     world.refresh_arrays(0.0)
     pol = cls(world.cfg)
     req = request(world, requester)
-    pol.handle_new([req], world, 0.0)
+    pol.handle_new([req], [], world, 0.0)
     pol.d2d_intents(world, 0.0)
     assert low.id < high.id
     assert req.provider_id == low.id
@@ -299,7 +320,7 @@ class TestCellularPolicy:
         requester = add_vehicle(world, 1000.0, 15.0)
         pol = CellularPolicy(world.cfg)
         req = request(world, requester)
-        pol.handle_new([req], world, 0.0)
+        pol.handle_new([req], [], world, 0.0)
         assert pol.i2d_due(0.0) == [req]
         assert pol.d2d_intents(world, 0.0) == []
 
@@ -387,24 +408,31 @@ class ReferenceOptimalPolicy(OptimalPolicy):
         req.planned_tick = self._planned_tick(req, t, float(t_star[best]))
         req.state = SCHEDULED
 
-    def handle_new(self, requests, world, t):
+    def handle_new(self, requests, copies, world, t):
+        # each open request ranks the tick's new holders of its content as
+        # _schedule_best ranks all of them, and moves only to a strictly
+        # closer copy
+        for rid, req in sorted(self.pending.items()):
+            if req.served or t > req.deadline + 1e-9:
+                continue
+            cand = sorted({q for q, z in copies if z == req.content_id
+                           and q != req.requester_id and q in world.idx_of})
+            if not cand:
+                continue
+            ids, t_star, delta = _ref_candidate_eval(self.cfg, req, world, t, cand)
+            feasible = delta <= self.cfg.d2d_max_range
+            if not np.any(feasible):
+                continue
+            ids, t_star, delta = ids[feasible], t_star[feasible], delta[feasible]
+            best = np.lexsort((ids, t_star, delta))[0]
+            if delta[best] < req.delta_hat:
+                req.provider_id = int(ids[best])
+                req.delta_hat = float(delta[best])
+                req.planned_tick = self._planned_tick(req, t, float(t_star[best]))
+                req.state = SCHEDULED
         for req in requests:
             self.admit(req)
             self._schedule_best(req, world, t)
-
-    def cache_event(self, vid, z, world, t):
-        for rid in sorted(self.by_content.get(z, ())):
-            req = self.pending.get(rid)
-            if req is None or req.served or t > req.deadline + 1e-9:
-                continue
-            if vid == req.requester_id or vid not in world.idx_of:
-                continue
-            _, t_star, delta = _ref_candidate_eval(self.cfg, req, world, t, [vid])
-            if delta[0] < req.delta_hat and delta[0] <= self.cfg.d2d_max_range:
-                req.provider_id = vid
-                req.delta_hat = float(delta[0])
-                req.planned_tick = self._planned_tick(req, t, float(t_star[0]))
-                req.state = SCHEDULED
 
     def d2d_intents(self, world, t):
         out = []

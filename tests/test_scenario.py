@@ -69,7 +69,7 @@ class TestGeometry:
             reqs.append(scenario.ContentRequest(id=z, requester_id=requester,
                                                 content_id=z, t0=0.0, deadline=30.0))
         world.refresh_arrays(0.0)
-        eng.policy.handle_new(reqs, world, 0.0)
+        eng.policy.handle_new(reqs, [], world, 0.0)
         due = eng.policy.d2d_intents(world, 0.0)
         assert due == reqs
         links = eng._link_table(due, 0)
