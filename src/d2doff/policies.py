@@ -2,13 +2,14 @@
 
 * ``optimal``: schedules each delivery at the instant the best cached
   copy comes closest to the requester, and falls back to the
-  infrastructure at the deadline.  It plans once per tick: new requests
-  on every holder of their content, open requests on the copies
-  delivered since the last tick, and requests whose planned provider
-  went stale (left the road or lost the copy) on every holder again.
-  One ranking serves all three: the smallest distance, then the earlier
-  encounter, then the lower vehicle id; a plan moves only to a strictly
-  closer copy.
+  infrastructure at the deadline.  Each tick, one pass over (request,
+  holder) pairs, each with its copy's expiry from ``World.holders``,
+  plans new requests on every holder of their content and open requests
+  on the copies delivered since the last tick; a request whose planned
+  provider went stale (left the road or lost the copy) gets every holder
+  again when due.  One ranking serves all: the smallest distance, then
+  the earlier encounter, then the lower vehicle id; a plan moves only to
+  a strictly closer copy.
 * ``benchmark``: transmits from the closest in-range cached copy as
   soon as one exists (so typically near the maximum D2D range).
 * ``cellular``: every non-repeated request is served by the nearest
@@ -30,7 +31,8 @@ from .scenario import (ContentRequest, World, PENDING, SCHEDULED)
 def _pairs(world: World, reqs: list[ContentRequest], holder_sets):
     """Flat (request index, holder id, holder index, requester index) arrays
     with one entry per vehicle of holder_sets[i] that could serve reqs[i]:
-    on the road, as a pending request's requester is, and not the requester."""
+    on the road, as a pending request's requester is, and not the requester;
+    then ``keep``, which marks those entries among all of holder_sets'."""
     counts = np.array([len(hs) for hs in holder_sets], dtype=np.int64)
     req_i = np.repeat(np.arange(len(reqs)), counts)
     holder = np.fromiter(chain.from_iterable(holder_sets), np.int64, req_i.size)
@@ -41,7 +43,7 @@ def _pairs(world: World, reqs: list[ContentRequest], holder_sets):
     h_on[h_on] = world.ids[h[h_on]] == holder[h_on]
     keep = h_on & (holder != requester[req_i])
     req_i = req_i[keep]
-    return req_i, holder[keep], h[keep], k[req_i]
+    return req_i, holder[keep], h[keep], k[req_i], keep
 
 
 def _first_per_request(req_i: np.ndarray, keys: tuple) -> np.ndarray:
@@ -101,13 +103,11 @@ class OptimalPolicy(BasePolicy):
         # fallback yields to a transmission scheduled for that tick)
         return min(planned, req.deadline)
 
-    def _reachable(self, world, t, reqs, req_i, holder, h, k):
-        """Closest approach of every (request, holder) pair from ``_pairs``.
-        Returns (request index, holder id, t*, lane-adjusted distance) of the
-        pairs that come within D2D range while the request, the copy and
-        both vehicles last."""
-        expiry = np.array([world.vehicles[q].cache.get(reqs[i].content_id, -math.inf)
-                           for q, i in zip(holder.tolist(), req_i.tolist())])
+    def _reachable(self, world, t, reqs, req_i, holder, h, k, expiry):
+        """Closest approach of every (request, holder) pair from ``_pairs``,
+        each with its copy's expiry.  Returns (request index, holder id, t*,
+        lane-adjusted distance) of the pairs that come within D2D range while
+        the request, the copy and both vehicles last."""
         deadline = np.array([r.deadline for r in reqs])[req_i]
         phi = np.minimum.reduce([deadline, expiry, world.exits[h], world.exits[k]]) - t
         ok = phi >= 0.0
@@ -119,13 +119,16 @@ class OptimalPolicy(BasePolicy):
         return req_i[feasible], holder[feasible], t_star[feasible], delta[feasible]
 
     def _plan(self, reqs, holder_sets, world, t):
-        """Move each request to its best reachable holder in holder_sets[i]
-        (the smallest distance, ties by earlier encounter, then lower id)
-        when that copy comes strictly closer than the request's plan."""
+        """Move each request to its best reachable holder in holder_sets[i],
+        a {vehicle id: copy expiry} dict (the smallest distance, ties by
+        earlier encounter, then lower id), when that copy comes strictly
+        closer than the request's plan."""
         if not reqs:
             return
-        pairs = _pairs(world, reqs, holder_sets)
-        req_i, holder, t_star, delta = self._reachable(world, t, reqs, *pairs)
+        *pairs, keep = _pairs(world, reqs, holder_sets)
+        expiry = np.fromiter(chain.from_iterable(hs.values() for hs in holder_sets),
+                             float, keep.size)[keep]
+        req_i, holder, t_star, delta = self._reachable(world, t, reqs, *pairs, expiry)
         for j in _first_per_request(req_i, (holder, t_star, delta)):
             req = reqs[req_i[j]]
             if delta[j] < req.delta_hat:
@@ -136,16 +139,17 @@ class OptimalPolicy(BasePolicy):
 
     def handle_new(self, requests, copies, world, t):
         # a delivered copy may beat the plan of any open request for its
-        # content; new requests start unplanned and see every holder
-        fresh: dict[int, set[int]] = {}
+        # content; new requests start unplanned and see every holder.  A
+        # copy whose vehicle left the road has no expiry, and _pairs drops it
+        fresh: dict[int, dict[int, float]] = {}
         for q, z in copies:
-            fresh.setdefault(z, set()).add(q)
+            fresh.setdefault(z, {})[q] = world.holders[z].get(q, -math.inf)
         open_reqs = [self.pending[i] for z in fresh for i in self.by_content.get(z, ())]
-        self._plan(open_reqs, [fresh[r.content_id] for r in open_reqs], world, t)
         for req in requests:
             self.admit(req)
-        self._plan(requests, [world.holders.get(r.content_id, ()) for r in requests],
-                   world, t)
+        self._plan(open_reqs + requests,
+                   [fresh[r.content_id] for r in open_reqs]
+                   + [world.holders.get(r.content_id, {}) for r in requests], world, t)
 
     def d2d_intents(self, world, t):
         # past the deadline the infrastructure takes over
@@ -162,7 +166,7 @@ class OptimalPolicy(BasePolicy):
             req.planned_tick = None
             req.delta_hat = math.inf
             req.state = PENDING
-        self._plan(stale, [world.holders.get(r.content_id, ()) for r in stale], world, t)
+        self._plan(stale, [world.holders.get(r.content_id, {}) for r in stale], world, t)
         due = [r for r in due if r.state == SCHEDULED and r.planned_tick <= t + 1e-9]
         dist = world.d2d_distance(
             np.array([world.idx_of[r.requester_id] for r in due], dtype=np.int64),
@@ -179,8 +183,8 @@ class BenchmarkPolicy(BasePolicy):
         reqs = [r for r in self.pending.values() if t <= r.deadline + 1e-9]
         if not reqs:
             return []
-        req_i, holder, h, k = _pairs(
-            world, reqs, [world.holders.get(r.content_id, ()) for r in reqs])
+        req_i, holder, h, k, _ = _pairs(
+            world, reqs, [world.holders.get(r.content_id, {}) for r in reqs])
         dist = world.d2d_distance(h, k)
         in_range = dist <= self.cfg.d2d_max_range
         req_i, holder, dist = req_i[in_range], holder[in_range], dist[in_range]

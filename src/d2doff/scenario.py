@@ -91,7 +91,8 @@ class World:
         self.rng = rng
         self.table = VehicleTable()
         self.vehicles: dict[int, Vehicle] = {}
-        self.holders: dict[int, set[int]] = defaultdict(set)   # content -> vehicle ids
+        # content -> {vehicle id: expiry}, kept equal to vehicles[vid].cache[content]
+        self.holders: dict[int, dict[int, float]] = defaultdict(dict)
         # heap of (next_expiry, vehicle id); stale entries are skipped when popped
         self._expiry: list[tuple[float, int]] = []
         self.content_cdf = zipf_cdf(cfg.zipf_alpha, cfg.library_size)
@@ -196,8 +197,8 @@ class World:
                 veh.cache = {zi: t - next(u) * w + cfg.sharing_timeout for zi in zs}
                 veh.next_expiry = min(veh.cache.values())
                 heapq.heappush(self._expiry, (veh.next_expiry, veh.id))
-                for zi in zs:
-                    self.holders[zi].add(veh.id)
+                for zi, exp in veh.cache.items():
+                    self.holders[zi][veh.id] = exp
 
     # -- cache bookkeeping ------------------------------------------------
 
@@ -205,11 +206,10 @@ class World:
         veh = self.vehicles[vid]
         old = veh.cache.get(z)
         if old is None or expiry > old:
-            veh.cache[z] = expiry
+            veh.cache[z] = self.holders[z][vid] = expiry
             if expiry < veh.next_expiry:
                 veh.next_expiry = expiry
                 heapq.heappush(self._expiry, (expiry, vid))
-        self.holders[z].add(vid)
 
     def evict_expired(self, t: float) -> None:
         while self._expiry and self._expiry[0][0] <= t:
@@ -220,7 +220,7 @@ class World:
             dead = [z for z, exp in veh.cache.items() if exp <= t]
             for z in dead:
                 del veh.cache[z]
-                self.holders[z].discard(veh.id)
+                del self.holders[z][vid]
             veh.next_expiry = min(veh.cache.values(), default=math.inf)
             if veh.cache:
                 heapq.heappush(self._expiry, (veh.next_expiry, vid))
@@ -228,7 +228,7 @@ class World:
     def _forget_vehicle(self, vid: int) -> None:
         veh = self.vehicles.pop(vid)
         for z in veh.cache:
-            self.holders[z].discard(vid)
+            del self.holders[z][vid]
 
     # -- per-tick state ----------------------------------------------------
 

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from d2doff import engine, scenario
@@ -227,41 +227,60 @@ class FullScanWorld(World):
         for veh in self.vehicles.values():
             for z in [z for z, exp in veh.cache.items() if exp <= t]:
                 del veh.cache[z]
-                self.holders[z].discard(veh.id)
+                del self.holders[z][veh.id]
+
+
+def cache_index(world):
+    """The holder index that the vehicles' caches imply: content ->
+    {vehicle id: expiry}, one entry per cached copy."""
+    index = {}
+    for vid, veh in world.vehicles.items():
+        for z, exp in veh.cache.items():
+            index.setdefault(z, {})[vid] = exp
+    return index
 
 
 class TestCaches:
     def test_add_and_evict(self, world):
         veh = world._new_vehicle(0.0, 15.0)
         world.add_cache(veh.id, 3, expiry=50.0)
-        assert world.holders[3] == {veh.id}
+        assert world.holders[3] == {veh.id: 50.0}
         world.evict_expired(49.0)
-        assert 3 in veh.cache
+        assert 3 in veh.cache and world.holders[3] == {veh.id: 50.0}
         world.evict_expired(50.0)
-        assert 3 not in veh.cache and world.holders[3] == set()
+        assert 3 not in veh.cache and world.holders[3] == {}
 
     def test_longer_expiry_wins(self, world):
         veh = world._new_vehicle(0.0, 15.0)
         world.add_cache(veh.id, 3, expiry=50.0)
         world.add_cache(veh.id, 3, expiry=40.0)
-        assert veh.cache[3] == 50.0
+        assert veh.cache[3] == 50.0 and world.holders[3] == {veh.id: 50.0}
         # a renewed copy lives to its new expiry
         world.add_cache(veh.id, 3, expiry=80.0)
         world.evict_expired(60.0)
-        assert veh.cache[3] == 80.0
+        assert veh.cache[3] == 80.0 and world.holders[3] == {veh.id: 80.0}
         world.evict_expired(80.0)
-        assert 3 not in veh.cache and world.holders[3] == set()
+        assert 3 not in veh.cache and world.holders[3] == {}
 
     def test_exit_releases_holdership(self, world):
         veh = world._new_vehicle(0.0, 15.0)
         world.add_cache(veh.id, 3, expiry=1e9)
         world.remove_exited(kinematics(world, veh.id).exit_time)
-        assert world.holders[3] == set()
+        assert world.holders[3] == {}
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(["vehicle", "add", "evict", "exit"]),
                               st.integers(0, 50), st.integers(0, 6),
                               st.floats(0.0, 40.0)), max_size=80))
+    # few drawn cases evict a copy, so these run every time: a copy added
+    # (expiry 9 s) then evicted; a copy renewed (9 s -> 28 s), which outlives
+    # the heap entry of its first expiry; a copy whose vehicle (65 m/s,
+    # gone at 30.8 s) leaves the road
+    @example([("vehicle", 0, 0, 0.0), ("add", 0, 3, 8.0),
+              ("evict", 0, 0, 40.0), ("evict", 0, 0, 40.0)])
+    @example([("vehicle", 0, 0, 0.0), ("add", 0, 3, 8.0), ("add", 0, 3, 24.0)]
+             + [("evict", 0, 0, 40.0)] * 5)
+    @example([("vehicle", 50, 0, 0.0), ("add", 0, 3, 40.0), ("exit", 0, 0, 0.0)])
     def test_evict_matches_full_scan(self, ops):
         # (op, vehicle pick, content, time step or expiry offset)
         worlds = [World(Config().scenario, np.random.default_rng(0)),
@@ -283,6 +302,7 @@ class TestCaches:
             assert [(vid, list(v.cache.items())) for vid, v in new.vehicles.items()] == \
                 [(vid, list(v.cache.items())) for vid, v in ref.vehicles.items()]
             assert new.holders == ref.holders
+            assert {z: hs for z, hs in new.holders.items() if hs} == cache_index(new)
 
     def test_seeded_hits_and_receipt_ages(self):
         # each content is held with probability 1 - exp(-lambda_z w), and a
@@ -297,7 +317,7 @@ class TestCaches:
             p = -math.expm1(-lam_z[z] * w)
             hits = sum(z in veh.cache for veh in vehs)
             assert abs(hits - n * p) <= 4.0 * math.sqrt(n * p * (1.0 - p))
-            assert world.holders.get(z, set()) == {v.id for v in vehs if z in v.cache}
+            assert world.holders.get(z, {}) == {v.id: v.cache[z] for v in vehs if z in v.cache}
         ages = np.sort([now - (exp - sc.sharing_timeout)
                         for veh in vehs for exp in veh.cache.values()])
         assert 0.0 <= ages[0] and ages[-1] <= w
