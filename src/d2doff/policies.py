@@ -32,7 +32,7 @@ def _pairs(world: World, reqs: list[ContentRequest], holder_sets):
     """Flat (request index, holder id, holder index, requester index) arrays
     with one entry per vehicle of holder_sets[i] that could serve reqs[i]:
     on the road, as a pending request's requester is, and not the requester;
-    then ``keep``, which marks those entries among all of holder_sets'."""
+    and ``keep``, the mask of those entries over all entries of holder_sets."""
     counts = np.array([len(hs) for hs in holder_sets], dtype=np.int64)
     req_i = np.repeat(np.arange(len(reqs)), counts)
     holder = np.fromiter(chain.from_iterable(holder_sets), np.int64, req_i.size)
