@@ -91,7 +91,7 @@ class Engine:
                                        + sc.enb_positions[self.n_region])
         else:
             self.region_x_max = sc.street_length
-        self._cache_events: list[tuple[int, int]] = []
+        self._copies: list[tuple[int, int]] = []
 
     def _link_table(self, reqs: list, n_i2d: int) -> rrrm.Links:
         """The links that serve ``reqs``, row i for reqs[i]: the first
@@ -134,14 +134,13 @@ class Engine:
         new_requests = []
         for req in world.spawn_requests(t):
             if self.policy.uses_cache:
-                holder = world.vehicles[req.requester_id]
-                if req.content_id in holder.cache:
+                if req.requester_id in world.holders.get(req.content_id, ()):
                     req.state = REPEATED
                     m.repeated += 1
                     continue
             m.requests_nonrepeated += 1
             new_requests.append(req)
-        copies, self._cache_events = self._cache_events, []
+        copies, self._copies = self._copies, []
         self.policy.handle_new(new_requests, copies, world, t)
 
         # D2D deliveries first: a transmission scheduled for the deadline
@@ -240,7 +239,7 @@ class Engine:
             # receiver caches what it received; new copies can serve others
             expiry = t + self.cfg.scenario.sharing_timeout
             self.world.add_cache(req.requester_id, req.content_id, expiry)
-            self._cache_events.append((req.requester_id, req.content_id))
+            self._copies.append((req.requester_id, req.content_id))
 
     # -- full run ----------------------------------------------------------------
 

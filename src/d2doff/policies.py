@@ -2,14 +2,14 @@
 
 * ``optimal``: schedules each delivery at the instant the best cached
   copy comes closest to the requester, and falls back to the
-  infrastructure at the deadline.  Each tick, one pass over (request,
-  holder) pairs, each with its copy's expiry from ``World.holders``,
-  plans new requests on every holder of their content and open requests
-  on the copies delivered since the last tick; a request whose planned
-  provider went stale (left the road or lost the copy) gets every holder
-  again when due.  One ranking serves all: the smallest distance, then
-  the earlier encounter, then the lower vehicle id; a plan moves only to
-  a strictly closer copy.
+  infrastructure at the deadline.  It plans only in ``handle_new``, in
+  one pass per tick over (request, holder) pairs, each with its copy's
+  expiry from ``World.holders``: new requests, and due requests whose
+  provider left ``World.holders`` (the road or its copy went), on every
+  holder of their content; other open requests on the copies delivered
+  since the last tick.  One ranking serves all: the smallest distance,
+  then the earlier encounter, then the lower vehicle id; a plan moves
+  only to a strictly closer copy.  ``d2d_intents`` only selects.
 * ``benchmark``: transmits from the closest in-range cached copy as
   soon as one exists (so typically near the maximum D2D range).
 * ``cellular``: every non-repeated request is served by the nearest
@@ -65,27 +65,25 @@ class BasePolicy:
         # in insertion order, which is id order: requests are admitted once,
         # in ascending id
         self.pending: dict[int, ContentRequest] = {}
-        self.by_content: dict[int, set[int]] = {}
 
     # -- request lifecycle ------------------------------------------------
 
     def admit(self, req: ContentRequest) -> None:
         self.pending[req.id] = req
-        self.by_content.setdefault(req.content_id, set()).add(req.id)
 
     def retire(self, req: ContentRequest) -> None:
         del self.pending[req.id]
-        self.by_content[req.content_id].discard(req.id)
 
     def handle_new(self, requests: list[ContentRequest], copies: list[tuple[int, int]],
                    world: World, t: float) -> None:
-        """Admit the tick's new requests.  ``copies``: the (vehicle, content)
-        copies delivered since the last tick, in delivery order."""
+        """Admit the tick's new requests; a planning policy plans here.  ``copies``:
+        the (vehicle, content) copies delivered since the last tick, in delivery
+        order.  Runs once per tick, after the world is at t, before ``d2d_intents``."""
         for req in requests:
             self.admit(req)
 
     def d2d_intents(self, world: World, t: float) -> list[ContentRequest]:
-        """Requests to deliver from their ``provider_id`` at this tick."""
+        """Requests to deliver from their ``provider_id`` now; after ``handle_new``."""
         return []
 
     def i2d_due(self, t: float) -> list[ContentRequest]:
@@ -137,37 +135,37 @@ class OptimalPolicy(BasePolicy):
                 req.planned_tick = self._planned_tick(req, t, float(t_star[j]))
                 req.state = SCHEDULED
 
-    def handle_new(self, requests, copies, world, t):
-        # a delivered copy may beat the plan of any open request for its
-        # content; new requests start unplanned and see every holder.  A
-        # copy whose vehicle left the road has no expiry, and _pairs drops it
-        fresh: dict[int, dict[int, float]] = {}
-        for q, z in copies:
-            fresh.setdefault(z, {})[q] = world.holders[z].get(q, -math.inf)
-        open_reqs = [self.pending[i] for z in fresh for i in self.by_content.get(z, ())]
-        for req in requests:
-            self.admit(req)
-        self._plan(open_reqs + requests,
-                   [fresh[r.content_id] for r in open_reqs]
-                   + [world.holders.get(r.content_id, {}) for r in requests], world, t)
-
-    def d2d_intents(self, world, t):
+    def _due(self, t):
         # past the deadline the infrastructure takes over
-        due = [r for r in self.pending.values()
-               if r.state == SCHEDULED and r.planned_tick <= t + 1e-9
-               and t <= r.deadline + 1e-9]
-        # a provider that left the road or lost its copy is replaced
-        stale = [r for r in due
-                 if not (r.provider_id in world.idx_of
-                         and world.vehicles[r.provider_id].cache.get(
-                             r.content_id, -math.inf) > t)]
+        return [r for r in self.pending.values()
+                if r.state == SCHEDULED and r.planned_tick <= t + 1e-9
+                and t <= r.deadline + 1e-9]
+
+    def handle_new(self, requests, copies, world, t):
+        # a due plan whose provider has no live copy sees every holder again
+        stale = [r for r in self._due(t)
+                 if r.provider_id not in world.holders.get(r.content_id, ())]
         for req in stale:
             req.provider_id = None
             req.planned_tick = None
             req.delta_hat = math.inf
             req.state = PENDING
-        self._plan(stale, [world.holders.get(r.content_id, {}) for r in stale], world, t)
-        due = [r for r in due if r.state == SCHEDULED and r.planned_tick <= t + 1e-9]
+        # a delivered copy may beat the plan of any other open request of its
+        # content; a copy whose vehicle left the road has no expiry (_pairs drops it)
+        fresh: dict[int, dict[int, float]] = {}
+        for q, z in copies:
+            fresh.setdefault(z, {})[q] = world.holders[z].get(q, -math.inf)
+        dropped = {r.id for r in stale}
+        open_reqs = [r for r in self.pending.values()
+                     if r.content_id in fresh and r.id not in dropped]
+        for req in requests:
+            self.admit(req)
+        self._plan(stale + requests + open_reqs,
+                   [world.holders.get(r.content_id, {}) for r in stale + requests]
+                   + [fresh[r.content_id] for r in open_reqs], world, t)
+
+    def d2d_intents(self, world, t):
+        due = self._due(t)
         dist = world.d2d_distance(
             np.array([world.idx_of[r.requester_id] for r in due], dtype=np.int64),
             np.array([world.idx_of[r.provider_id] for r in due], dtype=np.int64))

@@ -91,7 +91,8 @@ class World:
         self.rng = rng
         self.table = VehicleTable()
         self.vehicles: dict[int, Vehicle] = {}
-        # content -> {vehicle id: expiry}, kept equal to vehicles[vid].cache[content]
+        # content -> {vehicle id: expiry} of every live copy, kept equal to
+        # vehicles[vid].cache[content]: the copy index the engine and policies read
         self.holders: dict[int, dict[int, float]] = defaultdict(dict)
         # heap of (next_expiry, vehicle id); stale entries are skipped when popped
         self._expiry: list[tuple[float, int]] = []

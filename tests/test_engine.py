@@ -454,7 +454,7 @@ class ReferenceEngine(engine.Engine):
         if self.policy.uses_cache:
             expiry = t + cfg.scenario.sharing_timeout
             self.world.add_cache(req.requester_id, req.content_id, expiry)
-            self._cache_events.append((req.requester_id, req.content_id))
+            self._copies.append((req.requester_id, req.content_id))
 
 
 def _run_recorded(eng_cls, cfg, policy, seed):

@@ -233,8 +233,35 @@ class TestOptimalPolicy:
         assert req.provider_id == primary.id
         world.evict_expired(6.0)
         world.refresh_arrays(6.0)
+        pol.handle_new([], [], world, 6.0)
         intents = pol.d2d_intents(world, 6.0)
         assert len(intents) == 1 and intents[0].provider_id == backup.id
+
+    def test_stale_plan_sees_every_holder(self, world):
+        # the plan on ``primary`` (tick 6, 94 m) goes stale when its copy
+        # expires at 6 s, in the tick a copy reaches ``fresh``; the request
+        # then ranks every holder, ``entering`` too, which came on the road
+        # at 3 s after the request was planned and crosses it at 8.7 s
+        requester = add_vehicle(world, 50.0, 10.0)
+        primary = add_vehicle(world, 150.0, 9.0)
+        entering = world._new_vehicle(3.0, 24.0)
+        world.add_cache(primary.id, 0, expiry=6.0)
+        world.add_cache(entering.id, 0, expiry=1e9)
+        world.refresh_arrays(0.0)
+        pol = OptimalPolicy(world.cfg)
+        req = request(world, requester)
+        pol.handle_new([req], [], world, 0.0)
+        assert (req.provider_id, req.planned_tick) == (primary.id, 6.0)
+        assert req.delta_hat == pytest.approx(94.0)
+        # on the other lane, crossing the requester after 7 s
+        fresh = add_vehicle(world, 250.0, -10.0, t=6.0)
+        world.add_cache(fresh.id, 0, expiry=1e9)
+        world.evict_expired(6.0)
+        world.refresh_arrays(6.0)
+        pol.handle_new([], [(fresh.id, 0)], world, 6.0)
+        assert (req.provider_id, req.planned_tick) == (entering.id, 9.0)
+        assert req.delta_hat == pytest.approx(0.0, abs=1e-9)
+        assert pol.d2d_intents(world, 6.0) == []
 
     def test_deadline_tick_still_usable(self, world):
         requester = add_vehicle(world, 1000.0, 15.0)
@@ -408,12 +435,26 @@ class ReferenceOptimalPolicy(OptimalPolicy):
         req.planned_tick = self._planned_tick(req, t, float(t_star[best]))
         req.state = SCHEDULED
 
+    def _due_ref(self, req, t):
+        return (not req.served and req.state == SCHEDULED
+                and req.planned_tick <= t + 1e-9 and t <= req.deadline + 1e-9)
+
     def handle_new(self, requests, copies, world, t):
-        # each open request ranks the tick's new holders of its content as
-        # _schedule_best ranks all of them, and moves only to a strictly
-        # closer copy
+        # a due plan whose provider left the road or lost its copy is made
+        # again on every holder
+        replanned = set()
         for rid, req in sorted(self.pending.items()):
-            if req.served or t > req.deadline + 1e-9:
+            q = req.provider_id
+            if self._due_ref(req, t) and not (
+                    q in world.idx_of
+                    and world.vehicles[q].cache.get(req.content_id, -math.inf) > t):
+                self._schedule_best(req, world, t)
+                replanned.add(rid)
+        # every other open request ranks the tick's new holders of its
+        # content as _schedule_best ranks all of them, and moves only to a
+        # strictly closer copy
+        for rid, req in sorted(self.pending.items()):
+            if rid in replanned or req.served or t > req.deadline + 1e-9:
                 continue
             cand = sorted({q for q, z in copies if z == req.content_id
                            and q != req.requester_id and q in world.idx_of})
@@ -435,27 +476,10 @@ class ReferenceOptimalPolicy(OptimalPolicy):
             self._schedule_best(req, world, t)
 
     def d2d_intents(self, world, t):
-        out = []
-        for rid, req in sorted(self.pending.items()):
-            if req.served or req.state != SCHEDULED:
-                continue
-            if req.planned_tick is None or req.planned_tick > t + 1e-9:
-                continue
-            if t > req.deadline + 1e-9:
-                continue
-            q = req.provider_id
-            valid = (q in world.idx_of
-                     and world.vehicles[q].cache.get(req.content_id, -math.inf) > t)
-            if not valid:
-                self._schedule_best(req, world, t)
-                q = req.provider_id
-                if q is None or req.planned_tick > t + 1e-9:
-                    continue
-            if req.requester_id not in world.idx_of:
-                continue
-            if _ref_distance(world, req.requester_id, q, t) <= self.cfg.d2d_max_range:
-                out.append(req)
-        return out
+        return [req for rid, req in sorted(self.pending.items())
+                if self._due_ref(req, t) and req.requester_id in world.idx_of
+                and _ref_distance(world, req.requester_id, req.provider_id, t)
+                <= self.cfg.d2d_max_range]
 
 
 class ReferenceBenchmarkPolicy(BenchmarkPolicy):
@@ -565,11 +589,33 @@ class TestPendingStates:
             tick(t, measuring)
             pol = eng.policy
             assert all(r.state in (PENDING, SCHEDULED) for r in pol.pending.values())
-            indexed = [(rid, z) for z, ids in pol.by_content.items() for rid in ids]
-            assert sorted(indexed) == sorted((r.id, r.content_id)
-                                             for r in pol.pending.values())
             ticks.append(len(pol.pending))
 
         eng.tick = checked_tick
         eng.run(20.0, 5.0)
         assert len(ticks) == 25 and max(ticks) > 0
+
+    def test_optimal_intents_select_only_live_plans(self):
+        # handle_new re-plans every due plan whose provider lost its copy or
+        # left the road, so d2d_intents sees only live providers and writes
+        # nothing
+        eng = engine.Engine(_lam_config(1.0), "optimal", seed=1)
+        world, pol = eng.world, eng.policy
+        intents, seen = pol.d2d_intents, []
+
+        def checked_intents(w, t):
+            fields = [(r.state, r.provider_id, r.planned_tick, r.delta_hat)
+                      for r in pol.pending.values()]
+            due = [r for r in pol.pending.values()
+                   if r.state == SCHEDULED and r.planned_tick <= t + 1e-9
+                   and t <= r.deadline + 1e-9]
+            assert all(r.provider_id in world.holders.get(r.content_id, ()) for r in due)
+            out = intents(w, t)
+            assert [(r.state, r.provider_id, r.planned_tick, r.delta_hat)
+                    for r in pol.pending.values()] == fields
+            seen.append(len(due))
+            return out
+
+        pol.d2d_intents = checked_intents
+        eng.run(300.0, 100.0)
+        assert sum(seen) > 0
