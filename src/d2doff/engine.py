@@ -178,8 +178,11 @@ class Engine:
         A link's receiver hears one channel from each peer that shares its
         slice, in transmission order, then its own.  These rows take the
         tick's first fading blocks in draw order, all links' rows in
-        transmission order.  A retry draws one new block for its own
-        channel alone and hears the same peer rows as before."""
+        transmission order.  The drawn |H|^2 block becomes the rows'
+        received power in place, scaled by each row's transmit power times
+        its mean gain.  A retry draws one new block for its own channel
+        alone and rewrites only that row, so it hears the same peer rows
+        as before."""
         if not placed:
             return
         cfg = self.cfg
@@ -194,12 +197,12 @@ class Engine:
         own = np.flatnonzero(col == n)
         tx = np.where(col == n, rx, col)
         slots = self._slice_slots[slice_id % len(self._slice_slots)]
-        row_power = powers[lid[tx]]
         shadow_db = self.shadow.link_shadow_db(links.tx_x[lid[tx]], links.rx_x[lid[rx]])
-        gain = phy.mean_gain(np.where(col == n, nominal[lid[rx]], gains[lid[tx], lid[rx]]),
-                             shadow_db)
-        fading = self.channel.realize(rx.size, self.rng)
-        info = phy.achievable_information(row_power, gain, fading, rx, slots, cfg.phy)
+        row_gain = powers[lid[tx]] * phy.mean_gain(
+            np.where(col == n, nominal[lid[rx]], gains[lid[tx], lid[rx]]), shadow_db)
+        received = self.channel.realize(rx.size, self.rng)
+        received *= row_gain[:, None]
+        info = phy.achievable_information(received, rx, slots, cfg.phy)
         for f in range(n):
             i = int(lid[f])
             req, is_i2d = reqs[i], bool(links.is_i2d[i])
@@ -217,11 +220,10 @@ class Engine:
                     break
                 m.failed_attempts += 1
                 if attempt + 1 < cfg.phy.harq_attempts:
-                    fading[own[f]] = self.channel.realize(1, self.rng)[0]
+                    received[own[f]] = self.channel.realize(1, self.rng)[0] * row_gain[own[f]]
                     rows = slice(own[f - 1] + 1 if f else 0, own[f] + 1)
                     info[f] = phy.achievable_information(
-                        row_power[rows], gain[rows], fading[rows], rx[rows] - f,
-                        slots[f:f + 1], cfg.phy)[0]
+                        received[rows], rx[rows] - f, slots[f:f + 1], cfg.phy)[0]
             if success:
                 self._deliver(req, is_i2d, float(links.distance[i]), t, m)
 

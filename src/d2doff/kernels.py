@@ -52,12 +52,21 @@ def capacity_bits(signal: np.ndarray, interference: np.ndarray, noise: float,
     """Total achievable bits over frequency blocks, per row.
 
     signal, interference: per-subcarrier received powers (W) along the
-    last axis, block by block; slots: per-block number of occupied slots;
-    cap: spectral efficiency ceiling (bits/s/Hz); wc: subcarrier width;
-    tau_slot: slot duration.  Sums each block's rates, then weights it by its slots.
+    last axis, block by block, both of one shape; slots: per-block number
+    of occupied slots; cap: spectral efficiency ceiling (bits/s/Hz); wc:
+    subcarrier width; tau_slot: slot duration.  Sums each block's rates,
+    then weights it by its slots.
+
+    The rates min(cap, log2(1 + signal / (noise + interference))) are
+    formed step by step in one new array, with the same operations in the
+    same order as the expression; neither argument is written, so one
+    array may be passed as both.
     """
-    sinr = signal / (noise + interference)
-    rate = np.minimum(cap, np.log2(1.0 + sinr))
+    rate = noise + interference
+    np.divide(signal, rate, out=rate)
+    np.add(1.0, rate, out=rate)
+    np.log2(rate, out=rate)
+    np.minimum(cap, rate, out=rate)
     block_rate = rate.reshape(*slots.shape, -1).sum(axis=-1)
     return tau_slot * wc * np.sum(slots * block_rate, axis=-1)
 

@@ -10,9 +10,10 @@ across its PRBs falls short of the payload size.
 
 The fading taps h_m sit on delays m s, so |H(f)|^2 = sum_k [Re r_k cos(2 pi f k s)
 + Im r_k sin(2 pi f k s)] (times 2 for k > 0), r_k = sum_m h_(m+k) conj(h_m):
-one einsum product with a fixed basis, not BLAS, whose last bits depend on how
-many blocks are drawn together.  Capacity sums each frequency block's
-subcarrier rates, then weights the block by the link's slots in it.
+one einsum product with a fixed basis.  Not BLAS: a BLAS product's last bits
+depend on how many blocks are drawn together, einsum's do not
+(``test_draws_split_like_one_draw`` pins this).  Capacity sums each frequency
+block's subcarrier rates, then weights the block by the link's slots in it.
 """
 
 from __future__ import annotations
@@ -195,21 +196,19 @@ def slots_per_block(start, stop, n_blocks: int) -> np.ndarray:
     return np.where(stop > start, counts, 0)
 
 
-def achievable_information(power: np.ndarray, gain: np.ndarray, fading: np.ndarray,
-                           link: np.ndarray, slots: np.ndarray,
+def achievable_information(received: np.ndarray, link: np.ndarray, slots: np.ndarray,
                            cfg: PhyConfig) -> np.ndarray:
     """Achievable bits of each of a tick's links over its PRB slice.
 
     One row per channel that a receiver hears.  ``link`` numbers the
     links from 0 and groups their rows in ascending order; the last row
     of a group is the link's own channel, the others share its slice and
-    interfere with it, summed in row order.  power: per-subcarrier
-    transmit power; gain: ``mean_gain`` of the row; fading: the row's
-    |H|^2 per subcarrier; slots: per link, the slots of its slice in each
-    frequency block (``slots_per_block``).  A block the slice misses
+    interfere with it, summed in row order.  received: each row's
+    received power per subcarrier, (transmit power x ``mean_gain``) x
+    |H|^2, which is only read; slots: per link, the slots of its slice in
+    each frequency block (``slots_per_block``).  A block the slice misses
     weighs 0, whatever the interference there.
     """
-    received = (power * gain)[:, None] * fading
     last = np.append(link[1:] != link[:-1], True)
     own = np.flatnonzero(last)
     peer = np.flatnonzero(~last)
@@ -220,7 +219,9 @@ def achievable_information(power: np.ndarray, gain: np.ndarray, fading: np.ndarr
     for q in range(rank.max() + 1 if rank.size else 0):
         sel = peer[rank == q]
         interference[link[sel]] += received[sel]
-    return kernels.capacity_bits(received[own], interference, subcarrier_noise_power(cfg),
+    # with no peer, every row is a link's own channel: no copy
+    signal = received[own] if peer.size else received
+    return kernels.capacity_bits(signal, interference, subcarrier_noise_power(cfg),
                                  slots, cfg.spectral_efficiency,
                                  cfg.subcarrier_bandwidth, cfg.prb_duration)
 

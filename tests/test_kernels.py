@@ -180,6 +180,26 @@ class TestCapacity:
                                       slots, 6.0, 15e3, 5e-4)
         assert noisy < clean
 
+    def test_bits_of_the_expression(self, rng):
+        # formed in place, the rates keep every bit of the plain expression
+        signal, interference, slots = (np.stack(a) for a in zip(
+            *(self._inputs(rng) for _ in range(5))))
+        got = kernels.capacity_bits(signal, interference, 5.97e-16, slots,
+                                    6.0, 15e3, 5e-4)
+        rate = np.minimum(6.0, np.log2(1.0 + signal / (5.97e-16 + interference)))
+        block_rate = rate.reshape(*slots.shape, -1).sum(axis=-1)
+        assert got.tobytes() == (5e-4 * 15e3 * np.sum(slots * block_rate, axis=-1)).tobytes()
+
+    def test_arguments_are_not_written(self, rng):
+        signal, interference, slots = (np.stack(a) for a in zip(
+            *(self._inputs(rng) for _ in range(5))))
+        before = signal.tobytes(), interference.tobytes()
+        kernels.capacity_bits(signal, interference, 5.97e-16, slots, 6.0, 15e3, 5e-4)
+        assert (signal.tobytes(), interference.tobytes()) == before
+        # one array as both arguments, as test_interference_reduces_rate passes it
+        kernels.capacity_bits(signal, signal, 5.97e-16, slots, 6.0, 15e3, 5e-4)
+        assert signal.tobytes() == before[0]
+
     def test_block_sums_match_subcarrier_sum(self, rng):
         # slots of random partial PRB ranges over 60 blocks of 12 subcarriers
         n, n_blocks, k_sc = 200, 60, 12

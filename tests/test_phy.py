@@ -220,8 +220,8 @@ def _information(cfg, rows, start=0, stop=8000):
     (power, gain, fading) rows, interferers first."""
     power, gain, fading = (np.array(c) for c in zip(*rows))
     slots = phy.slots_per_block(start, stop, cfg.freq_blocks)[None]
-    info = phy.achievable_information(power, gain, fading, np.zeros(len(rows), dtype=int),
-                                      slots, cfg)
+    info = phy.achievable_information((power * gain)[:, None] * fading,
+                                      np.zeros(len(rows), dtype=int), slots, cfg)
     assert info.shape == (1,)
     return info[0]
 
@@ -279,5 +279,19 @@ class TestCapacity:
             slots.append(phy.slots_per_block(lo, hi, cfg.freq_blocks))
         power, gain, fading, _, _ = (np.array(c) for c in zip(*sum(links, [])))
         link = np.repeat(np.arange(len(links)), [len(rows) for rows in links])
-        info = phy.achievable_information(power, gain, fading, link, np.array(slots), cfg)
+        info = phy.achievable_information((power * gain)[:, None] * fading, link,
+                                          np.array(slots), cfg)
         assert info.tolist() == [_reference_information(cfg, rows) for rows in links]
+
+    @pytest.mark.parametrize("link", [[0, 0, 1, 2, 2, 2], [0, 1, 2, 3, 4, 5]],
+                             ids=["with-peers", "no-peers"])
+    def test_received_is_only_read(self, cfg, rng, link):
+        # a HARQ retry reads the peer rows of the tick's buffer again
+        link = np.array(link)
+        n_sc = cfg.freq_blocks * cfg.subcarriers_per_prb
+        received = rng.exponential(1e-12, (link.size, n_sc))
+        start = rng.integers(0, 8000, link[-1] + 1)
+        slots = phy.slots_per_block(start, start + 300, cfg.freq_blocks)
+        before = received.tobytes()
+        phy.achievable_information(received, link, slots, cfg)
+        assert received.tobytes() == before
