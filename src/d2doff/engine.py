@@ -181,8 +181,8 @@ class Engine:
         transmission order.  The drawn |H|^2 block becomes the rows'
         received power in place, scaled by each row's transmit power times
         its mean gain.  A retry draws one new block for its own channel
-        alone and rewrites only that row, so it hears the same peer rows
-        as before."""
+        alone; its peers' blocks do not move, so it is scored against the
+        interference summed for its first attempt."""
         if not placed:
             return
         cfg = self.cfg
@@ -202,7 +202,7 @@ class Engine:
             np.where(col == n, nominal[lid[rx]], gains[lid[tx], lid[rx]]), shadow_db)
         received = self.channel.realize(rx.size, self.rng)
         received *= row_gain[:, None]
-        info = phy.achievable_information(received, rx, slots, cfg.phy)
+        info, interference = phy.achievable_information(received, rx, slots, cfg.phy)
         for f in range(n):
             i = int(lid[f])
             req, is_i2d = reqs[i], bool(links.is_i2d[i])
@@ -220,10 +220,9 @@ class Engine:
                     break
                 m.failed_attempts += 1
                 if attempt + 1 < cfg.phy.harq_attempts:
-                    received[own[f]] = self.channel.realize(1, self.rng)[0] * row_gain[own[f]]
-                    rows = slice(own[f - 1] + 1 if f else 0, own[f] + 1)
-                    info[f] = phy.achievable_information(
-                        received[rows], rx[rows] - f, slots[f:f + 1], cfg.phy)[0]
+                    signal = self.channel.realize(1, self.rng) * row_gain[own[f]]
+                    info[f] = phy.link_information(signal, interference[f:f + 1],
+                                                   slots[f:f + 1], cfg.phy)[0]
             if success:
                 self._deliver(req, is_i2d, float(links.distance[i]), t, m)
 

@@ -197,8 +197,9 @@ def slots_per_block(start, stop, n_blocks: int) -> np.ndarray:
 
 
 def achievable_information(received: np.ndarray, link: np.ndarray, slots: np.ndarray,
-                           cfg: PhyConfig) -> np.ndarray:
-    """Achievable bits of each of a tick's links over its PRB slice.
+                           cfg: PhyConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Achievable bits of each of a tick's links over its PRB slice, and
+    the interference that its receiver hears.
 
     One row per channel that a receiver hears.  ``link`` numbers the
     links from 0 and groups their rows in ascending order; the last row
@@ -208,6 +209,10 @@ def achievable_information(received: np.ndarray, link: np.ndarray, slots: np.nda
     |H|^2, which is only read; slots: per link, the slots of its slice in
     each frequency block (``slots_per_block``).  A block the slice misses
     weighs 0, whatever the interference there.
+
+    Returns (bits, interference), one row per link; interference is the
+    per-subcarrier sum of the link's peer rows, so a new block on the
+    link's own channel alone is scored by ``link_information``.
     """
     last = np.append(link[1:] != link[:-1], True)
     own = np.flatnonzero(last)
@@ -221,6 +226,14 @@ def achievable_information(received: np.ndarray, link: np.ndarray, slots: np.nda
         interference[link[sel]] += received[sel]
     # with no peer, every row is a link's own channel: no copy
     signal = received[own] if peer.size else received
+    return link_information(signal, interference, slots, cfg), interference
+
+
+def link_information(signal: np.ndarray, interference: np.ndarray, slots: np.ndarray,
+                     cfg: PhyConfig) -> np.ndarray:
+    """Achievable bits of links, row by row, from the received power of
+    their own channel and the interference they hear, per subcarrier;
+    slots as in ``achievable_information``."""
     return kernels.capacity_bits(signal, interference, subcarrier_noise_power(cfg),
                                  slots, cfg.spectral_efficiency,
                                  cfg.subcarrier_bandwidth, cfg.prb_duration)

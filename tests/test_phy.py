@@ -220,8 +220,8 @@ def _information(cfg, rows, start=0, stop=8000):
     (power, gain, fading) rows, interferers first."""
     power, gain, fading = (np.array(c) for c in zip(*rows))
     slots = phy.slots_per_block(start, stop, cfg.freq_blocks)[None]
-    info = phy.achievable_information((power * gain)[:, None] * fading,
-                                      np.zeros(len(rows), dtype=int), slots, cfg)
+    info, _ = phy.achievable_information((power * gain)[:, None] * fading,
+                                         np.zeros(len(rows), dtype=int), slots, cfg)
     assert info.shape == (1,)
     return info[0]
 
@@ -279,14 +279,25 @@ class TestCapacity:
             slots.append(phy.slots_per_block(lo, hi, cfg.freq_blocks))
         power, gain, fading, _, _ = (np.array(c) for c in zip(*sum(links, [])))
         link = np.repeat(np.arange(len(links)), [len(rows) for rows in links])
-        info = phy.achievable_information((power * gain)[:, None] * fading, link,
-                                          np.array(slots), cfg)
+        received = (power * gain)[:, None] * fading
+        info, interference = phy.achievable_information(received, link, np.array(slots), cfg)
         assert info.tolist() == [_reference_information(cfg, rows) for rows in links]
+        # a retry: a new block on one link's own channel, scored against the
+        # interference of its first attempt, gives the bits of its rows alone
+        for f, rows in enumerate(links):
+            retried = received[link == f]
+            retried[-1] *= rng.exponential(1.0, n_sc)
+            alone, _ = phy.achievable_information(retried, np.zeros(len(rows), dtype=int),
+                                                  np.array(slots[f:f + 1]), cfg)
+            got = phy.link_information(retried[-1:], interference[f:f + 1],
+                                       np.array(slots[f:f + 1]), cfg)
+            assert got.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("link", [[0, 0, 1, 2, 2, 2], [0, 1, 2, 3, 4, 5]],
                              ids=["with-peers", "no-peers"])
     def test_received_is_only_read(self, cfg, rng, link):
-        # a HARQ retry reads the peer rows of the tick's buffer again
+        # the tick's buffer is passed in, not a copy: with no peer, the
+        # very array goes on to kernels.capacity_bits
         link = np.array(link)
         n_sc = cfg.freq_blocks * cfg.subcarriers_per_prb
         received = rng.exponential(1e-12, (link.size, n_sc))
