@@ -55,12 +55,9 @@ def capacity_bits(signal: np.ndarray, interference: np.ndarray, noise: float,
     last axis, block by block, both of one shape; slots: per-block number
     of occupied slots; cap: spectral efficiency ceiling (bits/s/Hz); wc:
     subcarrier width; tau_slot: slot duration.  Sums each block's rates,
-    then weights it by its slots.
-
-    The rates min(cap, log2(1 + signal / (noise + interference))) are
-    formed step by step in one new array, with the same operations in the
-    same order as the expression; neither argument is written, so one
-    array may be passed as both.
+    then weights it by its slots.  The rates, min(cap, log2(1 + signal /
+    (noise + interference))), are formed step by step in one new array;
+    neither argument is written, so one array may be passed as both.
     """
     rate = noise + interference
     np.divide(signal, rate, out=rate)
