@@ -15,7 +15,7 @@ Atoms are kept symbolic; densities are tabulated and integrated by the
 trapezoid rule on grids refined around integrable singularities.
 
 Evaluation layout.  The inner loop of the lane-aware law, of the
-longitudinal chain and of the zero-distance surface is the position
+longitudinal chain and of the crossing-mass surface is the position
 marginal: a single-provider law averaged over the provider's uniform
 start.  ``_position_marginal`` evaluates a block of them at once, one
 row per row of a ``RelativeSpeedLaw`` block, whose methods give the
@@ -25,11 +25,11 @@ two calls per requester speed (the provider speed bins of the same lane,
 then of the opposite lane), the chain one call for all requester speeds.
 A block has one grid, built once per law from the nodes it is read at
 and the block's kinks, so every read node is a node of the grid and a
-caller reads each row by index.  The surface reads only each row's zero
-atom and its CDF at the range cap, and takes its Poisson terms as one
-(density bins x provider counts) block per requester speed, not per
-surface point: at arrival rate 1 a point's block would hold 15 MB at
-once, a speed's 0.5 MB.
+caller reads each row by index.  The surface of ``d2doff analytic`` is
+the lane-aware law's crossing mass (its atoms at 0 and at the lane
+offset) over range caps and content timeouts.  It makes one call per
+lane for all requester speeds, on a grid of only the nodes the atoms
+read: below the cap a lane row's density is flat.
 """
 
 from __future__ import annotations
@@ -342,12 +342,6 @@ def distance_law_given_speed(v_a: float, params: AnalyticParams) -> MixedDistrib
 # effective transmission distance (minimum over a Poisson provider count)
 # ---------------------------------------------------------------------------
 
-def poisson_truncation(nbar):
-    """Provider-count truncation point with tail mass < 1e-9, element by
-    element."""
-    return np.ceil(nbar + 10.0 * np.sqrt(nbar) + 20.0).astype(int)
-
-
 def _base_laws(va: np.ndarray, params: AnalyticParams, grid: np.ndarray) -> list:
     """Position-marginal laws of the requester speeds ``va`` read at the
     nodes of ``grid`` (which ends at the range cap): one (zero atom,
@@ -363,8 +357,9 @@ def _min_over_providers(base, nbar: float):
     """(atom at 0, density) of the minimum over a zero-truncated Poisson
     number of base-law providers, truncated to the grid's last node."""
     atom0, dens, cdf = base
+    # provider counts past the truncation point have tail mass < 1e-9
     return kernels.poisson_min_mixture(cdf, dens, atom0, cdf[-1], nbar,
-                                       poisson_truncation(nbar))
+                                       math.ceil(nbar + 10.0 * math.sqrt(nbar) + 20.0))
 
 
 def effective_distance_law(rho_z: float, v_a: float,
@@ -404,39 +399,29 @@ def _bin_by_density(weights: np.ndarray, rho_z: np.ndarray, n_bins: int):
     return np.array(w_out), np.array(r_out)
 
 
-def _offload_conditions(params: AnalyticParams, grid: np.ndarray):
-    """Yield, for each requester speed, its base law (an item of
-    ``_base_laws``) with the mean provider counts and the weights of the
-    cached-copy density bins of the contents that offload with positive
-    probability.  A weight is the speed quadrature weight times the bin's
-    non-repeated popularity times the offload probability."""
+def unconditional_effective_distance_law(params: AnalyticParams) -> MixedDistribution:
+    """Effective-distance law averaged over content popularity and
+    requester speed, weighted by the per-condition offload probability
+    (i.e. the law of the distance of an actual D2D delivery).  The
+    conditions are the requester speeds and the cached-copy density bins
+    of the contents that offload with positive probability."""
+    grid = refined_grid(0.0, params.d2d_max_range, params.dr)
     w_bins, rho_bins = _bin_by_density(params.non_repeated_weights(),
                                        params.content_densities(),
                                        params.content_bins)
     va, w_va = _speed_grid(params)
+    atom_acc = 0.0
+    dens_acc = np.zeros_like(grid)
+    total_w = 0.0
     for v_a, wv, base in zip(va, w_va, _base_laws(va, params, grid)):
-        nbars, weights = [], []
         for wz, rho_z in zip(w_bins, rho_bins):
             nbar = mean_provider_count(rho_z, v_a, params)
             if nbar <= 1e-15:
                 continue
+            # speed weight x non-repeated popularity x offload probability
             weight = wv * wz * -math.expm1(-nbar)
-            if weight > 0.0:
-                nbars.append(nbar)
-                weights.append(weight)
-        yield base, nbars, weights
-
-
-def unconditional_effective_distance_law(params: AnalyticParams) -> MixedDistribution:
-    """Effective-distance law averaged over content popularity and
-    requester speed, weighted by the per-condition offload probability
-    (i.e. the law of the distance of an actual D2D delivery)."""
-    grid = refined_grid(0.0, params.d2d_max_range, params.dr)
-    atom_acc = 0.0
-    dens_acc = np.zeros_like(grid)
-    total_w = 0.0
-    for base, nbars, weights in _offload_conditions(params, grid):
-        for nbar, weight in zip(nbars, weights):
+            if weight <= 0.0:
+                continue
             atom, density = _min_over_providers(base, nbar)
             atom_acc += weight * atom
             dens_acc += weight * density
@@ -513,20 +498,23 @@ def lane_offset_transform(law: MixedDistribution, lane_offset: float,
 # lane-resolved delivery law (road-snapshot statistics)
 # ---------------------------------------------------------------------------
 
-def _lane_rows(edges: np.ndarray, v_a: float, rmax: float, tc: float,
-               same_lane: bool):
-    """The relative-speed laws, one row per bin between ``edges``, of
-    providers whose speed magnitude is uniform on the bin, and their
-    half-widths X: same-lane traffic drives along the requester, the
-    opposite lane against it.  X bounds the region a provider can reach
-    the range cap from before the deadline."""
+def _lane_rows(edges: np.ndarray, va, rmax: float, tc: float, same_lane: bool):
+    """The relative-speed laws of providers whose speed magnitude is
+    uniform on a bin between ``edges``, one row per (requester speed in
+    ``va``, bin), speed-major, and their half-widths X: same-lane traffic
+    drives along the requester, the opposite lane against it.  X bounds
+    the region a provider can reach the range cap from before the
+    deadline."""
     lo, hi = edges[:-1], edges[1:]
-    level = 1.0 / (hi - lo)
+    va = np.reshape(va, (-1, 1))
+    level = np.tile(1.0 / (hi - lo), va.size)
     if same_lane:
-        return (RelativeSpeedLaw(lo=(lo - v_a)[:, None], hi=(hi - v_a)[:, None], level=level),
-                rmax + np.maximum(np.abs(lo - v_a), np.abs(hi - v_a)) * tc)
-    return (RelativeSpeedLaw(lo=(-hi - v_a)[:, None], hi=(-lo - v_a)[:, None], level=level),
-            rmax + (hi + v_a) * tc)
+        lo_v, hi_v = (lo - va).reshape(-1, 1), (hi - va).reshape(-1, 1)
+        return (RelativeSpeedLaw(lo=lo_v, hi=hi_v, level=level),
+                rmax + np.maximum(np.abs(lo_v), np.abs(hi_v))[:, 0] * tc)
+    return (RelativeSpeedLaw(lo=(-hi - va).reshape(-1, 1), hi=(-lo - va).reshape(-1, 1),
+                             level=level),
+            rmax + (hi + va).ravel() * tc)
 
 
 def _holder_speed_bins(params: AnalyticParams) -> tuple[np.ndarray, np.ndarray]:
@@ -646,24 +634,41 @@ def lane_aware_delivery_law(params: AnalyticParams) -> MixedDistribution:
 
 
 # ---------------------------------------------------------------------------
-# zero-distance probability surface
+# crossing-mass surface
 # ---------------------------------------------------------------------------
 
 def short_range_probability(params: AnalyticParams) -> float:
-    """Mass at effective distance exactly 0 (before the lane transform),
-    averaged like the unconditional law."""
-    grid = refined_grid(0.0, params.d2d_max_range, params.dr)
-    atom_acc = total_w = 0.0
-    for (atom0, _, cdf), nbars, weights in _offload_conditions(params, grid):
-        if not nbars:
-            continue
-        # the grid's last node is the range cap
-        atoms, _, _ = kernels.poisson_min_terms(atom0, cdf[-1], nbars,
-                                                poisson_truncation(np.array(nbars)))
-        for atom, weight in zip(atoms, weights):
-            atom_acc += weight * atom
-            total_w += weight
-    return atom_acc / total_w if total_w > 0.0 else 0.0
+    """Crossing mass of the lane-aware delivery law, its total atom mass:
+    same-lane crossings at 0 plus opposite-lane ones at the lane offset.
+    Each lane's rows for all requester speeds form one position-marginal
+    block, read where the law reads its atoms.  Below the cap a lane row's
+    density is flat (its kinks X - tc|e| lie at or past the cap), so the
+    trapezoid CDF at those nodes alone is the one on the law's grid."""
+    if not params.dr > 0.0:  # the law's grid step, which the atoms do not read
+        raise ValueError("grid step must be > 0")
+    tc, rmax, r_y = params.content_timeout, params.d2d_max_range, params.lane_offset
+    edges, w_speed = _holder_speed_bins(params)
+    w_bins, rho_bins = _bin_by_density(params.snapshot_non_repeated_weights(),
+                                       params.holder_densities(), params.content_bins)
+    va, w_va = _speed_grid(params, length_biased=True)
+
+    def lane(same_lane: bool, nodes: list[float]) -> np.ndarray:
+        """The lane's CDF at ``nodes`` (the first, 0, reads its zero atom),
+        per node and requester speed, mixed over provider sub-speeds and
+        per unit holder density."""
+        rows, X = _lane_rows(edges, va, rmax, tc, same_lane)
+        cdf = _position_marginal(rows, X, np.array(nodes), params)[2]
+        m = w_speed * 2.0 * X.reshape(va.size, -1)
+        return (m[:, :, None] * cdf.reshape(*m.shape, -1)).sum(axis=1).T
+
+    zero_same, lam_at_offset, lam_cap = lane(True, [0.0, min(r_y, rmax), rmax])
+    zero_opp = 0.0
+    if r_y < rmax:  # the opposite lane, at the cap mapped back to its axis
+        zero_opp, lam_opp = lane(False, [0.0, math.sqrt(rmax * rmax - r_y * r_y)])
+        lam_cap = lam_cap + lam_opp
+    rho, w = rho_bins[:, None], w_bins[:, None] * w_va  # density bins x speeds
+    atoms = -np.expm1(-rho * zero_same) - np.exp(-rho * lam_at_offset) * np.expm1(-rho * zero_opp)
+    return float(np.sum(w * atoms) / -np.sum(w * np.expm1(-rho * lam_cap)))
 
 
 def short_range_probability_surface(params: AnalyticParams,
@@ -671,8 +676,9 @@ def short_range_probability_surface(params: AnalyticParams,
                                     speed_ranges: list[tuple[float, float]],
                                     range_caps: list[float],
                                     dr: float | None = None) -> np.ndarray:
-    """Zero-distance probability over (range cap, content timeout,
-    speed range); the grids can be coarse, the atom is a smooth target."""
+    """Crossing mass of the lane-aware law (``short_range_probability``)
+    over (range cap, content timeout, speed range), at the distance step
+    ``dr`` (default: the params'), which does not move it."""
     out = np.empty((len(range_caps), len(timeouts), len(speed_ranges)))
     for i, rmax in enumerate(range_caps):
         for j, tc in enumerate(timeouts):

@@ -111,6 +111,7 @@ def point_seed(parameter: str, value) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args.config)
+    engine.tick_counts(cfg, args.duration, args.warmup)
     out = _outdir(args.out)
     seed = args.seed if args.seed is not None else cfg.scenario.rng_seed
     summary = engine.replicate(cfg, args.policy, args.duration, args.warmup,
@@ -185,6 +186,8 @@ def cmd_sweep(args) -> int:
     cfg = _load(args.config)
     points = [(v, _with_param(cfg, {**spec.overrides, spec.parameter: v}))
               for v in spec.values]
+    for _, point_cfg in points:  # each point's own control interval, before any run
+        engine.tick_counts(point_cfg, args.duration, args.warmup)
     reps = args.replications
     jobs = [(point_cfg, policy, args.duration, args.warmup,
              point_seed(spec.parameter, v) + i)
@@ -295,6 +298,8 @@ DEFAULT_TUPLES_X0 = (30.0, 100.0, 250.0, -80.0, -200.0)
 
 def cmd_validate(args) -> int:
     cfg = _load(args.config)
+    if args.duration > 0:  # 0 skips the simulation
+        engine.tick_counts(cfg, args.duration, args.warmup)
     out = _outdir(args.out)
     params = AnalyticParams.from_config(cfg, with_energy=False)
     seed = args.seed if args.seed is not None else cfg.scenario.rng_seed

@@ -9,8 +9,8 @@ import typing
 from dataclasses import dataclass, field
 
 
-class ConfigError(Exception):
-    """Raised when a configuration file or value is invalid."""
+class ConfigError(ValueError):
+    """Raised when a configuration file, value or flag is invalid."""
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import phy, rrrm
-from .config import Config
+from .config import Config, ConfigError
 from .policies import make_policy
 from .scenario import (World, DELIVERED_D2D, DELIVERED_I2D, DROPPED, REPEATED)
 
@@ -245,16 +245,22 @@ class Engine:
     # -- full run ----------------------------------------------------------------
 
     def run(self, duration: float, warmup: float) -> MetricsAccumulator:
-        if duration <= 0:
-            raise ValueError("duration must be > 0")
-        sc = self.cfg.scenario
-        T = sc.control_interval
+        warm_ticks, n_ticks = tick_counts(self.cfg, duration, warmup)
         self.world.init_stationary(0.0)
-        n_ticks = int(round((warmup + duration) / T))
-        warm_ticks = int(round(warmup / T))
         for k in range(n_ticks):
-            self.tick(k * T, k >= warm_ticks)
+            self.tick(k * self.cfg.scenario.control_interval, k >= warm_ticks)
         return self.metrics
+
+
+def tick_counts(cfg: Config, duration: float, warmup: float) -> tuple[int, int]:
+    """(warm-up ticks, all ticks) of a run measuring ``duration`` seconds
+    after ``warmup``; a run that would measure no tick is a config error."""
+    T = cfg.scenario.control_interval
+    warm_ticks, n_ticks = int(round(warmup / T)), int(round((warmup + duration) / T))
+    if n_ticks <= warm_ticks:
+        raise ConfigError(f"a duration of {duration:g} s after {warmup:g} s of warm-up "
+                          f"measures no control interval of {T:g} s")
+    return warm_ticks, n_ticks
 
 
 def run(cfg: Config, policy_name: str, duration: float, warmup: float,

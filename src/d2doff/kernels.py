@@ -72,27 +72,6 @@ def capacity_bits(signal: np.ndarray, interference: np.ndarray, noise: float,
 # truncated-Poisson mixture of minimum-of-n laws
 # ---------------------------------------------------------------------------
 
-def poisson_min_terms(atom0: float, cdf_at_rmax: float, nbar, n_max):
-    """Terms of the min-of-n mixtures (n >= 1, Poisson weights) truncated
-    to the range cap, one row per mean provider count in ``nbar``, all
-    over one single-provider law (atom0 and cdf_at_rmax as in
-    poisson_min_mixture).  Row b counts up to its own truncation point
-    n_max[b]; its weights past it are 0.  Returns (mixture atoms at 0,
-    counts n, weights): each count's Poisson weight given n >= 1, divided
-    by the min-of-n mass within the cap."""
-    nbar, n_max = np.asarray(nbar, dtype=float)[:, None], np.asarray(n_max)[:, None]
-    n = np.arange(1, int(n_max.max()) + 1, dtype=float)
-    # math.log, as a one-row call has always taken it: numpy's log can
-    # differ from it in the last bit
-    log_nbar = np.array([[math.log(x)] for x in nbar[:, 0]])
-    log_w = n * log_nbar - nbar - np.cumsum(np.log(n))  # log n! = sum of log k
-    w = np.where(n <= n_max, np.exp(log_w), 0.0)
-    w /= w.sum(axis=1, keepdims=True)  # conditioning on at least one provider
-    w /= 1.0 - (1.0 - cdf_at_rmax) ** n  # per-n truncation mass
-    atom = np.sum(w * (1.0 - (1.0 - atom0) ** n), axis=1)
-    return atom, n, w
-
-
 def poisson_min_mixture(cdf: np.ndarray, density: np.ndarray, atom0: float,
                         cdf_at_rmax: float, nbar: float, n_max: int):
     """Mix min-of-n laws (n >= 1, Poisson weights) truncated to the range cap.
@@ -101,8 +80,11 @@ def poisson_min_mixture(cdf: np.ndarray, density: np.ndarray, atom0: float,
     atom0 its zero-distance atom; cdf_at_rmax its CDF at the range cap.
     Returns (mixture atom at 0, mixture density on the grid).
     """
-    atom, n, w = poisson_min_terms(atom0, cdf_at_rmax, [nbar], [n_max])
-    atom, w = float(atom[0]), w[0]
+    n = np.arange(1, n_max + 1, dtype=float)
+    w = np.exp(n * math.log(nbar) - nbar - np.cumsum(np.log(n)))  # log n! = sum of log k
+    w /= w.sum()  # conditioning on at least one provider
+    w /= 1.0 - (1.0 - cdf_at_rmax) ** n  # per-n truncation mass
+    atom = float(np.sum(w * (1.0 - (1.0 - atom0) ** n)))
     # density of min-of-n: n (1-F)^(n-1) p, truncated and renormalized
     pow_s = (1.0 - cdf)[None, :] ** (n[:, None] - 1.0)
     dens = np.sum((w * n)[:, None] * pow_s, axis=0) * density

@@ -133,6 +133,18 @@ def test_bad_flag_or_cross_field_is_config_error(tmp_path, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["simulate", "--replications", "1"],
+    ["validate", "--samples", "200"],
+])
+def test_duration_shorter_than_a_control_interval_is_config_error(tmp_path, capsys, argv):
+    # 600 warm-up ticks of 1 s, and round(600.4) = 600 ticks in all
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--duration", "0.4", "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("config error: a duration of 0.4 s ")
+    assert not out.exists()  # rejected before any run
+
+
+@pytest.mark.parametrize("argv", [
     ["simulate", "--config"],
     ["analytic", "--config"],
     ["validate", "--config"],
@@ -251,6 +263,15 @@ class TestSweep:
         spec = self._spec(tmp_path, **kw)
         assert run_cli("sweep", "--spec", spec, "--out", str(tmp_path / "o"),
                        "--duration", "5", "--warmup", "0",
+                       "--replications", "1", "--workers", "1") == 2
+        assert not os.path.exists(tmp_path / "o")  # rejected before any run
+
+    def test_duration_shorter_than_a_points_control_interval_is_config_error(
+            self, tmp_path):
+        # 2 s measures two intervals of the 1 s point, none of the 5 s one
+        spec = self._spec(tmp_path, parameter="control_interval", values=[1.0, 5.0])
+        assert run_cli("sweep", "--spec", spec, "--out", str(tmp_path / "o"),
+                       "--duration", "2", "--warmup", "0",
                        "--replications", "1", "--workers", "1") == 2
         assert not os.path.exists(tmp_path / "o")  # rejected before any run
 

@@ -235,6 +235,37 @@ class TestSurfacesAndEnergies:
         assert np.all((surf > 0) & (surf < 1))
         assert np.all(surf[:, 1, :] > surf[:, 0, :])  # longer timeout helps
 
+    @pytest.mark.parametrize("arrival_rate", [1.0 / 3.0, 1.0])
+    def test_surface_is_the_lane_aware_crossing_mass(self, arrival_rate):
+        cfg = Config()
+        cfg = dataclasses.replace(cfg, scenario=dataclasses.replace(
+            cfg.scenario, vehicle_arrival_rate=arrival_rate))
+        params = AnalyticParams.from_config(cfg, with_energy=False)
+        caps, timeouts = [80.0, 100.0, 120.0, 140.0], [20.0, 60.0, 120.0]
+        speeds = [(cfg.scenario.speed_min, cfg.scenario.speed_max)]
+        got = analytic.short_range_probability_surface(params, timeouts, speeds, caps,
+                                                       dr=0.5)
+        want = np.array([[[analytic.lane_aware_delivery_law(dataclasses.replace(
+            params, content_timeout=tc, d2d_max_range=rmax, dr=0.5)).total_atom_mass]
+            for tc in timeouts] for rmax in caps])
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_surface_cap_below_the_lane_offset_counts_same_lane_crossings(self):
+        # the 80 m cap lies below the 90 m offset: no opposite-lane
+        # provider comes within it, so the only atom is the one at 0
+        cfg = Config()
+        cfg = dataclasses.replace(cfg, scenario=dataclasses.replace(
+            cfg.scenario, d2d_max_range=200.0, lane_offset=90.0))
+        cfg.validate()
+        params = AnalyticParams.from_config(cfg, with_energy=False)
+        surf = analytic.short_range_probability_surface(
+            params, [20.0], [(cfg.scenario.speed_min, cfg.scenario.speed_max)],
+            [80.0], dr=0.5)
+        law = analytic.lane_aware_delivery_law(dataclasses.replace(
+            params, content_timeout=20.0, d2d_max_range=80.0, dr=0.5))
+        assert [loc for loc, _ in law.atoms] == [0.0]
+        assert surf[0, 0, 0] == pytest.approx(law.atom_mass(0.0), rel=0.0, abs=1e-12)
+
     def test_average_energies_ordering(self, default_params):
         e = analytic.average_energies(default_params)
         assert 0.0 < e["E_D2D"] < e["E_total"] < e["E_I2D"]

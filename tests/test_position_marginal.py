@@ -8,9 +8,7 @@ grid with the scalar methods of ``speedlaw_reference.ScalarSpeedLaw``,
 ``refined_grid``, and the reference laws loop over rows in the same
 order as the package and read each row with ``np.interp``.  Each row of
 a block, evaluated on the block's one grid, and the atoms, laws and
-energies must carry the same bits; the zero-distance surface, whose
-Poisson terms are now summed over padded blocks of density bins, must
-agree to 1e-13."""
+energies must carry the same bits."""
 
 import dataclasses
 import math
@@ -18,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from d2doff import analytic, kernels, mixdist
+from d2doff import analytic, mixdist
 from d2doff.analytic import AnalyticParams
 from d2doff.config import Config
 from d2doff.mixdist import MixedDistribution, refined_grid
@@ -206,21 +204,6 @@ def reference_unconditional_law(params):
                              grid=grid, density=dens_acc / total_w)
 
 
-def reference_poisson_min_atom(atom0, cdf_at_rmax, nbar, n_max):
-    return reference_poisson_min_mixture(np.zeros(1), np.zeros(1), atom0, cdf_at_rmax,
-                                         nbar, n_max)[0]
-
-
-def reference_short_range_probability(params):
-    grid = refined_grid(0.0, params.d2d_max_range, params.dr)
-    atom_acc = total_w = 0.0
-    for weight, nbar, (atom0, _, cdf) in reference_offload_conditions(params, grid):
-        atom_acc += weight * reference_poisson_min_atom(atom0, cdf[-1], nbar,
-                                                        reference_truncation(nbar))
-        total_w += weight
-    return atom_acc / total_w
-
-
 # ---------------------------------------------------------------------------
 # row by row
 # ---------------------------------------------------------------------------
@@ -374,33 +357,6 @@ def test_unconditional_law_keeps_its_bits(name):
     p = _variant(name)
     assert_same_law(analytic.unconditional_effective_distance_law(p),
                     reference_unconditional_law(p))
-
-
-@pytest.mark.parametrize("arrival_rate", [1.0 / 3.0, 1.0])
-def test_surface_matches_the_per_bin_loop(arrival_rate):
-    cfg = Config()
-    cfg = dataclasses.replace(cfg, scenario=dataclasses.replace(
-        cfg.scenario, vehicle_arrival_rate=arrival_rate))
-    params = AnalyticParams.from_config(cfg, with_energy=False)
-    caps, timeouts = [80.0, 100.0, 120.0, 140.0], [20.0, 60.0, 120.0]
-    speeds = [(cfg.scenario.speed_min, cfg.scenario.speed_max)]
-    got = analytic.short_range_probability_surface(params, timeouts, speeds, caps, dr=0.5)
-    want = np.array([[[reference_short_range_probability(dataclasses.replace(
-        params, content_timeout=tc, d2d_max_range=rmax, dr=0.5))]
-        for tc in timeouts] for rmax in caps])
-    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
-
-
-def test_poisson_terms_of_a_block_match_one_bin_at_a_time():
-    nbars = np.array([1e-3, 0.4, 3.0, 40.0, 250.0])
-    n_max = analytic.poisson_truncation(nbars)
-    atoms, n, w = kernels.poisson_min_terms(0.3, 0.8, nbars, n_max)
-    assert w.shape == (nbars.size, n_max.max())
-    assert np.all(w[n > n_max[:, None]] == 0.0)
-    for b, nbar in enumerate(nbars):
-        want = reference_poisson_min_atom(0.3, 0.8, nbar, reference_truncation(nbar))
-        assert atoms[b] == pytest.approx(want, rel=1e-13, abs=0.0)
-        assert n_max[b] == reference_truncation(nbar)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ effective-distance law, the single-provider law at the 15 (x0, v_a)
 pairs of ``d2doff validate``, and that command's oracle reports at
 those pairs (seed 1, 20 000 samples each),
 followed by the 12 values of the zero-distance surface of
-``d2doff analytic``.
+``d2doff analytic``: the crossing mass of the lane-aware law (its atoms
+at 0 and at the lane offset) at each range cap and content timeout.
 """
 
 from __future__ import annotations
