@@ -14,22 +14,19 @@ The central objects are mixed distance laws:
 Atoms are kept symbolic; densities are tabulated and integrated by the
 trapezoid rule on grids refined around integrable singularities.
 
-Evaluation layout.  The inner loop of the lane-aware law, of the
-longitudinal chain and of the crossing-mass surface is the position
-marginal: a single-provider law averaged over the provider's uniform
-start.  ``_position_marginal`` evaluates a block of them at once, one
-row per row of a ``RelativeSpeedLaw`` block, whose methods give the
-speed-law primitives; the integral of pdf(v)|v| is evaluated only at
-the level -X/tc, the one its zero atom reads.  The lane-aware law makes
-two calls per requester speed (the provider speed bins of the same lane,
-then of the opposite lane), the chain one call for all requester speeds.
-A block has one grid, built once per law from the nodes it is read at
-and the block's kinks, so every read node is a node of the grid and a
-caller reads each row by index.  The surface of ``d2doff analytic`` is
-the lane-aware law's crossing mass (its atoms at 0 and at the lane
-offset) over range caps and content timeouts.  It makes one call per
-lane for all requester speeds, on a grid of only the nodes the atoms
-read: below the cap a lane row's density is flat.
+Evaluation layout.  The inner loop of the longitudinal chain is the
+position marginal: a single-provider law averaged over the provider's
+uniform start.  ``_position_marginal`` evaluates a block of them at once,
+one row per row of a ``RelativeSpeedLaw`` block, whose methods give the
+speed-law primitives; the integral of pdf(v)|v| is evaluated only at the
+level -X/tc, the one its zero atom reads.  A block has one grid, built
+from the nodes it is read at and the block's kinks, so a caller reads
+each row by index.  The lane-aware law reads one block per lane, for all
+requester speeds, at the single node 0 for its zero atoms: below the cap
+a lane row's density is flat, so the rest of each lane's crossing
+intensity is closed form.  ``_lane_aware_law`` forms the law on a given
+grid: the law's own, or the three nodes that the crossing-mass surface
+of ``d2doff analytic`` (the law's atoms at 0 and at the offset) reads.
 """
 
 from __future__ import annotations
@@ -388,15 +385,9 @@ def _bin_by_density(weights: np.ndarray, rho_z: np.ndarray, n_bins: int):
     edges = np.geomspace(lo, hi, n_bins + 1)
     edges[-1] *= 1.0 + 1e-12
     idx = np.clip(np.searchsorted(edges, rho_z, side="right") - 1, 0, n_bins - 1)
-    w_out, r_out = [], []
-    for b in range(n_bins):
-        sel = idx == b
-        if not np.any(sel):
-            continue
-        w = weights[sel]
-        w_out.append(w.sum())
-        r_out.append(float((w * rho_z[sel]).sum() / w.sum()))
-    return np.array(w_out), np.array(r_out)
+    full = np.bincount(idx, minlength=n_bins) > 0
+    w_out = np.bincount(idx, weights, n_bins)[full]
+    return w_out, np.bincount(idx, weights * rho_z, n_bins)[full] / w_out
 
 
 def unconditional_effective_distance_law(params: AnalyticParams) -> MixedDistribution:
@@ -528,6 +519,76 @@ def _holder_speed_bins(params: AnalyticParams) -> tuple[np.ndarray, np.ndarray]:
     return edges, weights
 
 
+def _zero_atoms(edges: np.ndarray, w_speed: np.ndarray, va: np.ndarray,
+                params: AnalyticParams, same_lane: bool) -> np.ndarray:
+    """One lane's zero atom per requester speed in ``va``, per unit holder
+    density: the lane's rows for all speeds form one position-marginal
+    block read at the single node 0, mixed over provider sub-speeds with
+    weights 2X, the providers per unit density a row's region holds."""
+    rows, X = _lane_rows(edges, va, params.d2d_max_range, params.content_timeout, same_lane)
+    atom0 = _position_marginal(rows, X, np.zeros(1), params)[0]
+    m = w_speed * 2.0 * X.reshape(va.size, -1)
+    return (m * atom0.reshape(m.shape)).sum(axis=1)
+
+
+def _lane_aware_law(params: AnalyticParams, grid: np.ndarray) -> MixedDistribution:
+    """The lane-aware delivery law, its density tabulated on ``grid`` (0
+    to the range cap, strictly increasing).
+
+    Per unit holder density, a lane's providers come within r of a
+    requester as a Poisson field of intensity Lambda(r): the zero atom,
+    then 2r, as a lane row's density is 1/X below the cap (its kinks
+    X - tc|e| lie at or past the cap) and its region holds 2X providers.
+    The opposite lane is read at sqrt(r^2 - r_y^2) past the offset.  A
+    content bin of holder density rho and a requester speed add
+    exp(-rho Lambda(r)) rho dLambda/dr to the density, and Lambda(r) is
+    the speed's zero atoms plus one curve of r, so the mixture is one
+    (bins x speeds) array times one (bins x nodes) array."""
+    r_y = params.lane_offset
+    edges, w_speed = _holder_speed_bins(params)
+    w_bins, rho_bins = _bin_by_density(params.snapshot_non_repeated_weights(),
+                                       params.holder_densities(), params.content_bins)
+    va, w_va = _speed_grid(params, length_biased=True)
+
+    # the opposite lane reaches the nodes past the offset; with no offset
+    # the lanes' axes coincide: the opposite lane is not mapped, and its
+    # crossings join the zero atom
+    first = int(np.searchsorted(grid, r_y, side="right")) if r_y > 0.0 else 0
+    cross_reachable = first < grid.size
+    # Lambda(r) less the zero atoms, and its derivative
+    lam, f = 2.0 * grid, np.full(grid.size, 2.0)
+    zero_same = _zero_atoms(edges, w_speed, va, params, same_lane=True)
+    zero_opp = np.zeros(va.size)
+    if cross_reachable:
+        zero_opp = _zero_atoms(edges, w_speed, va, params, same_lane=False)
+        back = np.sqrt(np.clip(grid[first:] ** 2 - r_y * r_y, 0.0, None))
+        lam[first:] += 2.0 * back
+        # Jacobian of the map to sqrt(r^2 - r_y^2)
+        f[first:] += 2.0 * (grid[first:] / np.maximum(back, 1e-300) if r_y > 0.0 else 1.0)
+
+    rho, w = rho_bins[:, None], w_bins[:, None] * w_va  # density bins x speeds
+    p_off = -np.expm1(-rho * (zero_same + zero_opp + lam[-1]))
+    w = np.where(p_off > 0.0, w, 0.0)
+    total_w = float(np.sum(w * p_off))
+    if total_w <= 0.0:
+        raise ValueError("offload probability is zero everywhere")
+    # the same lane crosses at 0; the opposite lane at the offset, when no
+    # same-lane provider comes within the last node at or below it
+    atom_near = np.sum(w * -np.expm1(-rho * zero_same))
+    atom_far = np.sum(w * np.exp(-rho * (zero_same + lam[max(first - 1, 0)]))
+                      * -np.expm1(-rho * zero_opp))
+    # exp(-rho Lambda) = exp(-rho zero atoms) exp(-rho lam): the speeds sum
+    # once per bin, with the opposite lane's zero atom past the offset
+    near = np.sum(w * np.exp(-rho * zero_same), axis=1)
+    far = np.sum(w * np.exp(-rho * (zero_same + zero_opp)), axis=1)
+    mix = np.where(np.arange(grid.size) < first, near[:, None], far[:, None])
+    density = f * np.sum(rho * mix * np.exp(-rho * lam), axis=0)
+    atoms = {0.0: float(atom_near) / total_w}
+    if cross_reachable:
+        atoms[r_y] = atoms.get(r_y, 0.0) + float(atom_far) / total_w
+    return MixedDistribution(atoms=list(atoms.items()), grid=grid, density=density / total_w)
+
+
 def lane_aware_delivery_law(params: AnalyticParams) -> MixedDistribution:
     """Physical (inter-lane) distance law of a D2D delivery.
 
@@ -544,93 +605,13 @@ def lane_aware_delivery_law(params: AnalyticParams) -> MixedDistribution:
     through the lane offset, which turns its crossings into an atom at
     the offset itself.  The result is conditional on a delivery, i.e.
     on the minimum not exceeding the range cap."""
-    tc = params.content_timeout
     rmax, r_y = params.d2d_max_range, params.lane_offset
-    edges, w_speed = _holder_speed_bins(params)
-    w_bins, rho_bins = _bin_by_density(params.snapshot_non_repeated_weights(),
-                                       params.holder_densities(),
-                                       params.content_bins)
-    va, w_va = _speed_grid(params, length_biased=True)
-
-    extra = [r_y] if 0.0 < r_y < rmax else []
+    extra = []
     if 0.0 < r_y < rmax:
         # geometric nodes tame the 1/sqrt singularity of the mapped
         # opposite-lane density just above the lane offset
-        extra += list(r_y + np.geomspace(1e-9, min(2.0, rmax - r_y), 120))
-    grid = refined_grid(0.0, rmax, params.dr, extra=extra)
-    # the opposite lane reaches the nodes past the offset; with no offset
-    # the lanes' axes coincide: the opposite lane is not mapped, and its
-    # crossings join the zero atom
-    first = int(np.searchsorted(grid, r_y, side="right")) if r_y > 0.0 else 0
-    r_opp = grid[first:]
-    backs = np.sqrt(np.clip(r_opp ** 2 - r_y * r_y, 0.0, None))
-    back_floor = np.maximum(backs, 1e-300)
-    cross_reachable = r_opp.size > 0 and r_y < rmax
-
-    # every requester speed reads its marginals at the same nodes, so
-    # each lane's grid is built once.  It takes no kinks: a lane row's
-    # kinks X - tc|e| lie at or past the cap rmax, as X is rmax plus tc
-    # times the row's largest |e|, and the opposite lane's grid ends at
-    # sqrt(rmax^2 - r_y^2) <= rmax.
-    base_same = _marginal_base(grid, params.dr)
-    at_s = np.searchsorted(base_same, grid)
-    # the same lane is also read at the offset, at the last node at or
-    # below it: the offset itself when it lies inside the cap (unless
-    # refined_grid merged it into a node just below), else 0 or the cap
-    at_y = at_s[max(first - 1, 0)]
-    if cross_reachable:
-        base_opp = _marginal_base(backs, params.dr)
-        at_o = np.searchsorted(base_opp, backs)
-
-    atom_near = atom_far = 0.0
-    dens_acc = np.zeros_like(grid)
-    total_w = 0.0
-    for v_a, wv in zip(va, w_va):
-        # per-unit-density crossing intensity Lambda(r)/rho_z and its
-        # derivative, mixed over lanes and provider sub-speeds
-        lam_unit = np.zeros_like(grid)
-        f_unit = np.zeros_like(grid)
-        zero_same = zero_opp = lam_at_offset = 0.0
-        same, X_s = _lane_rows(edges, v_a, rmax, tc, same_lane=True)
-        a_s, d_s, c_s = _position_marginal(same, X_s, base_same, params)
-        if cross_reachable:
-            opp, X_o = _lane_rows(edges, v_a, rmax, tc, same_lane=False)
-            a_o, d_o, c_o = _position_marginal(opp, X_o, base_opp, params)
-        for k, wk in enumerate(w_speed):
-            m_s = wk * 2.0 * X_s[k]
-            lam_unit += m_s * c_s[k, at_s]
-            f_unit += m_s * d_s[k, at_s]
-            zero_same += m_s * a_s[k]
-            lam_at_offset += m_s * c_s[k, at_y]
-            if not cross_reachable:
-                continue
-            m_o = wk * 2.0 * X_o[k]
-            # the atom plus the continuous part: not c_o in the last bit
-            F_o = a_o[k] + (c_o[k, at_o] - a_o[k])
-            f_o = d_o[k, at_o]
-            if r_y > 0.0:  # Jacobian of the map to sqrt(r^2 - r_y^2)
-                f_o = f_o * r_opp / back_floor
-            lam_unit[first:] += m_o * F_o
-            f_unit[first:] += m_o * f_o
-            zero_opp += m_o * a_o[k]
-        for wz, rho_z in zip(w_bins, rho_bins):
-            lam = rho_z * lam_unit
-            p_off = -math.expm1(-lam[-1])
-            if p_off <= 0.0:
-                continue
-            w = wv * wz
-            atom_near += w * -math.expm1(-rho_z * zero_same)
-            atom_far += w * (math.exp(-rho_z * lam_at_offset)
-                             * -math.expm1(-rho_z * zero_opp))
-            dens_acc += w * np.exp(-lam) * rho_z * f_unit
-            total_w += w * p_off
-    if total_w <= 0.0:
-        raise ValueError("offload probability is zero everywhere")
-    atoms = {0.0: atom_near / total_w}
-    if cross_reachable:
-        atoms[r_y] = atoms.get(r_y, 0.0) + atom_far / total_w
-    return MixedDistribution(atoms=list(atoms.items()), grid=grid,
-                             density=dens_acc / total_w)
+        extra = [r_y] + list(r_y + np.geomspace(1e-9, min(2.0, rmax - r_y), 120))
+    return _lane_aware_law(params, refined_grid(0.0, rmax, params.dr, extra=extra))
 
 
 # ---------------------------------------------------------------------------
@@ -640,35 +621,12 @@ def lane_aware_delivery_law(params: AnalyticParams) -> MixedDistribution:
 def short_range_probability(params: AnalyticParams) -> float:
     """Crossing mass of the lane-aware delivery law, its total atom mass:
     same-lane crossings at 0 plus opposite-lane ones at the lane offset.
-    Each lane's rows for all requester speeds form one position-marginal
-    block, read where the law reads its atoms.  Below the cap a lane row's
-    density is flat (its kinks X - tc|e| lie at or past the cap), so the
-    trapezoid CDF at those nodes alone is the one on the law's grid."""
+    The atoms read the law only at 0, the offset (or the cap, if nearer)
+    and the cap, so it is formed on those nodes alone."""
     if not params.dr > 0.0:  # the law's grid step, which the atoms do not read
         raise ValueError("grid step must be > 0")
-    tc, rmax, r_y = params.content_timeout, params.d2d_max_range, params.lane_offset
-    edges, w_speed = _holder_speed_bins(params)
-    w_bins, rho_bins = _bin_by_density(params.snapshot_non_repeated_weights(),
-                                       params.holder_densities(), params.content_bins)
-    va, w_va = _speed_grid(params, length_biased=True)
-
-    def lane(same_lane: bool, nodes: list[float]) -> np.ndarray:
-        """The lane's CDF at ``nodes`` (the first, 0, reads its zero atom),
-        per node and requester speed, mixed over provider sub-speeds and
-        per unit holder density."""
-        rows, X = _lane_rows(edges, va, rmax, tc, same_lane)
-        cdf = _position_marginal(rows, X, np.array(nodes), params)[2]
-        m = w_speed * 2.0 * X.reshape(va.size, -1)
-        return (m[:, :, None] * cdf.reshape(*m.shape, -1)).sum(axis=1).T
-
-    zero_same, lam_at_offset, lam_cap = lane(True, [0.0, min(r_y, rmax), rmax])
-    zero_opp = 0.0
-    if r_y < rmax:  # the opposite lane, at the cap mapped back to its axis
-        zero_opp, lam_opp = lane(False, [0.0, math.sqrt(rmax * rmax - r_y * r_y)])
-        lam_cap = lam_cap + lam_opp
-    rho, w = rho_bins[:, None], w_bins[:, None] * w_va  # density bins x speeds
-    atoms = -np.expm1(-rho * zero_same) - np.exp(-rho * lam_at_offset) * np.expm1(-rho * zero_opp)
-    return float(np.sum(w * atoms) / -np.sum(w * np.expm1(-rho * lam_cap)))
+    rmax, r_y = params.d2d_max_range, params.lane_offset
+    return _lane_aware_law(params, np.unique([0.0, min(r_y, rmax), rmax])).total_atom_mass
 
 
 def short_range_probability_surface(params: AnalyticParams,

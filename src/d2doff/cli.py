@@ -248,18 +248,14 @@ def cmd_analytic(args) -> int:
     write_csv(os.path.join(out, "energy.csv"), ["quantity", "value"],
               [[k, v] for k, v in energies.items()])
 
-    if not args.skip_surface:
-        caps, timeouts = SURFACE_CAPS, SURFACE_TIMEOUTS
-        ranges = [(cfg.scenario.speed_min, cfg.scenario.speed_max)]
-        surf = analytic.short_range_probability_surface(
-            params, timeouts, ranges, caps, dr=0.5)
-        rows = [[caps[i], timeouts[j], ranges[k][0], ranges[k][1],
-                 float(surf[i, j, k])]
-                for i in range(len(caps)) for j in range(len(timeouts))
-                for k in range(len(ranges))]
-        write_csv(os.path.join(out, "zero_distance_surface.csv"),
-                  ["r_max", "content_timeout", "speed_min", "speed_max",
-                   "probability"], rows)
+    caps, timeouts = SURFACE_CAPS, SURFACE_TIMEOUTS
+    ranges = [(cfg.scenario.speed_min, cfg.scenario.speed_max)]
+    surf = analytic.short_range_probability_surface(params, timeouts, ranges, caps)
+    rows = [[caps[i], timeouts[j], ranges[k][0], ranges[k][1], float(surf[i, j, k])]
+            for i in range(len(caps)) for j in range(len(timeouts))
+            for k in range(len(ranges))]
+    write_csv(os.path.join(out, "zero_distance_surface.csv"),
+              ["r_max", "content_timeout", "speed_min", "speed_max", "probability"], rows)
     for k, v in energies.items():
         print(f"{k}: {v:.6g}")
     return EXIT_OK
@@ -331,10 +327,9 @@ def cmd_validate(args) -> int:
     if args.duration > 0:
         m = engine.run(cfg, "optimal", args.duration, args.warmup, seed).metrics
         d = np.asarray(m.d2d_distances)
-        if d.size:
-            print(f"simulation: {d.size} D2D deliveries, "
-                  f"short-range mass (r <= 20) {np.mean(d <= 20.0):.3f} "
-                  f"(lane-aware law atoms {law.total_atom_mass:.3f})")
+        short = f"{np.mean(d <= 20.0):.3f}" if d.size else "n/a"
+        print(f"simulation: {d.size} D2D deliveries, short-range mass (r <= 20) {short} "
+              f"(lane-aware law atoms {law.total_atom_mass:.3f})")
 
     if worst > args.threshold:
         raise ValidationFailure(
@@ -396,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("analytic", help="tabulate analytic laws and energies")
     sp.add_argument("--config", help="JSON config file")
     sp.add_argument("--out", default="out")
-    sp.add_argument("--skip-surface", action="store_true")
     sp.set_defaults(func=cmd_analytic)
 
     sp = sub.add_parser("validate", help="analytic vs Monte-Carlo oracle")

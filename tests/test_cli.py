@@ -160,7 +160,7 @@ def test_unreadable_config_or_spec_is_config_error(tmp_path, capsys, argv, name)
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--duration", "5", "--warmup", "0", "--replications", "1"],
-    ["analytic", "--skip-surface"],
+    ["analytic"],
 ])
 @pytest.mark.parametrize("data", UNRUNNABLE)
 def test_unrunnable_config_is_config_error(tmp_path, argv, data):
@@ -170,7 +170,7 @@ def test_unrunnable_config_is_config_error(tmp_path, argv, data):
 
 
 @pytest.mark.parametrize("argv", [
-    ["analytic", "--skip-surface"],
+    ["analytic"],
     ["validate", "--samples", "200", "--duration", "0"],
 ])
 def test_single_speed_is_config_error_for_the_analytic_model(tmp_path, capsys, argv):
@@ -319,7 +319,7 @@ def test_any_sweep_spec_loads_or_is_config_error(spec):
 class TestAnalytic:
     def test_outputs(self, tmp_path, capsys):
         out = str(tmp_path / "o")
-        code = run_cli("analytic", "--out", out, "--skip-surface")
+        code = run_cli("analytic", "--out", out)
         assert code == 0
         header, rows = read_csv(os.path.join(out, "distance_law.csv"))
         assert header == ["kind", "r_m", "value"]
@@ -335,6 +335,9 @@ class TestAnalytic:
         quantities = {r[0] for r in rows}
         assert {"E_I2D", "E_D2D", "E_total", "P_nonoffload"} <= quantities
         assert "E_total" in capsys.readouterr().out
+        header, rows = read_csv(os.path.join(out, "zero_distance_surface.csv"))
+        assert header == ["r_max", "content_timeout", "speed_min", "speed_max", "probability"]
+        assert len(rows) == 12  # 4 range caps x 3 timeouts
 
     def test_builds_the_law_once(self, tmp_path, monkeypatch):
         calls = []
@@ -345,7 +348,7 @@ class TestAnalytic:
             return build(params)
 
         monkeypatch.setattr(analytic, "lane_aware_delivery_law", counted)
-        assert run_cli("analytic", "--out", str(tmp_path / "o"), "--skip-surface") == 0
+        assert run_cli("analytic", "--out", str(tmp_path / "o")) == 0
         assert len(calls) == 1
 
 
@@ -379,6 +382,16 @@ class TestValidate:
         atoms = ", ".join(f"r={loc:g}: {mass:.4f}" for loc, mass in law.atoms)
         assert f"lane-aware law atoms: {atoms}\n" in out
         assert f"(lane-aware law atoms {law.total_atom_mass:.3f})\n" in out
+
+    def test_reports_a_simulation_with_no_d2d_delivery(self, tmp_path, capsys):
+        # one measured second with no warm-up delivers nothing by D2D; the
+        # run it made is still reported
+        code = run_cli("validate", "--out", str(tmp_path / "o"), "--samples", "200",
+                       "--threshold", "1.0", "--duration", "1", "--warmup", "0",
+                       "--seed", "4")
+        assert code == 0
+        assert ("simulation: 0 D2D deliveries, short-range mass (r <= 20) n/a "
+                in capsys.readouterr().out)
 
     def test_bad_samples_is_config_error(self, tmp_path):
         code = run_cli("validate", "--out", str(tmp_path / "o"),

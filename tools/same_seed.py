@@ -107,8 +107,7 @@ def analytic_fingerprint(cfg: Config) -> str:
     unconditional = analytic.unconditional_effective_distance_law(params)
     sc = cfg.scenario
     surface = analytic.short_range_probability_surface(
-        params, cli.SURFACE_TIMEOUTS, [(sc.speed_min, sc.speed_max)], cli.SURFACE_CAPS,
-        dr=0.5)
+        params, cli.SURFACE_TIMEOUTS, [(sc.speed_min, sc.speed_max)], cli.SURFACE_CAPS)
     parts = [law.atoms, law.grid.tolist(), law.density.tolist(), sorted(energies.items()),
              unconditional.atoms, unconditional.grid.tolist(), unconditional.density.tolist()]
     # the pairs and speeds of ``d2doff validate``
