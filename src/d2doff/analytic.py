@@ -262,15 +262,14 @@ def marginal_nonoffload_probability(params: AnalyticParams) -> float:
 # marginal over the provider's initial position, a block of laws at once
 # ---------------------------------------------------------------------------
 
-def _marginal_base(nodes: np.ndarray, dr: float,
-                   kinks: np.ndarray | None = None) -> np.ndarray:
+def _marginal_base(nodes: np.ndarray, dr: float, kinks: np.ndarray) -> np.ndarray:
     """The one grid of a block of position marginals read at ``nodes``:
     the uniform grid up to the largest node, the nodes themselves, the
     block's ``kinks`` inside (0, top) and a geometric refinement toward
     that top, sorted.  Exact repeats are dropped but close nodes are all
     kept, so every read node is a node of the grid."""
     top = float(np.max(nodes))
-    extra = nodes if kinks is None else np.concatenate([nodes, kinks])
+    extra = np.concatenate([nodes, kinks])
     return np.unique(grid_nodes(0.0, top, dr, extra=extra, refine_near=[top]))
 
 

@@ -238,8 +238,7 @@ class Engine:
         self.policy.retire(req)
         if self.policy.uses_cache:
             # receiver caches what it received; new copies can serve others
-            expiry = t + self.cfg.scenario.sharing_timeout
-            self.world.add_cache(req.requester_id, req.content_id, expiry)
+            self.world.add_cache(req.requester_id, req.content_id, t)
             self._copies.append((req.requester_id, req.content_id))
 
     # -- full run ----------------------------------------------------------------

@@ -13,6 +13,7 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -46,16 +47,6 @@ class VehicleTable:
             setattr(self, name, col[mask])
 
 
-@dataclass(eq=False)
-class Vehicle:
-    """A vehicle's cache.  Its kinematics are its row of the world's
-    ``VehicleTable`` while it is on the road."""
-
-    id: int
-    cache: dict[int, float] = field(default_factory=dict)  # content -> expiry
-    next_expiry: float = math.inf  # no cache entry expires before this
-
-
 PENDING = "pending"
 SCHEDULED = "scheduled"
 DELIVERED_D2D = "delivered_d2d"
@@ -83,18 +74,24 @@ class ContentRequest:
 
 class World:
     """Mutable scenario state: the vehicle table, caches, and the arrays of
-    the vehicles on the road at the current tick."""
+    the vehicles on the road at the current tick.
+
+    World sets every copy's expiry, ``sharing_timeout`` after its receipt,
+    and keeps each vehicle's copies in expiry order, so eviction pops each
+    cache's expired prefix."""
 
     def __init__(self, cfg: ScenarioConfig, rng: np.random.Generator):
         cfg.validate()
         self.cfg = cfg
         self.rng = rng
         self.table = VehicleTable()
-        self.vehicles: dict[int, Vehicle] = {}
+        # vehicle id -> its cache {content: expiry}, in expiry order
+        self.vehicles: dict[int, dict[int, float]] = {}
         # content -> {vehicle id: expiry} of every live copy, kept equal to
-        # vehicles[vid].cache[content]: the copy index the engine and policies read
+        # vehicles[vid][content]: the copy index the engine and policies read
         self.holders: dict[int, dict[int, float]] = defaultdict(dict)
-        # heap of (next_expiry, vehicle id); stale entries are skipped when popped
+        # heap of (first expiry, vehicle id), one entry per vehicle holding a
+        # copy; renewing the first copy leaves its entry early, never late
         self._expiry: list[tuple[float, int]] = []
         self.content_cdf = zipf_cdf(cfg.zipf_alpha, cfg.library_size)
         self.enb_x = np.asarray(cfg.enb_positions)
@@ -110,9 +107,9 @@ class World:
 
     # -- construction ---------------------------------------------------
 
-    def _add_vehicles(self, entry_times: np.ndarray, speeds: np.ndarray) -> list[Vehicle]:
-        """Append vehicles entering at the given times with the given
-        signed speeds, at the street end and lane their direction sets."""
+    def _add_vehicles(self, entry_times: np.ndarray, speeds: np.ndarray) -> list[int]:
+        """Append vehicles entering at the given times with signed speeds,
+        at the street end and lane their direction sets; return their ids."""
         cfg = self.cfg
         speeds = np.asarray(speeds, dtype=float)
         entry_times = np.asarray(entry_times, dtype=float)
@@ -126,14 +123,14 @@ class World:
             lane=np.where(forward, FORWARD, BACKWARD).astype(np.int64),
             exit_time=entry_times + cfg.street_length / np.abs(speeds))
         self.table.append(rows)
-        out = [Vehicle(vid) for vid in range(vid0, self._next_vid)]
-        self.vehicles.update((veh.id, veh) for veh in out)
+        out = list(range(vid0, self._next_vid))
+        self.vehicles.update((vid, {}) for vid in out)
         return out
 
-    def _new_vehicle(self, entry_time: float, speed: float) -> Vehicle:
+    def _new_vehicle(self, entry_time: float, speed: float) -> int:
         return self._add_vehicles(np.array([entry_time]), np.array([speed]))[0]
 
-    def spawn_vehicles(self, t0: float, t1: float) -> list[Vehicle]:
+    def spawn_vehicles(self, t0: float, t1: float) -> list[int]:
         """Poisson arrivals over [t0, t1), half rate per street end.
 
         The street is a window of a longer road, so entering vehicles
@@ -173,15 +170,17 @@ class World:
         out = self._add_vehicles(t - age, speeds)
         self._seed_caches(out, t, np.minimum(cfg.sharing_timeout, age))
 
-    def _seed_caches(self, vehs: list[Vehicle], now, window) -> None:
+    def _seed_caches(self, vids: list[int], now, window) -> None:
         """Fill each new vehicle's cache from its own requests over the
         ``window`` seconds before ``now`` (one value each, or one for all):
         a Poisson number of requests, contents by popularity, so each
         content is requested a Poisson number of times and held with
         probability 1 - exp(-lambda_z window).  A held content was received
-        at a uniform time within the window."""
+        at a uniform time within the window, which ends before any delivery
+        to the vehicle; receipts are drawn contents ascending, stored in
+        expiry order."""
         cfg = self.cfg
-        counts = self.rng.poisson(cfg.request_rate * window, size=len(vehs)).tolist()
+        counts = self.rng.poisson(cfg.request_rate * window, size=len(vids)).tolist()
         total = sum(counts)
         if total == 0:
             return
@@ -191,45 +190,42 @@ class World:
         ends = list(itertools.accumulate(counts))
         hits = [sorted(set(z[end - k:end])) for k, end in zip(counts, ends)]
         u = iter(self.rng.random(sum(map(len, hits))).tolist())
-        now = np.broadcast_to(now, len(vehs)).tolist()
-        window = np.broadcast_to(window, len(vehs)).tolist()
-        for veh, zs, t, w in zip(vehs, hits, now, window):
+        now = np.broadcast_to(now, len(vids)).tolist()
+        window = np.broadcast_to(window, len(vids)).tolist()
+        for vid, zs, t, w in zip(vids, hits, now, window):
             if zs:
-                veh.cache = {zi: t - next(u) * w + cfg.sharing_timeout for zi in zs}
-                veh.next_expiry = min(veh.cache.values())
-                heapq.heappush(self._expiry, (veh.next_expiry, veh.id))
-                for zi, exp in veh.cache.items():
-                    self.holders[zi][veh.id] = exp
+                copies = [(zi, t - next(u) * w + cfg.sharing_timeout) for zi in zs]
+                for zi, exp in copies:
+                    self.holders[zi][vid] = exp
+                copies.sort(key=itemgetter(1))
+                self.vehicles[vid] = dict(copies)
+                heapq.heappush(self._expiry, (copies[0][1], vid))
 
     # -- cache bookkeeping ------------------------------------------------
 
-    def add_cache(self, vid: int, z: int, expiry: float) -> None:
-        veh = self.vehicles[vid]
-        old = veh.cache.get(z)
-        if old is None or expiry > old:
-            veh.cache[z] = self.holders[z][vid] = expiry
-            if expiry < veh.next_expiry:
-                veh.next_expiry = expiry
-                heapq.heappush(self._expiry, (expiry, vid))
+    def add_cache(self, vid: int, z: int, t: float) -> None:
+        """Vehicle ``vid`` received content ``z`` at tick ``t``, no earlier
+        than any copy it holds, so the copy, new or renewed, goes at the end
+        of its cache; it expires ``sharing_timeout`` later."""
+        cache = self.vehicles[vid]
+        expiry = t + self.cfg.sharing_timeout
+        if not cache:
+            heapq.heappush(self._expiry, (expiry, vid))
+        cache.pop(z, None)
+        cache[z] = self.holders[z][vid] = expiry
 
     def evict_expired(self, t: float) -> None:
+        """Drop every copy expired by ``t``, the expired prefix of each cache."""
         while self._expiry and self._expiry[0][0] <= t:
-            due, vid = heapq.heappop(self._expiry)
-            veh = self.vehicles.get(vid)
-            if veh is None or veh.next_expiry != due:
+            vid = heapq.heappop(self._expiry)[1]
+            cache = self.vehicles.get(vid)
+            if cache is None:      # the vehicle left the road
                 continue
-            dead = [z for z, exp in veh.cache.items() if exp <= t]
-            for z in dead:
-                del veh.cache[z]
+            for z in list(itertools.takewhile(lambda z: cache[z] <= t, cache)):
+                del cache[z]
                 del self.holders[z][vid]
-            veh.next_expiry = min(veh.cache.values(), default=math.inf)
-            if veh.cache:
-                heapq.heappush(self._expiry, (veh.next_expiry, vid))
-
-    def _forget_vehicle(self, vid: int) -> None:
-        veh = self.vehicles.pop(vid)
-        for z in veh.cache:
-            del self.holders[z][vid]
+            if cache:
+                heapq.heappush(self._expiry, (next(iter(cache.values())), vid))
 
     # -- per-tick state ----------------------------------------------------
 
@@ -240,7 +236,8 @@ class World:
         vids = self.table.id[gone].tolist()
         self.table.keep(~gone)
         for vid in vids:
-            self._forget_vehicle(vid)
+            for z in self.vehicles.pop(vid):
+                del self.holders[z][vid]
         return vids
 
     def refresh_arrays(self, t: float) -> None:

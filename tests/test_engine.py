@@ -452,8 +452,7 @@ class ReferenceEngine(engine.Engine):
             m.d2d_distances.append(float(links.distance[i]))
         self.policy.retire(req)
         if self.policy.uses_cache:
-            expiry = t + cfg.scenario.sharing_timeout
-            self.world.add_cache(req.requester_id, req.content_id, expiry)
+            self.world.add_cache(req.requester_id, req.content_id, t)
             self._copies.append((req.requester_id, req.content_id))
 
 

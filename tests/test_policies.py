@@ -28,7 +28,7 @@ def add_vehicle(world, x, speed, t=0.0):
 
 
 def request(world, requester, z=0, t=0.0):
-    req = ContentRequest(id=world._next_rid, requester_id=requester.id,
+    req = ContentRequest(id=world._next_rid, requester_id=requester,
                          content_id=z, t0=t,
                          deadline=t + world.cfg.content_timeout)
     world._next_rid += 1
@@ -105,13 +105,13 @@ class TestOptimalPolicy:
     def test_schedules_closest_approach(self, world):
         requester = add_vehicle(world, 1000.0, 15.0)
         provider = add_vehicle(world, 900.0, 20.0)  # closes at 5 m/s
-        world.add_cache(provider.id, 0, expiry=1e9)
+        world.add_cache(provider, 0, 0.0)
         world.refresh_arrays(0.0)
         pol = OptimalPolicy(world.cfg)
         req = request(world, requester)
         pol.handle_new([req], [], world, 0.0)
         assert req.state == SCHEDULED
-        assert req.provider_id == provider.id
+        assert req.provider_id == provider
         # crossing at t=20 falls exactly on the deadline tick, still usable
         assert req.planned_tick == req.deadline
         assert req.delta_hat == pytest.approx(0.0, abs=1e-9)
@@ -121,17 +121,17 @@ class TestOptimalPolicy:
         far = add_vehicle(world, 1090.0, 15.0)
         near = add_vehicle(world, 1040.0, 15.0)
         for v in (far, near):
-            world.add_cache(v.id, 0, expiry=1e9)
+            world.add_cache(v, 0, 0.0)
         world.refresh_arrays(0.0)
         pol = OptimalPolicy(world.cfg)
         req = request(world, requester)
         pol.handle_new([req], [], world, 0.0)
-        assert req.provider_id == near.id
+        assert req.provider_id == near
 
     def test_out_of_range_stays_pending(self, world):
         requester = add_vehicle(world, 1000.0, 15.0)
         provider = add_vehicle(world, 1200.0, 15.0)  # parallel, 200 m away
-        world.add_cache(provider.id, 0, expiry=1e9)
+        world.add_cache(provider, 0, 0.0)
         world.refresh_arrays(0.0)
         pol = OptimalPolicy(world.cfg)
         req = request(world, requester)
@@ -148,13 +148,13 @@ class TestOptimalPolicy:
         # 33 m/s and crosses the requester after 6.1 s, inside the timeout
         requester = add_vehicle(world, 500.0, 24.0)
         holder = add_vehicle(world, 700.0, -9.0)
-        world.add_cache(holder.id, 0, expiry=1e9)
+        world.add_cache(holder, 0, 0.0)
         world.refresh_arrays(0.0)
         pol = OptimalPolicy(world.cfg)
         req = request(world, requester)
         pol.handle_new([req], [], world, 0.0)
         assert req.state == SCHEDULED
-        assert req.provider_id == holder.id
+        assert req.provider_id == holder
         assert req.planned_tick == 6.0
         assert req.delta_hat == world.cfg.lane_offset
 
@@ -170,18 +170,18 @@ class TestOptimalPolicy:
                                                   newcomer, delta):
         requester = add_vehicle(world, *requester)
         mediocre = add_vehicle(world, *mediocre)
-        world.add_cache(mediocre.id, 0, expiry=1e9)
+        world.add_cache(mediocre, 0, 0.0)
         world.refresh_arrays(0.0)
         pol = OptimalPolicy(world.cfg)
         req = request(world, requester)
         pol.handle_new([req], [], world, 0.0)
-        assert req.provider_id == mediocre.id
+        assert req.provider_id == mediocre
         assert req.delta_hat == pytest.approx(80.0)
         newcomer = add_vehicle(world, *newcomer)
-        world.add_cache(newcomer.id, 0, expiry=1e9)
+        world.add_cache(newcomer, 0, 0.0)
         world.refresh_arrays(0.0)
-        pol.handle_new([], [(newcomer.id, 0)], world, 0.0)
-        assert req.provider_id == newcomer.id
+        pol.handle_new([], [(newcomer, 0)], world, 0.0)
+        assert req.provider_id == newcomer
         assert req.delta_hat == pytest.approx(delta)
 
     def test_same_tick_copies_tie_to_earlier_encounter(self, world):
@@ -189,26 +189,26 @@ class TestOptimalPolicy:
         # lane offset; the earlier crossing wins, not the first delivery
         requester = add_vehicle(world, 1000.0, 15.0)
         mediocre = add_vehicle(world, 1080.0, 15.0)
-        world.add_cache(mediocre.id, 0, expiry=1e9)
+        world.add_cache(mediocre, 0, 0.0)
         world.refresh_arrays(0.0)
         pol = OptimalPolicy(world.cfg)
         req = request(world, requester)
         pol.handle_new([req], [], world, 0.0)
-        assert req.provider_id == mediocre.id
+        assert req.provider_id == mediocre
         late = add_vehicle(world, 1300.0, -10.0)   # crosses at 12 s
         early = add_vehicle(world, 1100.0, -10.0)  # crosses at 4 s
         for v in (late, early):
-            world.add_cache(v.id, 0, expiry=1e9)
+            world.add_cache(v, 0, 0.0)
         world.refresh_arrays(0.0)
-        pol.handle_new([], [(late.id, 0), (early.id, 0)], world, 0.0)
-        assert req.provider_id == early.id
+        pol.handle_new([], [(late, 0), (early, 0)], world, 0.0)
+        assert req.provider_id == early
         assert req.planned_tick == 4.0
         assert req.delta_hat == world.cfg.lane_offset
 
     def test_intent_due_at_planned_tick(self, world):
         requester = add_vehicle(world, 1000.0, 15.0)
         provider = add_vehicle(world, 1050.0, 10.0)  # closes, crosses at t=10
-        world.add_cache(provider.id, 0, expiry=1e9)
+        world.add_cache(provider, 0, 0.0)
         world.refresh_arrays(0.0)
         pol = OptimalPolicy(world.cfg)
         req = request(world, requester)
@@ -218,24 +218,25 @@ class TestOptimalPolicy:
         assert pol.d2d_intents(world, 5.0) == []
         world.refresh_arrays(10.0)
         intents = pol.d2d_intents(world, 10.0)
-        assert len(intents) == 1 and intents[0].provider_id == provider.id
+        assert len(intents) == 1 and intents[0].provider_id == provider
 
     def test_reschedules_when_provider_evicted(self, world):
         requester = add_vehicle(world, 1000.0, 15.0)
         primary = add_vehicle(world, 1010.0, 15.0)
         backup = add_vehicle(world, 1060.0, 15.0)
-        world.add_cache(primary.id, 0, expiry=5.0)
-        world.add_cache(backup.id, 0, expiry=1e9)
+        # a copy received sharing_timeout before 5 s expires at 5 s
+        world.add_cache(primary, 0, 5.0 - world.cfg.sharing_timeout)
+        world.add_cache(backup, 0, 0.0)
         world.refresh_arrays(0.0)
         pol = OptimalPolicy(world.cfg)
         req = request(world, requester)
         pol.handle_new([req], [], world, 0.0)
-        assert req.provider_id == primary.id
+        assert req.provider_id == primary
         world.evict_expired(6.0)
         world.refresh_arrays(6.0)
         pol.handle_new([], [], world, 6.0)
         intents = pol.d2d_intents(world, 6.0)
-        assert len(intents) == 1 and intents[0].provider_id == backup.id
+        assert len(intents) == 1 and intents[0].provider_id == backup
 
     def test_stale_plan_sees_every_holder(self, world):
         # the plan on ``primary`` (tick 6, 94 m) goes stale when its copy
@@ -245,28 +246,28 @@ class TestOptimalPolicy:
         requester = add_vehicle(world, 50.0, 10.0)
         primary = add_vehicle(world, 150.0, 9.0)
         entering = world._new_vehicle(3.0, 24.0)
-        world.add_cache(primary.id, 0, expiry=6.0)
-        world.add_cache(entering.id, 0, expiry=1e9)
+        world.add_cache(primary, 0, 6.0 - world.cfg.sharing_timeout)
+        world.add_cache(entering, 0, 0.0)
         world.refresh_arrays(0.0)
         pol = OptimalPolicy(world.cfg)
         req = request(world, requester)
         pol.handle_new([req], [], world, 0.0)
-        assert (req.provider_id, req.planned_tick) == (primary.id, 6.0)
+        assert (req.provider_id, req.planned_tick) == (primary, 6.0)
         assert req.delta_hat == pytest.approx(94.0)
         # on the other lane, crossing the requester after 7 s
         fresh = add_vehicle(world, 250.0, -10.0, t=6.0)
-        world.add_cache(fresh.id, 0, expiry=1e9)
+        world.add_cache(fresh, 0, 6.0)
         world.evict_expired(6.0)
         world.refresh_arrays(6.0)
-        pol.handle_new([], [(fresh.id, 0)], world, 6.0)
-        assert (req.provider_id, req.planned_tick) == (entering.id, 9.0)
+        pol.handle_new([], [(fresh, 0)], world, 6.0)
+        assert (req.provider_id, req.planned_tick) == (entering, 9.0)
         assert req.delta_hat == pytest.approx(0.0, abs=1e-9)
         assert pol.d2d_intents(world, 6.0) == []
 
     def test_deadline_tick_still_usable(self, world):
         requester = add_vehicle(world, 1000.0, 15.0)
         provider = add_vehicle(world, 1010.0, 15.0)
-        world.add_cache(provider.id, 0, expiry=1e9)
+        world.add_cache(provider, 0, 0.0)
         world.refresh_arrays(0.0)
         pol = OptimalPolicy(world.cfg)
         req = request(world, requester)
@@ -287,20 +288,20 @@ class TestBenchmarkPolicy:
     def test_transmits_immediately_when_in_range(self, world):
         requester = add_vehicle(world, 1000.0, 15.0)
         provider = add_vehicle(world, 1095.0, 15.0)  # near the range cap
-        world.add_cache(provider.id, 0, expiry=1e9)
+        world.add_cache(provider, 0, 0.0)
         world.refresh_arrays(0.0)
         pol = BenchmarkPolicy(world.cfg)
         req = request(world, requester)
         pol.handle_new([req], [], world, 0.0)
         intents = pol.d2d_intents(world, 0.0)
         assert len(intents) == 1
-        assert intents[0].provider_id == provider.id
+        assert intents[0].provider_id == provider
         assert req.delta_hat == pytest.approx(95.0)
 
     def test_waits_until_range(self, world):
         requester = add_vehicle(world, 1000.0, 15.0)
         provider = add_vehicle(world, 1150.0, 10.0)  # closes at 5 m/s
-        world.add_cache(provider.id, 0, expiry=1e9)
+        world.add_cache(provider, 0, 0.0)
         pol = BenchmarkPolicy(world.cfg)
         world.refresh_arrays(0.0)
         req = request(world, requester)
@@ -314,12 +315,12 @@ class TestBenchmarkPolicy:
         a = add_vehicle(world, 1080.0, 15.0)
         b = add_vehicle(world, 1030.0, 15.0)
         for v in (a, b):
-            world.add_cache(v.id, 0, expiry=1e9)
+            world.add_cache(v, 0, 0.0)
         world.refresh_arrays(0.0)
         pol = BenchmarkPolicy(world.cfg)
         req = request(world, requester)
         pol.handle_new([req], [], world, 0.0)
-        assert pol.d2d_intents(world, 0.0)[0].provider_id == b.id
+        assert pol.d2d_intents(world, 0.0)[0].provider_id == b
 
 
 @pytest.mark.parametrize("cls", [OptimalPolicy, BenchmarkPolicy])
@@ -331,14 +332,14 @@ def test_equal_copies_tie_to_lower_id(world, cls, first_x):
     low = add_vehicle(world, first_x, 16.0)
     high = add_vehicle(world, 2000.0 - first_x, 16.0)
     for v in (high, low):
-        world.add_cache(v.id, 0, expiry=1e9)
+        world.add_cache(v, 0, 0.0)
     world.refresh_arrays(0.0)
     pol = cls(world.cfg)
     req = request(world, requester)
     pol.handle_new([req], [], world, 0.0)
     pol.d2d_intents(world, 0.0)
-    assert low.id < high.id
-    assert req.provider_id == low.id
+    assert low < high
+    assert req.provider_id == low
     assert req.delta_hat == 30.0
 
 
@@ -397,7 +398,7 @@ def _ref_candidate_eval(cfg, req, world, t, cand_ids):
     xk, vk, lane_k = world.xs[k], world.vs[k], world.lanes[k]
     idx = np.array([world.idx_of[c] for c in cand_ids], dtype=np.int64)
     ids = np.array(cand_ids, dtype=np.int64)
-    expiry = np.array([world.vehicles[c].cache.get(z, -math.inf) for c in cand_ids])
+    expiry = np.array([world.vehicles[c].get(z, -math.inf) for c in cand_ids])
     phi = np.minimum.reduce([np.full(ids.shape, req.deadline), expiry,
                              world.exits[idx], np.full(ids.shape, world.exits[k])]) - t
     ok = phi >= 0.0
@@ -447,7 +448,7 @@ class ReferenceOptimalPolicy(OptimalPolicy):
             q = req.provider_id
             if self._due_ref(req, t) and not (
                     q in world.idx_of
-                    and world.vehicles[q].cache.get(req.content_id, -math.inf) > t):
+                    and world.vehicles[q].get(req.content_id, -math.inf) > t):
                 self._schedule_best(req, world, t)
                 replanned.add(rid)
         # every other open request ranks the tick's new holders of its

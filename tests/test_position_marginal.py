@@ -248,7 +248,8 @@ class TestRows:
         edges, _ = analytic._holder_speed_bins(params)
         rows = analytic._lane_rows(edges, v_a, params.d2d_max_range,
                                    params.content_timeout, same_lane=True)
-        assert_rows_match(rows, analytic._marginal_base(lane_grid, params.dr), params)
+        grid = analytic._marginal_base(lane_grid, params.dr, np.empty(0))
+        assert_rows_match(rows, grid, params)
 
     @pytest.mark.parametrize("v_a", [9.0, 17.0, 24.0])
     def test_opposite_lane_rows(self, params, lane_grid, v_a):
@@ -256,7 +257,8 @@ class TestRows:
         rows = analytic._lane_rows(edges, v_a, params.d2d_max_range,
                                    params.content_timeout, same_lane=False)
         backs = opposite_lane_nodes(lane_grid, params.lane_offset)
-        assert_rows_match(rows, analytic._marginal_base(backs, params.dr), params)
+        grid = analytic._marginal_base(backs, params.dr, np.empty(0))
+        assert_rows_match(rows, grid, params)
 
     @pytest.mark.parametrize("dr", [0.1, 0.5])
     @pytest.mark.parametrize("tc", [20.0, 23.7])
@@ -318,7 +320,7 @@ def test_grids_hold_every_read_node_and_inner_kink(params, v_a, bins, tc, lane_o
     for same_lane, nodes in ((True, lane_grid),
                              (False, opposite_lane_nodes(lane_grid, lane_offset))):
         rows = analytic._lane_rows(edges, v_a, p.d2d_max_range, tc, same_lane)
-        grid = analytic._marginal_base(nodes, p.dr)
+        grid = analytic._marginal_base(nodes, p.dr, np.empty(0))
         assert np.all(np.isin(nodes, grid))
         assert not np.any(kinks_of(rows, p) < grid[-1] - 1e-9)
 

@@ -38,7 +38,7 @@ def gap(world, vid_a, vid_b, t):
 def place(world, x, lane):
     """A vehicle of the given lane at position x at t = 0 (x a multiple of 10)."""
     speed, entry_point = (10.0, 0.0) if lane == FORWARD else (-10.0, world.cfg.street_length)
-    return world._new_vehicle(-(x - entry_point) / speed, speed).id
+    return world._new_vehicle(-(x - entry_point) / speed, speed)
 
 
 class TestGeometry:
@@ -63,9 +63,9 @@ class TestGeometry:
         world, rng = eng.world, np.random.default_rng(3)
         reqs = []
         for z, x in enumerate(rng.uniform(1000.0, 1200.0, 2000).tolist()):
-            requester = world._new_vehicle(-x / 10.0, 10.0).id
-            holder = world._new_vehicle((x - 3000.0) / 10.0 - rng.random(), -10.0).id
-            world.add_cache(holder, z, 100.0)
+            requester = world._new_vehicle(-x / 10.0, 10.0)
+            holder = world._new_vehicle((x - 3000.0) / 10.0 - rng.random(), -10.0)
+            world.add_cache(holder, z, 0.0)
             reqs.append(scenario.ContentRequest(id=z, requester_id=requester,
                                                 content_id=z, t0=0.0, deadline=30.0))
         world.refresh_arrays(0.0)
@@ -102,7 +102,7 @@ class TestVehicles:
         assert np.count_nonzero(world.table.speed > 0) == pytest.approx(10_000, rel=0.05)
 
     def test_entry_geometry(self, world):
-        for v in (kinematics(world, veh.id) for veh in world.spawn_vehicles(0.0, 100.0)):
+        for v in (kinematics(world, vid) for vid in world.spawn_vehicles(0.0, 100.0)):
             if v.speed > 0:
                 assert v.entry_point == 0.0 and v.lane == FORWARD
             else:
@@ -112,14 +112,14 @@ class TestVehicles:
                 v.entry_time + 3000.0 / abs(v.speed))
 
     def test_position_bounds(self, world):
-        veh = world._new_vehicle(0.0, 15.0)
+        vid = world._new_vehicle(0.0, 15.0)
         # a same-lane vehicle entering at t marks position 0 at t
-        assert gap(world, veh.id, world._new_vehicle(0.0, 15.0).id, 0.0) == 0.0
-        assert gap(world, veh.id, world._new_vehicle(10.0, 15.0).id, 10.0) == 150.0
-        t_out = kinematics(world, veh.id).exit_time + 1.0
+        assert gap(world, vid, world._new_vehicle(0.0, 15.0), 0.0) == 0.0
+        assert gap(world, vid, world._new_vehicle(10.0, 15.0), 10.0) == 150.0
+        t_out = kinematics(world, vid).exit_time + 1.0
         world.remove_exited(t_out)
         with pytest.raises(KeyError):
-            gap(world, veh.id, world._new_vehicle(t_out, 15.0).id, t_out)
+            gap(world, vid, world._new_vehicle(t_out, 15.0), t_out)
 
     def test_remove_exited(self, world):
         world._new_vehicle(0.0, 15.0)   # exits at t=200
@@ -213,78 +213,89 @@ class TestVehicleTable:
         assert len(seen) - len(world.vehicles) > 10     # vehicles left the table
 
     def test_removed_vehicle_has_no_row(self, world):
-        veh = world._new_vehicle(0.0, 15.0)
-        assert world.remove_exited(kinematics(world, veh.id).exit_time) == [veh.id]
-        assert veh.id not in world.table.id
+        vid = world._new_vehicle(0.0, 15.0)
+        assert world.remove_exited(kinematics(world, vid).exit_time) == [vid]
+        assert vid not in world.table.id
         with pytest.raises(KeyError):
-            kinematics(world, veh.id)
+            kinematics(world, vid)
 
 
 class FullScanWorld(World):
     """World that evicts by scanning every cache entry of every vehicle."""
 
     def evict_expired(self, t):
-        for veh in self.vehicles.values():
-            for z in [z for z, exp in veh.cache.items() if exp <= t]:
-                del veh.cache[z]
-                del self.holders[z][veh.id]
+        for vid, cache in self.vehicles.items():
+            for z in [z for z, exp in cache.items() if exp <= t]:
+                del cache[z]
+                del self.holders[z][vid]
 
 
 def cache_index(world):
     """The holder index that the vehicles' caches imply: content ->
     {vehicle id: expiry}, one entry per cached copy."""
     index = {}
-    for vid, veh in world.vehicles.items():
-        for z, exp in veh.cache.items():
+    for vid, cache in world.vehicles.items():
+        for z, exp in cache.items():
             index.setdefault(z, {})[vid] = exp
     return index
 
 
 class TestCaches:
     def test_add_and_evict(self, world):
-        veh = world._new_vehicle(0.0, 15.0)
-        world.add_cache(veh.id, 3, expiry=50.0)
-        assert world.holders[3] == {veh.id: 50.0}
-        world.evict_expired(49.0)
-        assert 3 in veh.cache and world.holders[3] == {veh.id: 50.0}
-        world.evict_expired(50.0)
-        assert 3 not in veh.cache and world.holders[3] == {}
+        vid = world._new_vehicle(0.0, 15.0)
+        cache = world.vehicles[vid]
+        world.add_cache(vid, 3, 10.0)       # expires sharing_timeout (600 s) later
+        assert cache == {3: 610.0} and world.holders[3] == {vid: 610.0}
+        world.evict_expired(609.0)
+        assert cache == {3: 610.0} and world.holders[3] == {vid: 610.0}
+        world.evict_expired(610.0)
+        assert cache == {} and world.holders[3] == {}
 
     def test_longer_expiry_wins(self, world):
-        veh = world._new_vehicle(0.0, 15.0)
-        world.add_cache(veh.id, 3, expiry=50.0)
-        world.add_cache(veh.id, 3, expiry=40.0)
-        assert veh.cache[3] == 50.0 and world.holders[3] == {veh.id: 50.0}
-        # a renewed copy lives to its new expiry
-        world.add_cache(veh.id, 3, expiry=80.0)
-        world.evict_expired(60.0)
-        assert veh.cache[3] == 80.0 and world.holders[3] == {veh.id: 80.0}
-        world.evict_expired(80.0)
-        assert 3 not in veh.cache and world.holders[3] == {}
+        # a copy received again lives to its new expiry, at the end of the cache
+        vid = world._new_vehicle(0.0, 15.0)
+        cache = world.vehicles[vid]
+        world.add_cache(vid, 3, 10.0)
+        world.add_cache(vid, 4, 15.0)
+        world.add_cache(vid, 3, 30.0)
+        assert list(cache.items()) == [(4, 615.0), (3, 630.0)]
+        assert world.holders[3] == {vid: 630.0}
+        world.evict_expired(612.0)      # past the first copy's old expiry
+        assert list(cache.items()) == [(4, 615.0), (3, 630.0)]
+        world.evict_expired(615.0)
+        assert cache == {3: 630.0} and world.holders[4] == {}
+        world.evict_expired(629.0)
+        assert cache == {3: 630.0} and world.holders[3] == {vid: 630.0}
+        world.evict_expired(630.0)
+        assert cache == {} and world.holders[3] == {}
 
     def test_exit_releases_holdership(self, world):
-        veh = world._new_vehicle(0.0, 15.0)
-        world.add_cache(veh.id, 3, expiry=1e9)
-        world.remove_exited(kinematics(world, veh.id).exit_time)
-        assert world.holders[3] == {}
+        vid = world._new_vehicle(0.0, 15.0)
+        world.add_cache(vid, 3, 0.0)
+        world.remove_exited(kinematics(world, vid).exit_time)
+        assert vid not in world.vehicles and world.holders[3] == {}
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(["vehicle", "add", "evict", "exit"]),
                               st.integers(0, 50), st.integers(0, 6),
                               st.floats(0.0, 40.0)), max_size=80))
-    # few drawn cases evict a copy, so these run every time: a copy added
-    # (expiry 9 s) then evicted; a copy renewed (9 s -> 28 s), which outlives
-    # the heap entry of its first expiry; a copy whose vehicle (65 m/s,
-    # gone at 30.8 s) leaves the road
-    @example([("vehicle", 0, 0, 0.0), ("add", 0, 3, 8.0),
-              ("evict", 0, 0, 40.0), ("evict", 0, 0, 40.0)])
-    @example([("vehicle", 0, 0, 0.0), ("add", 0, 3, 8.0), ("add", 0, 3, 24.0)]
-             + [("evict", 0, 0, 40.0)] * 5)
-    @example([("vehicle", 50, 0, 0.0), ("add", 0, 3, 40.0), ("exit", 0, 0, 0.0)])
+    # few drawn cases evict a copy, so these run every time (copies live
+    # 25 s): a copy received at 1 s, evicted at 26 s; a copy renewed (1 s ->
+    # 6 s), which outlives the heap entry of its first expiry, ahead of a
+    # later one; a copy whose vehicle (65 m/s, gone at 46.2 s) leaves the road
+    # before its expiry falls due
+    @example([("vehicle", 0, 0, 0.0), ("add", 0, 3, 8.0)]
+             + [("evict", 0, 0, 40.0)] * 6)
+    @example([("vehicle", 0, 0, 0.0), ("add", 0, 3, 8.0), ("add", 0, 3, 40.0),
+              ("add", 0, 5, 24.0)] + [("evict", 0, 0, 16.0)] * 13)
+    @example([("vehicle", 50, 0, 0.0), ("add", 0, 3, 40.0), ("exit", 0, 0, 0.0)]
+             + [("evict", 0, 0, 40.0)] * 6)
     def test_evict_matches_full_scan(self, ops):
-        # (op, vehicle pick, content, time step or expiry offset)
-        worlds = [World(Config().scenario, np.random.default_rng(0)),
-                  FullScanWorld(Config().scenario, np.random.default_rng(0))]
+        # (op, vehicle pick, content, time step); a copy is received at the
+        # op's time, so receipts never go back
+        sc = dataclasses.replace(Config().scenario, sharing_timeout=25.0)
+        worlds = [World(sc, np.random.default_rng(0)),
+                  FullScanWorld(sc, np.random.default_rng(0))]
         t = 0.0
         for op, pick, z, x in ops:
             t += x / 8.0
@@ -293,16 +304,58 @@ class TestCaches:
                     w._new_vehicle(t, 15.0 + pick)
                 elif op == "add" and w.vehicles:
                     vids = sorted(w.vehicles)
-                    w.add_cache(vids[pick % len(vids)], z, t + x)
+                    w.add_cache(vids[pick % len(vids)], z, t)
                 elif op == "evict":
                     w.evict_expired(t)
                 elif op == "exit":
                     w.remove_exited(t * 20.0)
             new, ref = worlds
-            assert [(vid, list(v.cache.items())) for vid, v in new.vehicles.items()] == \
-                [(vid, list(v.cache.items())) for vid, v in ref.vehicles.items()]
+            assert [(vid, list(c.items())) for vid, c in new.vehicles.items()] == \
+                [(vid, list(c.items())) for vid, c in ref.vehicles.items()]
             assert new.holders == ref.holders
             assert {z: hs for z, hs in new.holders.items() if hs} == cache_index(new)
+
+    def test_caches_stay_in_expiry_order(self):
+        # a steady-state road with seeded copies, deliveries (renewals among
+        # them), evictions and exits: each cache iterates in expiry order,
+        # each copy expires sharing_timeout after its receipt (a seeded one
+        # was received in the window before its vehicle was seeded, at its
+        # entry or at 0 s), and holders is the caches' transpose
+        sc = Config().scenario
+        world = World(sc, np.random.default_rng(4))
+        pick = np.random.default_rng(5)
+        received, renewals, evicted, exited = {}, 0, 0, 0
+
+        def check():
+            entry = dict(zip(world.table.id.tolist(), world.table.entry_time.tolist()))
+            for vid, cache in world.vehicles.items():
+                assert list(cache.values()) == sorted(cache.values())
+                seeded = max(entry[vid], 0.0)
+                for z, exp in cache.items():
+                    if (vid, z) in received:
+                        assert exp == received[vid, z] + sc.sharing_timeout
+                    else:
+                        assert seeded - 1e-9 <= exp <= seeded + sc.sharing_timeout + 1e-9
+            assert {z: hs for z, hs in world.holders.items() if hs} == cache_index(world)
+
+        world.init_stationary(0.0)
+        check()
+        for t in map(float, range(1, 200)):
+            exited += len(world.remove_exited(t))
+            world.spawn_vehicles(t, t + 1.0)
+            before = sum(map(len, world.vehicles.values()))
+            world.evict_expired(t)
+            evicted += before - sum(map(len, world.vehicles.values()))
+            world.refresh_arrays(t)
+            for vid in pick.choice(world.ids, size=3, replace=False).tolist():
+                cache = world.vehicles[vid]
+                # renew the first copy now and then, else a popular content
+                z = next(iter(cache)) if cache and pick.random() < 0.3 else int(pick.integers(20))
+                renewals += z in cache
+                world.add_cache(vid, z, t)
+                received[vid, z] = t
+            check()
+        assert renewals > 10 and evicted > 100 and exited > 10
 
     def test_seeded_hits_and_receipt_ages(self):
         # each content is held with probability 1 - exp(-lambda_z w), and a
@@ -310,27 +363,28 @@ class TestCaches:
         sc = Config().scenario
         world = World(sc, np.random.default_rng(12))
         n, w, now = 4000, 100.0, 500.0
-        vehs = world._add_vehicles(np.zeros(n), np.full(n, 15.0))
-        world._seed_caches(vehs, np.full(n, now), np.full(n, w))
+        vids = world._add_vehicles(np.zeros(n), np.full(n, 15.0))
+        world._seed_caches(vids, np.full(n, now), np.full(n, w))
+        caches = [world.vehicles[vid] for vid in vids]
         lam_z = zipf_pmf(sc.zipf_alpha, sc.library_size) * sc.request_rate
         for z in [*range(10), 100, 1000]:
             p = -math.expm1(-lam_z[z] * w)
-            hits = sum(z in veh.cache for veh in vehs)
+            hits = sum(z in cache for cache in caches)
             assert abs(hits - n * p) <= 4.0 * math.sqrt(n * p * (1.0 - p))
-            assert world.holders.get(z, {}) == {v.id: v.cache[z] for v in vehs if z in v.cache}
+            assert world.holders.get(z, {}) == {vid: c[z] for vid, c in zip(vids, caches)
+                                                if z in c}
         ages = np.sort([now - (exp - sc.sharing_timeout)
-                        for veh in vehs for exp in veh.cache.values()])
+                        for cache in caches for exp in cache.values()])
         assert 0.0 <= ages[0] and ages[-1] <= w
         m = ages.size
         ks = np.max(np.maximum(np.arange(1, m + 1) / m - ages / w, ages / w - np.arange(m) / m))
         assert ks <= 2.15 / math.sqrt(m)    # Kolmogorov-Smirnov, 1e-4 level
-        assert all(veh.next_expiry == min(veh.cache.values(), default=math.inf)
-                   for veh in vehs)
+        assert all(list(c.values()) == sorted(c.values()) for c in caches)
 
     def test_stationary_caches_popular_heavy(self):
         world = World(Config().scenario, np.random.default_rng(11))
         world.init_stationary(0.0)
-        held = [z for v in world.vehicles.values() for z in v.cache]
+        held = [z for cache in world.vehicles.values() for z in cache]
         if held:  # popular ids dominate cached copies
             assert np.median(held) < world.cfg.library_size / 10
 
@@ -394,5 +448,5 @@ class TestRequests:
         assert not a.content_cdf.flags.writeable
 
     def test_inactive_vehicles_silent(self, world):
-        veh = world._new_vehicle(0.0, 15.0)
-        assert world.spawn_requests(kinematics(world, veh.id).exit_time + 1.0) == []
+        vid = world._new_vehicle(0.0, 15.0)
+        assert world.spawn_requests(kinematics(world, vid).exit_time + 1.0) == []

@@ -9,8 +9,9 @@ changes, copy the newer version into both checkouts' ``tools/`` first,
 so that both sides fingerprint the same quantities.  Each line holds the run's
 key, its counters and a sha256 over its summary, delivered D2D
 distances, occupancy samples, both energies, the pending requests (the
-fields of ``REQUEST_FIELDS``) and the final state of its random
-generator.
+fields of ``REQUEST_FIELDS``), the final copy index ``World.holders``
+(contents ascending, each with its (vehicle id, expiry) pairs ascending)
+and the final state of its random generator.
 
 The full set is 27 runs: 18 at arrival rate 1/3, 1 and 2 veh/s (the
 three policies, seeds 1 and 2; 60 s after 20 s of warm-up), 6 whose
@@ -134,9 +135,10 @@ def fingerprint(eng: engine.Engine) -> str:
     m = eng.metrics
     pending = sorted(tuple(_plain(getattr(r, f)) for f in REQUEST_FIELDS)
                      for r in eng.policy.pending.values())
+    holders = sorted((z, sorted(h.items())) for z, h in eng.world.holders.items() if h)
     digest = hashlib.sha256()
     for part in (sorted(m.summary().items()), m.d2d_distances, m.occupancy_samples,
-                 (m.energy_d2d, m.energy_i2d), pending, eng.rng.bit_generator.state):
+                 (m.energy_d2d, m.energy_i2d), pending, holders, eng.rng.bit_generator.state):
         digest.update(repr(part).encode())
     counts = " ".join(f"{k}={getattr(m, k)}" for k in COUNTERS)
     return f"{counts} sha256={digest.hexdigest()}"
