@@ -349,15 +349,6 @@ def _base_laws(va: np.ndarray, params: AnalyticParams, grid: np.ndarray) -> list
     return list(zip(atom0, density[:, at], cdf[:, at]))
 
 
-def _min_over_providers(base, nbar: float):
-    """(atom at 0, density) of the minimum over a zero-truncated Poisson
-    number of base-law providers, truncated to the grid's last node."""
-    atom0, dens, cdf = base
-    # provider counts past the truncation point have tail mass < 1e-9
-    return kernels.poisson_min_mixture(cdf, dens, atom0, cdf[-1], nbar,
-                                       math.ceil(nbar + 10.0 * math.sqrt(nbar) + 20.0))
-
-
 def effective_distance_law(rho_z: float, v_a: float,
                            params: AnalyticParams) -> MixedDistribution:
     """Transmission-distance law given at least one reachable provider:
@@ -367,8 +358,9 @@ def effective_distance_law(rho_z: float, v_a: float,
     if nbar <= 0.0:
         raise ValueError("no providers: effective law undefined")
     grid = refined_grid(0.0, params.d2d_max_range, params.dr)
-    atom, density = _min_over_providers(_base_laws(np.array([v_a]), params, grid)[0], nbar)
-    return MixedDistribution(atoms=[(0.0, atom)], grid=grid, density=density)
+    atom0, dens, cdf = _base_laws(np.array([v_a]), params, grid)[0]
+    atoms, density = kernels.poisson_min_mixture(cdf, dens, atom0, [nbar])
+    return MixedDistribution(atoms=[(0.0, float(atoms[0]))], grid=grid, density=density[0])
 
 
 def _bin_by_density(weights: np.ndarray, rho_z: np.ndarray, n_bins: int):
@@ -403,16 +395,21 @@ def unconditional_effective_distance_law(params: AnalyticParams) -> MixedDistrib
     atom_acc = 0.0
     dens_acc = np.zeros_like(grid)
     total_w = 0.0
-    for v_a, wv, base in zip(va, w_va, _base_laws(va, params, grid)):
+    for v_a, wv, (atom0, dens, cdf) in zip(va, w_va, _base_laws(va, params, grid)):
+        weights, nbars = [], []
         for wz, rho_z in zip(w_bins, rho_bins):
             nbar = mean_provider_count(rho_z, v_a, params)
             if nbar <= 1e-15:
                 continue
             # speed weight x non-repeated popularity x offload probability
             weight = wv * wz * -math.expm1(-nbar)
-            if weight <= 0.0:
-                continue
-            atom, density = _min_over_providers(base, nbar)
+            if weight > 0.0:
+                weights.append(weight)
+                nbars.append(nbar)
+        if not nbars:
+            continue
+        atoms, densities = kernels.poisson_min_mixture(cdf, dens, atom0, nbars)
+        for weight, atom, density in zip(weights, atoms.tolist(), densities):
             atom_acc += weight * atom
             dens_acc += weight * density
             total_w += weight

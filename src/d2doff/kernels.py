@@ -72,20 +72,28 @@ def capacity_bits(signal: np.ndarray, interference: np.ndarray, noise: float,
 # truncated-Poisson mixture of minimum-of-n laws
 # ---------------------------------------------------------------------------
 
-def poisson_min_mixture(cdf: np.ndarray, density: np.ndarray, atom0: float,
-                        cdf_at_rmax: float, nbar: float, n_max: int):
-    """Mix min-of-n laws (n >= 1, Poisson weights) truncated to the range cap.
+def poisson_min_mixture(cdf: np.ndarray, density: np.ndarray, atom0: float, nbars):
+    """Mix min-of-n laws (n >= 1, Poisson weights) truncated to the range
+    cap, one mixture per mean provider count in ``nbars``.
 
-    cdf/density describe the single-provider law on the output grid;
-    atom0 its zero-distance atom; cdf_at_rmax its CDF at the range cap.
-    Returns (mixture atom at 0, mixture density on the grid).
+    cdf/density describe the single-provider law on the output grid,
+    which ends at the range cap; atom0 is its zero-distance atom.  The
+    powers (1-F)^(n-1) are formed once, up to the largest provider count
+    any mixture reads, and each mixture sums its own leading rows.
+    Returns (mixture atoms at 0, mixture densities), one per nbar.
     """
-    n = np.arange(1, n_max + 1, dtype=float)
-    w = np.exp(n * math.log(nbar) - nbar - np.cumsum(np.log(n)))  # log n! = sum of log k
-    w /= w.sum()  # conditioning on at least one provider
-    w /= 1.0 - (1.0 - cdf_at_rmax) ** n  # per-n truncation mass
-    atom = float(np.sum(w * (1.0 - (1.0 - atom0) ** n)))
-    # density of min-of-n: n (1-F)^(n-1) p, truncated and renormalized
-    pow_s = (1.0 - cdf)[None, :] ** (n[:, None] - 1.0)
-    dens = np.sum((w * n)[:, None] * pow_s, axis=0) * density
-    return atom, dens
+    # provider counts past the truncation point have tail mass < 1e-9
+    n_maxs = [math.ceil(nbar + 10.0 * math.sqrt(nbar) + 20.0) for nbar in nbars]
+    n_all = np.arange(1, max(n_maxs) + 1, dtype=float)
+    pow_s = (1.0 - cdf)[None, :] ** (n_all[:, None] - 1.0)
+    atoms = np.empty(len(n_maxs))
+    dens = np.empty((len(n_maxs), cdf.size))
+    for i, (nbar, n_max) in enumerate(zip(nbars, n_maxs)):
+        n = n_all[:n_max]
+        w = np.exp(n * math.log(nbar) - nbar - np.cumsum(np.log(n)))  # log n! = sum of log k
+        w /= w.sum()  # conditioning on at least one provider
+        w /= 1.0 - (1.0 - cdf[-1]) ** n  # per-n truncation mass
+        atoms[i] = np.sum(w * (1.0 - (1.0 - atom0) ** n))
+        # density of min-of-n: n (1-F)^(n-1) p, truncated and renormalized
+        dens[i] = np.sum((w * n)[:, None] * pow_s[:n_max], axis=0) * density
+    return atoms, dens

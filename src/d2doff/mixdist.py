@@ -97,8 +97,7 @@ class MixedDistribution:
         right = self.cdf(samples)
         left = right.copy()
         for loc, mass in self.atoms:
-            left -= np.where(np.isclose(samples, loc, rtol=0.0, atol=1e-9),
-                             mass, 0.0)
+            left -= np.where(np.abs(samples - loc) <= 1e-9, mass, 0.0)
         n = samples.size
         d_plus = np.max(np.arange(1, n + 1) / n - right)
         d_minus = np.max(left - np.arange(0, n) / n)

@@ -67,7 +67,7 @@ _triple = st.one_of(
 
 
 def reference_poisson_min_mixture(cdf, density, atom0, cdf_at_rmax, nbar, n_max):
-    """Scalar loop form of kernels.poisson_min_mixture."""
+    """Scalar loop form of one mixture of kernels.poisson_min_mixture."""
     w = [math.exp(k * math.log(nbar) - nbar - math.lgamma(k + 1.0))
          for k in range(1, n_max + 1)]
     total = sum(w)
@@ -224,24 +224,24 @@ class TestPoissonMixture:
 
     def test_paths_agree(self):
         cdf, density = self._law()
-        a_atom, a_dens = kernels.poisson_min_mixture(cdf, density, 0.2,
-                                                     0.9, 2.5, 40)
-        b_atom, b_dens = reference_poisson_min_mixture(cdf, density, 0.2,
-                                                       0.9, 2.5, 40)
-        assert a_atom == pytest.approx(b_atom, rel=1e-12)
-        assert np.allclose(a_dens, b_dens, rtol=1e-12)
+        nbars = [2.5, 0.4, 30.0]
+        atoms, dens = kernels.poisson_min_mixture(cdf, density, 0.2, nbars)
+        for nbar, a_atom, a_dens in zip(nbars, atoms, dens):
+            n_max = math.ceil(nbar + 10.0 * math.sqrt(nbar) + 20.0)
+            b_atom, b_dens = reference_poisson_min_mixture(cdf, density, 0.2,
+                                                           cdf[-1], nbar, n_max)
+            assert a_atom == pytest.approx(b_atom, rel=1e-12)
+            assert np.allclose(a_dens, b_dens, rtol=1e-12)
 
     def test_single_provider_limit(self):
         # nbar -> 0 conditioned on >= 1 provider recovers the base law
         cdf, density = self._law()
-        atom, dens = kernels.poisson_min_mixture(cdf, density, 0.2,
-                                                 0.9, 1e-9, 40)
-        assert atom == pytest.approx(0.2 / 0.9, rel=1e-6)
-        assert np.allclose(dens, density / 0.9, rtol=1e-6)
+        atoms, dens = kernels.poisson_min_mixture(cdf, density, 0.2, [1e-9])
+        assert atoms[0] == pytest.approx(0.2 / cdf[-1], rel=1e-6)
+        assert np.allclose(dens[0], density / cdf[-1], rtol=1e-6)
 
     def test_more_providers_more_zero_mass(self):
         cdf, density = self._law()
-        a, _ = kernels.poisson_min_mixture(cdf, density, 0.2, 0.9, 0.5, 40)
-        b, _ = kernels.poisson_min_mixture(cdf, density, 0.2, 0.9, 5.0, 60)
+        (a, b), _ = kernels.poisson_min_mixture(cdf, density, 0.2, [0.5, 5.0])
         assert b > a
 

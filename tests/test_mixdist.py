@@ -44,6 +44,33 @@ class TestMixedDistribution:
         bad = rng.random(50_000)  # missing the atom entirely
         assert law.ks_distance(bad) > 0.4
 
+    def test_ks_atom_tolerance_keeps_its_bits(self):
+        # a sample within 1e-9 of an atom sits at the atom; ks_distance must
+        # give the bits of the np.isclose(rtol=0, atol=1e-9) form it replaced
+        grid = np.linspace(0.0, 4.0, 401)
+        law = MixedDistribution(atoms=[(0.0, 0.1), (2.0, 0.5)], grid=grid,
+                                density=np.full(401, 0.1))
+
+        def reference_ks(samples):
+            samples = np.sort(samples)
+            right = law.cdf(samples)
+            left = right.copy()
+            for loc, mass in law.atoms:
+                left -= np.where(np.isclose(samples, loc, rtol=0.0, atol=1e-9),
+                                 mass, 0.0)
+            n = samples.size
+            return float(max(np.max(np.arange(1, n + 1) / n - right),
+                             np.max(left - np.arange(0, n) / n), 0.0))
+
+        offsets = [-1.1e-9, -0.9e-9, 0.9e-9, 1.1e-9]
+        cases = [np.array([loc + off]) for loc in (0.0, 2.0) for off in offsets]
+        cases.append(np.array([loc + off for loc in (0.0, 2.0) for off in offsets]))
+        for samples in cases:
+            assert law.ks_distance(samples) == reference_ks(samples)
+        # the tolerance is seen: just inside and just outside it differ
+        assert law.ks_distance(np.array([2.0 + 0.9e-9])) != law.ks_distance(
+            np.array([2.0 + 1.1e-9]))
+
 
 class TestRefinedGrid:
     def test_plain(self):

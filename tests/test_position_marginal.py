@@ -19,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from d2doff import analytic, mixdist
+from d2doff import analytic, kernels, mixdist
 from d2doff.analytic import AnalyticParams
 from d2doff.config import Config
 from d2doff.mixdist import MixedDistribution, refined_grid
@@ -389,6 +389,22 @@ def test_unconditional_law_keeps_its_bits(name):
     p = _variant(name)
     assert_same_law(analytic.unconditional_effective_distance_law(p),
                     reference_unconditional_law(p))
+
+
+def test_mixture_block_rows_keep_their_bits():
+    # one base law and bins whose provider-count cuts all differ: each row
+    # reads only its own leading rows of the shared power table
+    p = _variant("defaults")
+    grid = refined_grid(0.0, p.d2d_max_range, p.dr)
+    atom0, dens, cdf = analytic._base_laws(analytic._speed_grid(p)[0][:1], p, grid)[0]
+    nbars = [37.5, 1e-9, 240.0, 0.3, 4.0]
+    assert len({reference_truncation(nbar) for nbar in nbars}) == len(nbars)
+    atoms, rows = kernels.poisson_min_mixture(cdf, dens, atom0, nbars)
+    for nbar, atom, row in zip(nbars, atoms, rows):
+        want_atom, want_row = reference_poisson_min_mixture(
+            cdf, dens, atom0, cdf[-1], nbar, reference_truncation(nbar))
+        assert atom == want_atom
+        assert np.array_equal(row, want_row)
 
 
 # ---------------------------------------------------------------------------
