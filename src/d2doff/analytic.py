@@ -7,7 +7,9 @@ The central objects are mixed distance laws:
   distance, a log-singular density in between);
 * its marginal over the provider's uniform initial position;
 * the law of the *effective* transmission distance: minimum over a
-  Poisson number of providers, truncated to the D2D range cap;
+  Poisson number of providers, truncated to the D2D range cap, one per
+  mean provider count, all of one requester speed read from one table
+  of the powers (1 - F)^(n-1);
 * the lane-offset transform mapping longitudinal distances to the
   physical inter-lane distances observed in simulation.
 
@@ -27,6 +29,9 @@ a lane row's density is flat, so the rest of each lane's crossing
 intensity is closed form.  ``_lane_aware_law`` forms the law on a given
 grid: the law's own, or the three nodes that the crossing-mass surface
 of ``d2doff analytic`` (the law's atoms at 0 and at the offset) reads.
+The unconditional effective-distance law makes one mixture call per
+requester speed: the copy-density bins of that speed share its base law
+and so one power table, and each bin sums its own leading rows.
 """
 
 from __future__ import annotations
