@@ -20,14 +20,13 @@ import dataclasses
 import math
 import os
 import sys
-import typing
 import zlib
 
 import numpy as np
 
 from . import analytic, engine, kernels
-from .config import (Config, ConfigError, PhyConfig, ScenarioConfig, _typed,
-                     load_config, read_json)
+from .config import (Config, ConfigError, PhyConfig, ScenarioConfig, build_dataclass,
+                     config_from_dict, config_to_dict, load_config, read_json)
 from .policies import POLICIES
 from .analytic import AnalyticParams
 
@@ -83,20 +82,14 @@ SWEEPABLE.update({f.name: "phy" for f in dataclasses.fields(PhyConfig)
 
 
 def _with_param(cfg: Config, values: dict) -> Config:
-    """cfg with scenario or PHY fields set, each value type-checked as in
-    a config file; the result is validated."""
-    sections = {}
+    """cfg with scenario or PHY fields set, read and validated as a config
+    file that holds cfg and these fields."""
+    data = config_to_dict(cfg)
     for name, value in values.items():
-        section = SWEEPABLE.get(name)
-        if section is None:
+        if name not in SWEEPABLE:
             raise ConfigError(f"'{name}' is not a scenario or PHY parameter")
-        sub = sections.get(section, getattr(cfg, section))
-        value = _typed(value, typing.get_type_hints(type(sub))[name],
-                       f"{section}.{name}")
-        sections[section] = dataclasses.replace(sub, **{name: value})
-    cfg = dataclasses.replace(cfg, **sections)
-    cfg.validate()
-    return cfg
+        data[SWEEPABLE[name]][name] = value
+    return config_from_dict(data)
 
 
 def point_seed(parameter: str, value) -> int:
@@ -138,35 +131,26 @@ def cmd_simulate(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class SweepSpec:
-    parameter: str
-    values: list
-    overrides: dict
-    policies: list[str]
+    """A sweep spec file, read like a config file; each value and the
+    overrides are typed per point, by ``_with_param``."""
+
+    parameter: str = ""
+    values: list = dataclasses.field(default_factory=list)
+    overrides: dict = dataclasses.field(default_factory=dict)
+    policies: tuple[str, ...] = ("optimal",)
 
     @classmethod
     def from_file(cls, path: str) -> "SweepSpec":
-        raw = read_json(path, "sweep spec")
-        if not isinstance(raw, dict):
-            raise ConfigError("sweep spec must be an object")
-        unknown = set(raw) - {"parameter", "values", "overrides", "policies"}
-        if unknown:
-            raise ConfigError(f"unknown sweep keys: {sorted(unknown)}")
-        spec = cls(parameter=raw.get("parameter", ""),
-                   values=raw.get("values", []),
-                   overrides=raw.get("overrides", {}),
-                   policies=raw.get("policies", ["optimal"]))
-        if not isinstance(spec.parameter, str) or spec.parameter not in SWEEPABLE:
+        spec = build_dataclass(cls, read_json(path, "sweep spec"), "sweep spec")
+        if spec.parameter not in SWEEPABLE:
             raise ConfigError(f"'{spec.parameter}' is not a sweepable parameter")
-        if not isinstance(spec.values, list) or not spec.values:
+        if not spec.values:
             raise ConfigError("sweep value list must be non-empty")
-        if not isinstance(spec.overrides, dict):
-            raise ConfigError("sweep overrides must be an object")
-        if not isinstance(spec.policies, list) or not spec.policies:
+        if not spec.policies:
             raise ConfigError("need a list of at least one policy")
-        unknown = [p for p in spec.policies
-                   if not isinstance(p, str) or p not in POLICIES]
+        unknown = [p for p in spec.policies if p not in POLICIES]
         if unknown:
             raise ConfigError(f"unknown policies {unknown}; "
                               f"choose from {sorted(POLICIES)}")
@@ -220,7 +204,7 @@ def cmd_sweep(args) -> int:
                 out, f"{spec.parameter}__{metric}__{policy}_vs_{baseline}.csv"),
                 [spec.parameter, "reduction_percent"], rows)
     print(f"sweep over {spec.parameter}: {len(results)} points, "
-          f"policies {spec.policies}, output in {out}")
+          f"policies {list(spec.policies)}, output in {out}")
     return EXIT_OK
 
 

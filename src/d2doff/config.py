@@ -144,6 +144,12 @@ class PhyConfig:
         """Number of PRB-wide frequency blocks in the system band."""
         return int(round(self.system_bandwidth / self.prb_bandwidth))
 
+    @property
+    def prbs_required(self) -> int:
+        """PRBs needed to carry one coded content at the efficiency target."""
+        bits_per_prb = self.spectral_efficiency * self.prb_duration * self.prb_bandwidth
+        return int(math.ceil((self.payload_bits / self.fec_rate) / bits_per_prb))
+
 
 @dataclass(frozen=True)
 class RrrmConfig:
@@ -191,9 +197,17 @@ class Config:
         self.phy.validate()
         self.rrrm.validate()
         self.analytic.validate()
-        # the engine runs round(control_interval / prb_duration) PRB slots
-        if not self.scenario.control_interval / self.phy.prb_duration > 0.5:
+        # the engine runs round(control_interval / prb_duration) slots of
+        # freq_blocks PRBs; a content that never fits them is never delivered
+        slots = self.scenario.control_interval / self.phy.prb_duration
+        if not slots > 0.5:
             raise ConfigError("control_interval must hold at least one PRB slot")
+        try:
+            grid, needed = round(slots) * self.phy.freq_blocks, self.phy.prbs_required
+        except (OverflowError, ZeroDivisionError):  # an infinite count
+            raise ConfigError("the PRB grid and payload need finite PRB counts") from None
+        if needed > grid:
+            raise ConfigError(f"payload_bits needs {needed} PRBs; a control interval holds {grid}")
 
 
 _SECTIONS = {
@@ -208,9 +222,7 @@ def _typed(value, ftype, where: str):
     """value checked against a field's annotated type: numbers must be
     finite, and an integer field takes no fraction."""
     if dataclasses.is_dataclass(ftype):
-        if not isinstance(value, dict):
-            raise ConfigError(f"{where}: expected an object")
-        return _build_dataclass(ftype, value, where)
+        return build_dataclass(ftype, value, where)
     if typing.get_origin(ftype) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where}: expected a list")
@@ -233,7 +245,11 @@ def _typed(value, ftype, where: str):
     return value
 
 
-def _build_dataclass(cls, data: dict, where: str):
+def build_dataclass(cls, data, where: str):
+    """cls from the JSON object ``data``, each key a field and each value of
+    its field's type; ``where`` names data in errors.  Omitted fields keep defaults."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: expected an object")
     types = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
@@ -250,9 +266,7 @@ def config_from_dict(data: dict) -> Config:
     for key, value in data.items():
         if key not in _SECTIONS:
             raise ConfigError(f"unknown config section '{key}'")
-        if not isinstance(value, dict):
-            raise ConfigError(f"section '{key}' must be an object")
-        sections[key] = _build_dataclass(_SECTIONS[key], value, key)
+        sections[key] = build_dataclass(_SECTIONS[key], value, key)
     cfg = Config(**sections)
     cfg.validate()
     return cfg

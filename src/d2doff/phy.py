@@ -79,9 +79,8 @@ def tx_power_for_link(kind: str, r: float, cfg: PhyConfig) -> float:
 
 
 def prbs_required(cfg: PhyConfig) -> int:
-    """PRBs needed to carry one coded content at the efficiency target."""
-    bits_per_prb = cfg.spectral_efficiency * cfg.prb_duration * cfg.prb_bandwidth
-    return int(math.ceil((cfg.payload_bits / cfg.fec_rate) / bits_per_prb))
+    """PRBs needed to carry one coded content (``PhyConfig.prbs_required``)."""
+    return cfg.prbs_required
 
 
 def content_energy(p_c, cfg: PhyConfig):

@@ -97,9 +97,11 @@ class OptimalPolicy(BasePolicy):
     def _planned_tick(self, req: ContentRequest, t: float, t_star: float) -> float:
         T = self.cfg.control_interval
         planned = t + round(t_star / T) * T    # t* >= 0, so no earlier than t
-        # the deadline tick itself is still usable (the infrastructure
-        # fallback yields to a transmission scheduled for that tick)
-        return min(planned, req.deadline)
+        if planned <= req.deadline:
+            return planned
+        # else the last tick at or before the deadline, which is still usable
+        # (the infrastructure fallback yields to a transmission scheduled for it)
+        return math.floor((req.deadline + 1e-9) / T) * T
 
     def _reachable(self, world, t, reqs, req_i, holder, h, k, expiry):
         """Closest approach of every (request, holder) pair from ``_pairs``,

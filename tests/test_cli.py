@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d2doff import analytic, cli
+from d2doff import analytic, cli, engine
 from d2doff.analytic import AnalyticParams
 from d2doff.cli import main, point_seed, write_csv
-from d2doff.config import Config, ConfigError
+from d2doff.config import Config, ConfigError, load_config
 
 from test_config import BAD_VALUES, UNRUNNABLE, json_values
 
@@ -241,6 +241,29 @@ class TestSweep:
             with open(os.path.join(outs[0], name), "rb") as a, \
                     open(os.path.join(outs[1], name), "rb") as b:
                 assert a.read() == b.read(), name
+
+    def test_nested_and_tuple_overrides_read_as_a_config_file(self, tmp_path, monkeypatch):
+        overrides = {"gain_d2d": {"exp_near": 3.0}, "enb_positions": [0, 1500, 3000]}
+        spec = self._spec(tmp_path, overrides=overrides, policies=["optimal"])
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps({"scenario": {"speed_max": 20.0}}))
+        run_many, jobs = engine.run_many, []
+
+        def recording_run_many(js, workers):
+            jobs.extend(js)
+            return run_many(js, workers)
+
+        monkeypatch.setattr(engine, "run_many", recording_run_many)
+        assert run_cli("sweep", "--spec", spec, "--config", str(base),
+                       "--out", str(tmp_path / "o"), "--duration", "5", "--warmup", "0",
+                       "--replications", "1", "--workers", "1") == 0
+        for (point_cfg, *_), value in zip(jobs, [20.0, 40.0], strict=True):
+            same = tmp_path / f"same{value:g}.json"
+            same.write_text(json.dumps({
+                "scenario": {"speed_max": 20.0, "content_timeout": value,
+                             "enb_positions": overrides["enb_positions"]},
+                "phy": {"gain_d2d": overrides["gain_d2d"]}}))
+            assert point_cfg == load_config(str(same))
 
     def test_unknown_parameter_is_config_error(self, tmp_path):
         spec = self._spec(tmp_path, parameter="warp_factor")

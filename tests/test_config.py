@@ -128,8 +128,10 @@ class TestTypedValues:
 # Values of the right type that no run can use: a negative seed or lane
 # offset (the lane-aware law would put its crossing atom there), a zero
 # that the simulator or the analytic model divides by or takes the log
-# of, a band narrower than one PRB or a control interval shorter than
-# one PRB slot.  Each must be a ConfigError, so the CLI exits 2.
+# of, a band narrower than one PRB, a control interval shorter than
+# one PRB slot or a payload that one interval's PRB grid cannot hold (at
+# 1e9 bits, 2 314 815 PRBs against 120 000).  Each must be a ConfigError,
+# so the CLI exits 2.
 UNRUNNABLE = [
     {"scenario": {"rng_seed": -1}},
     {"scenario": {"lane_offset": -5.0}},
@@ -146,6 +148,7 @@ UNRUNNABLE = [
     {"analytic": {"dr": 0.0}},
     {"analytic": {"dr": -0.5}},
     {"analytic": {"dva": -1.0}},
+    {"phy": {"payload_bits": 1e9}},
 ]
 
 
@@ -156,14 +159,19 @@ class TestUnrunnableValues:
             config_from_dict(data)
 
     def test_slot_and_prb_boundaries(self):
-        # the engine rounds both counts, and round(0.5) is 0
+        # the engine rounds both counts, and round(0.5) is 0; a content must
+        # fit the grid of one interval, here one slot of one block
+        one_prb = {"scenario": {"control_interval": 3e-4},
+                   "phy": {"system_bandwidth": 100e3}}
         for data in ({"scenario": {"control_interval": 2.5e-4}},
-                     {"phy": {"system_bandwidth": 90e3}}):
+                     {"phy": {"system_bandwidth": 90e3}},
+                     one_prb,  # at the default 8000-PRB payload
+                     {**one_prb, "phy": {"system_bandwidth": 100e3, "payload_bits": 433.0}}):
             with pytest.raises(ConfigError):
                 config_from_dict(data)
-        cfg = config_from_dict({"scenario": {"control_interval": 3e-4},
-                                "phy": {"system_bandwidth": 100e3}})
-        assert cfg.phy.freq_blocks == 1
+        cfg = config_from_dict({**one_prb, "phy": {"system_bandwidth": 100e3,
+                                                   "payload_bits": 432.0}})
+        assert (cfg.phy.freq_blocks, cfg.phy.prbs_required) == (1, 1)
 
 
 def _keys(cls):

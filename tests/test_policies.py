@@ -596,6 +596,27 @@ class TestPendingStates:
         eng.run(20.0, 5.0)
         assert len(ticks) == 25 and max(ticks) > 0
 
+    def test_plans_fall_on_a_tick_by_the_deadline(self):
+        # at a 3 s interval the 20 s timeout ends between two ticks: a plan
+        # past the deadline moves to the last tick before it, which runs
+        base = _lam_config(1.0)
+        cfg = dataclasses.replace(base, scenario=dataclasses.replace(
+            base.scenario, control_interval=3.0))
+        eng = engine.Engine(cfg, "optimal", seed=1)
+        tick, plans = eng.tick, set()
+
+        def checked_tick(t, measuring):
+            tick(t, measuring)
+            for r in eng.policy.pending.values():
+                if r.state == SCHEDULED:
+                    assert r.planned_tick == round(r.planned_tick / 3.0) * 3.0
+                    assert r.planned_tick <= r.deadline
+                    plans.add((r.id, r.planned_tick))
+
+        eng.tick = checked_tick
+        eng.run(120.0, 60.0)
+        assert plans
+
     def test_optimal_intents_select_only_live_plans(self):
         # handle_new re-plans every due plan whose provider lost its copy or
         # left the road, so d2d_intents sees only live providers and writes
