@@ -131,7 +131,6 @@ class AnalyticParams:
             dva=an.dva,
             content_bins=an.content_bins,
             provider_speed_bins=an.provider_speed_bins,
-            same_lane_probability=an.same_lane_probability,
             energy_i2d=energy_i2d,
             energy_d2d=energy_d2d,
         )

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import analytic, engine, kernels
 from .config import (Config, ConfigError, PhyConfig, ScenarioConfig, build_dataclass,
-                     config_from_dict, config_to_dict, load_config, read_json)
+                     config_from_dict, load_config, read_json)
 from .policies import POLICIES
 from .analytic import AnalyticParams
 
@@ -82,14 +82,14 @@ SWEEPABLE.update({f.name: "phy" for f in dataclasses.fields(PhyConfig)
 
 
 def _with_param(cfg: Config, values: dict) -> Config:
-    """cfg with scenario or PHY fields set, read and validated as a config
-    file that holds cfg and these fields."""
-    data = config_to_dict(cfg)
+    """cfg with scenario or PHY fields set, each read over cfg's value as a
+    config file reads it, then validated."""
+    data = {}
     for name, value in values.items():
         if name not in SWEEPABLE:
             raise ConfigError(f"'{name}' is not a scenario or PHY parameter")
-        data[SWEEPABLE[name]][name] = value
-    return config_from_dict(data)
+        data.setdefault(SWEEPABLE[name], {})[name] = value
+    return config_from_dict(data, cfg)
 
 
 def point_seed(parameter: str, value) -> int:
@@ -360,8 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="run replicated simulations")
     common(sp)
-    sp.add_argument("--policy", default="optimal",
-                    choices=["optimal", "benchmark", "cellular"])
+    sp.add_argument("--policy", default="optimal", choices=list(POLICIES))
     sp.add_argument("--replications", type=_POSITIVE_INT, default=3)
     sp.set_defaults(func=cmd_simulate)
 

@@ -170,7 +170,6 @@ class AnalyticConfig:
     dva: float = 0.5           # m/s, outer averaging grid over requester speed
     content_bins: int = 48     # log-spaced bins over per-content densities
     provider_speed_bins: int = 8  # sub-intervals of the holder speed law
-    same_lane_probability: float = 0.5
 
     def validate(self) -> None:
         if self.dr <= 0.0 or self.dva <= 0.0:
@@ -179,8 +178,6 @@ class AnalyticConfig:
             raise ConfigError("content_bins must be >= 1")
         if self.provider_speed_bins < 1:
             raise ConfigError("provider_speed_bins must be >= 1")
-        if not (0.0 <= self.same_lane_probability <= 1.0):
-            raise ConfigError("same_lane_probability must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -210,19 +207,12 @@ class Config:
             raise ConfigError(f"payload_bits needs {needed} PRBs; a control interval holds {grid}")
 
 
-_SECTIONS = {
-    "scenario": ScenarioConfig,
-    "phy": PhyConfig,
-    "rrrm": RrrmConfig,
-    "analytic": AnalyticConfig,
-}
-
-
-def _typed(value, ftype, where: str):
+def _typed(value, ftype, where: str, current=None):
     """value checked against a field's annotated type: numbers must be
-    finite, and an integer field takes no fraction."""
+    finite, and an integer field takes no fraction.  An object overrides
+    the field's ``current`` value."""
     if dataclasses.is_dataclass(ftype):
-        return build_dataclass(ftype, value, where)
+        return build_dataclass(ftype, value, where, current)
     if typing.get_origin(ftype) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where}: expected a list")
@@ -245,29 +235,29 @@ def _typed(value, ftype, where: str):
     return value
 
 
-def build_dataclass(cls, data, where: str):
-    """cls from the JSON object ``data``, each key a field and each value of
-    its field's type; ``where`` names data in errors.  Omitted fields keep defaults."""
+def build_dataclass(cls, data, where: str, base=None):
+    """``base`` (default ``cls()``) with the fields that the JSON object
+    ``data`` names, each value of its field's type; a nested object in turn
+    keeps every field it does not name.  ``where`` names data in errors
+    ("" for a whole config)."""
+    label = where or "config"
     if not isinstance(data, dict):
-        raise ConfigError(f"{where}: expected an object")
+        raise ConfigError(f"{label}: expected an object")
+    base = cls() if base is None else base
     types = typing.get_type_hints(cls)
-    kwargs = {}
+    fields = {}
     for key, value in data.items():
         if key not in types:
-            raise ConfigError(f"{where}: unknown key '{key}'")
-        kwargs[key] = _typed(value, types[key], f"{where}.{key}")
-    return cls(**kwargs)
+            raise ConfigError(f"{label}: unknown key '{key}'")
+        fields[key] = _typed(value, types[key], f"{where}.{key}" if where else key,
+                             getattr(base, key))
+    return dataclasses.replace(base, **fields)
 
 
-def config_from_dict(data: dict) -> Config:
-    if not isinstance(data, dict):
-        raise ConfigError("top-level config must be an object")
-    sections = {}
-    for key, value in data.items():
-        if key not in _SECTIONS:
-            raise ConfigError(f"unknown config section '{key}'")
-        sections[key] = build_dataclass(_SECTIONS[key], value, key)
-    cfg = Config(**sections)
+def config_from_dict(data, base: Config | None = None) -> Config:
+    """``base`` (default ``Config()``) overridden by the JSON object ``data``,
+    then validated."""
+    cfg = build_dataclass(Config, data, "", base)
     cfg.validate()
     return cfg
 
@@ -290,7 +280,3 @@ def load_config(path: str) -> Config:
     """Load and validate a JSON config file."""
     return config_from_dict(read_json(path, "config"))
 
-
-def config_to_dict(cfg: Config) -> dict:
-    """Inverse of config_from_dict (round-trippable)."""
-    return dataclasses.asdict(cfg)

@@ -76,7 +76,7 @@ class Engine:
         self.policy = make_policy(policy_name, sc)
         self.channel = phy.ChannelModel(cfg.phy)
         self.shadow = phy.ShadowingField(sc.street_length, cfg.phy, self.rng)
-        self.n_prbs = phy.prbs_required(cfg.phy)
+        self.n_prbs = cfg.phy.prbs_required
         blocks = cfg.phy.freq_blocks
         self.capacity = blocks * int(round(sc.control_interval / cfg.phy.prb_duration))
         # slots of PRB slice k in each frequency block: row k mod len(), as

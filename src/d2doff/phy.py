@@ -78,15 +78,10 @@ def tx_power_for_link(kind: str, r: float, cfg: PhyConfig) -> float:
     return tx_power_per_subcarrier(g, link_margin_db(kind, cfg), cfg)
 
 
-def prbs_required(cfg: PhyConfig) -> int:
-    """PRBs needed to carry one coded content (``PhyConfig.prbs_required``)."""
-    return cfg.prbs_required
-
-
 def content_energy(p_c, cfg: PhyConfig):
     """Radiated energy of one full content transmission at per-subcarrier
     power p_c (J)."""
-    return prbs_required(cfg) * cfg.subcarriers_per_prb * p_c * cfg.prb_duration
+    return cfg.prbs_required * cfg.subcarriers_per_prb * p_c * cfg.prb_duration
 
 
 def transmission_energy(kind: str, r, cfg: PhyConfig):

@@ -28,15 +28,10 @@ def zipf_cdf(alpha: float, library_size: int) -> np.ndarray:
     return cdf
 
 
-def per_content_request_rates(pmf: np.ndarray, request_rate: float) -> np.ndarray:
-    """Per-device Poisson request rate for each content."""
-    return pmf * request_rate
-
-
 def cache_presence_probs(pmf: np.ndarray, request_rate: float, window: float) -> np.ndarray:
     """P(a device holds content z), from its own request process over a
     retention window: 1 - exp(-lambda_z * window)."""
-    return 1.0 - np.exp(-per_content_request_rates(pmf, request_rate) * window)
+    return 1.0 - np.exp(-pmf * request_rate * window)
 
 
 def renewal_presence_probs(pmf: np.ndarray, request_rate: float,
@@ -49,7 +44,7 @@ def renewal_presence_probs(pmf: np.ndarray, request_rate: float,
     expiry unchanged.  The cache state is then an alternating renewal
     process (exponential idle time 1/lambda_z, fixed hold time t_s), so
     the holding fraction is lambda_z t_s / (1 + lambda_z t_s)."""
-    lam = per_content_request_rates(pmf, request_rate)
+    lam = pmf * request_rate
     return lam * sharing_timeout / (1.0 + lam * sharing_timeout)
 
 

@@ -175,7 +175,7 @@ def test_criterion_3_closed_forms(capsys):
     checks.append(("time-limit mean", abs(tl.mean() - mean_ref) <= 1e-9))
 
     cfg = Config().phy
-    checks.append(("PRBs per transfer", phy.prbs_required(cfg) == 8000))
+    checks.append(("PRBs per transfer", cfg.prbs_required == 8000))
 
     sigma2 = phy.subcarrier_noise_power(cfg)
     exact = True

@@ -182,6 +182,19 @@ def test_single_speed_is_config_error_for_the_analytic_model(tmp_path, capsys, a
     assert err == ["config error: the analytic model needs speed_min < speed_max"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["analytic"],
+    ["validate", "--samples", "200", "--duration", "0"],
+])
+def test_removed_analytic_key_is_config_error(tmp_path, capsys, argv):
+    # no command read same_lane_probability; a config that sets it exits 2
+    cfg = tmp_path / "removed.json"
+    cfg.write_text(json.dumps({"analytic": {"same_lane_probability": 0.5}}))
+    assert run_cli(*argv, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == \
+        "config error: analytic: unknown key 'same_lane_probability'\n"
+
+
 def test_single_speed_simulates(tmp_path):
     cfg = tmp_path / "one_speed.json"
     cfg.write_text(json.dumps({"scenario": {"speed_min": 12.0, "speed_max": 12.0}}))
@@ -197,6 +210,18 @@ class TestSweep:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         return str(path)
+
+    @staticmethod
+    def _recorded_jobs(monkeypatch):
+        """The jobs that engine.run_many is given, filled as it runs them."""
+        run_many, jobs = engine.run_many, []
+
+        def recording_run_many(js, workers):
+            jobs.extend(js)
+            return run_many(js, workers)
+
+        monkeypatch.setattr(engine, "run_many", recording_run_many)
+        return jobs
 
     def test_outputs_and_reductions(self, tmp_path):
         out = str(tmp_path / "o")
@@ -247,13 +272,7 @@ class TestSweep:
         spec = self._spec(tmp_path, overrides=overrides, policies=["optimal"])
         base = tmp_path / "base.json"
         base.write_text(json.dumps({"scenario": {"speed_max": 20.0}}))
-        run_many, jobs = engine.run_many, []
-
-        def recording_run_many(js, workers):
-            jobs.extend(js)
-            return run_many(js, workers)
-
-        monkeypatch.setattr(engine, "run_many", recording_run_many)
+        jobs = self._recorded_jobs(monkeypatch)
         assert run_cli("sweep", "--spec", spec, "--config", str(base),
                        "--out", str(tmp_path / "o"), "--duration", "5", "--warmup", "0",
                        "--replications", "1", "--workers", "1") == 0
@@ -264,6 +283,19 @@ class TestSweep:
                              "enb_positions": overrides["enb_positions"]},
                 "phy": {"gain_d2d": overrides["gain_d2d"]}}))
             assert point_cfg == load_config(str(same))
+
+    def test_nested_override_keeps_the_base_configs_other_fields(self, tmp_path,
+                                                                 monkeypatch):
+        spec = self._spec(tmp_path, overrides={"gain_d2d": {"exp_near": 3.0}},
+                          policies=["optimal"])
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps({"phy": {"gain_d2d": {"extra_loss_db": 7.0}}}))
+        jobs = self._recorded_jobs(monkeypatch)
+        assert run_cli("sweep", "--spec", spec, "--config", str(base),
+                       "--out", str(tmp_path / "o"), "--duration", "5", "--warmup", "0",
+                       "--replications", "1", "--workers", "1") == 0
+        assert [job[0].phy.gain_d2d.extra_loss_db for job in jobs] == [7.0, 7.0]
+        assert {job[0].phy.gain_d2d.exp_near for job in jobs} == {3.0}
 
     def test_unknown_parameter_is_config_error(self, tmp_path):
         spec = self._spec(tmp_path, parameter="warp_factor")
@@ -373,6 +405,16 @@ class TestAnalytic:
         monkeypatch.setattr(analytic, "lane_aware_delivery_law", counted)
         assert run_cli("analytic", "--out", str(tmp_path / "o")) == 0
         assert len(calls) == 1
+
+    def test_partial_object_writes_the_default_outputs(self, tmp_path):
+        # restating one default of gain_d2d keeps its 5 dB extra loss
+        cfg = tmp_path / "partial.json"
+        cfg.write_text(json.dumps({"phy": {"gain_d2d": {"exp_near": 2.2}}}))
+        outs = [tmp_path / "default", tmp_path / "partial"]
+        assert run_cli("analytic", "--out", str(outs[0])) == 0
+        assert run_cli("analytic", "--config", str(cfg), "--out", str(outs[1])) == 0
+        for name in ("energy.csv", "distance_law.csv", "zero_distance_surface.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 class TestValidate:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d2doff.config import (Config, ConfigError, GainModel, PhyConfig, ScenarioConfig,
-                           config_from_dict, config_to_dict, load_config)
+                           config_from_dict, load_config)
 
 
 class TestValidation:
@@ -40,10 +40,10 @@ class TestValidation:
 class TestLoading:
     def test_round_trip(self):
         cfg = Config()
-        assert config_from_dict(config_to_dict(cfg)) == cfg
+        assert config_from_dict(dataclasses.asdict(cfg)) == cfg
 
     def test_unknown_section(self):
-        with pytest.raises(ConfigError, match="unknown config section"):
+        with pytest.raises(ConfigError, match="config: unknown key 'bogus'"):
             config_from_dict({"bogus": {}})
 
     def test_unknown_key(self):
@@ -55,6 +55,18 @@ class TestLoading:
             {"phy": {"gain_d2d": {"exp_near": 3.0, "extra_loss_db": 0.0}}})
         assert cfg.phy.gain_d2d.exp_near == 3.0
         assert cfg.phy.gain_i2d.exp_near == 2.2
+
+    def test_partial_gain_keeps_the_fields_it_does_not_name(self):
+        # the D2D gain's default extra loss is 5 dB, not GainModel's 0 dB
+        cfg = config_from_dict({"phy": {"gain_d2d": {"exp_near": 2.2}}})
+        assert cfg.phy.gain_d2d.extra_loss_db == 5.0
+        assert cfg == Config()
+
+    def test_object_overrides_the_given_base(self):
+        base = config_from_dict({"phy": {"gain_d2d": {"extra_loss_db": 7.0}}})
+        cfg = config_from_dict({"phy": {"gain_d2d": {"exp_near": 3.0}}}, base)
+        assert cfg.phy.gain_d2d == GainModel(exp_near=3.0, extra_loss_db=7.0)
+        assert cfg.phy.gain_i2d == base.phy.gain_i2d
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -106,6 +118,7 @@ class TestTypedValues:
         {"phy": {"subcarriers_per_prb": 10 ** 400}},
         {"analytic": {"dv": 0.01}},
         {"analytic": {"mean_count_variant": "region"}},
+        {"analytic": {"same_lane_probability": 0.5}},  # read by no command
         {"phy": {"gain_i2d": [2.2]}},
         {"phy": {"prb_bandwidth": 180e3}},  # derived from the subcarriers
     ])
@@ -200,3 +213,53 @@ def test_any_object_loads_or_is_config_error(data):
     except ConfigError:
         return
     assert isinstance(cfg, Config)
+
+
+def _objects(obj, path=()):
+    """(path, value) of every section and nested object under obj."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield path + (f.name,), value
+            yield from _objects(value, path + (f.name,))
+
+
+def _scaled(value, factor: float):
+    """A field's default moved by factor, as JSON carries it; within 10 %
+    of every default, no cross-field rule of Config.validate is broken."""
+    if isinstance(value, tuple):
+        return [x * factor for x in value]
+    if isinstance(value, int):
+        return round(value * factor)
+    return value * factor
+
+
+def _replaced(obj, path, fields):
+    """obj with the object at path replaced on exactly fields."""
+    if not path:
+        return dataclasses.replace(obj, **fields)
+    head, *rest = path
+    return dataclasses.replace(obj, **{head: _replaced(getattr(obj, head), rest, fields)})
+
+
+@st.composite
+def partial_objects(draw):
+    """(path, JSON fields) of one section or nested object, a subset of its
+    plain fields each set to a valid value."""
+    path, default = draw(st.sampled_from(list(_objects(Config()))))
+    plain = [f.name for f in dataclasses.fields(default)
+             if not dataclasses.is_dataclass(getattr(default, f.name))]
+    names = draw(st.lists(st.sampled_from(plain), unique=True))
+    return path, {name: _scaled(getattr(default, name), draw(st.floats(0.9, 1.1)))
+                  for name in names}
+
+
+@given(obj=partial_objects())
+@settings(max_examples=200, deadline=None)
+def test_partial_object_replaces_exactly_the_fields_it_names(obj):
+    path, fields = obj
+    data = fields
+    for key in reversed(path):
+        data = {key: data}
+    typed = {k: tuple(v) if isinstance(v, list) else v for k, v in fields.items()}
+    assert config_from_dict(data) == _replaced(Config(), path, typed)

@@ -65,7 +65,7 @@ class TestPowerControl:
 
     def test_prbs_required_default(self, cfg):
         # ceil((432 kB * 8 / 0.8) / (6 * 180 kHz * 0.5 ms)) = 8000
-        assert phy.prbs_required(cfg) == 8000
+        assert cfg.prbs_required == 8000
 
     def test_energy_scales_with_prbs(self, cfg):
         e = float(phy.transmission_energy(phy.D2D, np.array([50.0]), cfg)[0])

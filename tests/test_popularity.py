@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from d2doff.popularity import (cache_presence_probs, non_repeated_pmf,
-                               per_content_request_rates,
                                renewal_presence_probs, zipf_pmf)
 
 
@@ -28,10 +27,6 @@ class TestZipf:
 
 
 class TestRequestRates:
-    def test_rates_scale_pmf(self):
-        rates = per_content_request_rates(zipf_pmf(1.1, 100), 0.1)
-        assert rates.sum() == pytest.approx(0.1, abs=1e-12)
-
     def test_cache_presence(self):
         pmf = zipf_pmf(1.1, 10)
         p = cache_presence_probs(pmf, 0.1, 600.0)

@@ -262,7 +262,7 @@ class TestAllocation:
     def test_single_link_occupancy(self, cfg):
         links = table([d2d(0.0, 30.0)])
         sets = [[0]]
-        n_prbs = phy.prbs_required(cfg.phy)
+        n_prbs = cfg.phy.prbs_required
         capacity = cfg.phy.freq_blocks * round(
             cfg.scenario.control_interval / cfg.phy.prb_duration)
         placed, pruned = rrrm.allocate_prbs(sets, links, capacity, n_prbs)
