@@ -106,12 +106,14 @@ class AnalyticParams:
     energy_i2d: Callable[[np.ndarray], np.ndarray] | None = None
     energy_d2d: Callable[[np.ndarray], np.ndarray] | None = None
 
+    def __post_init__(self):
+        # a simulation runs at one speed, but the laws need a range
+        if self.speed_law.v_min == self.speed_law.v_max:
+            raise ConfigError("the analytic model needs speed_min < speed_max")
+
     @classmethod
     def from_config(cls, cfg: Config, with_energy: bool = True) -> "AnalyticParams":
         sc, an = cfg.scenario, cfg.analytic
-        if sc.speed_min == sc.speed_max:
-            # a simulation runs at one speed, but the laws need a range
-            raise ConfigError("the analytic model needs speed_min < speed_max")
         energy_i2d = energy_d2d = None
         if with_energy:
             from .phy import energy_functions
@@ -239,8 +241,6 @@ def _speed_grid(params: AnalyticParams,
     if params.dva <= 0.0:
         raise ValueError("speed step dva must be > 0")
     law = params.speed_law
-    if law.v_max == law.v_min:
-        return np.array([law.v_min]), np.array([1.0])
     n = max(2, int(round((law.v_max - law.v_min) / params.dva)) + 1)
     va = np.linspace(law.v_min, law.v_max, n)
     w = np.full(n, va[1] - va[0])
@@ -512,8 +512,6 @@ def _holder_speed_bins(params: AnalyticParams) -> tuple[np.ndarray, np.ndarray]:
     """Provider speed-magnitude sub-intervals and their road-snapshot
     weights (1/v length-biased)."""
     law = params.speed_law
-    if law.v_max == law.v_min:
-        raise ValueError("the analytic model needs speed_min < speed_max")
     edges = np.linspace(law.v_min, law.v_max, params.provider_speed_bins + 1)
     weights = np.log(edges[1:] / edges[:-1]) / math.log(law.v_max / law.v_min)
     return edges, weights

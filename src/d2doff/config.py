@@ -194,17 +194,21 @@ class Config:
         self.phy.validate()
         self.rrrm.validate()
         self.analytic.validate()
-        # the engine runs round(control_interval / prb_duration) slots of
-        # freq_blocks PRBs; a content that never fits them is never delivered
-        slots = self.scenario.control_interval / self.phy.prb_duration
-        if not slots > 0.5:
+        # a content that never fits the engine's grid is never delivered
+        if not self.scenario.control_interval / self.phy.prb_duration > 0.5:
             raise ConfigError("control_interval must hold at least one PRB slot")
         try:
-            grid, needed = round(slots) * self.phy.freq_blocks, self.phy.prbs_required
+            grid, needed = self.prbs_per_interval, self.phy.prbs_required
         except (OverflowError, ZeroDivisionError):  # an infinite count
             raise ConfigError("the PRB grid and payload need finite PRB counts") from None
         if needed > grid:
             raise ConfigError(f"payload_bits needs {needed} PRBs; a control interval holds {grid}")
+
+    @property
+    def prbs_per_interval(self) -> int:
+        """PRBs of one control interval's grid: round(control_interval /
+        prb_duration) slots of freq_blocks PRBs each."""
+        return self.phy.freq_blocks * round(self.scenario.control_interval / self.phy.prb_duration)
 
 
 def _typed(value, ftype, where: str, current=None):

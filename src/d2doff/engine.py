@@ -78,7 +78,7 @@ class Engine:
         self.shadow = phy.ShadowingField(sc.street_length, cfg.phy, self.rng)
         self.n_prbs = cfg.phy.prbs_required
         blocks = cfg.phy.freq_blocks
-        self.capacity = blocks * int(round(sc.control_interval / cfg.phy.prb_duration))
+        self.capacity = cfg.prbs_per_interval
         # slots of PRB slice k in each frequency block: row k mod len(), as
         # the row depends only on k * n_prbs mod blocks
         first = np.arange(blocks // math.gcd(self.n_prbs, blocks)) * self.n_prbs

@@ -1,8 +1,10 @@
 """Content-delivery policies.
 
-* ``optimal``: schedules each delivery at the instant the best cached
-  copy comes closest to the requester, and falls back to the
-  infrastructure at the deadline.  It plans only in ``handle_new``, in
+* ``optimal``: schedules each delivery at the tick nearest the instant
+  the best cached copy comes closest to the requester, and falls back to
+  the infrastructure at the deadline.  A deadline is the last tick within
+  the delay tolerance (``World.spawn_requests``), so a plan never passes
+  it, and every policy reads it as is.  It plans only in ``handle_new``, in
   one pass per tick over (request, holder) pairs, each with its copy's
   expiry from ``World.holders``: new requests, and due requests whose
   provider left ``World.holders`` (the road or its copy went), on every
@@ -94,15 +96,6 @@ class BasePolicy:
 class OptimalPolicy(BasePolicy):
     name = "optimal"
 
-    def _planned_tick(self, req: ContentRequest, t: float, t_star: float) -> float:
-        T = self.cfg.control_interval
-        planned = t + round(t_star / T) * T    # t* >= 0, so no earlier than t
-        if planned <= req.deadline:
-            return planned
-        # else the last tick at or before the deadline, which is still usable
-        # (the infrastructure fallback yields to a transmission scheduled for it)
-        return math.floor((req.deadline + 1e-9) / T) * T
-
     def _reachable(self, world, t, reqs, req_i, holder, h, k, expiry):
         """Closest approach of every (request, holder) pair from ``_pairs``,
         each with its copy's expiry.  Returns (request index, holder id, t*,
@@ -129,12 +122,14 @@ class OptimalPolicy(BasePolicy):
         expiry = np.fromiter(chain.from_iterable(hs.values() for hs in holder_sets),
                              float, keep.size)[keep]
         req_i, holder, t_star, delta = self._reachable(world, t, reqs, *pairs, expiry)
+        T = self.cfg.control_interval
         for j in _first_per_request(req_i, (holder, t_star, delta)):
             req = reqs[req_i[j]]
             if delta[j] < req.delta_hat:
                 req.provider_id = int(holder[j])
                 req.delta_hat = float(delta[j])
-                req.planned_tick = self._planned_tick(req, t, float(t_star[j]))
+                # t* <= deadline - t, whole ticks: the plan runs by the deadline
+                req.planned_tick = t + round(float(t_star[j]) / T) * T
                 req.state = SCHEDULED
 
     def _due(self, t):

@@ -274,7 +274,8 @@ class World:
 
     def spawn_requests(self, t: float) -> list[ContentRequest]:
         """Per-device Poisson requests for one control interval at tick t,
-        devices in id order."""
+        devices in id order; a deadline is the last tick at or before
+        t + content_timeout, the one place a delay tolerance becomes a tick."""
         cfg = self.cfg
         tab = self.table
         vids = tab.id[(tab.entry_time <= t) & (t < tab.exit_time)]
@@ -285,7 +286,8 @@ class World:
         contents = self.content_cdf.searchsorted(self.rng.random(total), side="right")
         rid0 = self._next_rid
         self._next_rid += total
-        deadline = t + cfg.content_timeout
+        T = cfg.control_interval
+        deadline = math.floor((t + cfg.content_timeout) / T + 1e-9) * T
         return [ContentRequest(id=rid, requester_id=vid, content_id=z, t0=t, deadline=deadline)
                 for rid, vid, z in zip(range(rid0, self._next_rid),
                                        np.repeat(vids, counts).tolist(), contents.tolist())]

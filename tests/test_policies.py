@@ -412,6 +412,12 @@ def _ref_candidate_eval(cfg, req, world, t, cand_ids):
     return ids, t_star, np.where(ok, delta, np.inf)
 
 
+def _ref_planned_tick(cfg, t, t_star):
+    # the tick nearest the closest approach; the deadline is a tick, so
+    # this never passes it
+    return t + round(t_star / cfg.control_interval) * cfg.control_interval
+
+
 class ReferenceOptimalPolicy(OptimalPolicy):
     def i2d_due(self, t):
         return [r for rid, r in sorted(self.pending.items())
@@ -433,7 +439,7 @@ class ReferenceOptimalPolicy(OptimalPolicy):
         best = np.lexsort((ids, t_star, delta))[0]
         req.provider_id = int(ids[best])
         req.delta_hat = float(delta[best])
-        req.planned_tick = self._planned_tick(req, t, float(t_star[best]))
+        req.planned_tick = _ref_planned_tick(self.cfg, t, float(t_star[best]))
         req.state = SCHEDULED
 
     def _due_ref(self, req, t):
@@ -470,7 +476,7 @@ class ReferenceOptimalPolicy(OptimalPolicy):
             if delta[best] < req.delta_hat:
                 req.provider_id = int(ids[best])
                 req.delta_hat = float(delta[best])
-                req.planned_tick = self._planned_tick(req, t, float(t_star[best]))
+                req.planned_tick = _ref_planned_tick(self.cfg, t, float(t_star[best]))
                 req.state = SCHEDULED
         for req in requests:
             self.admit(req)
@@ -597,8 +603,8 @@ class TestPendingStates:
         assert len(ticks) == 25 and max(ticks) > 0
 
     def test_plans_fall_on_a_tick_by_the_deadline(self):
-        # at a 3 s interval the 20 s timeout ends between two ticks: a plan
-        # past the deadline moves to the last tick before it, which runs
+        # at a 3 s interval the 20 s timeout ends between two ticks; the
+        # deadline is the last tick before its end, and no plan passes it
         base = _lam_config(1.0)
         cfg = dataclasses.replace(base, scenario=dataclasses.replace(
             base.scenario, control_interval=3.0))
@@ -616,6 +622,36 @@ class TestPendingStates:
         eng.tick = checked_tick
         eng.run(120.0, 60.0)
         assert plans
+
+    @pytest.mark.parametrize("interval", [3.0, 0.3])
+    @pytest.mark.parametrize("name", ["optimal", "benchmark"])
+    def test_fallback_within_the_delay_tolerance(self, name, interval):
+        # neither interval divides the 20 s timeout; an I2D delivery on the
+        # first tick that offered its request to the infrastructure is on time
+        base = _lam_config(1.0)
+        cfg = dataclasses.replace(base, scenario=dataclasses.replace(
+            base.scenario, control_interval=interval))
+        eng = engine.Engine(cfg, name, seed=1)
+        tick, link_table, deliver = eng.tick, eng._link_table, eng._deliver
+        now, offered, on_first = [0.0], {}, []
+
+        def recording_tick(t, measuring):
+            now[0] = t
+            tick(t, measuring)
+
+        def recording_table(reqs, n_i2d):
+            for r in reqs[:n_i2d]:
+                offered.setdefault(r.id, now[0])
+            return link_table(reqs, n_i2d)
+
+        def checked_deliver(req, is_i2d, distance, t, m):
+            if is_i2d and offered[req.id] == t:
+                on_first.append(t <= req.t0 + cfg.scenario.content_timeout)
+            deliver(req, is_i2d, distance, t, m)
+
+        eng.tick, eng._link_table, eng._deliver = recording_tick, recording_table, checked_deliver
+        eng.run(30.0, 10.0)
+        assert len(on_first) > 50 and all(on_first)
 
     def test_optimal_intents_select_only_live_plans(self):
         # handle_new re-plans every due plan whose provider lost its copy or

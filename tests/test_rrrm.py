@@ -263,8 +263,7 @@ class TestAllocation:
         links = table([d2d(0.0, 30.0)])
         sets = [[0]]
         n_prbs = cfg.phy.prbs_required
-        capacity = cfg.phy.freq_blocks * round(
-            cfg.scenario.control_interval / cfg.phy.prb_duration)
+        capacity = cfg.prbs_per_interval
         placed, pruned = rrrm.allocate_prbs(sets, links, capacity, n_prbs)
         assert not pruned
         occ = rrrm.spectrum_occupancy(placed, capacity, n_prbs, np.ones(1, dtype=bool))

@@ -398,15 +398,19 @@ class TestRequests:
         # 30 vehicles * 0.1 req/s * 100 s
         assert total == pytest.approx(300, rel=0.15)
 
-    def test_fields(self, world):
+    @pytest.mark.parametrize("interval", [1.0, 3.0, 0.7])
+    def test_fields(self, rng, interval):
+        sc = dataclasses.replace(Config().scenario, control_interval=interval)
+        world = World(sc, rng)
         world._new_vehicle(0.0, 15.0)
-        reqs = []
-        t = 0.0
-        while not reqs and t < 200.0:
-            reqs = world.spawn_requests(t)
-            t += 1.0
+        reqs, k = [], 0
+        while not reqs and k * interval < 200.0:
+            reqs = world.spawn_requests(k * interval)  # tick k, as the engine forms it
+            k += 1
         r = reqs[0]
-        assert r.deadline == r.t0 + world.cfg.content_timeout
+        # the deadline is the last tick within the delay tolerance, to the bit
+        ticks = [j * interval for j in range(k + int(sc.content_timeout / interval) + 2)]
+        assert r.deadline == max(u for u in ticks if u <= r.t0 + sc.content_timeout)
         assert 0 <= r.content_id < world.cfg.library_size
         assert r.state == scenario.PENDING and not r.served
 

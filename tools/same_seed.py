@@ -13,14 +13,16 @@ fields of ``REQUEST_FIELDS``), the final copy index ``World.holders``
 (contents ascending, each with its (vehicle id, expiry) pairs ascending)
 and the final state of its random generator.
 
-The full set is 30 runs: 18 at arrival rate 1/3, 1 and 2 veh/s (the
+The full set is 33 runs: 18 at arrival rate 1/3, 1 and 2 veh/s (the
 three policies, seeds 1 and 2; 60 s after 20 s of warm-up), 6 whose
 payload fits 8 or 200 PRBs, so that a link's PRB slice covers only part
 of the band, 3 (one per policy) at a 2 dB link margin on both link
 kinds, where a third or more of first attempts fail, so HARQ retries
-run often (at the default margins, 2 % or fewer fail at 1 veh/s), and 3
-(one per policy) at a 3 s control interval, which does not divide the
-20 s content timeout, so ``optimal`` moves plans off the deadline.
+run often (at the default margins, 2 % or fewer fail at 1 veh/s), and 6
+(one per policy and grid) on tick grids that do not divide the content
+timeout: a 3 s control interval with the 20 s timeout, and a 0.7 s one,
+whose ticks are no whole seconds, with a 20.5 s timeout.  There a
+request's deadline is its last tick before the timeout ends.
 ``--quick`` runs one short run per policy.
 
 The full set then prints one line per analytic configuration of the
@@ -60,25 +62,27 @@ COUNTERS = ("deliveries_d2d", "deliveries_i2d", "repeated", "dropped",
 SMALL_PAYLOAD_PRBS = (8, 200)
 # link margin (dB, both kinds) of the runs that exercise HARQ retries
 RETRY_MARGIN_DB = 2.0
-# control interval (s) of the runs whose deadlines fall between ticks
-OFF_GRID_INTERVAL = 3.0
+# scenario fields of the runs whose tick grid does not divide the content
+# timeout, by key
+OFF_GRID = {"T=3s": {"control_interval": 3.0},
+            "T=0.7s timeout=20.5s": {"control_interval": 0.7, "content_timeout": 20.5}}
 # a pending request's identity, state and plan
 REQUEST_FIELDS = ("id", "requester_id", "content_id", "t0", "deadline", "state",
                   "provider_id", "planned_tick", "delta_hat")
 
 
 def _config(lam: float, n_prbs: int | None = None,
-            margin_db: float | None = None, interval: float | None = None) -> Config:
+            margin_db: float | None = None, **scenario) -> Config:
+    """The default config at arrival rate ``lam``, with the given payload in
+    PRBs, link margin and other scenario fields."""
     base = Config()
     phy = base.phy if n_prbs is None else dataclasses.replace(
         base.phy, payload_bits=432.0 * n_prbs - 100.0)
     if margin_db is not None:
         phy = dataclasses.replace(phy, link_margin_i2d_db=margin_db,
                                   link_margin_d2d_db=margin_db)
-    scenario = dataclasses.replace(base.scenario, vehicle_arrival_rate=lam)
-    if interval is not None:
-        scenario = dataclasses.replace(scenario, control_interval=interval)
-    return dataclasses.replace(base, phy=phy, scenario=scenario)
+    return dataclasses.replace(base, phy=phy, scenario=dataclasses.replace(
+        base.scenario, vehicle_arrival_rate=lam, **scenario))
 
 
 def runs(quick: bool):
@@ -93,8 +97,8 @@ def runs(quick: bool):
             for n in SMALL_PAYLOAD_PRBS for p in POLICIES]
     out += [(f"margin={RETRY_MARGIN_DB:g}dB {p} seed=1",
              _config(1.0, margin_db=RETRY_MARGIN_DB), p, 1, 60.0, 20.0) for p in POLICIES]
-    out += [(f"T={OFF_GRID_INTERVAL:g}s {p} seed=1",
-             _config(1.0, interval=OFF_GRID_INTERVAL), p, 1, 60.0, 20.0) for p in POLICIES]
+    out += [(f"{name} {p} seed=1", _config(1.0, **fields), p, 1, 60.0, 20.0)
+            for name, fields in OFF_GRID.items() for p in POLICIES]
     return out
 
 
