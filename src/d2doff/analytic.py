@@ -44,7 +44,7 @@ import numpy as np
 
 from . import kernels
 from .config import Config, ConfigError
-from .mixdist import MixedDistribution, grid_nodes, refined_grid, _trapz
+from .mixdist import SAMPLE_BLOCK, MixedDistribution, grid_nodes, refined_grid, _trapz
 from .popularity import (cache_presence_probs, non_repeated_pmf,
                          renewal_presence_probs, zipf_pmf)
 from .speedlaw import RelativeSpeedLaw, UniformSpeedLaw
@@ -76,10 +76,9 @@ def time_limit_law(content_timeout: float, sharing_timeout: float) -> MixedDistr
     return MixedDistribution(atoms=[(tc, 1.0 - tc / ts)], grid=grid, density=density)
 
 
-def sample_time_limit(rng: np.random.Generator, n: int,
-                      content_timeout: float, sharing_timeout: float) -> np.ndarray:
-    u = rng.random(n) * sharing_timeout
-    return np.minimum(u, content_timeout)
+def time_limits(u: np.ndarray, content_timeout: float, sharing_timeout: float) -> np.ndarray:
+    """Effective windows from uniforms u: min(u sharing_timeout, content_timeout)."""
+    return np.minimum(u * sharing_timeout, content_timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +210,21 @@ def single_provider_distance_law(x0: float, v_a: float,
     density = _approach_density(rel, grid, x, tc, ts)
     return MixedDistribution(
         atoms=[(0.0, zero_mass), (x, far_mass)], grid=grid, density=density)
+
+
+def sample_min_distances(x0: float, v_a: float, params: AnalyticParams, n: int,
+                         rng: np.random.Generator) -> np.ndarray:
+    """n Monte-Carlo draws of ``single_provider_distance_law``: one call
+    draws the uniforms of the speeds' intervals, of the speeds within them
+    and of the time limits, n each; the samples are formed block by block."""
+    pick, within, limit = rng.random(3 * n).reshape(3, n)
+    rel = params.speed_law.relative(v_a)
+    out = np.empty(n)
+    for s in range(0, n, SAMPLE_BLOCK):
+        b = slice(s, s + SAMPLE_BLOCK)
+        phi = time_limits(limit[b], params.content_timeout, params.sharing_timeout)
+        out[b] = kernels.min_distance_samples(float(x0), rel.speeds(pick[b], within[b]), phi)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import zlib
 
 import numpy as np
 
-from . import analytic, engine, kernels
+from . import analytic, engine
 from .config import (Config, ConfigError, PhyConfig, ScenarioConfig, build_dataclass,
                      config_from_dict, load_config, read_json)
 from .policies import POLICIES
@@ -255,12 +255,7 @@ def oracle_check(x0: float, v_a: float, params: AnalyticParams,
     if n_samples <= 0:
         raise ConfigError("n_samples must be > 0")
     law = analytic.single_provider_distance_law(x0, v_a, params)
-    rel = params.speed_law.relative(v_a)
-    v = rel.sample(rng, n_samples)
-    phi = analytic.sample_time_limit(rng, n_samples, params.content_timeout,
-                                     params.sharing_timeout)
-    samples = kernels.min_distance_samples(
-        np.full(n_samples, float(x0)), v, phi)
+    samples = analytic.sample_min_distances(x0, v_a, params, n_samples, rng)
     x = abs(x0)
     at_zero = samples <= 1e-12
     at_x = samples >= x - 1e-12

@@ -132,11 +132,19 @@ class RelativeSpeedLaw:
         (lo,), (hi,) = self.lo, self.hi
         return sorted(lo.tolist() + hi.tolist())
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n draws from a one-row law."""
+    def speeds(self, pick: np.ndarray, within: np.ndarray) -> np.ndarray:
+        """Speeds of a one-row law from uniforms: ``pick`` chooses the interval
+        as ``Generator.choice`` does (same bits, same ValueError on a negative
+        or NaN mass), ``within`` places the speed in it."""
         (lo,), (hi,), (level,) = self.lo, self.hi, self.level
-        probs = (hi - lo) * level
-        which = rng.choice(lo.size, size=n, p=probs / probs.sum())
-        u = rng.random(n)
-        a, b = lo[which], hi[which]
-        return a + u * (b - a)
+        width = hi - lo
+        probs = width * level
+        p = probs / probs.sum()
+        if not np.all(p >= 0.0):
+            raise ValueError("interval probabilities must be nonnegative numbers")
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        which = np.zeros(pick.shape, dtype=np.intp)
+        for c in cdf:  # choice's searchsorted(side="right"): the ends at or below pick
+            which += pick >= c
+        return lo.take(which) + within * width.take(which)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from d2doff import analytic, engine, kernels, phy
+from d2doff import analytic, engine, phy
 from d2doff.analytic import AnalyticParams
 from d2doff.config import Config, ScenarioConfig
 from d2doff.speedlaw import UniformSpeedLaw
@@ -120,11 +120,7 @@ def test_criterion_1_distance_law_oracle(default_params, capsys):
     worst_ks, worst_atom = 0.0, 0.0
     for x0, v_a in CRITERION_1_TUPLES:
         law = analytic.single_provider_distance_law(x0, v_a, default_params)
-        rel = default_params.speed_law.relative(v_a)
-        v = rel.sample(rng, n)
-        phi = analytic.sample_time_limit(rng, n, default_params.content_timeout,
-                                         default_params.sharing_timeout)
-        samples = kernels.min_distance_samples(np.full(n, x0), v, phi)
+        samples = analytic.sample_min_distances(x0, v_a, default_params, n, rng)
         worst_ks = max(worst_ks, law.ks_distance(samples))
         worst_atom = max(
             worst_atom,

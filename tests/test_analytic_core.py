@@ -61,7 +61,7 @@ class TestTimeLimitLaw:
 
     def test_sampler_agrees(self, rng):
         law = analytic.time_limit_law(20.0, 600.0)
-        s = analytic.sample_time_limit(rng, 200_000, 20.0, 600.0)
+        s = analytic.time_limits(rng.random(200_000), 20.0, 600.0)
         assert np.mean(s) == pytest.approx(law.mean(), rel=5e-3)
         assert np.mean(s == 20.0) == pytest.approx(law.atom_mass(20.0), abs=5e-3)
 

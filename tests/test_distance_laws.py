@@ -32,14 +32,6 @@ def base_law_up_to_edge(v_a, params, common_grid):
     return atom0[0], density[0, at], cdf[0, at]
 
 
-def mc_min_distance(x0, v_a, params, n, rng):
-    rel = params.speed_law.relative(v_a)
-    v = rel.sample(rng, n)
-    phi = analytic.sample_time_limit(rng, n, params.content_timeout,
-                                     params.sharing_timeout)
-    return kernels.min_distance_samples(np.full(n, float(x0)), v, phi)
-
-
 class TestSingleProviderLaw:
     @pytest.mark.parametrize("x0,v_a", TUPLES)
     def test_normalized(self, default_params, x0, v_a):
@@ -49,7 +41,7 @@ class TestSingleProviderLaw:
     @pytest.mark.parametrize("x0,v_a", TUPLES[:3])
     def test_against_monte_carlo(self, default_params, x0, v_a, rng):
         law = analytic.single_provider_distance_law(x0, v_a, default_params)
-        samples = mc_min_distance(x0, v_a, default_params, 300_000, rng)
+        samples = analytic.sample_min_distances(x0, v_a, default_params, 300_000, rng)
         assert law.ks_distance(samples) < 0.01
         assert law.atom_mass(0.0) == pytest.approx(
             np.mean(samples <= 1e-12), abs=0.005)
@@ -104,9 +96,9 @@ class TestPositionMarginalLaw:
         n = 300_000
         x0 = rng.uniform(-X, X, n)
         rel = default_params.speed_law.relative(v_a)
-        v = rel.sample(rng, n)
-        phi = analytic.sample_time_limit(rng, n, default_params.content_timeout,
-                                         default_params.sharing_timeout)
+        v = rel.speeds(rng.random(n), rng.random(n))
+        phi = analytic.time_limits(rng.random(n), default_params.content_timeout,
+                                   default_params.sharing_timeout)
         samples = kernels.min_distance_samples(x0, v, phi)
         law = analytic.distance_law_given_speed(v_a, default_params)
         assert law.ks_distance(samples) < 0.01
@@ -158,9 +150,9 @@ class TestEffectiveLaw:
         counts = counts[keep]
         tot = counts.sum()
         x0 = rng.uniform(-X, X, tot)
-        v = rel.sample(rng, tot)
-        phi = analytic.sample_time_limit(rng, tot, default_params.content_timeout,
-                                         default_params.sharing_timeout)
+        v = rel.speeds(rng.random(tot), rng.random(tot))
+        phi = analytic.time_limits(rng.random(tot), default_params.content_timeout,
+                                   default_params.sharing_timeout)
         mins = kernels.min_distance_samples(x0, v, phi)
         out = np.fromiter(
             (m.min() for m in np.split(mins, np.cumsum(counts)[:-1])),
@@ -370,7 +362,7 @@ class TestLaneAwareLaw:
                 x0 = rng.uniform(-X, X, n)
                 mag = sl.v_min * ratio ** rng.random(n)
                 v = (mag if same else -mag) - v_a
-                phi = analytic.sample_time_limit(rng, n, tc, ts)
+                phi = analytic.time_limits(rng.random(n), tc, ts)
                 d = kernels.min_distance_samples(x0, v, phi)
                 if not same:
                     d = np.hypot(d, r_y)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from d2doff.mixdist import MixedDistribution, refined_grid
+from d2doff.mixdist import SAMPLE_BLOCK, MixedDistribution, refined_grid
 
 
 class TestMixedDistribution:
@@ -70,6 +70,19 @@ class TestMixedDistribution:
         # the tolerance is seen: just inside and just outside it differ
         assert law.ks_distance(np.array([2.0 + 0.9e-9])) != law.ks_distance(
             np.array([2.0 + 1.1e-9]))
+
+        # several blocks: a run at each atom with samples just inside and
+        # just outside the tolerance on both sides, the block edge moved
+        # through each cluster
+        rng = np.random.default_rng(7)
+        cluster = np.array([-1.1e-9, -0.9e-9, 0.0, 0.0, 0.0, 0.0, 0.9e-9, 1.1e-9])
+        for shift in range(-cluster.size, 1):
+            samples = np.concatenate([
+                rng.uniform(-1.0, -0.01, SAMPLE_BLOCK + shift), cluster,
+                rng.uniform(0.01, 1.99, SAMPLE_BLOCK - cluster.size), 2.0 + cluster,
+                rng.uniform(2.01, 4.0, SAMPLE_BLOCK + 3)])
+            samples = rng.permutation(samples)
+            assert law.ks_distance(samples) == reference_ks(samples)
 
 
 class TestRefinedGrid:

@@ -102,10 +102,21 @@ class TestRelativeSpeedLaw:
             assert refl.pdf(u) == rel.pdf(-u)
 
     def test_sampler_matches_cdf(self, rel, rng):
-        s = np.sort(rel.sample(rng, 100_000))
+        s = np.sort(rel.speeds(rng.random(100_000), rng.random(100_000)))
         model = rel.cdf(s)[0]
         ecdf = np.arange(1, s.size + 1) / s.size
         assert np.max(np.abs(ecdf - model)) < 0.01
+
+    # the check Generator.choice made on the interval probabilities
+    @pytest.mark.parametrize("hi,level", [
+        ([[2.0, 4.0]], 1.0),  # the second interval runs backwards: mass -1
+        ([[2.0, 8.0]], math.nan),
+    ], ids=["negative", "nan"])
+    def test_speeds_reject_a_bad_interval_mass(self, hi, level):
+        law = RelativeSpeedLaw(lo=np.array([[0.0, 5.0]]), hi=np.array(hi),
+                               level=np.array([level]))
+        with pytest.raises(ValueError):
+            law.speeds(np.array([0.5]), np.array([0.5]))
 
     def test_one_row_per_requester_speed(self):
         law = UniformSpeedLaw(9.0, 24.0)
@@ -264,7 +275,8 @@ def test_block_methods_carry_the_parent_bits(law, us, seed):
                                    rtol=1e-15, atol=0.0)
         one = block_of(scalar)
         assert one.edges() == scalar.edges()
-        assert np.array_equal(one.sample(np.random.default_rng(seed), 50),
+        draws = np.random.default_rng(seed)
+        assert np.array_equal(one.speeds(draws.random(50), draws.random(50)),
                               scalar.sample(np.random.default_rng(seed), 50))
 
 

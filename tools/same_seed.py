@@ -31,7 +31,9 @@ benchmark (arrival rate 1/3 and 1 veh/s at the default distance step,
 grid, density), the four average energies, the unconditional
 effective-distance law, the single-provider law at the 15 (x0, v_a)
 pairs of ``d2doff validate``, and that command's oracle reports at
-those pairs (seed 1, 20 000 samples each),
+those pairs (seed 1, 20 000 samples each, about 3 of the oracle's
+8192-sample blocks) and, from the same generator, at x0 = 100 m,
+v_a = 17 m/s with the command's default 200 000 samples,
 followed by the 12 values of the zero-distance surface of
 ``d2doff analytic``: the crossing mass of the lane-aware law (its atoms
 at 0 and at the lane offset) at each range cap and content timeout.
@@ -66,6 +68,8 @@ RETRY_MARGIN_DB = 2.0
 # timeout, by key
 OFF_GRID = {"T=3s": {"control_interval": 3.0},
             "T=0.7s timeout=20.5s": {"control_interval": 0.7, "content_timeout": 20.5}}
+# (x0, v_a) of the oracle report at the full 200 000 samples
+FULL_SIZE_PAIR = (100.0, 17.0)
 # a pending request's identity, state and plan
 REQUEST_FIELDS = ("id", "requester_id", "content_id", "t0", "deadline", "state",
                   "provider_id", "planned_tick", "delta_hat")
@@ -130,6 +134,8 @@ def analytic_fingerprint(cfg: Config) -> str:
             single = analytic.single_provider_distance_law(x0, v_a, params)
             parts += [single.atoms, single.grid.tolist(), single.density.tolist()]
             parts.append(sorted(cli.oracle_check(x0, v_a, params, 20_000, rng).items()))
+    # one full-size report: the default of ``d2doff validate --samples``
+    parts.append(sorted(cli.oracle_check(*FULL_SIZE_PAIR, params, 200_000, rng).items()))
     digest = hashlib.sha256()
     for part in parts:
         digest.update(repr(part).encode())
