@@ -91,7 +91,6 @@ class Engine:
                                        + sc.enb_positions[self.n_region])
         else:
             self.region_x_max = sc.street_length
-        self._copies: list[tuple[int, int]] = []
 
     def _link_table(self, reqs: list, n_i2d: int) -> rrrm.Links:
         """The links that serve ``reqs``, row i for reqs[i]: the first
@@ -127,6 +126,8 @@ class Engine:
                     req.state = DROPPED
                     self.policy.retire(req)
                     m.dropped += 1
+        # taken before the spawn: vehicles entering over [t, t + T) are announced next tick
+        copies, world.new_copies = world.new_copies, []
         world.spawn_vehicles(t, t + sc.control_interval)
         world.evict_expired(t)
         world.refresh_arrays(t)
@@ -140,7 +141,6 @@ class Engine:
                     continue
             m.requests_nonrepeated += 1
             new_requests.append(req)
-        copies, self._copies = self._copies, []
         self.policy.handle_new(new_requests, copies, world, t)
 
         # D2D deliveries first: a transmission scheduled for the deadline
@@ -237,9 +237,8 @@ class Engine:
             m.d2d_distances.append(distance)
         self.policy.retire(req)
         if self.policy.uses_cache:
-            # receiver caches what it received; new copies can serve others
+            # receiver caches what it received; World records the new copy
             self.world.add_cache(req.requester_id, req.content_id, t)
-            self._copies.append((req.requester_id, req.content_id))
 
     # -- full run ----------------------------------------------------------------
 

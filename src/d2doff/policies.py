@@ -8,10 +8,11 @@
   one pass per tick over (request, holder) pairs, each with its copy's
   expiry from ``World.holders``: new requests, and due requests whose
   provider left ``World.holders`` (the road or its copy went), on every
-  holder of their content; other open requests on the copies delivered
-  since the last tick.  One ranking serves all: the smallest distance,
-  then the earlier encounter, then the lower vehicle id; a plan moves
-  only to a strictly closer copy.  ``d2d_intents`` only selects.
+  holder of their content; other open requests on the copies made since
+  the last tick, delivered or carried in by vehicles that entered, which
+  ``World`` records.  One ranking serves all: the smallest distance, then
+  the earlier encounter, then the lower vehicle id; a plan moves only to a
+  strictly closer copy.  ``d2d_intents`` only selects.
 * ``benchmark``: transmits from the closest in-range cached copy as
   soon as one exists (so typically near the maximum D2D range).
 * ``cellular``: every non-repeated request is served by the nearest
@@ -79,8 +80,8 @@ class BasePolicy:
     def handle_new(self, requests: list[ContentRequest], copies: list[tuple[int, int]],
                    world: World, t: float) -> None:
         """Admit the tick's new requests; a planning policy plans here.  ``copies``:
-        the (vehicle, content) copies delivered since the last tick, in delivery
-        order.  Runs once per tick, after the world is at t, before ``d2d_intents``."""
+        ``World.new_copies``, the copies delivered or carried in by entering vehicles
+        since the last tick.  Runs once per tick, once the world is at t."""
         for req in requests:
             self.admit(req)
 

@@ -78,7 +78,8 @@ class World:
 
     World sets every copy's expiry, ``sharing_timeout`` after its receipt,
     and keeps each vehicle's copies in expiry order, so eviction pops each
-    cache's expired prefix."""
+    cache's expired prefix.  ``new_copies`` holds (vehicle id, content) of each
+    copy delivered, or brought in by an entering vehicle, since the engine took it."""
 
     def __init__(self, cfg: ScenarioConfig, rng: np.random.Generator):
         cfg.validate()
@@ -93,6 +94,7 @@ class World:
         # heap of (first expiry, vehicle id), one entry per vehicle holding a
         # copy; renewing the first copy leaves its entry early, never late
         self._expiry: list[tuple[float, int]] = []
+        self.new_copies: list[tuple[int, int]] = []
         self.content_cdf = zipf_cdf(cfg.zipf_alpha, cfg.library_size)
         self.enb_x = np.asarray(cfg.enb_positions)
         self._next_vid = 0
@@ -151,6 +153,7 @@ class World:
         entry = np.concatenate(times)
         out = self._add_vehicles(entry, np.concatenate(speeds))
         self._seed_caches(out, entry, cfg.sharing_timeout)
+        self.new_copies.extend((vid, z) for vid in out for z in self.vehicles[vid])
         return out
 
     def init_stationary(self, t: float) -> None:
@@ -213,6 +216,7 @@ class World:
             heapq.heappush(self._expiry, (expiry, vid))
         cache.pop(z, None)
         cache[z] = self.holders[z][vid] = expiry
+        self.new_copies.append((vid, z))
 
     def evict_expired(self, t: float) -> None:
         """Drop every copy expired by ``t``, the expired prefix of each cache."""

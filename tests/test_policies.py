@@ -677,3 +677,76 @@ class TestPendingStates:
         pol.d2d_intents = checked_intents
         eng.run(300.0, 100.0)
         assert sum(seen) > 0
+
+
+class TestNewCopies:
+    """``optimal`` plans on every copy made since the last tick: delivered,
+    or carried in by a vehicle that entered."""
+
+    def test_entering_holder_is_planned_on_at_its_first_tick(self):
+        # a requester near the forward entry asks, at tick 0, for a content
+        # that a vehicle entering over [0, 1) carries from before the street
+        eng = engine.Engine(_lam_config(4.0), "optimal", seed=1)
+        world = eng.world
+        requester = add_vehicle(world, 10.0, world.cfg.speed_min)
+        spawn, entered, opened = world.spawn_vehicles, [], []
+
+        def recording_spawn(t0, t1):
+            entered.append(spawn(t0, t1))
+            return entered[-1]
+
+        def one_request(t):
+            if t > 0.0:
+                return []
+            carrier = next(v for v in entered[0]
+                           if kinematics(world, v).speed > 0 and world.vehicles[v])
+            opened.append(request(world, requester, next(iter(world.vehicles[carrier])), t))
+            return list(opened)
+
+        world.spawn_vehicles, world.spawn_requests = recording_spawn, one_request
+        eng.tick(0.0, True)
+        (req,) = opened
+        # no holder of its content is on the road yet
+        assert req.state == PENDING and req.provider_id is None
+        eng.tick(1.0, True)
+        assert req.state != PENDING
+        assert req.provider_id in entered[0]
+        assert req.content_id in world.vehicles[req.provider_id]
+        assert 0.0 < kinematics(world, req.provider_id).entry_time <= 1.0
+
+    def test_no_open_request_misses_a_holder_in_range(self):
+        # after every tick, no unscheduled request inside its deadline has a
+        # holder on the road within D2D range, but for a copy delivered in
+        # that tick; the 60 s timeout leaves many requests open at lambda = 1
+        base = _lam_config(1.0)
+        cfg = dataclasses.replace(base, scenario=dataclasses.replace(
+            base.scenario, content_timeout=60.0))
+        eng = engine.Engine(cfg, "optimal", seed=1)
+        world, pol = eng.world, eng.policy
+        tick, deliver = eng.tick, eng._deliver
+        delivered, missed, open_ticks = set(), [], []
+
+        def recording_deliver(req, is_i2d, distance, t, m):
+            deliver(req, is_i2d, distance, t, m)
+            delivered.add((req.requester_id, req.content_id))
+
+        def checked_tick(t, measuring):
+            delivered.clear()
+            tick(t, measuring)
+            unscheduled = [r for r in pol.pending.values()
+                           if r.state == PENDING and t <= r.deadline + 1e-9]
+            open_ticks.append(len(unscheduled))
+            for r in unscheduled:
+                holders = [q for q in world.holders.get(r.content_id, {})
+                           if q in world.idx_of and q != r.requester_id
+                           and (q, r.content_id) not in delivered]
+                dist = world.d2d_distance(
+                    np.array([world.idx_of[q] for q in holders], dtype=np.int64),
+                    np.full(len(holders), world.idx_of[r.requester_id]))
+                missed.extend((t, r.id, q) for q, d in zip(holders, dist)
+                              if d <= cfg.scenario.d2d_max_range)
+
+        eng._deliver, eng.tick = recording_deliver, checked_tick
+        eng.run(100.0, 50.0)
+        assert len(open_ticks) == 150 and sum(open_ticks) > 0
+        assert missed == []

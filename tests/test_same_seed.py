@@ -18,9 +18,9 @@ def same_seed():
     return module
 
 
-def test_full_set_has_33_runs(same_seed):
+def test_full_set_has_36_runs(same_seed):
     keys = [run[0] for run in same_seed.runs(quick=False)]
-    assert len(keys) == len(set(keys)) == 33
+    assert len(keys) == len(set(keys)) == 36
 
 
 def test_quick_prints_one_stable_line_per_run(same_seed, capsys):

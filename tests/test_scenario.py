@@ -269,6 +269,16 @@ class TestCaches:
         world.evict_expired(630.0)
         assert cache == {} and world.holders[3] == {}
 
+    def test_new_copies_record_deliveries_and_entering_caches(self, world):
+        # the caches seeded at the start predate every request
+        world.init_stationary(0.0)
+        assert world.vehicles and world.new_copies == []
+        out = world.spawn_vehicles(0.0, 30.0)
+        carried = [(vid, z) for vid in out for z in world.vehicles[vid]]
+        assert carried and world.new_copies == carried
+        world.add_cache(out[0], 3, 30.0)
+        assert world.new_copies == carried + [(out[0], 3)]
+
     def test_exit_releases_holdership(self, world):
         vid = world._new_vehicle(0.0, 15.0)
         world.add_cache(vid, 3, 0.0)

@@ -13,16 +13,18 @@ fields of ``REQUEST_FIELDS``), the final copy index ``World.holders``
 (contents ascending, each with its (vehicle id, expiry) pairs ascending)
 and the final state of its random generator.
 
-The full set is 33 runs: 18 at arrival rate 1/3, 1 and 2 veh/s (the
+The full set is 36 runs: 18 at arrival rate 1/3, 1 and 2 veh/s (the
 three policies, seeds 1 and 2; 60 s after 20 s of warm-up), 6 whose
 payload fits 8 or 200 PRBs, so that a link's PRB slice covers only part
 of the band, 3 (one per policy) at a 2 dB link margin on both link
 kinds, where a third or more of first attempts fail, so HARQ retries
-run often (at the default margins, 2 % or fewer fail at 1 veh/s), and 6
+run often (at the default margins, 2 % or fewer fail at 1 veh/s), 6
 (one per policy and grid) on tick grids that do not divide the content
 timeout: a 3 s control interval with the 20 s timeout, and a 0.7 s one,
-whose ticks are no whole seconds, with a 20.5 s timeout.  There a
-request's deadline is its last tick before the timeout ends.
+whose ticks are no whole seconds, with a 20.5 s timeout (there a
+request's deadline is its last tick before the timeout ends), and 3
+(one per policy, seed 1) at the paper's second delay tolerance, a 60 s
+content timeout at 1 veh/s, where requests stay open longest.
 ``--quick`` runs one short run per policy.
 
 The full set then prints one line per analytic configuration of the
@@ -68,6 +70,8 @@ RETRY_MARGIN_DB = 2.0
 # timeout, by key
 OFF_GRID = {"T=3s": {"control_interval": 3.0},
             "T=0.7s timeout=20.5s": {"control_interval": 0.7, "content_timeout": 20.5}}
+# content timeout (s) of the runs at the paper's second delay tolerance
+LONG_TIMEOUT = 60.0
 # (x0, v_a) of the oracle report at the full 200 000 samples
 FULL_SIZE_PAIR = (100.0, 17.0)
 # a pending request's identity, state and plan
@@ -103,6 +107,8 @@ def runs(quick: bool):
              _config(1.0, margin_db=RETRY_MARGIN_DB), p, 1, 60.0, 20.0) for p in POLICIES]
     out += [(f"{name} {p} seed=1", _config(1.0, **fields), p, 1, 60.0, 20.0)
             for name, fields in OFF_GRID.items() for p in POLICIES]
+    out += [(f"timeout={LONG_TIMEOUT:g}s {p} seed=1",
+             _config(1.0, content_timeout=LONG_TIMEOUT), p, 1, 60.0, 20.0) for p in POLICIES]
     return out
 
 
