@@ -62,19 +62,8 @@ def _jump_nodes(points: list[float]) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# densities and basic laws
+# the effective transmission window
 # ---------------------------------------------------------------------------
-
-def time_limit_law(content_timeout: float, sharing_timeout: float) -> MixedDistribution:
-    """Law of the effective transmission window: uniform remaining cache
-    lifetime below the delay tolerance, plus an atom at the tolerance."""
-    tc, ts = content_timeout, sharing_timeout
-    if not (0.0 < tc < ts):
-        raise ValueError("need 0 < content_timeout < sharing_timeout")
-    grid = np.linspace(0.0, tc, 201)
-    density = np.full(grid.size, 1.0 / ts)
-    return MixedDistribution(atoms=[(tc, 1.0 - tc / ts)], grid=grid, density=density)
-
 
 def time_limits(u: np.ndarray, content_timeout: float, sharing_timeout: float) -> np.ndarray:
     """Effective windows from uniforms u: min(u sharing_timeout, content_timeout)."""
@@ -342,16 +331,6 @@ def _position_marginal(rel: RelativeSpeedLaw, X: np.ndarray, grid: np.ndarray,
     return atom0, density, cdf
 
 
-def distance_law_given_speed(v_a: float, params: AnalyticParams) -> MixedDistribution:
-    """Minimum-distance law for one provider placed uniformly on the
-    reachability interval [-X, X]."""
-    rel = params.speed_law.relative(v_a)
-    X = np.array([provider_region_halfwidth(v_a, params)])
-    grid = _marginal_base(X, params.dr, _kinks(rel, X, params.content_timeout))
-    atom0, density, _ = _position_marginal(rel, X, grid, params)
-    return MixedDistribution(atoms=[(0.0, float(atom0[0]))], grid=grid, density=density[0])
-
-
 # ---------------------------------------------------------------------------
 # effective transmission distance (minimum over a Poisson provider count)
 # ---------------------------------------------------------------------------
@@ -365,20 +344,6 @@ def _base_laws(va: np.ndarray, params: AnalyticParams, grid: np.ndarray) -> list
     atom0, density, cdf = _position_marginal(rel, X, base, params)
     at = np.searchsorted(base, grid)
     return list(zip(atom0, density[:, at], cdf[:, at]))
-
-
-def effective_distance_law(rho_z: float, v_a: float,
-                           params: AnalyticParams) -> MixedDistribution:
-    """Transmission-distance law given at least one reachable provider:
-    minimum over a (zero-truncated Poisson) number of i.i.d. provider
-    laws, truncated to [0, d2d_max_range] and renormalized."""
-    nbar = mean_provider_count(rho_z, v_a, params)
-    if nbar <= 0.0:
-        raise ValueError("no providers: effective law undefined")
-    grid = refined_grid(0.0, params.d2d_max_range, params.dr)
-    atom0, dens, cdf = _base_laws(np.array([v_a]), params, grid)[0]
-    atoms, density = kernels.poisson_min_mixture(cdf, dens, atom0, [nbar])
-    return MixedDistribution(atoms=[(0.0, float(atoms[0]))], grid=grid, density=density[0])
 
 
 def _bin_by_density(weights: np.ndarray, rho_z: np.ndarray, n_bins: int):

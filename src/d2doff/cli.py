@@ -106,9 +106,8 @@ def cmd_simulate(args) -> int:
     cfg = _load(args.config)
     engine.tick_counts(cfg, args.duration, args.warmup)
     out = _outdir(args.out)
-    seed = args.seed if args.seed is not None else cfg.scenario.rng_seed
     summary = engine.replicate(cfg, args.policy, args.duration, args.warmup,
-                               args.replications, seed)
+                               args.replications, args.seed)
     rows = [[name, summary.means[name], summary.ci_low[name], summary.ci_high[name]]
             for name in summary.metric_names]
     write_csv(os.path.join(out, "metrics.csv"),
@@ -277,8 +276,7 @@ def cmd_validate(args) -> int:
         engine.tick_counts(cfg, args.duration, args.warmup)
     out = _outdir(args.out)
     params = AnalyticParams.from_config(cfg, with_energy=False)
-    seed = args.seed if args.seed is not None else cfg.scenario.rng_seed
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     sc = cfg.scenario
     speeds = (sc.speed_min + 0.5, 0.5 * (sc.speed_min + sc.speed_max), sc.speed_max)
 
@@ -304,7 +302,7 @@ def cmd_validate(args) -> int:
           ", ".join(f"r={loc:g}: {mass:.4f}" for loc, mass in law.atoms))
 
     if args.duration > 0:
-        m = engine.run(cfg, "optimal", args.duration, args.warmup, seed).metrics
+        m = engine.run(cfg, "optimal", args.duration, args.warmup, args.seed).metrics
         d = np.asarray(m.d2d_distances)
         short = f"{np.mean(d <= 20.0):.3f}" if d.size else "n/a"
         print(f"simulation: {d.size} D2D deliveries, short-range mass (r <= 20) {short} "
@@ -345,10 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
                                             "analytic toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, duration=600.0, duration_type=_POSITIVE):
+    def common(sp, duration=600.0, duration_type=_POSITIVE, seeded=True):
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--seed", type=_NONNEGATIVE_INT, default=None)
+        if seeded:  # a sweep derives each point's seeds from its value
+            sp.add_argument("--seed", type=_NONNEGATIVE_INT, default=12345)
         sp.add_argument("--duration", type=duration_type, default=duration,
                         help="measured seconds per run")
         sp.add_argument("--warmup", type=_NONNEGATIVE, default=600.0)
@@ -360,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("sweep", help="one-parameter sweep over policies")
-    common(sp)
+    common(sp, seeded=False)
     sp.add_argument("--spec", required=True, help="sweep spec JSON")
     sp.add_argument("--replications", type=_POSITIVE_INT, default=3)
     sp.add_argument("--workers", type=_POSITIVE_INT, help="default: the usable cores")

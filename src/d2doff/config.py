@@ -32,7 +32,6 @@ class ScenarioConfig:
     d2d_max_range: float = 100.0           # m
     i2d_max_range: float = 300.0           # m (cell radius for the energy model)
     control_interval: float = 1.0          # s
-    rng_seed: int = 12345
 
     def validate(self) -> None:
         if not (0.0 < self.speed_min <= self.speed_max):
@@ -60,8 +59,6 @@ class ScenarioConfig:
             raise ConfigError("i2d_max_range must be > 0")
         if self.enb_antenna_height < 0.0:
             raise ConfigError("enb_antenna_height must be >= 0")
-        if self.rng_seed < 0:
-            raise ConfigError("rng_seed must be >= 0")
 
 
 @dataclass(frozen=True)

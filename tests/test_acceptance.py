@@ -166,9 +166,10 @@ def test_criterion_3_closed_forms(capsys):
     rho_ref = (1.0 / 3.0) * math.log(24.0 / 9.0) / 15.0
     checks.append(("node density", abs(rho - rho_ref) <= 1e-9))
 
-    tl = analytic.time_limit_law(20.0, 600.0)
+    # the oracle's windows, by the midpoint rule over 600 cells of u
+    tl = analytic.time_limits((np.arange(600) + 0.5) / 600, 20.0, 600.0)
     mean_ref = 20.0 - 20.0 ** 2 / (2.0 * 600.0)
-    checks.append(("time-limit mean", abs(tl.mean() - mean_ref) <= 1e-9))
+    checks.append(("time-limit mean", abs(np.mean(tl) - mean_ref) <= 1e-9))
 
     cfg = Config().phy
     checks.append(("PRBs per transfer", cfg.prbs_required == 8000))
@@ -324,8 +325,7 @@ def test_criterion_9_invariants(default_params, capsys):
                    m.deliveries_d2d + m.deliveries_i2d + m.dropped + open_reqs
                    == m.requests_nonrepeated))
 
-    laws = [analytic.time_limit_law(20.0, 600.0),
-            analytic.lane_aware_delivery_law(default_params),
+    laws = [analytic.lane_aware_delivery_law(default_params),
             analytic.unconditional_effective_distance_law(default_params)]
     laws.append(analytic.lane_offset_transform(
         laws[-1], default_params.lane_offset,

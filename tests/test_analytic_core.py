@@ -49,25 +49,15 @@ class TestContentDensity:
 
 
 class TestTimeLimitLaw:
-    def test_mass_and_atom(self):
-        law = analytic.time_limit_law(20.0, 600.0)
-        assert law.total_mass == pytest.approx(1.0, abs=1e-12)
-        assert law.atom_mass(20.0) == pytest.approx(1.0 - 20.0 / 600.0, abs=1e-12)
-
-    def test_mean_closed_form(self):
-        # E[min(U, tc)] with U uniform on [0, ts]: tc - tc^2/(2 ts)
-        law = analytic.time_limit_law(20.0, 600.0)
-        assert law.mean() == pytest.approx(20.0 - 400.0 / 1200.0, abs=1e-9)
-
-    def test_sampler_agrees(self, rng):
-        law = analytic.time_limit_law(20.0, 600.0)
-        s = analytic.time_limits(rng.random(200_000), 20.0, 600.0)
-        assert np.mean(s) == pytest.approx(law.mean(), rel=5e-3)
-        assert np.mean(s == 20.0) == pytest.approx(law.atom_mass(20.0), abs=5e-3)
-
-    def test_invalid_ordering(self):
-        with pytest.raises(ValueError):
-            analytic.time_limit_law(600.0, 20.0)
+    def test_sampler_agrees(self):
+        # the windows time_limits maps uniforms to, read by the midpoint
+        # rule over 600 cells of u, against the law of min(U ts, tc), U
+        # uniform: mean tc - tc^2/(2 ts), atom 1 - tc/ts at tc
+        u = (np.arange(600) + 0.5) / 600
+        for tc, ts in ((20.0, 600.0), (60.0, 600.0)):
+            s = analytic.time_limits(u, tc, ts)
+            assert np.mean(s) == pytest.approx(tc - tc * tc / (2.0 * ts), rel=0.0, abs=1e-12)
+            assert np.mean(s == tc) == pytest.approx(1.0 - tc / ts, rel=0.0, abs=1e-12)
 
 
 class TestRelativeSpeedDensity:

@@ -195,6 +195,36 @@ def test_removed_analytic_key_is_config_error(tmp_path, capsys, argv):
         "config error: analytic: unknown key 'same_lane_probability'\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--duration", "5", "--warmup", "0", "--replications", "1"],
+    ["validate", "--samples", "200", "--duration", "0"],
+])
+def test_removed_seed_key_is_config_error(tmp_path, capsys, argv):
+    # --seed is the one seed setting; a config that sets another exits 2
+    cfg = tmp_path / "seed.json"
+    cfg.write_text(json.dumps({"scenario": {"rng_seed": 5}}))
+    assert run_cli(*argv, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == "config error: scenario: unknown key 'rng_seed'\n"
+
+
+@pytest.mark.parametrize("argv,names", [
+    (["simulate", "--duration", "5", "--warmup", "0", "--replications", "1"],
+     ["metrics.csv", "distance_histogram.csv"]),
+    (["validate", "--samples", "2000", "--threshold", "1.0", "--duration", "5",
+      "--warmup", "5"],
+     ["oracle_report.csv"]),
+])
+def test_default_seed_is_12345(tmp_path, capsys, argv, names):
+    outs = [tmp_path / "default", tmp_path / "explicit"]
+    printed = []
+    for out, seed in zip(outs, ([], ["--seed", "12345"])):
+        assert run_cli(*argv, *seed, "--out", str(out)) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_single_speed_simulates(tmp_path):
     cfg = tmp_path / "one_speed.json"
     cfg.write_text(json.dumps({"scenario": {"speed_min": 12.0, "speed_max": 12.0}}))
@@ -313,6 +343,8 @@ class TestSweep:
         {"policies": ["optimal", "nope"]},
         {"overrides": {"speed_min": -1.0}},
         {"parameter": "speed_min", "values": [9.0, -1.0]},
+        {"parameter": "rng_seed", "values": [5]},  # --seed is the one seed setting
+        {"overrides": {"rng_seed": 5}},
     ])
     def test_bad_spec_is_config_error(self, tmp_path, kw):
         spec = self._spec(tmp_path, **kw)
@@ -329,6 +361,15 @@ class TestSweep:
                        "--duration", "2", "--warmup", "0",
                        "--replications", "1", "--workers", "1") == 2
         assert not os.path.exists(tmp_path / "o")  # rejected before any run
+
+    def test_seed_flag_is_a_usage_error(self, tmp_path, capsys):
+        # each point's seeds come from its value; sweep reads no --seed
+        spec = self._spec(tmp_path, policies=["optimal"])
+        assert run_cli("sweep", "--spec", spec, "--out", str(tmp_path / "o"),
+                       "--duration", "5", "--warmup", "0", "--replications", "1",
+                       "--workers", "1", "--seed", "1") == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
 
     def test_missing_spec_is_config_error(self, tmp_path):
         assert run_cli("sweep", "--spec", str(tmp_path / "no.json"),

@@ -121,6 +121,7 @@ class TestTypedValues:
         {"analytic": {"same_lane_probability": 0.5}},  # read by no command
         {"phy": {"gain_i2d": [2.2]}},
         {"phy": {"prb_bandwidth": 180e3}},  # derived from the subcarriers
+        {"scenario": {"rng_seed": 5}},  # the --seed flag sets the seed
     ])
     def test_more_rejected(self, data):
         with pytest.raises(ConfigError):
@@ -138,15 +139,15 @@ class TestTypedValues:
             config_from_dict({"phy": {"gain_d2d": {"exp_near": "x"}}})
 
 
-# Values of the right type that no run can use: a negative seed or lane
-# offset (the lane-aware law would put its crossing atom there), a zero
-# that the simulator or the analytic model divides by or takes the log
-# of, a band narrower than one PRB, a control interval shorter than
-# one PRB slot or a payload that one interval's PRB grid cannot hold (at
-# 1e9 bits, 2 314 815 PRBs against 120 000).  Each must be a ConfigError,
-# so the CLI exits 2.
+# Values of the right type that no run can use: a negative lane offset
+# (the lane-aware law would put its crossing atom there), a zero that the
+# simulator or the analytic model divides by or takes the log of, a band
+# narrower than one PRB, a control interval shorter than one PRB slot or
+# a payload that one interval's PRB grid cannot hold (at 1e9 bits,
+# 2 314 815 PRBs against 120 000).  Each must be a ConfigError, so the
+# CLI exits 2.
 UNRUNNABLE = [
-    {"scenario": {"rng_seed": -1}},
+    {"scenario": {"i2d_max_range": 0.0}},
     {"scenario": {"lane_offset": -5.0}},
     {"phy": {"system_bandwidth": 1000.0}},
     {"phy": {"spectral_efficiency": 0.0}},

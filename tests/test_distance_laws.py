@@ -10,7 +10,7 @@ import pytest
 from d2doff import analytic, kernels
 from d2doff.analytic import AnalyticParams
 from d2doff.config import Config, ScenarioConfig
-from d2doff.mixdist import refined_grid
+from d2doff.mixdist import MixedDistribution, refined_grid
 from d2doff.speedlaw import UniformSpeedLaw
 
 import speedlaw_reference as ref
@@ -19,17 +19,45 @@ TUPLES = [(30.0, 9.5), (100.0, 17.0), (250.0, 24.0),
           (-80.0, 12.0), (-250.0, 17.0), (60.0, 21.0)]
 
 
+def position_marginal(v_a, params, nodes=()):
+    """(grid, zero atom, density, CDF) of the chain's position-marginal law
+    of requester speed v_a, one provider placed uniformly on [-X, X]:
+    ``_position_marginal`` on the ``_marginal_base`` grid of ``nodes`` and
+    the edge X of the provider region."""
+    rel = params.speed_law.relative(v_a)
+    X = np.array([analytic.provider_region_halfwidth(v_a, params)])
+    grid = analytic._marginal_base(np.append(nodes, X), params.dr,
+                                   analytic._kinks(rel, X, params.content_timeout))
+    atom0, density, cdf = analytic._position_marginal(rel, X, grid, params)
+    return grid, atom0[0], density[0], cdf[0]
+
+
+def position_marginal_law(v_a, params):
+    grid, atom0, density, _ = position_marginal(v_a, params)
+    return MixedDistribution(atoms=[(0.0, float(atom0))], grid=grid, density=density)
+
+
 def base_law_up_to_edge(v_a, params, common_grid):
     """The base law of the longitudinal chain tabulated on a grid that
     runs up to the edge X of the provider region, then read off at the
     common grid nodes."""
-    rel = params.speed_law.relative(v_a)
-    X = np.array([analytic.provider_region_halfwidth(v_a, params)])
-    grid = analytic._marginal_base(np.append(common_grid, X), params.dr,
-                                   analytic._kinks(rel, X, params.content_timeout))
-    atom0, density, cdf = analytic._position_marginal(rel, X, grid, params)
+    grid, atom0, density, cdf = position_marginal(v_a, params, common_grid)
     at = np.searchsorted(grid, common_grid)
-    return atom0[0], density[0, at], cdf[0, at]
+    return atom0, density[at], cdf[at]
+
+
+def effective_laws(rho_zs, v_a, params):
+    """The chain's effective-distance laws, one per copy density in
+    ``rho_zs``: the minimum over a zero-truncated Poisson number of
+    providers, truncated to the range cap, as the unconditional law forms
+    it: ``_base_laws`` on the range-cap grid, mixed by one
+    ``kernels.poisson_min_mixture`` call."""
+    grid = refined_grid(0.0, params.d2d_max_range, params.dr)
+    atom0, density, cdf = analytic._base_laws(np.array([v_a]), params, grid)[0]
+    nbars = [analytic.mean_provider_count(rho_z, v_a, params) for rho_z in rho_zs]
+    atoms, densities = kernels.poisson_min_mixture(cdf, density, atom0, nbars)
+    return [MixedDistribution(atoms=[(0.0, atom)], grid=grid, density=dens)
+            for atom, dens in zip(atoms.tolist(), densities)]
 
 
 class TestSingleProviderLaw:
@@ -87,7 +115,7 @@ class TestDisplacementTwin:
 class TestPositionMarginalLaw:
     @pytest.mark.parametrize("v_a", [9.0, 13.0, 17.0, 24.0])
     def test_normalized(self, default_params, v_a):
-        law = analytic.distance_law_given_speed(v_a, default_params)
+        law = position_marginal_law(v_a, default_params)
         assert abs(law.total_mass - 1.0) <= 1e-5
 
     def test_against_monte_carlo(self, default_params, rng):
@@ -100,7 +128,7 @@ class TestPositionMarginalLaw:
         phi = analytic.time_limits(rng.random(n), default_params.content_timeout,
                                    default_params.sharing_timeout)
         samples = kernels.min_distance_samples(x0, v, phi)
-        law = analytic.distance_law_given_speed(v_a, default_params)
+        law = position_marginal_law(v_a, default_params)
         assert law.ks_distance(samples) < 0.01
 
     @pytest.mark.parametrize("dr", [0.1, 0.5])
@@ -120,18 +148,13 @@ class TestPositionMarginalLaw:
 
 class TestEffectiveLaw:
     def test_conditional_law_normalized(self, default_params):
-        law = analytic.effective_distance_law(5e-4, 17.0, default_params)
+        law, = effective_laws([5e-4], 17.0, default_params)
         assert abs(law.total_mass - 1.0) <= 1e-5
 
     def test_more_providers_shift_mass_down(self, default_params):
-        sparse = analytic.effective_distance_law(2e-4, 17.0, default_params)
-        dense = analytic.effective_distance_law(2e-3, 17.0, default_params)
+        sparse, dense = effective_laws([2e-4, 2e-3], 17.0, default_params)
         assert dense.atom_mass(0.0) > sparse.atom_mass(0.0)
         assert dense.mean() < sparse.mean()
-
-    def test_zero_density_rejected(self, default_params):
-        with pytest.raises(ValueError):
-            analytic.effective_distance_law(0.0, 17.0, default_params)
 
     def test_unconditional_normalized(self, default_params):
         law = analytic.unconditional_effective_distance_law(default_params)
@@ -158,7 +181,7 @@ class TestEffectiveLaw:
             (m.min() for m in np.split(mins, np.cumsum(counts)[:-1])),
             dtype=float, count=counts.size)
         out = out[out <= default_params.d2d_max_range]
-        law = analytic.effective_distance_law(rho_z, v_a, default_params)
+        law, = effective_laws([rho_z], v_a, default_params)
         assert law.ks_distance(out) < 0.02
 
 
