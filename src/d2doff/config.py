@@ -65,7 +65,7 @@ class ScenarioConfig:
 class GainModel:
     """Dual-slope log-distance nominal channel gain.
 
-    Path loss in dB at distance r (clamped to ref_distance):
+    Path loss in dB at distance r in m, clamped at 1 m:
         PL(r) = PL0 + 10 n_near log10(r)                   for r <= breakpoint
         PL(r) = PL(bp) + 10 n_far log10(r / breakpoint)    for r >  breakpoint
     with PL0 = 46.4 + 20 log10(f0 / 5 GHz) + extra_loss_db.
@@ -75,11 +75,10 @@ class GainModel:
     exp_far: float = 4.0
     breakpoint: float = 100.0   # m
     extra_loss_db: float = 0.0
-    ref_distance: float = 1.0   # m
 
     def validate(self) -> None:
-        if self.breakpoint <= 0.0 or self.ref_distance <= 0.0:
-            raise ConfigError("gain model distances must be > 0")
+        if self.breakpoint <= 0.0:
+            raise ConfigError("breakpoint must be > 0")
 
 
 @dataclass(frozen=True)

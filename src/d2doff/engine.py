@@ -11,7 +11,7 @@ import numpy as np
 from . import phy, rrrm
 from .config import Config, ConfigError
 from .policies import make_policy
-from .scenario import (World, DELIVERED_D2D, DELIVERED_I2D, DROPPED, REPEATED)
+from .scenario import World, DELIVERED_D2D, DELIVERED_I2D, DROPPED
 
 
 @dataclass
@@ -136,7 +136,6 @@ class Engine:
         for req in world.spawn_requests(t):
             if self.policy.uses_cache:
                 if req.requester_id in world.holders.get(req.content_id, ()):
-                    req.state = REPEATED
                     m.repeated += 1
                     continue
             m.requests_nonrepeated += 1
@@ -156,8 +155,8 @@ class Engine:
 
         # per-link radio quantities of this tick, indexed like ``links``
         links = self._link_table(reqs, len(i2d))
-        gains, nominal = rrrm.interference_matrix(links, self.cfg.phy)
-        powers = rrrm.link_powers(links, nominal, self.cfg.phy)
+        gains = rrrm.interference_matrix(links, self.cfg.phy)
+        powers = rrrm.link_powers(links, gains, self.cfg.phy)
         sets = rrrm.partition_rrr_sets(links, gains, powers, self.cfg.phy, self.cfg.rrrm)
         placed, pruned = rrrm.allocate_prbs(sets, links, self.capacity, self.n_prbs)
         m.pruned_links += len(pruned)
@@ -166,14 +165,14 @@ class Engine:
         m.occupancy_samples.append(
             rrrm.spectrum_occupancy(placed, self.capacity, self.n_prbs, in_region))
 
-        self._transmit_tick(links, reqs, placed, gains, nominal, powers, t, m)
+        self._transmit_tick(links, reqs, placed, gains, powers, t, m)
 
     def _transmit_tick(self, links: rrrm.Links, reqs: list, placed: rrrm.Placement,
-                       gains: np.ndarray, nominal: np.ndarray, powers: np.ndarray,
-                       t: float, m: MetricsAccumulator) -> None:
+                       gains: np.ndarray, powers: np.ndarray, t: float,
+                       m: MetricsAccumulator) -> None:
         """Every placed link's HARQ attempts, in the placement's transmission
-        order; reqs[i] is link i's request.  gains, nominal, powers: the
-        tick's ``rrrm.interference_matrix`` and ``rrrm.link_powers``.
+        order; reqs[i] is link i's request.  gains, powers: the tick's
+        ``rrrm.interference_matrix`` and ``rrrm.link_powers``.
 
         A link's receiver hears one channel from each peer that shares its
         slice, in transmission order, then its own.  These rows take the
@@ -198,8 +197,8 @@ class Engine:
         tx = np.where(col == n, rx, col)
         slots = self._slice_slots[slice_id % len(self._slice_slots)]
         shadow_db = self.shadow.link_shadow_db(links.tx_x[lid[tx]], links.rx_x[lid[rx]])
-        row_gain = powers[lid[tx]] * phy.mean_gain(
-            np.where(col == n, nominal[lid[rx]], gains[lid[tx], lid[rx]]), shadow_db)
+        # an own row has tx = rx, so it reads the link's own gain
+        row_gain = powers[lid[tx]] * phy.mean_gain(gains[lid[tx], lid[rx]], shadow_db)
         received = self.channel.realize(rx.size, self.rng)
         received *= row_gain[:, None]
         info, interference = phy.achievable_information(received, rx, slots, cfg.phy)

@@ -44,11 +44,11 @@ def nominal_gain(kind: str, r, cfg: PhyConfig):
     if np.any(r < 0.0):
         raise ValueError("distance must be >= 0")
     model = cfg.gain_i2d if kind == I2D else cfg.gain_d2d
-    rr = np.maximum(r, model.ref_distance)
+    rr = np.maximum(r, 1.0)   # PL0 is the path loss at 1 m
     pl0 = path_loss_ref_db(cfg, model)
     bp = model.breakpoint
-    near = pl0 + 10.0 * model.exp_near * np.log10(rr / model.ref_distance)
-    far = (pl0 + 10.0 * model.exp_near * math.log10(bp / model.ref_distance)
+    near = pl0 + 10.0 * model.exp_near * np.log10(rr)
+    far = (pl0 + 10.0 * model.exp_near * math.log10(bp)
            + 10.0 * model.exp_far * np.log10(rr / bp))
     pl = np.where(rr <= bp, near, far)
     return 10.0 ** (-pl / 10.0)

@@ -14,7 +14,7 @@
   the earlier encounter, then the lower vehicle id; a plan moves only to a
   strictly closer copy.  ``d2d_intents`` only selects.
 * ``benchmark``: transmits from the closest in-range cached copy as
-  soon as one exists (so typically near the maximum D2D range).
+  soon as one exists, most often at the request's own tick.
 * ``cellular``: every non-repeated request is served by the nearest
   base station immediately.
 """

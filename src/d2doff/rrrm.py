@@ -71,21 +71,19 @@ def _gain_by_kind(is_i2d: np.ndarray, r: np.ndarray, cfg: PhyConfig) -> np.ndarr
     return out
 
 
-def interference_matrix(links: Links, cfg: PhyConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(G, g): G[i, j] is the nominal gain from the transmitter of link i
-    to the receiver of link j, by the transmitter's gain model; g is its
-    diagonal, each link's own gain, and G's diagonal is zeroed."""
+def interference_matrix(links: Links, cfg: PhyConfig) -> np.ndarray:
+    """G[i, j], the nominal gain from the transmitter of link i to the
+    receiver of link j, by the transmitter's gain model; the diagonal
+    G[i, i] is link i's own gain."""
     rx_y = np.where(links.is_i2d[:, None], 0.0, links.rx_y)
     d = np.hypot(links.tx_x[:, None] - links.rx_x, links.tx_y[:, None] - rx_y)
-    gains = _gain_by_kind(links.is_i2d, d, cfg)
-    nominal = gains.diagonal().copy()
-    np.fill_diagonal(gains, 0.0)
-    return gains, nominal
+    return _gain_by_kind(links.is_i2d, d, cfg)
 
 
-def link_powers(links: Links, nominal: np.ndarray, cfg: PhyConfig) -> np.ndarray:
-    """Per-subcarrier transmit power of each link from its ``nominal`` gain,
-    as ``phy.tx_power_for_link`` sets it."""
+def link_powers(links: Links, gains: np.ndarray, cfg: PhyConfig) -> np.ndarray:
+    """Per-subcarrier transmit power of each link from its own gain on the
+    diagonal of ``gains``, as ``phy.tx_power_for_link`` sets it."""
+    nominal = gains.diagonal()
     power = np.empty_like(nominal)
     for kind, rows in ((phy.I2D, links.is_i2d), (phy.D2D, ~links.is_i2d)):
         power[rows] = phy.tx_power_per_subcarrier(
@@ -96,9 +94,9 @@ def link_powers(links: Links, nominal: np.ndarray, cfg: PhyConfig) -> np.ndarray
 def partition_rrr_sets(links: Links, gains: np.ndarray, powers: np.ndarray,
                        cfg: PhyConfig, rrrm: RrrmConfig) -> list[list[int]]:
     """Greedy first-fit partition in table order; returns lists of link
-    indices, members in ascending order.  ``gains`` is the
-    interference matrix and ``powers`` the per-subcarrier powers of
-    ``link_powers``.
+    indices, members in ascending order.  ``gains`` is the interference
+    matrix, whose diagonal is never read here, and ``powers`` the
+    per-subcarrier powers of ``link_powers``.
 
     A pair conflicts when either member's interference-to-noise ratio at
     the other's receiver exceeds the threshold, unless both are

@@ -52,7 +52,6 @@ SCHEDULED = "scheduled"
 DELIVERED_D2D = "delivered_d2d"
 DELIVERED_I2D = "delivered_i2d"
 DROPPED = "dropped"
-REPEATED = "repeated"
 
 
 @dataclass
@@ -69,7 +68,7 @@ class ContentRequest:
 
     @property
     def served(self) -> bool:
-        return self.state in (DELIVERED_D2D, DELIVERED_I2D, REPEATED)
+        return self.state in (DELIVERED_D2D, DELIVERED_I2D)
 
 
 class World:
@@ -128,9 +127,6 @@ class World:
         out = list(range(vid0, self._next_vid))
         self.vehicles.update((vid, {}) for vid in out)
         return out
-
-    def _new_vehicle(self, entry_time: float, speed: float) -> int:
-        return self._add_vehicles(np.array([entry_time]), np.array([speed]))[0]
 
     def spawn_vehicles(self, t0: float, t1: float) -> list[int]:
         """Poisson arrivals over [t0, t1), half rate per street end.

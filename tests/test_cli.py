@@ -195,6 +195,21 @@ def test_removed_analytic_key_is_config_error(tmp_path, capsys, argv):
         "config error: analytic: unknown key 'same_lane_probability'\n"
 
 
+@pytest.mark.parametrize("model", ["gain_i2d", "gain_d2d"])
+@pytest.mark.parametrize("argv", [
+    ["analytic"],
+    ["simulate", "--duration", "5", "--warmup", "0", "--replications", "1"],
+])
+def test_removed_ref_distance_key_is_config_error(tmp_path, capsys, argv, model):
+    # the path loss PL0 is referenced at 1 m; a config that sets another
+    # reference distance exits 2
+    cfg = tmp_path / "ref.json"
+    cfg.write_text(json.dumps({"phy": {model: {"ref_distance": 1.0}}}))
+    assert run_cli(*argv, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == \
+        f"config error: phy.{model}: unknown key 'ref_distance'\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--duration", "5", "--warmup", "0", "--replications", "1"],
     ["validate", "--samples", "200", "--duration", "0"],
@@ -490,11 +505,14 @@ class TestValidate:
         assert f"(lane-aware law atoms {law.total_atom_mass:.3f})\n" in out
 
     def test_reports_a_simulation_with_no_d2d_delivery(self, tmp_path, capsys):
-        # one measured second with no warm-up delivers nothing by D2D; the
-        # run it made is still reported
-        code = run_cli("validate", "--out", str(tmp_path / "o"), "--samples", "200",
-                       "--threshold", "1.0", "--duration", "1", "--warmup", "0",
-                       "--seed", "4")
+        # at 1e-12 requests per second and device, no request arrives in the
+        # one measured second, whatever the seed, so nothing is delivered by
+        # D2D; the run it made is still reported
+        cfg = tmp_path / "quiet.json"
+        cfg.write_text(json.dumps({"scenario": {"request_rate": 1e-12}}))
+        code = run_cli("validate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                       "--samples", "200", "--threshold", "1.0", "--duration", "1",
+                       "--warmup", "0", "--seed", "4")
         assert code == 0
         assert ("simulation: 0 D2D deliveries, short-range mass (r <= 20) n/a "
                 in capsys.readouterr().out)

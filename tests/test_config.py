@@ -122,6 +122,7 @@ class TestTypedValues:
         {"phy": {"gain_i2d": [2.2]}},
         {"phy": {"prb_bandwidth": 180e3}},  # derived from the subcarriers
         {"scenario": {"rng_seed": 5}},  # the --seed flag sets the seed
+        {"phy": {"gain_d2d": {"ref_distance": 1.0}}},  # PL0 is the loss at 1 m
     ])
     def test_more_rejected(self, data):
         with pytest.raises(ConfigError):

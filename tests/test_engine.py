@@ -391,20 +391,20 @@ class ReferenceEngine(engine.Engine):
         self.first_attempts = 0
         self.first_failures = 0
 
-    def _transmit_tick(self, links, reqs, placed, gains, nominal, powers, t, m):
+    def _transmit_tick(self, links, reqs, placed, gains, powers, t, m):
         energies = phy.content_energy(powers, self.cfg.phy)
         # (link, prb_start, prb_stop) of every placed link in link order,
         # from its slice
         rows = sorted((i, k * self.n_prbs, (k + 1) * self.n_prbs) for i, k in zip(
             placed.link.tolist(), placed.slice_id.tolist()))
         order = sorted(rows, key=lambda r: (r[1], r[0]))
-        channels = [self._first_channels(links, row, rows, gains, nominal, powers)
+        channels = [self._first_channels(links, row, rows, gains, powers)
                     for row in order]
         for row, (interferers, shadow_db, own) in zip(order, channels):
             self._transmit_one(links, reqs[row[0]], row, interferers, shadow_db, own,
-                               nominal, powers, float(energies[row[0]]), t, m)
+                               gains, powers, float(energies[row[0]]), t, m)
 
-    def _first_channels(self, links, row, peers, gains, nominal, powers):
+    def _first_channels(self, links, row, peers, gains, powers):
         """The interferers that link row[0] hears, its shadowing and its
         own channel's gains on its first attempt."""
         i, start, stop = row
@@ -418,10 +418,10 @@ class ReferenceEngine(engine.Engine):
             interferers.append((powers[j], _ref_realize(
                 self.channel, gains[j, i], s_db, self.rng), lo, hi))
         shadow_db = _ref_shadow_db(self.shadow, links.tx_x[i], links.rx_x[i])
-        return interferers, shadow_db, _ref_realize(self.channel, nominal[i], shadow_db,
+        return interferers, shadow_db, _ref_realize(self.channel, gains[i, i], shadow_db,
                                                     self.rng)
 
-    def _transmit_one(self, links, req, row, interferers, shadow_db, own, nominal,
+    def _transmit_one(self, links, req, row, interferers, shadow_db, own, gains,
                       powers, energy, t, m):
         cfg = self.cfg
         i, start, stop = row
@@ -429,7 +429,7 @@ class ReferenceEngine(engine.Engine):
         success = False
         for attempt in range(cfg.phy.harq_attempts):
             if attempt:
-                own = _ref_realize(self.channel, nominal[i], shadow_db, self.rng)
+                own = _ref_realize(self.channel, gains[i, i], shadow_db, self.rng)
             info = _ref_information(cfg.phy, powers[i], own, interferers, (start, stop))
             success = phy.transmission_success(info, cfg.phy)
             if attempt == 0:
@@ -478,11 +478,11 @@ def _run_recorded(eng_cls, cfg, policy, seed):
         drawn["blocks"] += n_blocks
         return realize(n_blocks, rng)
 
-    def counting_transmit(links, reqs, placed, gains, nominal, powers, t, m):
+    def counting_transmit(links, reqs, placed, gains, powers, t, m):
         served = [reqs[i] for i in placed.link.tolist()]
         failed_before = m.failed_attempts
         before = dict(drawn)
-        transmit(links, reqs, placed, gains, nominal, powers, t, m)
+        transmit(links, reqs, placed, gains, powers, t, m)
         if not placed:
             return
         failures = m.failed_attempts - failed_before

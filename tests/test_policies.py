@@ -13,7 +13,7 @@ from d2doff.policies import (BenchmarkPolicy, CellularPolicy, OptimalPolicy,
                              make_policy)
 from d2doff.scenario import PENDING, SCHEDULED, ContentRequest, World
 
-from test_scenario import kinematics
+from test_scenario import kinematics, new_vehicle
 
 
 @pytest.fixture()
@@ -24,7 +24,7 @@ def world(rng):
 def add_vehicle(world, x, speed, t=0.0):
     # place at the requested position by shifting the entry time
     entry_point = 0.0 if speed > 0 else world.cfg.street_length
-    return world._new_vehicle(t - (x - entry_point) / speed, speed)
+    return new_vehicle(world, t - (x - entry_point) / speed, speed)
 
 
 def request(world, requester, z=0, t=0.0):
@@ -245,7 +245,7 @@ class TestOptimalPolicy:
         # at 3 s after the request was planned and crosses it at 8.7 s
         requester = add_vehicle(world, 50.0, 10.0)
         primary = add_vehicle(world, 150.0, 9.0)
-        entering = world._new_vehicle(3.0, 24.0)
+        entering = new_vehicle(world, 3.0, 24.0)
         world.add_cache(primary, 0, 6.0 - world.cfg.sharing_timeout)
         world.add_cache(entering, 0, 0.0)
         world.refresh_arrays(0.0)
@@ -588,8 +588,13 @@ class TestPendingOrder:
 class TestPendingStates:
     @pytest.mark.parametrize("name", ["optimal", "benchmark", "cellular"])
     def test_pending_holds_only_open_requests(self, name):
-        # delivery and drop both retire, so nothing served or dropped stays
-        eng = engine.Engine(_lam_config(1.0), name, seed=3)
+        # delivery and drop both retire, so nothing served or dropped stays;
+        # a content takes more than half the PRB grid, so a tick that
+        # offers two links of one eNB leaves one of them pending
+        base = _lam_config(1.0)
+        cfg = dataclasses.replace(base, phy=dataclasses.replace(base.phy, payload_bits=40e6))
+        assert 2 * cfg.phy.prbs_required > cfg.prbs_per_interval
+        eng = engine.Engine(cfg, name, seed=3)
         tick, ticks = eng.tick, []
 
         def checked_tick(t, measuring):

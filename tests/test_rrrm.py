@@ -35,8 +35,8 @@ def kind(links, i):
 
 
 def partition(links, cfg):
-    gains, nominal = rrrm.interference_matrix(links, cfg.phy)
-    powers = rrrm.link_powers(links, nominal, cfg.phy)
+    gains = rrrm.interference_matrix(links, cfg.phy)
+    powers = rrrm.link_powers(links, gains, cfg.phy)
     return rrrm.partition_rrr_sets(links, gains, powers, cfg.phy, cfg.rrrm)
 
 
@@ -204,15 +204,17 @@ class TestPartition:
     @settings(max_examples=100, deadline=None)
     def test_matches_pairwise_reference(self, cfg, specs):
         links = mixed_links(specs, cfg)
-        gains, _ = rrrm.interference_matrix(links, cfg.phy)
+        gains = rrrm.interference_matrix(links, cfg.phy)
         assert partition(links, cfg) == reference_partition(links, gains, cfg)
 
 
 class TestInterferenceMatrix:
     def test_symmetric_geometry(self, cfg):
         links = table([d2d(0.0, 30.0), d2d(500.0, 530.0)])
-        gains, _ = rrrm.interference_matrix(links, cfg.phy)
-        assert gains[0, 0] == gains[1, 1] == 0.0
+        gains = rrrm.interference_matrix(links, cfg.phy)
+        # each link's own gain, 30 m on both
+        assert gains[0, 0] == gains[1, 1] == phy.nominal_gain(
+            phy.D2D, np.array([30.0]), cfg.phy)[0]
         # tx0 -> rx1 spans 530 m; tx1 -> rx0 spans 500 m
         assert gains[1, 0] > gains[0, 1] > 0.0
 
@@ -220,17 +222,19 @@ class TestInterferenceMatrix:
     @settings(max_examples=100, deadline=None)
     def test_matches_per_pair_gains(self, cfg, specs):
         links = mixed_links(specs, cfg)
-        gains, _ = rrrm.interference_matrix(links, cfg.phy)
+        gains = rrrm.interference_matrix(links, cfg.phy)
         n = len(links)
         want = np.zeros((n, n))
         for i in range(n):
             for j in range(n):
-                if i != j:
-                    # an eNB is its antenna height above every receiver
-                    rx_y = 0.0 if links.is_i2d[i] else links.rx_y[j]
-                    d = math.hypot(links.tx_x[i] - links.rx_x[j], links.tx_y[i] - rx_y)
-                    want[i, j] = phy.nominal_gain(kind(links, i), np.array([d]), cfg.phy)[0]
-        assert np.all(np.diag(gains) == 0.0)
+                # an eNB is its antenna height above every receiver
+                rx_y = 0.0 if links.is_i2d[i] else links.rx_y[j]
+                d = math.hypot(links.tx_x[i] - links.rx_x[j], links.tx_y[i] - rx_y)
+                want[i, j] = phy.nominal_gain(kind(links, i), np.array([d]), cfg.phy)[0]
+        # the diagonal is each link's own gain, at its own distance
+        own = [phy.nominal_gain(kind(links, i), np.array([links.distance[i]]), cfg.phy)[0]
+               for i in range(n)]
+        assert np.diag(gains).tolist() == own
         # numpy's hypot and math.hypot may differ in the last bit
         np.testing.assert_allclose(gains, want, rtol=1e-13, atol=0.0)
 
@@ -242,17 +246,17 @@ class TestInterferenceMatrix:
         own = (True, 1, enb_x, h, enb_x + 50.0, 0.0, math.hypot(50.0, h))
         for lane in (0.0, sc.lane_offset):
             rx = (False, -1, enb_x + 200.0, lane, enb_x, lane, 200.0)
-            gains, nominal = rrrm.interference_matrix(table([own, rx]), cfg.phy)
+            gains = rrrm.interference_matrix(table([own, rx]), cfg.phy)
             assert gains[0, 1] == phy.nominal_gain(phy.I2D, np.array([h]), cfg.phy)[0]
-        assert nominal[0] == phy.nominal_gain(phy.I2D, np.array([own[-1]]), cfg.phy)[0]
+        assert gains[0, 0] == phy.nominal_gain(phy.I2D, np.array([own[-1]]), cfg.phy)[0]
 
     @given(specs=link_specs)
     @settings(max_examples=50, deadline=None)
     def test_link_budget_matches_scalar_path(self, cfg, specs):
         links = mixed_links(specs, cfg)
-        _, nominal = rrrm.interference_matrix(links, cfg.phy)
-        powers = rrrm.link_powers(links, nominal, cfg.phy)
-        for i, (g, p) in enumerate(zip(nominal, powers)):
+        gains = rrrm.interference_matrix(links, cfg.phy)
+        powers = rrrm.link_powers(links, gains, cfg.phy)
+        for i, (g, p) in enumerate(zip(np.diag(gains), powers)):
             r = links.distance[i]
             assert g == phy.nominal_gain(kind(links, i), np.array([r]), cfg.phy)[0]
             assert p == phy.tx_power_for_link(kind(links, i), r, cfg.phy)

@@ -19,6 +19,11 @@ def world(rng):
     return World(Config().scenario, rng)
 
 
+def new_vehicle(world, entry_time, speed):
+    """One vehicle entering at ``entry_time`` with signed ``speed``; its id."""
+    return world._add_vehicles(np.array([entry_time]), np.array([speed]))[0]
+
+
 def kinematics(world, vid):
     """The vehicle's row of ``world.table``, its columns as attributes."""
     tab = world.table
@@ -38,7 +43,7 @@ def gap(world, vid_a, vid_b, t):
 def place(world, x, lane):
     """A vehicle of the given lane at position x at t = 0 (x a multiple of 10)."""
     speed, entry_point = (10.0, 0.0) if lane == FORWARD else (-10.0, world.cfg.street_length)
-    return world._new_vehicle(-(x - entry_point) / speed, speed)
+    return new_vehicle(world, -(x - entry_point) / speed, speed)
 
 
 class TestGeometry:
@@ -63,8 +68,8 @@ class TestGeometry:
         world, rng = eng.world, np.random.default_rng(3)
         reqs = []
         for z, x in enumerate(rng.uniform(1000.0, 1200.0, 2000).tolist()):
-            requester = world._new_vehicle(-x / 10.0, 10.0)
-            holder = world._new_vehicle((x - 3000.0) / 10.0 - rng.random(), -10.0)
+            requester = new_vehicle(world, -x / 10.0, 10.0)
+            holder = new_vehicle(world, (x - 3000.0) / 10.0 - rng.random(), -10.0)
             world.add_cache(holder, z, 0.0)
             reqs.append(scenario.ContentRequest(id=z, requester_id=requester,
                                                 content_id=z, t0=0.0, deadline=30.0))
@@ -112,18 +117,18 @@ class TestVehicles:
                 v.entry_time + 3000.0 / abs(v.speed))
 
     def test_position_bounds(self, world):
-        vid = world._new_vehicle(0.0, 15.0)
+        vid = new_vehicle(world, 0.0, 15.0)
         # a same-lane vehicle entering at t marks position 0 at t
-        assert gap(world, vid, world._new_vehicle(0.0, 15.0), 0.0) == 0.0
-        assert gap(world, vid, world._new_vehicle(10.0, 15.0), 10.0) == 150.0
+        assert gap(world, vid, new_vehicle(world, 0.0, 15.0), 0.0) == 0.0
+        assert gap(world, vid, new_vehicle(world, 10.0, 15.0), 10.0) == 150.0
         t_out = kinematics(world, vid).exit_time + 1.0
         world.remove_exited(t_out)
         with pytest.raises(KeyError):
-            gap(world, vid, world._new_vehicle(t_out, 15.0), t_out)
+            gap(world, vid, new_vehicle(world, t_out, 15.0), t_out)
 
     def test_remove_exited(self, world):
-        world._new_vehicle(0.0, 15.0)   # exits at t=200
-        world._new_vehicle(0.0, 10.0)   # exits at t=300
+        new_vehicle(world, 0.0, 15.0)   # exits at t=200
+        new_vehicle(world, 0.0, 10.0)   # exits at t=300
         gone = world.remove_exited(250.0)
         assert gone == [0]
         assert set(world.vehicles) == {1}
@@ -159,8 +164,8 @@ class TestVehicles:
         assert mags.mean() < midpoint
 
     def test_refresh_arrays(self, world):
-        world._new_vehicle(0.0, 15.0)
-        world._new_vehicle(0.0, -10.0)
+        new_vehicle(world, 0.0, 15.0)
+        new_vehicle(world, 0.0, -10.0)
         world.refresh_arrays(10.0)
         assert list(world.ids) == [0, 1]
         assert world.xs[0] == 150.0
@@ -213,7 +218,7 @@ class TestVehicleTable:
         assert len(seen) - len(world.vehicles) > 10     # vehicles left the table
 
     def test_removed_vehicle_has_no_row(self, world):
-        vid = world._new_vehicle(0.0, 15.0)
+        vid = new_vehicle(world, 0.0, 15.0)
         assert world.remove_exited(kinematics(world, vid).exit_time) == [vid]
         assert vid not in world.table.id
         with pytest.raises(KeyError):
@@ -242,7 +247,7 @@ def cache_index(world):
 
 class TestCaches:
     def test_add_and_evict(self, world):
-        vid = world._new_vehicle(0.0, 15.0)
+        vid = new_vehicle(world, 0.0, 15.0)
         cache = world.vehicles[vid]
         world.add_cache(vid, 3, 10.0)       # expires sharing_timeout (600 s) later
         assert cache == {3: 610.0} and world.holders[3] == {vid: 610.0}
@@ -253,7 +258,7 @@ class TestCaches:
 
     def test_longer_expiry_wins(self, world):
         # a copy received again lives to its new expiry, at the end of the cache
-        vid = world._new_vehicle(0.0, 15.0)
+        vid = new_vehicle(world, 0.0, 15.0)
         cache = world.vehicles[vid]
         world.add_cache(vid, 3, 10.0)
         world.add_cache(vid, 4, 15.0)
@@ -280,7 +285,7 @@ class TestCaches:
         assert world.new_copies == carried + [(out[0], 3)]
 
     def test_exit_releases_holdership(self, world):
-        vid = world._new_vehicle(0.0, 15.0)
+        vid = new_vehicle(world, 0.0, 15.0)
         world.add_cache(vid, 3, 0.0)
         world.remove_exited(kinematics(world, vid).exit_time)
         assert vid not in world.vehicles and world.holders[3] == {}
@@ -311,7 +316,7 @@ class TestCaches:
             t += x / 8.0
             for w in worlds:
                 if op == "vehicle":
-                    w._new_vehicle(t, 15.0 + pick)
+                    new_vehicle(w, t, 15.0 + pick)
                 elif op == "add" and w.vehicles:
                     vids = sorted(w.vehicles)
                     w.add_cache(vids[pick % len(vids)], z, t)
@@ -403,7 +408,7 @@ class TestRequests:
     def test_rate(self):
         world = World(Config().scenario, np.random.default_rng(5))
         for _ in range(30):
-            world._new_vehicle(0.0, 15.0)
+            new_vehicle(world, 0.0, 15.0)
         total = sum(len(world.spawn_requests(t)) for t in range(100))
         # 30 vehicles * 0.1 req/s * 100 s
         assert total == pytest.approx(300, rel=0.15)
@@ -412,7 +417,7 @@ class TestRequests:
     def test_fields(self, rng, interval):
         sc = dataclasses.replace(Config().scenario, control_interval=interval)
         world = World(sc, rng)
-        world._new_vehicle(0.0, 15.0)
+        new_vehicle(world, 0.0, 15.0)
         reqs, k = [], 0
         while not reqs and k * interval < 200.0:
             reqs = world.spawn_requests(k * interval)  # tick k, as the engine forms it
@@ -427,7 +432,7 @@ class TestRequests:
     def test_popularity_skew(self):
         world = World(Config().scenario, np.random.default_rng(6))
         for _ in range(200):
-            world._new_vehicle(0.0, 15.0)
+            new_vehicle(world, 0.0, 15.0)
         ids = [r.content_id for t in range(40)
                for r in world.spawn_requests(float(t))]
         # content 1 should take ~15% of all requests under the default skew
@@ -438,7 +443,7 @@ class TestRequests:
         sc = Config().scenario
         world = World(sc, np.random.default_rng(8))
         for k in range(40):
-            world._new_vehicle(0.0, 15.0 + 0.1 * k)
+            new_vehicle(world, 0.0, 15.0 + 0.1 * k)
         got = [(r.requester_id, r.content_id) for t in range(30)
                for r in world.spawn_requests(float(t))]
         # replay the stream with Generator.choice over the Zipf pmf: one
@@ -462,5 +467,5 @@ class TestRequests:
         assert not a.content_cdf.flags.writeable
 
     def test_inactive_vehicles_silent(self, world):
-        vid = world._new_vehicle(0.0, 15.0)
+        vid = new_vehicle(world, 0.0, 15.0)
         assert world.spawn_requests(kinematics(world, vid).exit_time + 1.0) == []
