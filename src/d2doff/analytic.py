@@ -508,9 +508,16 @@ def _zero_atoms(edges: np.ndarray, w_speed: np.ndarray, va: np.ndarray,
     return (m * atom0.reshape(m.shape)).sum(axis=1)
 
 
-def _lane_aware_law(params: AnalyticParams, grid: np.ndarray) -> MixedDistribution:
-    """The lane-aware delivery law, its density tabulated on ``grid`` (0
-    to the range cap, strictly increasing).
+def _snapshot_bins(params: AnalyticParams) -> tuple[np.ndarray, np.ndarray]:
+    """The lane-aware law's content bins: (bin weight, holder density)."""
+    return _bin_by_density(params.snapshot_non_repeated_weights(),
+                           params.holder_densities(), params.content_bins)
+
+
+def _lane_aware_law(params: AnalyticParams, grid: np.ndarray, w_bins: np.ndarray,
+                    rho_bins: np.ndarray) -> MixedDistribution:
+    """The lane-aware delivery law over the ``_snapshot_bins``, its density
+    tabulated on ``grid`` (0 to the range cap, strictly increasing).
 
     Per unit holder density, a lane's providers come within r of a
     requester as a Poisson field of intensity Lambda(r): the zero atom,
@@ -523,8 +530,6 @@ def _lane_aware_law(params: AnalyticParams, grid: np.ndarray) -> MixedDistributi
     (bins x speeds) array times one (bins x nodes) array."""
     r_y = params.lane_offset
     edges, w_speed = _holder_speed_bins(params)
-    w_bins, rho_bins = _bin_by_density(params.snapshot_non_repeated_weights(),
-                                       params.holder_densities(), params.content_bins)
     va, w_va = _speed_grid(params, length_biased=True)
 
     # the opposite lane reaches the nodes past the offset; with no offset
@@ -559,7 +564,7 @@ def _lane_aware_law(params: AnalyticParams, grid: np.ndarray) -> MixedDistributi
     near = np.sum(w * np.exp(-rho * zero_same), axis=1)
     far = np.sum(w * np.exp(-rho * (zero_same + zero_opp)), axis=1)
     mix = np.where(np.arange(grid.size) < first, near[:, None], far[:, None])
-    density = f * np.sum(rho * mix * np.exp(-rho * lam), axis=0)
+    density = f * np.einsum("bk,bk->k", rho * mix, np.exp(-rho * lam))
     atoms = {0.0: float(atom_near) / total_w}
     if cross_reachable:
         atoms[r_y] = atoms.get(r_y, 0.0) + float(atom_far) / total_w
@@ -588,22 +593,25 @@ def lane_aware_delivery_law(params: AnalyticParams) -> MixedDistribution:
         # geometric nodes tame the 1/sqrt singularity of the mapped
         # opposite-lane density just above the lane offset
         extra = [r_y] + list(r_y + np.geomspace(1e-9, min(2.0, rmax - r_y), 120))
-    return _lane_aware_law(params, refined_grid(0.0, rmax, params.dr, extra=extra))
+    return _lane_aware_law(params, refined_grid(0.0, rmax, params.dr, extra=extra),
+                           *_snapshot_bins(params))
 
 
 # ---------------------------------------------------------------------------
 # crossing-mass surface
 # ---------------------------------------------------------------------------
 
-def short_range_probability(params: AnalyticParams) -> float:
+def short_range_probability(params: AnalyticParams, bins: tuple | None = None) -> float:
     """Crossing mass of the lane-aware delivery law, its total atom mass:
     same-lane crossings at 0 plus opposite-lane ones at the lane offset.
     The atoms read the law only at 0, the offset (or the cap, if nearer)
-    and the cap, so it is formed on those nodes alone."""
+    and the cap, so it is formed on those nodes alone; pass ``bins`` when
+    the params' ``_snapshot_bins`` are formed already."""
     if not params.dr > 0.0:  # the law's grid step, which the atoms do not read
         raise ValueError("grid step must be > 0")
     rmax, r_y = params.d2d_max_range, params.lane_offset
-    return _lane_aware_law(params, np.unique([0.0, min(r_y, rmax), rmax])).total_atom_mass
+    grid = np.unique([0.0, min(r_y, rmax), rmax])
+    return _lane_aware_law(params, grid, *(bins or _snapshot_bins(params))).total_atom_mass
 
 
 def short_range_probability_surface(params: AnalyticParams,
@@ -613,17 +621,17 @@ def short_range_probability_surface(params: AnalyticParams,
                                     dr: float | None = None) -> np.ndarray:
     """Crossing mass of the lane-aware law (``short_range_probability``)
     over (range cap, content timeout, speed range), at the distance step
-    ``dr`` (default: the params'), which does not move it."""
-    out = np.empty((len(range_caps), len(timeouts), len(speed_ranges)))
+    ``dr`` (default: the params'), which does not move it.  The content
+    bins depend on the speed range alone, so each range forms them once."""
+    laws = [UniformSpeedLaw(vmin, vmax) for vmin, vmax in speed_ranges]
+    bins = [_snapshot_bins(replace(params, speed_law=law)) for law in laws]
+    out = np.empty((len(range_caps), len(timeouts), len(laws)))
     for i, rmax in enumerate(range_caps):
         for j, tc in enumerate(timeouts):
-            for k, (vmin, vmax) in enumerate(speed_ranges):
-                p = replace(params,
-                            speed_law=UniformSpeedLaw(vmin, vmax),
-                            content_timeout=tc,
-                            d2d_max_range=rmax,
+            for k, law in enumerate(laws):
+                p = replace(params, speed_law=law, content_timeout=tc, d2d_max_range=rmax,
                             dr=dr if dr is not None else params.dr)
-                out[i, j, k] = short_range_probability(p)
+                out[i, j, k] = short_range_probability(p, bins[k])
     return out
 
 

@@ -15,6 +15,7 @@ energies to rounding."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -405,6 +406,24 @@ def test_mixture_block_rows_keep_their_bits():
             cdf, dens, atom0, cdf[-1], nbar, reference_truncation(nbar))
         assert atom == want_atom
         assert np.array_equal(row, want_row)
+
+
+def test_mixture_forms_no_provider_by_node_product():
+    # the power table is the one (providers x nodes) array of a call: each
+    # mixture's rows are added into its output row, with no product array
+    p = _variant("dr 0.05")
+    grid = refined_grid(0.0, p.d2d_max_range, p.dr)
+    atom0, dens, cdf = analytic._base_laws(analytic._speed_grid(p)[0][:1], p, grid)[0]
+    nbars = [37.5, 1e-9, 240.0, 0.3, 4.0]
+    node_row = grid.size * np.dtype(float).itemsize
+    table = max(reference_truncation(nbar) for nbar in nbars) * node_row
+    tracemalloc.start()
+    try:
+        kernels.poisson_min_mixture(cdf, dens, atom0, nbars)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= table + len(nbars) * node_row + 8 * node_row
 
 
 # ---------------------------------------------------------------------------
