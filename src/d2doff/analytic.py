@@ -564,7 +564,7 @@ def _lane_aware_law(params: AnalyticParams, grid: np.ndarray, w_bins: np.ndarray
     near = np.sum(w * np.exp(-rho * zero_same), axis=1)
     far = np.sum(w * np.exp(-rho * (zero_same + zero_opp)), axis=1)
     mix = np.where(np.arange(grid.size) < first, near[:, None], far[:, None])
-    density = f * np.einsum("bk,bk->k", rho * mix, np.exp(-rho * lam))
+    density = f * np.sum(rho * mix * np.exp(-rho * lam), axis=0)
     atoms = {0.0: float(atom_near) / total_w}
     if cross_reachable:
         atoms[r_y] = atoms.get(r_y, 0.0) + float(atom_far) / total_w
@@ -601,17 +601,17 @@ def lane_aware_delivery_law(params: AnalyticParams) -> MixedDistribution:
 # crossing-mass surface
 # ---------------------------------------------------------------------------
 
-def short_range_probability(params: AnalyticParams, bins: tuple | None = None) -> float:
-    """Crossing mass of the lane-aware delivery law, its total atom mass:
-    same-lane crossings at 0 plus opposite-lane ones at the lane offset.
-    The atoms read the law only at 0, the offset (or the cap, if nearer)
-    and the cap, so it is formed on those nodes alone; pass ``bins`` when
-    the params' ``_snapshot_bins`` are formed already."""
+def short_range_probability(params: AnalyticParams, w_bins: np.ndarray,
+                            rho_bins: np.ndarray) -> float:
+    """Crossing mass of the lane-aware delivery law over ``_snapshot_bins``,
+    its total atom mass: same-lane crossings at 0 plus opposite-lane ones
+    at the lane offset. The atoms read the law only at 0, the offset (or
+    the cap, if nearer) and the cap, so it is formed on those nodes alone."""
     if not params.dr > 0.0:  # the law's grid step, which the atoms do not read
         raise ValueError("grid step must be > 0")
     rmax, r_y = params.d2d_max_range, params.lane_offset
     grid = np.unique([0.0, min(r_y, rmax), rmax])
-    return _lane_aware_law(params, grid, *(bins or _snapshot_bins(params))).total_atom_mass
+    return _lane_aware_law(params, grid, w_bins, rho_bins).total_atom_mass
 
 
 def short_range_probability_surface(params: AnalyticParams,
@@ -631,7 +631,7 @@ def short_range_probability_surface(params: AnalyticParams,
             for k, law in enumerate(laws):
                 p = replace(params, speed_law=law, content_timeout=tc, d2d_max_range=rmax,
                             dr=dr if dr is not None else params.dr)
-                out[i, j, k] = short_range_probability(p, bins[k])
+                out[i, j, k] = short_range_probability(p, *bins[k])
     return out
 
 

@@ -78,27 +78,24 @@ def poisson_min_mixture(cdf: np.ndarray, density: np.ndarray, atom0: float, nbar
 
     cdf/density describe the single-provider law on the output grid,
     which ends at the range cap; atom0 is its zero-distance atom.  The
-    per-n terms are formed once, up to the largest provider count any
-    mixture reads.  Each mixture adds its own leading rows of the powers
-    (1-F)^(n-1) in order, in einsum's own loop (no ``optimize``, no BLAS;
-    see the phy module docstring), with no (n x nodes) product.
+    powers (1-F)^(n-1) are formed once, up to the largest provider count
+    any mixture reads, and each mixture adds its own leading rows in
+    order, in einsum's own loop (no ``optimize``, no BLAS; see the phy
+    module docstring), with no (n x nodes) product.
     Returns (mixture atoms at 0, mixture densities), one per nbar.
     """
     # provider counts past the truncation point have tail mass < 1e-9
     n_maxs = [math.ceil(nbar + 10.0 * math.sqrt(nbar) + 20.0) for nbar in nbars]
     n_all = np.arange(1, max(n_maxs) + 1, dtype=float)
     pow_s = (1.0 - cdf)[None, :] ** (n_all[:, None] - 1.0)
-    log_fact = np.cumsum(np.log(n_all))  # log n! = sum of log k
-    trunc = 1.0 - (1.0 - cdf[-1]) ** n_all  # per-n truncation mass
-    zero = 1.0 - (1.0 - atom0) ** n_all  # per-n mass at 0
     atoms = np.empty(len(n_maxs))
     dens = np.empty((len(n_maxs), cdf.size))
     for i, (nbar, n_max) in enumerate(zip(nbars, n_maxs)):
         n = n_all[:n_max]
-        w = np.exp(n * math.log(nbar) - nbar - log_fact[:n_max])
+        w = np.exp(n * math.log(nbar) - nbar - np.cumsum(np.log(n)))  # log n! = sum of log k
         w /= w.sum()  # conditioning on at least one provider
-        w /= trunc[:n_max]
-        atoms[i] = np.sum(w * zero[:n_max])
+        w /= 1.0 - (1.0 - cdf[-1]) ** n  # per-n truncation mass
+        atoms[i] = np.sum(w * (1.0 - (1.0 - atom0) ** n))
         # density of min-of-n: n (1-F)^(n-1) p, truncated and renormalized
         np.einsum("n,nk->k", w * n, pow_s[:n_max], out=dens[i])
     dens *= density
