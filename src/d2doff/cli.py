@@ -161,6 +161,7 @@ REDUCTION_PAIRS = [
     ("energy_total_per_delivery", "cellular"),
     ("mean_occupancy", "cellular"),
     ("energy_d2d_per_delivery", "benchmark"),
+    ("energy_total_per_delivery", "benchmark"),
 ]
 
 

@@ -18,7 +18,8 @@ _trapz = getattr(np, "trapezoid", getattr(np, "trapz", None))
 # the finest spacing of a refined grid's nodes
 _MIN_GAP = 1e-9
 
-# samples per block of the Monte-Carlo oracle: 64 KB per float64 temporary
+# samples per block of the Monte-Carlo oracle's draw, and per block of
+# ks_distance's run scan: 64 KB per float64 temporary
 SAMPLE_BLOCK = 8192
 
 
@@ -93,8 +94,15 @@ class MixedDistribution:
 
     def ks_distance(self, samples: np.ndarray) -> float:
         """KS distance of samples against the full mixed law; the
-        left limit at atoms uses F(x-) = F(x) - atom mass.  The sorted samples
-        are scored block by block, keeping running maxima of D+ and D-."""
+        left limit at atoms uses F(x-) = F(x) - atom mass.
+
+        F(x) and F(x-) are constant on a run of equal sorted samples, so
+        D+ = max (i+1)/n - F(x_i) peaks at a run's last index and
+        D- = max F(x_i-) - i/n at its first: each run is scored once, with
+        the floats a per-sample scan would compute there.  The runs are
+        found among at most SAMPLE_BLOCK sorted samples at a time, and a
+        block's last run is followed to its end by one search, so a run of
+        atom samples costs one block however long it is."""
         samples = np.sort(np.asarray(samples, dtype=float))
         n = samples.size
         if n == 0:
@@ -102,20 +110,24 @@ class MixedDistribution:
         cont = self.continuous_cdf_values()
         starts = [(int(samples.searchsorted(loc)), loc, mass) for loc, mass in self.atoms]
         d_plus = d_minus = -np.inf
-        for s in range(0, n, SAMPLE_BLOCK):
+        s = 0
+        while s < n:
             x = samples[s:s + SAMPLE_BLOCK]
-            right = np.zeros_like(x)  # cdf(x): each atom's mass on its suffix, then interp
+            first = s + np.flatnonzero(np.r_[True, x[1:] != x[:-1]])  # run starts
+            stop = np.r_[first[1:], samples.searchsorted(x[-1], side="right")]
+            u = samples[first]
+            right = np.zeros_like(u)  # cdf(u): each atom's mass on its suffix, then interp
             for i, _, mass in starts:
-                right[max(i - s, 0):] += mass
+                right[first.searchsorted(i):] += mass
             if self.grid.size >= 2:
-                right += np.interp(x, self.grid, cont, left=0.0, right=cont[-1])
+                right += np.interp(u, self.grid, cont, left=0.0, right=cont[-1])
             left = right
             for _, loc, mass in starts:
-                if x[0] - loc <= 1e-9 and not x[-1] - loc < -1e-9:  # x may reach loc
-                    left = left - np.where(np.abs(x - loc) <= 1e-9, mass, 0.0)
-            ecdf = np.arange(s, s + x.size + 1) / n
-            d_plus = np.maximum(d_plus, np.max(ecdf[1:] - right))
-            d_minus = np.maximum(d_minus, np.max(left - ecdf[:-1]))
+                if u[0] - loc <= 1e-9 and not u[-1] - loc < -1e-9:  # u may reach loc
+                    left = left - np.where(np.abs(u - loc) <= 1e-9, mass, 0.0)
+            d_plus = np.maximum(d_plus, np.max(stop / n - right))
+            d_minus = np.maximum(d_minus, np.max(left - first / n))
+            s = int(stop[-1])
         return float(max(d_plus, d_minus, 0.0))
 
 

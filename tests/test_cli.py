@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,6 +286,18 @@ class TestSweep:
         assert header == ["content_timeout", "reduction_percent"]
         assert len(rows) == 2
 
+    def test_total_energy_against_benchmark(self, tmp_path):
+        out = str(tmp_path / "o")
+        spec = self._spec(tmp_path, policies=["optimal", "benchmark"])
+        assert run_cli("sweep", "--spec", spec, "--out", out, "--duration", "20",
+                       "--warmup", "20", "--replications", "1", "--workers", "1") == 0
+        for metric in ("energy_total_per_delivery", "energy_d2d_per_delivery"):
+            header, rows = read_csv(os.path.join(
+                out, f"content_timeout__{metric}__optimal_vs_benchmark.csv"))
+            assert header == ["content_timeout", "reduction_percent"]
+            assert [r[0] for r in rows] == ["20.0", "40.0"]
+        assert not any("_vs_cellular" in name for name in os.listdir(out))
+
     def test_value_order_does_not_change_results(self, tmp_path):
         a_out, b_out = str(tmp_path / "a"), str(tmp_path / "b")
         a = self._spec(tmp_path, values=[20.0, 40.0], policies=["optimal"])
@@ -474,6 +487,24 @@ class TestAnalytic:
 
 
 class TestValidate:
+    def test_oracle_memory_stays_blocked(self, default_config, default_params):
+        # at its peak the oracle holds the 3n uniforms and the n samples,
+        # and otherwise block-sized temporaries; a whole-array draw or KS
+        # scan adds full-count temporaries and exceeds the bound
+        n = 200_000
+        sc = default_config.scenario
+        speeds = (sc.speed_min + 0.5, 0.5 * (sc.speed_min + sc.speed_max), sc.speed_max)
+        rng = np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            for x0 in cli.DEFAULT_TUPLES_X0:
+                for v_a in speeds:
+                    cli.oracle_check(x0, v_a, default_params, n, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * n * 8 + 1_000_000
+
     def test_passes_at_default_threshold(self, tmp_path, capsys):
         out = str(tmp_path / "o")
         code = run_cli("validate", "--out", out, "--samples", "40000",

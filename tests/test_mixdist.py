@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from d2doff import mixdist
 from d2doff.mixdist import SAMPLE_BLOCK, MixedDistribution, refined_grid
+from test_oracle_blocks import reference_ks
 
 
 class TestMixedDistribution:
@@ -83,6 +87,65 @@ class TestMixedDistribution:
                 rng.uniform(2.01, 4.0, SAMPLE_BLOCK + 3)])
             samples = rng.permutation(samples)
             assert law.ks_distance(samples) == reference_ks(samples)
+
+
+class TestKsRuns:
+    """``ks_distance`` scores each run of equal samples once; it must give
+    the bits of the whole-array scan over every sample."""
+
+    GRID = np.linspace(0.0, 4.0, 401)
+    MIXED = MixedDistribution(atoms=[(0.0, 0.3), (2.0, 0.2)], grid=GRID,
+                              density=np.full(401, 0.125))
+
+    def check(self, law, samples):
+        assert law.ks_distance(samples) == reference_ks(law, samples)
+
+    def test_all_equal_across_three_blocks(self):
+        for value in (0.0, 1.5, 2.0, 5.0):
+            self.check(self.MIXED, np.full(3 * SAMPLE_BLOCK - 5, value))
+
+    @pytest.mark.parametrize("last", [SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1])
+    def test_atom_run_ending_at_a_block_edge(self, rng, last):
+        # sorted: a run at atom 0 whose last index is `last`, then distinct
+        # samples, a run at atom 2 and a run past the grid
+        for at_two in (1, 2 * SAMPLE_BLOCK + 7):
+            samples = np.concatenate([
+                np.zeros(last + 1), rng.uniform(0.01, 1.99, SAMPLE_BLOCK),
+                np.full(at_two, 2.0), rng.uniform(2.01, 4.0, 300), np.full(9, 4.5)])
+            self.check(self.MIXED, samples)
+            self.check(self.MIXED, rng.permutation(samples))
+
+    def test_all_distinct(self, rng):
+        samples = rng.uniform(-0.5, 4.5, 2 * SAMPLE_BLOCK + 11)
+        assert np.unique(samples).size == samples.size
+        self.check(self.MIXED, samples)
+
+    def test_atoms_only_law(self, rng):
+        law = MixedDistribution(atoms=[(0.0, 0.25), (1.0, 0.5), (3.0, 0.25)])
+        assert law.grid.size == 0
+        samples = rng.choice([0.0, 1.0, 1.0 + 5e-10, 2.0, 3.0], 3 * SAMPLE_BLOCK + 1)
+        self.check(law, samples)
+        self.check(law, rng.uniform(-1.0, 4.0, SAMPLE_BLOCK + 2))
+
+    def test_law_with_no_atoms(self, rng):
+        law = MixedDistribution(grid=self.GRID, density=np.full(401, 0.25))
+        samples = np.concatenate([rng.uniform(0.0, 4.0, SAMPLE_BLOCK),
+                                  np.full(SAMPLE_BLOCK + 3, 1.0)])
+        self.check(law, samples)
+
+    def test_one_sample(self):
+        for x in (-1.0, 0.0, 1e-9, 1.0, 2.0, 2.0 - 1.1e-9, 4.0, 9.0):
+            self.check(self.MIXED, np.array([x]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(picks=st.lists(st.integers(0, 5), min_size=1, max_size=40),
+           block=st.integers(1, 6))
+    def test_runs_on_tiny_blocks(self, picks, block):
+        # few distinct values and blocks of a few samples: every run start
+        # and end meets every block edge
+        values = np.array([-1.0, 0.0, 0.5, 2.0, 2.0 + 1e-9, 3.0])
+        with mock.patch.object(mixdist, "SAMPLE_BLOCK", block):
+            self.check(self.MIXED, values[picks])
 
 
 class TestRefinedGrid:
