@@ -31,7 +31,8 @@ grid: the law's own, or the three nodes that the crossing-mass surface
 of ``d2doff analytic`` (the law's atoms at 0 and at the offset) reads.
 The unconditional effective-distance law makes one mixture call per
 requester speed: the copy-density bins of that speed share its base law
-and so one power table, and each bin sums its own leading rows.
+and so one table of Poisson terms and one power table, and each bin
+sums its own leading rows, up to the last one that can move its sum.
 """
 
 from __future__ import annotations

@@ -78,25 +78,44 @@ def poisson_min_mixture(cdf: np.ndarray, density: np.ndarray, atom0: float, nbar
 
     cdf/density describe the single-provider law on the output grid,
     which ends at the range cap; atom0 is its zero-distance atom.  The
-    powers (1-F)^(n-1) are formed once, up to the largest provider count
-    any mixture reads, and each mixture adds its own leading rows in
-    order, in einsum's own loop (no ``optimize``, no BLAS; see the phy
-    module docstring), with no (n x nodes) product.
+    Poisson terms of all mixtures form one (mixtures x providers) table;
+    each mixture sums only its own leading n_max entries for its
+    normalisation and its zero atom, so each sum associates as it would
+    for that mixture alone.  The powers
+    (1-F)^(n-1) are formed once, and each mixture adds its own leading
+    rows in order, in einsum's own loop (no ``optimize``, no BLAS; see
+    the phy module docstring), with no (n x nodes) product.
+
+    A mixture's rows end after the last one whose coefficient
+    c_n = w_n n is at least 2^-60 of its peak coefficient c_p; the power
+    table ends with the longest such run.  The rows dropped change no
+    bit: each has n > p, so where 0 <= 1-F <= 1 its term c_n (1-F)^(n-1)
+    is at most 2^-60 of the peak row's term c_p (1-F)^(p-1), which the
+    running sum already holds, and so below half an ulp of that sum.
+    Where the CDF rounds above 1, 1-F is a few ulps below 0 and, as
+    c_n <= c_1 nbar^(n-1) / (n-1)!, every dropped row's term is below
+    half an ulp of the first row's, which leads the sum.
     Returns (mixture atoms at 0, mixture densities), one per nbar.
     """
     # provider counts past the truncation point have tail mass < 1e-9
-    n_maxs = [math.ceil(nbar + 10.0 * math.sqrt(nbar) + 20.0) for nbar in nbars]
-    n_all = np.arange(1, max(n_maxs) + 1, dtype=float)
-    pow_s = (1.0 - cdf)[None, :] ** (n_all[:, None] - 1.0)
-    atoms = np.empty(len(n_maxs))
-    dens = np.empty((len(n_maxs), cdf.size))
-    for i, (nbar, n_max) in enumerate(zip(nbars, n_maxs)):
-        n = n_all[:n_max]
-        w = np.exp(n * math.log(nbar) - nbar - np.cumsum(np.log(n)))  # log n! = sum of log k
-        w /= w.sum()  # conditioning on at least one provider
-        w /= 1.0 - (1.0 - cdf[-1]) ** n  # per-n truncation mass
-        atoms[i] = np.sum(w * (1.0 - (1.0 - atom0) ** n))
-        # density of min-of-n: n (1-F)^(n-1) p, truncated and renormalized
-        np.einsum("n,nk->k", w * n, pow_s[:n_max], out=dens[i])
+    n_maxs = np.array([math.ceil(nbar + 10.0 * math.sqrt(nbar) + 20.0) for nbar in nbars])
+    n_all = np.arange(1, n_maxs.max() + 1, dtype=float)
+    log_nbar = np.array([math.log(nbar) for nbar in nbars])
+    w = np.exp(n_all * log_nbar[:, None] - np.asarray(nbars, dtype=float)[:, None]
+               - np.cumsum(np.log(n_all)))  # log n! = sum of log k
+    w[n_all > n_maxs[:, None]] = 0.0  # each mixture's own truncation
+    # conditioning on at least one provider, then the per-n truncation mass
+    w /= np.array([row[:n_max].sum() for row, n_max in zip(w, n_maxs)])[:, None]
+    w /= 1.0 - (1.0 - cdf[-1]) ** n_all
+    zero = w * (1.0 - (1.0 - atom0) ** n_all)
+    atoms = np.array([row[:n_max].sum() for row, n_max in zip(zero, n_maxs)])
+    # density of min-of-n: n (1-F)^(n-1) p, truncated and renormalized
+    coeff = w * n_all
+    kept = coeff >= 2.0 ** -60 * coeff.max(axis=1)[:, None]
+    cuts = n_all.size - np.argmax(kept[:, ::-1], axis=1)
+    pow_s = (1.0 - cdf)[None, :] ** (n_all[:cuts.max(), None] - 1.0)
+    dens = np.empty((len(cuts), cdf.size))
+    for row, cut, out in zip(coeff, cuts.tolist(), dens):
+        np.einsum("n,nk->k", row[:cut], pow_s[:cut], out=out)
     dens *= density
     return atoms, dens

@@ -60,3 +60,9 @@ def test_blocked_oracle_keeps_the_full_array_bits(default_config, default_params
             for key in want:
                 assert got[key] == want[key], (x0, v_a, key)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_oracle_report_holds_python_floats(default_params):
+    # the fixed-seed fingerprints of tools/same_seed.py hash the report's repr
+    rep = cli.oracle_check(100.0, 17.0, default_params, 20_000, np.random.default_rng(1))
+    assert all(type(value) is float for value in rep.values())

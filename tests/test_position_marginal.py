@@ -408,6 +408,35 @@ def test_mixture_block_rows_keep_their_bits():
         assert np.array_equal(row, want_row)
 
 
+def _row_cut_law(name):
+    """(atom0, density, cdf) of a base law the mixture's row cut must
+    keep the bits on."""
+    if name == "dr 0.05":
+        p = _variant(name)
+        grid = refined_grid(0.0, p.d2d_max_range, p.dr)
+        return analytic._base_laws(analytic._speed_grid(p)[0][:1], p, grid)[0]
+    grid = np.linspace(0.0, 100.0, 1001)
+    cdf = np.minimum(0.2 + 0.8 * grid / 60.0, 1.0)  # 1 - F = 0 from 60 m on
+    if name == "cdf above 1":
+        cdf[-5:] = 1.0 + np.arange(1.0, 6.0) * 2.0 ** -52  # 1 - F a few ulps below 0
+    return 0.2, np.where(grid < 60.0, 0.8 / 60.0, 0.0), cdf
+
+
+@pytest.mark.parametrize("name", ["dr 0.05", "cdf at 1", "cdf above 1"])
+def test_mixture_row_cut_keeps_its_bits(name):
+    # each mixture leaves out the rows past its coefficient peak that are
+    # too small to move its sums; the reference adds every row up to the
+    # provider-count truncation
+    atom0, dens, cdf = _row_cut_law(name)
+    nbars = np.geomspace(1e-9, 500.0, 41).tolist()
+    atoms, rows = kernels.poisson_min_mixture(cdf, dens, atom0, nbars)
+    for nbar, atom, row in zip(nbars, atoms, rows):
+        want_atom, want_row = reference_poisson_min_mixture(
+            cdf, dens, atom0, cdf[-1], nbar, reference_truncation(nbar))
+        assert atom == want_atom
+        assert np.array_equal(row, want_row)
+
+
 def test_mixture_forms_no_provider_by_node_product():
     # the power table is the one (providers x nodes) array of a call: each
     # mixture's rows are added into its output row, with no product array
