@@ -297,16 +297,11 @@ def _position_marginal(rel: RelativeSpeedLaw, X: np.ndarray, grid: np.ndarray,
     component 1/(2X).  Returns (zero atoms, densities, CDFs), the last
     two rows x nodes of ``grid``."""
     tc, ts = params.content_timeout, params.sharing_timeout
-    # sides: a provider ahead moves at V, one behind is a provider ahead
-    # moving at -V.  Only the levels u <= 0 are read, where a (side, row)
-    # pair with no interval below 0 adds exact zeros, so only the other
+    # sides: only the levels u <= 0 are read, where a (side, row) pair
+    # with no interval below 0 adds exact zeros, so only the approaching
     # pairs are evaluated, as one block of laws.  Levels: -T/tc of the
     # grid, then -X/tc for the zero atom.
-    refl = rel.reflected()
-    lo, hi = np.stack([rel.lo, refl.lo]), np.stack([rel.hi, refl.hi])
-    pair = np.any(lo < 0.0, axis=2)
-    at = np.nonzero(pair)[1]
-    sides = RelativeSpeedLaw(lo=lo[pair], hi=hi[pair], level=rel.level[at])
+    pair, at, sides = rel.approaching
     T = X[:, None] - grid
     uX = -X[at, None] / tc
     u = np.concatenate([-np.maximum(T[at], _TINY) / tc, uX], axis=1)
@@ -475,7 +470,8 @@ def _lane_rows(edges: np.ndarray, va, rmax: float, tc: float, same_lane: bool):
     ``va``, bin), speed-major, and their half-widths X: same-lane traffic
     drives along the requester, the opposite lane against it.  X bounds
     the region a provider can reach the range cap from before the
-    deadline."""
+    deadline: rmax + s tc, with s the row's fastest relative speed, so at
+    rmax 0 and tc 1 it is s itself."""
     lo, hi = edges[:-1], edges[1:]
     va = np.reshape(va, (-1, 1))
     level = np.tile(1.0 / (hi - lo), va.size)
@@ -497,15 +493,27 @@ def _holder_speed_bins(params: AnalyticParams) -> tuple[np.ndarray, np.ndarray]:
     return edges, weights
 
 
-def _zero_atoms(edges: np.ndarray, w_speed: np.ndarray, va: np.ndarray,
-                params: AnalyticParams, same_lane: bool) -> np.ndarray:
-    """One lane's zero atom per requester speed in ``va``, per unit holder
-    density: the lane's rows for all speeds form one position-marginal
-    block read at the single node 0, mixed over provider sub-speeds with
-    weights 2X, the providers per unit density a row's region holds."""
-    rows, X = _lane_rows(edges, va, params.d2d_max_range, params.content_timeout, same_lane)
+def _lane_tables(params: AnalyticParams) -> tuple:
+    """The tables of the lane-aware law that its range cap and content
+    timeout do not move: the provider sub-speed weights, the length-biased
+    requester speeds and their weights, and each lane's ``_lane_rows`` for
+    all those speeds with their fastest relative speeds, same lane first."""
+    edges, w_speed = _holder_speed_bins(params)
+    va, w_va = _speed_grid(params, length_biased=True)
+    return w_speed, va, w_va, [_lane_rows(edges, va, 0.0, 1.0, same_lane)
+                               for same_lane in (True, False)]
+
+
+def _zero_atoms(w_speed: np.ndarray, rows: RelativeSpeedLaw, speed: np.ndarray,
+                params: AnalyticParams) -> np.ndarray:
+    """One lane's zero atom per requester speed, per unit holder density:
+    the lane's rows for all speeds, with fastest relative speeds ``speed``,
+    form one position-marginal block read at the single node 0, mixed over
+    provider sub-speeds with weights 2X, the providers per unit density a
+    row's region holds."""
+    X = params.d2d_max_range + speed * params.content_timeout
     atom0 = _position_marginal(rows, X, np.zeros(1), params)[0]
-    m = w_speed * 2.0 * X.reshape(va.size, -1)
+    m = w_speed * 2.0 * X.reshape(-1, w_speed.size)
     return (m * atom0.reshape(m.shape)).sum(axis=1)
 
 
@@ -516,9 +524,10 @@ def _snapshot_bins(params: AnalyticParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lane_aware_law(params: AnalyticParams, grid: np.ndarray, w_bins: np.ndarray,
-                    rho_bins: np.ndarray) -> MixedDistribution:
+                    rho_bins: np.ndarray, tables: tuple | None = None) -> MixedDistribution:
     """The lane-aware delivery law over the ``_snapshot_bins``, its density
-    tabulated on ``grid`` (0 to the range cap, strictly increasing).
+    tabulated on ``grid`` (0 to the range cap, strictly increasing), from
+    the params' ``_lane_tables`` (formed here unless given).
 
     Per unit holder density, a lane's providers come within r of a
     requester as a Poisson field of intensity Lambda(r): the zero atom,
@@ -530,8 +539,7 @@ def _lane_aware_law(params: AnalyticParams, grid: np.ndarray, w_bins: np.ndarray
     the speed's zero atoms plus one curve of r, so the mixture is one
     (bins x speeds) array times one (bins x nodes) array."""
     r_y = params.lane_offset
-    edges, w_speed = _holder_speed_bins(params)
-    va, w_va = _speed_grid(params, length_biased=True)
+    w_speed, va, w_va, (same, opposite) = tables or _lane_tables(params)
 
     # the opposite lane reaches the nodes past the offset; with no offset
     # the lanes' axes coincide: the opposite lane is not mapped, and its
@@ -540,10 +548,10 @@ def _lane_aware_law(params: AnalyticParams, grid: np.ndarray, w_bins: np.ndarray
     cross_reachable = first < grid.size
     # Lambda(r) less the zero atoms, and its derivative
     lam, f = 2.0 * grid, np.full(grid.size, 2.0)
-    zero_same = _zero_atoms(edges, w_speed, va, params, same_lane=True)
+    zero_same = _zero_atoms(w_speed, *same, params)
     zero_opp = np.zeros(va.size)
     if cross_reachable:
-        zero_opp = _zero_atoms(edges, w_speed, va, params, same_lane=False)
+        zero_opp = _zero_atoms(w_speed, *opposite, params)
         back = np.sqrt(np.clip(grid[first:] ** 2 - r_y * r_y, 0.0, None))
         lam[first:] += 2.0 * back
         # Jacobian of the map to sqrt(r^2 - r_y^2)
@@ -603,16 +611,17 @@ def lane_aware_delivery_law(params: AnalyticParams) -> MixedDistribution:
 # ---------------------------------------------------------------------------
 
 def short_range_probability(params: AnalyticParams, w_bins: np.ndarray,
-                            rho_bins: np.ndarray) -> float:
-    """Crossing mass of the lane-aware delivery law over ``_snapshot_bins``,
-    its total atom mass: same-lane crossings at 0 plus opposite-lane ones
-    at the lane offset. The atoms read the law only at 0, the offset (or
-    the cap, if nearer) and the cap, so it is formed on those nodes alone."""
+                            rho_bins: np.ndarray, tables: tuple | None = None) -> float:
+    """Crossing mass of the lane-aware delivery law over ``_snapshot_bins``
+    (and ``_lane_tables``, formed here unless given), its total atom mass:
+    same-lane crossings at 0 plus opposite-lane ones at the lane offset.
+    The atoms read the law only at 0, the offset (or the cap, if nearer)
+    and the cap, so it is formed on those nodes alone."""
     if not params.dr > 0.0:  # the law's grid step, which the atoms do not read
         raise ValueError("grid step must be > 0")
     rmax, r_y = params.d2d_max_range, params.lane_offset
     grid = np.unique([0.0, min(r_y, rmax), rmax])
-    return _lane_aware_law(params, grid, w_bins, rho_bins).total_atom_mass
+    return _lane_aware_law(params, grid, w_bins, rho_bins, tables).total_atom_mass
 
 
 def short_range_probability_surface(params: AnalyticParams,
@@ -623,16 +632,19 @@ def short_range_probability_surface(params: AnalyticParams,
     """Crossing mass of the lane-aware law (``short_range_probability``)
     over (range cap, content timeout, speed range), at the distance step
     ``dr`` (default: the params'), which does not move it.  The content
-    bins depend on the speed range alone, so each range forms them once."""
+    bins and the ``_lane_tables`` depend on the speed range alone, so each
+    range forms them once, and each lane row's log table once."""
     laws = [UniformSpeedLaw(vmin, vmax) for vmin, vmax in speed_ranges]
-    bins = [_snapshot_bins(replace(params, speed_law=law)) for law in laws]
+    ranged = [replace(params, speed_law=law) for law in laws]
+    bins = [_snapshot_bins(p) for p in ranged]
+    tables = [_lane_tables(p) for p in ranged]
     out = np.empty((len(range_caps), len(timeouts), len(laws)))
     for i, rmax in enumerate(range_caps):
         for j, tc in enumerate(timeouts):
             for k, law in enumerate(laws):
                 p = replace(params, speed_law=law, content_timeout=tc, d2d_max_range=rmax,
                             dr=dr if dr is not None else params.dr)
-                out[i, j, k] = short_range_probability(p, *bins[k])
+                out[i, j, k] = short_range_probability(p, *bins[k], tables[k])
     return out
 
 

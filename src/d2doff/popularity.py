@@ -7,13 +7,18 @@ import functools
 import numpy as np
 
 
+@functools.lru_cache(maxsize=8)
 def zipf_pmf(alpha: float, library_size: int) -> np.ndarray:
-    """Truncated Zipf popularity over ranks 1..library_size (index 0 = rank 1)."""
+    """Read-only truncated Zipf popularity over ranks 1..library_size
+    (index 0 = rank 1).  Cached: every caller of one configuration shares
+    one array."""
     if library_size < 1:
         raise ValueError("library_size must be >= 1")
     ranks = np.arange(1, library_size + 1, dtype=float)
     weights = ranks ** (-alpha)
-    return weights / weights.sum()
+    pmf = weights / weights.sum()
+    pmf.flags.writeable = False
+    return pmf
 
 
 @functools.lru_cache(maxsize=8)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,7 +76,9 @@ class RelativeSpeedLaw:
 
     The methods take levels u that broadcast against (rows, 1): a scalar,
     one level per column, or one row of levels per law; they return rows
-    x levels, summed interval by interval."""
+    x levels, summed interval by interval.  What a law derives from its
+    arrays alone is formed once per law object: the arrays are never
+    written in place."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -89,6 +92,19 @@ class RelativeSpeedLaw:
     def reflected(self) -> "RelativeSpeedLaw":
         """Laws of -V."""
         return RelativeSpeedLaw(lo=-self.hi[:, ::-1], hi=-self.lo[:, ::-1], level=self.level)
+
+    @cached_property
+    def approaching(self) -> tuple[np.ndarray, np.ndarray, "RelativeSpeedLaw"]:
+        """The laws of providers closing in from both sides: one ahead
+        moves at V, one behind is one ahead moving at -V.  Of the stacked
+        (side, row) pairs, the law's then its reflection's, only those
+        with an interval below 0 can approach; returns their (sides x
+        rows) mask, each one's row and their laws as one block."""
+        refl = self.reflected()
+        lo, hi = np.stack([self.lo, refl.lo]), np.stack([self.hi, refl.hi])
+        pair = np.any(lo < 0.0, axis=2)
+        at = np.nonzero(pair)[1]
+        return pair, at, RelativeSpeedLaw(lo=lo[pair], hi=hi[pair], level=self.level[at])
 
     def pdf(self, v):
         out = 0.0
@@ -110,13 +126,18 @@ class RelativeSpeedLaw:
         if np.any(np.asarray(u) >= 0.0):
             raise ValueError("int_inv_abs_below requires u < 0")
         total = 0.0
-        for a, b, c in self._intervals():
-            # math.log of the fixed end: numpy's log can differ from it in
-            # the last bit
-            log_a = np.array([[math.log(-x) if x < 0.0 else math.nan] for x in a[:, 0]])
+        for (a, b, c), log_a in zip(self._intervals(), self._log_neg_lo.T):
             below = np.minimum(u, b)
-            total = total + np.where(below > a, c * (log_a - np.log(-below)), 0.0)
+            total = total + np.where(below > a, c * (log_a[:, None] - np.log(-below)), 0.0)
         return total
+
+    @cached_property
+    def _log_neg_lo(self) -> np.ndarray:
+        """log(-lo) of every interval's lower end (nan where it is not below
+        0), rows x intervals.  Each is libm's math.log, row by row: numpy's
+        log can differ from it in the last bit."""
+        return np.array([[math.log(-x) if x < 0.0 else math.nan for x in row]
+                         for row in self.lo.tolist()], dtype=float).reshape(self.lo.shape)
 
     def int_abs_to_zero(self, u):
         """integral_{u}^{0} pdf(v)|v| dv, exact (0 for u >= 0)."""
