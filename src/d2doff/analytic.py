@@ -29,6 +29,9 @@ a lane row's density is flat, so the rest of each lane's crossing
 intensity is closed form.  ``_lane_aware_law`` forms the law on a given
 grid: the law's own, or the three nodes that the crossing-mass surface
 of ``d2doff analytic`` (the law's atoms at 0 and at the offset) reads.
+Only the rows' half-widths read the cap and the timeout, so the surface
+forms each speed range's ``_lane_tables`` once, and a law object keeps
+its approaching block and log table across the points that read it.
 The unconditional effective-distance law makes one mixture call per
 requester speed: the copy-density bins of that speed share its base law
 and so one table of Poisson terms and one power table, and each bin
@@ -494,10 +497,9 @@ def _holder_speed_bins(params: AnalyticParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lane_tables(params: AnalyticParams) -> tuple:
-    """The tables of the lane-aware law that its range cap and content
-    timeout do not move: the provider sub-speed weights, the length-biased
-    requester speeds and their weights, and each lane's ``_lane_rows`` for
-    all those speeds with their fastest relative speeds, same lane first."""
+    """What the lane-aware law reads that its cap and timeout do not move:
+    the provider sub-speed weights, the length-biased requester speeds and
+    weights, and each lane's rows and fastest relative speeds, same first."""
     edges, w_speed = _holder_speed_bins(params)
     va, w_va = _speed_grid(params, length_biased=True)
     return w_speed, va, w_va, [_lane_rows(edges, va, 0.0, 1.0, same_lane)
@@ -507,10 +509,9 @@ def _lane_tables(params: AnalyticParams) -> tuple:
 def _zero_atoms(w_speed: np.ndarray, rows: RelativeSpeedLaw, speed: np.ndarray,
                 params: AnalyticParams) -> np.ndarray:
     """One lane's zero atom per requester speed, per unit holder density:
-    the lane's rows for all speeds, with fastest relative speeds ``speed``,
-    form one position-marginal block read at the single node 0, mixed over
-    provider sub-speeds with weights 2X, the providers per unit density a
-    row's region holds."""
+    the lane's rows for all speeds (fastest relative speeds ``speed``) form
+    one position-marginal block read at the single node 0, mixed over
+    provider sub-speeds with weights 2X, the providers a row's region holds."""
     X = params.d2d_max_range + speed * params.content_timeout
     atom0 = _position_marginal(rows, X, np.zeros(1), params)[0]
     m = w_speed * 2.0 * X.reshape(-1, w_speed.size)
@@ -524,10 +525,10 @@ def _snapshot_bins(params: AnalyticParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lane_aware_law(params: AnalyticParams, grid: np.ndarray, w_bins: np.ndarray,
-                    rho_bins: np.ndarray, tables: tuple | None = None) -> MixedDistribution:
-    """The lane-aware delivery law over the ``_snapshot_bins``, its density
-    tabulated on ``grid`` (0 to the range cap, strictly increasing), from
-    the params' ``_lane_tables`` (formed here unless given).
+                    rho_bins: np.ndarray, tables: tuple) -> MixedDistribution:
+    """The lane-aware delivery law over the ``_snapshot_bins`` and the
+    params' ``_lane_tables``, its density tabulated on ``grid`` (0 to the
+    range cap, strictly increasing).
 
     Per unit holder density, a lane's providers come within r of a
     requester as a Poisson field of intensity Lambda(r): the zero atom,
@@ -539,7 +540,7 @@ def _lane_aware_law(params: AnalyticParams, grid: np.ndarray, w_bins: np.ndarray
     the speed's zero atoms plus one curve of r, so the mixture is one
     (bins x speeds) array times one (bins x nodes) array."""
     r_y = params.lane_offset
-    w_speed, va, w_va, (same, opposite) = tables or _lane_tables(params)
+    w_speed, va, w_va, (same, opposite) = tables
 
     # the opposite lane reaches the nodes past the offset; with no offset
     # the lanes' axes coincide: the opposite lane is not mapped, and its
@@ -603,7 +604,7 @@ def lane_aware_delivery_law(params: AnalyticParams) -> MixedDistribution:
         # opposite-lane density just above the lane offset
         extra = [r_y] + list(r_y + np.geomspace(1e-9, min(2.0, rmax - r_y), 120))
     return _lane_aware_law(params, refined_grid(0.0, rmax, params.dr, extra=extra),
-                           *_snapshot_bins(params))
+                           *_snapshot_bins(params), _lane_tables(params))
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +622,8 @@ def short_range_probability(params: AnalyticParams, w_bins: np.ndarray,
         raise ValueError("grid step must be > 0")
     rmax, r_y = params.d2d_max_range, params.lane_offset
     grid = np.unique([0.0, min(r_y, rmax), rmax])
-    return _lane_aware_law(params, grid, w_bins, rho_bins, tables).total_atom_mass
+    return _lane_aware_law(params, grid, w_bins, rho_bins,
+                           tables or _lane_tables(params)).total_atom_mass
 
 
 def short_range_probability_surface(params: AnalyticParams,
@@ -636,8 +638,7 @@ def short_range_probability_surface(params: AnalyticParams,
     range forms them once, and each lane row's log table once."""
     laws = [UniformSpeedLaw(vmin, vmax) for vmin, vmax in speed_ranges]
     ranged = [replace(params, speed_law=law) for law in laws]
-    bins = [_snapshot_bins(p) for p in ranged]
-    tables = [_lane_tables(p) for p in ranged]
+    bins, tables = [_snapshot_bins(p) for p in ranged], [_lane_tables(p) for p in ranged]
     out = np.empty((len(range_caps), len(timeouts), len(laws)))
     for i, rmax in enumerate(range_caps):
         for j, tc in enumerate(timeouts):

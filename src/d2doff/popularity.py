@@ -9,9 +9,8 @@ import numpy as np
 
 @functools.lru_cache(maxsize=8)
 def zipf_pmf(alpha: float, library_size: int) -> np.ndarray:
-    """Read-only truncated Zipf popularity over ranks 1..library_size
-    (index 0 = rank 1).  Cached: every caller of one configuration shares
-    one array."""
+    """Truncated Zipf popularity over ranks 1..library_size (index 0 = rank
+    1), cached and read-only as ``zipf_cdf`` is."""
     if library_size < 1:
         raise ValueError("library_size must be >= 1")
     ranks = np.arange(1, library_size + 1, dtype=float)

@@ -76,9 +76,8 @@ class RelativeSpeedLaw:
 
     The methods take levels u that broadcast against (rows, 1): a scalar,
     one level per column, or one row of levels per law; they return rows
-    x levels, summed interval by interval.  What a law derives from its
-    arrays alone is formed once per law object: the arrays are never
-    written in place."""
+    x levels, summed interval by interval.  The arrays are never written in
+    place, so what a law derives from them alone is cached on the object."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -95,11 +94,9 @@ class RelativeSpeedLaw:
 
     @cached_property
     def approaching(self) -> tuple[np.ndarray, np.ndarray, "RelativeSpeedLaw"]:
-        """The laws of providers closing in from both sides: one ahead
-        moves at V, one behind is one ahead moving at -V.  Of the stacked
-        (side, row) pairs, the law's then its reflection's, only those
-        with an interval below 0 can approach; returns their (sides x
-        rows) mask, each one's row and their laws as one block."""
+        """The (side, row) pairs of the law and its reflection (a provider
+        behind is one ahead moving at -V) with an interval below 0: their
+        (2 x rows) mask, each pair's row, and their laws as one block."""
         refl = self.reflected()
         lo, hi = np.stack([self.lo, refl.lo]), np.stack([self.hi, refl.hi])
         pair = np.any(lo < 0.0, axis=2)
@@ -133,11 +130,10 @@ class RelativeSpeedLaw:
 
     @cached_property
     def _log_neg_lo(self) -> np.ndarray:
-        """log(-lo) of every interval's lower end (nan where it is not below
-        0), rows x intervals.  Each is libm's math.log, row by row: numpy's
-        log can differ from it in the last bit."""
-        return np.array([[math.log(-x) if x < 0.0 else math.nan for x in row]
-                         for row in self.lo.tolist()], dtype=float).reshape(self.lo.shape)
+        """log(-lo), rows x intervals (nan where lo >= 0), by libm's
+        math.log row by row: numpy's log can differ from it in the last bit."""
+        return np.array([math.log(-x) if x < 0.0 else math.nan for x in self.lo.ravel().tolist()],
+                        dtype=float).reshape(self.lo.shape)
 
     def int_abs_to_zero(self, u):
         """integral_{u}^{0} pdf(v)|v| dv, exact (0 for u >= 0)."""
