@@ -130,8 +130,8 @@ class RelativeSpeedLaw:
 
     @cached_property
     def _log_neg_lo(self) -> np.ndarray:
-        """log(-lo), rows x intervals (nan where lo >= 0), by libm's
-        math.log row by row: numpy's log can differ from it in the last bit."""
+        """log(-lo), rows x intervals (nan where lo >= 0), each by libm's
+        math.log: numpy's log can differ from it in the last bit."""
         return np.array([math.log(-x) if x < 0.0 else math.nan for x in self.lo.ravel().tolist()],
                         dtype=float).reshape(self.lo.shape)
 
