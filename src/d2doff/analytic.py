@@ -29,9 +29,9 @@ a lane row's density is flat, so the rest of each lane's crossing
 intensity is closed form.  ``_lane_aware_law`` forms the law on a given
 grid: the law's own, or the three nodes that the crossing-mass surface
 of ``d2doff analytic`` (the law's atoms at 0 and at the offset) reads.
-Only the rows' half-widths read the cap and the timeout, so the surface
-forms each speed range's ``_lane_tables`` once, and a law object keeps
-its approaching block and log table across the points that read it.
+It reads one ``_lane_field``, which the cap and the timeout do not move,
+so the surface forms one per speed range, and a law object keeps its
+approaching block and log table across the points that read it.
 The unconditional effective-distance law makes one mixture call per
 requester speed: the copy-density bins of that speed share its base law
 and so one table of Poisson terms and one power table, and each bin
@@ -467,24 +467,22 @@ def lane_offset_transform(law: MixedDistribution, lane_offset: float,
 # lane-resolved delivery law (road-snapshot statistics)
 # ---------------------------------------------------------------------------
 
-def _lane_rows(edges: np.ndarray, va, rmax: float, tc: float, same_lane: bool):
+def _lane_rows(edges: np.ndarray, va, same_lane: bool):
     """The relative-speed laws of providers whose speed magnitude is
     uniform on a bin between ``edges``, one row per (requester speed in
-    ``va``, bin), speed-major, and their half-widths X: same-lane traffic
-    drives along the requester, the opposite lane against it.  X bounds
-    the region a provider can reach the range cap from before the
-    deadline: rmax + s tc, with s the row's fastest relative speed, so at
-    rmax 0 and tc 1 it is s itself."""
+    ``va``, bin), speed-major, and each row's fastest relative speed s:
+    same-lane traffic drives along the requester, the opposite lane
+    against it.  The half-width rmax + s tc bounds the region a provider
+    can reach the range cap from before the deadline."""
     lo, hi = edges[:-1], edges[1:]
     va = np.reshape(va, (-1, 1))
     level = np.tile(1.0 / (hi - lo), va.size)
     if same_lane:
         lo_v, hi_v = (lo - va).reshape(-1, 1), (hi - va).reshape(-1, 1)
         return (RelativeSpeedLaw(lo=lo_v, hi=hi_v, level=level),
-                rmax + np.maximum(np.abs(lo_v), np.abs(hi_v))[:, 0] * tc)
+                np.maximum(np.abs(lo_v), np.abs(hi_v))[:, 0])
     return (RelativeSpeedLaw(lo=(-hi - va).reshape(-1, 1), hi=(-lo - va).reshape(-1, 1),
-                             level=level),
-            rmax + (hi + va).ravel() * tc)
+                             level=level), (hi + va).ravel())
 
 
 def _holder_speed_bins(params: AnalyticParams) -> tuple[np.ndarray, np.ndarray]:
@@ -496,14 +494,17 @@ def _holder_speed_bins(params: AnalyticParams) -> tuple[np.ndarray, np.ndarray]:
     return edges, weights
 
 
-def _lane_tables(params: AnalyticParams) -> tuple:
-    """What the lane-aware law reads that its cap and timeout do not move:
+def _lane_field(params: AnalyticParams) -> tuple:
+    """What the lane-aware law reads that its cap and timeout do not move,
+    one per speed range: the content bins (bin weight, holder density),
     the provider sub-speed weights, the length-biased requester speeds and
-    weights, and each lane's rows and fastest relative speeds, same first."""
+    weights, and each lane's ``_lane_rows``, same lane first."""
     edges, w_speed = _holder_speed_bins(params)
     va, w_va = _speed_grid(params, length_biased=True)
-    return w_speed, va, w_va, [_lane_rows(edges, va, 0.0, 1.0, same_lane)
-                               for same_lane in (True, False)]
+    w_bins, rho_bins = _bin_by_density(params.snapshot_non_repeated_weights(),
+                                       params.holder_densities(), params.content_bins)
+    return w_bins, rho_bins, w_speed, va, w_va, [_lane_rows(edges, va, same_lane)
+                                                 for same_lane in (True, False)]
 
 
 def _zero_atoms(w_speed: np.ndarray, rows: RelativeSpeedLaw, speed: np.ndarray,
@@ -518,17 +519,11 @@ def _zero_atoms(w_speed: np.ndarray, rows: RelativeSpeedLaw, speed: np.ndarray,
     return (m * atom0.reshape(m.shape)).sum(axis=1)
 
 
-def _snapshot_bins(params: AnalyticParams) -> tuple[np.ndarray, np.ndarray]:
-    """The lane-aware law's content bins: (bin weight, holder density)."""
-    return _bin_by_density(params.snapshot_non_repeated_weights(),
-                           params.holder_densities(), params.content_bins)
-
-
-def _lane_aware_law(params: AnalyticParams, grid: np.ndarray, w_bins: np.ndarray,
-                    rho_bins: np.ndarray, tables: tuple) -> MixedDistribution:
-    """The lane-aware delivery law over the ``_snapshot_bins`` and the
-    params' ``_lane_tables``, its density tabulated on ``grid`` (0 to the
-    range cap, strictly increasing).
+def _lane_aware_law(params: AnalyticParams, grid: np.ndarray,
+                    field: tuple) -> MixedDistribution:
+    """The lane-aware delivery law over the params' ``_lane_field``, its
+    density tabulated on ``grid`` (0 to the range cap, strictly
+    increasing).
 
     Per unit holder density, a lane's providers come within r of a
     requester as a Poisson field of intensity Lambda(r): the zero atom,
@@ -540,7 +535,7 @@ def _lane_aware_law(params: AnalyticParams, grid: np.ndarray, w_bins: np.ndarray
     the speed's zero atoms plus one curve of r, so the mixture is one
     (bins x speeds) array times one (bins x nodes) array."""
     r_y = params.lane_offset
-    w_speed, va, w_va, (same, opposite) = tables
+    w_bins, rho_bins, w_speed, va, w_va, (same, opposite) = field
 
     # the opposite lane reaches the nodes past the offset; with no offset
     # the lanes' axes coincide: the opposite lane is not mapped, and its
@@ -604,17 +599,16 @@ def lane_aware_delivery_law(params: AnalyticParams) -> MixedDistribution:
         # opposite-lane density just above the lane offset
         extra = [r_y] + list(r_y + np.geomspace(1e-9, min(2.0, rmax - r_y), 120))
     return _lane_aware_law(params, refined_grid(0.0, rmax, params.dr, extra=extra),
-                           *_snapshot_bins(params), _lane_tables(params))
+                           _lane_field(params))
 
 
 # ---------------------------------------------------------------------------
 # crossing-mass surface
 # ---------------------------------------------------------------------------
 
-def short_range_probability(params: AnalyticParams, w_bins: np.ndarray,
-                            rho_bins: np.ndarray, tables: tuple | None = None) -> float:
-    """Crossing mass of the lane-aware delivery law over ``_snapshot_bins``
-    (and ``_lane_tables``, formed here unless given), its total atom mass:
+def short_range_probability(params: AnalyticParams, field: tuple | None = None) -> float:
+    """Crossing mass of the lane-aware delivery law over the params'
+    ``_lane_field`` (formed here unless given), its total atom mass:
     same-lane crossings at 0 plus opposite-lane ones at the lane offset.
     The atoms read the law only at 0, the offset (or the cap, if nearer)
     and the cap, so it is formed on those nodes alone."""
@@ -622,8 +616,7 @@ def short_range_probability(params: AnalyticParams, w_bins: np.ndarray,
         raise ValueError("grid step must be > 0")
     rmax, r_y = params.d2d_max_range, params.lane_offset
     grid = np.unique([0.0, min(r_y, rmax), rmax])
-    return _lane_aware_law(params, grid, w_bins, rho_bins,
-                           tables or _lane_tables(params)).total_atom_mass
+    return _lane_aware_law(params, grid, field or _lane_field(params)).total_atom_mass
 
 
 def short_range_probability_surface(params: AnalyticParams,
@@ -633,19 +626,18 @@ def short_range_probability_surface(params: AnalyticParams,
                                     dr: float | None = None) -> np.ndarray:
     """Crossing mass of the lane-aware law (``short_range_probability``)
     over (range cap, content timeout, speed range), at the distance step
-    ``dr`` (default: the params'), which does not move it.  The content
-    bins and the ``_lane_tables`` depend on the speed range alone, so each
-    range forms them once, and each lane row's log table once."""
+    ``dr`` (default: the params'), which does not move it.  The
+    ``_lane_field`` depends on the speed range alone, so each range forms
+    it once, and each lane row's log table once."""
     laws = [UniformSpeedLaw(vmin, vmax) for vmin, vmax in speed_ranges]
-    ranged = [replace(params, speed_law=law) for law in laws]
-    bins, tables = [_snapshot_bins(p) for p in ranged], [_lane_tables(p) for p in ranged]
+    fields = [_lane_field(replace(params, speed_law=law)) for law in laws]
     out = np.empty((len(range_caps), len(timeouts), len(laws)))
     for i, rmax in enumerate(range_caps):
         for j, tc in enumerate(timeouts):
             for k, law in enumerate(laws):
                 p = replace(params, speed_law=law, content_timeout=tc, d2d_max_range=rmax,
                             dr=dr if dr is not None else params.dr)
-                out[i, j, k] = short_range_probability(p, *bins[k], tables[k])
+                out[i, j, k] = short_range_probability(p, fields[k])
     return out
 
 

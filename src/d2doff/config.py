@@ -154,9 +154,6 @@ class RrrmConfig:
     # Max tolerable interference-to-noise ratio between links sharing PRBs.
     gamma_inr_db: float = 3.0
 
-    def validate(self) -> None:
-        pass
-
 
 @dataclass(frozen=True)
 class AnalyticConfig:
@@ -188,7 +185,6 @@ class Config:
     def validate(self) -> None:
         self.scenario.validate()
         self.phy.validate()
-        self.rrrm.validate()
         self.analytic.validate()
         # a content that never fits the engine's grid is never delivered
         if not self.scenario.control_interval / self.phy.prb_duration > 0.5:

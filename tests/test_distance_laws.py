@@ -237,7 +237,7 @@ class TestSurfacesAndEnergies:
         vals = []
         for tc in (10.0, 20.0, 60.0):
             p = dataclasses.replace(params, content_timeout=tc, dr=0.5)
-            vals.append(analytic.short_range_probability(p, *analytic._snapshot_bins(p)))
+            vals.append(analytic.short_range_probability(p))
         assert vals[0] < vals[1] < vals[2]
 
     def test_surface_shape(self):

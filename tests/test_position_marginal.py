@@ -84,6 +84,13 @@ def lane_interval_law(lo, hi, v_a, same_lane):
     return ScalarSpeedLaw(intervals=((-hi - v_a, -lo - v_a),), level=level)
 
 
+def lane_rows_at(edges, va, rmax, tc, same_lane):
+    """A lane's rows and their half-widths rmax + s tc at one cap and
+    timeout, s each row's fastest relative speed."""
+    rows, speed = analytic._lane_rows(edges, va, same_lane)
+    return rows, rmax + speed * tc
+
+
 def lane_grid_of(params):
     """The grid of the lane-aware law."""
     rmax, r_y = params.d2d_max_range, params.lane_offset
@@ -247,16 +254,16 @@ class TestRows:
     @pytest.mark.parametrize("v_a", [9.0, 12.7, 17.0, 24.0])
     def test_same_lane_rows(self, params, lane_grid, v_a):
         edges, _ = analytic._holder_speed_bins(params)
-        rows = analytic._lane_rows(edges, v_a, params.d2d_max_range,
-                                   params.content_timeout, same_lane=True)
+        rows = lane_rows_at(edges, v_a, params.d2d_max_range,
+                            params.content_timeout, same_lane=True)
         grid = analytic._marginal_base(lane_grid, params.dr, np.empty(0))
         assert_rows_match(rows, grid, params)
 
     @pytest.mark.parametrize("v_a", [9.0, 17.0, 24.0])
     def test_opposite_lane_rows(self, params, lane_grid, v_a):
         edges, _ = analytic._holder_speed_bins(params)
-        rows = analytic._lane_rows(edges, v_a, params.d2d_max_range,
-                                   params.content_timeout, same_lane=False)
+        rows = lane_rows_at(edges, v_a, params.d2d_max_range,
+                            params.content_timeout, same_lane=False)
         backs = opposite_lane_nodes(lane_grid, params.lane_offset)
         grid = analytic._marginal_base(backs, params.dr, np.empty(0))
         assert_rows_match(rows, grid, params)
@@ -320,7 +327,7 @@ def test_grids_hold_every_read_node_and_inner_kink(params, v_a, bins, tc, lane_o
     lane_grid = lane_grid_of(p)
     for same_lane, nodes in ((True, lane_grid),
                              (False, opposite_lane_nodes(lane_grid, lane_offset))):
-        rows = analytic._lane_rows(edges, v_a, p.d2d_max_range, tc, same_lane)
+        rows = lane_rows_at(edges, v_a, p.d2d_max_range, tc, same_lane)
         grid = analytic._marginal_base(nodes, p.dr, np.empty(0))
         assert np.all(np.isin(nodes, grid))
         assert not np.any(kinks_of(rows, p) < grid[-1] - 1e-9)
@@ -340,7 +347,7 @@ def test_lane_rows_are_flat_below_the_cap(params, bins, tc, lane_offset):
     opposite = np.union1d([0.0], opposite_lane_nodes(lane_grid, lane_offset))
     assert opposite[-1] == math.sqrt(p.d2d_max_range ** 2 - lane_offset ** 2)
     for same_lane, nodes in ((True, lane_grid), (False, opposite)):
-        rel, X = analytic._lane_rows(edges, va, p.d2d_max_range, tc, same_lane)
+        rel, X = lane_rows_at(edges, va, p.d2d_max_range, tc, same_lane)
         density = analytic._position_marginal(rel, X, nodes, p)[1]
         np.testing.assert_allclose(density * X[:, None], 1.0, rtol=0.0, atol=1e-12)
 

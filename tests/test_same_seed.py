@@ -3,11 +3,12 @@
 import importlib.util
 import os
 import re
+import shutil
 
 import pytest
 
-TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                    "tools", "same_seed.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOL = os.path.join(ROOT, "tools", "same_seed.py")
 
 
 @pytest.fixture(scope="module")
@@ -44,3 +45,27 @@ def test_analytic_lines(same_seed):
     number = r"\d\.\d+(e-\d+)?"
     assert re.fullmatch(rf"sha256=[0-9a-f]{{64}} surface={number}( {number}){{11}}", line)
     assert same_seed.analytic_fingerprint(cfg) == line
+
+
+def test_differing_pairs(same_seed):
+    parent = ["a: x=1", "b: x=2", "c: x=3"]
+    assert same_seed.differing_pairs(parent, list(parent)) == []
+    assert same_seed.differing_pairs(parent, ["a: x=1", "b: x=5", "c: x=3"]) == [
+        ("b: x=2", "b: x=5")]
+    # a line one side lacks pairs with None
+    assert same_seed.differing_pairs(parent, parent[:2]) == [("c: x=3", None)]
+    assert same_seed.differing_pairs([], ["a: x=1"]) == [(None, "a: x=1")]
+
+
+@pytest.mark.skipif(shutil.which("git") is None or not os.path.exists(os.path.join(ROOT, ".git")),
+                    reason="needs git and a git checkout")
+def test_quick_against_head(same_seed, capsys):
+    # the checkout against its own last commit: the exit code says whether
+    # any line differs, and each differing line comes as a (-, +) pair
+    code = same_seed.main(["--quick", "--against", "HEAD"])
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert code == (1 if lines else 0)
+    assert len(lines) % 2 == 0
+    assert all(a.startswith("- ") and b.startswith("+ ") for a, b in zip(lines[::2], lines[1::2]))
+    assert err.strip() == f"{3 - len(lines) // 2} of 3 lines identical"

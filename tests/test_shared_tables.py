@@ -1,11 +1,11 @@
 """Tables formed once and shared, against the forms that build them on
 every call.
 
-The zero-distance surface forms each speed range's content bins and
-lane rows once; a ``RelativeSpeedLaw`` keeps its table of log(-lo) and
-its approaching block; ``zipf_pmf`` is cached.  The reference functions
-below are the per-call forms these replaced, and every shared table must
-give the same bits."""
+The zero-distance surface forms each speed range's lane field (its
+content bins and lane rows) once; a ``RelativeSpeedLaw`` keeps its table
+of log(-lo) and its approaching block; ``zipf_pmf`` is cached.  The
+reference functions below are the per-call forms these replaced, and
+every shared table must give the same bits."""
 
 import dataclasses
 import math
@@ -41,8 +41,8 @@ def reference_zero_atoms(params, same_lane):
     half-widths built for them alone."""
     edges, w_speed = analytic._holder_speed_bins(params)
     va, _ = analytic._speed_grid(params, length_biased=True)
-    rows, X = analytic._lane_rows(edges, va, params.d2d_max_range,
-                                  params.content_timeout, same_lane)
+    rows, speed = analytic._lane_rows(edges, va, same_lane)
+    X = params.d2d_max_range + speed * params.content_timeout
     atom0 = analytic._position_marginal(rows, X, np.zeros(1), params)[0]
     m = w_speed * 2.0 * X.reshape(va.size, -1)
     return (m * atom0.reshape(m.shape)).sum(axis=1)
@@ -72,10 +72,34 @@ def test_surface_equals_each_point_built_alone(params, lane_offset):
             for k, (vmin, vmax) in enumerate(SPEED_RANGES):
                 p = dataclasses.replace(p0, speed_law=UniformSpeedLaw(vmin, vmax),
                                         content_timeout=tc, d2d_max_range=rmax, dr=0.5)
-                want[i, j, k] = analytic.short_range_probability(p, *analytic._snapshot_bins(p))
+                want[i, j, k] = analytic.short_range_probability(p)
     assert np.array_equal(got, want)
     # the two ranges differ, so a table shared across them would show
     assert not np.array_equal(got[..., 0], got[..., 1])
+
+
+def test_surface_forms_one_lane_field_per_speed_range(params, monkeypatch):
+    calls = []
+    lane_field = analytic._lane_field
+
+    def counted(p):
+        calls.append(p.speed_law)
+        return lane_field(p)
+
+    monkeypatch.setattr(analytic, "_lane_field", counted)
+    surface = analytic.short_range_probability_surface(params, TIMEOUTS[:3], SPEED_RANGES,
+                                                       CAPS[:4], dr=0.5)
+    assert surface.shape == (4, 3, 2)
+    assert calls == [UniformSpeedLaw(vmin, vmax) for vmin, vmax in SPEED_RANGES]
+
+
+@pytest.mark.parametrize("lane_offset", [0.0, 10.0])
+@pytest.mark.parametrize("rmax", [100.0, 8.0])
+def test_crossing_mass_forms_its_own_field_as_a_given_one(params, lane_offset, rmax):
+    p = dataclasses.replace(params, lane_offset=lane_offset, d2d_max_range=rmax, dr=0.5)
+    got = analytic.short_range_probability(p)
+    assert got == analytic.short_range_probability(p, analytic._lane_field(p))
+    assert 0.0 < got < 1.0
 
 
 @pytest.mark.parametrize("vmin, vmax", SPEED_RANGES)
@@ -83,14 +107,14 @@ def test_shared_lane_rows_give_each_points_zero_atoms(params, vmin, vmax):
     # one speed range's tables, read at every point in turn, against rows
     # built for each point alone
     p0 = dataclasses.replace(params, speed_law=UniformSpeedLaw(vmin, vmax))
-    w_speed, va, _, lanes = analytic._lane_tables(p0)
+    _, _, w_speed, va, _, lanes = analytic._lane_field(p0)
     edges, _ = analytic._holder_speed_bins(p0)
     for rmax in CAPS:
         for tc in TIMEOUTS:
             p = dataclasses.replace(p0, content_timeout=tc, d2d_max_range=rmax)
             for same_lane, (rows, speed) in zip((True, False), lanes):
-                want_rows, want_X = analytic._lane_rows(edges, va, rmax, tc, same_lane)
-                assert np.array_equal(rmax + speed * tc, want_X)
+                want_rows, want_speed = analytic._lane_rows(edges, va, same_lane)
+                assert np.array_equal(speed, want_speed)
                 assert np.array_equal(rows.lo, want_rows.lo)
                 assert np.array_equal(rows.hi, want_rows.hi)
                 assert np.array_equal(rows.level, want_rows.level)
@@ -172,7 +196,7 @@ def test_position_marginal_reads_a_shared_law_as_a_fresh_one(params):
     # surface reads its lane rows, against fresh copies
     edges, _ = analytic._holder_speed_bins(params)
     va, _ = analytic._speed_grid(params, length_biased=True)
-    rows, speed = analytic._lane_rows(edges, va, 0.0, 1.0, same_lane=False)
+    rows, speed = analytic._lane_rows(edges, va, same_lane=False)
     for rmax, tc, grid in ((100.0, 20.0, np.zeros(1)), (80.0, 7.0, np.linspace(0.0, 80.0, 9)),
                            (100.0, 20.0, np.zeros(1))):
         X = rmax + speed * tc

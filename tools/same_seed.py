@@ -1,12 +1,17 @@
 """Fingerprint fixed-seed simulation runs, one line per run.
 
     python3 tools/same_seed.py [--quick] > runs.txt
+    python3 tools/same_seed.py --against REV [--quick]
 
 Run it from the root of a checkout (the package is imported from its
 ``src/``) at two revisions and diff the two outputs: a change that must
 not move any number prints the same lines.  When the tool itself
 changes, copy the newer version into both checkouts' ``tools/`` first,
-so that both sides fingerprint the same quantities.  Each line holds the run's
+so that both sides fingerprint the same quantities.  ``--against REV``
+does all of this in one command: it runs this tool in a ``git archive``
+copy of REV and in this checkout, prints each pair of lines that differ
+(REV's line after ``-``, this checkout's after ``+``), and exits 1 if
+any does, 0 if none does.  Each line holds the run's
 key, its counters and a sha256 over its summary, delivered D2D
 distances, occupancy samples, both energies, the pending requests (the
 fields of ``REQUEST_FIELDS``), the final copy index ``World.holders``
@@ -46,8 +51,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import io
+import itertools
 import os
+import shutil
+import subprocess
 import sys
+import tarfile
+import tempfile
 
 import numpy as np
 
@@ -167,11 +178,55 @@ def fingerprint(eng: engine.Engine) -> str:
     return f"{counts} sha256={digest.hexdigest()}"
 
 
+def differing_pairs(parent: list[str], change: list[str]) -> list[tuple]:
+    """The (parent, change) pairs of two outputs, paired line by line, that
+    differ; a line that one output lacks is paired with None."""
+    return [(a, b) for a, b in itertools.zip_longest(parent, change) if a != b]
+
+
+def _lines(root: str, quick: bool) -> list[str]:
+    """What this tool prints when run from the checkout at ``root``."""
+    cmd = [sys.executable, os.path.join(root, "tools", "same_seed.py")]
+    return subprocess.run(cmd + (["--quick"] if quick else []), cwd=root, check=True,
+                          capture_output=True, text=True).stdout.splitlines()
+
+
+def against(rev: str, quick: bool) -> int:
+    """Run this tool in a ``git archive`` copy of ``rev`` and in this
+    checkout, print the lines that differ in pairs and return 1 if any
+    does, else 0."""
+    with tempfile.TemporaryDirectory() as tree:
+        archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev],
+                                 check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tree, filter="data")
+        os.makedirs(os.path.join(tree, "tools"), exist_ok=True)
+        shutil.copy(os.path.abspath(__file__), os.path.join(tree, "tools", "same_seed.py"))
+        parent = _lines(tree, quick)
+    change = _lines(ROOT, quick)
+    pairs = differing_pairs(parent, change)
+    for a, b in pairs:
+        print(f"- {a}\n+ {b}")
+    total = max(len(parent), len(change))
+    print(f"{total - len(pairs)} of {total} lines identical", file=sys.stderr)
+    return 1 if pairs else 0
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--quick", action="store_true",
                    help="one 30 s run per policy instead of the full set")
+    p.add_argument("--against", metavar="REV",
+                   help="compare with a git revision's output: print the pairs of "
+                        "lines that differ and exit 1 if any does")
     args = p.parse_args(argv)
+    if args.against is not None:
+        try:
+            return against(args.against, args.quick)
+        except subprocess.CalledProcessError as err:
+            out = err.stderr
+            sys.stderr.write(out.decode() if isinstance(out, bytes) else out)
+            return 2
     for key, cfg, policy, seed, duration, warmup in runs(args.quick):
         eng = engine.run(cfg, policy, duration, warmup, seed)
         print(f"{key}: {fingerprint(eng)}", flush=True)
