@@ -20,18 +20,19 @@ Evaluation layout.  The inner loop of the longitudinal chain is the
 position marginal: a single-provider law averaged over the provider's
 uniform start.  ``_position_marginal`` evaluates a block of them at once,
 one row per row of a ``RelativeSpeedLaw`` block, whose methods give the
-speed-law primitives; the integral of pdf(v)|v| is evaluated only at the
-level -X/tc, the one its zero atom reads.  A block has one grid, built
-from the nodes it is read at and the block's kinks, so a caller reads
-each row by index.  The lane-aware law reads one block per lane, for all
-requester speeds, at the single node 0 for its zero atoms: below the cap
-a lane row's density is flat, so the rest of each lane's crossing
-intensity is closed form.  ``_lane_aware_law`` forms the law on a given
-grid: the law's own, or the three nodes that the crossing-mass surface
-of ``d2doff analytic`` (the law's atoms at 0 and at the offset) reads.
-It reads one ``_lane_field``, which the cap and the timeout do not move,
-so the surface forms one per speed range, and a law object keeps its
-approaching block and log table across the points that read it.
+speed-law primitives; ``_zero_atom_block`` gives its zero atoms from the
+primitives at the one level -X/tc.  A block has one grid, built from the
+nodes it is read at and the block's kinks, so a caller reads each row by
+index.  The lane-aware law reads one zero-atom block per lane, for all
+requester speeds: below the cap a lane row's density is flat, so the rest
+of each lane's crossing intensity is closed form.  ``_lane_terms`` forms
+what the law and its crossing mass both read on a grid: the law's own,
+which ``_lane_aware_law`` reduces to its density, or the three nodes at
+which the crossing-mass surface of ``d2doff analytic`` adds the law's
+atoms at 0 and at the offset, with no density.  The terms read one
+``_lane_field``, which the cap and the timeout do not move, so the surface
+forms one per speed range, and a law object keeps its approaching block
+and log table across the points that read it.
 The unconditional effective-distance law makes one mixture call per
 requester speed: the copy-density bins of that speed share its base law
 and so one table of Poisson terms and one power table, and each bin
@@ -291,6 +292,21 @@ def _kinks(rel: RelativeSpeedLaw, X: np.ndarray, tc: float) -> np.ndarray:
     return (X[:, None] - tc * np.abs(np.concatenate([rel.lo, rel.hi], axis=1))).ravel()
 
 
+def _zero_atom_block(rel: RelativeSpeedLaw, X: np.ndarray, params: AnalyticParams):
+    """The zero atoms of a block of position marginals (rows of ``rel``,
+    half-widths X): both integrals over the provider position are exact
+    in the speed-law primitives at the one level -X/tc."""
+    tc, ts = params.content_timeout, params.sharing_timeout
+    pair, at, sides = rel.approaching
+    uX = -X[at, None] / tc
+    half = tc - tc * tc / (2.0 * ts)
+    edge = np.zeros((2, X.size))
+    edge[pair] = (X[at] * sides.cdf(uX)[:, 0]
+                  - (X[at] * X[at] / (2.0 * ts)) * sides.int_inv_abs_below(uX)[:, 0]
+                  + half * sides.int_abs_to_zero(uX)[:, 0])
+    return (edge[0] + edge[1]) / (2.0 * X)
+
+
 def _position_marginal(rel: RelativeSpeedLaw, X: np.ndarray, grid: np.ndarray,
                        params: AnalyticParams):
     """Single-provider minimum-distance laws for a provider placed
@@ -302,25 +318,17 @@ def _position_marginal(rel: RelativeSpeedLaw, X: np.ndarray, grid: np.ndarray,
     tc, ts = params.content_timeout, params.sharing_timeout
     # sides: only the levels u <= 0 are read, where a (side, row) pair
     # with no interval below 0 adds exact zeros, so only the approaching
-    # pairs are evaluated, as one block of laws.  Levels: -T/tc of the
-    # grid, then -X/tc for the zero atom.
+    # pairs are evaluated, as one block of laws, at the levels -T/tc of
+    # the grid
     pair, at, sides = rel.approaching
     T = X[:, None] - grid
-    uX = -X[at, None] / tc
-    u = np.concatenate([-np.maximum(T[at], _TINY) / tc, uX], axis=1)
+    u = -np.maximum(T[at], _TINY) / tc
     cdf, inv = sides.cdf(u), sides.int_inv_abs_below(u)
     # integral over x in (r, r+T) of the ahead-provider density at r
     ahead = np.zeros((2,) + T.shape)
-    ahead[pair] = np.where(T[at] > _TINY,
-                           (T[at] / ts) * inv[:, :-1] + (sides.cdf(0.0) - cdf[:, :-1]), 0.0)
+    ahead[pair] = np.where(T[at] > _TINY, (T[at] / ts) * inv + (sides.cdf(0.0) - cdf), 0.0)
     density = (1.0 + ahead[0] + ahead[1]) / (2.0 * X[:, None])
-    # mass at 0: both integrals over the provider position are exact in
-    # the speed-law primitives
-    half = tc - tc * tc / (2.0 * ts)
-    edge = np.zeros((2, X.size))
-    edge[pair] = (X[at] * cdf[:, -1] - (X[at] * X[at] / (2.0 * ts)) * inv[:, -1]
-                  + half * sides.int_abs_to_zero(uX)[:, 0])
-    atom0 = (edge[0] + edge[1]) / (2.0 * X)
+    atom0 = _zero_atom_block(rel, X, params)
     # trapezoid CDF, accumulated down the node axis of the transposed
     # rows: the same sums in the same order, vectorized across rows
     steps = 0.5 * (density[:, 1:] + density[:, :-1]) * np.diff(grid)
@@ -511,29 +519,26 @@ def _zero_atoms(w_speed: np.ndarray, rows: RelativeSpeedLaw, speed: np.ndarray,
                 params: AnalyticParams) -> np.ndarray:
     """One lane's zero atom per requester speed, per unit holder density:
     the lane's rows for all speeds (fastest relative speeds ``speed``) form
-    one position-marginal block read at the single node 0, mixed over
-    provider sub-speeds with weights 2X, the providers a row's region holds."""
+    one block of zero atoms, mixed over provider sub-speeds with weights
+    2X, the providers a row's region holds."""
     X = params.d2d_max_range + speed * params.content_timeout
-    atom0 = _position_marginal(rows, X, np.zeros(1), params)[0]
+    atom0 = _zero_atom_block(rows, X, params)
     m = w_speed * 2.0 * X.reshape(-1, w_speed.size)
     return (m * atom0.reshape(m.shape)).sum(axis=1)
 
 
-def _lane_aware_law(params: AnalyticParams, grid: np.ndarray,
-                    field: tuple) -> MixedDistribution:
-    """The lane-aware delivery law over the params' ``_lane_field``, its
-    density tabulated on ``grid`` (0 to the range cap, strictly
-    increasing).
+def _lane_terms(params: AnalyticParams, grid: np.ndarray, field: tuple) -> tuple:
+    """What the lane-aware law and its crossing mass read, over the params'
+    ``_lane_field`` on ``grid`` (0 to the range cap, strictly increasing):
+    the first node past the offset, Lambda(r) less the zero atoms and its
+    derivative, the holder densities, the masked (bins x speeds) weights,
+    both lanes' zero atoms, their total and the atoms' masses before it.
 
     Per unit holder density, a lane's providers come within r of a
     requester as a Poisson field of intensity Lambda(r): the zero atom,
     then 2r, as a lane row's density is 1/X below the cap (its kinks
     X - tc|e| lie at or past the cap) and its region holds 2X providers.
-    The opposite lane is read at sqrt(r^2 - r_y^2) past the offset.  A
-    content bin of holder density rho and a requester speed add
-    exp(-rho Lambda(r)) rho dLambda/dr to the density, and Lambda(r) is
-    the speed's zero atoms plus one curve of r, so the mixture is one
-    (bins x speeds) array times one (bins x nodes) array."""
+    The opposite lane is read at sqrt(r^2 - r_y^2) past the offset."""
     r_y = params.lane_offset
     w_bins, rho_bins, w_speed, va, w_va, (same, opposite) = field
 
@@ -541,12 +546,11 @@ def _lane_aware_law(params: AnalyticParams, grid: np.ndarray,
     # the lanes' axes coincide: the opposite lane is not mapped, and its
     # crossings join the zero atom
     first = int(np.searchsorted(grid, r_y, side="right")) if r_y > 0.0 else 0
-    cross_reachable = first < grid.size
     # Lambda(r) less the zero atoms, and its derivative
     lam, f = 2.0 * grid, np.full(grid.size, 2.0)
     zero_same = _zero_atoms(w_speed, *same, params)
     zero_opp = np.zeros(va.size)
-    if cross_reachable:
+    if first < grid.size:
         zero_opp = _zero_atoms(w_speed, *opposite, params)
         back = np.sqrt(np.clip(grid[first:] ** 2 - r_y * r_y, 0.0, None))
         lam[first:] += 2.0 * back
@@ -564,14 +568,27 @@ def _lane_aware_law(params: AnalyticParams, grid: np.ndarray,
     atom_near = np.sum(w * -np.expm1(-rho * zero_same))
     atom_far = np.sum(w * np.exp(-rho * (zero_same + lam[max(first - 1, 0)]))
                       * -np.expm1(-rho * zero_opp))
-    # exp(-rho Lambda) = exp(-rho zero atoms) exp(-rho lam): the speeds sum
-    # once per bin, with the opposite lane's zero atom past the offset
+    return first, lam, f, rho, w, zero_same, zero_opp, total_w, atom_near, atom_far
+
+
+def _lane_aware_law(params: AnalyticParams, grid: np.ndarray,
+                    field: tuple) -> MixedDistribution:
+    """The lane-aware delivery law from its ``_lane_terms`` on ``grid``.
+    A content bin of holder density rho and a requester speed add
+    exp(-rho Lambda(r)) rho dLambda/dr to the density, and Lambda(r) is
+    the speed's zero atoms plus one curve of r, so the speeds sum once per
+    bin and scale its row of exp(-rho lam), one sum per side of the offset
+    (past it the opposite lane's zero atom joins)."""
+    first, lam, f, rho, w, zero_same, zero_opp, total_w, atom_near, atom_far = _lane_terms(
+        params, grid, field)
     near = np.sum(w * np.exp(-rho * zero_same), axis=1)
     far = np.sum(w * np.exp(-rho * (zero_same + zero_opp)), axis=1)
-    mix = np.where(np.arange(grid.size) < first, near[:, None], far[:, None])
-    density = f * np.sum(rho * mix * np.exp(-rho * lam), axis=0)
-    atoms = {0.0: float(atom_near) / total_w}
-    if cross_reachable:
+    terms = np.exp(-rho * lam)
+    terms[:, :first] *= rho * near[:, None]
+    terms[:, first:] *= rho * far[:, None]
+    density = f * np.sum(terms, axis=0)
+    atoms, r_y = {0.0: float(atom_near) / total_w}, params.lane_offset
+    if first < grid.size:
         atoms[r_y] = atoms.get(r_y, 0.0) + float(atom_far) / total_w
     return MixedDistribution(atoms=list(atoms.items()), grid=grid, density=density / total_w)
 
@@ -610,13 +627,15 @@ def short_range_probability(params: AnalyticParams, field: tuple | None = None) 
     """Crossing mass of the lane-aware delivery law over the params'
     ``_lane_field`` (formed here unless given), its total atom mass:
     same-lane crossings at 0 plus opposite-lane ones at the lane offset.
-    The atoms read the law only at 0, the offset (or the cap, if nearer)
-    and the cap, so it is formed on those nodes alone."""
+    The atoms read the ``_lane_terms`` only at 0, the offset (or the cap,
+    if nearer) and the cap, and add as ``total_atom_mass`` adds them (the
+    one at an offset at or past the cap is exactly 0)."""
     if not params.dr > 0.0:  # the law's grid step, which the atoms do not read
         raise ValueError("grid step must be > 0")
     rmax, r_y = params.d2d_max_range, params.lane_offset
     grid = np.unique([0.0, min(r_y, rmax), rmax])
-    return _lane_aware_law(params, grid, field or _lane_field(params)).total_atom_mass
+    *_, total_w, atom_near, atom_far = _lane_terms(params, grid, field or _lane_field(params))
+    return float(atom_near) / total_w + float(atom_far) / total_w
 
 
 def short_range_probability_surface(params: AnalyticParams,

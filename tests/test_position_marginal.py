@@ -20,7 +20,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from d2doff import analytic, kernels, mixdist
+from d2doff import analytic, cli, kernels, mixdist
 from d2doff.analytic import AnalyticParams
 from d2doff.config import Config
 from d2doff.mixdist import MixedDistribution, refined_grid
@@ -467,7 +467,7 @@ def test_mixture_forms_no_provider_by_node_product():
 # ---------------------------------------------------------------------------
 
 def count_calls(monkeypatch, params):
-    """(kernel calls, grid builds) of one lane-aware law."""
+    """(zero-atom blocks, grid builds) of one lane-aware law."""
     calls = {"kernel": 0, "grid": 0}
 
     def counted(name, fn):
@@ -477,8 +477,8 @@ def count_calls(monkeypatch, params):
         return wrapper
 
     # refined_grid reads mixdist's grid_nodes, the shared nodes analytic's
-    monkeypatch.setattr(analytic, "_position_marginal",
-                        counted("kernel", analytic._position_marginal))
+    monkeypatch.setattr(analytic, "_zero_atom_block",
+                        counted("kernel", analytic._zero_atom_block))
     monkeypatch.setattr(mixdist, "grid_nodes", counted("grid", mixdist.grid_nodes))
     monkeypatch.setattr(analytic, "grid_nodes", counted("grid", analytic.grid_nodes))
     analytic.lane_aware_delivery_law(params)
@@ -494,3 +494,27 @@ def test_law_build_call_counts(monkeypatch, changes):
     kernel, grids = count_calls(monkeypatch, p)
     # one zero-atom block per lane and the law's one grid, whatever the sizes
     assert (kernel, grids) == (2, 1)
+
+
+def test_surface_forms_zero_atoms_alone(monkeypatch):
+    # the surface of ``d2doff analytic`` (one speed range, 4 caps x 3
+    # timeouts, all caps past the lane offset) forms both lanes' zero
+    # atoms at each point and no position marginal
+    calls = {"_position_marginal": 0, "_zero_atom_block": 0}
+
+    def counted(name):
+        fn = getattr(analytic, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(analytic, name, counted(name))
+    p = AnalyticParams.from_config(Config(), with_energy=False)
+    law = p.speed_law
+    surface = analytic.short_range_probability_surface(
+        p, list(cli.SURFACE_TIMEOUTS), [(law.v_min, law.v_max)], list(cli.SURFACE_CAPS))
+    assert surface.shape == (4, 3, 1)
+    assert calls == {"_position_marginal": 0, "_zero_atom_block": 24}

@@ -102,6 +102,22 @@ def test_crossing_mass_forms_its_own_field_as_a_given_one(params, lane_offset, r
     assert 0.0 < got < 1.0
 
 
+@pytest.mark.parametrize("lane_offset", [0.0, 3.3, 10.0, 90.0, 150.0])
+@pytest.mark.parametrize("vmin, vmax", SPEED_RANGES)
+def test_crossing_mass_is_the_laws_atom_mass(params, lane_offset, vmin, vmax):
+    # the crossing mass adds the law's two atoms as the law's total atom
+    # mass adds them, with no density; 90 m lies past the 8 and 80 m caps
+    # and 150 m past all three
+    for rmax in (8.0, 80.0, 140.0):
+        for tc in (7.0, 20.0, 120.0):
+            p = dataclasses.replace(params, speed_law=UniformSpeedLaw(vmin, vmax),
+                                    lane_offset=lane_offset, d2d_max_range=rmax,
+                                    content_timeout=tc)
+            grid = np.unique([0.0, min(lane_offset, rmax), rmax])
+            law = analytic._lane_aware_law(p, grid, analytic._lane_field(p))
+            assert analytic.short_range_probability(p) == law.total_atom_mass
+
+
 @pytest.mark.parametrize("vmin, vmax", SPEED_RANGES)
 def test_shared_lane_rows_give_each_points_zero_atoms(params, vmin, vmax):
     # one speed range's tables, read at every point in turn, against rows
