@@ -106,21 +106,20 @@ def cmd_simulate(args) -> int:
     cfg = _load(args.config)
     engine.tick_counts(cfg, args.duration, args.warmup)
     out = _outdir(args.out)
-    summary = engine.replicate(cfg, args.policy, args.duration, args.warmup,
-                               args.replications, args.seed)
-    rows = [[name, summary.means[name], summary.ci_low[name], summary.ci_high[name]]
-            for name in summary.metric_names]
-    write_csv(os.path.join(out, "metrics.csv"),
-              ["metric", "mean", "ci_low", "ci_high"], rows)
+    runs = engine.run_many((cfg, args.policy, args.duration, args.warmup, args.seed + i)
+                           for i in range(args.replications))
+    summary = engine.summarize(runs)
+    write_csv(os.path.join(out, "metrics.csv"), ["metric", "mean", "ci_low", "ci_high"],
+              [[name, *summary.row(name)] for name in summary.means])
 
-    dists = [r for m in summary.runs for r in m.d2d_distances]
+    dists = [r for m in runs for r in m.d2d_distances]
     hist_rows = []
     if dists:
         centers, dens = engine.sample_distance_pdf(dists)
         hist_rows = [[c, v] for c, v in zip(centers, dens)]
     write_csv(os.path.join(out, "distance_histogram.csv"),
               ["distance_m", "density"], hist_rows)
-    for name in summary.metric_names:
+    for name in summary.means:
         print(f"{name}: {summary.means[name]:.6g} "
               f"[{summary.ci_low[name]:.6g}, {summary.ci_high[name]:.6g}]")
     return EXIT_OK

@@ -28,33 +28,19 @@ class MetricsAccumulator:
     occupancy_samples: list = field(default_factory=list)
     d2d_distances: list = field(default_factory=list)
 
-    @property
-    def deliveries(self) -> int:
-        return self.deliveries_d2d + self.deliveries_i2d
-
-    @property
-    def offloading_efficiency(self) -> float:
-        return self.deliveries_d2d / self.deliveries if self.deliveries else 0.0
-
-    @property
-    def energy_total_per_delivery(self) -> float:
-        return (self.energy_d2d + self.energy_i2d) / self.deliveries \
-            if self.deliveries else 0.0
-
-    @property
-    def energy_d2d_per_delivery(self) -> float:
-        return self.energy_d2d / self.deliveries_d2d if self.deliveries_d2d else 0.0
-
-    @property
-    def mean_occupancy(self) -> float:
-        return float(np.mean(self.occupancy_samples)) if self.occupancy_samples else 0.0
-
     def summary(self) -> dict:
+        """The run's ratios and counters, each as a float; a ratio with
+        nothing to divide by is 0.0."""
+        delivered = self.deliveries_d2d + self.deliveries_i2d
         return {
-            "offloading_efficiency": self.offloading_efficiency,
-            "energy_total_per_delivery": self.energy_total_per_delivery,
-            "energy_d2d_per_delivery": self.energy_d2d_per_delivery,
-            "mean_occupancy": self.mean_occupancy,
+            "offloading_efficiency":
+                self.deliveries_d2d / delivered if delivered else 0.0,
+            "energy_total_per_delivery":
+                (self.energy_d2d + self.energy_i2d) / delivered if delivered else 0.0,
+            "energy_d2d_per_delivery":
+                self.energy_d2d / self.deliveries_d2d if self.deliveries_d2d else 0.0,
+            "mean_occupancy":
+                float(np.mean(self.occupancy_samples)) if self.occupancy_samples else 0.0,
             "deliveries_d2d": float(self.deliveries_d2d),
             "deliveries_i2d": float(self.deliveries_i2d),
             "repeated": float(self.repeated),
@@ -290,11 +276,9 @@ def run_many(jobs, workers: int | None = None) -> list[MetricsAccumulator]:
 
 @dataclass
 class ReplicationSummary:
-    metric_names: list[str]
     means: dict
     ci_low: dict
     ci_high: dict
-    runs: list[MetricsAccumulator]
 
     def row(self, name: str) -> tuple[float, float, float]:
         return self.means[name], self.ci_low[name], self.ci_high[name]
@@ -329,13 +313,16 @@ def _t_quantile_975(df: int) -> float:
 
 
 def summarize(runs: list[MetricsAccumulator]) -> ReplicationSummary:
-    """Means and Student-t 95% CIs of the runs' summaries."""
+    """Means and Student-t 95% CIs of the runs' summaries, by metric in
+    ``summary()`` order."""
+    if not runs:
+        raise ValueError("need at least one run to summarize")
     n_runs = len(runs)
-    names = list(runs[0].summary().keys())
+    rows = [r.summary() for r in runs]
     q = _t_quantile_975(n_runs - 1) if n_runs > 1 else 0.0
     means, lo, hi = {}, {}, {}
-    for name in names:
-        vals = np.array([r.summary()[name] for r in runs])
+    for name in rows[0]:
+        vals = np.array([row[name] for row in rows])
         m = float(vals.mean())
         means[name] = m
         if n_runs > 1:
@@ -343,17 +330,7 @@ def summarize(runs: list[MetricsAccumulator]) -> ReplicationSummary:
             lo[name], hi[name] = m - q * sem, m + q * sem
         else:
             lo[name] = hi[name] = m
-    return ReplicationSummary(metric_names=names, means=means,
-                              ci_low=lo, ci_high=hi, runs=runs)
-
-
-def replicate(cfg: Config, policy_name: str, duration: float, warmup: float,
-              n_runs: int, base_seed: int) -> ReplicationSummary:
-    """Independent runs with seeds base_seed + i and Student-t 95% CIs."""
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
-    return summarize(run_many((cfg, policy_name, duration, warmup, base_seed + i)
-                              for i in range(n_runs)))
+    return ReplicationSummary(means, lo, hi)
 
 
 def sample_distance_pdf(distances):

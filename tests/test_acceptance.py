@@ -42,7 +42,7 @@ def _jobs(points: dict) -> list:
 
 
 def _summaries(points: dict, runs: list) -> dict:
-    """{key: summary of the key's N_RUNS runs}, as engine.replicate gives it."""
+    """{key: summary of the key's N_RUNS runs}, as simulate and sweep form it."""
     return {key: engine.summarize(runs[k * N_RUNS:(k + 1) * N_RUNS])
             for k, key in enumerate(points)}
 

@@ -76,6 +76,24 @@ class TestSimulate:
         assert os.path.exists(os.path.join(out, "distance_histogram.csv"))
         assert "offloading_efficiency" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("reps", [3, 1])
+    def test_replication_i_runs_at_seed_plus_i(self, tmp_path, reps):
+        out = str(tmp_path / "o")
+        assert run_cli("simulate", "--out", out, "--duration", "10", "--warmup", "10",
+                       "--replications", str(reps), "--seed", "7") == 0
+        runs = engine.run_many([(Config(), "optimal", 10.0, 10.0, 7 + i)
+                                for i in range(reps)], workers=1)
+        summary = engine.summarize(runs)
+        _, rows = read_csv(os.path.join(out, "metrics.csv"))
+        assert rows == [[name, *(repr(float(v)) for v in summary.row(name))]
+                        for name in summary.means]
+        if reps == 1:
+            assert all(low == mean == high for _, mean, low, high in rows)
+        _, hist = read_csv(os.path.join(out, "distance_histogram.csv"))
+        centers, density = engine.sample_distance_pdf(
+            [d for m in runs for d in m.d2d_distances])
+        assert hist == [[repr(float(c)), repr(float(v))] for c, v in zip(centers, density)]
+
     def test_reports_pruned_links_under_load(self, tmp_path):
         # at 1.5 veh/s every seed tried prunes thousands of links; at 1 veh/s
         # some prune none

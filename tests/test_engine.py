@@ -30,18 +30,18 @@ def optimal_run(short_cfg):
 class TestMetricsAccumulator:
     def test_empty_defaults(self):
         m = MetricsAccumulator()
-        assert m.offloading_efficiency == 0.0
-        assert m.energy_total_per_delivery == 0.0
-        assert m.mean_occupancy == 0.0
+        assert m.summary()["offloading_efficiency"] == 0.0
+        assert m.summary()["energy_total_per_delivery"] == 0.0
+        assert m.summary()["mean_occupancy"] == 0.0
 
     def test_derived_quantities(self):
         m = MetricsAccumulator(deliveries_d2d=3, deliveries_i2d=1,
                                energy_d2d=0.3, energy_i2d=0.5,
                                occupancy_samples=[0.2, 0.4])
-        assert m.offloading_efficiency == 0.75
-        assert m.energy_total_per_delivery == pytest.approx(0.2)
-        assert m.energy_d2d_per_delivery == pytest.approx(0.1)
-        assert m.mean_occupancy == pytest.approx(0.3)
+        assert m.summary()["offloading_efficiency"] == 0.75
+        assert m.summary()["energy_total_per_delivery"] == pytest.approx(0.2)
+        assert m.summary()["energy_d2d_per_delivery"] == pytest.approx(0.1)
+        assert m.summary()["mean_occupancy"] == pytest.approx(0.3)
         keys = set(m.summary())
         assert {"offloading_efficiency", "mean_occupancy",
                 "energy_total_per_delivery"} <= keys
@@ -87,18 +87,18 @@ class TestPolicyBehaviour:
         m = engine.run(short_cfg, "cellular", 120.0, 120.0, seed=5).metrics
         assert m.deliveries_d2d == 0
         assert m.repeated == 0  # no caches, so no repeated hits
-        assert m.offloading_efficiency == 0.0
+        assert m.summary()["offloading_efficiency"] == 0.0
 
     def test_caching_policies_offload(self, optimal_run):
         m = optimal_run.metrics
         assert m.deliveries_d2d > 0
-        assert 0.0 < m.offloading_efficiency < 1.0
+        assert 0.0 < m.summary()["offloading_efficiency"] < 1.0
         assert m.repeated > 0
 
     def test_energy_ordering(self, short_cfg, optimal_run):
         cell = engine.run(short_cfg, "cellular", 120.0, 120.0, seed=321).metrics
-        assert optimal_run.metrics.energy_total_per_delivery \
-            < cell.energy_total_per_delivery
+        assert optimal_run.metrics.summary()["energy_total_per_delivery"] \
+            < cell.summary()["energy_total_per_delivery"]
 
     def test_invalid_policy(self, short_cfg):
         with pytest.raises(ValueError):
@@ -111,27 +111,27 @@ class TestPolicyBehaviour:
 
 class TestReplicate:
     def test_cis_bracket_means(self, short_cfg):
-        summ = engine.replicate(short_cfg, "optimal", 60.0, 60.0,
-                                n_runs=3, base_seed=100)
-        for name in summ.metric_names:
+        runs = engine.run_many([(short_cfg, "optimal", 60.0, 60.0, 100 + i)
+                                for i in range(3)])
+        summ = engine.summarize(runs)
+        for name in summ.means:
             m, lo, hi = summ.row(name)
             assert lo <= m <= hi
             # half-width t(0.975, 2 df) * standard error of the mean
-            vals = np.array([r.summary()[name] for r in summ.runs])
+            vals = np.array([r.summary()[name] for r in runs])
             assert hi - m == pytest.approx(
                 4.302652729749464 * vals.std(ddof=1) / np.sqrt(3),
                 rel=1e-12, abs=1e-12 * abs(m))
-        assert len(summ.runs) == 3
+        assert len(runs) == 3
 
     def test_single_run_degenerate_ci(self, short_cfg):
-        summ = engine.replicate(short_cfg, "optimal", 60.0, 60.0,
-                                n_runs=1, base_seed=100)
+        summ = engine.summarize(engine.run_many([(short_cfg, "optimal", 60.0, 60.0, 100)]))
         m, lo, hi = summ.row("mean_occupancy")
         assert lo == m == hi
 
-    def test_bad_run_count(self, short_cfg):
+    def test_bad_run_count(self):
         with pytest.raises(ValueError):
-            engine.replicate(short_cfg, "optimal", 60.0, 60.0, 0, 1)
+            engine.summarize([])
 
     def test_t_quantile_matches_scipy(self):
         stats = pytest.importorskip("scipy.stats")
@@ -151,8 +151,9 @@ class TestReplicate:
                 "import d2doff.cli\n"
                 "from d2doff import engine\n"
                 "from d2doff.config import Config\n"
-                "s = engine.replicate(Config(), 'optimal', 5.0, 0.0, n_runs=2,"
-                " base_seed=1)\n"
+                "runs = engine.run_many([(Config(), 'optimal', 5.0, 0.0, 1 + i)"
+                " for i in range(2)])\n"
+                "s = engine.summarize(runs)\n"
                 "print(s.ci_low['mean_occupancy'] <= s.ci_high['mean_occupancy'])\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=env, timeout=300)
@@ -313,8 +314,10 @@ class TestGolden:
         assert {k: getattr(m, k) for k in GOLDEN_COUNTS} == \
             {k: want[k] for k in GOLDEN_COUNTS}
         assert len(m.d2d_distances) == want["deliveries_d2d"]
-        for key in ("energy_d2d", "energy_i2d", "mean_occupancy"):
+        for key in ("energy_d2d", "energy_i2d"):
             assert getattr(m, key) == pytest.approx(want[key], rel=1e-12, abs=0.0)
+        assert m.summary()["mean_occupancy"] == pytest.approx(want["mean_occupancy"],
+                                                              rel=1e-12, abs=0.0)
         assert sum(m.d2d_distances) == pytest.approx(want["d2d_distance_sum"],
                                                      rel=1e-12, abs=0.0)
 

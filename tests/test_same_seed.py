@@ -24,6 +24,27 @@ def test_full_set_has_36_runs(same_seed):
     assert len(keys) == len(set(keys)) == 36
 
 
+def test_summary_groups_pair_the_seeds_of_each_rate_and_policy(same_seed):
+    keys = {run[0] for run in same_seed.runs(quick=False)}
+    groups = same_seed.summary_groups()
+    assert len(groups) == len({key for key, _ in groups}) == 9
+    for key, runs in groups:
+        assert key.startswith("summary lam=") and key.endswith(" seeds=1,2")
+        assert len(runs) == 2 and set(runs) <= keys
+
+
+def test_summary_line(same_seed):
+    # the line's format, from two runs of --quick length
+    _, cfg, policy, _, duration, warmup = same_seed.runs(quick=True)[0]
+    runs = [same_seed.engine.run(cfg, policy, duration, warmup, seed).metrics
+            for seed in (1, 2)]
+    line = same_seed.summary_fingerprint(runs)
+    assert re.fullmatch(r"sha256=[0-9a-f]{64}", line)
+    assert same_seed.summary_fingerprint(runs) == line
+    # other runs give another line
+    assert same_seed.summary_fingerprint(runs[:1]) != line
+
+
 def test_quick_prints_one_stable_line_per_run(same_seed, capsys):
     assert same_seed.main(["--quick"]) == 0
     first = capsys.readouterr().out.splitlines()

@@ -32,6 +32,11 @@ request's deadline is its last tick before the timeout ends), and 3
 content timeout at 1 veh/s, where requests stay open longest.
 ``--quick`` runs one short run per policy.
 
+After its runs, the full set prints one line per arrival rate and policy
+of the first 18 runs: a sha256 over ``engine.summarize`` of that pair's
+seed-1 and seed-2 runs (the means, the CI lows and the CI highs, each in
+metric order), the summary that ``d2doff simulate`` and ``sweep`` print.
+
 The full set then prints one line per analytic configuration of the
 benchmark (arrival rate 1/3 and 1 veh/s at the default distance step,
 2/3 veh/s at 0.05 m): a sha256 over the lane-aware delivery law (atoms,
@@ -44,6 +49,8 @@ v_a = 17 m/s with the command's default 200 000 samples,
 followed by the 12 values of the zero-distance surface of
 ``d2doff analytic``: the crossing mass of the lane-aware law (its atoms
 at 0 and at the lane offset) at each range cap and content timeout.
+In all, the full set prints 48 lines: 36 runs, 9 summaries and 3
+analytic configurations.
 """
 
 from __future__ import annotations
@@ -77,6 +84,9 @@ COUNTERS = ("deliveries_d2d", "deliveries_i2d", "repeated", "dropped",
 SMALL_PAYLOAD_PRBS = (8, 200)
 # link margin (dB, both kinds) of the runs that exercise HARQ retries
 RETRY_MARGIN_DB = 2.0
+# (name, arrival rate in veh/s) of the runs at seeds 1 and 2, summarized
+# per policy
+RATES = (("1/3", 1.0 / 3.0), ("1", 1.0), ("2", 2.0))
 # scenario fields of the runs whose tick grid does not divide the content
 # timeout, by key
 OFF_GRID = {"T=3s": {"control_interval": 3.0},
@@ -110,8 +120,7 @@ def runs(quick: bool):
         return [(f"lam=1 {p} seed=1 quick", _config(1.0), p, 1, 20.0, 10.0)
                 for p in POLICIES]
     out = [(f"lam={name} {p} seed={seed}", _config(lam), p, seed, 60.0, 20.0)
-           for name, lam in (("1/3", 1.0 / 3.0), ("1", 1.0), ("2", 2.0))
-           for p in POLICIES for seed in (1, 2)]
+           for name, lam in RATES for p in POLICIES for seed in (1, 2)]
     out += [(f"n_prbs={n} {p} seed=1", _config(1.0, n), p, 1, 60.0, 20.0)
             for n in SMALL_PAYLOAD_PRBS for p in POLICIES]
     out += [(f"margin={RETRY_MARGIN_DB:g}dB {p} seed=1",
@@ -121,6 +130,13 @@ def runs(quick: bool):
     out += [(f"timeout={LONG_TIMEOUT:g}s {p} seed=1",
              _config(1.0, content_timeout=LONG_TIMEOUT), p, 1, 60.0, 20.0) for p in POLICIES]
     return out
+
+
+def summary_groups():
+    """(key, keys of its runs) of every summary line."""
+    return [(f"summary lam={name} {p} seeds=1,2",
+             [f"lam={name} {p} seed={seed}" for seed in (1, 2)])
+            for name, _ in RATES for p in POLICIES]
 
 
 def analytic_configs():
@@ -178,6 +194,16 @@ def fingerprint(eng: engine.Engine) -> str:
     return f"{counts} sha256={digest.hexdigest()}"
 
 
+def summary_fingerprint(runs: list[engine.MetricsAccumulator]) -> str:
+    # only the fields that every revision's ReplicationSummary has, so that
+    # ``--against`` runs this tool in an older tree too
+    s = engine.summarize(runs)
+    digest = hashlib.sha256()
+    for part in (s.means, s.ci_low, s.ci_high):
+        digest.update(repr([(k, float(v)) for k, v in part.items()]).encode())
+    return f"sha256={digest.hexdigest()}"
+
+
 def differing_pairs(parent: list[str], change: list[str]) -> list[tuple]:
     """The (parent, change) pairs of two outputs, paired line by line, that
     differ; a line that one output lacks is paired with None."""
@@ -227,10 +253,14 @@ def main(argv=None) -> int:
             out = err.stderr
             sys.stderr.write(out.decode() if isinstance(out, bytes) else out)
             return 2
+    metrics = {}
     for key, cfg, policy, seed, duration, warmup in runs(args.quick):
         eng = engine.run(cfg, policy, duration, warmup, seed)
+        metrics[key] = eng.metrics
         print(f"{key}: {fingerprint(eng)}", flush=True)
     if not args.quick:
+        for key, keys in summary_groups():
+            print(f"{key}: {summary_fingerprint([metrics[k] for k in keys])}", flush=True)
         for key, cfg in analytic_configs():
             print(f"{key}: {analytic_fingerprint(cfg)}", flush=True)
     return 0
