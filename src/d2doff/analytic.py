@@ -23,9 +23,9 @@ one row per row of a ``RelativeSpeedLaw`` block, whose methods give the
 speed-law primitives; ``_zero_atom_block`` gives its zero atoms from the
 primitives at the one level -X/tc.  A block has one grid, built from the
 nodes it is read at and the block's kinks, so a caller reads each row by
-index.  The lane-aware law reads one zero-atom block per lane, for all
-requester speeds: below the cap a lane row's density is flat, so the rest
-of each lane's crossing intensity is closed form.  ``_lane_terms`` forms
+index.  The lane-aware law reads one zero-atom block for both lanes and
+all requester speeds: below the cap a lane row's density is flat, so the
+rest of each lane's crossing intensity is closed form.  ``_lane_terms`` forms
 what the law and its crossing mass both read on a grid: the law's own,
 which ``_lane_aware_law`` reduces to its density, or the three nodes at
 which the crossing-mass surface of ``d2doff analytic`` adds the law's
@@ -208,16 +208,20 @@ def single_provider_distance_law(x0: float, v_a: float,
 
 def sample_min_distances(x0: float, v_a: float, params: AnalyticParams, n: int,
                          rng: np.random.Generator) -> np.ndarray:
-    """n Monte-Carlo draws of ``single_provider_distance_law``: one call
-    draws the uniforms of the speeds' intervals, of the speeds within them
-    and of the time limits, n each; the samples are formed block by block."""
-    pick, within, limit = rng.random(3 * n).reshape(3, n)
+    """n Monte-Carlo draws of ``single_provider_distance_law`` from three
+    streams of n uniforms drawn in turn: the speeds' intervals, the speeds
+    within them and the time limits.  Block by block, the speeds and then
+    the samples overwrite uniforms, so only two n-arrays are ever live."""
     rel = params.speed_law.relative(v_a)
-    out = np.empty(n)
+    out, speed = rng.random(n), rng.random(n)
     for s in range(0, n, SAMPLE_BLOCK):
         b = slice(s, s + SAMPLE_BLOCK)
-        phi = time_limits(limit[b], params.content_timeout, params.sharing_timeout)
-        out[b] = kernels.min_distance_samples(float(x0), rel.speeds(pick[b], within[b]), phi)
+        speed[b] = rel.speeds(out[b], speed[b])
+    rng.random(out=out)  # the time-limit uniforms, over the intervals' ones
+    for s in range(0, n, SAMPLE_BLOCK):
+        b = slice(s, s + SAMPLE_BLOCK)
+        phi = time_limits(out[b], params.content_timeout, params.sharing_timeout)
+        out[b] = kernels.min_distance_samples(float(x0), speed[b], phi)
     return out
 
 
@@ -260,14 +264,15 @@ def _speed_grid(params: AnalyticParams,
 
 
 def marginal_nonoffload_probability(params: AnalyticParams) -> float:
-    """P(no reachable provider), averaged over content and requester speed."""
+    """P(no reachable provider), averaged over content and requester speed,
+    from one (contents x speeds) table of nbar, turned into exp(-nbar) in place."""
     weights_z = params.non_repeated_weights()
     rho_z = params.content_densities()
     va, w_va = _speed_grid(params)
     span = 2.0 * provider_region_halfwidth(va, params)
-    # outer product: contents x speeds
-    nbar = rho_z[:, None] * span[None, :]
-    return float(weights_z @ np.exp(-nbar) @ w_va)
+    table = np.multiply.outer(rho_z, span)
+    np.exp(np.negative(table, out=table), out=table)
+    return float(weights_z @ table @ w_va)
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +303,12 @@ def _zero_atom_block(rel: RelativeSpeedLaw, X: np.ndarray, params: AnalyticParam
     in the speed-law primitives at the one level -X/tc."""
     tc, ts = params.content_timeout, params.sharing_timeout
     pair, at, sides = rel.approaching
-    uX = -X[at, None] / tc
+    Xa = X[at]
+    uX = -Xa[:, None] / tc
     half = tc - tc * tc / (2.0 * ts)
     edge = np.zeros((2, X.size))
-    edge[pair] = (X[at] * sides.cdf(uX)[:, 0]
-                  - (X[at] * X[at] / (2.0 * ts)) * sides.int_inv_abs_below(uX)[:, 0]
+    edge[pair] = (Xa * sides.cdf(uX)[:, 0]
+                  - (Xa * Xa / (2.0 * ts)) * sides.int_inv_abs_below(uX)[:, 0]
                   + half * sides.int_abs_to_zero(uX)[:, 0])
     return (edge[0] + edge[1]) / (2.0 * X)
 
@@ -506,21 +512,24 @@ def _lane_field(params: AnalyticParams) -> tuple:
     """What the lane-aware law reads that its cap and timeout do not move,
     one per speed range: the content bins (bin weight, holder density),
     the provider sub-speed weights, the length-biased requester speeds and
-    weights, and each lane's ``_lane_rows``, same lane first."""
+    weights, and both lanes' ``_lane_rows`` as one law and speeds, same lane first."""
     edges, w_speed = _holder_speed_bins(params)
     va, w_va = _speed_grid(params, length_biased=True)
     w_bins, rho_bins = _bin_by_density(params.snapshot_non_repeated_weights(),
                                        params.holder_densities(), params.content_bins)
-    return w_bins, rho_bins, w_speed, va, w_va, [_lane_rows(edges, va, same_lane)
-                                                 for same_lane in (True, False)]
+    (same, s_same), (opp, s_opp) = (_lane_rows(edges, va, lane) for lane in (True, False))
+    rows = RelativeSpeedLaw(lo=np.concatenate([same.lo, opp.lo]),
+                            hi=np.concatenate([same.hi, opp.hi]),
+                            level=np.concatenate([same.level, opp.level]))
+    return w_bins, rho_bins, w_speed, va, w_va, (rows, np.concatenate([s_same, s_opp]))
 
 
 def _zero_atoms(w_speed: np.ndarray, rows: RelativeSpeedLaw, speed: np.ndarray,
                 params: AnalyticParams) -> np.ndarray:
-    """One lane's zero atom per requester speed, per unit holder density:
-    the lane's rows for all speeds (fastest relative speeds ``speed``) form
-    one block of zero atoms, mixed over provider sub-speeds with weights
-    2X, the providers a row's region holds."""
+    """The zero atom per requester speed of each lane in ``rows``, per unit
+    holder density: the rows (fastest relative speeds ``speed``) form one
+    block of zero atoms, mixed over provider sub-speeds with weights 2X,
+    the providers a row's region holds."""
     X = params.d2d_max_range + speed * params.content_timeout
     atom0 = _zero_atom_block(rows, X, params)
     m = w_speed * 2.0 * X.reshape(-1, w_speed.size)
@@ -540,7 +549,7 @@ def _lane_terms(params: AnalyticParams, grid: np.ndarray, field: tuple) -> tuple
     X - tc|e| lie at or past the cap) and its region holds 2X providers.
     The opposite lane is read at sqrt(r^2 - r_y^2) past the offset."""
     r_y = params.lane_offset
-    w_bins, rho_bins, w_speed, va, w_va, (same, opposite) = field
+    w_bins, rho_bins, w_speed, va, w_va, lanes = field
 
     # the opposite lane reaches the nodes past the offset; with no offset
     # the lanes' axes coincide: the opposite lane is not mapped, and its
@@ -548,26 +557,27 @@ def _lane_terms(params: AnalyticParams, grid: np.ndarray, field: tuple) -> tuple
     first = int(np.searchsorted(grid, r_y, side="right")) if r_y > 0.0 else 0
     # Lambda(r) less the zero atoms, and its derivative
     lam, f = 2.0 * grid, np.full(grid.size, 2.0)
-    zero_same = _zero_atoms(w_speed, *same, params)
-    zero_opp = np.zeros(va.size)
+    zero_same, zero_opp = np.split(_zero_atoms(w_speed, *lanes, params), 2)
     if first < grid.size:
-        zero_opp = _zero_atoms(w_speed, *opposite, params)
         back = np.sqrt(np.clip(grid[first:] ** 2 - r_y * r_y, 0.0, None))
         lam[first:] += 2.0 * back
         # Jacobian of the map to sqrt(r^2 - r_y^2)
         f[first:] += 2.0 * (grid[first:] / np.maximum(back, 1e-300) if r_y > 0.0 else 1.0)
+    else:  # the opposite lane never comes within the cap
+        zero_opp = np.zeros(va.size)
 
     rho, w = rho_bins[:, None], w_bins[:, None] * w_va  # density bins x speeds
-    p_off = -np.expm1(-rho * (zero_same + zero_opp + lam[-1]))
+    neg = -rho
+    p_off = -np.expm1(neg * (zero_same + zero_opp + lam[-1]))
     w = np.where(p_off > 0.0, w, 0.0)
     total_w = float(np.sum(w * p_off))
     if total_w <= 0.0:
         raise ValueError("offload probability is zero everywhere")
     # the same lane crosses at 0; the opposite lane at the offset, when no
     # same-lane provider comes within the last node at or below it
-    atom_near = np.sum(w * -np.expm1(-rho * zero_same))
-    atom_far = np.sum(w * np.exp(-rho * (zero_same + lam[max(first - 1, 0)]))
-                      * -np.expm1(-rho * zero_opp))
+    atom_near = np.sum(w * -np.expm1(neg * zero_same))
+    atom_far = np.sum(w * np.exp(neg * (zero_same + lam[max(first - 1, 0)]))
+                      * -np.expm1(neg * zero_opp))
     return first, lam, f, rho, w, zero_same, zero_opp, total_w, atom_near, atom_far
 
 
@@ -583,7 +593,8 @@ def _lane_aware_law(params: AnalyticParams, grid: np.ndarray,
         params, grid, field)
     near = np.sum(w * np.exp(-rho * zero_same), axis=1)
     far = np.sum(w * np.exp(-rho * (zero_same + zero_opp)), axis=1)
-    terms = np.exp(-rho * lam)
+    terms = np.multiply(-rho, lam)
+    np.exp(terms, out=terms)
     terms[:, :first] *= rho * near[:, None]
     terms[:, first:] *= rho * far[:, None]
     density = f * np.sum(terms, axis=0)
@@ -647,7 +658,7 @@ def short_range_probability_surface(params: AnalyticParams,
     over (range cap, content timeout, speed range), at the distance step
     ``dr`` (default: the params'), which does not move it.  The
     ``_lane_field`` depends on the speed range alone, so each range forms
-    it once, and each lane row's log table once."""
+    it once, and the lane rows' log table once."""
     laws = [UniformSpeedLaw(vmin, vmax) for vmin, vmax in speed_ranges]
     fields = [_lane_field(replace(params, speed_law=law)) for law in laws]
     out = np.empty((len(range_caps), len(timeouts), len(laws)))

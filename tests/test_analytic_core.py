@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,3 +108,17 @@ class TestProviderCounts:
     def test_marginal_nonoffload_in_unit_interval(self, default_params):
         p = analytic.marginal_nonoffload_probability(default_params)
         assert 0.0 < p < 1.0
+
+    def test_marginal_nonoffload_forms_one_table(self, default_params):
+        # the (contents x speeds) table of exp(-nbar) is formed in place;
+        # its negation or exponential as new arrays would exceed the bound
+        analytic.marginal_nonoffload_probability(default_params)  # warm the caches
+        contents = default_params.library_size
+        speeds = analytic._speed_grid(default_params)[0].size
+        tracemalloc.start()
+        try:
+            analytic.marginal_nonoffload_probability(default_params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= contents * speeds * 8 + 500_000

@@ -506,9 +506,10 @@ class TestAnalytic:
 
 class TestValidate:
     def test_oracle_memory_stays_blocked(self, default_config, default_params):
-        # at its peak the oracle holds the 3n uniforms and the n samples,
-        # and otherwise block-sized temporaries; a whole-array draw or KS
-        # scan adds full-count temporaries and exceeds the bound
+        # at its peak the oracle holds two n-arrays (the interval uniforms
+        # and the speeds, then the speeds and the samples) and otherwise
+        # block-sized temporaries; a whole-array draw or KS scan adds
+        # full-count temporaries and exceeds the bound
         n = 200_000
         sc = default_config.scenario
         speeds = (sc.speed_min + 0.5, 0.5 * (sc.speed_min + sc.speed_max), sc.speed_max)
@@ -521,7 +522,7 @@ class TestValidate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * n * 8 + 1_000_000
+        assert peak <= 2 * n * 8 + 1_000_000
 
     def test_passes_at_default_threshold(self, tmp_path, capsys):
         out = str(tmp_path / "o")

@@ -492,14 +492,15 @@ def test_law_build_call_counts(monkeypatch, changes):
     p = dataclasses.replace(AnalyticParams.from_config(Config(), with_energy=False),
                             **changes)
     kernel, grids = count_calls(monkeypatch, p)
-    # one zero-atom block per lane and the law's one grid, whatever the sizes
-    assert (kernel, grids) == (2, 1)
+    # one zero-atom block for both lanes and the law's one grid, whatever
+    # the sizes
+    assert (kernel, grids) == (1, 1)
 
 
 def test_surface_forms_zero_atoms_alone(monkeypatch):
     # the surface of ``d2doff analytic`` (one speed range, 4 caps x 3
     # timeouts, all caps past the lane offset) forms both lanes' zero
-    # atoms at each point and no position marginal
+    # atoms in one block at each point and no position marginal
     calls = {"_position_marginal": 0, "_zero_atom_block": 0}
 
     def counted(name):
@@ -517,4 +518,4 @@ def test_surface_forms_zero_atoms_alone(monkeypatch):
     surface = analytic.short_range_probability_surface(
         p, list(cli.SURFACE_TIMEOUTS), [(law.v_min, law.v_max)], list(cli.SURFACE_CAPS))
     assert surface.shape == (4, 3, 1)
-    assert calls == {"_position_marginal": 0, "_zero_atom_block": 24}
+    assert calls == {"_position_marginal": 0, "_zero_atom_block": 12}

@@ -121,21 +121,23 @@ def test_crossing_mass_is_the_laws_atom_mass(params, lane_offset, vmin, vmax):
 @pytest.mark.parametrize("vmin, vmax", SPEED_RANGES)
 def test_shared_lane_rows_give_each_points_zero_atoms(params, vmin, vmax):
     # one speed range's tables, read at every point in turn, against rows
-    # built for each point alone
+    # built for each point alone; the field holds both lanes' rows as one
+    # law, the same lane first, and its zero atoms split in half
     p0 = dataclasses.replace(params, speed_law=UniformSpeedLaw(vmin, vmax))
-    _, _, w_speed, va, _, lanes = analytic._lane_field(p0)
+    _, _, w_speed, va, _, (rows, speed) = analytic._lane_field(p0)
     edges, _ = analytic._holder_speed_bins(p0)
+    want_rows, want_speed = zip(*(analytic._lane_rows(edges, va, same_lane)
+                                  for same_lane in (True, False)))
+    assert np.array_equal(speed, np.concatenate(want_speed))
+    for name in ("lo", "hi", "level"):
+        assert np.array_equal(getattr(rows, name),
+                              np.concatenate([getattr(r, name) for r in want_rows]))
     for rmax in CAPS:
         for tc in TIMEOUTS:
             p = dataclasses.replace(p0, content_timeout=tc, d2d_max_range=rmax)
-            for same_lane, (rows, speed) in zip((True, False), lanes):
-                want_rows, want_speed = analytic._lane_rows(edges, va, same_lane)
-                assert np.array_equal(speed, want_speed)
-                assert np.array_equal(rows.lo, want_rows.lo)
-                assert np.array_equal(rows.hi, want_rows.hi)
-                assert np.array_equal(rows.level, want_rows.level)
-                assert np.array_equal(analytic._zero_atoms(w_speed, rows, speed, p),
-                                      reference_zero_atoms(p, same_lane))
+            halves = np.split(analytic._zero_atoms(w_speed, rows, speed, p), 2)
+            for same_lane, half in zip((True, False), halves):
+                assert np.array_equal(half, reference_zero_atoms(p, same_lane))
 
 
 # ---------------------------------------------------------------------------
