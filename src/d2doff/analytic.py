@@ -43,12 +43,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
-from . import kernels
-from .config import Config, ConfigError
+from . import kernels, phy
+from .config import Config, ConfigError, PhyConfig
 from .mixdist import SAMPLE_BLOCK, MixedDistribution, grid_nodes, refined_grid, _trapz
 from .popularity import (cache_presence_probs, non_repeated_pmf,
                          renewal_presence_probs, zipf_pmf)
@@ -81,6 +80,9 @@ def time_limits(u: np.ndarray, content_timeout: float, sharing_timeout: float) -
 
 @dataclass(frozen=True)
 class AnalyticParams:
+    """The model's inputs, read by ``from_config``; ``phy`` is the PHY section
+    that ``average_energies`` prices energies from (None without energy)."""
+
     speed_law: UniformSpeedLaw
     arrival_rate: float
     request_rate: float
@@ -96,8 +98,7 @@ class AnalyticParams:
     content_bins: int = 48
     provider_speed_bins: int = 8
     same_lane_probability: float = 0.5
-    energy_i2d: Callable[[np.ndarray], np.ndarray] | None = None
-    energy_d2d: Callable[[np.ndarray], np.ndarray] | None = None
+    phy: PhyConfig | None = None
 
     def __post_init__(self):
         # a simulation runs at one speed, but the laws need a range
@@ -107,10 +108,6 @@ class AnalyticParams:
     @classmethod
     def from_config(cls, cfg: Config, with_energy: bool = True) -> "AnalyticParams":
         sc, an = cfg.scenario, cfg.analytic
-        energy_i2d = energy_d2d = None
-        if with_energy:
-            from .phy import energy_functions
-            energy_i2d, energy_d2d = energy_functions(cfg.phy)
         return cls(
             speed_law=UniformSpeedLaw(sc.speed_min, sc.speed_max),
             arrival_rate=sc.vehicle_arrival_rate,
@@ -126,8 +123,7 @@ class AnalyticParams:
             dva=an.dva,
             content_bins=an.content_bins,
             provider_speed_bins=an.provider_speed_bins,
-            energy_i2d=energy_i2d,
-            energy_d2d=energy_d2d,
+            phy=cfg.phy if with_energy else None,
         )
 
     def pmf(self) -> np.ndarray:
@@ -677,20 +673,24 @@ def short_range_probability_surface(params: AnalyticParams,
 
 def average_energies(params: AnalyticParams,
                      law: MixedDistribution | None = None) -> dict:
-    """Mean energy per delivery: infrastructure path (uniform distance
-    up to the cell radius), D2D path (over the lane-aware delivery law,
-    conditional on offload; pass ``law`` when it is built already) and
-    their offload-weighted total."""
-    if params.energy_i2d is None or params.energy_d2d is None:
-        raise ValueError("energy functions are required")
-    r_i2d = refined_grid(0.0, params.i2d_max_range, params.dr, extra=[100.0])
-    e_i2d = float(_trapz(params.energy_i2d(r_i2d), r_i2d)) / params.i2d_max_range
+    """Mean energy per delivery, each priced by ``phy.transmission_energy``
+    from ``params.phy``: infrastructure path (uniform distance up to the
+    cell radius, on a grid refined at the I2D path-loss breakpoint), D2D
+    path (over the lane-aware delivery law, conditional on offload; pass
+    ``law`` when it is built already) and their offload-weighted total."""
+    cfg = params.phy
+    if cfg is None:
+        raise ValueError("energies need the PHY config, and params.phy is None")
+    rmax = params.i2d_max_range
+    r_i2d = refined_grid(0.0, rmax, params.dr, extra=[cfg.gain_i2d.breakpoint])
+    e_i2d = float(_trapz(phy.transmission_energy(phy.I2D, r_i2d, cfg), r_i2d)) / rmax
 
     p_non = marginal_nonoffload_probability(params)
     if law is None:
         law = lane_aware_delivery_law(params)
-    e_d2d = sum(m * float(params.energy_d2d(np.array([loc]))[0]) for loc, m in law.atoms)
-    e_d2d += float(_trapz(params.energy_d2d(law.grid) * law.density, law.grid))
+    e_d2d = sum(m * float(phy.transmission_energy(phy.D2D, np.array([loc]), cfg)[0])
+                for loc, m in law.atoms)
+    e_d2d += float(_trapz(phy.transmission_energy(phy.D2D, law.grid, cfg) * law.density, law.grid))
 
     e_total = p_non * e_i2d + (1.0 - p_non) * e_d2d
     return {

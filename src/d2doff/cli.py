@@ -273,7 +273,7 @@ def cmd_validate(args) -> int:
     if args.duration > 0:  # 0 skips the simulation
         engine.tick_counts(cfg, args.duration, args.warmup)
     out = _outdir(args.out)
-    params = AnalyticParams.from_config(cfg, with_energy=False)
+    params = AnalyticParams.from_config(cfg)
     rng = np.random.default_rng(args.seed)
     sc = cfg.scenario
     speeds = (sc.speed_min + 0.5, 0.5 * (sc.speed_min + sc.speed_max), sc.speed_max)

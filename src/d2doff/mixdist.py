@@ -61,13 +61,7 @@ class MixedDistribution:
     def total_mass(self) -> float:
         return self.total_atom_mass + self.continuous_mass
 
-    # -- moments and CDF ----------------------------------------------
-
-    def mean(self) -> float:
-        m = sum(loc * mass for loc, mass in self.atoms)
-        if self.grid.size >= 2:
-            m += float(_trapz(self.grid * self.density, self.grid))
-        return m
+    # -- CDF ----------------------------------------------------------
 
     def continuous_cdf_values(self) -> np.ndarray:
         """Trapezoid cumulative integral of the density along the grid."""

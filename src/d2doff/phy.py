@@ -90,12 +90,6 @@ def transmission_energy(kind: str, r, cfg: PhyConfig):
     return content_energy(tx_power_per_subcarrier(g, link_margin_db(kind, cfg), cfg), cfg)
 
 
-def energy_functions(cfg: PhyConfig):
-    """(energy_i2d, energy_d2d) callables over distance arrays."""
-    return (lambda r: transmission_energy(I2D, r, cfg),
-            lambda r: transmission_energy(D2D, r, cfg))
-
-
 # ---------------------------------------------------------------------------
 # shadowing field
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from d2doff import analytic
+from d2doff.config import Config
 from d2doff.speedlaw import UniformSpeedLaw
 
 
@@ -74,7 +75,7 @@ class TestParams:
     def test_from_config_defaults(self, default_params):
         assert default_params.speed_law.v_min == 9.0
         assert default_params.rho() == pytest.approx(0.0218, abs=1e-4)
-        assert default_params.energy_i2d is not None
+        assert default_params.phy == Config().phy
 
     def test_content_densities_positive(self, default_params):
         rho_z = default_params.content_densities()

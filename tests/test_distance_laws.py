@@ -7,10 +7,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from d2doff import analytic, kernels
+from d2doff import analytic, kernels, phy
 from d2doff.analytic import AnalyticParams
 from d2doff.config import Config, ScenarioConfig
-from d2doff.mixdist import MixedDistribution, refined_grid
+from d2doff.mixdist import MixedDistribution, refined_grid, _trapz
 from d2doff.speedlaw import UniformSpeedLaw
 
 import speedlaw_reference as ref
@@ -154,7 +154,9 @@ class TestEffectiveLaw:
     def test_more_providers_shift_mass_down(self, default_params):
         sparse, dense = effective_laws([2e-4, 2e-3], 17.0, default_params)
         assert dense.atom_mass(0.0) > sparse.atom_mass(0.0)
-        assert dense.mean() < sparse.mean()
+        # first-order dominance: at every distance of the law's grid, more
+        # providers give at least the CDF of fewer
+        assert np.all(dense.cdf(dense.grid) >= sparse.cdf(dense.grid))
 
     def test_unconditional_normalized(self, default_params):
         law = analytic.unconditional_effective_distance_law(default_params)
@@ -292,6 +294,34 @@ class TestSurfacesAndEnergies:
         params = AnalyticParams.from_config(Config(), with_energy=False)
         with pytest.raises(ValueError):
             analytic.average_energies(params)
+
+    def test_i2d_grid_refines_at_the_configured_breakpoint(self):
+        # off the default 100 m breakpoint, E_I2D is the trapezoid of the
+        # priced energies over a grid refined at the configured one
+        cfg = Config()
+        gain = dataclasses.replace(cfg.phy.gain_i2d, breakpoint=150.05)
+        cfg = dataclasses.replace(cfg, phy=dataclasses.replace(cfg.phy, gain_i2d=gain))
+        cfg.validate()
+        params = AnalyticParams.from_config(cfg)
+        rmax = params.i2d_max_range
+        r = refined_grid(0.0, rmax, params.dr, extra=[150.05])
+        expected = float(_trapz(phy.transmission_energy(phy.I2D, r, cfg.phy), r)) / rmax
+        assert analytic.average_energies(params)["E_I2D"] == expected
+
+    def test_energy_calls_go_through_the_phy_module(self, default_params, monkeypatch):
+        # perfbench's tracer wraps ``phy.transmission_energy`` in place, so
+        # a wrapper there sees every call: the I2D grid, the law's two
+        # atoms and its density grid
+        kinds = []
+        inner = phy.transmission_energy
+
+        def counting(kind, r, cfg):
+            kinds.append(kind)
+            return inner(kind, r, cfg)
+
+        monkeypatch.setattr(phy, "transmission_energy", counting)
+        analytic.average_energies(default_params)
+        assert kinds == [phy.I2D, phy.D2D, phy.D2D, phy.D2D]
 
 
 class TestLowSpeedScenario:

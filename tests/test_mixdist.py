@@ -13,14 +13,12 @@ class TestMixedDistribution:
     def test_pure_atom(self):
         law = MixedDistribution(atoms=[(0.0, 1.0)])
         assert law.total_mass == 1.0
-        assert law.mean() == 0.0
 
-    def test_mixed_mass_and_mean(self):
+    def test_mixed_mass(self):
         grid = np.linspace(0.0, 2.0, 2001)
         law = MixedDistribution(atoms=[(0.0, 0.5)], grid=grid,
                                 density=np.full(grid.size, 0.25))
         assert law.total_mass == pytest.approx(1.0, abs=1e-12)
-        assert law.mean() == pytest.approx(0.5 * 0.0 + 0.5 * 1.0, abs=1e-9)
 
     def test_cdf_steps_at_atoms(self):
         law = MixedDistribution(atoms=[(1.0, 0.3), (2.0, 0.7)])

@@ -77,12 +77,6 @@ class TestPowerControl:
         e = phy.transmission_energy(phy.I2D, r, cfg)
         assert np.all(np.diff(e) > 0)
 
-    def test_energy_functions_match(self, cfg):
-        fi, fd = phy.energy_functions(cfg)
-        r = np.array([10.0, 80.0])
-        assert np.allclose(fi(r), phy.transmission_energy(phy.I2D, r, cfg))
-        assert np.allclose(fd(r), phy.transmission_energy(phy.D2D, r, cfg))
-
 
 class TestShadowing:
     def test_field_statistics(self, cfg, rng):

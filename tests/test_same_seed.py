@@ -68,6 +68,16 @@ def test_analytic_lines(same_seed):
     assert same_seed.analytic_fingerprint(cfg) == line
 
 
+def test_command_lines(same_seed):
+    assert [" ".join(argv) for argv in same_seed.COMMANDS] == [
+        "analytic", "validate --duration 0"]
+    line = same_seed.command_fingerprint(["analytic"])
+    assert re.fullmatch(r"sha256=[0-9a-f]{64}", line)
+    assert same_seed.command_fingerprint(["analytic"]) == line
+    # another command, or a usage error, gives another line
+    assert same_seed.command_fingerprint(["analytic", "--bogus"]) != line
+
+
 def test_differing_pairs(same_seed):
     parent = ["a: x=1", "b: x=2", "c: x=3"]
     assert same_seed.differing_pairs(parent, list(parent)) == []

@@ -49,13 +49,20 @@ v_a = 17 m/s with the command's default 200 000 samples,
 followed by the 12 values of the zero-distance surface of
 ``d2doff analytic``: the crossing mass of the lane-aware law (its atoms
 at 0 and at the lane offset) at each range cap and content timeout.
-In all, the full set prints 48 lines: 36 runs, 9 summaries and 3
-analytic configurations.
+
+Last, the full set prints one line per command of ``COMMANDS``
+(``d2doff analytic`` and ``d2doff validate --duration 0``, at the default
+config and the command's default ``--samples`` and ``--seed``): a sha256
+over the files the command writes (sorted by name, each name and its
+bytes), its stdout and its exit code.  It calls only ``cli.main``.
+In all, the full set prints 50 lines: 36 runs, 9 summaries, 3 analytic
+configurations and 2 commands.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import io
@@ -95,6 +102,8 @@ OFF_GRID = {"T=3s": {"control_interval": 3.0},
 LONG_TIMEOUT = 60.0
 # (x0, v_a) of the oracle report at the full 200 000 samples
 FULL_SIZE_PAIR = (100.0, 17.0)
+# the argument lists of the commands whose output the full set fingerprints
+COMMANDS = (("analytic",), ("validate", "--duration", "0"))
 # a pending request's identity, state and plan
 REQUEST_FIELDS = ("id", "requester_id", "content_id", "t0", "deadline", "state",
                   "provider_id", "planned_tick", "delta_hat")
@@ -174,6 +183,21 @@ def analytic_fingerprint(cfg: Config) -> str:
         digest.update(repr(part).encode())
     values = " ".join(repr(float(p)) for p in surface.ravel())
     return f"sha256={digest.hexdigest()} surface={values}"
+
+
+def command_fingerprint(argv) -> str:
+    """A sha256 over what ``d2doff`` writes with the arguments ``argv``: its
+    files, its stdout and its exit code."""
+    with tempfile.TemporaryDirectory() as out:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main([*argv, "--out", out])
+        digest = hashlib.sha256()
+        for name in sorted(os.listdir(out)):
+            with open(os.path.join(out, name), "rb") as fh:
+                digest.update(repr((name, fh.read())).encode())
+    digest.update(repr((stdout.getvalue(), code)).encode())
+    return f"sha256={digest.hexdigest()}"
 
 
 def _plain(x):
@@ -263,6 +287,8 @@ def main(argv=None) -> int:
             print(f"{key}: {summary_fingerprint([metrics[k] for k in keys])}", flush=True)
         for key, cfg in analytic_configs():
             print(f"{key}: {analytic_fingerprint(cfg)}", flush=True)
+        for argv in COMMANDS:
+            print(f"command {' '.join(argv)}: {command_fingerprint(argv)}", flush=True)
     return 0
 
 
