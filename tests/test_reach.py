@@ -139,9 +139,5 @@ def test_branch_only_callers_run(reached):
     assert [name for name in BRANCHES if name not in reached] == []
 
 
-def test_each_listed_name_is_a_function():
-    assert set(UNREACHED) | set(BRANCHES) <= set(package_defs().values())
-
-
 if __name__ == "__main__":
     probe(sys.argv[1])
